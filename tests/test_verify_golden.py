@@ -1,0 +1,74 @@
+"""Byte-for-byte verify reports at --seed 7.
+
+Covers the CLI on the bundled carriers, the sampled path (lukasiewicz:9
+samples every sampled law; lowersets:antichain3 at n=8 samples only
+proposition_bpi.generated_meet_lower) and three q4 mutants: one whose
+laws crash, one with many failing witnesses, one noncommutative.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from qk.cli import main
+from qk.generators import generate_from_spec
+from qk.quantfile import load_quant
+from qk.verify import run_suite, single_cell_mutants
+
+DATA = Path(__file__).parent / "data"
+GOLDEN = DATA / "golden"
+SEED = "7"
+
+
+def _cli(*argv):
+    def render(capsys):
+        code = main(["verify", *argv, "--seed", SEED])
+        out = capsys.readouterr()
+        assert out.err == ""
+        return code, out.out
+
+    return render
+
+
+def _spec(spec):
+    def render(capsys):
+        rep = run_suite(generate_from_spec(spec), "all", seed=int(SEED))
+        return int(not rep.ok), rep.format()
+
+    return render
+
+
+def _mutant(i, j):
+    def render(capsys):
+        mutants = {(a, b): m for a, b, m in single_cell_mutants(load_quant(DATA / "q4.quant"))}
+        rep = run_suite(mutants[(i, j)], "all", seed=int(SEED))
+        return int(not rep.ok), rep.format()
+
+    return render
+
+
+CASES = {
+    "verify_q4_seed7.txt": (0, _cli(str(DATA / "q4.quant"))),
+    "verify_l3_seed7.txt": (0, _cli(str(DATA / "l3.quant"))),
+    "verify_c2_seed7.txt": (0, _cli(str(DATA / "c2.quant"))),
+    "verify_nondec_seed7.txt": (0, _cli(str(DATA / "nondec.quant"))),
+    "verify_l3_seed7_table.txt": (0, _cli(str(DATA / "l3.quant"), "--format", "table")),
+    "verify_q4_cep_hom_seed7.txt": (
+        0,
+        _cli(str(DATA / "q4.quant"), "--suite", "cep", "--hom", str(DATA / "q4_to_c2.hom")),
+    ),
+    "run_suite_m3_seed7.txt": (0, _spec("m3")),
+    "run_suite_antichain3_seed7.txt": (0, _spec("lowersets:antichain3")),
+    "run_suite_lukasiewicz9_seed7.txt": (0, _spec("lukasiewicz:9")),
+    "run_suite_q4_mutant_0_0_seed7.txt": (1, _mutant(0, 0)),
+    "run_suite_q4_mutant_1_1_seed7.txt": (1, _mutant(1, 1)),
+    "run_suite_q4_mutant_0_1_seed7.txt": (1, _mutant(0, 1)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_verify_golden(capsys, name):
+    want_code, render = CASES[name]
+    code, out = render(capsys)
+    assert code == want_code
+    assert out == (GOLDEN / name).read_text(encoding="utf-8")
