@@ -35,7 +35,7 @@ from .ideals import (
     Ideal,
     enumerate_ideals,
     join_ideals,
-    meet_ideals,
+    meet_all,
     principal,
     product_ideals,
     require_commutative,
@@ -160,11 +160,7 @@ def _radical_powers(i: Ideal) -> Ideal:
 
 
 def _radical_primes(i: Ideal) -> Ideal:
-    q = i.carrier
-    out = q.full
-    for p in primes_over(i):
-        out &= p.members
-    return Ideal(q, out)
+    return meet_all(i.carrier, primes_over(i))
 
 
 def _radical_mcsets(i: Ideal) -> Ideal:
@@ -224,11 +220,7 @@ def is_local(q: FiniteQuantale) -> tuple[bool, Ideal | None]:
 
 def jacobson(q: FiniteQuantale) -> Ideal:
     """Intersection of all maximal ideals."""
-    ms = maximal_ideals(q)
-    out = q.full
-    for m in ms:
-        out &= m.members
-    return Ideal(q, out)
+    return meet_all(q, maximal_ideals(q))
 
 
 def nilradical(q: FiniteQuantale) -> Ideal:

@@ -29,11 +29,11 @@ from .ideals import (
     Ideal,
     enumerate_ideals,
     join_ideals,
+    meet_all,
     meet_ideals,
     principal,
     require_commutative,
     residual,
-    whole_ideal,
 )
 from .classify import (
     is_primary,
@@ -42,13 +42,6 @@ from .classify import (
     primes_over,
     radical,
 )
-
-
-def _meet_all(q: FiniteQuantale, components) -> Ideal:
-    m = q.full
-    for c in components:
-        m &= c.members
-    return Ideal(q, m)
 
 
 def _irreducible_witness(i: Ideal, ideals) -> tuple[Ideal, Ideal] | None:
@@ -129,7 +122,7 @@ def validate_decomposition(d: Decomposition) -> None:
     q = d.target.carrier
     if not d.components:
         raise InvalidDecomposition("a decomposition needs at least one component")
-    if _meet_all(q, d.components) != d.target:
+    if meet_all(q, d.components) != d.target:
         raise InvalidDecomposition("components do not intersect to the target")
     if d.kind == "primary":
         for c in d.components:
@@ -144,7 +137,7 @@ def _irredundant(q: FiniteQuantale, target: Ideal, components: list[Ideal]) -> l
     k = 0
     while k < len(sel):
         rest = sel[:k] + sel[k + 1 :]
-        if rest and _meet_all(q, rest) == target:
+        if rest and meet_all(q, rest) == target:
             sel = rest
         else:
             k += 1
@@ -167,7 +160,7 @@ def primary_decomposition(i: Ideal) -> Decomposition:
         raise NotProper(f"{i.name} is the whole carrier")
     q = i.carrier
     cands = primary_candidates(i)
-    reach = _meet_all(q, cands) if cands else whole_ideal(q)
+    reach = meet_all(q, cands)
     if reach != i:
         raise NotDecomposable(
             f"primary ideals over {i.name} intersect to {reach.name}, not {i.name}",
@@ -200,7 +193,7 @@ def minimize(d: Decomposition) -> Decomposition:
         groups.setdefault(radical(c).members, []).append(c)
     merged = []
     for rad_members, group in sorted(groups.items()):
-        m = _meet_all(q, group)
+        m = meet_all(q, group)
         if not is_primary(m) or radical(m).members != rad_members:
             raise InvalidDecomposition(
                 f"merged component {m.name} is not primary for its radical"
@@ -224,7 +217,7 @@ def irreducible_decomposition(i: Ideal) -> Decomposition:
     q = i.carrier
     ideals = enumerate_ideals(q)
     cands = [c for c in ideals if i <= c and _irreducible_witness(c, ideals) is None]
-    reach = _meet_all(q, cands) if cands else whole_ideal(q)
+    reach = meet_all(q, cands)
     if reach != i:
         raise NotDecomposable(
             f"irreducible ideals over {i.name} intersect to {reach.name}", gap=reach
@@ -251,13 +244,13 @@ def all_minimal_decompositions(i: Ideal) -> list[tuple[Ideal, ...]]:
     out = []
     for pick in range(1, 1 << len(cands)):
         comps = [cands[k] for k in range(len(cands)) if pick >> k & 1]
-        if _meet_all(q, comps) != i:
+        if meet_all(q, comps) != i:
             continue
         rads = [radical(c).members for c in comps]
         if len(set(rads)) != len(rads):
             continue
         if any(
-            _meet_all(q, comps[:k] + comps[k + 1 :]) == i for k in range(len(comps))
+            meet_all(q, comps[:k] + comps[k + 1 :]) == i for k in range(len(comps))
         ) and len(comps) > 1:
             continue
         out.append(tuple(comps))
@@ -413,11 +406,7 @@ def arithmetic_equivalence_check(q: FiniteQuantale) -> ArithmeticReport:
     rep_wit = None
     if wit is None:
         for i in ideals:
-            m = q.full
-            for s in sirr:
-                if i <= s:
-                    m &= s.members
-            if m != i.members:
+            if meet_all(q, [s for s in sirr if i <= s]) != i:
                 rep_ok = False
                 rep_wit = i
                 break

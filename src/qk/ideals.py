@@ -136,10 +136,6 @@ def principal(q: FiniteQuantale, a: int) -> Ideal:
     return Ideal(q, q.down[a])
 
 
-def apex(i: Ideal) -> int:
-    return i.apex
-
-
 def zero_ideal(q: FiniteQuantale) -> Ideal:
     return Ideal(q, 1 << q.bottom)
 
@@ -195,6 +191,16 @@ def enumerate_ideals(q: FiniteQuantale) -> list[Ideal]:
 def meet_ideals(i: Ideal, j: Ideal) -> Ideal:
     _same_carrier(i, j)
     return Ideal(i.carrier, i.members & j.members)
+
+
+def meet_all(q: FiniteQuantale, ideals: Iterable[Ideal]) -> Ideal:
+    """Meet of a family of ideals of q; the whole carrier for an empty one."""
+    m = q.full
+    for i in ideals:
+        if i.carrier is not q:
+            raise CarrierMismatch(f"{i.name} is not an ideal of {q.name}")
+        m &= i.members
+    return Ideal(q, m)
 
 
 def join_ideals(i: Ideal, j: Ideal) -> Ideal:

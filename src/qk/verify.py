@@ -1,11 +1,15 @@
 """Exhaustive re-verification of the ideal-theoretic laws on an instance.
 
 run_suite replays a fixed catalogue of laws, organised into named suites,
-against one carrier.  Quantifiers over elements and ideals are always
-exhausted.  Quantifiers over arbitrary subsets are exhausted up to
-8-element carriers and sampled (seeded, 10^4 draws) above; sampled laws
-say so in their note.  Each law reports its exact case count and, on
-failure, the first witness found; later laws still run.
+against one carrier.  Each suite is a table of laws: a name, a domain to
+quantify over and a predicate.  One function (_check) runs every table: it
+counts the cases, records the first witness and turns a crash into a
+finding.  Quantifiers over elements and ideals are always exhausted; the
+exponential ones (subsets, pairs of subsets, families of ideals, mc sets)
+are sampled or narrowed on larger carriers, by the rules stated once with
+the domains (_Ctx), and such laws say so in their note.  Each law reports
+its exact case count and, on failure, the first witness found; later laws
+still run.
 
 Suites other than "axioms" skip on a noncommutative carrier: that is a
 precondition, not a failure.  The "cep" suite needs homomorphisms; inside
@@ -22,10 +26,14 @@ sampling (env QK_SEED overrides), and no timestamps unless asked.
 
 from __future__ import annotations
 
+import itertools
 import os
 import random
 import time
 from dataclasses import dataclass, replace
+from functools import cached_property, partial, reduce
+from operator import attrgetter, or_
+from typing import Callable, Iterable, NamedTuple
 
 from .core import (
     FiniteQuantale,
@@ -33,7 +41,7 @@ from .core import (
     UNCHECKED,
     bits,
     check_axioms,
-    check_hom,
+    is_unit,
     power,
     power_of_join,
 )
@@ -46,44 +54,31 @@ DEFAULT_SEED = 1105
 SAMPLE_COUNT = 10_000
 EXHAUST_MAX_N = 8
 CROSS_ORACLE_MAX_N = 12
+# pairs of subsets for generated_meet_lower: (2^n)^2 cases, so a lower cut-off
+_PAIR_EXHAUST_MAX_N = 6
 
-SUITE_ORDER = (
-    "axioms",
-    "lemma_bip",
-    "proposition_bpi",
-    "annihilator",
-    "cep",
-    "lpsp",
-    "avoidance",
-    "radical_lemma",
-    "spkr",
-    "saturation",
-    "primary",
-    "pqx",
-    "uniqueness",
-    "irreducible",
-    "arithmetic",
-    "collapse",
-)
-
-SUITE_TOPICS = {
-    "axioms": "lattice structure and multiplication axioms",
-    "lemma_bip": "basic multiplication facts",
-    "proposition_bpi": "ideal operation identities",
-    "annihilator": "annihilator laws",
-    "cep": "extension and contraction along a hom",
-    "lpsp": "prime and semiprime structure",
-    "avoidance": "prime avoidance",
-    "radical_lemma": "radical operator laws",
-    "spkr": "semiprime / prime-intersection / radical agreement",
-    "saturation": "multiplicatively closed sets and saturation",
-    "primary": "primary ideals and radical interchange",
-    "pqx": "residuals of primary ideals by elements",
-    "uniqueness": "primary decomposition uniqueness",
-    "irreducible": "irreducible and strongly irreducible ideals",
-    "arithmetic": "distributivity of the ideal lattice",
-    "collapse": "cross-checks of fast paths against definitional routes",
+# Each suite's function, in report order.  run_suite looks the function up
+# by name when it runs, so a wrapper later bound to the module attribute
+# (a tracing profiler, say) sees the call.
+_SUITES = {
+    "axioms": "_suite_axioms",
+    "lemma_bip": "_suite_lemma_bip",
+    "proposition_bpi": "_suite_bpi",
+    "annihilator": "_suite_annihilator",
+    "cep": "_suite_cep",
+    "lpsp": "_suite_lpsp",
+    "avoidance": "_suite_avoidance",
+    "radical_lemma": "_suite_radical_lemma",
+    "spkr": "_suite_spkr",
+    "saturation": "_suite_saturation",
+    "primary": "_suite_primary",
+    "pqx": "_suite_pqx",
+    "uniqueness": "_suite_uniqueness",
+    "irreducible": "_suite_irreducible",
+    "arithmetic": "_suite_arithmetic",
+    "collapse": "_suite_collapse",
 }
+SUITE_ORDER = tuple(_SUITES)
 
 
 @dataclass(frozen=True)
@@ -158,1037 +153,638 @@ class VerificationReport:
         return "\n".join(lines) + "\n"
 
 
-class _Collector:
-    def __init__(self, suite: str):
-        self.suite = suite
-        self.rows: list[LawResult] = []
+# --- domains and the law runner ----------------------------------------
 
-    def law(self, law: str, cases, note: str = "") -> None:
-        checked = 0
-        status = "pass"
-        witness = None
+
+class _Axis(NamedTuple):
+    """One quantified variable: a thunk giving its values, how a value
+    prints in a witness, and the note a sampled axis adds to its laws."""
+
+    values: Callable[[], Iterable]
+    label: Callable[[object], str]
+    note: str = ""
+
+
+class _Domain(NamedTuple):
+    """What a law ranges over: a thunk yielding the cases (argument tuples
+    of the predicate), the witness of a case, and the domain's note."""
+
+    cases: Callable[[], Iterable[tuple]]
+    witness: Callable[..., tuple]
+    note: str = ""
+
+
+def _over(*axes: _Axis) -> _Domain:
+    """The product of some axes, last axis fastest; nothing is built before
+    the law runs, and only the axes' value lists are ever held."""
+    return _Domain(
+        lambda: itertools.product(*(a.values() for a in axes)),
+        lambda *case: tuple(a.label(v) for a, v in zip(axes, case)),
+        "; ".join(a.note for a in axes if a.note),
+    )
+
+
+class _Law(NamedTuple):
+    """A row of a suite's table.
+
+    holds(*case) is true or false, or None where the case lies outside the
+    law's hypothesis and is not counted.  note is a string, or a thunk read
+    after the cases ran; witness(*case) replaces the domain's witness.  A
+    law without a domain is skipped, with note as the reason.
+    """
+
+    name: str
+    domain: _Domain | None
+    holds: Callable[..., bool | None] | None = None
+    note: str | Callable[[], str] = ""
+    witness: Callable[..., tuple] | None = None
+
+
+def _check(suite: str, laws: list[_Law]) -> list[LawResult]:
+    """Run a suite's table: count each law's cases up to its first failure
+    and record a crash as a failure with the exception in the note."""
+    rows = []
+    for law in laws:
+        if law.domain is None:
+            rows.append(LawResult(suite, law.name, "skipped", 0, None, law.note))
+            continue
+        status, checked, witness, error = "pass", 0, None, ""
         try:
-            for ok, wit in cases:
+            for case in law.domain.cases():
+                ok = law.holds(*case)
+                if ok is None:
+                    continue
+                if not ok:  # the witness is built before the case counts, as a crash is
+                    wit = (law.witness or law.domain.witness)(*case)
+                    status, witness = "fail", tuple(str(w) for w in wit)
                 checked += 1
                 if not ok:
-                    status = "fail"
-                    witness = tuple(str(w) for w in wit)
                     break
         except Exception as exc:  # a crash on this instance is a finding
-            status = "fail"
-            witness = ()
-            extra = f"error: {type(exc).__name__}: {exc}"
-            note = f"{note}; {extra}" if note else extra
-        self.rows.append(LawResult(self.suite, law, status, checked, witness, note))
+            status, witness = "fail", ()
+            error = f"error: {type(exc).__name__}: {exc}"
+        if callable(law.note):
+            parts = (law.domain.note, error, law.note())
+        else:
+            parts = (law.domain.note, law.note, error)
+        note = "; ".join(p for p in parts if p)
+        rows.append(LawResult(suite, law.name, status, checked, witness, note))
+    return rows
 
-    def skip(self, law: str, note: str) -> None:
-        self.rows.append(LawResult(self.suite, law, "skipped", 0, None, note))
+
+_name = attrgetter("name")
+
+
+def _size(family) -> str:
+    return str(len(family))
+
+
+def _pick(items, pick: int) -> tuple:
+    """The subfamily of items selected by the bits of pick."""
+    return tuple(items[j] for j in range(len(items)) if pick >> j & 1)
 
 
 class _Ctx:
-    """Shared per-instance precomputations and quantifier sources."""
+    """Per-instance precomputations, and the axes the suites quantify over.
 
-    def __init__(self, q: FiniteQuantale, seed: int):
+    Exhausted or sampled is decided here and nowhere else.  Elements,
+    ideals, proper ideals, primes, primaries and homs are always exhausted.
+    A sampled domain draws from Random(f"{seed}:{tag}"), one tag per law,
+    and its laws say "sampled" in their note.
+
+      subsets            all nonempty subsets up to EXHAUST_MAX_N (8)
+                         elements, else SAMPLE_COUNT (10^4) nonempty draws
+      subset_pairs       pairs s <= t: all of them up to EXHAUST_MAX_N
+                         elements, else t from subsets and one draw of s
+                         (tag + ".sub") per t
+      overlapping_pairs  pairs s, t with s & t nonempty: all of them up to
+                         _PAIR_EXHAUST_MAX_N (6) elements, else
+                         SAMPLE_COUNT drawn pairs
+      families           all families of ideals, the empty one included, up
+                         to EXHAUST_MAX_N ideals, else SAMPLE_COUNT // 10
+                         (10^3) draws
+      mcsets             all mc sets up to EXHAUST_MAX_N elements, else the
+                         sets generated by one element, plus {top} (note
+                         "mc sets limited to generated ones")
+    """
+
+    def __init__(self, q: FiniteQuantale, seed: int, homs: list[QuantaleHom] | None = None):
         self.q = q
         self.seed = seed
+        self.homs = homs
         self.exhaustive = q.n <= EXHAUST_MAX_N
-        self._cache: dict = {}
 
     def rng(self, tag: str) -> random.Random:
         return random.Random(f"{self.seed}:{tag}")
 
-    def _get(self, key, build):
-        if key not in self._cache:
-            self._cache[key] = build()
-        return self._cache[key]
-
-    @property
+    @cached_property
     def ideals(self) -> list[il.Ideal]:
-        return self._get("ideals", lambda: il.enumerate_ideals(self.q))
+        return il.enumerate_ideals(self.q)
 
-    @property
+    @cached_property
     def proper(self) -> list[il.Ideal]:
-        return self._get("proper", lambda: [i for i in self.ideals if i.proper])
+        return [i for i in self.ideals if i.proper]
 
-    @property
+    @cached_property
     def primes(self) -> list[il.Ideal]:
-        return self._get("primes", lambda: cl.spectrum(self.q))
+        return cl.spectrum(self.q)
 
-    @property
-    def mcsets(self) -> list[cl.McSet]:
-        """Exhaustive for small carriers, else generated-by-element sets."""
-
-        def build():
-            if self.exhaustive:
-                return cl.all_mc_sets(self.q)
-            out = {cl.mc_generated(self.q, x).members for x in range(self.q.n)}
-            out.add(1 << self.q.top)
-            return [cl.McSet(self.q, m) for m in sorted(out)]
-
-        return self._get("mcsets", build)
-
-    @property
+    @cached_property
     def primaries(self) -> list[il.Ideal]:
-        return self._get(
-            "primaries", lambda: [i for i in self.ideals if cl.is_primary(i)]
-        )
+        return [i for i in self.ideals if cl.is_primary(i)]
 
-    def subset_masks(self, tag: str, *, nonempty: bool = True):
-        """(masks, sampled): all subset bitmasks, or a seeded sample."""
-        full = self.q.full
+    @cached_property
+    def mcsets(self) -> list[cl.McSet]:
         if self.exhaustive:
-            lo = 1 if nonempty else 0
-            return range(lo, full + 1), False
-        rng = self.rng(tag)
+            return cl.all_mc_sets(self.q)
+        out = {cl.mc_generated(self.q, x).members for x in range(self.q.n)}
+        out.add(1 << self.q.top)
+        return [cl.McSet(self.q, m) for m in sorted(out)]
+
+    def axis(self, name: str) -> _Axis:
+        """elements, or one of the lists above."""
+        q = self.q
+        if name == "elements":
+            return _Axis(lambda: range(q.n), q.elements.__getitem__)
+        if name == "mcsets":
+            note = "" if self.exhaustive else "mc sets limited to generated ones"
+            return _Axis(lambda: self.mcsets, lambda s: q.labels(s.members), note)
+        return _Axis(lambda: getattr(self, name), _name)
+
+    @property
+    def once(self) -> _Domain:
+        """A single case, for a law about the carrier as a whole."""
+        return _Domain(lambda: [()], lambda: (self.q.name,))
+
+    def subsets(self, tag: str) -> _Axis:
+        def draws():
+            rng = self.rng(tag)
+            masks = (rng.getrandbits(self.q.n) for _ in itertools.count())
+            return list(itertools.islice(filter(None, masks), SAMPLE_COUNT))
+
+        if self.exhaustive:
+            return _Axis(lambda: range(1, self.q.full + 1), self.q.labels)
+        return _Axis(draws, self.q.labels, "sampled")
+
+    def _pair_witness(self, s: int, t: int) -> tuple[str, ...]:
+        return self.q.labels(s), "/", self.q.labels(t)
+
+    def subset_pairs(self, tag: str) -> _Domain:
+        n, ts = self.q.n, self.subsets(tag)
+
+        def cases():
+            if self.exhaustive:
+                return ((t & s, t) for t in ts.values() for s in range(1, t + 1) if t & s)
+            rng = self.rng(tag + ".sub")
+            return ((m & t, t) for t in ts.values() for m in (rng.getrandbits(n),) if m & t)
+
+        return _Domain(cases, self._pair_witness, ts.note)
+
+    def overlapping_pairs(self, tag: str) -> _Domain:
         n = self.q.n
-        masks = []
-        while len(masks) < SAMPLE_COUNT:
-            m = rng.getrandbits(n)
-            if m or not nonempty:
-                masks.append(m)
-        return masks, True
 
-    def ideal_families(self, tag: str):
-        """(families, sampled): tuples of ideals, including the empty one."""
-        k = len(self.ideals)
+        def draws():
+            rng = self.rng(tag)
+            pairs = ((rng.getrandbits(n), rng.getrandbits(n)) for _ in itertools.count())
+            return itertools.islice(((s, t) for s, t in pairs if s & t), SAMPLE_COUNT)
+
+        if n <= _PAIR_EXHAUST_MAX_N:
+            masks = range(1, self.q.full + 1)
+            every = lambda: ((s, t) for s in masks for t in masks if s & t)
+            return _Domain(every, self._pair_witness)
+        return _Domain(draws, self._pair_witness, "sampled")
+
+    def families(self, tag: str) -> _Axis:
+        ideals = self.ideals
+        k = len(ideals)
+
+        def draws():
+            rng = self.rng(tag)
+            return [_pick(ideals, rng.getrandbits(k)) for _ in range(SAMPLE_COUNT // 10)]
+
         if k <= EXHAUST_MAX_N:
-            fams = [
-                tuple(self.ideals[j] for j in range(k) if pick >> j & 1)
-                for pick in range(1 << k)
-            ]
-            return fams, False
-        rng = self.rng(tag)
-        fams = []
-        for _ in range(SAMPLE_COUNT // 10):
-            pick = rng.getrandbits(k)
-            fams.append(tuple(self.ideals[j] for j in range(k) if pick >> j & 1))
-        return fams, True
+            return _Axis(lambda: [_pick(ideals, p) for p in range(1 << k)], _size)
+        return _Axis(draws, _size, "sampled")
 
 
-def _sampled_note(sampled: bool) -> str:
-    return "sampled" if sampled else ""
-
-
-def _meet_family(q, fam):
-    m = q.full
-    for i in fam:
-        m &= i.members
-    return il.Ideal(q, m)
-
-
-def _join_family(q, fam):
-    out = il.zero_ideal(q)
-    for i in fam:
-        out = il.join_ideals(out, i)
-    return out
+def _join_all(q: FiniteQuantale, ideals) -> il.Ideal:
+    return reduce(il.join_ideals, ideals, il.zero_ideal(q))
 
 
 # --- suites -----------------------------------------------------------
 
 
 def _suite_axioms(ctx: _Ctx) -> list[LawResult]:
+    """The check_axioms report, one row per law."""
     q = ctx.q
-    col = _Collector("axioms")
-    rep = check_axioms(q)
-    ce = dict(rep.counterexamples)
     n = q.n
-
-    def emit(law, tags, checked):
+    ce = dict(check_axioms(q).counterexamples)
+    rows = []
+    for law, tags, checked in (
+        ("partial_order", ("partial_order",), n * n),
+        ("bounds", ("bounds",), 2),
+        ("lub_glb", ("lub", "glb"), 2 * n * n),
+        ("assoc", ("assoc",), n**3),
+        ("comm", ("comm",), n * (n - 1) // 2),
+        ("distrib", ("distrib",), n**3),
+        ("bot_absorb", ("bot_absorb",), n),
+        ("identity", ("identity",), n),
+    ):
         bad = next((t for t in tags if t in ce), None)
         if bad is None:
-            col.rows.append(LawResult("axioms", law, "pass", checked))
+            rows.append(LawResult("axioms", law, "pass", checked))
         else:
             wit = tuple(q.elements[i] for i in ce[bad])
-            col.rows.append(LawResult("axioms", law, "fail", checked, wit, bad))
-
-    emit("partial_order", ("partial_order",), n * n)
-    emit("bounds", ("bounds",), 2)
-    emit("lub_glb", ("lub", "glb"), 2 * n * n)
-    emit("assoc", ("assoc",), n**3)
-    emit("comm", ("comm",), n * (n - 1) // 2)
-    emit("distrib", ("distrib",), n**3)
-    emit("bot_absorb", ("bot_absorb",), n)
-    emit("identity", ("identity",), n)
-    return col.rows
+            rows.append(LawResult("axioms", law, "fail", checked, wit, bad))
+    return rows
 
 
 def _suite_lemma_bip(ctx: _Ctx) -> list[LawResult]:
-    q = ctx.q
-    n = q.n
-    col = _Collector("lemma_bip")
-    lab = q.elements
+    q, E = ctx.q, ctx.axis("elements")
+    E3 = _over(E, E, E)
+    leq, mul = q.leq, q.mul
+    exponents = _Axis(lambda: range(1, 5), str)
 
-    col.law(
-        "mul_below_meet",
-        (
-            (q.leq(q.mul[x][y], q.meet[x][y]), (lab[x], lab[y]))
-            for x in range(n)
-            for y in range(n)
-        ),
-    )
-    col.law(
-        "bot_annihilates",
-        ((q.mul[x][q.bottom] == q.bottom, (lab[x],)) for x in range(n)),
-    )
-    col.law(
-        "mul_monotone",
-        (
-            (q.leq(q.mul[x][z], q.mul[y][z]), (lab[x], lab[y], lab[z]))
-            for x in range(n)
-            for y in bits(q.up[x])
-            for z in range(n)
-        ),
-    )
-    col.law(
-        "mul_monotone_pairs",
-        (
-            (q.leq(q.mul[x][u], q.mul[y][v]), (lab[x], lab[y], lab[u], lab[v]))
-            for x in range(n)
-            for y in bits(q.up[x])
-            for u in range(n)
-            for v in bits(q.up[u])
-        ),
-    )
-    col.law(
-        "binomial_power",
-        (
-            (
-                power_of_join(q, x, y, k) == power(q, q.join[x][y], k),
-                (lab[x], lab[y], str(k)),
-            )
-            for x in range(n)
-            for y in range(n)
-            for k in range(1, 5)
-        ),
-    )
-    return col.rows
+    return _check("lemma_bip", [
+        _Law("mul_below_meet", _over(E, E), lambda x, y: leq(mul[x][y], q.meet[x][y])),
+        _Law("bot_annihilates", _over(E), lambda x: mul[x][q.bottom] == q.bottom),
+        _Law("mul_monotone", E3,
+             lambda x, y, z: leq(mul[x][z], mul[y][z]) if leq(x, y) else None),
+        _Law("mul_monotone_pairs", _over(E, E, E, E),
+             lambda x, y, u, v: leq(mul[x][u], mul[y][v]) if leq(x, y) and leq(u, v) else None),
+        _Law("binomial_power", _over(E, E, exponents),
+             lambda x, y, k: power_of_join(q, x, y, k) == power(q, q.join[x][y], k)),
+    ])
 
 
 def _suite_bpi(ctx: _Ctx) -> list[LawResult]:
-    q = ctx.q
-    col = _Collector("proposition_bpi")
-    ideals = ctx.ideals
-    whole = il.whole_ideal(q)
-    zero = il.zero_ideal(q)
-    prod, meet, join, res = (
-        il.product_ideals,
-        il.meet_ideals,
-        il.join_ideals,
-        il.residual,
-    )
+    q, I, F = ctx.q, ctx.axis("ideals"), ctx.families
+    I2, I3 = _over(I, I), _over(I, I, I)
+    whole, zero = il.whole_ideal(q), il.zero_ideal(q)
+    prod, meet, join, res = il.product_ideals, il.meet_ideals, il.join_ideals, il.residual
+    gen = il.generated
+    meet_all, join_all = partial(il.meet_all, q), partial(_join_all, q)
 
-    def pairs():
-        return ((a, b) for a in ideals for b in ideals)
+    def coprime_product(a, b, c):
+        if not (join(a, c).is_whole and join(b, c).is_whole):
+            return None
+        return join(prod(a, b), c).is_whole
 
-    def triples():
-        return ((a, b, c) for a in ideals for b in ideals for c in ideals)
+    def residual_iterated(a, b, c):
+        return res(res(a, b), c) == res(a, prod(b, c)) and res(res(a, b), c) == res(res(a, c), b)
 
-    col.law(
-        "ideal_ops_closed",
-        (
-            (
-                all(
-                    il.is_ideal(q, op(a, b).members)
-                    for op in (prod, meet, join, res)
-                ),
-                (a.name, b.name),
-            )
-            for a, b in pairs()
-        ),
-    )
-    col.law(
-        "product_assoc",
-        (
-            (prod(prod(a, b), c) == prod(a, prod(b, c)), (a.name, b.name, c.name))
-            for a, b, c in triples()
-        ),
-    )
-    col.law(
-        "product_comm", ((prod(a, b) == prod(b, a), (a.name, b.name)) for a, b in pairs())
-    )
-    col.law("whole_is_unit", ((prod(whole, a) == a, (a.name,)) for a in ideals))
-    col.law("zero_annihilates", ((prod(zero, a) == zero, (a.name,)) for a in ideals))
-
-    fams, sampled = ctx.ideal_families("bpi.product_join_distrib")
-    col.law(
-        "product_join_distrib",
-        (
-            (
-                prod(a, _join_family(q, fam))
-                == _join_family(q, [prod(a, b) for b in fam]),
-                (a.name, str(len(fam))),
-            )
-            for a in ideals
-            for fam in fams
-        ),
-        note=_sampled_note(sampled),
-    )
-    col.law(
-        "product_below_meet",
-        ((prod(a, b) <= meet(a, b), (a.name, b.name)) for a, b in pairs()),
-    )
-    col.law(
-        "product_meet_below",
-        (
-            (prod(a, meet(b, c)) <= meet(prod(a, b), prod(a, c)), (a.name, b.name, c.name))
-            for a, b, c in triples()
-        ),
-    )
-    col.law(
-        "product_join_mix",
-        (
-            (prod(join(a, c), join(b, c)) <= join(prod(a, b), c), (a.name, b.name, c.name))
-            for a, b, c in triples()
-        ),
-    )
-    col.law(
-        "coprime_product",
-        (
-            (join(prod(a, b), c).is_whole, (a.name, b.name, c.name))
-            for a, b, c in triples()
-            if join(a, c).is_whole and join(b, c).is_whole
-        ),
-    )
-    col.law(
-        "coprime_meet",
-        (
-            (join(meet(a, b), c) == join(b, c), (a.name, b.name, c.name))
-            for a, b, c in triples()
-            if join(a, c).is_whole
-        ),
-    )
-    col.law(
-        "residual_product_below",
-        ((prod(res(a, b), b) <= a, (a.name, b.name)) for a, b in pairs()),
-    )
-    col.law(
-        "ideal_below_residual", ((a <= res(a, b), (a.name, b.name)) for a, b in pairs())
-    )
-    col.law(
-        "residual_whole_iff",
-        (((b <= a) == res(a, b).is_whole, (a.name, b.name)) for a, b in pairs()),
-    )
-    col.law("residual_by_whole", ((res(a, whole) == a, (a.name,)) for a in ideals))
-    col.law(
-        "below_residual_of_product",
-        ((a <= res(prod(a, b), b), (a.name, b.name)) for a, b in pairs()),
-    )
-    fams2, sampled2 = ctx.ideal_families("bpi.residual_meet_family")
-    col.law(
-        "residual_meet_family",
-        (
-            (
-                res(_meet_family(q, fam), b)
-                == _meet_family(q, [res(a, b) for a in fam]),
-                (str(len(fam)), b.name),
-            )
-            for fam in fams2
-            for b in ideals
-        ),
-        note=_sampled_note(sampled2),
-    )
-    fams3, sampled3 = ctx.ideal_families("bpi.residual_join_family")
-    col.law(
-        "residual_join_family",
-        (
-            (
-                _meet_family(q, [res(a, b) for b in fam])
-                <= res(a, _join_family(q, fam)),
-                (a.name, str(len(fam))),
-            )
-            for a in ideals
-            for fam in fams3
-        ),
-        note=_sampled_note(sampled3),
-    )
-    col.law(
-        "residual_iterated",
-        (
-            (
-                res(res(a, b), c) == res(a, prod(b, c))
-                and res(res(a, b), c) == res(res(a, c), b),
-                (a.name, b.name, c.name),
-            )
-            for a, b, c in triples()
-        ),
-    )
-    col.law(
-        "residual_join_absorb",
-        ((res(a, b) == res(a, join(a, b)), (a.name, b.name)) for a, b in pairs()),
-    )
-    col.law(
-        "residual_meet_absorb",
-        ((res(a, b) == res(meet(a, b), b), (a.name, b.name)) for a, b in pairs()),
-    )
-
-    if q.n <= 6:
-        masks = range(1, q.full + 1)
-        gm_sampled = False
-        gm_cases = (
-            (s, t) for s in masks for t in masks if s & t
-        )
-    else:
-        rng = ctx.rng("bpi.generated_meet_lower")
-        gm_sampled = True
-
-        def _gm():
-            made = 0
-            while made < SAMPLE_COUNT:
-                s = rng.getrandbits(q.n)
-                t = rng.getrandbits(q.n)
-                if s and t and s & t:
-                    made += 1
-                    yield s, t
-
-        gm_cases = _gm()
-    col.law(
-        "generated_meet_lower",
-        (
-            (
-                il.generated(q, s & t) <= il.meet_ideals(il.generated(q, s), il.generated(q, t)),
-                (q.labels(s), "/", q.labels(t)),
-            )
-            for s, t in gm_cases
-        ),
-        note=("sampled; " if gm_sampled else "")
-        + "inclusion only; the reverse fails once generators join above the overlap",
-    )
-    col.law(
-        "ideal_carrier_axioms",
-        iter([(check_axioms(il.ideal_quantale(q).quantale).ok, (q.name,))]),
-    )
-    return col.rows
+    return _check("proposition_bpi", [
+        _Law("ideal_ops_closed", I2,
+             lambda a, b: all(il.is_ideal(q, op(a, b).members) for op in (prod, meet, join, res))),
+        _Law("product_assoc", I3, lambda a, b, c: prod(prod(a, b), c) == prod(a, prod(b, c))),
+        _Law("product_comm", I2, lambda a, b: prod(a, b) == prod(b, a)),
+        _Law("whole_is_unit", _over(I), lambda a: prod(whole, a) == a),
+        _Law("zero_annihilates", _over(I), lambda a: prod(zero, a) == zero),
+        _Law("product_join_distrib", _over(I, F("bpi.product_join_distrib")),
+             lambda a, fam: prod(a, join_all(fam)) == join_all([prod(a, b) for b in fam])),
+        _Law("product_below_meet", I2, lambda a, b: prod(a, b) <= meet(a, b)),
+        _Law("product_meet_below", I3,
+             lambda a, b, c: prod(a, meet(b, c)) <= meet(prod(a, b), prod(a, c))),
+        _Law("product_join_mix", I3,
+             lambda a, b, c: prod(join(a, c), join(b, c)) <= join(prod(a, b), c)),
+        _Law("coprime_product", I3, coprime_product),
+        _Law("coprime_meet", I3,
+             lambda a, b, c: join(meet(a, b), c) == join(b, c) if join(a, c).is_whole else None),
+        _Law("residual_product_below", I2, lambda a, b: prod(res(a, b), b) <= a),
+        _Law("ideal_below_residual", I2, lambda a, b: a <= res(a, b)),
+        _Law("residual_whole_iff", I2, lambda a, b: (b <= a) == res(a, b).is_whole),
+        _Law("residual_by_whole", _over(I), lambda a: res(a, whole) == a),
+        _Law("below_residual_of_product", I2, lambda a, b: a <= res(prod(a, b), b)),
+        _Law("residual_meet_family", _over(F("bpi.residual_meet_family"), I),
+             lambda fam, b: res(meet_all(fam), b) == meet_all([res(a, b) for a in fam])),
+        _Law("residual_join_family", _over(I, F("bpi.residual_join_family")),
+             lambda a, fam: meet_all([res(a, b) for b in fam]) <= res(a, join_all(fam))),
+        _Law("residual_iterated", I3, residual_iterated),
+        _Law("residual_join_absorb", I2, lambda a, b: res(a, b) == res(a, join(a, b))),
+        _Law("residual_meet_absorb", I2, lambda a, b: res(a, b) == res(meet(a, b), b)),
+        _Law("generated_meet_lower", ctx.overlapping_pairs("bpi.generated_meet_lower"),
+             lambda s, t: gen(q, s & t) <= meet(gen(q, s), gen(q, t)),
+             "inclusion only; the reverse fails once generators join above the overlap"),
+        _Law("ideal_carrier_axioms", ctx.once,
+             lambda: check_axioms(il.ideal_quantale(q).quantale).ok),
+    ])
 
 
 def _suite_annihilator(ctx: _Ctx) -> list[LawResult]:
-    q = ctx.q
-    col = _Collector("annihilator")
+    q, S = ctx.q, ctx.subsets
     ann = lambda m: il.annihilator(q, m)
     zero = il.zero_ideal(q)
 
-    masks, sampled = ctx.subset_masks("ann.antitone")
-    if not sampled:
-        pair_cases = (
-            (t & s, t) for t in masks for s in range(1, t + 1) if t & s
-        )
-    else:
-        rng = ctx.rng("ann.antitone.sub")
-        pair_cases = (
-            (m & t, t)
-            for t in masks
-            for m in (rng.getrandbits(q.n),)
-            if m & t
-        )
-    col.law(
-        "antitone",
-        (
-            (ann(t) <= ann(s), (q.labels(s), "/", q.labels(t)))
-            for s, t in pair_cases
-        ),
-        note=_sampled_note(sampled),
-    )
-    masks2, sampled2 = ctx.subset_masks("ann.double")
-    col.law(
-        "double_contains",
-        (
-            (s & ~ann(ann(s).members).members == 0, (q.labels(s),))
-            for s in masks2
-        ),
-        note=_sampled_note(sampled2),
-    )
-    masks3, sampled3 = ctx.subset_masks("ann.triple")
-    col.law(
-        "triple_stable",
-        (
-            (ann(s) == ann(ann(ann(s).members).members), (q.labels(s),))
-            for s in masks3
-        ),
-        note=_sampled_note(sampled3),
-    )
-    masks4, sampled4 = ctx.subset_masks("ann.residual")
-    col.law(
-        "matches_residual_into_zero",
-        (
-            (ann(s) == il.residual(zero, il.generated(q, s)), (q.labels(s),))
-            for s in masks4
-        ),
-        note=_sampled_note(sampled4),
-    )
-    return col.rows
+    return _check("annihilator", [
+        _Law("antitone", ctx.subset_pairs("ann.antitone"), lambda s, t: ann(t) <= ann(s)),
+        _Law("double_contains", _over(S("ann.double")),
+             lambda s: s & ~ann(ann(s).members).members == 0),
+        _Law("triple_stable", _over(S("ann.triple")),
+             lambda s: ann(s) == ann(ann(ann(s).members).members)),
+        _Law("matches_residual_into_zero", _over(S("ann.residual")),
+             lambda s: ann(s) == il.residual(zero, il.generated(q, s))),
+    ])
 
 
-def _suite_cep(ctx: _Ctx, homs: list[QuantaleHom]) -> list[LawResult]:
+def _suite_cep(ctx: _Ctx) -> list[LawResult]:
     q = ctx.q
-    col = _Collector("cep")
-    col.law(
-        "maps_are_homs",
-        ((h.check().ok, (h.name,)) for h in homs),
-    )
-    source_ideals = ctx.ideals
+    homs = ctx.homs if ctx.homs is not None else default_homs(q)
+    ext, con = il.extension, il.contraction
+    prod, meet, res = il.product_ideals, il.meet_ideals, il.residual
+    source = ctx.ideals
 
-    def per_hom():
-        for h in homs:
-            e = lambda i, h=h: il.extension(h, i)
-            c = lambda j, h=h: il.contraction(h, j)
-            yield h, e, c, il.enumerate_ideals(h.target)
+    def per_hom(n_source: int, n_target: int) -> _Domain:
+        """h, then n_source ideals of its source and n_target of its target."""
 
-    col.law(
-        "images_are_ideals",
-        (
-            (
-                il.is_ideal(h.target, e(i).members) and il.is_ideal(q, c(j).members),
-                (h.name, i.name, j.name),
-            )
-            for h, e, c, tgt in per_hom()
-            for i in source_ideals
-            for j in tgt
-        ),
-    )
-    col.law(
-        "extend_contract_expands",
-        (
-            (i <= c(e(i)), (h.name, i.name))
-            for h, e, c, tgt in per_hom()
-            for i in source_ideals
-        ),
-    )
-    col.law(
-        "contract_extend_reduces",
-        (
-            (e(c(j)) <= j, (h.name, j.name))
-            for h, e, c, tgt in per_hom()
-            for j in tgt
-        ),
-    )
-    col.law(
-        "contraction_stable",
-        (
-            (c(j) == c(e(c(j))), (h.name, j.name))
-            for h, e, c, tgt in per_hom()
-            for j in tgt
-        ),
-    )
-    col.law(
-        "extension_stable",
-        (
-            (e(i) == e(c(e(i))), (h.name, i.name))
-            for h, e, c, tgt in per_hom()
-            for i in source_ideals
-        ),
-    )
-    col.law(
-        "extension_meet_below",
-        (
-            (
-                e(il.meet_ideals(a, b)) <= il.meet_ideals(e(a), e(b)),
-                (h.name, a.name, b.name),
-            )
-            for h, e, c, tgt in per_hom()
-            for a in source_ideals
-            for b in source_ideals
-        ),
-    )
-    col.law(
-        "extension_product",
-        (
-            (
-                e(il.product_ideals(a, b)) == il.product_ideals(e(a), e(b)),
-                (h.name, a.name, b.name),
-            )
-            for h, e, c, tgt in per_hom()
-            for a in source_ideals
-            for b in source_ideals
-        ),
-    )
-    col.law(
-        "extension_residual_below",
-        (
-            (
-                e(il.residual(a, b)) <= il.residual(e(a), e(b)),
-                (h.name, a.name, b.name),
-            )
-            for h, e, c, tgt in per_hom()
-            for a in source_ideals
-            for b in source_ideals
-        ),
-    )
-    col.law(
-        "contraction_meet",
-        (
-            (
-                c(il.meet_ideals(a, b)) == il.meet_ideals(c(a), c(b)),
-                (h.name, a.name, b.name),
-            )
-            for h, e, c, tgt in per_hom()
-            for a in tgt
-            for b in tgt
-        ),
-    )
-    col.law(
-        "contraction_product_below",
-        (
-            (
-                il.product_ideals(c(a), c(b)) <= c(il.product_ideals(a, b)),
-                (h.name, a.name, b.name),
-            )
-            for h, e, c, tgt in per_hom()
-            for a in tgt
-            for b in tgt
-        ),
-    )
-    col.law(
-        "contraction_residual_below",
-        (
-            (
-                c(il.residual(a, b)) <= il.residual(c(a), c(b)),
-                (h.name, a.name, b.name),
-            )
-            for h, e, c, tgt in per_hom()
-            for a in tgt
-            for b in tgt
-        ),
-    )
+        def cases():
+            for h in homs:
+                target = il.enumerate_ideals(h.target)
+                for ideals in itertools.product(*[source] * n_source, *[target] * n_target):
+                    yield (h, *ideals)
 
-    def bijection_cases():
-        for h, e, c, tgt in per_hom():
-            stable_src = [i for i in source_ideals if c(e(i)) == i]
-            stable_tgt = [j for j in tgt if e(c(j)) == j]
-            ok = len(stable_src) == len(stable_tgt)
-            ok = ok and all(e(i) in stable_tgt and c(e(i)) == i for i in stable_src)
-            ok = ok and all(c(j) in stable_src and e(c(j)) == j for j in stable_tgt)
-            yield ok, (h.name,)
+        return _Domain(cases, lambda h, *ideals: (h.name, *(i.name for i in ideals)))
 
-    col.law("restricted_bijection", bijection_cases())
-    return col.rows
+    def images_are_ideals(h, i, j):
+        return il.is_ideal(h.target, ext(h, i).members) and il.is_ideal(q, con(h, j).members)
+
+    def bijection(h):
+        target = il.enumerate_ideals(h.target)
+        stable_src = [i for i in source if con(h, ext(h, i)) == i]
+        stable_tgt = [j for j in target if ext(h, con(h, j)) == j]
+        ok = len(stable_src) == len(stable_tgt)
+        ok = ok and all(ext(h, i) in stable_tgt and con(h, ext(h, i)) == i for i in stable_src)
+        return ok and all(con(h, j) in stable_src and ext(h, con(h, j)) == j for j in stable_tgt)
+
+    each_hom = _over(_Axis(lambda: homs, _name))
+    src, src2, tgt, tgt2 = per_hom(1, 0), per_hom(2, 0), per_hom(0, 1), per_hom(0, 2)
+    return _check("cep", [
+        _Law("maps_are_homs", each_hom, lambda h: h.check().ok),
+        _Law("images_are_ideals", per_hom(1, 1), images_are_ideals),
+        _Law("extend_contract_expands", src, lambda h, i: i <= con(h, ext(h, i))),
+        _Law("contract_extend_reduces", tgt, lambda h, j: ext(h, con(h, j)) <= j),
+        _Law("contraction_stable", tgt, lambda h, j: con(h, j) == con(h, ext(h, con(h, j)))),
+        _Law("extension_stable", src, lambda h, i: ext(h, i) == ext(h, con(h, ext(h, i)))),
+        _Law("extension_meet_below", src2,
+             lambda h, a, b: ext(h, meet(a, b)) <= meet(ext(h, a), ext(h, b))),
+        _Law("extension_product", src2,
+             lambda h, a, b: ext(h, prod(a, b)) == prod(ext(h, a), ext(h, b))),
+        _Law("extension_residual_below", src2,
+             lambda h, a, b: ext(h, res(a, b)) <= res(ext(h, a), ext(h, b))),
+        _Law("contraction_meet", tgt2,
+             lambda h, a, b: con(h, meet(a, b)) == meet(con(h, a), con(h, b))),
+        _Law("contraction_product_below", tgt2,
+             lambda h, a, b: prod(con(h, a), con(h, b)) <= con(h, prod(a, b))),
+        _Law("contraction_residual_below", tgt2,
+             lambda h, a, b: con(h, res(a, b)) <= res(con(h, a), con(h, b))),
+        _Law("restricted_bijection", each_hom, bijection),
+    ])
 
 
 def _suite_lpsp(ctx: _Ctx) -> list[LawResult]:
-    q = ctx.q
-    col = _Collector("lpsp")
-    ideals, primes = ctx.ideals, ctx.primes
+    q, I, P, proper = ctx.q, ctx.axis("ideals"), ctx.axis("primes"), ctx.axis("proper")
+    primes = ctx.primes
+    zero = il.zero_ideal(q)
+    meet, prod = il.meet_ideals, il.product_ideals
 
-    col.law(
-        "prime_two_forms",
-        ((cl.is_prime(i) == cl.is_prime_idealwise(i), (i.name,)) for i in ideals),
-    )
+    def descends(p, i):
+        if not i <= p:
+            return None
+        between = [r for r in primes if i <= r and r <= p]
+        return bool([r for r in between if not any(o < r for o in between)])
 
-    def descent_cases():
-        for p in primes:
-            for i in ideals:
-                if not i <= p:
-                    continue
-                between = [r for r in primes if i <= r and r <= p]
-                minimal = [r for r in between if not any(o < r for o in between)]
-                yield bool(minimal), (i.name, p.name)
+    def minimal_primes(i):
+        mins = cl.minimal_primes_over(i)
+        return bool(mins) and all(not any(p2 < p for p2 in cl.primes_over(i)) for p in mins)
 
-    col.law("prime_descent", descent_cases())
+    def local(m):
+        if not all(is_unit(q, x) for x in bits(q.full & ~m.members)):
+            return None
+        flag, mx = cl.is_local(q)
+        return flag and mx == m
 
-    def minimal_cases():
-        for i in ctx.proper:
-            mins = cl.minimal_primes_over(i)
-            ok = bool(mins) and all(
-                not any(p2 < p for p2 in cl.primes_over(i)) for p in mins
-            )
-            yield ok, (i.name,)
+    def qd_reduced():
+        mins = cl.minimal_primes_over(zero) if zero.proper else []
+        return cl.is_qd(q) == (cl.is_reduced(q) and len(mins) == 1)
 
-    col.law("minimal_primes_nonempty", minimal_cases())
-    col.law(
-        "semiprime_two_forms",
-        (
-            (cl.is_semiprime(i) == cl.is_semiprime_idealwise(i), (i.name,))
-            for i in ideals
-        ),
-    )
-    col.law(
-        "coprime_meet_is_product",
-        (
-            (il.meet_ideals(a, b) == il.product_ideals(a, b), (a.name, b.name))
-            for a in ideals
-            for b in ideals
-            if cl.are_coprime(a, b)
-        ),
-    )
-    col.law(
-        "prime_iff_complement_mc",
-        (
-            (cl.is_prime(i) == cl.is_mc(q, q.full & ~i.members), (i.name,))
-            for i in ctx.proper
-        ),
-    )
     if q.bottom == q.top:
-        col.skip("maximal_exists", "degenerate carrier (bottom == top)")
-        col.skip("proper_below_maximal", "degenerate carrier (bottom == top)")
-        col.skip("nilradical_below_jacobson", "degenerate carrier (bottom == top)")
+        why = "degenerate carrier (bottom == top)"
+        maximal_laws = [
+            _Law(law, None, note=why)
+            for law in ("maximal_exists", "proper_below_maximal", "nilradical_below_jacobson")
+        ]
     else:
         maxima = cl.maximal_ideals(q)
-        col.law("maximal_exists", iter([(bool(maxima), (q.name,))]))
-        col.law(
-            "proper_below_maximal",
-            ((any(i <= m for m in maxima), (i.name,)) for i in ctx.proper),
-        )
-        col.law(
-            "nilradical_below_jacobson",
-            iter([(cl.nilradical(q) <= cl.jacobson(q), (q.name,))]),
-        )
+        maximal_laws = [
+            _Law("maximal_exists", ctx.once, lambda: bool(maxima)),
+            _Law("proper_below_maximal", _over(proper), lambda i: any(i <= m for m in maxima)),
+            _Law("nilradical_below_jacobson", ctx.once,
+                 lambda: cl.nilradical(q) <= cl.jacobson(q)),
+        ]
 
-    def local_cases():
-        from .core import is_unit
-
-        for m in ctx.proper:
-            if all(is_unit(q, x) for x in bits(q.full & ~m.members)):
-                flag, mx = cl.is_local(q)
-                yield flag and mx == m, (m.name,)
-
-    col.law("local_characterization", local_cases())
-    col.law(
-        "nilradical_is_prime_meet",
-        iter(
-            [
-                (
-                    cl.nilradical(q) == _meet_family(q, primes),
-                    (q.name,),
-                )
-            ]
-        ),
-    )
-    zero = il.zero_ideal(q)
-    col.law(
-        "qd_iff_zero_prime",
-        iter([(cl.is_qd(q) == (zero.proper and cl.is_prime(zero)), (q.name,))]),
-    )
-
-    def qd_reduced_case():
-        mins = cl.minimal_primes_over(zero) if zero.proper else []
-        yield cl.is_qd(q) == (cl.is_reduced(q) and len(mins) == 1), (q.name,)
-
-    col.law("qd_iff_reduced_unique_minimal", qd_reduced_case())
-    return col.rows
+    return _check("lpsp", [
+        _Law("prime_two_forms", _over(I), lambda i: cl.is_prime(i) == cl.is_prime_idealwise(i)),
+        _Law("prime_descent", _over(P, I), descends, witness=lambda p, i: (i.name, p.name)),
+        _Law("minimal_primes_nonempty", _over(proper), minimal_primes),
+        _Law("semiprime_two_forms", _over(I),
+             lambda i: cl.is_semiprime(i) == cl.is_semiprime_idealwise(i)),
+        _Law("coprime_meet_is_product", _over(I, I),
+             lambda a, b: meet(a, b) == prod(a, b) if cl.are_coprime(a, b) else None),
+        _Law("prime_iff_complement_mc", _over(proper),
+             lambda i: cl.is_prime(i) == cl.is_mc(q, q.full & ~i.members)),
+        *maximal_laws,
+        _Law("local_characterization", _over(proper), local),
+        _Law("nilradical_is_prime_meet", ctx.once,
+             lambda: cl.nilradical(q) == il.meet_all(q, primes)),
+        _Law("qd_iff_zero_prime", ctx.once,
+             lambda: cl.is_qd(q) == (zero.proper and cl.is_prime(zero))),
+        _Law("qd_iff_reduced_unique_minimal", ctx.once, qd_reduced),
+    ])
 
 
 def _suite_avoidance(ctx: _Ctx) -> list[LawResult]:
     q = ctx.q
-    col = _Collector("avoidance")
     ideals, primes = ctx.ideals, ctx.primes
+    masks = ctx.subsets("avoidance.stable")
 
-    masks, sampled = ctx.subset_masks("avoidance.stable")
-    stable_sets = [
-        m
-        for m in masks
-        if m
-        and all(
-            m >> q.join[x][y] & 1 and m >> q.mul[x][y] & 1
-            for x in bits(m)
-            for y in bits(m)
+    def stable(m):
+        return all(
+            m >> q.join[x][y] & 1 and m >> q.mul[x][y] & 1 for x in bits(m) for y in bits(m)
         )
-    ]
-
-    def combos():
-        for a in ideals:
-            yield (a,)
-        for ai, a in enumerate(ideals):
-            for b in ideals[ai:]:
-                yield (a, b)
-        for ai, a in enumerate(ideals):
-            for b in ideals[ai:]:
-                for p in primes:
-                    yield (a, b, p)
 
     def cases():
-        all_combos = list(combos())
-        for m in stable_sets:
-            for ps in all_combos:
-                try:
-                    x = cl.prime_avoidance(q, m, list(ps))
-                except HypothesisViolated:
-                    continue
-                union = 0
-                for p in ps:
-                    union |= p.members
-                ok = bool(m >> x & 1) and not union >> x & 1
-                yield ok, (q.labels(m), "/", " ".join(p.name for p in ps))
+        combos = [(a,) for a in ideals]
+        combos += [(a, b) for k, a in enumerate(ideals) for b in ideals[k:]]
+        combos += [(a, b, p) for k, a in enumerate(ideals) for b in ideals[k:] for p in primes]
+        return ((m, ps) for m in masks.values() if stable(m) for ps in combos)
 
-    col.law("witness_outside_union", cases(), note=_sampled_note(sampled))
-    return col.rows
+    def avoids(m, ps):
+        try:
+            x = cl.prime_avoidance(q, m, list(ps))
+        except HypothesisViolated:
+            return None
+        union = reduce(or_, (p.members for p in ps), 0)
+        return bool(m >> x & 1) and not union >> x & 1
+
+    def witness(m, ps):
+        return q.labels(m), "/", " ".join(p.name for p in ps)
+
+    return _check("avoidance", [
+        _Law("witness_outside_union", _Domain(cases, witness, masks.note), avoids),
+    ])
 
 
 def _suite_radical_lemma(ctx: _Ctx) -> list[LawResult]:
-    q = ctx.q
-    col = _Collector("radical_lemma")
-    ideals = ctx.ideals
+    q, I = ctx.q, ctx.axis("ideals")
+    I2 = _over(I, I)
     rad = cl.radical
+    prod, meet = il.product_ideals, il.meet_ideals
 
-    col.law(
-        "contains_and_ideal",
-        (
-            (i <= rad(i) and il.is_ideal(q, rad(i).members), (i.name,))
-            for i in ideals
-        ),
-    )
-    col.law(
-        "monotone",
-        (
-            (rad(a) <= rad(b), (a.name, b.name))
-            for a in ideals
-            for b in ideals
-            if a <= b
-        ),
-    )
-    col.law("idempotent", ((rad(rad(i)) == rad(i), (i.name,)) for i in ideals))
-    col.law(
-        "power_stable",
-        (
-            (
-                rad(il.product_ideals(i, i)) == rad(i)
-                and rad(il.product_ideals(il.product_ideals(i, i), i)) == rad(i),
-                (i.name,),
-            )
-            for i in ideals
-        ),
-    )
-    col.law(
-        "meet_and_product",
-        (
-            (
-                rad(il.meet_ideals(a, b)) == il.meet_ideals(rad(a), rad(b))
-                and rad(il.meet_ideals(a, b)) == rad(il.product_ideals(a, b)),
-                (a.name, b.name),
-            )
-            for a in ideals
-            for b in ideals
-        ),
-    )
-    fams, sampled = ctx.ideal_families("radical.join_family")
-    col.law(
-        "join_family_below",
-        (
-            (
-                _join_family(q, [rad(i) for i in fam]) <= rad(_join_family(q, fam)),
-                (str(len(fam)),),
-            )
-            for fam in fams
-        ),
-        note=_sampled_note(sampled),
-    )
-    col.law(
-        "whole_iff",
-        ((rad(i).is_whole == i.is_whole, (i.name,)) for i in ideals),
-    )
-    col.law(
-        "join_radical_collapse",
-        (
-            (
-                rad(il.join_ideals(a, b)) == rad(il.join_ideals(rad(a), rad(b))),
-                (a.name, b.name),
-            )
-            for a in ideals
-            for b in ideals
-        ),
-    )
-    col.law(
-        "meet_of_primes_over",
-        (
-            (rad(i) == _meet_family(q, cl.primes_over(i)), (i.name,))
-            for i in ideals
-        ),
-    )
-    return col.rows
+    def meet_and_product(a, b):
+        return rad(meet(a, b)) == meet(rad(a), rad(b)) and rad(meet(a, b)) == rad(prod(a, b))
+
+    return _check("radical_lemma", [
+        _Law("contains_and_ideal", _over(I),
+             lambda i: i <= rad(i) and il.is_ideal(q, rad(i).members)),
+        _Law("monotone", I2, lambda a, b: rad(a) <= rad(b) if a <= b else None),
+        _Law("idempotent", _over(I), lambda i: rad(rad(i)) == rad(i)),
+        _Law("power_stable", _over(I),
+             lambda i: rad(prod(i, i)) == rad(i) and rad(prod(prod(i, i), i)) == rad(i)),
+        _Law("meet_and_product", I2, meet_and_product),
+        _Law("join_family_below", _over(ctx.families("radical.join_family")),
+             lambda fam: _join_all(q, [rad(i) for i in fam]) <= rad(_join_all(q, fam))),
+        _Law("whole_iff", _over(I), lambda i: rad(i).is_whole == i.is_whole),
+        _Law("join_radical_collapse", I2,
+             lambda a, b: rad(il.join_ideals(a, b)) == rad(il.join_ideals(rad(a), rad(b)))),
+        _Law("meet_of_primes_over", _over(I),
+             lambda i: rad(i) == il.meet_all(q, cl.primes_over(i))),
+    ])
 
 
 def _suite_spkr(ctx: _Ctx) -> list[LawResult]:
-    q = ctx.q
-    col = _Collector("spkr")
-    ideals = ctx.ideals
+    q, I = ctx.q, ctx.axis("ideals")
+    semis = [s for s in ctx.ideals if cl.is_semiprime(s)]
 
-    def tfae_cases():
-        for i in ideals:
-            a = cl.is_semiprime(i)
-            b = _meet_family(q, cl.primes_over(i)) == i
-            c = cl.radical(i) == i
-            yield a == b == c, (i.name, f"semiprime={a}", f"primemeet={b}", f"radical={c}")
+    def forms(i):
+        """semiprime, the meet of the primes over it, its own radical"""
+        return cl.is_semiprime(i), il.meet_all(q, cl.primes_over(i)) == i, cl.radical(i) == i
 
-    col.law("three_way_agreement", tfae_cases())
+    def forms_witness(i):
+        a, b, c = forms(i)
+        return i.name, f"semiprime={a}", f"primemeet={b}", f"radical={c}"
 
-    semis = [s for s in ideals if cl.is_semiprime(s)]
-    col.law(
-        "radical_smallest_semiprime",
-        (
-            (
-                cl.is_semiprime(cl.radical(i))
-                and all(cl.radical(i) <= s for s in semis if i <= s),
-                (i.name,),
-            )
-            for i in ideals
-        ),
-    )
-    return col.rows
+    def smallest(i):
+        r = cl.radical(i)
+        return cl.is_semiprime(r) and all(r <= s for s in semis if i <= s)
+
+    return _check("spkr", [
+        _Law("three_way_agreement", _over(I), lambda i: len(set(forms(i))) == 1,
+             witness=forms_witness),
+        _Law("radical_smallest_semiprime", _over(I), smallest),
+    ])
 
 
 def _suite_saturation(ctx: _Ctx) -> list[LawResult]:
-    q = ctx.q
-    col = _Collector("saturation")
+    q, mc = ctx.q, ctx.axis("mcsets")
     mcsets = ctx.mcsets
-    note = "" if ctx.exhaustive else "mc sets limited to generated ones"
-
     saturated = [s for s in mcsets if cl.is_saturated(s)]
+    join_differs = []
 
-    def smallest_cases():
-        for s in mcsets:
-            t = cl.saturation(s)
-            ok = (
-                s.members & ~t.members == 0
-                and cl.is_mc(q, t.members)
-                and cl.is_saturated(t)
-                and all(
-                    t.members & ~u.members == 0
-                    for u in saturated
-                    if s.members & ~u.members == 0
-                )
-            )
-            yield ok, (q.labels(s.members),)
-
-    col.law("saturation_smallest", smallest_cases(), note=note)
-
-    join_diffs = 0
-
-    def union_cases():
-        nonlocal join_diffs
-        for s in mcsets:
-            comp = s.complement
-            inside = [p for p in ctx.primes if p.members & s.members == 0]
-            union = 0
-            for p in inside:
-                union |= p.members
-            if inside and _join_family(q, inside).members != union:
-                join_diffs += 1
-            yield cl.is_saturated(s) == (comp == union), (q.labels(s.members),)
-
-    col.law("saturated_iff_union_of_primes", union_cases(), note=note)
-    if join_diffs:
-        col.rows[-1] = replace(
-            col.rows[-1],
-            note=(col.rows[-1].note + "; " if col.rows[-1].note else "")
-            + f"lattice-join reading differs on {join_diffs} sets",
+    def smallest(s):
+        t = cl.saturation(s)
+        return (
+            s.members & ~t.members == 0
+            and cl.is_mc(q, t.members)
+            and cl.is_saturated(t)
+            and all(t.members & ~u.members == 0 for u in saturated if s.members & ~u.members == 0)
         )
 
-    def separation_cases():
-        for i in ctx.proper:
-            if not cl.is_semiprime(i):
-                continue
-            for x in bits(q.full & ~i.members):
-                yield (
-                    cl.mc_generated(q, x).members & i.members == 0,
-                    (i.name, q.elements[x]),
-                )
+    def union_of_primes(s):
+        comp = s.complement
+        inside = [p for p in ctx.primes if p.members & s.members == 0]
+        union = reduce(or_, (p.members for p in inside), 0)
+        if inside and _join_all(q, inside).members != union:
+            join_differs.append(s)
+        return cl.is_saturated(s) == (comp == union)
 
-    col.law("semiprime_separation", separation_cases())
-    col.law(
-        "avoiding_maximal_prime",
-        (
-            (cl.is_prime(cl.maximal_avoiding(s)), (q.labels(s.members),))
-            for s in mcsets
-            if not s.members >> q.bottom & 1
-        ),
-        note=note,
-    )
+    def join_note():
+        n = len(join_differs)
+        return f"lattice-join reading differs on {n} sets" if n else ""
+
+    def separates(i, x):
+        if x in i or not cl.is_semiprime(i):
+            return None
+        return cl.mc_generated(q, x).members & i.members == 0
 
     def decider_cases():
         for i in ctx.ideals:
             r = cl.radical(i, "powers")
             for x in range(q.n):
-                via_all_mc = all(
-                    s.members & i.members for s in mcsets if s.members >> x & 1
-                )
-                yield (r.members >> x & 1) == (1 if via_all_mc else 0), (
-                    i.name,
-                    q.elements[x],
-                )
+                yield i, r, x
 
-    col.law("mc_radical_decider", decider_cases(), note=note)
-    return col.rows
+    def decides(i, r, x):
+        via_all_mc = all(s.members & i.members for s in mcsets if s.members >> x & 1)
+        return (r.members >> x & 1) == (1 if via_all_mc else 0)
+
+    decider = _Domain(decider_cases, lambda i, r, x: (i.name, q.elements[x]), mc.note)
+    return _check("saturation", [
+        _Law("saturation_smallest", _over(mc), smallest),
+        _Law("saturated_iff_union_of_primes", _over(mc), union_of_primes, join_note),
+        _Law("semiprime_separation", _over(ctx.axis("proper"), ctx.axis("elements")), separates),
+        _Law("avoiding_maximal_prime", _over(mc),
+             lambda s: None if q.bottom in s else cl.is_prime(cl.maximal_avoiding(s))),
+        _Law("mc_radical_decider", decider, decides),
+    ])
 
 
 def _suite_primary(ctx: _Ctx) -> list[LawResult]:
-    q = ctx.q
-    col = _Collector("primary")
-    col.law(
-        "prime_implies_primary",
-        ((cl.is_primary(p), (p.name,)) for p in ctx.primes),
-    )
+    rad, meet_all = cl.radical, partial(il.meet_all, ctx.q)
 
-    def radical_cases():
-        for c in ctx.primaries:
-            r = cl.radical(c)
-            ok = cl.is_prime(r) and all(r <= p for p in cl.primes_over(c))
-            yield ok, (c.name,)
+    def smallest_prime(c):
+        r = rad(c)
+        return cl.is_prime(r) and all(r <= p for p in cl.primes_over(c))
 
-    col.law("radical_smallest_prime_over", radical_cases())
-
-    fams, sampled = ctx.ideal_families("primary.radical_meet_family")
-    col.law(
-        "radical_meet_family",
-        (
-            (
-                cl.radical(_meet_family(q, fam))
-                == _meet_family(q, [cl.radical(i) for i in fam]),
-                (str(len(fam)),),
-            )
-            for fam in fams
-        ),
-        note=_sampled_note(sampled),
-    )
-
-    def piqp_cases():
+    def p_primary_families():
         for p in ctx.primes:
-            group = [c for c in ctx.primaries if cl.radical(c) == p]
+            group = [c for c in ctx.primaries if rad(c) == p]
             for pick in range(1, 1 << len(group)):
-                fam = [group[k] for k in range(len(group)) if pick >> k & 1]
-                m = _meet_family(q, fam)
-                yield cl.is_primary(m) and cl.radical(m) == p, (
-                    p.name,
-                    str(len(fam)),
-                )
+                yield p, _pick(group, pick)
 
-    col.law("p_primary_meet_closed", piqp_cases())
-    return col.rows
+    def meet_is_p_primary(p, fam):
+        m = meet_all(fam)
+        return cl.is_primary(m) and rad(m) == p
+
+    p_families = _Domain(p_primary_families, lambda p, fam: (p.name, _size(fam)))
+    return _check("primary", [
+        _Law("prime_implies_primary", _over(ctx.axis("primes")), cl.is_primary),
+        _Law("radical_smallest_prime_over", _over(ctx.axis("primaries")), smallest_prime),
+        _Law("radical_meet_family", _over(ctx.families("primary.radical_meet_family")),
+             lambda fam: rad(meet_all(fam)) == meet_all([rad(i) for i in fam])),
+        _Law("p_primary_meet_closed", p_families, meet_is_p_primary),
+    ])
 
 
 def _suite_pqx(ctx: _Ctx) -> list[LawResult]:
     q = ctx.q
-    col = _Collector("pqx")
 
-    def cases(select):
+    def cases():
+        """c, its radical p, x and the residual (c : x), for each primary c."""
         for c in ctx.primaries:
             p = cl.radical(c)
             for x in range(q.n):
-                r = il.residual(c, il.principal(q, x))
-                got = select(c, p, x, r)
-                if got is not None:
-                    yield got, (c.name, q.elements[x])
+                yield c, p, x, il.residual(c, il.principal(q, x))
 
-    col.law(
-        "inside_gives_whole",
-        cases(lambda c, p, x, r: r.is_whole if x in c else None),
-    )
-    col.law(
-        "outside_stays_primary",
-        cases(
-            lambda c, p, x, r: (cl.is_primary(r) and cl.radical(r) == p)
-            if x not in c
-            else None
-        ),
-    )
-    col.law(
-        "outside_radical_identity",
-        cases(lambda c, p, x, r: r == c if x not in p else None),
-    )
-    return col.rows
+    residuals = _Domain(cases, lambda c, p, x, r: (c.name, q.elements[x]))
+    return _check("pqx", [
+        _Law("inside_gives_whole", residuals, lambda c, p, x, r: r.is_whole if x in c else None),
+        _Law("outside_stays_primary", residuals,
+             lambda c, p, x, r: None if x in c else cl.is_primary(r) and cl.radical(r) == p),
+        _Law("outside_radical_identity", residuals, lambda c, p, x, r: None if x in p else r == c),
+    ])
 
 
 def _suite_uniqueness(ctx: _Ctx) -> list[LawResult]:
     q = ctx.q
-    col = _Collector("uniqueness")
-    targets = []
-    skipped = 0
+    targets, skipped = [], 0
     for i in ctx.proper:
         try:
             targets.append((i, dc.primary_decomposition(i)))
@@ -1197,242 +793,114 @@ def _suite_uniqueness(ctx: _Ctx) -> list[LawResult]:
     note = f"{skipped} proper ideals not decomposable" if skipped else ""
 
     def colon_primes(i):
-        out = set()
-        for x in range(q.n):
-            r = cl.radical(il.residual(i, il.principal(q, x)))
-            if r.proper and cl.is_prime(r):
-                out.add(r)
-        return out
-
-    col.law(
-        "associated_eq_colon_primes",
-        (
-            (set(d.radicals) == colon_primes(i), (i.name,))
-            for i, d in targets
-        ),
-        note=note,
-    )
+        rads = (cl.radical(il.residual(i, il.principal(q, x))) for x in range(q.n))
+        return {r for r in rads if r.proper and cl.is_prime(r)}
 
     def isolated_of(d):
-        rads = d.radicals
-        return [p for p in rads if not any(o < p for o in rads)]
+        return [p for p in d.radicals if not any(o < p for o in d.radicals)]
 
-    col.law(
-        "isolated_eq_minimal_primes",
-        (
-            (set(isolated_of(d)) == set(cl.minimal_primes_over(i)), (i.name,))
-            for i, d in targets
-        ),
-        note=note,
-    )
+    def component(i, d, p):
+        return dict(zip(d.radicals, d.components))[p] == dc.isolated_component_formula(i, p)
 
-    def component_cases():
-        for i, d in targets:
-            by_rad = dict(zip(d.radicals, d.components))
-            for p in isolated_of(d):
-                yield by_rad[p] == dc.isolated_component_formula(i, p), (
-                    i.name,
-                    p.name,
-                )
+    def unique_across(i, d):
+        expected = {p: dc.isolated_component_formula(i, p) for p in isolated_of(d)}
+        ok = True
+        for comps in dc.all_minimal_decompositions(i):
+            assign = {cl.radical(c): c for c in comps}
+            for p, want in expected.items():
+                if assign.get(p) != want:
+                    ok = False
+        return ok
 
-    col.law("isolated_component_formula", component_cases(), note=note)
-
-    def across_cases():
-        for i, d in targets:
-            expected = {
-                p: dc.isolated_component_formula(i, p) for p in isolated_of(d)
-            }
-            ok = True
-            for comps in dc.all_minimal_decompositions(i):
-                assign = {cl.radical(c): c for c in comps}
-                for p, want in expected.items():
-                    if assign.get(p) != want:
-                        ok = False
-            yield ok, (i.name,)
-
-    col.law("isolated_components_unique", across_cases(), note=note)
-    return col.rows
+    decomposed = _Domain(lambda: targets, lambda i, d: (i.name,))
+    isolated = _Domain(lambda: ((i, d, p) for i, d in targets for p in isolated_of(d)),
+                       lambda i, d, p: (i.name, p.name))
+    return _check("uniqueness", [
+        _Law("associated_eq_colon_primes", decomposed,
+             lambda i, d: set(d.radicals) == colon_primes(i), note),
+        _Law("isolated_eq_minimal_primes", decomposed,
+             lambda i, d: set(isolated_of(d)) == set(cl.minimal_primes_over(i)), note),
+        _Law("isolated_component_formula", isolated, component, note),
+        _Law("isolated_components_unique", decomposed, unique_across, note),
+    ])
 
 
 def _suite_irreducible(ctx: _Ctx) -> list[LawResult]:
-    q = ctx.q
-    col = _Collector("irreducible")
+    q, I, proper = ctx.q, ctx.axis("ideals"), ctx.axis("proper")
     ideals = ctx.ideals
     irr = [i for i in ideals if dc.is_irreducible(i)]
     sirr = [i for i in ideals if dc.is_strongly_irreducible(i)]
+    strong = _over(_Axis(lambda: sirr, _name))
 
-    col.law(
-        "strong_implies_irreducible",
-        ((i in irr, (i.name,)) for i in sirr),
-    )
-    col.law(
-        "strong_elementwise_agree",
-        (
-            ((i in sirr) == dc.strongly_irreducible_elementwise(i), (i.name,))
-            for i in ideals
-        ),
-    )
-    col.law(
-        "strong_prime_iff_radical",
-        (
-            (cl.is_prime(i) == cl.is_radical_ideal(i), (i.name,))
-            for i in sirr
-            if i.proper
-        ),
-    )
+    def decomposes(i):
+        d = dc.irreducible_decomposition(i)
+        return all(c in irr for c in d.components) and il.meet_all(q, d.components) == i
 
-    def separation_cases():
-        for i in ctx.proper:
-            for x in bits(q.full & ~i.members):
-                yield any(i <= j and x not in j for j in irr), (i.name, q.elements[x])
+    def minimal_strong(i):
+        m = dc.minimal_strongly_irreducible_over(i)
+        return m in sirr and i <= m and not any(s < m for s in sirr if i <= s)
 
-    col.law("separating_irreducible", separation_cases())
-    col.law(
-        "representation",
-        (
-            (_meet_family(q, [j for j in irr if i <= j]) == i, (i.name,))
-            for i in ctx.proper
-        ),
-    )
-
-    col.law(
-        "decomposition_exists",
-        (
-            (
-                all(c in irr for c in dc.irreducible_decomposition(i).components)
-                and _meet_family(q, dc.irreducible_decomposition(i).components) == i,
-                (i.name,),
-            )
-            for i in ctx.proper
-        ),
-    )
-
-    def minimal_strong_cases():
-        for i in ctx.proper:
-            m = dc.minimal_strongly_irreducible_over(i)
-            ok = (
-                m in sirr
-                and i <= m
-                and not any(s < m for s in sirr if i <= s)
-            )
-            yield ok, (i.name,)
-
-    col.law("minimal_strong_over", minimal_strong_cases())
-    col.law(
-        "chain_iff_all_strong",
-        iter(
-            [
-                (
-                    dc.totally_ordered_ideals(q) == (len(sirr) == len(ideals)),
-                    (q.name,),
-                )
-            ]
-        ),
-    )
-    return col.rows
+    return _check("irreducible", [
+        _Law("strong_implies_irreducible", strong, lambda i: i in irr),
+        _Law("strong_elementwise_agree", _over(I),
+             lambda i: (i in sirr) == dc.strongly_irreducible_elementwise(i)),
+        _Law("strong_prime_iff_radical", strong,
+             lambda i: cl.is_prime(i) == cl.is_radical_ideal(i) if i.proper else None),
+        _Law("separating_irreducible", _over(proper, ctx.axis("elements")),
+             lambda i, x: None if x in i else any(i <= j and x not in j for j in irr)),
+        _Law("representation", _over(proper),
+             lambda i: il.meet_all(q, [j for j in irr if i <= j]) == i),
+        _Law("decomposition_exists", _over(proper), decomposes),
+        _Law("minimal_strong_over", _over(proper), minimal_strong),
+        _Law("chain_iff_all_strong", ctx.once,
+             lambda: dc.totally_ordered_ideals(q) == (len(sirr) == len(ideals))),
+    ])
 
 
 def _suite_arithmetic(ctx: _Ctx) -> list[LawResult]:
-    q = ctx.q
-    col = _Collector("arithmetic")
+    rep = dc.arithmetic_equivalence_check(ctx.q)
     note = "distributive-ideal-lattice definition"
-    rep = dc.arithmetic_equivalence_check(q)
-    col.law(
-        "forward_sets_equal",
-        iter([(rep.sets_equal if rep.arithmetic else True, (q.name,))]),
-        note=note,
-    )
-    col.law(
-        "forward_representation",
-        iter([(rep.representation_ok if rep.arithmetic else True, (q.name,))]),
-        note=note,
-    )
-    col.law(
-        "converse_witness",
-        iter(
-            [
-                (
-                    rep.arithmetic or not rep.sets_equal,
-                    (q.name,),
-                )
-            ]
-        ),
-        note=note,
-    )
-    return col.rows
+    return _check("arithmetic", [
+        _Law("forward_sets_equal", ctx.once,
+             lambda: rep.sets_equal if rep.arithmetic else True, note),
+        _Law("forward_representation", ctx.once,
+             lambda: rep.representation_ok if rep.arithmetic else True, note),
+        _Law("converse_witness", ctx.once, lambda: rep.arithmetic or not rep.sets_equal, note),
+    ])
 
 
 def _suite_collapse(ctx: _Ctx) -> list[LawResult]:
-    q = ctx.q
-    col = _Collector("collapse")
+    q, I, rad = ctx.q, ctx.axis("ideals"), cl.radical
     if q.n > CROSS_ORACLE_MAX_N:
-        col.skip("*", f"carrier has {q.n} > {CROSS_ORACLE_MAX_N} elements")
-        return col.rows
+        why = f"carrier has {q.n} > {CROSS_ORACLE_MAX_N} elements"
+        return _check("collapse", [_Law("*", None, note=why)])
     ideals = ctx.ideals
+    every_subset = _over(_Axis(lambda: range(1, q.full + 1), q.labels))
 
-    def brute_cases():
-        brute = {
-            m for m in range(1, q.full + 1) if il.is_ideal(q, m)
-        }
-        yield brute == {i.members for i in ideals}, (q.name,)
+    def brute_force():
+        brute = {m for m in range(1, q.full + 1) if il.is_ideal(q, m)}
+        return brute == {i.members for i in ideals}
 
-    col.law("ideals_match_brute_force", brute_cases())
-    col.law(
-        "principal_apex",
-        ((i.members == q.down[i.apex], (i.name,)) for i in ideals),
-    )
-    col.law(
-        "radical_algorithms_agree",
-        (
-            (
-                cl.radical(i, "powers")
-                == cl.radical(i, "primes")
-                == cl.radical(i, "mcsets"),
-                (i.name,),
-            )
-            for i in ideals
-        ),
-    )
-    col.law(
-        "product_matches_closure",
-        (
-            (il.product_ideals(a, b) == il.product_closure(a, b), (a.name, b.name))
-            for a in ideals
-            for b in ideals
-        ),
-    )
-    col.law(
-        "join_matches_closure",
-        (
-            (
-                il.join_ideals(a, b)
-                == il.ideal_from_closure(q, a.members | b.members),
-                (a.name, b.name),
-            )
-            for a in ideals
-            for b in ideals
-        ),
-    )
-    col.law(
-        "generated_matches_downset",
-        (
-            (
-                il.generated(q, s) == il.Ideal(q, q.down[q.join_of(bits(s))]),
-                (q.labels(s),),
-            )
-            for s in range(1, q.full + 1)
-        ),
-    )
-
-    def iso_cases():
+    def ideal_carrier_iso():
         iq = il.ideal_quantale(q)
-        yield check_axioms(iq.quantale).ok and iq.quantale.n == q.n, (q.name,)
+        return check_axioms(iq.quantale).ok and iq.quantale.n == q.n
 
-    col.law("ideal_carrier_iso", iso_cases())
-    return col.rows
+    return _check("collapse", [
+        _Law("ideals_match_brute_force", ctx.once, brute_force),
+        _Law("principal_apex", _over(I), lambda i: i.members == q.down[i.apex]),
+        _Law("radical_algorithms_agree", _over(I),
+             lambda i: rad(i, "powers") == rad(i, "primes") == rad(i, "mcsets")),
+        _Law("product_matches_closure", _over(I, I),
+             lambda a, b: il.product_ideals(a, b) == il.product_closure(a, b)),
+        _Law("join_matches_closure", _over(I, I),
+             lambda a, b: il.join_ideals(a, b) == il.ideal_from_closure(q, a.members | b.members)),
+        _Law("generated_matches_downset", every_subset,
+             lambda s: il.generated(q, s) == il.Ideal(q, q.down[q.join_of(bits(s))])),
+        _Law("ideal_carrier_iso", ctx.once, ideal_carrier_iso),
+    ])
 
 
-# --- driver -----------------------------------------------------------
+# --- entry points -----------------------------------------------------
 
 
 def default_homs(q: FiniteQuantale) -> list[QuantaleHom]:
@@ -1475,24 +943,7 @@ def run_suite(
     if homs is None and suite == "cep":
         raise HomRequired("the cep suite needs at least one homomorphism")
 
-    ctx = _Ctx(q, seed)
-    dispatch = {
-        "axioms": _suite_axioms,
-        "lemma_bip": _suite_lemma_bip,
-        "proposition_bpi": _suite_bpi,
-        "annihilator": _suite_annihilator,
-        "lpsp": _suite_lpsp,
-        "avoidance": _suite_avoidance,
-        "radical_lemma": _suite_radical_lemma,
-        "spkr": _suite_spkr,
-        "saturation": _suite_saturation,
-        "primary": _suite_primary,
-        "pqx": _suite_pqx,
-        "uniqueness": _suite_uniqueness,
-        "irreducible": _suite_irreducible,
-        "arithmetic": _suite_arithmetic,
-        "collapse": _suite_collapse,
-    }
+    ctx = _Ctx(q, seed, homs)
     results: list[LawResult] = []
     elapsed: dict[str, float] = {}
     for s in chosen:
@@ -1501,10 +952,8 @@ def run_suite(
             results.append(
                 LawResult(s, "*", "skipped", 0, None, "noncommutative carrier")
             )
-        elif s == "cep":
-            results.extend(_suite_cep(ctx, homs if homs is not None else default_homs(q)))
         else:
-            results.extend(dispatch[s](ctx))
+            results.extend(globals()[_SUITES[s]](ctx))
         elapsed[s] = time.perf_counter() - t0
     return VerificationReport(
         instance=q.name,

@@ -10,7 +10,6 @@ from qk.errors import (
 from qk.ideals import (
     Ideal,
     annihilator,
-    apex,
     as_ideal,
     contraction,
     enumerate_ideals,
@@ -20,6 +19,7 @@ from qk.ideals import (
     ideal_quantale,
     is_ideal,
     join_ideals,
+    meet_all,
     meet_ideals,
     principal,
     product_closure,
@@ -57,7 +57,6 @@ def test_every_ideal_is_principal(q4, m3, p3):
     for q in (q4, m3, p3):
         for i in enumerate_ideals(q):
             assert i.members == q.down[i.apex]
-            assert apex(i) == i.apex
 
 
 def test_is_ideal_rejections(q4):
@@ -92,6 +91,17 @@ def test_carrier_mismatch(q4, l3):
         meet_ideals(zero_ideal(q4), zero_ideal(l3))
     with pytest.raises(CarrierMismatch):
         zero_ideal(q4) <= zero_ideal(l3)
+
+
+def test_meet_all(q4, l3):
+    a = principal(q4, q4.index("a"))
+    b = principal(q4, q4.index("b"))
+    assert meet_all(q4, []) == whole_ideal(q4)
+    assert meet_all(q4, [a]) == a
+    assert meet_all(q4, [a, b]) == meet_ideals(a, b) == zero_ideal(q4)
+    assert meet_all(q4, iter(enumerate_ideals(q4))) == zero_ideal(q4)
+    with pytest.raises(CarrierMismatch):
+        meet_all(q4, [a, zero_ideal(l3)])
 
 
 def test_generated_frozen_values(q4, l3):
