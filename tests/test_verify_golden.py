@@ -2,8 +2,9 @@
 
 Covers the CLI on the bundled carriers, the sampled path (lukasiewicz:9
 samples every sampled law; lowersets:antichain3 at n=8 samples only
-proposition_bpi.generated_meet_lower) and three q4 mutants: one whose
-laws crash, one with many failing witnesses, one noncommutative.
+proposition_bpi.generated_meet_lower), the two carriers of the verify-large
+benchmark workload (lukasiewicz:12, powerset:4) and three q4 mutants: one
+whose laws crash, one with many failing witnesses, one noncommutative.
 """
 
 from pathlib import Path
@@ -60,6 +61,8 @@ CASES = {
     "run_suite_m3_seed7.txt": (0, _spec("m3")),
     "run_suite_antichain3_seed7.txt": (0, _spec("lowersets:antichain3")),
     "run_suite_lukasiewicz9_seed7.txt": (0, _spec("lukasiewicz:9")),
+    "run_suite_lukasiewicz12_seed7.txt": (0, _spec("lukasiewicz:12")),
+    "run_suite_powerset4_seed7.txt": (0, _spec("powerset:4")),
     "run_suite_q4_mutant_0_0_seed7.txt": (1, _mutant(0, 0)),
     "run_suite_q4_mutant_1_1_seed7.txt": (1, _mutant(1, 1)),
     "run_suite_q4_mutant_0_1_seed7.txt": (1, _mutant(0, 1)),
