@@ -33,6 +33,7 @@ from .errors import (
 )
 from .ideals import (
     Ideal,
+    _subset_mask,
     enumerate_ideals,
     join_ideals,
     meet_all,
@@ -56,9 +57,13 @@ def _power_mask(q: FiniteQuantale, x: int) -> int:
 
 
 def is_prime(i: Ideal) -> bool:
-    """Proper, and x & y inside forces x or y inside."""
-    require_commutative(i.carrier)
-    return i.proper and _prime_witness(i) is None
+    """Proper, and x & y inside forces x or y inside (memoized per mask)."""
+    q = i.carrier
+    require_commutative(q)
+    prime = q.primality.get(i.members)
+    if prime is None:
+        prime = q.primality[i.members] = i.proper and _prime_witness(i) is None
+    return prime
 
 
 def _prime_witness(i: Ideal) -> tuple[int, int] | None:
@@ -349,28 +354,34 @@ def maximal_avoiding(s: McSet) -> Ideal:
     return min(best, key=lambda i: i.apex)
 
 
+def _instability(q: FiniteQuantale, m: int) -> tuple[str, str] | None:
+    """The first way the set m fails to be closed under join and &, as the
+    (hypothesis, message) of prime_avoidance, or None."""
+    for x in bits(m):
+        jr, mr = q.join[x], q.mul[x]
+        for y in bits(m):
+            if not m >> jr[y] & 1:
+                return "stable_under_join", f"{q.label(x)} v {q.label(y)} leaves the set"
+            if not m >> mr[y] & 1:
+                return "stable_under_mul", f"{q.label(x)} & {q.label(y)} leaves the set"
+    return None
+
+
 def prime_avoidance(q: FiniteQuantale, stable, ps: list[Ideal]):
     """A member of the stable set outside the union of the given ideals.
 
     Hypotheses (violations raise HypothesisViolated naming the failure):
     the set is closed under join and &; every ideal from the third on is
-    prime; the set is contained in none of the ideals.
+    prime; the set is contained in none of the ideals.  The closure verdict
+    and primality are computed once per mask and carrier.
     """
     require_commutative(q)
-    m = mask_of(stable)
-    for x in bits(m):
-        jr, mr = q.join[x], q.mul[x]
-        for y in bits(m):
-            if not m >> jr[y] & 1:
-                raise HypothesisViolated(
-                    "stable_under_join",
-                    f"{q.label(x)} v {q.label(y)} leaves the set",
-                )
-            if not m >> mr[y] & 1:
-                raise HypothesisViolated(
-                    "stable_under_mul",
-                    f"{q.label(x)} & {q.label(y)} leaves the set",
-                )
+    m = _subset_mask(q, stable)
+    if m not in q.stability:
+        q.stability[m] = _instability(q, m)
+    violation = q.stability[m]
+    if violation is not None:
+        raise HypothesisViolated(*violation)
     for k, p in enumerate(ps):
         if k >= 2 and not is_prime(p):
             raise HypothesisViolated("prime_tail", f"ideal {k + 1} ({p.name}) is not prime")

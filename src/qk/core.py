@@ -10,6 +10,13 @@ Construction does not validate the algebra: build_quantale only certifies
 the lattice part and returns a carrier whose status is "unchecked".
 check_axioms re-derives everything, including the lattice tables, and is
 the sole authority on whether an instance really is a quantale.
+
+Carriers and homomorphisms are immutable and meant to be reused: each
+carries lazy memos of the ideal calculus (apexes, residuals, annihilator
+columns, primality, ...) that hold exactly what the defining scans compute,
+on any table, lawful or not.  A memo fills on first use, so a carrier that
+is never queried pays nothing, and a carrier made by dataclasses.replace
+(a mutant, with_status) starts with empty memos.
 """
 
 from __future__ import annotations
@@ -60,6 +67,11 @@ class FiniteQuantale:
     down[i] is the bitmask of elements <= i, so down[a] is also the member
     mask of the principal ideal at a.  join/meet/mul are n-by-n tables of
     element indices.
+
+    The cached properties below the tables are derived once per instance.
+    The dict-valued ones are memos keyed by member masks: ideals and
+    classify fill them with the result of their own definitional scans, so
+    a memo is an exact cache of a definition, never a shortcut for it.
     """
 
     name: str
@@ -97,6 +109,47 @@ class FiniteQuantale:
         mul = self.mul
         n = len(self.elements)
         return all(mul[x][y] == mul[y][x] for x in range(n) for y in range(x + 1, n))
+
+    @cached_property
+    def zero_cols(self) -> tuple[int, ...]:
+        """zero_cols[t] = bitmask of the x with x & t == bottom."""
+        n, mul, b = len(self.elements), self.mul, self.bottom
+        return tuple(
+            sum(1 << x for x in range(n) if mul[x][t] == b) for t in range(n)
+        )
+
+    @cached_property
+    def col_images(self) -> tuple[int, ...]:
+        """col_images[t] = bitmask of the products l & t over all l."""
+        n, mul = len(self.elements), self.mul
+        out = []
+        for t in range(n):
+            m = 0
+            for l in range(n):
+                m |= 1 << mul[l][t]
+            out.append(m)
+        return tuple(out)
+
+    @cached_property
+    def apexes(self) -> dict[int, int]:
+        """Memo: subset mask -> join of its members (ideals.Ideal.apex)."""
+        return {}
+
+    @cached_property
+    def residuals(self) -> dict[tuple[int, int], int]:
+        """Memo: (i.members, j.members) -> members of ideals.residual(i, j)."""
+        return {}
+
+    @cached_property
+    def primality(self) -> dict[int, bool]:
+        """Memo: ideal mask -> classify.is_prime of that ideal."""
+        return {}
+
+    @cached_property
+    def stability(self) -> dict[int, tuple[str, str] | None]:
+        """Memo: subset mask -> None if it is closed under join and &, else
+        the (hypothesis, message) that classify.prime_avoidance raises."""
+        return {}
 
     def leq(self, i: int, j: int) -> bool:
         return bool(self.down[j] >> i & 1)
@@ -489,6 +542,11 @@ class QuantaleHom:
         return self.mapping[x]
 
     def check(self) -> HomReport:
+        """check_hom of this map, computed once per hom."""
+        return self._report
+
+    @cached_property
+    def _report(self) -> HomReport:
         return check_hom(self.mapping, self.source, self.target)
 
     def then(self, other: "QuantaleHom") -> "QuantaleHom":

@@ -8,6 +8,11 @@ rather than a baked-in assumption.  The fast paths here go through the
 apex; the definitional closure routes live alongside them and the
 verification suites insist the two agree.
 
+Apexes, residuals, annihilators and generated ideals read through the
+carrier's memos (see core.FiniteQuantale): each is computed by its
+definition once per carrier and mask, and looked up after that.  Since a
+memo holds the definition's own result, it is exact on broken tables too.
+
 Ideal-theoretic operations that multiply refuse noncommutative carriers.
 """
 
@@ -48,7 +53,7 @@ class Ideal:
     @property
     def apex(self) -> int:
         """The join of all members; the ideal is its down-set."""
-        return self.carrier.join_of(bits(self.members))
+        return _apex(self.carrier, self.members)
 
     @property
     def name(self) -> str:
@@ -98,6 +103,26 @@ class Ideal:
 
     def __repr__(self) -> str:
         return f"<Ideal {self.name} of {self.carrier.name}>"
+
+
+def _apex(q: FiniteQuantale, m: int) -> int:
+    """The join of the members of m, memoized on q."""
+    a = q.apexes.get(m)
+    if a is None:
+        a = q.apexes[m] = q.join_of(bits(m))
+    return a
+
+
+def _subset_mask(q: FiniteQuantale, s: Iterable[int] | int) -> int:
+    """mask_of(s), refusing element indices outside q before any table
+    lookup could trip over them."""
+    m = mask_of(s)
+    if m >> q.n:  # also true of a negative mask
+        if m < 0:
+            raise QuantaleError(f"{m} is not a subset mask")
+        stray = list(bits(m & ~q.full))
+        raise QuantaleError(f"indices {stray} are not elements of {q.name} (n={q.n})")
+    return m
 
 
 def _same_carrier(i: Ideal, j: Ideal) -> None:
@@ -170,14 +195,13 @@ def generated(q: FiniteQuantale, s: Iterable[int] | int) -> Ideal:
     l & t with t in s.  On a sound carrier this equals the down-set of the
     join of s (top is the unit); the verification suites compare the two."""
     require_commutative(q)
-    m = mask_of(s)
+    m = _subset_mask(q, s)
     if m == 0:
         raise EmptyGeneratorSet("generated ideal needs at least one generator")
     prods = 0
     for t in bits(m):
-        for l in range(q.n):
-            prods |= 1 << q.mul[l][t]
-    return Ideal(q, q.down[q.join_of(bits(prods))])
+        prods |= q.col_images[t]
+    return Ideal(q, q.down[_apex(q, prods)])
 
 
 def enumerate_ideals(q: FiniteQuantale) -> list[Ideal]:
@@ -234,26 +258,27 @@ def residual(i: Ideal, j: Ideal) -> Ideal:
     """(i : j) = all x whose product with every member of j lands in i."""
     _same_carrier(i, j)
     q = i.carrier
-    im = i.members
-    out = 0
-    for x in range(q.n):
-        row = q.mul[x]
-        if all(im >> row[y] & 1 for y in bits(j.members)):
-            out |= 1 << x
+    key = (i.members, j.members)
+    out = q.residuals.get(key)
+    if out is None:
+        im = i.members
+        out = 0
+        for x in range(q.n):
+            row = q.mul[x]
+            if all(im >> row[y] & 1 for y in bits(j.members)):
+                out |= 1 << x
+        q.residuals[key] = out
     return Ideal(q, out)
 
 
 def annihilator(q: FiniteQuantale, s: Iterable[int] | int) -> Ideal:
     """All x with x & t == bottom for every t in s."""
-    m = mask_of(s)
+    m = _subset_mask(q, s)
     if m == 0:
         raise EmptyGeneratorSet("annihilator of the empty set is not defined")
-    b = q.bottom
-    out = 0
-    for x in range(q.n):
-        row = q.mul[x]
-        if all(row[t] == b for t in bits(m)):
-            out |= 1 << x
+    out = q.full
+    for t in bits(m):
+        out &= q.zero_cols[t]
     return Ideal(q, out)
 
 

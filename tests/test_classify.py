@@ -38,6 +38,7 @@ from qk.errors import (
     NotMc,
     NotPrime,
     NotProper,
+    QuantaleError,
 )
 from qk.ideals import enumerate_ideals, principal, whole_ideal, zero_ideal
 
@@ -233,6 +234,9 @@ def test_prime_avoidance_hypotheses(q4):
     with pytest.raises(HypothesisViolated) as e:
         prime_avoidance(q4, 1 << q4.bottom | 1 << ai, [principal(q4, ai)])
     assert e.value.hypothesis == "not_contained"
+    # a set reaching outside the carrier is refused before any table lookup
+    with pytest.raises(QuantaleError, match=r"indices \[4\] are not elements"):
+        prime_avoidance(q4, 1 << q4.n, [a])
 
 
 def test_are_coprime(p3, q4):

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from qk.core import build_quantale, check_axioms
@@ -6,6 +8,7 @@ from qk.errors import (
     EmptyGeneratorSet,
     HomInvalid,
     NotCommutative,
+    QuantaleError,
 )
 from qk.ideals import (
     Ideal,
@@ -166,6 +169,19 @@ def test_annihilator_frozen(q4):
     assert ann == residual(zero_ideal(q4), generated(q4, 1 << q4.index("a")))
     with pytest.raises(EmptyGeneratorSet):
         annihilator(q4, 0)
+
+
+@pytest.mark.parametrize(
+    "call, stray",
+    [
+        (lambda q: annihilator(q, 1 << q.n), "[4]"),
+        (lambda q: annihilator(q, [0, 9]), "[9]"),
+        (lambda q: generated(q, 1 << q.n), "[4]"),
+    ],
+)
+def test_indices_outside_the_carrier_are_refused(q4, call, stray):
+    with pytest.raises(QuantaleError, match=re.escape(f"indices {stray} are not elements of q4")):
+        call(q4)
 
 
 def test_ideal_quantale_q4(q4):

@@ -1,0 +1,175 @@
+"""The carrier memos are exact caches of the definitions, scoped to one carrier.
+
+Every memoized operation is compared with its definitional scan, written
+out here, on every commutative single-cell mutant of q4, l3 and m3: broken
+tables are where a shortcut would drift from the definition.  Each call is
+made twice so the second answer comes from the memo.
+"""
+
+from dataclasses import replace
+from itertools import combinations_with_replacement
+from pathlib import Path
+
+import pytest
+
+from qk.classify import is_prime, prime_avoidance
+from qk.core import PASSED, QuantaleHom
+from qk.errors import HypothesisViolated, QuantaleError
+from qk.generators import generate_from_spec, m3_quantale
+from qk.ideals import Ideal, annihilator, enumerate_ideals, generated, principal, residual
+from qk.quantfile import load_quant
+from qk.verify import run_suite, single_cell_mutants
+
+DATA = Path(__file__).parent / "data"
+
+
+def _members(q, m):
+    return [x for x in range(q.n) if m >> x & 1]
+
+
+def _residual_scan(i, j):
+    q = i.carrier
+    return sum(
+        1 << x
+        for x in range(q.n)
+        if all(i.members >> q.mul[x][y] & 1 for y in _members(q, j.members))
+    )
+
+
+def _annihilator_scan(q, s):
+    return sum(
+        1 << x for x in range(q.n) if all(q.mul[x][t] == q.bottom for t in _members(q, s))
+    )
+
+
+def _generated_scan(q, s):
+    prods = 0
+    for t in _members(q, s):
+        for l in range(q.n):
+            prods |= 1 << q.mul[l][t]
+    return q.down[q.join_of(_members(q, prods))]
+
+
+def _prime_scan(i):
+    q, m = i.carrier, i.members
+    return i.proper and not any(
+        m >> q.mul[x][y] & 1 and not m >> x & 1 and not m >> y & 1
+        for x in range(q.n)
+        for y in range(q.n)
+    )
+
+
+def _avoidance_scan(q, m, ps):
+    """prime_avoidance as first written: (hypothesis, message) or the witness."""
+    for x in _members(q, m):
+        for y in _members(q, m):
+            if not m >> q.join[x][y] & 1:
+                return "stable_under_join", f"{q.label(x)} v {q.label(y)} leaves the set"
+            if not m >> q.mul[x][y] & 1:
+                return "stable_under_mul", f"{q.label(x)} & {q.label(y)} leaves the set"
+    for k, p in enumerate(ps):
+        if k >= 2 and not _prime_scan(p):
+            return "prime_tail", f"ideal {k + 1} ({p.name}) is not prime"
+    for k, p in enumerate(ps):
+        if m & ~p.members == 0:
+            return "not_contained", f"the stable set lies inside ideal {k + 1} ({p.name})"
+    union = 0
+    for p in ps:
+        union |= p.members
+    return min(_members(q, m & ~union))
+
+
+def _avoidance(q, m, ps):
+    try:
+        return prime_avoidance(q, m, list(ps))
+    except HypothesisViolated as exc:
+        return exc.hypothesis, str(exc)
+
+
+def _commutative_mutants():
+    bases = [load_quant(DATA / "q4.quant"), load_quant(DATA / "l3.quant"), m3_quantale()]
+    return [m for q in bases for _, _, m in single_cell_mutants(q) if m.commutative]
+
+
+MUTANTS = _commutative_mutants()
+MEMOS = ("apexes", "residuals", "primality", "stability")
+
+
+@pytest.fixture(params=MUTANTS, ids=lambda q: q.name)
+def mutant(request):
+    # a fresh copy per test, so no test reads memos another one filled
+    return replace(request.param)
+
+
+def test_apex_residual_annihilator_generated_match_scans(mutant):
+    q = mutant
+    subsets = range(1, q.full + 1)
+    for _ in range(2):
+        for m in subsets:
+            assert Ideal(q, m).apex == q.join_of(_members(q, m))
+            assert annihilator(q, m).members == _annihilator_scan(q, m)
+            assert generated(q, m).members == _generated_scan(q, m)
+        ideals = enumerate_ideals(q)
+        for i in ideals:
+            assert is_prime(i) == _prime_scan(i)
+            for j in ideals:
+                assert residual(i, j).members == _residual_scan(i, j)
+
+
+def test_prime_avoidance_matches_scan(mutant):
+    q = mutant
+    ideals = enumerate_ideals(q)
+    combos = [c for k in (1, 2, 3) for c in combinations_with_replacement(ideals, k)]
+    for _ in range(2):
+        for m in range(1, q.full + 1):
+            for ps in combos:
+                assert _avoidance(q, m, ps) == _avoidance_scan(q, m, ps)
+
+
+def test_memos_do_not_outlive_their_carrier(q4):
+    base = replace(q4)
+    ideals = enumerate_ideals(base)
+    for i in ideals:
+        is_prime(i)
+        _avoidance(base, base.full, [i])
+        for j in ideals:
+            residual(i, j)
+    assert all(vars(base).get(name) for name in MEMOS)
+
+    mutants = [m for _, _, m in single_cell_mutants(base)]
+    for fresh in [base.with_status(PASSED), *mutants]:
+        assert not any(name in vars(fresh) for name in MEMOS)
+    differs = 0
+    for m in filter(lambda m: m.commutative, mutants):
+        for i in ideals:
+            for j in ideals:
+                im, jm = Ideal(m, i.members), Ideal(m, j.members)
+                got = residual(im, jm).members
+                assert got == _residual_scan(im, jm)
+                differs += got != base.residuals[i.members, j.members]
+    assert differs
+
+
+def test_hom_check_is_computed_once_per_hom(q4):
+    h = QuantaleHom.identity(q4)
+    assert h.check() is h.check() and h.check().ok
+    swapped = replace(h, mapping=(q4.top, q4.index("a"), q4.index("b"), q4.bottom))
+    assert not swapped.check().ok
+
+
+def test_memo_size_after_a_full_run():
+    q = generate_from_spec("lukasiewicz:9")
+    assert run_suite(q, "all", seed=7).ok
+    assert 0 < len(q.residuals) <= q.n**2
+    # every ideal of a chain is principal and so is every generated set
+    # of products there: the apex memo holds only the n principal masks
+    assert set(q.apexes) <= set(q.down)
+
+
+def test_unqueried_carrier_builds_no_memo():
+    q = generate_from_spec("lukasiewicz:6")
+    run_suite(q, "axioms")
+    assert not any(name in vars(q) for name in (*MEMOS, "zero_cols", "col_images"))
+    with pytest.raises(QuantaleError):
+        annihilator(q, 1 << q.n)
+    assert "zero_cols" not in vars(q)
