@@ -114,9 +114,7 @@ class FiniteQuantale:
     def zero_cols(self) -> tuple[int, ...]:
         """zero_cols[t] = bitmask of the x with x & t == bottom."""
         n, mul, b = len(self.elements), self.mul, self.bottom
-        return tuple(
-            sum(1 << x for x in range(n) if mul[x][t] == b) for t in range(n)
-        )
+        return tuple(sum(1 << x for x in range(n) if mul[x][t] == b) for t in range(n))
 
     @cached_property
     def col_images(self) -> tuple[int, ...]:

@@ -8,10 +8,11 @@ rather than a baked-in assumption.  The fast paths here go through the
 apex; the definitional closure routes live alongside them and the
 verification suites insist the two agree.
 
-Apexes, residuals, annihilators and generated ideals read through the
-carrier's memos (see core.FiniteQuantale): each is computed by its
-definition once per carrier and mask, and looked up after that.  Since a
-memo holds the definition's own result, it is exact on broken tables too.
+Carriers are immutable and meant to be reused.  Apexes, residuals,
+annihilators and generated ideals read through the carrier's memos (see
+core.FiniteQuantale): each is computed by its definition once per carrier
+and mask, and looked up after that.  Since a memo holds the definition's
+own result, it is an exact cache, on broken tables too.
 
 Ideal-theoretic operations that multiply refuse noncommutative carriers.
 """
