@@ -46,6 +46,39 @@ def test_golden_outputs(capsys, name, argv):
     assert out == golden(name)
 
 
+@pytest.mark.parametrize(
+    "stem,spec",
+    [
+        ("powerset3", "powerset:3"),
+        ("lukasiewicz5", "lukasiewicz:5"),
+        ("m3", "m3"),
+        ("lowersets_chain4", "lowersets:chain4"),
+        ("lowersets_antichain3", "lowersets:antichain3"),
+        ("lowersets_4_matching", "lowersets:4:0<1,2<3"),
+        ("opens_sierpinski", "opens:sierpinski"),
+        ("opens_3_nested", "opens:3:-,0,01,012"),
+        ("ideal_quantale_q4", f"ideal_quantale:{Q4}"),
+    ],
+)
+def test_gen_and_check_golden_outputs(capsys, tmp_path, stem, spec):
+    code, out, err = run(capsys, "gen", spec)
+    assert (code, err) == (0, "")
+    assert out == golden(f"gen_{stem}.txt")
+    path = tmp_path / f"{stem}.quant"
+    path.write_text(out, encoding="utf-8")
+    code, out, err = run(capsys, "check", str(path))
+    assert (code, err) == (0, "")
+    assert out == golden(f"check_{stem}.txt")
+
+
+@pytest.mark.parametrize(
+    "stem,spec,code",
+    [("nope", "nope", 2), ("powerset", "powerset", 2), ("powerset9", "powerset:9", 1)],
+)
+def test_gen_error_golden_outputs(capsys, stem, spec, code):
+    assert run(capsys, "gen", spec) == (code, "", golden(f"gen_error_{stem}.txt"))
+
+
 def test_outputs_are_reproducible(capsys):
     first = run(capsys, "verify", Q4, "--suite", "lemma_bip")
     second = run(capsys, "verify", Q4, "--suite", "lemma_bip")

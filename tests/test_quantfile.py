@@ -1,10 +1,13 @@
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qk.core import check_axioms
 from qk.errors import (
     DuplicateLabel,
+    QuantaleError,
+    QuantFileError,
     QuantSyntaxError,
     RowArity,
     UndeclaredLabel,
@@ -180,3 +183,37 @@ def test_hom_paths_relative_to_hom_file(tmp_path, q4, c2):
     )
     h = load_hom(homfile)
     assert h.check().ok
+
+
+_BUNDLED = [p.read_text(encoding="utf-8") for p in sorted(DATA.glob("*.quant"))]
+_VOCAB = sorted(
+    {tok for text in _BUNDLED for tok in text.split()}
+    | {"end", "<=", "->", ":", "#", "x:", "a#b", "quantale", "elements:", "order:", "mul:"}
+)
+
+
+@st.composite
+def edited_quant_texts(draw):
+    """A bundled .quant text with a few tokens inserted or deleted."""
+    rows = [line.split() for line in draw(st.sampled_from(_BUNDLED)).splitlines()]
+    for _ in range(draw(st.integers(min_value=1, max_value=6))):
+        row = rows[draw(st.integers(min_value=0, max_value=len(rows) - 1))]
+        if row and draw(st.booleans()):
+            del row[draw(st.integers(min_value=0, max_value=len(row) - 1))]
+        else:
+            row.insert(draw(st.integers(min_value=0, max_value=len(row))), draw(st.sampled_from(_VOCAB)))
+    return "\n".join(" ".join(row) for row in rows) + "\n"
+
+
+@settings(max_examples=300, deadline=None)
+@given(edited_quant_texts())
+def test_edited_files_parse_or_fail_with_a_location(text):
+    try:
+        q = parse_quant(text)
+    except QuantFileError as e:
+        assert e.line is not None and e.col is not None
+        return
+    except QuantaleError:
+        return
+    once = write_quant(q)
+    assert write_quant(parse_quant(once)) == once
