@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .core import FiniteQuantale, bits, mask_of
+from .core import FiniteQuantale, _subset_mask, bits
 from .errors import (
     Degenerate,
     HypothesisViolated,
@@ -33,7 +33,6 @@ from .errors import (
 )
 from .ideals import (
     Ideal,
-    _subset_mask,
     enumerate_ideals,
     join_ideals,
     meet_all,
@@ -277,7 +276,12 @@ class McSet:
 
 
 def is_mc(q: FiniteQuantale, subset) -> bool:
-    m = mask_of(subset)
+    """Contains top and is closed under &; False for anything that is not a
+    subset of q."""
+    try:
+        m = _subset_mask(q, subset)
+    except QuantaleError:
+        return False
     if not m >> q.top & 1:
         return False
     for x in bits(m):
@@ -290,7 +294,7 @@ def is_mc(q: FiniteQuantale, subset) -> bool:
 
 def mc_set(q: FiniteQuantale, subset) -> McSet:
     require_commutative(q)
-    m = mask_of(subset)
+    m = _subset_mask(q, subset)
     if not is_mc(q, m):
         raise NotMc(f"{{{q.labels(m)}}} is not multiplicatively closed")
     return McSet(q, m)
@@ -299,6 +303,7 @@ def mc_set(q: FiniteQuantale, subset) -> McSet:
 def mc_generated(q: FiniteQuantale, x: int) -> McSet:
     """Least mc set containing x: the unit together with all powers of x."""
     require_commutative(q)
+    _subset_mask(q, [x])
     return McSet(q, _power_mask(q, x) | 1 << q.top)
 
 

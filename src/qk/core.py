@@ -31,6 +31,7 @@ from .errors import (
     MissingBound,
     NotALattice,
     NotAPartialOrder,
+    QuantaleError,
     RowArity,
     UndeclaredLabel,
 )
@@ -58,6 +59,23 @@ def mask_of(indices: Iterable[int] | int) -> int:
     for i in indices:
         m |= 1 << i
     return m
+
+
+def _subset_mask(q: "FiniteQuantale", s: Iterable[int] | int) -> int:
+    """mask_of(s), refusing a negative mask and indices outside q (QuantaleError,
+    naming them) before any table lookup could trip over them."""
+    if isinstance(s, int):
+        if s < 0:
+            raise QuantaleError(f"{s} is not a subset mask")
+        if not s >> q.n:
+            return s
+        stray = list(bits(s & ~q.full))
+    else:
+        s = list(s)
+        stray = sorted({i for i in s if not 0 <= i < q.n})
+        if not stray:
+            return mask_of(s)
+    raise QuantaleError(f"indices {stray} are not elements of {q.name} (n={q.n})")
 
 
 @dataclass(frozen=True, eq=False)
@@ -163,7 +181,7 @@ class FiniteQuantale:
 
     def labels(self, mask: int) -> str:
         """Space-joined labels of a subset, in index order."""
-        return " ".join(self.elements[i] for i in bits(mask))
+        return " ".join(self.elements[i] for i in bits(_subset_mask(self, mask)))
 
     def join_of(self, xs: Iterable[int]) -> int:
         """Join of finitely many elements; empty join is bottom."""
@@ -189,49 +207,25 @@ class FiniteQuantale:
         return f"<FiniteQuantale {self.name} n={self.n} status={self.status}>"
 
 
-def _closure_up(n: int, edges: list[list[int]]) -> list[int]:
-    """Reflexive-transitive reachability masks over the edge lists, iteratively."""
-    up = [None] * n
-    for start in range(n):
-        if up[start] is not None:
-            continue
-        stack = [start]
-        while stack:
-            v = stack[-1]
-            if up[v] is None:
-                up[v] = 0  # mark in-progress
-                stack.extend(w for w in edges[v] if up[w] is None)
-                continue
-            stack.pop()
-            m = 1 << v
-            for w in edges[v]:
-                m |= up[w] if up[w] else (1 << w)
-            up[v] = m
-    # A cycle leaves some masks incomplete; one propagation sweep to fixpoint.
-    changed = True
-    while changed:
-        changed = False
-        for v in range(n):
-            m = up[v]
-            for w in edges[v]:
-                m |= up[w]
-            if m != up[v]:
-                up[v] = m
-                changed = True
+def _closure_up(n: int, pairs: Iterable[tuple[int, int]]) -> list[int]:
+    """Reflexive-transitive closure of the pairs (lo, hi) as masks: up[i]
+    holds every j reachable from i (Warshall's loop over bitmask rows)."""
+    up = [1 << i for i in range(n)]
+    for lo, hi in pairs:
+        up[lo] |= 1 << hi
+    for k in range(n):
+        bit, row = 1 << k, up[k]
+        for i in range(n):
+            if up[i] & bit:
+                up[i] |= row
     return up
 
 
-def _least_of(mask: int, up: Sequence[int]) -> int | None:
-    """The least element of the subset, or None if it has no least element."""
+def _extreme_of(mask: int, cone: Sequence[int]) -> int | None:
+    """The member of mask whose cone holds all of mask, or None: the least
+    element when cone is up, the greatest when it is down."""
     for c in bits(mask):
-        if mask & ~up[c] == 0:
-            return c
-    return None
-
-
-def _greatest_of(mask: int, down: Sequence[int]) -> int | None:
-    for c in bits(mask):
-        if mask & ~down[c] == 0:
+        if mask & ~cone[c] == 0:
             return c
     return None
 
@@ -267,10 +261,7 @@ def build_quantale(
             raise UndeclaredLabel(f"label {lbl!r} is not a declared element")
         return index[lbl]
 
-    edges: list[list[int]] = [[] for _ in range(n)]
-    for lo, hi in leq_generators:
-        edges[look(lo)].append(look(hi))
-    up = _closure_up(n, edges)
+    up = _closure_up(n, [(look(lo), look(hi)) for lo, hi in leq_generators])
     for i in range(n):
         for j in bits(up[i]):
             if j != i and up[j] >> i & 1:
@@ -289,13 +280,13 @@ def build_quantale(
         jr = []
         mr = []
         for j in range(n):
-            l = _least_of(up[i] & up[j], up)
+            l = _extreme_of(up[i] & up[j], up)
             if l is None:
                 raise NotALattice(
                     f"{elements[i]!r} and {elements[j]!r} have no least upper bound"
                 )
             jr.append(l)
-            g = _greatest_of(down[i] & down[j], down)
+            g = _extreme_of(down[i] & down[j], down)
             if g is None:
                 raise NotALattice(
                     f"{elements[i]!r} and {elements[j]!r} have no greatest lower bound"
@@ -582,16 +573,12 @@ def check_hom(
         for y in bits(q.up[x]):
             if not q2.leq(fx, mapping[y]):
                 return HomReport(ok=False, condition="order", witness=(x, y))
-    for x in range(n):
-        fx = mapping[x]
-        for y in range(x, n):
-            if mapping[q.join[x][y]] != q2.join[fx][mapping[y]]:
-                return HomReport(ok=False, condition="join", witness=(x, y))
-    for x in range(n):
-        fx = mapping[x]
-        for y in range(x, n):
-            if mapping[q.meet[x][y]] != q2.meet[fx][mapping[y]]:
-                return HomReport(ok=False, condition="meet", witness=(x, y))
+    for condition, op, op2 in (("join", q.join, q2.join), ("meet", q.meet, q2.meet)):
+        for x in range(n):
+            row, row2 = op[x], op2[mapping[x]]
+            for y in range(x, n):
+                if mapping[row[y]] != row2[mapping[y]]:
+                    return HomReport(ok=False, condition=condition, witness=(x, y))
     for x in range(n):
         fx = mapping[x]
         for y in range(n):

@@ -25,7 +25,7 @@ class MissingBound(QuantaleError):
 
 
 class TooLarge(QuantaleError):
-    """A construction would exceed the configured element cap."""
+    """A construction would exceed the element cap (core.ELEMENT_CAP)."""
 
 
 class NotCommutative(QuantaleError):

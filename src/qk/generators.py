@@ -22,7 +22,15 @@ from __future__ import annotations
 import itertools
 from typing import Iterable, Sequence
 
-from .core import ELEMENT_CAP, FiniteQuantale, PASSED, bits, build_quantale, check_axioms
+from .core import (
+    ELEMENT_CAP,
+    PASSED,
+    FiniteQuantale,
+    _closure_up,
+    bits,
+    build_quantale,
+    check_axioms,
+)
 from .errors import NotAPartialOrder, TooLarge
 
 POWERSET_MAX = 5
@@ -68,12 +76,12 @@ def powerset_quantale(k: int, *, name: str | None = None) -> FiniteQuantale:
     return _set_quantale(k, range(1 << k), name or f"powerset{k}")
 
 
-def lukasiewicz_quantale(n: int, *, name: str | None = None, cap: int = ELEMENT_CAP) -> FiniteQuantale:
+def lukasiewicz_quantale(n: int, *, name: str | None = None) -> FiniteQuantale:
     """The n-element chain 0 < 1 < ... < n-1 with truncated addition."""
     if n < 1:
         raise TooLarge("lukasiewicz needs at least one element")
-    if n > cap:
-        raise TooLarge(f"{n} elements exceeds the cap of {cap}")
+    if n > ELEMENT_CAP:
+        raise TooLarge(f"{n} elements exceeds the cap of {ELEMENT_CAP}")
     labels = [str(i) for i in range(n)]
     pairs = [(labels[i], labels[i + 1]) for i in range(n - 1)]
     mul = [[labels[max(0, a + b - (n - 1))] for b in range(n)] for a in range(n)]
@@ -85,19 +93,9 @@ def lowersets_quantale(
     relations: Iterable[tuple[int, int]],
     *,
     name: str | None = None,
-    cap: int = ELEMENT_CAP,
 ) -> FiniteQuantale:
     """Down-closed subsets of the poset generated by (lo, hi) pairs on 0..points-1."""
-    rel = list(relations)
-    below = [1 << p for p in range(points)]
-    changed = True
-    while changed:
-        changed = False
-        for lo, hi in rel:
-            merged = below[hi] | below[lo]
-            if merged != below[hi]:
-                below[hi] = merged
-                changed = True
+    below = _closure_up(points, [(hi, lo) for lo, hi in relations])
     for p in range(points):
         for s in bits(below[p]):
             if s != p and below[s] >> p & 1:
@@ -107,8 +105,8 @@ def lowersets_quantale(
         for s in range(1 << points)
         if all(below[p] & ~s == 0 for p in bits(s))
     ]
-    if len(lower) > cap:
-        raise TooLarge(f"{len(lower)} lower sets exceeds the cap of {cap}")
+    if len(lower) > ELEMENT_CAP:
+        raise TooLarge(f"{len(lower)} lower sets exceeds the cap of {ELEMENT_CAP}")
     return _set_quantale(points, lower, name or f"lowersets{points}")
 
 
@@ -196,20 +194,20 @@ def all_topologies(max_points: int) -> list[tuple[int, tuple[int, ...]]]:
     return out
 
 
-def generate(kind: str, arg=None, *, cap: int = ELEMENT_CAP) -> FiniteQuantale:
+def generate(kind: str, arg=None) -> FiniteQuantale:
     """Dispatch on kind; every result has passed check_axioms.
 
     kinds: powerset (arg k), lukasiewicz (arg n), lowersets (arg (points,
     relations)), opens (arg (points, open sets)), m3, ideal_quantale
-    (arg a carrier).
+    (arg a carrier).  A count may also be given as its decimal text.
     """
     if kind == "powerset":
         return powerset_quantale(int(arg))
     if kind == "lukasiewicz":
-        return lukasiewicz_quantale(int(arg), cap=cap)
+        return lukasiewicz_quantale(int(arg))
     if kind == "lowersets":
         points, relations = arg
-        return lowersets_quantale(points, relations, cap=cap)
+        return lowersets_quantale(points, relations)
     if kind == "opens":
         points, opens = arg
         return opens_quantale(points, opens)
@@ -218,7 +216,7 @@ def generate(kind: str, arg=None, *, cap: int = ELEMENT_CAP) -> FiniteQuantale:
     if kind == "ideal_quantale":
         from .ideals import ideal_quantale
 
-        return ideal_quantale(arg, cap=cap).quantale.with_status(PASSED)
+        return ideal_quantale(arg).quantale.with_status(PASSED)
     raise ValueError(f"unknown generator kind {kind!r}")
 
 
@@ -261,22 +259,18 @@ def _parse_opens_arg(text: str) -> tuple[int, tuple[int, ...]]:
     return points, tuple(fam)
 
 
-def generate_from_spec(spec: str, *, cap: int = ELEMENT_CAP, loader=None) -> FiniteQuantale:
+def generate_from_spec(spec: str, *, loader=None) -> FiniteQuantale:
     """CLI form KIND[:ARG], e.g. powerset:2, lowersets:chain3, opens:sierpinski,
-    lukasiewicz:5, m3, ideal_quantale:FILE (loader maps a path to a carrier)."""
+    lukasiewicz:5, m3, ideal_quantale:FILE (loader maps a path to a carrier).
+
+    Only the argument is read here; generate dispatches on the kind."""
     kind, _, arg = spec.partition(":")
-    if kind == "powerset":
-        return generate("powerset", int(arg), cap=cap)
-    if kind == "lukasiewicz":
-        return generate("lukasiewicz", int(arg), cap=cap)
     if kind == "lowersets":
-        return generate("lowersets", _parse_poset_arg(arg), cap=cap)
-    if kind == "opens":
-        return generate("opens", _parse_opens_arg(arg), cap=cap)
-    if kind == "m3":
-        return generate("m3", cap=cap)
-    if kind == "ideal_quantale":
+        arg = _parse_poset_arg(arg)
+    elif kind == "opens":
+        arg = _parse_opens_arg(arg)
+    elif kind == "ideal_quantale":
         if loader is None:
             raise ValueError("ideal_quantale needs a loader for its argument")
-        return generate("ideal_quantale", loader(arg), cap=cap)
-    raise ValueError(f"unknown generator kind {kind!r}")
+        arg = loader(arg)
+    return generate(kind, arg)

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .core import ELEMENT_CAP, FiniteQuantale, QuantaleHom, bits, check_hom, mask_of
+from .core import ELEMENT_CAP, FiniteQuantale, QuantaleHom, _subset_mask, bits, check_hom
 from .errors import (
     CarrierMismatch,
     EmptyGeneratorSet,
@@ -114,18 +114,6 @@ def _apex(q: FiniteQuantale, m: int) -> int:
     return a
 
 
-def _subset_mask(q: FiniteQuantale, s: Iterable[int] | int) -> int:
-    """mask_of(s), refusing element indices outside q before any table
-    lookup could trip over them."""
-    m = mask_of(s)
-    if m >> q.n:  # also true of a negative mask
-        if m < 0:
-            raise QuantaleError(f"{m} is not a subset mask")
-        stray = list(bits(m & ~q.full))
-        raise QuantaleError(f"indices {stray} are not elements of {q.name} (n={q.n})")
-    return m
-
-
 def _same_carrier(i: Ideal, j: Ideal) -> None:
     if i.carrier is not j.carrier:
         raise CarrierMismatch(
@@ -134,9 +122,13 @@ def _same_carrier(i: Ideal, j: Ideal) -> None:
 
 
 def is_ideal(q: FiniteQuantale, subset: Iterable[int] | int) -> bool:
-    """Nonempty, down-closed, closed under binary join."""
-    m = mask_of(subset)
-    if m == 0 or m & ~q.full:
+    """Nonempty, down-closed, closed under binary join; False for anything
+    that is not a subset of q."""
+    try:
+        m = _subset_mask(q, subset)
+    except QuantaleError:
+        return False
+    if m == 0:
         return False
     for x in bits(m):
         if q.down[x] & ~m:
@@ -151,7 +143,7 @@ def is_ideal(q: FiniteQuantale, subset: Iterable[int] | int) -> bool:
 
 def as_ideal(q: FiniteQuantale, subset: Iterable[int] | int) -> Ideal:
     """Validate and wrap an explicit member set."""
-    m = mask_of(subset)
+    m = _subset_mask(q, subset)
     if not is_ideal(q, m):
         raise QuantaleError(f"{q.labels(m) or '(empty)'} is not an ideal of {q.name}")
     return Ideal(q, m)
@@ -159,6 +151,7 @@ def as_ideal(q: FiniteQuantale, subset: Iterable[int] | int) -> Ideal:
 
 def principal(q: FiniteQuantale, a: int) -> Ideal:
     """The down-set of a single element."""
+    _subset_mask(q, [a])
     return Ideal(q, q.down[a])
 
 
@@ -176,7 +169,7 @@ def ideal_from_closure(q: FiniteQuantale, seed: Iterable[int] | int) -> Ideal:
     This is the definitional route used to cross-check the apex shortcuts;
     it never multiplies, so it tolerates broken algebra tables.
     """
-    m = mask_of(seed)
+    m = _subset_mask(q, seed)
     if m == 0:
         raise EmptyGeneratorSet("cannot close an empty set into an ideal")
     while True:
@@ -302,13 +295,13 @@ class IdealQuantale:
         )
 
 
-def ideal_quantale(q: FiniteQuantale, *, cap: int = ELEMENT_CAP) -> IdealQuantale:
+def ideal_quantale(q: FiniteQuantale) -> IdealQuantale:
     """Assemble the ideal carrier and certify the principal-embedding
     isomorphism a |-> down-set of a."""
     require_commutative(q)
     ideals = enumerate_ideals(q)
-    if len(ideals) > cap:
-        raise TooLarge(f"{len(ideals)} ideals exceeds the cap of {cap}")
+    if len(ideals) > ELEMENT_CAP:
+        raise TooLarge(f"{len(ideals)} ideals exceeds the cap of {ELEMENT_CAP}")
     order = sorted(range(len(ideals)), key=lambda k: (ideals[k].size, ideals[k].members))
     ideals = tuple(ideals[k] for k in order)
     pos = {i.members: k for k, i in enumerate(ideals)}

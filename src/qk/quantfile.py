@@ -18,11 +18,16 @@ A carrier file looks like:
     end
 
 Order lines are generators; the reflexive transitive closure is taken.
-Comments run from '#' to end of line.  Labels are any run of characters
-without whitespace, '#' or ':'.  The parser is liberal about alignment
-and blank lines; the writer always emits the canonical form (elements in
-index order, covering pairs only, single spaces), so writing, parsing
-and writing again reproduces the first output byte for byte.
+Comments run from '#' to end of line.  A name or element label is any
+nonempty run of characters without whitespace, '#' or ':', other than the
+reserved words '<=', '->' and 'end'.  The parser is liberal about
+alignment and blank lines and reports every error with its line and
+column; the labels, order pairs and rows it reads go straight to
+core.build_quantale.  The writer refuses (ValueError) a name or label
+that the parser would not read back, and otherwise emits the canonical
+form (elements in index order, covering pairs only, single spaces), so
+writing, parsing and writing again reproduces the first output byte for
+byte.
 
 A hom file names its endpoint files relative to its own location:
 
@@ -37,7 +42,7 @@ A hom file names its endpoint files relative to its own location:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import re
 from pathlib import Path
 
 from .core import FiniteQuantale, QuantaleHom, bits, build_quantale
@@ -49,113 +54,95 @@ from .errors import (
 )
 
 _RESERVED = {"<=", "->", "end"}
+_TOKEN = re.compile(r"\S+")
 
 
-def _tokens(line: str):
-    """(token, 1-based column) pairs, comment stripped."""
-    cut = line.find("#")
-    if cut >= 0:
-        line = line[:cut]
-    out = []
-    col = 0
-    i = 0
-    while i < len(line):
-        if line[i].isspace():
-            i += 1
-            continue
-        start = i
-        while i < len(line) and not line[i].isspace():
-            i += 1
-        out.append((line[start:i], start + 1))
-    return out
+def _is_label(tok: str) -> bool:
+    """The label rule of the parser and the writer, for names and elements."""
+    return (
+        _TOKEN.fullmatch(tok) is not None
+        and "#" not in tok
+        and ":" not in tok
+        and tok not in _RESERVED
+    )
 
 
 def _check_label(tok: str, line: int, col: int) -> str:
-    if ":" in tok or tok in _RESERVED:
+    if not _is_label(tok):
         raise QuantSyntaxError(f"invalid label {tok!r}", line, col)
     return tok
 
 
-@dataclass(eq=False)
-class QuantSource:
-    """Parsed but unresolved carrier file, with source positions."""
+class _Lines:
+    """The non-blank lines of a text, each as (line number, [(token,
+    1-based column), ...]) with its comment stripped, read in order."""
 
-    name: str
-    elements: tuple[str, ...]
-    order_pairs: tuple[tuple[str, str], ...]
-    mul_rows: tuple[tuple[str, tuple[str, ...]], ...]
-    spans: dict = field(default_factory=dict)
+    def __init__(self, text: str):
+        lines = text.splitlines()
+        self.last = len(lines) or 1
+        self.rows = []
+        for k, raw in enumerate(lines):
+            toks = [(m.group(), m.start() + 1) for m in _TOKEN.finditer(raw.partition("#")[0])]
+            if toks:
+                self.rows.append((k + 1, toks))
+        self.pos = 0
 
-    def where(self, key) -> tuple[int | None, int | None]:
-        return self.spans.get(key, (None, None))
+    def take(self, what: str):
+        """The next line; running out is an error naming what was expected."""
+        if self.pos >= len(self.rows):
+            raise QuantSyntaxError(f"unexpected end of file, expected {what}", self.last, 1)
+        self.pos += 1
+        return self.rows[self.pos - 1]
+
+    def done(self) -> None:
+        """Refuse anything after the closing 'end'."""
+        if self.pos < len(self.rows):
+            ln, toks = self.rows[self.pos]
+            raise QuantSyntaxError("content after 'end'", ln, toks[0][1])
 
 
-def parse_quant_source(text: str) -> QuantSource:
-    lines = text.splitlines()
-    rows = [(k + 1, _tokens(raw)) for k, raw in enumerate(lines)]
-    rows = [(ln, toks) for ln, toks in rows if toks]
-    pos = 0
-
-    def need(what: str):
-        if pos >= len(rows):
-            raise QuantSyntaxError(f"unexpected end of file, expected {what}", len(lines) or 1, 1)
-        return rows[pos]
-
-    ln, toks = need("'quantale NAME'")
+def parse_quant(text: str) -> FiniteQuantale:
+    """Parse a carrier file; the algebra is not certified (see check_axioms)."""
+    lines = _Lines(text)
+    ln, toks = lines.take("'quantale NAME'")
     if len(toks) != 2 or toks[0][0] != "quantale":
         raise QuantSyntaxError("expected 'quantale NAME'", ln, toks[0][1])
     name = _check_label(toks[1][0], ln, toks[1][1])
-    pos += 1
 
-    ln, toks = need("'elements:'")
+    ln, toks = lines.take("'elements:'")
     if toks[0][0] != "elements:":
         raise QuantSyntaxError("expected 'elements:'", ln, toks[0][1])
-    spans: dict = {}
     elements: list[str] = []
-    for tok, col in toks[1:]:
-        lbl = _check_label(tok, ln, col)
-        if lbl in elements:
-            raise DuplicateLabel(f"element {lbl!r} declared twice", ln, col)
-        spans[("element", lbl)] = (ln, col)
-        elements.append(lbl)
-    pos += 1
-    # further element lines until the order section
+    labels = toks[1:]
     while True:
-        ln, toks = need("'order:'")
-        if toks[0][0] == "order:":
-            break
-        for tok, col in toks:
+        for tok, col in labels:
             lbl = _check_label(tok, ln, col)
             if lbl in elements:
                 raise DuplicateLabel(f"element {lbl!r} declared twice", ln, col)
-            spans[("element", lbl)] = (ln, col)
             elements.append(lbl)
-        pos += 1
+        # further element lines until the order section
+        ln, toks = lines.take("'order:'")
+        if toks[0][0] == "order:":
+            break
+        labels = toks
     if not elements:
         raise QuantSyntaxError("no elements declared", ln, toks[0][1])
-    pos += 1
 
     order: list[tuple[str, str]] = []
     while True:
-        ln, toks = need("an order pair or 'mul:'")
+        ln, toks = lines.take("an order pair or 'mul:'")
         if toks[0][0] == "mul:":
             break
         if len(toks) != 3 or toks[1][0] != "<=":
             raise QuantSyntaxError("expected 'A <= B'", ln, toks[0][1])
-        lo, lo_col = toks[0]
-        hi, hi_col = toks[2]
-        spans[("order", len(order))] = (ln, lo_col)
-        for lbl, col in ((lo, lo_col), (hi, hi_col)):
+        for lbl, col in (toks[0], toks[2]):
             if lbl not in elements:
                 raise UndeclaredLabel(f"label {lbl!r} is not a declared element", ln, col)
-        order.append((lo, hi))
-        pos += 1
-    pos += 1
+        order.append((toks[0][0], toks[2][0]))
 
-    mul: list[tuple[str, tuple[str, ...]]] = []
-    seen_rows = set()
+    rows: dict[str, list[str]] = {}
     while True:
-        ln, toks = need("a multiplication row or 'end'")
+        ln, toks = lines.take("a multiplication row or 'end'")
         if toks[0][0] == "end":
             break
         head, head_col = toks[0]
@@ -166,9 +153,8 @@ def parse_quant_source(text: str) -> QuantSource:
             raise UndeclaredLabel(
                 f"label {row_label!r} is not a declared element", ln, head_col
             )
-        if row_label in seen_rows:
+        if row_label in rows:
             raise DuplicateLabel(f"row {row_label!r} given twice", ln, head_col)
-        seen_rows.add(row_label)
         entries = []
         for tok, col in toks[1:]:
             if tok not in elements:
@@ -180,38 +166,13 @@ def parse_quant_source(text: str) -> QuantSource:
                 ln,
                 head_col,
             )
-        spans[("mul", row_label)] = (ln, head_col)
-        mul.append((row_label, tuple(entries)))
-        pos += 1
-    end_ln = ln
-    pos += 1
-    if pos < len(rows):
-        ln, toks = rows[pos]
-        raise QuantSyntaxError("content after 'end'", ln, toks[0][1])
+        rows[row_label] = entries
+    lines.done()
 
     for lbl in elements:
-        if lbl not in seen_rows:
-            raise RowArity(f"no multiplication row for {lbl!r}", end_ln, 1)
-    return QuantSource(
-        name=name,
-        elements=tuple(elements),
-        order_pairs=tuple(order),
-        mul_rows=tuple(mul),
-        spans=spans,
-    )
-
-
-def source_to_quantale(src: QuantSource) -> FiniteQuantale:
-    by_label = dict(src.mul_rows)
-    table = [by_label[lbl] for lbl in src.elements]
-    return build_quantale(
-        src.elements, src.order_pairs, table, name=src.name
-    )
-
-
-def parse_quant(text: str) -> FiniteQuantale:
-    """Parse a carrier file; the algebra is not certified (see check_axioms)."""
-    return source_to_quantale(parse_quant_source(text))
+        if lbl not in rows:
+            raise RowArity(f"no multiplication row for {lbl!r}", ln, 1)
+    return build_quantale(elements, order, [rows[lbl] for lbl in elements], name=name)
 
 
 def load_quant(path) -> FiniteQuantale:
@@ -227,10 +188,10 @@ def _covers(q: FiniteQuantale, lo: int, hi: int) -> bool:
 
 def write_quant(q: FiniteQuantale) -> str:
     """Canonical text form; see the module docstring for the guarantees."""
-    if not q.name or any(ch.isspace() for ch in q.name) or ":" in q.name:
+    if not _is_label(q.name):
         raise ValueError(f"name {q.name!r} is not a single printable token")
     for lbl in q.elements:
-        if ":" in lbl or "#" in lbl or any(ch.isspace() for ch in lbl):
+        if not _is_label(lbl):
             raise ValueError(f"element label {lbl!r} cannot be written")
     lines = [f"quantale {q.name}", "elements: " + " ".join(q.elements), "order:"]
     for lo in range(q.n):
@@ -256,17 +217,8 @@ def parse_hom(text: str, base_dir) -> QuantaleHom:
     still be inspected; run .check() for the verdict.
     """
     base = Path(base_dir)
-    lines = text.splitlines()
-    rows = [(k + 1, _tokens(raw)) for k, raw in enumerate(lines)]
-    rows = [(ln, toks) for ln, toks in rows if toks]
-    pos = 0
-
-    def need(what: str):
-        if pos >= len(rows):
-            raise QuantSyntaxError(f"unexpected end of file, expected {what}", len(lines) or 1, 1)
-        return rows[pos]
-
-    ln, toks = need("'hom NAME : SRC -> DST'")
+    lines = _Lines(text)
+    ln, toks = lines.take("'hom NAME : SRC -> DST'")
     shape_ok = (
         len(toks) == 6
         and toks[0][0] == "hom"
@@ -284,16 +236,14 @@ def parse_hom(text: str, base_dir) -> QuantaleHom:
         raise QuantSyntaxError(f"no such carrier file: {dst_path}", ln, toks[5][1])
     source = load_quant(src_path)
     target = load_quant(dst_path)
-    pos += 1
 
-    ln, toks = need("'map:'")
+    ln, toks = lines.take("'map:'")
     if toks[0][0] != "map:":
         raise QuantSyntaxError("expected 'map:'", ln, toks[0][1])
-    pos += 1
 
     images: dict[int, int] = {}
     while True:
-        ln, toks = need("a 'x -> y' line or 'end'")
+        ln, toks = lines.take("a 'x -> y' line or 'end'")
         if toks[0][0] == "end":
             break
         if len(toks) != 3 or toks[1][0] != "->":
@@ -312,11 +262,7 @@ def parse_hom(text: str, base_dir) -> QuantaleHom:
         if x in images:
             raise DuplicateLabel(f"element {x_lbl!r} mapped twice", ln, x_col)
         images[x] = target.index(y_lbl)
-        pos += 1
-    pos += 1
-    if pos < len(rows):
-        ln, toks = rows[pos]
-        raise QuantSyntaxError("content after 'end'", ln, toks[0][1])
+    lines.done()
     missing = [source.elements[i] for i in range(source.n) if i not in images]
     if missing:
         raise RowArity(f"no image given for {missing[0]!r}", ln, 1)

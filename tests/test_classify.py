@@ -239,6 +239,14 @@ def test_prime_avoidance_hypotheses(q4):
         prime_avoidance(q4, 1 << q4.n, [a])
 
 
+def test_mc_indices_outside_the_carrier(q4):
+    assert not is_mc(q4, [q4.top, q4.n])
+    with pytest.raises(QuantaleError, match=r"indices \[4\] are not elements of q4"):
+        mc_set(q4, q4.full | 1 << q4.n)
+    with pytest.raises(QuantaleError, match=r"indices \[4\] are not elements of q4"):
+        mc_generated(q4, q4.n)
+
+
 def test_are_coprime(p3, q4):
     i12 = principal(p3, p3.index("12"))
     i3 = principal(p3, p3.index("3"))

@@ -177,6 +177,11 @@ def test_annihilator_frozen(q4):
         (lambda q: annihilator(q, 1 << q.n), "[4]"),
         (lambda q: annihilator(q, [0, 9]), "[9]"),
         (lambda q: generated(q, 1 << q.n), "[4]"),
+        (lambda q: ideal_from_closure(q, 1 << q.n), "[4]"),
+        (lambda q: as_ideal(q, [0, q.n]), "[4]"),
+        (lambda q: principal(q, q.n), "[4]"),
+        (lambda q: annihilator(q, [0, -1]), "[-1]"),
+        (lambda q: q.labels(1 << q.n), "[4]"),
     ],
 )
 def test_indices_outside_the_carrier_are_refused(q4, call, stray):
