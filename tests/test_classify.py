@@ -241,6 +241,7 @@ def test_prime_avoidance_hypotheses(q4):
 
 def test_mc_indices_outside_the_carrier(q4):
     assert not is_mc(q4, [q4.top, q4.n])
+    assert not is_mc(q4, [q4.top, -1])
     with pytest.raises(QuantaleError, match=r"indices \[4\] are not elements of q4"):
         mc_set(q4, q4.full | 1 << q4.n)
     with pytest.raises(QuantaleError, match=r"indices \[4\] are not elements of q4"):

@@ -72,6 +72,11 @@ def test_is_ideal_rejections(q4):
     assert is_ideal(q4, q4.down[a])
 
 
+def test_is_ideal_outside_the_carrier(q4):
+    assert not is_ideal(q4, q4.full | 1 << q4.n)
+    assert not is_ideal(q4, [q4.bottom, -1])
+
+
 def test_as_ideal(q4):
     i = as_ideal(q4, q4.down[q4.index("a")])
     assert i == principal(q4, q4.index("a"))
