@@ -61,7 +61,7 @@ def mask_of(indices: Iterable[int] | int) -> int:
     return m
 
 
-def _subset_mask(q: "FiniteQuantale", s: Iterable[int] | int) -> int:
+def _subset_mask(q: FiniteQuantale, s: Iterable[int] | int) -> int:
     """mask_of(s), refusing a negative mask and indices outside q (QuantaleError,
     naming them) before any table lookup could trip over them."""
     if isinstance(s, int):
