@@ -235,7 +235,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    q = generate_from_spec(args.spec, loader=load_quant)
+    q = generate_from_spec(args.spec)
     text = write_quant(q)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as f:
@@ -341,7 +341,7 @@ def main(argv=None) -> int:
     except QuantFileError as e:
         print(f"qk: {e}", file=sys.stderr)
         return 2
-    except FileNotFoundError as e:
+    except OSError as e:
         print(f"qk: {e}", file=sys.stderr)
         return 2
     except QuantaleError as e:

@@ -6,8 +6,10 @@ is the top element.  Elements are indices into a label tuple.  Subsets of
 the carrier are bitmask ints (bit i set <=> element i present); this keeps
 the exhaustive machinery elsewhere in the package allocation-free.
 
-Construction does not validate the algebra: build_quantale only certifies
-the lattice part and returns a carrier whose status is "unchecked".
+Every carrier is built by build_quantale from labels, order pairs and
+label rows; the .quant parser, the generators and ideals.ideal_quantale
+all go through it.  It certifies the lattice part only, looking each lub
+and glb up by its cone, and returns a carrier whose status is "unchecked".
 check_axioms re-derives everything, including the lattice tables, and is
 the sole authority on whether an instance really is a quantale.
 
@@ -221,12 +223,13 @@ def _closure_up(n: int, pairs: Iterable[tuple[int, int]]) -> list[int]:
     return up
 
 
-def _extreme_of(mask: int, cone: Sequence[int]) -> int | None:
-    """The member of mask whose cone holds all of mask, or None: the least
-    element when cone is up, the greatest when it is down."""
-    for c in bits(mask):
-        if mask & ~cone[c] == 0:
-            return c
+def _mutual_pair(up: Sequence[int]) -> tuple[int, int] | None:
+    """The first (i, j), i != j, with each in the other's up[] row, or None
+    when the closed relation up is antisymmetric."""
+    for i, row in enumerate(up):
+        for j in bits(row):
+            if j != i and up[j] >> i & 1:
+                return i, j
     return None
 
 
@@ -262,17 +265,21 @@ def build_quantale(
         return index[lbl]
 
     up = _closure_up(n, [(look(lo), look(hi)) for lo, hi in leq_generators])
-    for i in range(n):
-        for j in bits(up[i]):
-            if j != i and up[j] >> i & 1:
-                raise NotAPartialOrder(
-                    f"{elements[i]!r} and {elements[j]!r} are below each other"
-                )
+    if mutual := _mutual_pair(up):
+        i, j = mutual
+        raise NotAPartialOrder(
+            f"{elements[i]!r} and {elements[j]!r} are below each other"
+        )
     down = [0] * n
     for i in range(n):
         for j in bits(up[i]):
             down[j] |= 1 << i
 
+    # A set of common upper bounds is an up-set, so it has a least member l
+    # exactly when it equals up[l] (and dually for lower bounds and down);
+    # the order is antisymmetric, so each cone belongs to one element.
+    by_up = {u: i for i, u in enumerate(up)}
+    by_down = {d: i for i, d in enumerate(down)}
     full = (1 << n) - 1
     join_rows: list[tuple[int, ...]] = []
     meet_rows: list[tuple[int, ...]] = []
@@ -280,13 +287,13 @@ def build_quantale(
         jr = []
         mr = []
         for j in range(n):
-            l = _extreme_of(up[i] & up[j], up)
+            l = by_up.get(up[i] & up[j])
             if l is None:
                 raise NotALattice(
                     f"{elements[i]!r} and {elements[j]!r} have no least upper bound"
                 )
             jr.append(l)
-            g = _extreme_of(down[i] & down[j], down)
+            g = by_down.get(down[i] & down[j])
             if g is None:
                 raise NotALattice(
                     f"{elements[i]!r} and {elements[j]!r} have no greatest lower bound"
@@ -295,8 +302,8 @@ def build_quantale(
         join_rows.append(tuple(jr))
         meet_rows.append(tuple(mr))
 
-    bottom = next((i for i in range(n) if up[i] == full), None)
-    top = next((i for i in range(n) if down[i] == full), None)
+    bottom = by_up.get(full)
+    top = by_down.get(full)
     if bottom is None or top is None:
         raise MissingBound("carrier lacks a global bottom or top")
 

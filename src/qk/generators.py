@@ -27,11 +27,13 @@ from .core import (
     PASSED,
     FiniteQuantale,
     _closure_up,
+    _mutual_pair,
     bits,
     build_quantale,
     check_axioms,
 )
 from .errors import NotAPartialOrder, TooLarge
+from .quantfile import load_quant
 
 POWERSET_MAX = 5
 
@@ -96,10 +98,9 @@ def lowersets_quantale(
 ) -> FiniteQuantale:
     """Down-closed subsets of the poset generated by (lo, hi) pairs on 0..points-1."""
     below = _closure_up(points, [(hi, lo) for lo, hi in relations])
-    for p in range(points):
-        for s in bits(below[p]):
-            if s != p and below[s] >> p & 1:
-                raise NotAPartialOrder(f"points {s} and {p} are below each other")
+    if mutual := _mutual_pair(below):
+        p, s = mutual
+        raise NotAPartialOrder(f"points {s} and {p} are below each other")
     lower = [
         s
         for s in range(1 << points)
@@ -259,9 +260,9 @@ def _parse_opens_arg(text: str) -> tuple[int, tuple[int, ...]]:
     return points, tuple(fam)
 
 
-def generate_from_spec(spec: str, *, loader=None) -> FiniteQuantale:
+def generate_from_spec(spec: str) -> FiniteQuantale:
     """CLI form KIND[:ARG], e.g. powerset:2, lowersets:chain3, opens:sierpinski,
-    lukasiewicz:5, m3, ideal_quantale:FILE (loader maps a path to a carrier).
+    lukasiewicz:5, m3, ideal_quantale:FILE (FILE is read by load_quant).
 
     Only the argument is read here; generate dispatches on the kind."""
     kind, _, arg = spec.partition(":")
@@ -270,7 +271,5 @@ def generate_from_spec(spec: str, *, loader=None) -> FiniteQuantale:
     elif kind == "opens":
         arg = _parse_opens_arg(arg)
     elif kind == "ideal_quantale":
-        if loader is None:
-            raise ValueError("ideal_quantale needs a loader for its argument")
-        arg = loader(arg)
+        arg = load_quant(arg)
     return generate(kind, arg)

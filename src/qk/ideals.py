@@ -22,7 +22,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .core import ELEMENT_CAP, FiniteQuantale, QuantaleHom, _subset_mask, bits, check_hom
+from .core import (
+    ELEMENT_CAP,
+    FiniteQuantale,
+    QuantaleHom,
+    _subset_mask,
+    bits,
+    build_quantale,
+    check_hom,
+)
 from .errors import (
     CarrierMismatch,
     EmptyGeneratorSet,
@@ -296,8 +304,9 @@ class IdealQuantale:
 
 
 def ideal_quantale(q: FiniteQuantale) -> IdealQuantale:
-    """Assemble the ideal carrier and certify the principal-embedding
-    isomorphism a |-> down-set of a."""
+    """Build the ideal carrier (inclusion order, product_ideals table) with
+    build_quantale and certify the principal-embedding isomorphism
+    a |-> down-set of a."""
     require_commutative(q)
     ideals = enumerate_ideals(q)
     if len(ideals) > ELEMENT_CAP:
@@ -306,34 +315,17 @@ def ideal_quantale(q: FiniteQuantale) -> IdealQuantale:
     ideals = tuple(ideals[k] for k in order)
     pos = {i.members: k for k, i in enumerate(ideals)}
     labels = tuple("↓" + q.elements[i.apex] for i in ideals)
-    n = len(ideals)
-    down = [0] * n
-    for k, i in enumerate(ideals):
-        for l, j in enumerate(ideals):
-            if i.members & ~j.members == 0:
-                down[l] |= 1 << k
-    join = tuple(
-        tuple(pos[join_ideals(i, j).members] for j in ideals) for i in ideals
-    )
-    meet = tuple(
-        tuple(pos[meet_ideals(i, j).members] for j in ideals) for i in ideals
-    )
-    mul = tuple(
-        tuple(pos[product_ideals(i, j).members] for j in ideals) for i in ideals
-    )
-    carrier = FiniteQuantale(
-        name=f"{q.name}_ideals",
-        elements=labels,
-        down=tuple(down),
-        join=join,
-        meet=meet,
-        mul=mul,
-        bottom=pos[1 << q.bottom],
-        top=pos[q.full],
-    )
     iso = tuple(pos[q.down[a]] for a in range(q.n))
-    if sorted(iso) != list(range(n)):
+    if sorted(iso) != list(range(len(ideals))):
         raise QuantaleError("principal map is not a bijection onto the ideals")
+    pairs = [
+        (labels[k], labels[l])
+        for k, i in enumerate(ideals)
+        for l, j in enumerate(ideals)
+        if i.members & ~j.members == 0
+    ]
+    mul = [[labels[pos[product_ideals(i, j).members]] for j in ideals] for i in ideals]
+    carrier = build_quantale(labels, pairs, mul, name=f"{q.name}_ideals")
     rep = check_hom(iso, q, carrier)
     if not rep.ok:
         raise QuantaleError(f"principal map breaks {rep.condition} at {rep.witness}")

@@ -205,6 +205,22 @@ def test_exit_code_usage_errors(capsys, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "{dir}"],
+        ["gen", "ideal_quantale:"],
+        ["gen", "ideal_quantale:{dir}"],
+        ["gen", "ideal_quantale:{dir}/missing.quant"],
+    ],
+)
+def test_unreadable_paths_are_usage_errors(capsys, monkeypatch, tmp_path, argv):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, *(a.format(dir=tmp_path) for a in argv))
+    assert (code, out) == (2, "")
+    assert err.startswith("qk: ") and err.count("\n") == 1
+
+
 def test_gen_output_matches_generator(capsys):
     code, out, _ = run(capsys, "gen", "lukasiewicz:3")
     assert code == 0

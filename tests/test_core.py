@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qk.core import (
     PASSED,
@@ -19,6 +20,7 @@ from qk.errors import (
     MissingBound,
     NotALattice,
     NotAPartialOrder,
+    QuantaleError,
     RowArity,
     UndeclaredLabel,
 )
@@ -152,6 +154,75 @@ def test_build_rejects_non_lattice():
     ]
     with pytest.raises(NotALattice):
         build_quantale(els, rel, [["bot"] * 6 for _ in range(6)])
+
+
+def _first_match_lattice(labels, pairs):
+    """join, meet, bottom and top of the order generated by pairs, each bound
+    found as the first candidate (in index order) below or above all others;
+    raises what build_quantale raises for a cycle or a missing bound."""
+    n = len(labels)
+    idx = {l: i for i, l in enumerate(labels)}
+    leq = [[i == j for j in range(n)] for i in range(n)]
+    for lo, hi in pairs:
+        leq[idx[lo]][idx[hi]] = True
+    for k in range(n):
+        for i in range(n):
+            for j in range(n):
+                leq[i][j] = leq[i][j] or (leq[i][k] and leq[k][j])
+    for i in range(n):
+        for j in range(n):
+            if i != j and leq[i][j] and leq[j][i]:
+                raise NotAPartialOrder(f"{labels[i]!r} and {labels[j]!r} are below each other")
+
+    def first(cands, below):
+        return next((c for c in cands if all(below(c, d) for d in cands)), None)
+
+    join, meet = [], []
+    for i in range(n):
+        jr, mr = [], []
+        for j in range(n):
+            ups = [k for k in range(n) if leq[i][k] and leq[j][k]]
+            l = first(ups, lambda c, d: leq[c][d])
+            if l is None:
+                raise NotALattice(f"{labels[i]!r} and {labels[j]!r} have no least upper bound")
+            downs = [k for k in range(n) if leq[k][i] and leq[k][j]]
+            g = first(downs, lambda c, d: leq[d][c])
+            if g is None:
+                raise NotALattice(f"{labels[i]!r} and {labels[j]!r} have no greatest lower bound")
+            jr.append(l)
+            mr.append(g)
+        join.append(tuple(jr))
+        meet.append(tuple(mr))
+    bottom = first(range(n), lambda c, d: leq[c][d])
+    top = first(range(n), lambda c, d: leq[d][c])
+    if bottom is None or top is None:
+        raise MissingBound("carrier lacks a global bottom or top")
+    return tuple(join), tuple(meet), bottom, top
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_bounds_match_first_match_scan(data):
+    n = data.draw(st.integers(min_value=1, max_value=6))
+    labels = [f"e{i}" for i in range(n)]
+    raw = data.draw(
+        st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=12)
+    )
+    if data.draw(st.booleans()):  # orient every pair upwards: no cycles
+        raw = [(min(a, b), max(a, b)) for a, b in raw]
+    pairs = [(labels[a], labels[b]) for a, b in raw]
+
+    def outcome(build):
+        try:
+            return build()
+        except QuantaleError as e:
+            return type(e), str(e)
+
+    def built():
+        q = build_quantale(labels, pairs, [labels] * n)
+        return q.join, q.meet, q.bottom, q.top
+
+    assert outcome(built) == outcome(lambda: _first_match_lattice(labels, pairs))
 
 
 def test_index_label_roundtrip(q4):

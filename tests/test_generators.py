@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -16,6 +18,8 @@ from qk.generators import (
     opens_quantale,
     powerset_quantale,
 )
+
+DATA = Path(__file__).parent / "data"
 
 
 def test_powerset_labels_and_tables(p3):
@@ -128,8 +132,17 @@ def test_generate_from_spec_forms():
     assert generate_from_spec("opens:2:-,0,01").n == 3
     with pytest.raises(ValueError):
         generate_from_spec("nope:1")
-    with pytest.raises(ValueError):
-        generate_from_spec("ideal_quantale:x")  # needs a loader
+
+
+def test_generate_from_spec_reads_ideal_quantale_file():
+    q = generate_from_spec(f"ideal_quantale:{DATA / 'q4.quant'}")
+    assert (q.n, q.status) == (4, PASSED)
+    assert q.elements == ("↓bot", "↓a", "↓b", "↓top")
+
+
+def test_generate_from_spec_missing_ideal_quantale_file(tmp_path):
+    with pytest.raises(FileNotFoundError):
+        generate_from_spec(f"ideal_quantale:{tmp_path / 'missing.quant'}")
 
 
 @settings(max_examples=30, deadline=None)

@@ -3,6 +3,7 @@ import re
 import pytest
 
 from qk.core import build_quantale, check_axioms
+from qk.generators import generate_from_spec
 from qk.errors import (
     CarrierMismatch,
     EmptyGeneratorSet,
@@ -205,6 +206,17 @@ def test_ideal_quantale_q4(q4):
     for x in range(q4.n):
         for y in range(q4.n):
             assert q4.leq(x, y) == iq.quantale.leq(h(x), h(y))
+
+
+@pytest.mark.parametrize("name", ["q4", "l3", "m3", "lowersets:antichain3"])
+def test_ideal_quantale_tables_are_ideal_operations(request, name):
+    q = generate_from_spec(name) if ":" in name else request.getfixturevalue(name)
+    iq = ideal_quantale(q)
+    pos = {i.members: k for k, i in enumerate(iq.ideals)}
+    for k, i in enumerate(iq.ideals):
+        for l, j in enumerate(iq.ideals):
+            assert iq.quantale.join[k][l] == pos[join_ideals(i, j).members]
+            assert iq.quantale.meet[k][l] == pos[meet_ideals(i, j).members]
 
 
 def test_ideal_quantale_is_stable_under_iteration(l3):
