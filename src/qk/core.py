@@ -14,9 +14,9 @@ check_axioms re-derives everything, including the lattice tables, and is
 the sole authority on whether an instance really is a quantale.
 
 Carriers and homomorphisms are immutable and meant to be reused: each
-carries lazy memos of the ideal calculus (apexes, residuals, annihilator
-columns, primality, ...) that hold exactly what the defining scans compute,
-on any table, lawful or not.  A memo fills on first use, so a carrier that
+carries lazy memos of the ideal calculus (interned ideals, residuals,
+annihilator columns, primality, ...) that hold exactly what the defining
+scans compute, on any table, lawful or not.  A memo fills on first use, so a carrier that
 is never queried pays nothing, and a carrier made by dataclasses.replace
 (a mutant, with_status) starts with empty memos.
 """
@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property, reduce
-from typing import Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from .errors import (
     DuplicateLabel,
@@ -37,6 +37,9 @@ from .errors import (
     RowArity,
     UndeclaredLabel,
 )
+
+if TYPE_CHECKING:
+    from .ideals import Ideal
 
 ELEMENT_CAP = 4096
 
@@ -149,13 +152,20 @@ class FiniteQuantale:
         return tuple(out)
 
     @cached_property
-    def apexes(self) -> dict[int, int]:
-        """Memo: subset mask -> join of its members (ideals.Ideal.apex)."""
+    def interned(self) -> dict[int, Ideal]:
+        """Memo: member mask -> the one ideals.Ideal of this carrier with it."""
         return {}
 
     @cached_property
-    def residuals(self) -> dict[tuple[int, int], int]:
-        """Memo: (i.members, j.members) -> members of ideals.residual(i, j)."""
+    def principals(self) -> tuple[Ideal, ...]:
+        """principals[a] = the interned ideal with members down[a]."""
+        from .ideals import Ideal
+
+        return tuple(Ideal(self, d) for d in self.down)
+
+    @cached_property
+    def residuals(self) -> dict[tuple[int, int], Ideal]:
+        """Memo: (i.members, j.members) -> ideals.residual(i, j)."""
         return {}
 
     @cached_property

@@ -8,11 +8,12 @@ rather than a baked-in assumption.  The fast paths here go through the
 apex; the definitional closure routes live alongside them and the
 verification suites insist the two agree.
 
-Carriers are immutable and meant to be reused.  Apexes, residuals,
-annihilators and generated ideals read through the carrier's memos (see
-core.FiniteQuantale): each is computed by its definition once per carrier
-and mask, and looked up after that.  Since a memo holds the definition's
-own result, it is an exact cache, on broken tables too.
+Carriers are immutable and meant to be reused.  Ideals are interned in
+the carrier's memo q.interned (see Ideal), and residuals, annihilators and
+generated ideals read through its other memos (see core.FiniteQuantale):
+each is computed by its definition once per carrier and mask, and looked
+up after that.  Since a memo holds the definition's own result, it is an
+exact cache, on broken tables too.
 
 Ideal-theoretic operations that multiply refuse noncommutative carriers.
 """
@@ -49,20 +50,22 @@ def require_commutative(q: FiniteQuantale) -> None:
 class Ideal:
     """A subset of a carrier, trusted to satisfy the ideal conditions.
 
-    Build via principal/generated/as_ideal rather than directly.
-    Equality and hashing are by carrier identity plus member mask.
+    Build via principal/generated/as_ideal rather than directly.  Ideals are
+    interned: Ideal(q, m) is the one object of carrier q for member mask m,
+    so equality is identity.  Its apex, the join of the members (the ideal
+    is its down-set), is computed once, when that object is made.
     """
 
-    __slots__ = ("carrier", "members")
+    __slots__ = ("carrier", "members", "apex")
 
-    def __init__(self, carrier: FiniteQuantale, members: int):
-        self.carrier = carrier
-        self.members = members
-
-    @property
-    def apex(self) -> int:
-        """The join of all members; the ideal is its down-set."""
-        return _apex(self.carrier, self.members)
+    def __new__(cls, carrier: FiniteQuantale, members: int):
+        self = carrier.interned.get(members)
+        if self is None:
+            self = carrier.interned[members] = object.__new__(cls)
+            self.carrier = carrier
+            self.members = members
+            self.apex = carrier.join_of(bits(members))
+        return self
 
     @property
     def name(self) -> str:
@@ -94,39 +97,21 @@ class Ideal:
         return bool(self.members >> x & 1)
 
     def __le__(self, other: "Ideal") -> bool:
-        _same_carrier(self, other)
+        if other.carrier is not self.carrier:
+            raise _mismatch(self, other)
         return self.members & ~other.members == 0
 
     def __lt__(self, other: "Ideal") -> bool:
-        return self <= other and self.members != other.members
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Ideal)
-            and self.carrier is other.carrier
-            and self.members == other.members
-        )
-
-    def __hash__(self) -> int:
-        return hash((id(self.carrier), self.members))
+        return self <= other and self is not other
 
     def __repr__(self) -> str:
         return f"<Ideal {self.name} of {self.carrier.name}>"
 
 
-def _apex(q: FiniteQuantale, m: int) -> int:
-    """The join of the members of m, memoized on q."""
-    a = q.apexes.get(m)
-    if a is None:
-        a = q.apexes[m] = q.join_of(bits(m))
-    return a
-
-
-def _same_carrier(i: Ideal, j: Ideal) -> None:
-    if i.carrier is not j.carrier:
-        raise CarrierMismatch(
-            f"ideals live over different carriers ({i.carrier.name}, {j.carrier.name})"
-        )
+def _mismatch(i: Ideal, j: Ideal) -> CarrierMismatch:
+    return CarrierMismatch(
+        f"ideals live over different carriers ({i.carrier.name}, {j.carrier.name})"
+    )
 
 
 def is_ideal(q: FiniteQuantale, subset: Iterable[int] | int) -> bool:
@@ -160,7 +145,7 @@ def as_ideal(q: FiniteQuantale, subset: Iterable[int] | int) -> Ideal:
 def principal(q: FiniteQuantale, a: int) -> Ideal:
     """The down-set of a single element."""
     _subset_mask(q, [a])
-    return Ideal(q, q.down[a])
+    return q.principals[a]
 
 
 def zero_ideal(q: FiniteQuantale) -> Ideal:
@@ -203,7 +188,8 @@ def generated(q: FiniteQuantale, s: Iterable[int] | int) -> Ideal:
     prods = 0
     for t in bits(m):
         prods |= q.col_images[t]
-    return Ideal(q, q.down[_apex(q, prods)])
+    # interned for its apex alone: prods need not be an ideal
+    return q.principals[Ideal(q, prods).apex]
 
 
 def enumerate_ideals(q: FiniteQuantale) -> list[Ideal]:
@@ -211,11 +197,12 @@ def enumerate_ideals(q: FiniteQuantale) -> list[Ideal]:
     element index order.  The brute-force subset filter that justifies
     this lives in the collapse verification suite."""
     require_commutative(q)
-    return [Ideal(q, q.down[a]) for a in range(q.n)]
+    return list(q.principals)
 
 
 def meet_ideals(i: Ideal, j: Ideal) -> Ideal:
-    _same_carrier(i, j)
+    if j.carrier is not i.carrier:
+        raise _mismatch(i, j)
     return Ideal(i.carrier, i.members & j.members)
 
 
@@ -231,23 +218,26 @@ def meet_all(q: FiniteQuantale, ideals: Iterable[Ideal]) -> Ideal:
 
 def join_ideals(i: Ideal, j: Ideal) -> Ideal:
     """Least ideal containing both: the down-set of the join of apexes."""
-    _same_carrier(i, j)
     q = i.carrier
-    return Ideal(q, q.down[q.join[i.apex][j.apex]])
+    if j.carrier is not q:
+        raise _mismatch(i, j)
+    return q.principals[q.join[i.apex][j.apex]]
 
 
 def product_ideals(i: Ideal, j: Ideal) -> Ideal:
     """Everything below a finite join of pairwise products, computed via
     the apex shortcut; the definitional closure lives in product_closure."""
-    _same_carrier(i, j)
     q = i.carrier
-    return Ideal(q, q.down[q.mul[i.apex][j.apex]])
+    if j.carrier is not q:
+        raise _mismatch(i, j)
+    return q.principals[q.mul[i.apex][j.apex]]
 
 
 def product_closure(i: Ideal, j: Ideal) -> Ideal:
     """Definitional product: close the set of pairwise products."""
-    _same_carrier(i, j)
     q = i.carrier
+    if j.carrier is not q:
+        raise _mismatch(i, j)
     prods = 0
     for x in bits(i.members):
         row = q.mul[x]
@@ -258,19 +248,20 @@ def product_closure(i: Ideal, j: Ideal) -> Ideal:
 
 def residual(i: Ideal, j: Ideal) -> Ideal:
     """(i : j) = all x whose product with every member of j lands in i."""
-    _same_carrier(i, j)
     q = i.carrier
+    if j.carrier is not q:
+        raise _mismatch(i, j)
     key = (i.members, j.members)
     out = q.residuals.get(key)
     if out is None:
         im = i.members
-        out = 0
+        m = 0
         for x in range(q.n):
             row = q.mul[x]
             if all(im >> row[y] & 1 for y in bits(j.members)):
-                out |= 1 << x
-        q.residuals[key] = out
-    return Ideal(q, out)
+                m |= 1 << x
+        out = q.residuals[key] = Ideal(q, m)
+    return out
 
 
 def annihilator(q: FiniteQuantale, s: Iterable[int] | int) -> Ideal:
@@ -308,14 +299,12 @@ def ideal_quantale(q: FiniteQuantale) -> IdealQuantale:
     build_quantale and certify the principal-embedding isomorphism
     a |-> down-set of a."""
     require_commutative(q)
-    ideals = enumerate_ideals(q)
+    ideals = tuple(sorted(enumerate_ideals(q), key=lambda i: (i.size, i.members)))
     if len(ideals) > ELEMENT_CAP:
         raise TooLarge(f"{len(ideals)} ideals exceeds the cap of {ELEMENT_CAP}")
-    order = sorted(range(len(ideals)), key=lambda k: (ideals[k].size, ideals[k].members))
-    ideals = tuple(ideals[k] for k in order)
-    pos = {i.members: k for k, i in enumerate(ideals)}
+    pos = {i: k for k, i in enumerate(ideals)}
     labels = tuple("↓" + q.elements[i.apex] for i in ideals)
-    iso = tuple(pos[q.down[a]] for a in range(q.n))
+    iso = tuple(pos[i] for i in q.principals)
     if sorted(iso) != list(range(len(ideals))):
         raise QuantaleError("principal map is not a bijection onto the ideals")
     pairs = [
@@ -324,7 +313,7 @@ def ideal_quantale(q: FiniteQuantale) -> IdealQuantale:
         for l, j in enumerate(ideals)
         if i.members & ~j.members == 0
     ]
-    mul = [[labels[pos[product_ideals(i, j).members]] for j in ideals] for i in ideals]
+    mul = [[labels[pos[product_ideals(i, j)]] for j in ideals] for i in ideals]
     carrier = build_quantale(labels, pairs, mul, name=f"{q.name}_ideals")
     rep = check_hom(iso, q, carrier)
     if not rep.ok:

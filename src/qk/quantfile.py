@@ -45,11 +45,12 @@ from __future__ import annotations
 import re
 from pathlib import Path
 
-from .core import FiniteQuantale, QuantaleHom, bits, build_quantale
+from .core import ELEMENT_CAP, FiniteQuantale, QuantaleHom, bits, build_quantale
 from .errors import (
     DuplicateLabel,
     QuantSyntaxError,
     RowArity,
+    TooLarge,
     UndeclaredLabel,
 )
 
@@ -75,29 +76,26 @@ def _check_label(tok: str, line: int, col: int) -> str:
 
 class _Lines:
     """The non-blank lines of a text, each as (line number, [(token,
-    1-based column), ...]) with its comment stripped, read in order."""
+    1-based column), ...]) with its comment stripped, tokenized when taken."""
 
     def __init__(self, text: str):
         lines = text.splitlines()
         self.last = len(lines) or 1
-        self.rows = []
-        for k, raw in enumerate(lines):
-            toks = [(m.group(), m.start() + 1) for m in _TOKEN.finditer(raw.partition("#")[0])]
-            if toks:
-                self.rows.append((k + 1, toks))
-        self.pos = 0
+        toks = ([(m.group(), m.start() + 1) for m in _TOKEN.finditer(raw.partition("#")[0])]
+                for raw in lines)
+        self.rows = ((k, t) for k, t in enumerate(toks, 1) if t)
 
     def take(self, what: str):
         """The next line; running out is an error naming what was expected."""
-        if self.pos >= len(self.rows):
+        row = next(self.rows, None)
+        if row is None:
             raise QuantSyntaxError(f"unexpected end of file, expected {what}", self.last, 1)
-        self.pos += 1
-        return self.rows[self.pos - 1]
+        return row
 
     def done(self) -> None:
         """Refuse anything after the closing 'end'."""
-        if self.pos < len(self.rows):
-            ln, toks = self.rows[self.pos]
+        if row := next(self.rows, None):
+            ln, toks = row
             raise QuantSyntaxError("content after 'end'", ln, toks[0][1])
 
 
@@ -112,14 +110,17 @@ def parse_quant(text: str) -> FiniteQuantale:
     ln, toks = lines.take("'elements:'")
     if toks[0][0] != "elements:":
         raise QuantSyntaxError("expected 'elements:'", ln, toks[0][1])
-    elements: list[str] = []
+    # labels in declaration order, in a dict so membership is one lookup
+    elements: dict[str, None] = {}
     labels = toks[1:]
     while True:
         for tok, col in labels:
             lbl = _check_label(tok, ln, col)
             if lbl in elements:
                 raise DuplicateLabel(f"element {lbl!r} declared twice", ln, col)
-            elements.append(lbl)
+            elements[lbl] = None
+            if len(elements) > ELEMENT_CAP:
+                raise TooLarge(f"line {ln}, col {col}: more than {ELEMENT_CAP} elements declared")
         # further element lines until the order section
         ln, toks = lines.take("'order:'")
         if toks[0][0] == "order:":
@@ -172,7 +173,7 @@ def parse_quant(text: str) -> FiniteQuantale:
     for lbl in elements:
         if lbl not in rows:
             raise RowArity(f"no multiplication row for {lbl!r}", ln, 1)
-    return build_quantale(elements, order, [rows[lbl] for lbl in elements], name=name)
+    return build_quantale(list(elements), order, [rows[lbl] for lbl in elements], name=name)
 
 
 def load_quant(path) -> FiniteQuantale:

@@ -205,6 +205,16 @@ def test_exit_code_usage_errors(capsys, tmp_path):
     assert code == 2
 
 
+def test_too_many_elements_is_a_domain_error(capsys, tmp_path):
+    big = tmp_path / "big.quant"
+    labels = " ".join(f"e{k}" for k in range(4097))
+    big.write_text(f"quantale big\nelements: {labels}\norder:\n  <= <= <=\nmul:\n  :\n")
+    code, out, err = run(capsys, "check", str(big))
+    assert (code, out) == (1, "")
+    assert err.startswith("qk: ") and err.count("\n") == 1
+    assert "more than 4096 elements" in err
+
+
 @pytest.mark.parametrize(
     "argv",
     [

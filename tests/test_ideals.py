@@ -1,4 +1,5 @@
 import re
+from dataclasses import replace
 
 import pytest
 
@@ -100,6 +101,19 @@ def test_carrier_mismatch(q4, l3):
         meet_ideals(zero_ideal(q4), zero_ideal(l3))
     with pytest.raises(CarrierMismatch):
         zero_ideal(q4) <= zero_ideal(l3)
+    # same structure, another carrier: a lookup by apex would answer silently
+    twin = replace(q4)
+    ops = [
+        meet_ideals, join_ideals, product_ideals, product_closure, residual,
+        lambda i, j: i < j, lambda i, j: i <= j,
+    ]
+    for i in enumerate_ideals(q4):
+        for j in enumerate_ideals(twin):
+            for op in ops:
+                with pytest.raises(CarrierMismatch):
+                    op(i, j)
+                with pytest.raises(CarrierMismatch):
+                    op(j, i)
 
 
 def test_meet_all(q4, l3):
@@ -265,6 +279,7 @@ def test_noncommutative_is_gated():
 def test_ideal_equality_and_hash(q4):
     i1 = principal(q4, q4.index("a"))
     i2 = Ideal(q4, q4.down[q4.index("a")])
+    assert i1 is i2
     assert i1 == i2 and hash(i1) == hash(i2)
     assert len({i1, i2}) == 1
     assert i1 != principal(q4, q4.index("b"))

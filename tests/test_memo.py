@@ -13,10 +13,19 @@ from pathlib import Path
 import pytest
 
 from qk.classify import is_prime, prime_avoidance
-from qk.core import PASSED, QuantaleHom
+from qk.core import PASSED, QuantaleHom, bits
 from qk.errors import HypothesisViolated, QuantaleError
 from qk.generators import generate_from_spec, m3_quantale
-from qk.ideals import Ideal, annihilator, enumerate_ideals, generated, principal, residual
+from qk.ideals import (
+    Ideal,
+    annihilator,
+    enumerate_ideals,
+    generated,
+    join_ideals,
+    principal,
+    product_ideals,
+    residual,
+)
 from qk.quantfile import load_quant
 from qk.verify import run_suite, single_cell_mutants
 
@@ -92,7 +101,7 @@ def _commutative_mutants():
 
 
 MUTANTS = _commutative_mutants()
-MEMOS = ("apexes", "residuals", "primality", "stability")
+MEMOS = ("interned", "principals", "residuals", "primality", "stability")
 
 
 @pytest.fixture(params=MUTANTS, ids=lambda q: q.name)
@@ -114,6 +123,20 @@ def test_apex_residual_annihilator_generated_match_scans(mutant):
             assert is_prime(i) == _prime_scan(i)
             for j in ideals:
                 assert residual(i, j).members == _residual_scan(i, j)
+    # every object made on the way, by any route, is the one for its mask
+    for m, i in q.interned.items():
+        assert i.carrier is q and i.members == m
+        assert i.apex == q.join_of(bits(m))
+        assert Ideal(q, m) is i
+
+
+def test_join_and_product_are_principal_lookups(mutant):
+    q = mutant
+    ideals = enumerate_ideals(q)
+    for a in ideals:
+        for b in ideals:
+            assert join_ideals(a, b) is principal(q, q.join[a.apex][b.apex])
+            assert product_ideals(a, b) is principal(q, q.mul[a.apex][b.apex])
 
 
 def test_prime_avoidance_matches_scan(mutant):
@@ -146,8 +169,24 @@ def test_memos_do_not_outlive_their_carrier(q4):
                 im, jm = Ideal(m, i.members), Ideal(m, j.members)
                 got = residual(im, jm).members
                 assert got == _residual_scan(im, jm)
-                differs += got != base.residuals[i.members, j.members]
+                differs += got != base.residuals[i.members, j.members].members
     assert differs
+
+
+def test_interned_ideals_belong_to_one_carrier(q4):
+    base = replace(q4)
+    ideals = enumerate_ideals(base)
+    assert Ideal(base, base.full) is Ideal(base, base.full)
+    for fresh in [replace(base), base.with_status(PASSED)] + [
+        m for _, _, m in single_cell_mutants(base) if m.commutative
+    ]:
+        assert "interned" not in vars(fresh)
+        for i in ideals:
+            mine = Ideal(fresh, i.members)
+            assert mine is not i and mine.carrier is fresh
+            assert mine is principal(fresh, i.apex)
+        assert all(i.carrier is fresh for i in fresh.interned.values())
+    assert all(i.carrier is base for i in base.interned.values())
 
 
 def test_hom_check_is_computed_once_per_hom(q4):
@@ -162,8 +201,8 @@ def test_memo_size_after_a_full_run():
     assert run_suite(q, "all", seed=7).ok
     assert 0 < len(q.residuals) <= q.n**2
     # every ideal of a chain is principal and so is every generated set
-    # of products there: the apex memo holds only the n principal masks
-    assert set(q.apexes) <= set(q.down)
+    # of products there: only the n principal masks are interned
+    assert set(q.interned) <= set(q.down)
 
 
 def test_unqueried_carrier_builds_no_memo():

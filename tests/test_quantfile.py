@@ -3,13 +3,14 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qk.core import check_axioms
+from qk.core import ELEMENT_CAP, check_axioms
 from qk.errors import (
     DuplicateLabel,
     QuantaleError,
     QuantFileError,
     QuantSyntaxError,
     RowArity,
+    TooLarge,
     UndeclaredLabel,
 )
 from qk.generators import lukasiewicz_quantale, m3_quantale, powerset_quantale
@@ -30,6 +31,24 @@ def test_parse_pretty_file(q4):
     assert q4.name == "q4"
     assert q4.elements == ("bot", "a", "b", "top")
     assert check_axioms(q4).ok
+
+
+def over_cap_text(count=ELEMENT_CAP + 1):
+    """count labels over two element lines, then sections that never parse."""
+    labels = [f"e{k}" for k in range(count)]
+    half = count // 2
+    return (
+        "quantale big\nelements: " + " ".join(labels[:half]) + "\n  " + " ".join(labels[half:])
+        + "\norder:\n  e0 <= <= nope\nmul:\n  : : :\nend end\n"
+    )
+
+
+def test_parser_refuses_more_elements_than_the_cap():
+    with pytest.raises(TooLarge, match=f"^line 3, col .*more than {ELEMENT_CAP} elements"):
+        parse_quant(over_cap_text())
+    # at the cap itself the parser reads on and meets the garbage
+    with pytest.raises(QuantSyntaxError, match="line 5"):
+        parse_quant(over_cap_text(ELEMENT_CAP))
 
 
 def test_write_is_canonical(q4):
