@@ -16,9 +16,9 @@ the sole authority on whether an instance really is a quantale.
 Carriers and homomorphisms are immutable and meant to be reused: each
 carries lazy memos of the ideal calculus (interned ideals, residuals,
 annihilator columns, primality, ...) that hold exactly what the defining
-scans compute, on any table, lawful or not.  A memo fills on first use, so a carrier that
-is never queried pays nothing, and a carrier made by dataclasses.replace
-(a mutant, with_status) starts with empty memos.
+scans compute, on any table, lawful or not.  A memo fills on first use,
+so a carrier that is never queried pays nothing, and a carrier made by
+dataclasses.replace (a mutant, with_status) starts with empty memos.
 """
 
 from __future__ import annotations

@@ -33,7 +33,7 @@ def test_parse_pretty_file(q4):
     assert check_axioms(q4).ok
 
 
-def over_cap_text(count=ELEMENT_CAP + 1):
+def _over_cap_text(count=ELEMENT_CAP + 1):
     """count labels over two element lines, then sections that never parse."""
     labels = [f"e{k}" for k in range(count)]
     half = count // 2
@@ -45,10 +45,10 @@ def over_cap_text(count=ELEMENT_CAP + 1):
 
 def test_parser_refuses_more_elements_than_the_cap():
     with pytest.raises(TooLarge, match=f"^line 3, col .*more than {ELEMENT_CAP} elements"):
-        parse_quant(over_cap_text())
+        parse_quant(_over_cap_text())
     # at the cap itself the parser reads on and meets the garbage
     with pytest.raises(QuantSyntaxError, match="line 5"):
-        parse_quant(over_cap_text(ELEMENT_CAP))
+        parse_quant(_over_cap_text(ELEMENT_CAP))
 
 
 def test_write_is_canonical(q4):
