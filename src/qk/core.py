@@ -11,7 +11,15 @@ label rows; the .quant parser, the generators and ideals.ideal_quantale
 all go through it.  It certifies the lattice part only, looking each lub
 and glb up by its cone, and returns a carrier whose status is "unchecked".
 check_axioms re-derives everything, including the lattice tables, and is
-the sole authority on whether an instance really is a quantale.
+the sole authority on whether an instance really is a quantale.  It reads
+associativity and distributivity as row identities, one per pair (x, y),
+where r∘s is the row z -> r[s[z]]:
+
+    mul[x & y]  ==  mul[x] ∘ mul[y]                  (assoc)
+    mul[x] ∘ join[y]  ==  join[x & y] ∘ mul[x]       (distrib)
+
+Each side is a whole row read through an itemgetter built once per table
+row, and a mismatch is resolved to its first z only when one is found.
 
 Carriers and homomorphisms are immutable and meant to be reused: each
 carries lazy memos of the ideal calculus (interned ideals, residuals,
@@ -25,7 +33,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property, reduce
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+from operator import itemgetter
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 from .errors import (
     DuplicateLabel,
@@ -366,6 +375,19 @@ class AxiomReport:
         )
 
 
+def _reader(row: Sequence[int]) -> Callable[[Sequence[int]], tuple[int, ...]]:
+    """other -> tuple(other[k] for k in row), built once per row.  (An
+    itemgetter of one index returns the item itself, not a 1-tuple.)"""
+    if len(row) == 1:
+        return lambda other: (other[row[0]],)
+    return itemgetter(*row)
+
+
+def _first_diff(a: Sequence[int], b: Sequence[int]) -> int:
+    """The first index at which two rows of one length differ."""
+    return next(z for z, (u, v) in enumerate(zip(a, b)) if u != v)
+
+
 def check_axioms(q: FiniteQuantale) -> AxiomReport:
     """Re-derive every axiom from the tables alone.
 
@@ -375,116 +397,73 @@ def check_axioms(q: FiniteQuantale) -> AxiomReport:
     distributive over binary joins (plus x & bottom == bottom, which on a
     finite carrier extends both to the empty and to arbitrary joins) with
     top as unit.
+
+    Each group of axioms yields its faults as (tag, witness) in index
+    order, and the report keeps the first fault of each group.
+    Associativity and distributivity are the row identities of the module
+    docstring.
     """
     n = q.n
     down, up, join, meet, mul = q.down, q.up, q.join, q.meet, q.mul
-    full = q.full
-    ce: list[tuple[str, tuple[int, ...]]] = []
+    b, t = q.bottom, q.top
+    mread = [_reader(r) for r in mul]
+    jread = [_reader(r) for r in join]
 
-    def found(tag: str) -> bool:
-        return any(t == tag for t, _ in ce)
+    def order():  # reflexive, antisymmetric, transitive
+        for i in range(n):
+            if not down[i] >> i & 1:
+                yield "partial_order", (i,)
+            for j in bits(down[i]):
+                if j != i and down[j] >> i & 1:
+                    yield "partial_order", (i, j)
+                if down[j] & ~down[i]:
+                    yield "partial_order", (j, i)
 
-    # partial order: reflexive, antisymmetric, transitive
-    for i in range(n):
-        if not down[i] >> i & 1:
-            ce.append(("partial_order", (i,)))
-            break
-        bad = False
-        for j in bits(down[i]):
-            if j != i and down[j] >> i & 1:
-                ce.append(("partial_order", (i, j)))
-                bad = True
-                break
-            if down[j] & ~down[i]:
-                ce.append(("partial_order", (j, i)))
-                bad = True
-                break
-        if bad:
-            break
-    # global bounds
-    if not (0 <= q.bottom < n and 0 <= q.top < n and up[q.bottom] == full and down[q.top] == full):
-        ce.append(("bounds", (q.bottom, q.top)))
-    # join/meet tables are genuine lubs/glbs
-    for i in range(n):
-        done = False
-        for j in range(n):
-            l = join[i][j]
-            commons = up[i] & up[j]
-            if not (commons >> l & 1) or commons & ~up[l]:
-                ce.append(("lub", (i, j)))
-                done = True
-                break
-            g = meet[i][j]
-            commons = down[i] & down[j]
-            if not (commons >> g & 1) or commons & ~down[g]:
-                ce.append(("glb", (i, j)))
-                done = True
-                break
-        if done:
-            break
+    def tables():  # join and meet hold genuine lubs and glbs
+        for i in range(n):
+            for j in range(n):
+                commons, l = up[i] & up[j], join[i][j]
+                if not commons >> l & 1 or commons & ~up[l]:
+                    yield "lub", (i, j)
+                commons, g = down[i] & down[j], meet[i][j]
+                if not commons >> g & 1 or commons & ~down[g]:
+                    yield "glb", (i, j)
 
-    # associativity
-    for x in range(n):
-        mx = mul[x]
-        stop = False
-        for y in range(n):
-            left_row = mul[mx[y]]
-            my = mul[y]
-            for z in range(n):
-                if left_row[z] != mx[my[z]]:
-                    ce.append(("assoc", (x, y, z)))
-                    stop = True
-                    break
-            if stop:
-                break
-        if stop:
-            break
-    # commutativity
-    for x in range(n):
-        if found("comm"):
-            break
-        mx = mul[x]
-        for y in range(x + 1, n):
-            if mx[y] != mul[y][x]:
-                ce.append(("comm", (x, y)))
-                break
-    # distribution over binary joins
-    for x in range(n):
-        mx = mul[x]
-        stop = False
-        for y in range(n):
-            jy = join[y]
-            mxy = mx[y]
-            for z in range(n):
-                if mx[jy[z]] != join[mxy][mx[z]]:
-                    ce.append(("distrib", (x, y, z)))
-                    stop = True
-                    break
-            if stop:
-                break
-        if stop:
-            break
-    # bottom annihilates (distribution over the empty join)
-    b = q.bottom
-    for x in range(n):
-        if mul[x][b] != b:
-            ce.append(("bot_absorb", (x,)))
-            break
-    # top is the unit
-    t = q.top
-    for x in range(n):
-        if mul[x][t] != x:
-            ce.append(("identity", (x,)))
-            break
+    def assoc():
+        for x, mx in enumerate(mul):
+            for y in range(n):
+                left, right = mul[mx[y]], mread[y](mx)
+                if left != right:
+                    yield "assoc", (x, y, _first_diff(left, right))
 
-    lattice_ok = not (found("partial_order") or found("bounds") or found("lub") or found("glb"))
+    def distrib():
+        for x, mx in enumerate(mul):
+            for y, jy in enumerate(jread):
+                left, right = jy(mx), mread[x](join[mx[y]])
+                if left != right:
+                    yield "distrib", (x, y, _first_diff(left, right))
+
+    groups = (
+        order(),
+        []
+        if 0 <= b < n and 0 <= t < n and up[b] == down[t] == q.full
+        else [("bounds", (b, t))],
+        tables(),
+        assoc(),
+        (("comm", (x, y)) for x in range(n) for y in range(x + 1, n) if mul[x][y] != mul[y][x]),
+        distrib(),
+        (("bot_absorb", (x,)) for x in range(n) if mul[x][b] != b),  # the empty join
+        (("identity", (x,)) for x in range(n) if mul[x][t] != x),
+    )
+    ce = tuple(fault for fault in (next(iter(g), None) for g in groups) if fault)
+    tags = {tag for tag, _ in ce}
     return AxiomReport(
-        lattice_ok=lattice_ok,
-        assoc_ok=not found("assoc"),
-        comm_ok=not found("comm"),
-        distrib_ok=not (found("distrib") or found("bot_absorb")),
-        identity_ok=not found("identity"),
-        counterexamples=tuple(ce),
+        lattice_ok=tags.isdisjoint(("partial_order", "bounds", "lub", "glb")),
+        assoc_ok="assoc" not in tags,
+        comm_ok="comm" not in tags,
+        distrib_ok=tags.isdisjoint(("distrib", "bot_absorb")),
+        identity_ok="identity" not in tags,
+        counterexamples=ce,
     )
 
 

@@ -290,6 +290,31 @@ def isolated_component_formula(i: Ideal, p: Ideal) -> Ideal:
     return Ideal(q, out)
 
 
+def colon_primes(i: Ideal) -> tuple[Ideal, ...]:
+    """The proper prime radicals of the residuals (i : principal x), each
+    once, ascending by (size, apex)."""
+    q = i.carrier
+    rads = (radical(residual(i, principal(q, x))) for x in range(q.n))
+    found = dict.fromkeys(r for r in rads if r.proper and is_prime(r))
+    return tuple(sorted(found, key=lambda p: (p.size, p.apex)))
+
+
+def isolated_primes(radicals) -> tuple[Ideal, ...]:
+    """The inclusion-minimal members of radicals, in their given order."""
+    return tuple(p for p in radicals if not any(o < p for o in radicals))
+
+
+def isolated_components_agree(i: Ideal, isolated, decompositions) -> bool:
+    """Whether every decomposition (a tuple of components) has, at each
+    isolated prime p, the component isolated_component_formula(i, p)."""
+    expected = {p: isolated_component_formula(i, p) for p in isolated}
+    return all(
+        {radical(c): c for c in comps}.get(p) == want
+        for comps in decompositions
+        for p, want in expected.items()
+    )
+
+
 def uniqueness_report(i: Ideal) -> UniquenessReport:
     """Build the report and check the uniqueness statements on the way.
 
@@ -298,38 +323,22 @@ def uniqueness_report(i: Ideal) -> UniquenessReport:
     failure would falsify the construction, not the input.
     """
     d = primary_decomposition(i)
-    q = i.carrier
     associated = tuple(sorted(d.radicals, key=lambda p: (p.size, p.apex)))
-    colon = []
-    for x in range(q.n):
-        r = radical(residual(i, principal(q, x)))
-        if r.proper and is_prime(r) and r not in colon:
-            colon.append(r)
-    colon = tuple(sorted(colon, key=lambda p: (p.size, p.apex)))
+    colon = colon_primes(i)
     if set(colon) != set(associated):
         raise QuantaleError(
             f"associated primes {[p.name for p in associated]} differ from "
             f"colon primes {[p.name for p in colon]} at {i.name}"
         )
-    isolated = tuple(
-        p for p in associated if not any(o < p for o in associated)
-    )
+    isolated = isolated_primes(associated)
     embedded = tuple(p for p in associated if p not in isolated)
-    minimal_over = minimal_primes_over(i)
-    if set(isolated) != set(minimal_over):
+    if set(isolated) != set(minimal_primes_over(i)):
         raise QuantaleError(
             f"isolated primes at {i.name} are not the minimal primes over it"
         )
-    match = True
-    expected = {p: isolated_component_formula(i, p) for p in isolated}
-    for comps in all_minimal_decompositions(i):
-        rads = {radical(c): c for c in comps}
-        for p in isolated:
-            if rads.get(p) != expected[p]:
-                match = False
-    for p in isolated:
-        if {radical(c): c for c in d.components}.get(p) != expected[p]:
-            match = False
+    match = isolated_components_agree(
+        i, isolated, [*all_minimal_decompositions(i), d.components]
+    )
     return UniquenessReport(
         target=i,
         decomposition=d,

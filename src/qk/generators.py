@@ -32,16 +32,19 @@ from .core import (
     build_quantale,
     check_axioms,
 )
-from .errors import NotAPartialOrder, TooLarge
+from .errors import NotAPartialOrder, QuantaleError, TooLarge
 from .quantfile import load_quant
 
 POWERSET_MAX = 5
 
 
 def _checked(q: FiniteQuantale) -> FiniteQuantale:
-    report = check_axioms(q)
-    if not report.ok:
-        raise AssertionError(f"generator produced an invalid carrier: {report}")
+    """q stamped passed, or QuantaleError naming q and its first failed axiom."""
+    faults = check_axioms(q).counterexamples
+    if faults:
+        tag, witness = faults[0]
+        at = " ".join(q.elements[i] for i in witness)
+        raise QuantaleError(f"{q.name} is not a quantale: {tag} fails at {at}")
     return q.with_status(PASSED)
 
 
@@ -97,18 +100,34 @@ def lowersets_quantale(
     name: str | None = None,
 ) -> FiniteQuantale:
     """Down-closed subsets of the poset generated by (lo, hi) pairs on 0..points-1."""
-    below = _closure_up(points, [(hi, lo) for lo, hi in relations])
+    points = _lowerset_points(points)
+    pairs = [(hi, lo) for lo, hi in relations]
+    if stray := sorted({p for pair in pairs for p in pair if not 0 <= p < points}):
+        raise ValueError(f"points {stray} are not among 0..{points - 1}")
+    below = _closure_up(points, pairs)
     if mutual := _mutual_pair(below):
         p, s = mutual
         raise NotAPartialOrder(f"points {s} and {p} are below each other")
-    lower = [
-        s
-        for s in range(1 << points)
-        if all(below[p] & ~s == 0 for p in bits(s))
-    ]
-    if len(lower) > ELEMENT_CAP:
-        raise TooLarge(f"{len(lower)} lower sets exceeds the cap of {ELEMENT_CAP}")
+    # Add the points along a linear extension (fewer points below first): a
+    # lower set holding p is one holding all points strictly below p, plus p.
+    # The family only grows, so it is refused as soon as it passes the cap.
+    lower = [0]
+    for p in sorted(range(points), key=lambda p: below[p].bit_count()):
+        strict = below[p] & ~(1 << p)
+        lower += [s | 1 << p for s in lower if s & strict == strict]
+        if len(lower) > ELEMENT_CAP:
+            raise TooLarge(f"the lower sets exceed the cap of {ELEMENT_CAP}")
     return _set_quantale(points, lower, name or f"lowersets{points}")
+
+
+def _lowerset_points(points: int) -> int:
+    """points, or TooLarge if they are too many: a poset on p points has at
+    least p + 1 lower sets."""
+    if points < 0:
+        raise ValueError(f"a poset has 0 or more points, got {points}")
+    if points >= ELEMENT_CAP:
+        raise TooLarge(f"{points} points have more lower sets than the cap of {ELEMENT_CAP}")
+    return points
 
 
 def opens_quantale(
@@ -217,7 +236,7 @@ def generate(kind: str, arg=None) -> FiniteQuantale:
     if kind == "ideal_quantale":
         from .ideals import ideal_quantale
 
-        return ideal_quantale(arg).quantale.with_status(PASSED)
+        return _checked(ideal_quantale(arg).quantale)
     raise ValueError(f"unknown generator kind {kind!r}")
 
 
@@ -234,9 +253,9 @@ _NAMED_TOPOLOGIES = {
 
 def _parse_poset_arg(text: str) -> tuple[int, list[tuple[int, int]]]:
     if text.startswith("chain"):
-        return chain_poset(int(text[5:]))
+        return chain_poset(_lowerset_points(int(text[5:])))
     if text.startswith("antichain"):
-        return antichain_poset(int(text[9:]))
+        return antichain_poset(_lowerset_points(int(text[9:])))
     # explicit form: "N:a<b,c<d"
     head, _, rest = text.partition(":")
     points = int(head)

@@ -781,7 +781,6 @@ def _suite_pqx(ctx: _Ctx) -> list[LawResult]:
 
 
 def _suite_uniqueness(ctx: _Ctx) -> list[LawResult]:
-    q = ctx.q
     targets, skipped = [], 0
     for i in ctx.proper:
         try:
@@ -790,36 +789,25 @@ def _suite_uniqueness(ctx: _Ctx) -> list[LawResult]:
             skipped += 1
     note = f"{skipped} proper ideals not decomposable" if skipped else ""
 
-    def colon_primes(i):
-        rads = (cl.radical(il.residual(i, il.principal(q, x))) for x in range(q.n))
-        return {r for r in rads if r.proper and cl.is_prime(r)}
-
-    def isolated_of(d):
-        return [p for p in d.radicals if not any(o < p for o in d.radicals)]
-
     def component(i, d, p):
         return dict(zip(d.radicals, d.components))[p] == dc.isolated_component_formula(i, p)
 
-    def unique_across(i, d):
-        expected = {p: dc.isolated_component_formula(i, p) for p in isolated_of(d)}
-        ok = True
-        for comps in dc.all_minimal_decompositions(i):
-            assign = {cl.radical(c): c for c in comps}
-            for p, want in expected.items():
-                if assign.get(p) != want:
-                    ok = False
-        return ok
-
     decomposed = _Domain(lambda: targets, lambda i, d: (i.name,))
-    isolated = _Domain(lambda: ((i, d, p) for i, d in targets for p in isolated_of(d)),
-                       lambda i, d, p: (i.name, p.name))
+    isolated = _Domain(
+        lambda: ((i, d, p) for i, d in targets for p in dc.isolated_primes(d.radicals)),
+        lambda i, d, p: (i.name, p.name),
+    )
     return _check("uniqueness", [
         _Law("associated_eq_colon_primes", decomposed,
-             lambda i, d: set(d.radicals) == colon_primes(i), note),
+             lambda i, d: set(d.radicals) == set(dc.colon_primes(i)), note),
         _Law("isolated_eq_minimal_primes", decomposed,
-             lambda i, d: set(isolated_of(d)) == set(cl.minimal_primes_over(i)), note),
+             lambda i, d: set(dc.isolated_primes(d.radicals)) == set(cl.minimal_primes_over(i)),
+             note),
         _Law("isolated_component_formula", isolated, component, note),
-        _Law("isolated_components_unique", decomposed, unique_across, note),
+        _Law("isolated_components_unique", decomposed,
+             lambda i, d: dc.isolated_components_agree(
+                 i, dc.isolated_primes(d.radicals), dc.all_minimal_decompositions(i)),
+             note),
     ])
 
 

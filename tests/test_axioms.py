@@ -1,0 +1,144 @@
+"""check_axioms against a naive definitional scan.
+
+The oracle below reads each axiom straight from its definition, one
+element triple at a time, and keeps the first witness of each group in
+index order.  check_axioms must return exactly that report, on lawful
+carriers and on tables corrupted in any field.
+"""
+
+from dataclasses import replace
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from qk.core import AxiomReport, check_axioms
+from qk.generators import generate_from_spec
+
+_SMALL = [
+    "lukasiewicz:1",
+    "lukasiewicz:2",
+    "lukasiewicz:3",
+    "lukasiewicz:5",
+    "powerset:0",
+    "powerset:1",
+    "powerset:2",
+    "lowersets:chain2",
+    "lowersets:3:0<1",
+    "opens:sierpinski",
+    "opens:point3",
+]
+
+
+def _oracle(q) -> AxiomReport:
+    n, down, join, meet, mul, b, t = q.n, q.down, q.join, q.meet, q.mul, q.bottom, q.top
+    R = range(n)
+
+    def leq(i, j):
+        return bool(down[j] >> i & 1)
+
+    def order():
+        for i in R:
+            if not leq(i, i):
+                yield "partial_order", (i,)
+            for j in R:
+                if leq(j, i) and j != i and leq(i, j):
+                    yield "partial_order", (i, j)
+                if leq(j, i) and any(leq(k, j) and not leq(k, i) for k in R):
+                    yield "partial_order", (j, i)
+
+    def tables():
+        for i in R:
+            for j in R:
+                l, g = join[i][j], meet[i][j]
+                uppers = [u for u in R if leq(i, u) and leq(j, u)]
+                if l not in uppers or not all(leq(l, u) for u in uppers):
+                    yield "lub", (i, j)
+                lowers = [d for d in R if leq(d, i) and leq(d, j)]
+                if g not in lowers or not all(leq(d, g) for d in lowers):
+                    yield "glb", (i, j)
+
+    bounded = 0 <= b < n and 0 <= t < n and all(leq(b, x) and leq(x, t) for x in R)
+    groups = [
+        order(),
+        [] if bounded else [("bounds", (b, t))],
+        tables(),
+        (("assoc", (x, y, z)) for x in R for y in R for z in R
+         if mul[mul[x][y]][z] != mul[x][mul[y][z]]),
+        (("comm", (x, y)) for x in R for y in R if x < y and mul[x][y] != mul[y][x]),
+        (("distrib", (x, y, z)) for x in R for y in R for z in R
+         if mul[x][join[y][z]] != join[mul[x][y]][mul[x][z]]),
+        (("bot_absorb", (x,)) for x in R if mul[x][b] != b),
+        (("identity", (x,)) for x in R if mul[x][t] != x),
+    ]
+    ce = tuple(f for f in (next(iter(g), None) for g in groups) if f)
+    tags = {tag for tag, _ in ce}
+    return AxiomReport(
+        lattice_ok=not tags & {"partial_order", "bounds", "lub", "glb"},
+        assoc_ok="assoc" not in tags,
+        comm_ok="comm" not in tags,
+        distrib_ok=not tags & {"distrib", "bot_absorb"},
+        identity_ok="identity" not in tags,
+        counterexamples=ce,
+    )
+
+
+_BASES = [generate_from_spec(s) for s in _SMALL]
+
+
+@st.composite
+def corrupted(draw):
+    """A small lawful carrier with some of its fields overwritten by values
+    that stay in range (element indices, masks within the carrier)."""
+    q = draw(st.sampled_from(_BASES))
+    n = q.n
+    cell = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.integers(0, n - 1))
+    changes = {}
+    for field in draw(st.sets(st.sampled_from(["down", "join", "meet", "mul", "bottom", "top"]))):
+        if field in ("bottom", "top"):
+            changes[field] = draw(st.integers(0, n - 1))
+        elif field == "down":
+            rows = list(q.down)
+            for i, k in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), min_size=1, max_size=3)):
+                rows[i] ^= 1 << k
+            changes[field] = tuple(rows)
+        else:
+            rows = [list(r) for r in getattr(q, field)]
+            for i, j, v in draw(st.lists(cell, min_size=1, max_size=4)):
+                rows[i][j] = v
+            changes[field] = tuple(tuple(r) for r in rows)
+    return replace(q, name=f"{q.name}~", **changes)
+
+
+@settings(max_examples=500, deadline=None)
+@given(corrupted())
+def test_check_axioms_matches_the_definitional_scan(q):
+    assert check_axioms(q) == _oracle(q)
+
+
+@pytest.mark.parametrize("name", ["q4", "l3", "m3"])
+def test_check_axioms_on_every_single_cell_mutant(name, request):
+    q = request.getfixturevalue(name)
+    assert check_axioms(q) == _oracle(q)
+    assert check_axioms(q).ok
+    flagged = 0
+    for i in range(q.n):
+        for j in range(q.n):
+            for v in range(q.n):
+                if v == q.mul[i][j]:
+                    continue
+                rows = [list(r) for r in q.mul]
+                rows[i][j] = v
+                mutant = replace(q, name=f"{q.name}~{i},{j}={v}", mul=tuple(map(tuple, rows)))
+                report = check_axioms(mutant)
+                assert report == _oracle(mutant), mutant.name
+                flagged += not report.ok
+    assert flagged > 0
+
+
+def test_one_element_carrier():
+    # an itemgetter of a single index returns a scalar, not a 1-tuple
+    q = generate_from_spec("lukasiewicz:1")
+    assert check_axioms(q).ok
+    broken = replace(q, down=(0,))
+    assert check_axioms(broken) == _oracle(broken)
+    assert check_axioms(broken).counterexamples[0] == ("partial_order", (0,))

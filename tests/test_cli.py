@@ -1,9 +1,11 @@
+import time
 from pathlib import Path
 
 import pytest
 
 from qk.cli import main
 from qk.quantfile import load_quant, parse_quant, write_quant
+from qk.verify import single_cell_mutants
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = DATA / "golden"
@@ -213,6 +215,24 @@ def test_too_many_elements_is_a_domain_error(capsys, tmp_path):
     assert (code, out) == (1, "")
     assert err.startswith("qk: ") and err.count("\n") == 1
     assert "more than 4096 elements" in err
+
+
+def test_ideal_carrier_of_a_broken_file_is_a_domain_error(capsys, tmp_path):
+    mutant = next(m for i, j, m in single_cell_mutants(load_quant(Q4)) if (i, j) == (0, 0))
+    path = tmp_path / "q4_0_0.quant"
+    path.write_text(write_quant(mutant), encoding="utf-8")
+    code, out, err = run(capsys, "gen", f"ideal_quantale:{path}")
+    assert (code, out) == (1, "")
+    assert err == "qk: q4~0,0_ideals is not a quantale: assoc fails at ↓bot ↓bot ↓a\n"
+
+
+@pytest.mark.parametrize("spec", ["lowersets:antichain40", "lowersets:chain100000000"])
+def test_oversized_lowersets_exit_at_once(capsys, spec):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "gen", spec)
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (1, "")
+    assert err.startswith("qk: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize(

@@ -3,8 +3,8 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qk.core import PASSED, check_axioms
-from qk.errors import NotAPartialOrder, TooLarge
+from qk.core import ELEMENT_CAP, PASSED, check_axioms
+from qk.errors import NotAPartialOrder, QuantaleError, TooLarge
 from qk.generators import (
     all_posets,
     all_topologies,
@@ -18,6 +18,8 @@ from qk.generators import (
     opens_quantale,
     powerset_quantale,
 )
+from qk.quantfile import load_quant, write_quant
+from qk.verify import single_cell_mutants
 
 DATA = Path(__file__).parent / "data"
 
@@ -66,6 +68,43 @@ def test_lowersets_of_antichain_is_powerset():
 def test_lowersets_rejects_cycle():
     with pytest.raises(NotAPartialOrder):
         lowersets_quantale(2, [(0, 1), (1, 0)])
+
+
+def test_lowersets_are_the_down_closed_subsets():
+    # the brute-force definition: every subset holding all points below its
+    # members; opens_quantale builds a carrier from a given family of sets
+    for points, relations in all_posets(4):
+        below = [{p} for p in range(points)]
+        for lo, hi in relations:
+            below[hi].add(lo)
+        lower = [
+            s for s in range(1 << points)
+            if all(s >> b & 1 for p in range(points) if s >> p & 1 for b in below[p])
+        ]
+        assert write_quant(lowersets_quantale(points, relations, name="l")) == write_quant(
+            opens_quantale(points, lower, name="l")
+        ), (points, relations)
+
+
+@pytest.mark.parametrize(
+    "points,relations",
+    [(ELEMENT_CAP, []), (10**8, []), (13, []), (40, [(0, 1)])],
+)
+def test_lowersets_refuse_more_than_the_cap(points, relations):
+    with pytest.raises(TooLarge):
+        lowersets_quantale(points, relations)
+
+
+@pytest.mark.parametrize("spec", ["lowersets:antichain40", "lowersets:chain100000000"])
+def test_lowersets_specs_refuse_before_building_the_poset(spec):
+    with pytest.raises(TooLarge, match="cap of 4096"):
+        generate_from_spec(spec)
+
+
+@pytest.mark.parametrize("points,relations", [(-1, []), (3, [(0, 5)]), (2, [(-1, 0)])])
+def test_lowersets_reject_points_outside_the_poset(points, relations):
+    with pytest.raises(ValueError):
+        lowersets_quantale(points, relations)
 
 
 def test_opens_sierpinski():
@@ -138,6 +177,18 @@ def test_generate_from_spec_reads_ideal_quantale_file():
     q = generate_from_spec(f"ideal_quantale:{DATA / 'q4.quant'}")
     assert (q.n, q.status) == (4, PASSED)
     assert q.elements == ("↓bot", "↓a", "↓b", "↓top")
+
+
+def test_ideal_quantale_of_a_broken_carrier_is_refused():
+    # q4~0,0 is commutative, so its ideal carrier builds, but it is no quantale
+    q4 = load_quant(DATA / "q4.quant")
+    broken = {m.name: m for _, _, m in single_cell_mutants(q4) if m.commutative}
+    assert sorted(broken) == ["q4~0,0", "q4~1,1", "q4~2,2", "q4~3,3"]
+    for name, m in broken.items():
+        with pytest.raises(QuantaleError) as e:
+            generate("ideal_quantale", m)
+        assert not isinstance(e.value, AssertionError)
+        assert str(e.value).startswith(f"{name}_ideals is not a quantale: assoc fails at ")
 
 
 def test_generate_from_spec_missing_ideal_quantale_file(tmp_path):
