@@ -4,8 +4,10 @@ multiplicatively closed sets and saturation.
 The radical of an ideal is computed by three independent routes that the
 verification suites require to agree:
 
-  powers   membership scan via x, x^2, ... (powers only descend, so they
-           stabilise within n steps on an n-element carrier)
+  powers   x belongs iff one of x, x^2, ... does; q.powers holds each
+           element's powers as a mask (they repeat within n steps on an
+           n-element carrier), and q.radicals keeps each radical once
+           computed
   primes   intersection of the prime ideals containing the target (the
            empty intersection is the whole carrier)
   mcsets   an element belongs iff every multiplicatively closed set
@@ -42,17 +44,6 @@ from .ideals import (
     whole_ideal,
     zero_ideal,
 )
-
-
-def _power_mask(q: FiniteQuantale, x: int) -> int:
-    """Bitmask of all positive powers of x (they descend and stabilise)."""
-    row = q.mul[x]
-    seen = 0
-    y = x
-    while not seen >> y & 1:
-        seen |= 1 << y
-        y = row[y]
-    return seen
 
 
 def is_prime(i: Ideal) -> bool:
@@ -129,12 +120,13 @@ def is_primary(i: Ideal) -> bool:
 def _primary_witness(i: Ideal) -> tuple[int, int] | None:
     q = i.carrier
     m = i.members
+    powers = q.powers
     for x in range(q.n):
         if m >> x & 1:
             continue
         row = q.mul[x]
         for y in range(q.n):
-            if m >> row[y] & 1 and not _power_mask(q, y) & m:
+            if m >> row[y] & 1 and not powers[y] & m:
                 return (x, y)
     return None
 
@@ -155,12 +147,12 @@ def radical(i: Ideal, algorithm: str = "powers") -> Ideal:
 
 
 def _radical_powers(i: Ideal) -> Ideal:
-    q = i.carrier
-    out = 0
-    for x in range(q.n):
-        if _power_mask(q, x) & i.members:
-            out |= 1 << x
-    return Ideal(q, out)
+    q, m = i.carrier, i.members
+    out = q.radicals.get(m)
+    if out is None:
+        rad = sum(1 << x for x, p in enumerate(q.powers) if p & m)
+        out = q.radicals[m] = Ideal(q, rad)
+    return out
 
 
 def _radical_primes(i: Ideal) -> Ideal:
@@ -304,7 +296,7 @@ def mc_generated(q: FiniteQuantale, x: int) -> McSet:
     """Least mc set containing x: the unit together with all powers of x."""
     require_commutative(q)
     _subset_mask(q, [x])
-    return McSet(q, _power_mask(q, x) | 1 << q.top)
+    return McSet(q, q.powers[x] | 1 << q.top)
 
 
 def all_mc_sets(q: FiniteQuantale) -> list[McSet]:

@@ -22,11 +22,17 @@ Each side is a whole row read through an itemgetter built once per table
 row, and a mismatch is resolved to its first z only when one is found.
 
 Carriers and homomorphisms are immutable and meant to be reused: each
-carries lazy memos of the ideal calculus (interned ideals, residuals,
-annihilator columns, primality, ...) that hold exactly what the defining
-scans compute, on any table, lawful or not.  A memo fills on first use,
-so a carrier that is never queried pays nothing, and a carrier made by
-dataclasses.replace (a mutant, with_status) starts with empty memos.
+carries lazy element tables and memos of the ideal calculus that hold
+exactly what the defining scans compute, on any table, lawful or not.
+The tables are up, powers (the positive powers of each element),
+zero_cols and col_images (the annihilator and product-image columns) and
+their byte-slice folds zero_folds and image_folds, which turn a fold over
+a subset mask into one lookup per byte.  The memos are keyed by member
+masks: interned ideals, principals, residuals, radicals, primality and
+stability.  Each is built on first use, after the mask that asks for it
+has been validated, so a carrier that is never queried pays nothing, and
+a carrier made by dataclasses.replace (a mutant, with_status) starts
+without any of them.
 """
 
 from __future__ import annotations
@@ -101,9 +107,11 @@ class FiniteQuantale:
     element indices.
 
     The cached properties below the tables are derived once per instance.
-    The dict-valued ones are memos keyed by member masks: ideals and
-    classify fill them with the result of their own definitional scans, so
-    a memo is an exact cache of a definition, never a shortcut for it.
+    The tuple-valued ones are element tables read straight from the
+    tables above.  The dict-valued ones are memos keyed by member masks:
+    ideals and classify fill them with the result of their own
+    definitional scans, so a memo is an exact cache of a definition, never
+    a shortcut for it.
     """
 
     name: str
@@ -116,11 +124,11 @@ class FiniteQuantale:
     top: int
     status: str = UNCHECKED
 
-    @property
+    @cached_property
     def n(self) -> int:
         return len(self.elements)
 
-    @property
+    @cached_property
     def full(self) -> int:
         """Bitmask of the whole carrier."""
         return (1 << len(self.elements)) - 1
@@ -161,6 +169,31 @@ class FiniteQuantale:
         return tuple(out)
 
     @cached_property
+    def zero_folds(self) -> tuple[tuple[int, ...], ...]:
+        """Byte tables of zero_cols: for a subset mask s, the AND of
+        zero_cols[t] over the t in s is the AND of zero_folds[k][byte k of s]."""
+        return _byte_folds(self.zero_cols, int.__and__, self.full)
+
+    @cached_property
+    def image_folds(self) -> tuple[tuple[int, ...], ...]:
+        """Byte tables of col_images: the OR of col_images[t] over the t in
+        s is the OR of image_folds[k][byte k of s]."""
+        return _byte_folds(self.col_images, int.__or__, 0)
+
+    @cached_property
+    def powers(self) -> tuple[int, ...]:
+        """powers[x] = bitmask of the positive powers x, x & x, ...: the walk
+        y -> x & y from x, which descends and repeats within n steps."""
+        out = []
+        for x, row in enumerate(self.mul):
+            seen, y = 0, x
+            while not seen >> y & 1:
+                seen |= 1 << y
+                y = row[y]
+            out.append(seen)
+        return tuple(out)
+
+    @cached_property
     def interned(self) -> dict[int, Ideal]:
         """Memo: member mask -> the one ideals.Ideal of this carrier with it."""
         return {}
@@ -175,6 +208,11 @@ class FiniteQuantale:
     @cached_property
     def residuals(self) -> dict[tuple[int, int], Ideal]:
         """Memo: (i.members, j.members) -> ideals.residual(i, j)."""
+        return {}
+
+    @cached_property
+    def radicals(self) -> dict[int, Ideal]:
+        """Memo: i.members -> classify.radical(i) by the powers route."""
         return {}
 
     @cached_property
@@ -228,6 +266,23 @@ class FiniteQuantale:
         return f"<FiniteQuantale {self.name} n={self.n} status={self.status}>"
 
 
+def _byte_folds(
+    cols: Sequence[int], op: Callable[[int, int], int], unit: int
+) -> tuple[tuple[int, ...], ...]:
+    """tables[k][b] = op folded from unit over cols[8k + i] for the bits i
+    set in b, one table per 8 columns; a fold over a subset mask s is then
+    one lookup per byte of s."""
+    tables = []
+    for k in range(0, len(cols), 8):
+        chunk = cols[k : k + 8]
+        table = [unit] * (1 << len(chunk))
+        for b in range(1, len(table)):
+            low = b & -b
+            table[b] = op(table[b ^ low], chunk[low.bit_length() - 1])
+        tables.append(tuple(table))
+    return tuple(tables)
+
+
 def _closure_up(n: int, pairs: Iterable[tuple[int, int]]) -> list[int]:
     """Reflexive-transitive closure of the pairs (lo, hi) as masks: up[i]
     holds every j reachable from i (Warshall's loop over bitmask rows)."""
@@ -236,6 +291,8 @@ def _closure_up(n: int, pairs: Iterable[tuple[int, int]]) -> list[int]:
         up[lo] |= 1 << hi
     for k in range(n):
         bit, row = 1 << k, up[k]
+        if row == bit:  # nothing above k: the pass would change no row
+            continue
         for i in range(n):
             if up[i] & bit:
                 up[i] |= row

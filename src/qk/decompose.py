@@ -235,23 +235,28 @@ def irreducible_decomposition(i: Ideal) -> Decomposition:
 def all_minimal_decompositions(i: Ideal) -> list[tuple[Ideal, ...]]:
     """Every minimal primary decomposition of i, as component tuples.
 
-    Exhaustive over subsets of the primary ideals containing i; meant for
-    small carriers.
+    A pick is a bitmask over the primary ideals containing i (ascending by
+    size).  Radicals must be distinct, so only picks of at most one ideal
+    per radical are tried: the product of (group size + 1) over the radical
+    groups, not every subset.  Results come in ascending pick order.
     """
     require_commutative(i.carrier)
     q = i.carrier
     cands = primary_candidates(i)
+    groups: dict[int, list[int]] = {}
+    for k, c in enumerate(cands):
+        groups.setdefault(radical(c).members, []).append(1 << k)
+    picks = [0]
+    for group in groups.values():
+        picks = [pick | b for pick in picks for b in (0, *group)]
     out = []
-    for pick in range(1, 1 << len(cands)):
-        comps = [cands[k] for k in range(len(cands)) if pick >> k & 1]
+    for pick in sorted(picks)[1:]:
+        comps = [c for k, c in enumerate(cands) if pick >> k & 1]
         if meet_all(q, comps) != i:
             continue
-        rads = [radical(c).members for c in comps]
-        if len(set(rads)) != len(rads):
-            continue
-        if any(
+        if len(comps) > 1 and any(
             meet_all(q, comps[:k] + comps[k + 1 :]) == i for k in range(len(comps))
-        ) and len(comps) > 1:
+        ):
             continue
         out.append(tuple(comps))
     return out

@@ -9,11 +9,13 @@ apex; the definitional closure routes live alongside them and the
 verification suites insist the two agree.
 
 Carriers are immutable and meant to be reused.  Ideals are interned in
-the carrier's memo q.interned (see Ideal), and residuals, annihilators and
-generated ideals read through its other memos (see core.FiniteQuantale):
-each is computed by its definition once per carrier and mask, and looked
-up after that.  Since a memo holds the definition's own result, it is an
-exact cache, on broken tables too.
+the carrier's memo q.interned (see Ideal), and residuals read through the
+memo q.residuals: each is computed by its definition once per carrier and
+mask, and looked up after that.  Annihilators and generated ideals fold
+their columns through the byte-slice tables q.zero_folds and
+q.image_folds (see core.FiniteQuantale), one lookup per byte of the mask.
+Since a memo or table holds the definition's own result, it is exact, on
+broken tables too.
 
 Ideal-theoretic operations that multiply refuse noncommutative carriers.
 """
@@ -186,8 +188,9 @@ def generated(q: FiniteQuantale, s: Iterable[int] | int) -> Ideal:
     if m == 0:
         raise EmptyGeneratorSet("generated ideal needs at least one generator")
     prods = 0
-    for t in bits(m):
-        prods |= q.col_images[t]
+    for table in q.image_folds:
+        prods |= table[m & 255]
+        m >>= 8
     # interned for its apex alone: prods need not be an ideal
     return q.principals[Ideal(q, prods).apex]
 
@@ -270,8 +273,9 @@ def annihilator(q: FiniteQuantale, s: Iterable[int] | int) -> Ideal:
     if m == 0:
         raise EmptyGeneratorSet("annihilator of the empty set is not defined")
     out = q.full
-    for t in bits(m):
-        out &= q.zero_cols[t]
+    for table in q.zero_folds:
+        out &= table[m & 255]
+        m >>= 8
     return Ideal(q, out)
 
 

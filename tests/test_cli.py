@@ -226,7 +226,9 @@ def test_ideal_carrier_of_a_broken_file_is_a_domain_error(capsys, tmp_path):
     assert err == "qk: q4~0,0_ideals is not a quantale: assoc fails at ↓bot ↓bot ↓a\n"
 
 
-@pytest.mark.parametrize("spec", ["lowersets:antichain40", "lowersets:chain100000000"])
+@pytest.mark.parametrize(
+    "spec", ["lowersets:antichain40", "lowersets:chain100000000", "lowersets:antichain4095"]
+)
 def test_oversized_lowersets_exit_at_once(capsys, spec):
     start = time.perf_counter()
     code, out, err = run(capsys, "gen", spec)

@@ -5,6 +5,7 @@ from qk.core import (
     PASSED,
     QuantaleHom,
     UNCHECKED,
+    _closure_up,
     bits,
     build_quantale,
     check_axioms,
@@ -319,3 +320,24 @@ def test_same_structure(q4):
     assert q4.same_structure(again)
     # status does not participate in structural equality
     assert q4.same_structure(again.with_status(PASSED))
+
+
+@st.composite
+def relations(draw):
+    """n points and up to 12 pairs (lo, hi) among them."""
+    n = draw(st.integers(0, 9))
+    point = st.integers(0, n - 1)
+    return n, draw(st.lists(st.tuples(point, point), max_size=12)) if n else []
+
+
+@settings(max_examples=300, deadline=None)
+@given(relations())
+def test_closure_up_is_the_reachability_fixpoint(case):
+    n, pairs = case
+    reach = [{i} | {hi for lo, hi in pairs if lo == i} for i in range(n)]
+    while True:
+        grown = [set().union(*(reach[j] for j in r)) for r in reach]
+        if grown == reach:
+            break
+        reach = grown
+    assert _closure_up(n, pairs) == [sum(1 << j for j in r) for r in reach]

@@ -1,4 +1,7 @@
+from dataclasses import replace
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qk.classify import is_primary, radical, spectrum
 from qk.decompose import (
@@ -25,7 +28,15 @@ from qk.errors import (
     NotPrimary,
     NotProper,
 )
-from qk.ideals import enumerate_ideals, meet_ideals, principal, whole_ideal, zero_ideal
+from qk.generators import generate_from_spec
+from qk.ideals import (
+    enumerate_ideals,
+    meet_all,
+    meet_ideals,
+    principal,
+    whole_ideal,
+    zero_ideal,
+)
 
 
 def test_irreducible_sets_frozen(q4, m3):
@@ -144,6 +155,98 @@ def test_all_minimal_decompositions_share_radicals(q4, l3, p3):
             want = {r.members for r in d.radicals}
             for comps in all_minimal_decompositions(i):
                 assert {radical(c).members for c in comps} == want
+
+
+def _minimal_decompositions_scan(i):
+    """Every subset of the primary ideals over i, in bitmask order, kept
+    when it meets to i with distinct radicals and no redundant member."""
+    q = i.carrier
+    cands = sorted(
+        (c for c in enumerate_ideals(q) if i <= c and is_primary(c)),
+        key=lambda c: (c.size, c.apex),
+    )
+    out = []
+    for pick in range(1, 1 << len(cands)):
+        comps = [cands[k] for k in range(len(cands)) if pick >> k & 1]
+        if meet_all(q, comps) != i:
+            continue
+        rads = [radical(c).members for c in comps]
+        if len(set(rads)) != len(rads):
+            continue
+        if len(comps) > 1 and any(
+            meet_all(q, comps[:k] + comps[k + 1 :]) == i for k in range(len(comps))
+        ):
+            continue
+        out.append(tuple(comps))
+    return out
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        "lukasiewicz:3",
+        "lukasiewicz:6",
+        "lukasiewicz:9",
+        "powerset:2",
+        "powerset:3",
+        "m3",
+        "lowersets:chain4",
+        "lowersets:antichain2",
+        "lowersets:3:0<1",
+        "lowersets:4:0<1,2<3",
+        "opens:sierpinski",
+        "opens:3:-,0,01,012",
+    ],
+)
+def test_all_minimal_decompositions_match_the_subset_scan(spec):
+    q = generate_from_spec(spec)
+    compared = 0
+    for i in enumerate_ideals(q):
+        if i.proper:
+            assert all_minimal_decompositions(i) == _minimal_decompositions_scan(i)
+            compared += 1
+    assert compared == q.n - 1
+
+
+_SMALL = [generate_from_spec(s) for s in ("powerset:2", "lukasiewicz:4", "m3", "lowersets:3:0<1")]
+
+
+@st.composite
+def symmetric_rewrites(draw):
+    """A small lawful carrier with 1 to 4 mul cells rewritten in symmetric
+    pairs: commutative, mostly not a quantale, and often holding an ideal
+    with more than one minimal decomposition."""
+    q = draw(st.sampled_from(_SMALL))
+    element = st.integers(0, q.n - 1)
+    rows = [list(r) for r in q.mul]
+    for i, j, v in draw(st.lists(st.tuples(element, element, element), min_size=1, max_size=4)):
+        rows[i][j] = rows[j][i] = v
+    return replace(q, name=f"{q.name}~", mul=tuple(map(tuple, rows)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(symmetric_rewrites())
+def test_all_minimal_decompositions_match_the_scan_on_broken_tables(q):
+    for i in enumerate_ideals(q):
+        if i.proper:
+            assert all_minimal_decompositions(i) == _minimal_decompositions_scan(i)
+
+
+@pytest.mark.parametrize("spec", ["m3", "powerset:2", "lukasiewicz:4"])
+def test_all_minimal_decompositions_on_every_symmetric_rewrite(spec):
+    # m3's rewrites reach decompositions through the third member of a
+    # radical group; several have more than one minimal decomposition
+    q = generate_from_spec(spec)
+    for i in range(q.n):
+        for j in range(i, q.n):
+            for v in range(q.n):
+                rows = [list(r) for r in q.mul]
+                rows[i][j] = rows[j][i] = v
+                mutant = replace(q, name=f"{q.name}~{i},{j}={v}", mul=tuple(map(tuple, rows)))
+                for ideal in enumerate_ideals(mutant):
+                    if ideal.proper:
+                        want = _minimal_decompositions_scan(ideal)
+                        assert all_minimal_decompositions(ideal) == want, mutant.name
 
 
 def test_quotient_by_element_trichotomy(l3):

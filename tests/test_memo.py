@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from qk.classify import is_prime, prime_avoidance
+from qk.classify import is_prime, mc_generated, prime_avoidance, radical
 from qk.core import PASSED, QuantaleHom, bits
 from qk.errors import HypothesisViolated, QuantaleError
 from qk.generators import generate_from_spec, m3_quantale
@@ -101,7 +101,8 @@ def _commutative_mutants():
 
 
 MUTANTS = _commutative_mutants()
-MEMOS = ("interned", "principals", "residuals", "primality", "stability")
+MEMOS = ("interned", "principals", "residuals", "radicals", "primality", "stability")
+TABLES = ("powers", "zero_cols", "col_images", "zero_folds", "image_folds")
 
 
 @pytest.fixture(params=MUTANTS, ids=lambda q: q.name)
@@ -154,14 +155,17 @@ def test_memos_do_not_outlive_their_carrier(q4):
     ideals = enumerate_ideals(base)
     for i in ideals:
         is_prime(i)
+        radical(i)
         _avoidance(base, base.full, [i])
+        annihilator(base, i.members)
+        generated(base, i.members)
         for j in ideals:
             residual(i, j)
-    assert all(vars(base).get(name) for name in MEMOS)
+    assert all(vars(base).get(name) for name in (*MEMOS, *TABLES))
 
     mutants = [m for _, _, m in single_cell_mutants(base)]
     for fresh in [base.with_status(PASSED), *mutants]:
-        assert not any(name in vars(fresh) for name in MEMOS)
+        assert not any(name in vars(fresh) for name in (*MEMOS, *TABLES))
     differs = 0
     for m in filter(lambda m: m.commutative, mutants):
         for i in ideals:
@@ -208,7 +212,14 @@ def test_memo_size_after_a_full_run():
 def test_unqueried_carrier_builds_no_memo():
     q = generate_from_spec("lukasiewicz:6")
     run_suite(q, "axioms")
-    assert not any(name in vars(q) for name in (*MEMOS, "zero_cols", "col_images"))
-    with pytest.raises(QuantaleError):
-        annihilator(q, 1 << q.n)
-    assert "zero_cols" not in vars(q)
+    assert not any(name in vars(q) for name in (*MEMOS, *TABLES))
+    stray = 1 << q.n
+    for call in (
+        lambda: annihilator(q, stray),
+        lambda: annihilator(q, stray | 1),
+        lambda: generated(q, stray | 1),
+        lambda: mc_generated(q, q.n),
+    ):
+        with pytest.raises(QuantaleError):
+            call()
+    assert not any(name in vars(q) for name in (*MEMOS, *TABLES))
