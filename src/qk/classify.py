@@ -17,6 +17,11 @@ verification suites require to agree:
 Primality requires properness throughout; being semiprime deliberately
 does not (the whole carrier vacuously satisfies the square condition and
 the three-way radical equivalence then holds for every ideal).
+
+Each ideal property has one witness scan, which returns its first
+counterexample or None: prime, semiprime and primary scan elements,
+irreducible and strongly irreducible scan pairs of ideals (the witness
+is their apexes).  The predicates, decompose and classification read them.
 """
 
 from __future__ import annotations
@@ -32,18 +37,20 @@ from .errors import (
     NotPrime,
     NotProper,
     QuantaleError,
+    TooLarge,
 )
 from .ideals import (
     Ideal,
     enumerate_ideals,
     join_ideals,
     meet_all,
-    principal,
     product_ideals,
     require_commutative,
-    whole_ideal,
     zero_ideal,
 )
+
+# all_mc_sets scans 2^(n-1) subsets: about 1 s at n=18 and 4 s at n=20
+MC_SETS_MAX_N = 20
 
 
 def is_prime(i: Ideal) -> bool:
@@ -128,6 +135,29 @@ def _primary_witness(i: Ideal) -> tuple[int, int] | None:
         for y in range(q.n):
             if m >> row[y] & 1 and not powers[y] & m:
                 return (x, y)
+    return None
+
+
+def _irreducible_witness(i: Ideal, ideals) -> tuple[int, int] | None:
+    """The apexes of two strictly larger ideals meeting exactly to i, if any."""
+    for a in ideals:
+        if not i < a:
+            continue
+        for b in ideals:
+            if i < b and a.members & b.members == i.members:
+                return (a.apex, b.apex)
+    return None
+
+
+def _strongly_irreducible_witness(i: Ideal, ideals) -> tuple[int, int] | None:
+    """The apexes of two ideals whose meet lies inside i while neither
+    factor does, if any."""
+    for a in ideals:
+        if a <= i:
+            continue
+        for b in ideals:
+            if not b <= i and (a.members & b.members) & ~i.members == 0:
+                return (a.apex, b.apex)
     return None
 
 
@@ -300,8 +330,11 @@ def mc_generated(q: FiniteQuantale, x: int) -> McSet:
 
 
 def all_mc_sets(q: FiniteQuantale) -> list[McSet]:
-    """Every mc subset; exponential in n, meant for small carriers."""
+    """Every mc subset; the scan doubles with each element, so carriers
+    above MC_SETS_MAX_N elements raise TooLarge."""
     require_commutative(q)
+    if q.n > MC_SETS_MAX_N:
+        raise TooLarge(f"all_mc_sets supports up to {MC_SETS_MAX_N} elements, got {q.n}")
     rest = q.full & ~(1 << q.top)
     out = []
     sub = rest
@@ -420,59 +453,29 @@ class Classification:
 
 
 def classification(i: Ideal) -> Classification:
-    """Compute every flag for one ideal."""
-    require_commutative(i.carrier)
+    """Compute every flag for one ideal from one table: each property maps
+    to its witness, or to None where it holds."""
     q = i.carrier
-    from .decompose import _irreducible_witness, _strongly_irreducible_witness
-
+    require_commutative(q)
     ideals = enumerate_ideals(q)
-    wit: dict = {}
-    proper = i.proper
-    if not proper:
-        wit["proper"] = ()
-    larger = [o for o in ideals if i < o and o.proper]
-    maximal = proper and not larger
-    if not maximal:
-        wit["maximal"] = (larger[0].apex,) if larger else ()
-    smaller = [o for o in ideals if not o.is_zero and o < i]
-    minimal_ideal = not i.is_zero and not smaller
-    if not minimal_ideal:
-        wit["minimal_ideal"] = (smaller[0].apex,) if smaller else ()
-    pw = _prime_witness(i) if proper else ()
-    prime = proper and pw is None
-    if not prime:
-        wit["prime"] = pw or ()
-    sw = _semiprime_witness(i)
-    semiprime = sw is None
-    if not semiprime:
-        wit["semiprime"] = sw
-    prw = _primary_witness(i) if proper else ()
-    primary = proper and prw is None
-    if not primary:
-        wit["primary"] = prw or ()
     rad = radical(i)
-    radical_ideal = rad == i
-    if not radical_ideal:
-        wit["radical_ideal"] = tuple(bits(rad.members & ~i.members))[:1]
-    iw = _irreducible_witness(i, ideals)
-    irreducible = iw is None
-    if not irreducible:
-        wit["irreducible"] = tuple(j.apex for j in iw)
-    siw = _strongly_irreducible_witness(i, ideals)
-    strongly_irreducible = siw is None
-    if not strongly_irreducible:
-        wit["strongly_irreducible"] = tuple(j.apex for j in siw)
+    larger = [o.apex for o in ideals if i < o and o.proper]
+    smaller = [o.apex for o in ideals if not o.is_zero and o < i]
+    proper = None if i.proper else ()
+    table = {
+        "proper": proper,
+        "maximal": tuple(larger[:1]) if larger else proper,
+        "minimal_ideal": tuple(smaller[:1]) if smaller or i.is_zero else None,
+        "prime": _prime_witness(i) if i.proper else (),
+        "semiprime": _semiprime_witness(i),
+        "primary": _primary_witness(i) if i.proper else (),
+        "radical_ideal": None if rad == i else tuple(bits(rad.members & ~i.members))[:1],
+        "irreducible": _irreducible_witness(i, ideals),
+        "strongly_irreducible": _strongly_irreducible_witness(i, ideals),
+    }
     return Classification(
         ideal=i,
-        proper=proper,
-        maximal=maximal,
-        minimal_ideal=minimal_ideal,
-        prime=prime,
-        semiprime=semiprime,
-        primary=primary,
-        radical_ideal=radical_ideal,
-        irreducible=irreducible,
-        strongly_irreducible=strongly_irreducible,
         radical=rad,
-        witnesses=wit,
+        witnesses={k: w for k, w in table.items() if w is not None},
+        **{k: w is None for k, w in table.items()},
     )

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 from . import classify as cl
 from . import decompose as dc
@@ -129,15 +129,9 @@ def _cmd_classify(args) -> int:
     out.put("instance", q.name)
     out.put("ideal", i.name)
     out.put("members", i.labels())
-    out.put("proper", c.proper)
-    out.put("maximal", c.maximal)
-    out.put("minimal_ideal", c.minimal_ideal)
-    out.put("prime", c.prime)
-    out.put("semiprime", c.semiprime)
-    out.put("primary", c.primary)
-    out.put("radical_ideal", c.radical_ideal)
-    out.put("irreducible", c.irreducible)
-    out.put("strongly_irreducible", c.strongly_irreducible)
+    for f in fields(c):
+        if isinstance(flag := getattr(c, f.name), bool):
+            out.put(f.name, flag)
     out.put("radical", c.radical.name)
     for kind, wit in sorted(c.witnesses.items()):
         out.put(f"witness.{kind}", [q.elements[x] for x in wit])
@@ -155,19 +149,19 @@ def _cmd_spectrum(args) -> int:
         out.sep()
         out.put("prime", p.name)
         out.put("members", p.labels())
-        out.put(
-            "minimal",
-            not any(o < p for o in primes),
-        )
+        out.put("minimal", not any(o < p for o in primes))
     out.sep()
-    if q.bottom != q.top:
+    # maximal ideals, and so the Jacobson radical and locality, need bottom != top
+    nondegenerate = q.bottom != q.top
+    if nondegenerate:
         out.put("maximal_ideals", [m.name for m in cl.maximal_ideals(q)])
     out.put("nilradical", cl.nilradical(q).name)
-    out.put("jacobson", cl.jacobson(q).name)
-    local, at = cl.is_local(q)
-    out.put("local", local)
-    if local:
-        out.put("local_at", at.name)
+    if nondegenerate:
+        out.put("jacobson", cl.jacobson(q).name)
+        local, at = cl.is_local(q)
+        out.put("local", local)
+        if local:
+            out.put("local_at", at.name)
     print(out.render(args.format), end="")
     return 0
 
@@ -202,8 +196,8 @@ def _cmd_decompose(args) -> int:
         out.put("components", [c.name for c in d.components])
         print(out.render(args.format), end="")
         return 0
-    d = dc.primary_decomposition(i)
     rep = dc.uniqueness_report(i)
+    d = rep.decomposition
     out.put("components", [c.name for c in d.components])
     out.put("minimal", d.minimal)
     for c, r in zip(d.components, d.radicals):

@@ -36,36 +36,13 @@ from .ideals import (
     residual,
 )
 from .classify import (
+    _irreducible_witness,
+    _strongly_irreducible_witness,
     is_primary,
     is_prime,
     minimal_primes_over,
-    primes_over,
     radical,
 )
-
-
-def _irreducible_witness(i: Ideal, ideals) -> tuple[Ideal, Ideal] | None:
-    """A pair of strictly larger ideals meeting exactly to i, if any."""
-    for a in ideals:
-        if not i < a:
-            continue
-        for b in ideals:
-            if i < b and a.members & b.members == i.members:
-                return (a, b)
-    return None
-
-
-def _strongly_irreducible_witness(i: Ideal, ideals) -> tuple[Ideal, Ideal] | None:
-    """A pair whose meet lies inside i while neither factor does."""
-    for a in ideals:
-        if a <= i:
-            continue
-        for b in ideals:
-            if b <= i:
-                continue
-            if (a.members & b.members) & ~i.members == 0:
-                return (a, b)
-    return None
 
 
 def is_irreducible(i: Ideal) -> bool:
@@ -442,11 +419,7 @@ def minimal_strongly_irreducible_over(i: Ideal) -> Ideal:
     if not i.proper:
         raise NotProper(f"{i.name} is the whole carrier")
     ideals = enumerate_ideals(i.carrier)
-    over = [
-        s
-        for s in ideals
-        if i <= s and _strongly_irreducible_witness(s, ideals) is None
-    ]
+    over = [s for s in ideals if i <= s and _strongly_irreducible_witness(s, ideals) is None]
     minimal = [s for s in over if not any(o < s for o in over)]
     return min(minimal, key=lambda s: s.apex)
 

@@ -20,7 +20,7 @@ Each generator returns a carrier that has already passed check_axioms.
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .core import (
     ELEMENT_CAP,
@@ -33,6 +33,7 @@ from .core import (
     check_axioms,
 )
 from .errors import NotAPartialOrder, QuantaleError, TooLarge
+from .ideals import ideal_quantale
 from .quantfile import load_quant
 
 POWERSET_MAX = 5
@@ -234,8 +235,6 @@ def generate(kind: str, arg=None) -> FiniteQuantale:
     if kind == "m3":
         return m3_quantale()
     if kind == "ideal_quantale":
-        from .ideals import ideal_quantale
-
         return _checked(ideal_quantale(arg).quantale)
     raise ValueError(f"unknown generator kind {kind!r}")
 

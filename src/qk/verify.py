@@ -56,6 +56,8 @@ EXHAUST_MAX_N = 8
 CROSS_ORACLE_MAX_N = 12
 # pairs of subsets for generated_meet_lower: (2^n)^2 cases, so a lower cut-off
 _PAIR_EXHAUST_MAX_N = 6
+# the largest group whose nonempty subfamilies are all checked: 2^12 - 1 cases
+_SUBFAMILY_EXHAUST_MAX = 12
 
 # Each suite's function, in report order.  run_suite looks the function up
 # by name when it runs, so a wrapper later bound to the module attribute
@@ -167,11 +169,12 @@ class _Axis(NamedTuple):
 
 class _Domain(NamedTuple):
     """What a law ranges over: a thunk yielding the cases (argument tuples
-    of the predicate), the witness of a case, and the domain's note."""
+    of the predicate), the witness of a case, and the domain's note (a
+    string, or a thunk read after the cases ran)."""
 
     cases: Callable[[], Iterable[tuple]]
     witness: Callable[..., tuple]
-    note: str = ""
+    note: str | Callable[[], str] = ""
 
 
 def _over(*axes: _Axis) -> _Domain:
@@ -223,10 +226,11 @@ def _check(suite: str, laws: list[_Law]) -> list[LawResult]:
         except Exception as exc:  # a crash on this instance is a finding
             status, witness = "fail", ()
             error = f"error: {type(exc).__name__}: {exc}"
+        domain_note = law.domain.note() if callable(law.domain.note) else law.domain.note
         if callable(law.note):
-            parts = (law.domain.note, error, law.note())
+            parts = (domain_note, error, law.note())
         else:
-            parts = (law.domain.note, law.note, error)
+            parts = (domain_note, law.note, error)
         note = "; ".join(p for p in parts if p)
         rows.append(LawResult(suite, law.name, status, checked, witness, note))
     return rows
@@ -242,6 +246,12 @@ def _size(family) -> str:
 def _pick(items, pick: int) -> tuple:
     """The subfamily of items selected by the bits of pick."""
     return tuple(items[j] for j in range(len(items)) if pick >> j & 1)
+
+
+def _nonempty_draws(rng: random.Random, width: int, count: int) -> list[int]:
+    """The first count nonzero masks of width bits drawn from rng."""
+    masks = (rng.getrandbits(width) for _ in itertools.count())
+    return list(itertools.islice(filter(None, masks), count))
 
 
 class _Ctx:
@@ -263,6 +273,11 @@ class _Ctx:
       families           all families of ideals, the empty one included, up
                          to EXHAUST_MAX_N ideals, else SAMPLE_COUNT // 10
                          (10^3) draws
+      subfamilies        (key, f) for each group (key, items) a law supplies
+                         and each nonempty subfamily f of items: all of
+                         them for groups of up to _SUBFAMILY_EXHAUST_MAX
+                         (12) members, else SAMPLE_COUNT // 10 (10^3)
+                         nonempty draws for each larger group
       mcsets             all mc sets up to EXHAUST_MAX_N elements, else the
                          sets generated by one element, plus {top} (note
                          "mc sets limited to generated ones")
@@ -317,13 +332,9 @@ class _Ctx:
         return _Domain(lambda: [()], lambda: (self.q.name,))
 
     def subsets(self, tag: str) -> _Axis:
-        def draws():
-            rng = self.rng(tag)
-            masks = (rng.getrandbits(self.q.n) for _ in itertools.count())
-            return list(itertools.islice(filter(None, masks), SAMPLE_COUNT))
-
         if self.exhaustive:
             return _Axis(lambda: range(1, self.q.full + 1), self.q.labels)
+        draws = lambda: _nonempty_draws(self.rng(tag), self.q.n, SAMPLE_COUNT)
         return _Axis(draws, self.q.labels, "sampled")
 
     def _pair_witness(self, s: int, t: int) -> tuple[str, ...]:
@@ -365,6 +376,25 @@ class _Ctx:
         if k <= EXHAUST_MAX_N:
             return _Axis(lambda: [_pick(ideals, p) for p in range(1 << k)], _size)
         return _Axis(draws, _size, "sampled")
+
+    def subfamilies(self, tag: str, groups: Callable[[], Iterable[tuple]]) -> _Domain:
+        """groups() yields (key, items) pairs; a witness is the key's name
+        and the subfamily's size."""
+        sizes = []  # of the groups, set when the cases start
+
+        def cases():
+            rng = self.rng(tag)
+            found = list(groups())
+            sizes[:] = [len(items) for _, items in found]
+            for (key, items), k in zip(found, sizes):
+                if k <= _SUBFAMILY_EXHAUST_MAX:
+                    picks = range(1, 1 << k)
+                else:
+                    picks = _nonempty_draws(rng, k, SAMPLE_COUNT // 10)
+                yield from ((key, _pick(items, pick)) for pick in picks)
+
+        note = lambda: "sampled" if max(sizes, default=0) > _SUBFAMILY_EXHAUST_MAX else ""
+        return _Domain(cases, lambda key, fam: (key.name, _size(fam)), note)
 
 
 def _join_all(q: FiniteQuantale, ideals) -> il.Ideal:
@@ -741,17 +771,14 @@ def _suite_primary(ctx: _Ctx) -> list[LawResult]:
         r = rad(c)
         return cl.is_prime(r) and all(r <= p for p in cl.primes_over(c))
 
-    def p_primary_families():
-        for p in ctx.primes:
-            group = [c for c in ctx.primaries if rad(c) == p]
-            for pick in range(1, 1 << len(group)):
-                yield p, _pick(group, pick)
+    def primaries_by_radical():
+        return ((p, [c for c in ctx.primaries if rad(c) == p]) for p in ctx.primes)
 
     def meet_is_p_primary(p, fam):
         m = meet_all(fam)
         return cl.is_primary(m) and rad(m) == p
 
-    p_families = _Domain(p_primary_families, lambda p, fam: (p.name, _size(fam)))
+    p_families = ctx.subfamilies("primary.p_primary_meet_closed", primaries_by_radical)
     return _check("primary", [
         _Law("prime_implies_primary", _over(ctx.axis("primes")), cl.is_primary),
         _Law("radical_smallest_prime_over", _over(ctx.axis("primaries")), smallest_prime),

@@ -1,5 +1,9 @@
+from dataclasses import fields
+from pathlib import Path
+
 import pytest
 
+from qk import classify
 from qk.classify import (
     all_mc_sets,
     are_coprime,
@@ -31,6 +35,7 @@ from qk.classify import (
     zero_divisors,
 )
 from qk.core import build_quantale
+from qk.decompose import is_irreducible, is_strongly_irreducible
 from qk.errors import (
     Degenerate,
     HypothesisViolated,
@@ -39,8 +44,12 @@ from qk.errors import (
     NotPrime,
     NotProper,
     QuantaleError,
+    TooLarge,
 )
+from qk.generators import generate_from_spec
 from qk.ideals import enumerate_ideals, principal, whole_ideal, zero_ideal
+from qk.quantfile import load_quant
+from qk.verify import single_cell_mutants
 
 
 def test_spectrum_frozen(q4, l3, m3):
@@ -274,3 +283,93 @@ def test_classification_q4_prime(q4):
     assert c.maximal
     assert c.irreducible and c.strongly_irreducible
     assert c.radical.name == "↓a"
+
+
+def _carriers():
+    """The bundled and generated carriers, each followed by its commutative
+    single-cell mutants."""
+    data = Path(__file__).parent / "data"
+    bases = [load_quant(data / f"{s}.quant") for s in ("q4", "l3", "c2", "nondec")]
+    bases += [
+        generate_from_spec(s)
+        for s in (
+            "m3", "powerset:2", "powerset:3", "lukasiewicz:1", "lukasiewicz:5",
+            "lukasiewicz:7", "opens:sierpinski", "opens:point3", "lowersets:chain4",
+            "lowersets:4:0<1,2<3", "lowersets:antichain3",
+        )
+    ]
+    for b in bases:
+        yield b
+        yield from (m for _, _, m in single_cell_mutants(b) if m.commutative)
+
+
+def _refutes(q, i, prop, wit) -> bool:
+    """Whether wit is a counterexample to prop at the ideal i."""
+    inside = i.__contains__
+    if prop == "proper":
+        return wit == () and i.is_whole
+    if prop == "maximal":
+        return wit == () and i.is_whole or (
+            len(wit) == 1 and i < principal(q, wit[0]) and principal(q, wit[0]).proper
+        )
+    if prop == "minimal_ideal":
+        return wit == () and i.is_zero or (
+            len(wit) == 1 and principal(q, wit[0]) < i and not principal(q, wit[0]).is_zero
+        )
+    if prop in ("prime", "primary") and wit == ():
+        return i.is_whole
+    if prop == "prime":
+        x, y = wit
+        return not inside(x) and not inside(y) and inside(q.mul[x][y])
+    if prop == "semiprime":
+        (x,) = wit
+        return not inside(x) and inside(q.mul[x][x])
+    if prop == "primary":
+        x, y = wit
+        powers, p = set(), y
+        for _ in range(q.n):
+            powers.add(p)
+            p = q.mul[y][p]
+        return not inside(x) and inside(q.mul[x][y]) and not any(map(inside, powers))
+    if prop == "radical_ideal":
+        (x,) = wit
+        return x in radical(i) and not inside(x)
+    a, b = (principal(q, x) for x in wit)
+    meet = a.members & b.members
+    if prop == "irreducible":
+        return i < a and i < b and meet == i.members
+    assert prop == "strongly_irreducible"
+    return not a <= i and not b <= i and meet & ~i.members == 0
+
+
+def test_classification_flags_match_the_predicates_and_witnesses_refute():
+    count = 0
+    for q in _carriers():
+        maximal = maximal_ideals(q) if q.bottom != q.top else None
+        for i in enumerate_ideals(q):
+            c = classification(i)
+            count += 1
+            assert c.proper == i.proper
+            assert c.prime == is_prime(i)
+            assert c.semiprime == is_semiprime(i)
+            assert c.primary == is_primary(i)
+            assert c.radical_ideal == is_radical_ideal(i)
+            assert c.irreducible == is_irreducible(i)
+            assert c.strongly_irreducible == is_strongly_irreducible(i)
+            if maximal is not None:
+                assert c.maximal == (i in maximal)
+            assert c.radical is radical(i)
+            flags = {f.name: getattr(c, f.name) for f in fields(c)}
+            assert [k for k, v in flags.items() if v is False] == list(c.witnesses)
+            for prop, wit in c.witnesses.items():
+                assert _refutes(q, i, prop, wit), (q.name, i.name, prop, wit)
+    assert count > 400
+
+
+def test_all_mc_sets_refuses_large_carriers(monkeypatch):
+    with pytest.raises(TooLarge):
+        all_mc_sets(generate_from_spec("lukasiewicz:21"))
+    monkeypatch.setattr(classify, "MC_SETS_MAX_N", 3)
+    assert len(all_mc_sets(generate_from_spec("lukasiewicz:3"))) > 0
+    with pytest.raises(TooLarge):
+        all_mc_sets(generate_from_spec("lukasiewicz:4"))

@@ -259,3 +259,14 @@ def test_gen_output_matches_generator(capsys):
     from qk.generators import lukasiewicz_quantale
 
     assert parse_quant(out).same_structure(lukasiewicz_quantale(3))
+
+
+def test_spectrum_of_a_one_element_carrier(capsys, tmp_path):
+    path = tmp_path / "one.quant"
+    assert run(capsys, "gen", "lukasiewicz:1", "-o", str(path))[0] == 0
+    code, out, err = run(capsys, "spectrum", str(path))
+    assert (code, err) == (0, "")
+    rows = dict(line.split("\t") for line in out.splitlines() if line)
+    assert rows["count"] == "0"
+    assert rows["nilradical"] == "↓0"
+    assert not {"maximal_ideals", "jacobson", "local"} & rows.keys()

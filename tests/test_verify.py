@@ -4,6 +4,7 @@ from qk.core import QuantaleHom, build_quantale, check_axioms
 from qk.errors import HomRequired, TooLarge
 from qk.generators import lukasiewicz_quantale, powerset_quantale
 from qk.verify import (
+    SAMPLE_COUNT,
     SUITE_ORDER,
     cross_oracle,
     default_homs,
@@ -192,3 +193,20 @@ def test_failure_rows_carry_witnesses(l3):
     out = rep.format()
     assert "status\tfail" in out
     assert "witness\t" in out
+
+
+@pytest.mark.parametrize("n,checked,note", [(13, 4095, ""), (14, 1000, "sampled")])
+def test_p_primary_families_exhaust_up_to_twelve_members(n, checked, note):
+    # the chain's n - 1 proper ideals are primary with one radical
+    rep = run_suite(lukasiewicz_quantale(n), "primary", seed=0)
+    row = next(r for r in rep.results if r.law == "p_primary_meet_closed")
+    assert (row.status, row.checked, row.note) == ("pass", checked, note)
+
+
+def test_primary_and_uniqueness_case_counts_stay_bounded_on_a_long_chain():
+    q = lukasiewicz_quantale(20)
+    for suite in ("primary", "uniqueness"):
+        rep = run_suite(q, suite, seed=0)
+        assert rep.ok and rep.results
+        for r in rep.results:
+            assert r.checked <= SAMPLE_COUNT // 10, (r.law, r.checked)
