@@ -181,7 +181,7 @@ def _radical_powers(i: Ideal) -> Ideal:
     out = q.radicals.get(m)
     if out is None:
         rad = sum(1 << x for x, p in enumerate(q.powers) if p & m)
-        out = q.radicals[m] = Ideal(q, rad)
+        out = q.radicals[m] = q.interned[rad]
     return out
 
 
@@ -195,7 +195,7 @@ def _radical_mcsets(i: Ideal) -> Ideal:
     for x in range(q.n):
         if mc_generated(q, x).members & i.members:
             out |= 1 << x
-    return Ideal(q, out)
+    return q.interned[out]
 
 
 def is_radical_ideal(i: Ideal) -> bool:
@@ -387,9 +387,10 @@ def maximal_avoiding(s: McSet) -> Ideal:
 def _instability(q: FiniteQuantale, m: int) -> tuple[str, str] | None:
     """The first way the set m fails to be closed under join and &, as the
     (hypothesis, message) of prime_avoidance, or None."""
-    for x in bits(m):
+    xs = list(bits(m))
+    for x in xs:
         jr, mr = q.join[x], q.mul[x]
-        for y in bits(m):
+        for y in xs:
             if not m >> jr[y] & 1:
                 return "stable_under_join", f"{q.label(x)} v {q.label(y)} leaves the set"
             if not m >> mr[y] & 1:
@@ -397,34 +398,38 @@ def _instability(q: FiniteQuantale, m: int) -> tuple[str, str] | None:
     return None
 
 
-def prime_avoidance(q: FiniteQuantale, stable, ps: list[Ideal]):
-    """A member of the stable set outside the union of the given ideals.
+_UNSEEN = object()
+
+
+def prime_avoidance(q: FiniteQuantale, stable, ps: list[Ideal]) -> int:
+    """A member of the stable set outside the union of the given ideals:
+    the lowest one.
 
     Hypotheses (violations raise HypothesisViolated naming the failure):
     the set is closed under join and &; every ideal from the third on is
     prime; the set is contained in none of the ideals.  The closure verdict
-    and primality are computed once per mask and carrier.
+    and primality are computed once per mask and carrier.  ps is only read.
     """
     require_commutative(q)
     m = _subset_mask(q, stable)
-    if m not in q.stability:
-        q.stability[m] = _instability(q, m)
-    violation = q.stability[m]
+    violation = q.stability.get(m, _UNSEEN)
+    if violation is _UNSEEN:
+        violation = q.stability[m] = _instability(q, m)
     if violation is not None:
         raise HypothesisViolated(*violation)
-    for k, p in enumerate(ps):
-        if k >= 2 and not is_prime(p):
+    for k, p in enumerate(ps[2:], 2):
+        if not is_prime(p):
             raise HypothesisViolated("prime_tail", f"ideal {k + 1} ({p.name}) is not prime")
+    union = 0
     for k, p in enumerate(ps):
         if m & ~p.members == 0:
             raise HypothesisViolated(
                 "not_contained", f"the stable set lies inside ideal {k + 1} ({p.name})"
             )
-    union = 0
-    for p in ps:
         union |= p.members
-    for x in bits(m & ~union):
-        return x
+    rest = m & ~union
+    if rest:
+        return (rest & -rest).bit_length() - 1
     raise QuantaleError("avoidance witness missing despite satisfied hypotheses")
 
 

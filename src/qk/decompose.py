@@ -269,7 +269,7 @@ def isolated_component_formula(i: Ideal, p: Ideal) -> Ideal:
         row = q.mul[a]
         if any(i.members >> row[b] & 1 for b in bits(outside)):
             out |= 1 << a
-    return Ideal(q, out)
+    return q.interned[out]
 
 
 def colon_primes(i: Ideal) -> tuple[Ideal, ...]:

@@ -9,12 +9,12 @@ apex; the definitional closure routes live alongside them and the
 verification suites insist the two agree.
 
 Carriers are immutable and meant to be reused.  Ideals are interned in
-the carrier's memo q.interned (see Ideal), and residuals read through the
-memo q.residuals: each is computed by its definition once per carrier and
-mask, and looked up after that.  Annihilators and generated ideals fold
-their columns through the byte-slice tables q.zero_folds and
-q.image_folds (see core.FiniteQuantale), one lookup per byte of the mask.
-Since a memo or table holds the definition's own result, it is exact, on
+the carrier's memo q.interned (see Ideal), which every route here reads
+directly, and residuals read through the memo q.residuals: each is
+computed by its definition once per carrier and mask, and looked up after
+that.  Annihilators and generated ideals fold their columns through the
+byte-slice tables q.zero_folds and q.image_folds (see core.FiniteQuantale),
+one lookup per byte of the mask.  Since a memo or table holds the definition's own result, it is exact, on
 broken tables too.
 
 Ideal-theoretic operations that multiply refuse noncommutative carriers.
@@ -53,21 +53,16 @@ class Ideal:
     """A subset of a carrier, trusted to satisfy the ideal conditions.
 
     Build via principal/generated/as_ideal rather than directly.  Ideals are
-    interned: Ideal(q, m) is the one object of carrier q for member mask m,
-    so equality is identity.  Its apex, the join of the members (the ideal
-    is its down-set), is computed once, when that object is made.
+    interned: Ideal(q, m) is q.interned[m], the one object of carrier q for
+    member mask m, so equality is identity.  Its apex, the join of the
+    members (the ideal is its down-set), is computed once, when the memo
+    makes that object.
     """
 
     __slots__ = ("carrier", "members", "apex")
 
     def __new__(cls, carrier: FiniteQuantale, members: int):
-        self = carrier.interned.get(members)
-        if self is None:
-            self = carrier.interned[members] = object.__new__(cls)
-            self.carrier = carrier
-            self.members = members
-            self.apex = carrier.join_of(bits(members))
-        return self
+        return carrier.interned[members]
 
     @property
     def name(self) -> str:
@@ -110,6 +105,25 @@ class Ideal:
         return f"<Ideal {self.name} of {self.carrier.name}>"
 
 
+class _Interned(dict):
+    """The memo q.interned: member mask -> the one Ideal of q with it.  A
+    lookup of a new mask makes that object, so a hit is one dict lookup."""
+
+    __slots__ = ("carrier",)
+
+    def __init__(self, carrier: FiniteQuantale):
+        super().__init__()
+        self.carrier = carrier
+
+    def __missing__(self, members: int) -> Ideal:
+        i = object.__new__(Ideal)
+        i.carrier = self.carrier
+        i.members = members
+        i.apex = self.carrier.join_of(bits(members))
+        self[members] = i
+        return i
+
+
 def _mismatch(i: Ideal, j: Ideal) -> CarrierMismatch:
     return CarrierMismatch(
         f"ideals live over different carriers ({i.carrier.name}, {j.carrier.name})"
@@ -125,12 +139,13 @@ def is_ideal(q: FiniteQuantale, subset: Iterable[int] | int) -> bool:
         return False
     if m == 0:
         return False
-    for x in bits(m):
+    xs = list(bits(m))
+    for x in xs:
         if q.down[x] & ~m:
             return False
-    for x in bits(m):
+    for x in xs:
         row = q.join[x]
-        for y in bits(m):
+        for y in xs:
             if not m >> row[y] & 1:
                 return False
     return True
@@ -141,7 +156,7 @@ def as_ideal(q: FiniteQuantale, subset: Iterable[int] | int) -> Ideal:
     m = _subset_mask(q, subset)
     if not is_ideal(q, m):
         raise QuantaleError(f"{q.labels(m) or '(empty)'} is not an ideal of {q.name}")
-    return Ideal(q, m)
+    return q.interned[m]
 
 
 def principal(q: FiniteQuantale, a: int) -> Ideal:
@@ -151,11 +166,11 @@ def principal(q: FiniteQuantale, a: int) -> Ideal:
 
 
 def zero_ideal(q: FiniteQuantale) -> Ideal:
-    return Ideal(q, 1 << q.bottom)
+    return q.interned[1 << q.bottom]
 
 
 def whole_ideal(q: FiniteQuantale) -> Ideal:
-    return Ideal(q, q.full)
+    return q.interned[q.full]
 
 
 def ideal_from_closure(q: FiniteQuantale, seed: Iterable[int] | int) -> Ideal:
@@ -176,7 +191,7 @@ def ideal_from_closure(q: FiniteQuantale, seed: Iterable[int] | int) -> Ideal:
             for y in bits(prev):
                 m |= 1 << row[y]
         if m == prev:
-            return Ideal(q, m)
+            return q.interned[m]
 
 
 def generated(q: FiniteQuantale, s: Iterable[int] | int) -> Ideal:
@@ -192,7 +207,7 @@ def generated(q: FiniteQuantale, s: Iterable[int] | int) -> Ideal:
         prods |= table[m & 255]
         m >>= 8
     # interned for its apex alone: prods need not be an ideal
-    return q.principals[Ideal(q, prods).apex]
+    return q.principals[q.interned[prods].apex]
 
 
 def enumerate_ideals(q: FiniteQuantale) -> list[Ideal]:
@@ -206,7 +221,7 @@ def enumerate_ideals(q: FiniteQuantale) -> list[Ideal]:
 def meet_ideals(i: Ideal, j: Ideal) -> Ideal:
     if j.carrier is not i.carrier:
         raise _mismatch(i, j)
-    return Ideal(i.carrier, i.members & j.members)
+    return i.carrier.interned[i.members & j.members]
 
 
 def meet_all(q: FiniteQuantale, ideals: Iterable[Ideal]) -> Ideal:
@@ -216,7 +231,23 @@ def meet_all(q: FiniteQuantale, ideals: Iterable[Ideal]) -> Ideal:
         if i.carrier is not q:
             raise CarrierMismatch(f"{i.name} is not an ideal of {q.name}")
         m &= i.members
-    return Ideal(q, m)
+    return q.interned[m]
+
+
+def join_all(q: FiniteQuantale, ideals: Iterable[Ideal]) -> Ideal:
+    """Join of a family of ideals of q; the zero ideal for an empty one.
+
+    Each step is join_ideals, the principal ideal at the join of two
+    apexes, so the result is the fold of join_ideals from the zero ideal,
+    on any table.
+    """
+    out = q.interned[1 << q.bottom]
+    join = q.join
+    for i in ideals:
+        if i.carrier is not q:
+            raise CarrierMismatch(f"{i.name} is not an ideal of {q.name}")
+        out = q.principals[join[out.apex][i.apex]]
+    return out
 
 
 def join_ideals(i: Ideal, j: Ideal) -> Ideal:
@@ -263,7 +294,7 @@ def residual(i: Ideal, j: Ideal) -> Ideal:
             row = q.mul[x]
             if all(im >> row[y] & 1 for y in bits(j.members)):
                 m |= 1 << x
-        out = q.residuals[key] = Ideal(q, m)
+        out = q.residuals[key] = q.interned[m]
     return out
 
 
@@ -276,7 +307,7 @@ def annihilator(q: FiniteQuantale, s: Iterable[int] | int) -> Ideal:
     for table in q.zero_folds:
         out &= table[m & 255]
         m >>= 8
-    return Ideal(q, out)
+    return q.interned[out]
 
 
 @dataclass(frozen=True, eq=False)
@@ -340,7 +371,7 @@ def contraction(h: QuantaleHom, j: Ideal) -> Ideal:
     for x in range(h.source.n):
         if j.members >> h.mapping[x] & 1:
             out |= 1 << x
-    return Ideal(h.source, out)
+    return h.source.interned[out]
 
 
 def extension(h: QuantaleHom, i: Ideal) -> Ideal:

@@ -397,10 +397,6 @@ class _Ctx:
         return _Domain(cases, lambda key, fam: (key.name, _size(fam)), note)
 
 
-def _join_all(q: FiniteQuantale, ideals) -> il.Ideal:
-    return reduce(il.join_ideals, ideals, il.zero_ideal(q))
-
-
 # --- suites -----------------------------------------------------------
 
 
@@ -453,7 +449,7 @@ def _suite_bpi(ctx: _Ctx) -> list[LawResult]:
     whole, zero = il.whole_ideal(q), il.zero_ideal(q)
     prod, meet, join, res = il.product_ideals, il.meet_ideals, il.join_ideals, il.residual
     gen = il.generated
-    meet_all, join_all = partial(il.meet_all, q), partial(_join_all, q)
+    meet_all, join_all = partial(il.meet_all, q), partial(il.join_all, q)
 
     def coprime_product(a, b, c):
         if not (join(a, c).is_whole and join(b, c).is_whole):
@@ -510,7 +506,7 @@ def _suite_annihilator(ctx: _Ctx) -> list[LawResult]:
         _Law("double_contains", _over(S("ann.double")),
              lambda s: s & ~ann(ann(s).members).members == 0),
         _Law("triple_stable", _over(S("ann.triple")),
-             lambda s: ann(s) == ann(ann(ann(s).members).members)),
+             lambda s: (a := ann(s)) == ann(ann(a.members).members)),
         _Law("matches_residual_into_zero", _over(S("ann.residual")),
              lambda s: ann(s) == il.residual(zero, il.generated(q, s))),
     ])
@@ -637,23 +633,24 @@ def _suite_avoidance(ctx: _Ctx) -> list[LawResult]:
     masks = ctx.subsets("avoidance.stable")
 
     def cases():
-        combos = [(a,) for a in ideals]
-        combos += [(a, b) for k, a in enumerate(ideals) for b in ideals[k:]]
-        combos += [(a, b, p) for k, a in enumerate(ideals) for b in ideals[k:] for p in primes]
+        combos = [[a] for a in ideals]
+        combos += [[a, b] for k, a in enumerate(ideals) for b in ideals[k:]]
+        combos += [[a, b, p] for k, a in enumerate(ideals) for b in ideals[k:] for p in primes]
+        # each combination once, with its union; prime_avoidance only reads it
+        combos = [(ps, reduce(or_, (p.members for p in ps))) for ps in combos]
         # the closure test of prime_avoidance, not its memo: only the masks
         # passed on below may enter q.stability
         stable = (m for m in masks.values() if cl._instability(q, m) is None)
-        return ((m, ps) for m in stable for ps in combos)
+        return ((m, ps, union) for m in stable for ps, union in combos)
 
-    def avoids(m, ps):
+    def avoids(m, ps, union):
         try:
-            x = cl.prime_avoidance(q, m, list(ps))
+            x = cl.prime_avoidance(q, m, ps)
         except HypothesisViolated:
             return None
-        union = reduce(or_, (p.members for p in ps), 0)
         return bool(m >> x & 1) and not union >> x & 1
 
-    def witness(m, ps):
+    def witness(m, ps, union):
         return q.labels(m), "/", " ".join(p.name for p in ps)
 
     return _check("avoidance", [
@@ -679,7 +676,7 @@ def _suite_radical_lemma(ctx: _Ctx) -> list[LawResult]:
              lambda i: rad(prod(i, i)) == rad(i) and rad(prod(prod(i, i), i)) == rad(i)),
         _Law("meet_and_product", I2, meet_and_product),
         _Law("join_family_below", _over(ctx.families("radical.join_family")),
-             lambda fam: _join_all(q, [rad(i) for i in fam]) <= rad(_join_all(q, fam))),
+             lambda fam: il.join_all(q, [rad(i) for i in fam]) <= rad(il.join_all(q, fam))),
         _Law("whole_iff", _over(I), lambda i: rad(i).is_whole == i.is_whole),
         _Law("join_radical_collapse", I2,
              lambda a, b: rad(il.join_ideals(a, b)) == rad(il.join_ideals(rad(a), rad(b)))),
@@ -730,7 +727,7 @@ def _suite_saturation(ctx: _Ctx) -> list[LawResult]:
         comp = s.complement
         inside = [p for p in ctx.primes if p.members & s.members == 0]
         union = reduce(or_, (p.members for p in inside), 0)
-        if inside and _join_all(q, inside).members != union:
+        if inside and il.join_all(q, inside).members != union:
             join_differs.append(s)
         return cl.is_saturated(s) == (comp == union)
 

@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 from qk.cli import main
+from qk.core import ELEMENT_CAP
 from qk.quantfile import load_quant, parse_quant, write_quant
 from qk.verify import single_cell_mutants
 
@@ -209,12 +210,12 @@ def test_exit_code_usage_errors(capsys, tmp_path):
 
 def test_too_many_elements_is_a_domain_error(capsys, tmp_path):
     big = tmp_path / "big.quant"
-    labels = " ".join(f"e{k}" for k in range(4097))
+    labels = " ".join(f"e{k}" for k in range(ELEMENT_CAP + 1))
     big.write_text(f"quantale big\nelements: {labels}\norder:\n  <= <= <=\nmul:\n  :\n")
     code, out, err = run(capsys, "check", str(big))
     assert (code, out) == (1, "")
     assert err.startswith("qk: ") and err.count("\n") == 1
-    assert "more than 4096 elements" in err
+    assert f"more than {ELEMENT_CAP} elements" in err
 
 
 def test_ideal_carrier_of_a_broken_file_is_a_domain_error(capsys, tmp_path):
@@ -227,7 +228,13 @@ def test_ideal_carrier_of_a_broken_file_is_a_domain_error(capsys, tmp_path):
 
 
 @pytest.mark.parametrize(
-    "spec", ["lowersets:antichain40", "lowersets:chain100000000", "lowersets:antichain4095"]
+    "spec",
+    [
+        "lowersets:antichain40",
+        "lowersets:chain100000000",
+        "lowersets:antichain4095",
+        "lowersets:antichain12",
+    ],
 )
 def test_oversized_lowersets_exit_at_once(capsys, spec):
     start = time.perf_counter()

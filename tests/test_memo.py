@@ -150,6 +150,24 @@ def test_prime_avoidance_matches_scan(mutant):
                 assert _avoidance(q, m, ps) == _avoidance_scan(q, m, ps)
 
 
+@pytest.mark.parametrize("spec", ["powerset:3", "lukasiewicz:6"])
+def test_prime_avoidance_reads_shared_lists(spec):
+    """One list per combination, passed for every mask as the avoidance
+    suite does, gives what a fresh copy per call gives, and stays as it was."""
+    q = generate_from_spec(spec)
+    ideals = enumerate_ideals(q)
+    combos = [list(c) for k in (1, 2, 3) for c in combinations_with_replacement(ideals, k)]
+    before = [tuple(ps) for ps in combos]
+    for m in range(1, q.full + 1):
+        for ps in combos:
+            try:
+                shared = prime_avoidance(q, m, ps)
+            except HypothesisViolated as exc:
+                shared = exc.hypothesis, str(exc)
+            assert shared == _avoidance(q, m, ps) == _avoidance_scan(q, m, ps)
+    assert [tuple(ps) for ps in combos] == before
+
+
 def test_memos_do_not_outlive_their_carrier(q4):
     base = replace(q4)
     ideals = enumerate_ideals(base)

@@ -1,23 +1,35 @@
-"""The element tables behind powers, radical, annihilator and generated,
-against their bit-loop definitions.
+"""The element tables behind powers, radical, annihilator, generated and
+join_all, against their bit-loop and fold definitions.
 
 q.powers, q.zero_folds and q.image_folds are built once per carrier and
 read in place of a loop over the bits of a mask, and q.radicals keeps each
-radical once computed.  The oracles below loop over the elements one at a
-time.  The table routes must return exactly what they return, on lawful
+radical once computed, and join_all folds apexes through q.join.  The
+oracles below loop over the elements one at a time, or fold join_ideals
+from the zero ideal.  The table routes must return exactly what they return, on lawful
 carriers and on tables corrupted in any field, with n on both sides of
 each byte boundary.
 """
 
 from dataclasses import replace
+from functools import reduce
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from qk.classify import mc_generated, radical
-from qk.errors import NotCommutative
+from qk.errors import CarrierMismatch, NotCommutative
 from qk.generators import generate_from_spec
-from qk.ideals import Ideal, annihilator, generated
+from qk.ideals import (
+    Ideal,
+    annihilator,
+    enumerate_ideals,
+    generated,
+    join_all,
+    join_ideals,
+    zero_ideal,
+)
+from qk.verify import single_cell_mutants
 
 _SPECS = [
     "lukasiewicz:1",
@@ -146,3 +158,35 @@ def test_every_single_cell_rewrite(name, request):
                     _check_tables(mutant, masks)
                     commutative += mutant.commutative
     assert commutative > 0
+
+
+def _check_join_all(q, ideals):
+    """join_all is the fold of join_ideals from the zero ideal, object for
+    object, on every family of up to three ideals, the empty one included."""
+    for k in range(4):
+        for fam in product(ideals, repeat=k):
+            assert join_all(q, fam) is reduce(join_ideals, fam, zero_ideal(q))
+    assert join_all(q, iter(ideals)) is reduce(join_ideals, ideals, zero_ideal(q))
+    other = replace(q)
+    with pytest.raises(CarrierMismatch):
+        join_all(q, [*ideals[:1], zero_ideal(other)])
+
+
+@pytest.mark.parametrize("spec", _SPECS)
+def test_join_all_on_lawful_carriers(spec):
+    q = generate_from_spec(spec)
+    _check_join_all(q, enumerate_ideals(q))
+
+
+@pytest.mark.parametrize("name", ["q4", "l3", "m3"])
+def test_join_all_on_single_cell_mutants(name, request):
+    for _, _, mutant in single_cell_mutants(request.getfixturevalue(name)):
+        if mutant.commutative:
+            _check_join_all(mutant, enumerate_ideals(mutant))
+
+
+@settings(max_examples=200, deadline=None)
+@given(corrupted())
+def test_join_all_on_corrupted_tables(case):
+    q, masks = case
+    _check_join_all(q, [Ideal(q, m) for m in masks[:6]])
