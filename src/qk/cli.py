@@ -13,9 +13,12 @@
 
 Output is line oriented: key<TAB>value pairs, records separated by blank
 lines (--format table for an aligned view).  Nothing is timestamped, so
-identical inputs give identical bytes.  Exit status: 0 success, 1 domain
-failure (failed axioms, failed law, invalid hom, no decomposition),
-2 usage or file-format errors.
+identical inputs give identical bytes.  Each command returns its text and
+exit status, and main writes the text once.  Exit status: 0 success,
+1 domain failure (failed axioms, failed law, invalid hom, no
+decomposition: any QuantaleError but a QuantFileError), 2 usage error,
+malformed file (QuantFileError, ValueError) or a file that cannot be read
+or written (OSError).  Every error is one line "qk: MESSAGE" on stderr.
 
 The sampling seed for large-carrier verification comes from --seed, else
 the QK_SEED environment variable, else a fixed default.
@@ -87,7 +90,7 @@ def _add_target(p: argparse.ArgumentParser) -> None:
     )
 
 
-def _cmd_check(args) -> int:
+def _cmd_check(args) -> tuple[str, int]:
     q = load_quant(args.file)
     rep = check_axioms(q)
     out = _Out()
@@ -101,11 +104,10 @@ def _cmd_check(args) -> int:
     out.put("status", "pass" if rep.ok else "fail")
     for tag, wit in rep.counterexamples:
         out.put(f"counterexample.{tag}", [q.elements[i] for i in wit])
-    print(out.render(args.format), end="")
-    return 0 if rep.ok else 1
+    return out.render(args.format), 0 if rep.ok else 1
 
 
-def _cmd_ideals(args) -> int:
+def _cmd_ideals(args) -> tuple[str, int]:
     q = load_quant(args.file)
     ideals = il.enumerate_ideals(q)
     out = _Out()
@@ -117,11 +119,10 @@ def _cmd_ideals(args) -> int:
         out.put("apex", q.elements[i.apex])
         out.put("members", i.labels())
         out.put("proper", i.proper)
-    print(out.render(args.format), end="")
-    return 0
+    return out.render(args.format), 0
 
 
-def _cmd_classify(args) -> int:
+def _cmd_classify(args) -> tuple[str, int]:
     q = load_quant(args.file)
     i = _target_ideal(q, args)
     c = cl.classification(i)
@@ -135,11 +136,10 @@ def _cmd_classify(args) -> int:
     out.put("radical", c.radical.name)
     for kind, wit in sorted(c.witnesses.items()):
         out.put(f"witness.{kind}", [q.elements[x] for x in wit])
-    print(out.render(args.format), end="")
-    return 0
+    return out.render(args.format), 0
 
 
-def _cmd_spectrum(args) -> int:
+def _cmd_spectrum(args) -> tuple[str, int]:
     q = load_quant(args.file)
     primes = cl.spectrum(q)
     out = _Out()
@@ -162,11 +162,10 @@ def _cmd_spectrum(args) -> int:
         out.put("local", local)
         if local:
             out.put("local_at", at.name)
-    print(out.render(args.format), end="")
-    return 0
+    return out.render(args.format), 0
 
 
-def _cmd_radical(args) -> int:
+def _cmd_radical(args) -> tuple[str, int]:
     q = load_quant(args.file)
     i = _target_ideal(q, args)
     out = _Out()
@@ -180,11 +179,10 @@ def _cmd_radical(args) -> int:
     out.put("members", first.labels())
     if len(algs) > 1:
         out.put("agree", all(r == first for r in rads.values()))
-    print(out.render(args.format), end="")
-    return 0
+    return out.render(args.format), 0
 
 
-def _cmd_decompose(args) -> int:
+def _cmd_decompose(args) -> tuple[str, int]:
     q = load_quant(args.file)
     i = _target_ideal(q, args)
     out = _Out()
@@ -194,8 +192,7 @@ def _cmd_decompose(args) -> int:
     if args.kind == "irreducible":
         d = dc.irreducible_decomposition(i)
         out.put("components", [c.name for c in d.components])
-        print(out.render(args.format), end="")
-        return 0
+        return out.render(args.format), 0
     rep = dc.uniqueness_report(i)
     d = rep.decomposition
     out.put("components", [c.name for c in d.components])
@@ -209,11 +206,10 @@ def _cmd_decompose(args) -> int:
     out.put("isolated", [p.name for p in rep.isolated])
     out.put("embedded", [p.name for p in rep.embedded])
     out.put("isolated_components_unique", rep.isolated_components_match)
-    print(out.render(args.format), end="")
-    return 0
+    return out.render(args.format), 0
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> tuple[str, int]:
     q = load_quant(args.file)
     hom = None
     if args.hom is not None:
@@ -224,22 +220,19 @@ def _cmd_verify(args) -> int:
             )
         hom = replace(hom, source=q)
     rep = run_suite(q, args.suite, hom=hom, seed=args.seed)
-    print(rep.format(args.format, timing=args.timing), end="")
-    return 0 if rep.ok else 1
+    return rep.format(args.format, timing=args.timing), 0 if rep.ok else 1
 
 
-def _cmd_gen(args) -> int:
-    q = generate_from_spec(args.spec)
-    text = write_quant(q)
+def _cmd_gen(args) -> tuple[str, int]:
+    text = write_quant(generate_from_spec(args.spec))
     if args.output:
         with open(args.output, "w", encoding="utf-8") as f:
             f.write(text)
-    else:
-        print(text, end="")
-    return 0
+        text = ""
+    return text, 0
 
 
-def _cmd_hom(args) -> int:
+def _cmd_hom(args) -> tuple[str, int]:
     h = load_hom(args.homfile)
     rep = h.check()
     out = _Out()
@@ -251,8 +244,7 @@ def _cmd_hom(args) -> int:
         out.put("violates", rep.condition)
         if rep.witness:
             out.put("witness", [h.source.elements[x] for x in rep.witness])
-    print(out.render(args.format), end="")
-    return 0 if rep.ok else 1
+    return out.render(args.format), 0 if rep.ok else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -331,19 +323,12 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return e.code if isinstance(e.code, int) else 2
     try:
-        return args.run(args)
-    except QuantFileError as e:
+        text, code = args.run(args)
+        sys.stdout.write(text)
+        return code
+    except (QuantaleError, OSError, ValueError) as e:
         print(f"qk: {e}", file=sys.stderr)
-        return 2
-    except OSError as e:
-        print(f"qk: {e}", file=sys.stderr)
-        return 2
-    except QuantaleError as e:
-        print(f"qk: {e}", file=sys.stderr)
-        return 1
-    except ValueError as e:
-        print(f"qk: {e}", file=sys.stderr)
-        return 2
+        return 2 if isinstance(e, (QuantFileError, OSError, ValueError)) else 1
 
 
 if __name__ == "__main__":

@@ -24,15 +24,14 @@ row, and a mismatch is resolved to its first z only when one is found.
 Carriers and homomorphisms are immutable and meant to be reused: each
 carries lazy element tables and memos of the ideal calculus that hold
 exactly what the defining scans compute, on any table, lawful or not.
-The tables are up, powers (the positive powers of each element),
-zero_cols and col_images (the annihilator and product-image columns) and
-their byte-slice folds zero_folds and image_folds, which turn a fold over
-a subset mask into one lookup per byte.  The memos are keyed by member
-masks: interned ideals, principals, residuals, radicals, primality and
-stability.  Each is built on first use, after the mask that asks for it
-has been validated, so a carrier that is never queried pays nothing, and
-a carrier made by dataclasses.replace (a mutant, with_status) starts
-without any of them.
+The tables are up, powers (the positive powers of each element), and
+zero_folds and image_folds, the byte-slice folds of the annihilator and
+product-image columns, which turn a fold over a subset mask into one
+lookup per byte.  The memos are keyed by member masks: interned ideals,
+principals, residuals, radicals, primality and stability.  Each is built
+on first use, after the mask that asks for it has been validated, so a
+carrier that is never queried pays nothing, and a carrier made by
+dataclasses.replace (a mutant, with_status) starts without any of them.
 """
 
 from __future__ import annotations
@@ -152,34 +151,22 @@ class FiniteQuantale:
         return all(mul[x][y] == mul[y][x] for x in range(n) for y in range(x + 1, n))
 
     @cached_property
-    def zero_cols(self) -> tuple[int, ...]:
-        """zero_cols[t] = bitmask of the x with x & t == bottom."""
-        n, mul, b = len(self.elements), self.mul, self.bottom
-        return tuple(sum(1 << x for x in range(n) if mul[x][t] == b) for t in range(n))
-
-    @cached_property
-    def col_images(self) -> tuple[int, ...]:
-        """col_images[t] = bitmask of the products l & t over all l."""
-        n, mul = len(self.elements), self.mul
-        out = []
-        for t in range(n):
-            m = 0
-            for l in range(n):
-                m |= 1 << mul[l][t]
-            out.append(m)
-        return tuple(out)
-
-    @cached_property
     def zero_folds(self) -> tuple[tuple[int, ...], ...]:
-        """Byte tables of zero_cols: for a subset mask s, the AND of
-        zero_cols[t] over the t in s is the AND of zero_folds[k][byte k of s]."""
-        return _byte_folds(self.zero_cols, int.__and__, self.full)
+        """Byte tables of the annihilator columns, column t the x with
+        x & t == bottom: for a subset mask s, the AND of the columns of the t
+        in s is the AND of zero_folds[k][byte k of s]."""
+        n, mul, b = len(self.elements), self.mul, self.bottom
+        cols = [sum(1 << x for x in range(n) if mul[x][t] == b) for t in range(n)]
+        return _byte_folds(cols, int.__and__, self.full)
 
     @cached_property
     def image_folds(self) -> tuple[tuple[int, ...], ...]:
-        """Byte tables of col_images: the OR of col_images[t] over the t in
-        s is the OR of image_folds[k][byte k of s]."""
-        return _byte_folds(self.col_images, int.__or__, 0)
+        """Byte tables of the product-image columns, column t the products
+        l & t over all l: the OR of the columns of the t in s is the OR of
+        image_folds[k][byte k of s]."""
+        n, mul = len(self.elements), self.mul
+        cols = [sum(1 << v for v in {row[t] for row in mul}) for t in range(n)]
+        return _byte_folds(cols, int.__or__, 0)
 
     @cached_property
     def powers(self) -> tuple[int, ...]:

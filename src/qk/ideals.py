@@ -14,8 +14,8 @@ directly, and residuals read through the memo q.residuals: each is
 computed by its definition once per carrier and mask, and looked up after
 that.  Annihilators and generated ideals fold their columns through the
 byte-slice tables q.zero_folds and q.image_folds (see core.FiniteQuantale),
-one lookup per byte of the mask.  Since a memo or table holds the definition's own result, it is exact, on
-broken tables too.
+one lookup per byte of the mask.  Since a memo or table holds the
+definition's own result, it is exact, on broken tables too.
 
 Ideal-theoretic operations that multiply refuse noncommutative carriers.
 """

@@ -1,10 +1,13 @@
+import sys
 import time
 from pathlib import Path
 
 import pytest
 
+import qk.cli
 from qk.cli import main
 from qk.core import ELEMENT_CAP
+from qk.errors import QuantaleError, QuantFileError
 from qk.quantfile import load_quant, parse_quant, write_quant
 from qk.verify import single_cell_mutants
 
@@ -277,3 +280,38 @@ def test_spectrum_of_a_one_element_carrier(capsys, tmp_path):
     assert rows["count"] == "0"
     assert rows["nilradical"] == "↓0"
     assert not {"maximal_ideals", "jacobson", "local"} & rows.keys()
+
+
+def _error_classes(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _error_classes(sub)
+
+
+@pytest.mark.parametrize(
+    "error",
+    [QuantaleError, *_error_classes(QuantaleError), OSError, ValueError],
+    ids=lambda cls: cls.__name__,
+)
+def test_every_error_maps_to_its_exit_code(capsys, monkeypatch, error):
+    """QuantFileError, OSError and ValueError exit 2, any other QuantaleError
+    exits 1, and each prints one line on stderr and nothing on stdout."""
+
+    def fail(path):
+        raise error("cannot go on")
+
+    monkeypatch.setattr(qk.cli, "load_quant", fail)
+    code, out, err = run(capsys, "check", Q4)
+    assert code == (2 if issubclass(error, (QuantFileError, OSError, ValueError)) else 1)
+    assert out == ""
+    assert err.startswith("qk: ") and err.count("\n") == 1
+
+
+def test_a_closed_pipe_is_a_usage_error(capsys, monkeypatch):
+    def closed(text):
+        raise BrokenPipeError("closed pipe")
+
+    monkeypatch.setattr(sys.stdout, "write", closed)
+    code, _, err = run(capsys, "check", Q4)
+    assert code == 2
+    assert err == "qk: closed pipe\n"
