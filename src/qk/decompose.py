@@ -16,6 +16,7 @@ check verifies both directions on the given instance.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import prod
 
 from .core import FiniteQuantale, bits
 from .errors import (
@@ -24,6 +25,7 @@ from .errors import (
     NotPrimary,
     NotProper,
     QuantaleError,
+    TooLarge,
 )
 from .ideals import (
     Ideal,
@@ -43,6 +45,10 @@ from .classify import (
     minimal_primes_over,
     radical,
 )
+
+# picks all_minimal_decompositions may try: 2^16 takes about 0.5 s (the zero
+# ideal of lowersets:chain16); the bundled and benchmark carriers need at most 20
+MINIMAL_PICKS_MAX = 1 << 16
 
 
 def is_irreducible(i: Ideal) -> bool:
@@ -215,7 +221,10 @@ def all_minimal_decompositions(i: Ideal) -> list[tuple[Ideal, ...]]:
     A pick is a bitmask over the primary ideals containing i (ascending by
     size).  Radicals must be distinct, so only picks of at most one ideal
     per radical are tried: the product of (group size + 1) over the radical
-    groups, not every subset.  Results come in ascending pick order.
+    groups, not every subset.  That is 2^k for k one-member groups (every
+    proper ideal of lowersets:chainN over the zero ideal), so above
+    MINIMAL_PICKS_MAX picks it raises TooLarge before building them.
+    Results come in ascending pick order.
     """
     require_commutative(i.carrier)
     q = i.carrier
@@ -223,6 +232,12 @@ def all_minimal_decompositions(i: Ideal) -> list[tuple[Ideal, ...]]:
     groups: dict[int, list[int]] = {}
     for k, c in enumerate(cands):
         groups.setdefault(radical(c).members, []).append(1 << k)
+    tries = prod(len(group) + 1 for group in groups.values())
+    if tries > MINIMAL_PICKS_MAX:
+        raise TooLarge(
+            f"all_minimal_decompositions tries up to {MINIMAL_PICKS_MAX} picks,"
+            f" {i.name} needs {tries}"
+        )
     picks = [0]
     for group in groups.values():
         picks = [pick | b for pick in picks for b in (0, *group)]

@@ -25,7 +25,8 @@ class MissingBound(QuantaleError):
 
 
 class TooLarge(QuantaleError):
-    """A construction would exceed the element cap (core.ELEMENT_CAP)."""
+    """A construction or search would exceed a documented size cap
+    (core.ELEMENT_CAP, classify.MC_SETS_MAX_N, decompose.MINIMAL_PICKS_MAX)."""
 
 
 class NotCommutative(QuantaleError):

@@ -7,9 +7,11 @@ counts the cases, records the first witness and turns a crash into a
 finding.  Quantifiers over elements and ideals are always exhausted; the
 exponential ones (subsets, pairs of subsets, families of ideals, mc sets)
 are sampled or narrowed on larger carriers, by the rules stated once with
-the domains (_Ctx), and such laws say so in their note.  Each law reports
-its exact case count and, on failure, the first witness found; later laws
-still run.
+the domains (_Ctx), and such laws say so in their note.  Where a domain
+certainly repeats its draws (_Ctx says where), _check evaluates each draw
+once and counts its repeats, so case counts are those of checking every
+case.  Each law reports its exact case count and, on failure, the first
+witness found; later laws still run.
 
 Suites other than "axioms" skip on a noncommutative carrier: that is a
 precondition, not a failure.  The "cep" suite needs homomorphisms; inside
@@ -160,31 +162,57 @@ class VerificationReport:
 
 class _Axis(NamedTuple):
     """One quantified variable: a thunk giving its values, how a value
-    prints in a witness, and the note a sampled axis adds to its laws."""
+    prints in a witness, the note a sampled axis adds to its laws, and
+    whether its values certainly repeat (set by _Ctx alone)."""
 
     values: Callable[[], Iterable]
     label: Callable[[object], str]
     note: str = ""
+    repeats: bool = False
 
 
 class _Domain(NamedTuple):
     """What a law ranges over: a thunk yielding the cases (argument tuples
     of the predicate), the witness of a case, and the domain's note (a
-    string, or a thunk read after the cases ran)."""
+    string, or a thunk read after the cases ran).
+
+    draws, where repeats are certain, is a thunk yielding the same cases
+    grouped into draws: (key, the cases of that draw), the cases a pure
+    function of the key.  _run evaluates the first occurrence of a key and
+    counts each later one without evaluating it again."""
 
     cases: Callable[[], Iterable[tuple]]
     witness: Callable[..., tuple]
     note: str | Callable[[], str] = ""
+    draws: Callable[[], Iterable[tuple[object, Iterable[tuple]]]] | None = None
+
+
+def _drawn(draws, witness, note, replay: bool) -> _Domain:
+    """The domain whose cases are those of draws(), in order; _run counts
+    repeated draws without evaluating them only if replay."""
+    cases = lambda: itertools.chain.from_iterable(c for _, c in draws())
+    return _Domain(cases, witness, note, draws if replay else None)
 
 
 def _over(*axes: _Axis) -> _Domain:
     """The product of some axes, last axis fastest; nothing is built before
-    the law runs, and only the axes' value lists are ever held."""
-    return _Domain(
-        lambda: itertools.product(*(a.values() for a in axes)),
-        lambda *case: tuple(a.label(v) for a, v in zip(axes, case)),
-        "; ".join(a.note for a in axes if a.note),
-    )
+    the law runs, and only the axes' value lists are ever held.  If some
+    axis repeats, a draw is one value of the axes up to the last repeating
+    one, with every case after it."""
+    witness = lambda *case: tuple(a.label(v) for a, v in zip(axes, case))
+    note = "; ".join(a.note for a in axes if a.note)
+    inner = max((k + 1 for k, a in enumerate(axes) if a.repeats), default=0)
+    if not inner:
+        return _Domain(lambda: itertools.product(*(a.values() for a in axes)), witness, note)
+
+    def draws():
+        values = [a.values() for a in axes]
+        tails = list(itertools.product(*values[inner:]))
+        if inner == 1:  # the key is the value itself, not a 1-tuple of it
+            return ((v, map((v,).__add__, tails)) for v in values[0])
+        return ((h, map(h.__add__, tails)) for h in itertools.product(*values[:inner]))
+
+    return _drawn(draws, witness, note, True)
 
 
 class _Law(NamedTuple):
@@ -203,29 +231,46 @@ class _Law(NamedTuple):
     witness: Callable[..., tuple] | None = None
 
 
+def _run(law: _Law) -> tuple[str, int, tuple[str, ...] | None, str]:
+    """Status, case count, witness and error of a law with a domain: its
+    cases counted up to the first failure, a crash a failure.
+
+    A domain with draws is run draw by draw.  A case's verdict depends on
+    the case alone and the run stops at the first failure, so a repeated
+    draw would only pass again: it adds the count of its first occurrence
+    (its cases where holds is not None) and is not evaluated.  The counts
+    live here and go when the law ends; the result is the one the flat
+    loop over cases() gives."""
+    holds, domain = law.holds, law.domain
+    checked, counted = 0, {}  # draw -> the cases its first occurrence counted
+    try:
+        for draw, cases in domain.draws() if domain.draws else ((None, domain.cases()),):
+            if draw in counted:
+                checked += counted[draw]
+                continue
+            first = checked
+            for case in cases:
+                ok = holds(*case)
+                if ok is None:
+                    continue
+                if not ok:  # the witness is built before the case counts, as a crash is
+                    wit = (law.witness or domain.witness)(*case)
+                    return "fail", checked + 1, tuple(str(w) for w in wit), ""
+                checked += 1
+            counted[draw] = checked - first
+    except Exception as exc:  # a crash on this instance is a finding
+        return "fail", checked, (), f"error: {type(exc).__name__}: {exc}"
+    return "pass", checked, None, ""
+
+
 def _check(suite: str, laws: list[_Law]) -> list[LawResult]:
-    """Run a suite's table: count each law's cases up to its first failure
-    and record a crash as a failure with the exception in the note."""
+    """Run a suite's table, one law at a time (see _run)."""
     rows = []
     for law in laws:
         if law.domain is None:
             rows.append(LawResult(suite, law.name, "skipped", 0, None, law.note))
             continue
-        status, checked, witness, error = "pass", 0, None, ""
-        try:
-            for case in law.domain.cases():
-                ok = law.holds(*case)
-                if ok is None:
-                    continue
-                if not ok:  # the witness is built before the case counts, as a crash is
-                    wit = (law.witness or law.domain.witness)(*case)
-                    status, witness = "fail", tuple(str(w) for w in wit)
-                checked += 1
-                if not ok:
-                    break
-        except Exception as exc:  # a crash on this instance is a finding
-            status, witness = "fail", ()
-            error = f"error: {type(exc).__name__}: {exc}"
+        status, checked, witness, error = _run(law)
         domain_note = law.domain.note() if callable(law.domain.note) else law.domain.note
         if callable(law.note):
             parts = (domain_note, error, law.note())
@@ -262,14 +307,22 @@ class _Ctx:
     A sampled domain draws from Random(f"{seed}:{tag}"), one tag per law,
     and its laws say "sampled" in their note.
 
+    Where repeats are certain, a domain is run draw by draw and _check
+    counts a repeated draw without evaluating it again: sampled subsets
+    with fewer masks than draws (n <= 13), sampled families with fewer
+    families than draws (9 ideals) and the exhaustive subset_pairs.  Case
+    counts are unchanged.  A draw is one value of the repeating axis with
+    everything quantified inside it (in _over, the axes after it).
+
       subsets            all nonempty subsets up to EXHAUST_MAX_N (8)
                          elements, else SAMPLE_COUNT (10^4) nonempty draws
       subset_pairs       pairs s <= t: up to EXHAUST_MAX_N elements, for
                          each nonempty t, (m & t, t) for every m in 1..t
                          with m & t nonempty, so a pair repeats once per m
                          giving it (95 cases for 65 pairs at n=4, 29,615
-                         for 6,305 at n=8); else t from subsets and one
-                         draw of m (tag + ".sub") per t
+                         for 6,305 at n=8) and is a draw of its own; else
+                         t from subsets and one draw of m (tag + ".sub")
+                         per t
       overlapping_pairs  pairs s, t with s & t nonempty: all of them up to
                          _PAIR_EXHAUST_MAX_N (6) elements, else
                          SAMPLE_COUNT drawn pairs
@@ -338,17 +391,18 @@ class _Ctx:
         if self.exhaustive:
             return _Axis(lambda: range(1, self.q.full + 1), self.q.labels)
         draws = lambda: _nonempty_draws(self.rng(tag), self.q.n, SAMPLE_COUNT)
-        return _Axis(draws, self.q.labels, "sampled")
+        return _Axis(draws, self.q.labels, "sampled", self.q.full < SAMPLE_COUNT)
 
     def _pair_witness(self, s: int, t: int) -> tuple[str, ...]:
         return self.q.labels(s), "/", self.q.labels(t)
 
     def subset_pairs(self, tag: str) -> _Domain:
         n, ts = self.q.n, self.subsets(tag)
+        if self.exhaustive:  # each pair is a draw of its own
+            pairs = lambda: ((t & m, t) for t in ts.values() for m in range(1, t + 1) if t & m)
+            return _drawn(lambda: ((p, (p,)) for p in pairs()), self._pair_witness, "", True)
 
         def cases():
-            if self.exhaustive:
-                return ((t & s, t) for t in ts.values() for s in range(1, t + 1) if t & s)
             rng = self.rng(tag + ".sub")
             return ((m & t, t) for t in ts.values() for m in (rng.getrandbits(n),) if m & t)
 
@@ -378,7 +432,7 @@ class _Ctx:
 
         if k <= EXHAUST_MAX_N:
             return _Axis(lambda: [_pick(ideals, p) for p in range(1 << k)], _size)
-        return _Axis(draws, _size, "sampled")
+        return _Axis(draws, _size, "sampled", 1 << k < SAMPLE_COUNT // 10)
 
     def subfamilies(self, tag: str, groups: Callable[[], Iterable[tuple]]) -> _Domain:
         """groups() yields (key, items) pairs; a witness is the key's name
@@ -635,16 +689,20 @@ def _suite_avoidance(ctx: _Ctx) -> list[LawResult]:
     ideals, primes = ctx.ideals, ctx.primes
     masks = ctx.subsets("avoidance.stable")
 
-    def cases():
+    def draws():
+        """A draw is a stable mask with every combination of ideals."""
         combos = [[a] for a in ideals]
         combos += [[a, b] for k, a in enumerate(ideals) for b in ideals[k:]]
         combos += [[a, b, p] for k, a in enumerate(ideals) for b in ideals[k:] for p in primes]
         # each combination once, with its union; prime_avoidance only reads it
         combos = [(ps, reduce(or_, (p.members for p in ps))) for ps in combos]
+
+        def cases(m):
+            return ((m, ps, union) for ps, union in combos)
+
         # the closure test of prime_avoidance, not its memo: only the masks
         # passed on below may enter q.stability
-        stable = (m for m in masks.values() if cl._instability(q, m) is None)
-        return ((m, ps, union) for m in stable for ps, union in combos)
+        return ((m, cases(m)) for m in masks.values() if cl._instability(q, m) is None)
 
     def avoids(m, ps, union):
         try:
@@ -657,7 +715,7 @@ def _suite_avoidance(ctx: _Ctx) -> list[LawResult]:
         return q.labels(m), "/", " ".join(p.name for p in ps)
 
     return _check("avoidance", [
-        _Law("witness_outside_union", _Domain(cases, witness, masks.note), avoids),
+        _Law("witness_outside_union", _drawn(draws, witness, masks.note, masks.repeats), avoids),
     ])
 
 

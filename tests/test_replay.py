@@ -1,0 +1,143 @@
+"""_check evaluates each repeated draw once and counts its repeats.
+
+The report must be the flat loop's: every law of run_suite on carriers where
+the rule applies, at three seeds, equals the report of oracles.flat_check,
+which evaluates every case again; synthetic domains pin the edge cases.
+"""
+
+import pytest
+
+from oracles import MUTANTS, flat_check
+from qk.decompose import MINIMAL_PICKS_MAX, all_minimal_decompositions
+from qk.errors import TooLarge
+from qk.generators import generate_from_spec
+from qk.ideals import zero_ideal
+from qk.verify import _Ctx, _Domain, _Law, _check, _drawn, _over, run_suite
+
+SEEDS = (0, 1, 7)
+# subsets repeat at 9 <= n <= 13, families at 9 ideals (lukasiewicz:9 and
+# lowersets:4:0<1,2<3, whose 9 lower sets are its ideals), subset_pairs at n <= 8
+SPECS = (
+    "lukasiewicz:9",
+    "lukasiewicz:12",
+    "lukasiewicz:13",
+    "powerset:3",
+    "lowersets:antichain3",
+    "lowersets:4:0<1,2<3",
+)
+
+
+def _both(q, seed, monkeypatch):
+    replayed = run_suite(q, "all", seed=seed).results
+    with monkeypatch.context() as m:
+        m.setattr("qk.verify._check", flat_check)
+        flat = run_suite(q, "all", seed=seed).results
+    return replayed, flat
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("spec", SPECS)
+def test_replay_matches_the_flat_loop(spec, seed, monkeypatch):
+    replayed, flat = _both(generate_from_spec(spec), seed, monkeypatch)
+    assert replayed == flat
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_replay_matches_the_flat_loop_on_mutants(seed, monkeypatch):
+    for q in MUTANTS:
+        replayed, flat = _both(q, seed, monkeypatch)
+        assert replayed == flat, q.name
+
+
+@pytest.mark.parametrize(
+    "spec,subsets,families,pairs",
+    [
+        ("lukasiewicz:8", False, False, True),
+        ("lukasiewicz:9", True, True, False),
+        ("lukasiewicz:13", True, False, False),
+        ("lukasiewicz:14", False, False, False),
+        ("lowersets:4:0<1,2<3", True, True, False),
+    ],
+)
+def test_replay_applies_only_where_repeats_are_certain(spec, subsets, families, pairs):
+    ctx = _Ctx(generate_from_spec(spec), 0)
+    assert ctx.subsets("t").repeats is subsets
+    assert ctx.families("t").repeats is families
+    assert (ctx.subset_pairs("t").draws is not None) is pairs
+    assert (_over(ctx.axis("ideals"), ctx.families("t")).draws is not None) is families
+
+
+def test_chain8_avoidance_count():
+    rep = run_suite(generate_from_spec("lowersets:chain8"), "avoidance", seed=0)
+    [row] = rep.results
+    assert (row.status, row.checked, row.note) == ("pass", 2_499_385, "sampled")
+
+
+def _synthetic(keys, holds):
+    """A law over draws keys, each of the cases (key, 0), (key, 1), (key, 2)."""
+    draws = lambda: [(k, [(k, j) for j in range(3)]) for k in keys]
+    return _Law("law", _drawn(draws, lambda k, j: (str(k), str(j)), "", True), holds)
+
+
+def _compare(keys, verdict):
+    """_check and flat_check on one synthetic law; the cases _check evaluated."""
+    seen = []
+
+    def holds(k, j):
+        seen.append((k, j))
+        return verdict(k, j)
+
+    law = _synthetic(keys, holds)
+    [replayed] = _check("s", [law])
+    evaluated = list(seen)
+    [flat] = flat_check("s", [law])
+    assert replayed == flat
+    return replayed, evaluated
+
+
+def test_consecutive_repeats_are_separate_draws():
+    row, seen = _compare([1, 1, 2, 2, 2, 1], lambda k, j: True)
+    assert (row.status, row.checked) == ("pass", 18)
+    assert seen == [(1, 0), (1, 1), (1, 2), (2, 0), (2, 1), (2, 2)]
+
+
+def test_a_draw_outside_the_hypothesis_counts_nothing():
+    row, seen = _compare([5, 1, 5, 1, 5], lambda k, j: None if k == 5 else True)
+    assert (row.status, row.checked) == ("pass", 6)
+    assert len(seen) == 6
+
+
+def test_a_failure_after_repeats_reports_the_flat_witness():
+    row, _ = _compare([1, 2, 1, 2, 3, 1], lambda k, j: None if j == 0 else not (k == 3 and j == 2))
+    assert (row.status, row.checked, row.witness) == ("fail", 10, ("3", "2"))
+
+
+def test_a_crash_on_a_first_occurrence_keeps_the_count():
+    def verdict(k, j):
+        if k == 3 and j == 1:
+            raise ZeroDivisionError("boom")
+        return True
+
+    row, _ = _compare([1, 1, 2, 3, 1], verdict)
+    assert (row.status, row.checked, row.witness) == ("fail", 10, ())
+    assert row.note == "error: ZeroDivisionError: boom"
+
+
+def test_a_flat_domain_is_not_replayed():
+    seen = []
+    domain = _Domain(lambda: [(1,), (1,), (2,)], lambda x: (str(x),))
+    law = _Law("law", domain, lambda x: seen.append(x) or True)
+    [row] = _check("s", [law])
+    assert (row.status, row.checked, seen) == ("pass", 3, [1, 1, 2])
+
+
+def test_minimal_decompositions_refuse_too_many_picks():
+    # the zero ideal of the Goedel chain has one radical group per proper ideal
+    chain16, chain17 = (generate_from_spec(f"lowersets:chain{k}") for k in (16, 17))
+    assert MINIMAL_PICKS_MAX == 1 << 16
+    with pytest.raises(TooLarge, match="needs 131072"):
+        all_minimal_decompositions(zero_ideal(chain17))
+    rep = run_suite(chain17, "uniqueness", seed=0)
+    row = next(r for r in rep.results if r.law == "isolated_components_unique")
+    assert row.status == "fail" and "TooLarge" in row.note
+    assert len(all_minimal_decompositions(zero_ideal(chain16))) == 1
