@@ -111,7 +111,6 @@ def _semiprime_witness(i: Ideal) -> tuple[int] | None:
 
 def is_semiprime_idealwise(i: Ideal) -> bool:
     """j & j inside forces j inside, over all ideals j."""
-    require_commutative(i.carrier)
     for j in enumerate_ideals(i.carrier):
         if product_ideals(j, j) <= i and not j <= i:
             return False
@@ -211,7 +210,6 @@ def is_p_primary(i: Ideal, p: Ideal) -> bool:
 
 def spectrum(q: FiniteQuantale) -> list[Ideal]:
     """All prime ideals, in element index order of their apexes."""
-    require_commutative(q)
     return [i for i in enumerate_ideals(q) if is_prime(i)]
 
 
@@ -461,7 +459,6 @@ def classification(i: Ideal) -> Classification:
     """Compute every flag for one ideal from one table: each property maps
     to its witness, or to None where it holds."""
     q = i.carrier
-    require_commutative(q)
     ideals = enumerate_ideals(q)
     rad = radical(i)
     larger = [o.apex for o in ideals if i < o and o.proper]

@@ -9,7 +9,7 @@ the exhaustive machinery elsewhere in the package allocation-free.
 Every carrier is built by build_quantale from labels, order pairs and
 label rows; the .quant parser, the generators and ideals.ideal_quantale
 all go through it.  It certifies the lattice part only, looking each lub
-and glb up by its cone, and returns a carrier whose status is "unchecked".
+and glb up by its cone, and leaves the algebra unchecked.
 check_axioms re-derives everything, including the lattice tables, and is
 the sole authority on whether an instance really is a quantale.  It reads
 associativity and distributivity as row identities, one per pair (x, y),
@@ -31,12 +31,12 @@ lookup per byte.  The memos are keyed by member masks: interned ideals,
 principals, residuals, radicals, primality and stability.  Each is built
 on first use, after the mask that asks for it has been validated, so a
 carrier that is never queried pays nothing, and a carrier made by
-dataclasses.replace (a mutant, with_status) starts without any of them.
+dataclasses.replace (a mutant, say) starts without any of them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property, reduce
 from operator import itemgetter
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
@@ -57,10 +57,6 @@ if TYPE_CHECKING:
 
 # check_axioms is O(n^3): about 10 s on lukasiewicz:544 (2-core VM, Python 3.11)
 ELEMENT_CAP = 544
-
-UNCHECKED = "unchecked"
-PASSED = "passed"
-FAILED = "failed"
 
 
 def bits(mask: int) -> Iterator[int]:
@@ -122,7 +118,6 @@ class FiniteQuantale:
     mul: tuple[tuple[int, ...], ...]
     bottom: int
     top: int
-    status: str = UNCHECKED
 
     @cached_property
     def n(self) -> int:
@@ -241,7 +236,7 @@ class FiniteQuantale:
         return reduce(lambda a, b: self.meet[a][b], xs, self.top)
 
     def same_structure(self, other: "FiniteQuantale") -> bool:
-        """Structural equality: same name, labels and tables (status aside)."""
+        """Structural equality: same name, labels and tables."""
         return (
             self.name == other.name
             and self.elements == other.elements
@@ -249,11 +244,8 @@ class FiniteQuantale:
             and self.mul == other.mul
         )
 
-    def with_status(self, status: str) -> "FiniteQuantale":
-        return replace(self, status=status)
-
     def __repr__(self) -> str:
-        return f"<FiniteQuantale {self.name} n={self.n} status={self.status}>"
+        return f"<FiniteQuantale {self.name} n={self.n}>"
 
 
 def _byte_folds(

@@ -53,13 +53,11 @@ MINIMAL_PICKS_MAX = 1 << 16
 
 def is_irreducible(i: Ideal) -> bool:
     """No two strictly larger ideals intersect exactly to i."""
-    require_commutative(i.carrier)
     return _irreducible_witness(i, enumerate_ideals(i.carrier)) is None
 
 
 def is_strongly_irreducible(i: Ideal) -> bool:
     """Any intersection landing inside i has a factor inside i."""
-    require_commutative(i.carrier)
     return _strongly_irreducible_witness(i, enumerate_ideals(i.carrier)) is None
 
 
@@ -149,15 +147,8 @@ def primary_decomposition(i: Ideal) -> Decomposition:
             f"primary ideals over {i.name} intersect to {reach.name}, not {i.name}",
             gap=reach,
         )
-    return minimize(
-        Decomposition(
-            target=i,
-            kind="primary",
-            components=tuple(cands),
-            radicals=tuple(radical(c) for c in cands),
-            minimal=False,
-        )
-    )
+    # primary candidates meeting to i: already a valid decomposition
+    return _merge_and_prune(i, cands)
 
 
 def minimize(d: Decomposition) -> Decomposition:
@@ -170,9 +161,14 @@ def minimize(d: Decomposition) -> Decomposition:
     validate_decomposition(d)
     if d.kind != "primary":
         raise InvalidDecomposition("minimize applies to primary decompositions")
-    q = d.target.carrier
+    return _merge_and_prune(d.target, d.components)
+
+
+def _merge_and_prune(target: Ideal, components) -> Decomposition:
+    """minimize of a valid primary decomposition of target into components."""
+    q = target.carrier
     groups: dict[int, list[Ideal]] = {}
-    for c in d.components:
+    for c in components:
         groups.setdefault(radical(c).members, []).append(c)
     merged = []
     for rad_members, group in sorted(groups.items()):
@@ -182,9 +178,9 @@ def minimize(d: Decomposition) -> Decomposition:
                 f"merged component {m.name} is not primary for its radical"
             )
         merged.append(m)
-    sel = _irredundant(q, d.target, merged)
+    sel = _irredundant(q, target, merged)
     return Decomposition(
-        target=d.target,
+        target=target,
         kind="primary",
         components=tuple(sel),
         radicals=tuple(radical(c) for c in sel),
@@ -226,7 +222,6 @@ def all_minimal_decompositions(i: Ideal) -> list[tuple[Ideal, ...]]:
     MINIMAL_PICKS_MAX picks it raises TooLarge before building them.
     Results come in ascending pick order.
     """
-    require_commutative(i.carrier)
     q = i.carrier
     cands = primary_candidates(i)
     groups: dict[int, list[int]] = {}
@@ -374,7 +369,6 @@ def is_arithmetic(q: FiniteQuantale) -> bool:
 
 
 def _distributivity_witness(q: FiniteQuantale):
-    require_commutative(q)
     ideals = enumerate_ideals(q)
     for a in ideals:
         for b in ideals:
@@ -402,7 +396,6 @@ class ArithmeticReport:
 
 
 def arithmetic_equivalence_check(q: FiniteQuantale) -> ArithmeticReport:
-    require_commutative(q)
     ideals = enumerate_ideals(q)
     wit = _distributivity_witness(q)
     irr = tuple(i for i in ideals if _irreducible_witness(i, ideals) is None)

@@ -24,7 +24,6 @@ from typing import Iterable
 
 from .core import (
     ELEMENT_CAP,
-    PASSED,
     FiniteQuantale,
     _closure_up,
     _mutual_pair,
@@ -40,13 +39,14 @@ POWERSET_MAX = 5
 
 
 def _checked(q: FiniteQuantale) -> FiniteQuantale:
-    """q stamped passed, or QuantaleError naming q and its first failed axiom."""
+    """q itself once check_axioms passes it, or QuantaleError naming q and
+    its first failed axiom."""
     faults = check_axioms(q).counterexamples
     if faults:
         tag, witness = faults[0]
         at = " ".join(q.elements[i] for i in witness)
         raise QuantaleError(f"{q.name} is not a quantale: {tag} fails at {at}")
-    return q.with_status(PASSED)
+    return q
 
 
 def _subset_label(s: int, points: int) -> str:

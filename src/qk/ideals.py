@@ -17,7 +17,14 @@ byte-slice tables q.zero_folds and q.image_folds (see core.FiniteQuantale),
 one lookup per byte of the mask.  Since a memo or table holds the
 definition's own result, it is exact, on broken tables too.
 
-Ideal-theoretic operations that multiply refuse noncommutative carriers.
+On a noncommutative carrier enumerate_ideals and generated raise
+NotCommutative, and so does everything that calls them: ideal_quantale
+and extension here, and the routines of classify and decompose that
+enumerate ideals.  Other routines there call require_commutative
+themselves where they need commutativity.
+principal, as_ideal, product_ideals, product_closure, residual and
+annihilator refuse nothing: they return their definitional masks on any
+table.
 """
 
 from __future__ import annotations
@@ -333,7 +340,6 @@ def ideal_quantale(q: FiniteQuantale) -> IdealQuantale:
     """Build the ideal carrier (inclusion order, product_ideals table) with
     build_quantale and certify the principal-embedding isomorphism
     a |-> down-set of a."""
-    require_commutative(q)
     ideals = tuple(sorted(enumerate_ideals(q), key=lambda i: (i.size, i.members)))
     if len(ideals) > ELEMENT_CAP:
         raise TooLarge(f"{len(ideals)} ideals exceeds the cap of {ELEMENT_CAP}")

@@ -1,8 +1,8 @@
 """Definitional oracles and mutant carriers shared by the tests.
 
 Each carrier oracle loops over the elements one at a time, straight from
-the definition, with no table or memo of the carrier's.  flat_check runs a
-suite's table case by case, evaluating every repeated draw again.  MUTANTS
+the definition, with no table or memo of the carrier's.  flat_run runs a
+law case by case, evaluating every repeated draw again.  MUTANTS
 holds the commutative single-cell mutants of q4, l3 and m3: broken tables
 are where a shortcut would drift from the definition.
 """
@@ -11,7 +11,7 @@ from pathlib import Path
 
 from qk.generators import m3_quantale
 from qk.quantfile import load_quant
-from qk.verify import LawResult, single_cell_mutants
+from qk.verify import single_cell_mutants
 
 DATA = Path(__file__).parent / "data"
 
@@ -34,36 +34,21 @@ def generated_scan(q, s):
     return q.down[q.join_of(members(q, prods))]
 
 
-def flat_check(suite, laws):
-    """verify._check without replay: every case of domain.cases() in turn."""
-    rows = []
-    for law in laws:
-        if law.domain is None:
-            rows.append(LawResult(suite, law.name, "skipped", 0, None, law.note))
-            continue
-        status, checked, witness, error = "pass", 0, None, ""
-        try:
-            for case in law.domain.cases():
-                ok = law.holds(*case)
-                if ok is None:
-                    continue
-                if not ok:
-                    wit = (law.witness or law.domain.witness)(*case)
-                    status, witness = "fail", tuple(str(w) for w in wit)
-                checked += 1
-                if not ok:
-                    break
-        except Exception as exc:
-            status, witness = "fail", ()
-            error = f"error: {type(exc).__name__}: {exc}"
-        domain_note = law.domain.note() if callable(law.domain.note) else law.domain.note
-        if callable(law.note):
-            parts = (domain_note, error, law.note())
-        else:
-            parts = (domain_note, law.note, error)
-        note = "; ".join(p for p in parts if p)
-        rows.append(LawResult(suite, law.name, status, checked, witness, note))
-    return rows
+def flat_run(law):
+    """verify._run without replay: every case of domain.cases() in turn."""
+    checked = 0
+    try:
+        for case in law.domain.cases():
+            ok = law.holds(*case)
+            if ok is None:
+                continue
+            if not ok:
+                wit = (law.witness or law.domain.witness)(*case)
+                return "fail", checked + 1, tuple(str(w) for w in wit), ""
+            checked += 1
+    except Exception as exc:
+        return "fail", checked, (), f"error: {type(exc).__name__}: {exc}"
+    return "pass", checked, None, ""
 
 
 MUTANTS = [

@@ -13,7 +13,7 @@ from qk import classify as cl
 from qk import decompose as dc
 from qk import ideals as il
 from qk.cli import main
-from qk.core import UNCHECKED, check_axioms
+from qk.core import check_axioms
 from qk.errors import NotDecomposable
 from qk.generators import (
     all_posets,
@@ -225,10 +225,7 @@ def test_criterion_6_mutation_sensitivity(capsys):
                     rows = [list(r) for r in q.mul]
                     rows[i][j] = v
                     mutant = replace(
-                        q,
-                        name=f"{q.name}~{i},{j}={v}",
-                        mul=tuple(tuple(r) for r in rows),
-                        status=UNCHECKED,
+                        q, name=f"{q.name}~{i},{j}={v}", mul=tuple(tuple(r) for r in rows)
                     )
                     if run_suite(mutant, "all").failed > 0:
                         continue

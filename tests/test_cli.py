@@ -1,3 +1,5 @@
+import os
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -83,6 +85,20 @@ def test_gen_and_check_golden_outputs(capsys, tmp_path, stem, spec):
 )
 def test_gen_error_golden_outputs(capsys, stem, spec, code):
     assert run(capsys, "gen", spec) == (code, "", golden(f"gen_error_{stem}.txt"))
+
+
+def test_python_dash_m_qk(capsys):
+    root = DATA.parent.parent
+    env = {**os.environ, "PYTHONPATH": "src"}
+
+    def qk(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", "qk", *argv], cwd=root, env=env, capture_output=True, text=True
+        )
+
+    done = qk("check", Q4)
+    assert (done.returncode, done.stdout) == run(capsys, "check", Q4)[:2]
+    assert qk("--help").returncode == 0
 
 
 def test_outputs_are_reproducible(capsys):

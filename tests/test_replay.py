@@ -1,13 +1,14 @@
 """_check evaluates each repeated draw once and counts its repeats.
 
 The report must be the flat loop's: every law of run_suite on carriers where
-the rule applies, at three seeds, equals the report of oracles.flat_check,
-which evaluates every case again; synthetic domains pin the edge cases.
+the rule applies, at three seeds, equals the report with verify._run replaced
+by oracles.flat_run, which evaluates every case again; synthetic domains pin
+the edge cases.
 """
 
 import pytest
 
-from oracles import MUTANTS, flat_check
+from oracles import MUTANTS, flat_run
 from qk.decompose import MINIMAL_PICKS_MAX, all_minimal_decompositions
 from qk.errors import TooLarge
 from qk.generators import generate_from_spec
@@ -30,7 +31,7 @@ SPECS = (
 def _both(q, seed, monkeypatch):
     replayed = run_suite(q, "all", seed=seed).results
     with monkeypatch.context() as m:
-        m.setattr("qk.verify._check", flat_check)
+        m.setattr("qk.verify._run", flat_run)
         flat = run_suite(q, "all", seed=seed).results
     return replayed, flat
 
@@ -80,7 +81,8 @@ def _synthetic(keys, holds):
 
 
 def _compare(keys, verdict):
-    """_check and flat_check on one synthetic law; the cases _check evaluated."""
+    """_check with and without replay on one synthetic law; the cases _check
+    evaluated with it."""
     seen = []
 
     def holds(k, j):
@@ -90,7 +92,9 @@ def _compare(keys, verdict):
     law = _synthetic(keys, holds)
     [replayed] = _check("s", [law])
     evaluated = list(seen)
-    [flat] = flat_check("s", [law])
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr("qk.verify._run", flat_run)
+        [flat] = _check("s", [law])
     assert replayed == flat
     return replayed, evaluated
 
