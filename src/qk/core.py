@@ -31,7 +31,9 @@ lookup per byte.  The memos are keyed by member masks: interned ideals,
 principals, residuals, radicals, primality and stability.  Each is built
 on first use, after the mask that asks for it has been validated, so a
 carrier that is never queried pays nothing, and a carrier made by
-dataclasses.replace (a mutant, say) starts without any of them.
+dataclasses.replace (a mutant, say) starts without any of them.  Ideals
+exist on commutative carriers only: interned, through which every Ideal
+is made, raises NotCommutative on any other.
 """
 
 from __future__ import annotations
@@ -179,9 +181,11 @@ class FiniteQuantale:
     @cached_property
     def interned(self) -> dict[int, Ideal]:
         """Memo: member mask -> the one ideals.Ideal of this carrier with it,
-        made on the first lookup of its mask."""
-        from .ideals import _Interned
+        made on the first lookup of its mask.  Every Ideal is made here, so
+        a noncommutative carrier, which has none, raises NotCommutative."""
+        from .ideals import _Interned, require_commutative
 
+        require_commutative(self)
         return _Interned(self)
 
     @cached_property

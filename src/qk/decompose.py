@@ -34,7 +34,6 @@ from .ideals import (
     meet_all,
     meet_ideals,
     principal,
-    require_commutative,
     residual,
 )
 from .classify import (
@@ -65,7 +64,6 @@ def strongly_irreducible_elementwise(i: Ideal) -> bool:
     """Same test over principal ideals only; agrees with the ideal-wise
     form and is checked against it by the verification suites."""
     q = i.carrier
-    require_commutative(q)
     for a in range(q.n):
         if q.down[a] & ~i.members == 0:
             continue
@@ -82,15 +80,13 @@ class Decomposition:
     """target presented as the intersection of components.
 
     kind is "primary" or "irreducible"; radicals[k] is the radical of
-    components[k] (empty tuple for irreducible decompositions); minimal
-    records whether the minimality conditions were established.
+    components[k] (empty tuple for irreducible decompositions).
     """
 
     target: Ideal
     kind: str
     components: tuple[Ideal, ...]
     radicals: tuple[Ideal, ...]
-    minimal: bool
 
     def __repr__(self) -> str:
         parts = ", ".join(c.name for c in self.components)
@@ -136,7 +132,6 @@ def primary_candidates(i: Ideal) -> list[Ideal]:
 def primary_decomposition(i: Ideal) -> Decomposition:
     """A minimal primary decomposition, or NotDecomposable carrying the
     smallest reachable intersection as the gap."""
-    require_commutative(i.carrier)
     if not i.proper:
         raise NotProper(f"{i.name} is the whole carrier")
     q = i.carrier
@@ -184,13 +179,11 @@ def _merge_and_prune(target: Ideal, components) -> Decomposition:
         kind="primary",
         components=tuple(sel),
         radicals=tuple(radical(c) for c in sel),
-        minimal=True,
     )
 
 
 def irreducible_decomposition(i: Ideal) -> Decomposition:
     """An irredundant intersection of irreducible ideals containing i."""
-    require_commutative(i.carrier)
     if not i.proper:
         raise NotProper(f"{i.name} is the whole carrier")
     q = i.carrier
@@ -207,7 +200,6 @@ def irreducible_decomposition(i: Ideal) -> Decomposition:
         kind="irreducible",
         components=tuple(sel),
         radicals=(),
-        minimal=True,
     )
 
 
@@ -423,7 +415,6 @@ def arithmetic_equivalence_check(q: FiniteQuantale) -> ArithmeticReport:
 def minimal_strongly_irreducible_over(i: Ideal) -> Ideal:
     """An inclusion-minimal strongly irreducible ideal containing i;
     ties break toward the lowest apex index."""
-    require_commutative(i.carrier)
     if not i.proper:
         raise NotProper(f"{i.name} is the whole carrier")
     ideals = enumerate_ideals(i.carrier)

@@ -30,7 +30,8 @@ class TooLarge(QuantaleError):
 
 
 class NotCommutative(QuantaleError):
-    """Ideal-theoretic operations require a commutative multiplication."""
+    """Ideal-theoretic operations require a commutative multiplication: no
+    Ideal is made on a noncommutative carrier (see core.FiniteQuantale.interned)."""
 
 
 class CarrierMismatch(QuantaleError):

@@ -17,14 +17,12 @@ byte-slice tables q.zero_folds and q.image_folds (see core.FiniteQuantale),
 one lookup per byte of the mask.  Since a memo or table holds the
 definition's own result, it is exact, on broken tables too.
 
-On a noncommutative carrier enumerate_ideals and generated raise
-NotCommutative, and so does everything that calls them: ideal_quantale
-and extension here, and the routines of classify and decompose that
-enumerate ideals.  Other routines there call require_commutative
-themselves where they need commutativity.
-principal, as_ideal, product_ideals, product_closure, residual and
-annihilator refuse nothing: they return their definitional masks on any
-table.
+No ideal exists on a noncommutative carrier: q.interned, through which
+every Ideal is made, raises NotCommutative there.  The routines that take
+a carrier and could answer before making an ideal check for themselves:
+generated here; maximal_ideals, zero_divisors, is_qd, mc_set,
+mc_generated, all_mc_sets and prime_avoidance in classify.  is_ideal,
+is_mc and saturation answer on any table.
 """
 
 from __future__ import annotations
@@ -221,7 +219,6 @@ def enumerate_ideals(q: FiniteQuantale) -> list[Ideal]:
     """All ideals, one per carrier element (the principal down-sets), in
     element index order.  The brute-force subset filter that justifies
     this lives in the collapse verification suite."""
-    require_commutative(q)
     return list(q.principals)
 
 

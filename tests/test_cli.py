@@ -19,6 +19,7 @@ GOLDEN = DATA / "golden"
 Q4 = str(DATA / "q4.quant")
 L3 = str(DATA / "l3.quant")
 NONDEC = str(DATA / "nondec.quant")
+NC = str(DATA / "nc.quant")
 HOM = str(DATA / "q4_to_c2.hom")
 BAD_HOM = str(DATA / "q4_to_c2_bad.hom")
 
@@ -207,6 +208,31 @@ def test_exit_code_domain_errors(capsys):
     # the whole ideal cannot be decomposed either: properness fails
     code, _, err = run(capsys, "decompose", L3, "--below", "2")
     assert code == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["ideals", NC],
+        ["classify", NC, "--below", "0"],
+        ["classify", NC, "--ideal", "1"],
+        ["spectrum", NC],
+        ["radical", NC, "--below", "0", "--algorithm", "all"],
+        ["decompose", NC, "--below", "0"],
+        ["decompose", NC, "--below", "0", "--kind", "irreducible"],
+        ["gen", f"ideal_quantale:{NC}"],
+    ],
+)
+def test_noncommutative_file_is_a_domain_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err == "qk: nc has a noncommutative multiplication\n"
+
+
+def test_check_reports_a_noncommutative_file(capsys):
+    code, out, _ = run(capsys, "check", NC)
+    assert code == 1
+    assert "commutative\tfalse" in out
 
 
 def test_exit_code_usage_errors(capsys, tmp_path):

@@ -39,6 +39,15 @@ from qk.ideals import (
 )
 
 
+def _assert_minimal(d):
+    """Radicals pairwise distinct; no component contains the meet of the others."""
+    q = d.target.carrier
+    assert len(set(d.radicals)) == len(d.radicals)
+    for k, c in enumerate(d.components):
+        others = d.components[:k] + d.components[k + 1 :]
+        assert not meet_all(q, others) <= c
+
+
 def test_irreducible_sets_frozen(q4, m3):
     irr4 = {i.name for i in enumerate_ideals(q4) if is_irreducible(i)}
     assert irr4 == {"↓a", "↓b", "↓top"}
@@ -59,7 +68,7 @@ def test_strong_elementwise_agrees(q4, l3, m3, p3):
 def test_primary_decomposition_q4_zero(q4):
     d = primary_decomposition(zero_ideal(q4))
     assert d.kind == "primary"
-    assert d.minimal
+    _assert_minimal(d)
     assert {c.name for c in d.components} == {"↓a", "↓b"}
     assert {r.name for r in d.radicals} == {"↓a", "↓b"}
     validate_decomposition(d)
@@ -104,10 +113,9 @@ def test_minimize_drops_redundant_component(l3):
         kind="primary",
         components=tuple(comps),
         radicals=tuple(radical(c) for c in comps),
-        minimal=False,
     )
     m = minimize(d)
-    assert m.minimal
+    _assert_minimal(m)
     assert [c.name for c in m.components] == ["↓0"]
 
 
@@ -116,7 +124,7 @@ def test_minimize_rejects_wrong_meet(p3):
     comps = (principal(p3, p3.index("12")),)
     d = Decomposition(
         target=z, kind="primary", components=comps,
-        radicals=(radical(comps[0]),), minimal=False,
+        radicals=(radical(comps[0]),),
     )
     with pytest.raises(InvalidDecomposition):
         minimize(d)
