@@ -31,9 +31,7 @@ lookup per byte.  The memos are keyed by member masks: interned ideals,
 principals, residuals, radicals, primality and stability.  Each is built
 on first use, after the mask that asks for it has been validated, so a
 carrier that is never queried pays nothing, and a carrier made by
-dataclasses.replace (a mutant, say) starts without any of them.  Ideals
-exist on commutative carriers only: interned, through which every Ideal
-is made, raises NotCommutative on any other.
+dataclasses.replace (a mutant, say) starts without any of them.
 """
 
 from __future__ import annotations
