@@ -6,8 +6,8 @@ verification suites require to agree:
 
   powers   x belongs iff one of x, x^2, ... does; q.powers holds each
            element's powers as a mask (they repeat within n steps on an
-           n-element carrier), and q.radicals keeps each radical once
-           computed
+           n-element carrier), and q.interned.radicals keeps each
+           radical once computed
   primes   intersection of the prime ideals containing the target (the
            empty intersection is the whole carrier)
   mcsets   an element belongs iff every multiplicatively closed set
@@ -55,10 +55,10 @@ MC_SETS_MAX_N = 20
 
 def is_prime(i: Ideal) -> bool:
     """Proper, and x & y inside forces x or y inside (memoized per mask)."""
-    q = i.carrier
-    prime = q.primality.get(i.members)
+    primality = i.carrier.interned.primality
+    prime = primality.get(i.members)
     if prime is None:
-        prime = q.primality[i.members] = i.proper and _prime_witness(i) is None
+        prime = primality[i.members] = i.proper and _prime_witness(i) is None
     return prime
 
 
@@ -172,10 +172,11 @@ def radical(i: Ideal, algorithm: str = "powers") -> Ideal:
 
 def _radical_powers(i: Ideal) -> Ideal:
     q, m = i.carrier, i.members
-    out = q.radicals.get(m)
+    radicals = q.interned.radicals
+    out = radicals.get(m)
     if out is None:
         rad = sum(1 << x for x, p in enumerate(q.powers) if p & m)
-        out = q.radicals[m] = q.interned[rad]
+        out = radicals[m] = q.interned[rad]
     return out
 
 
@@ -404,9 +405,10 @@ def prime_avoidance(q: FiniteQuantale, stable, ps: list[Ideal]) -> int:
     """
     require_commutative(q)
     m = _subset_mask(q, stable)
-    violation = q.stability.get(m, _UNSEEN)
+    stability = q.interned.stability
+    violation = stability.get(m, _UNSEEN)
     if violation is _UNSEEN:
-        violation = q.stability[m] = _instability(q, m)
+        violation = stability[m] = _instability(q, m)
     if violation is not None:
         raise HypothesisViolated(*violation)
     for k, p in enumerate(ps[2:], 2):

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import fields, replace
+from dataclasses import fields
 
 from . import classify as cl
 from . import decompose as dc
@@ -218,7 +218,7 @@ def _cmd_verify(args) -> tuple[str, int]:
             raise QuantaleError(
                 f"hom source {hom.source.name!r} does not match instance {q.name!r}"
             )
-        hom = replace(hom, source=q)
+        q = hom.source
     rep = run_suite(q, args.suite, hom=hom, seed=args.seed)
     return rep.format(args.format, timing=args.timing), 0 if rep.ok else 1
 
@@ -299,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--timing", action="store_true", help="include elapsed times")
     p.set_defaults(run=_cmd_verify)
 
-    p = sub.add_parser("gen", parents=[fmt], help="emit a built-in instance")
+    p = sub.add_parser("gen", help="emit a built-in instance")
     p.add_argument(
         "spec", metavar="KIND[:ARG]",
         help="e.g. powerset:3, lukasiewicz:5, m3, lowersets:chain4, opens:sierpinski",
@@ -307,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output", metavar="FILE")
     p.set_defaults(run=_cmd_gen)
 
-    p = sub.add_parser("hom", parents=[fmt], help="operations on hom files")
+    p = sub.add_parser("hom", help="operations on hom files")
     hsub = p.add_subparsers(dest="hom_command", required=True)
     hc = hsub.add_parser("check", parents=[fmt], help="validate a hom file")
     hc.add_argument("homfile")

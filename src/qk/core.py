@@ -27,8 +27,9 @@ exactly what the defining scans compute, on any table, lawful or not.
 The tables are up, powers (the positive powers of each element), and
 zero_folds and image_folds, the byte-slice folds of the annihilator and
 product-image columns, which turn a fold over a subset mask into one
-lookup per byte.  The memos are keyed by member masks: interned ideals,
-principals, residuals, radicals, primality and stability.  Each is built
+lookup per byte.  The memos are interned, the ideals by member mask, and
+principals; interned also holds the ideal layer's memos of residuals,
+radicals, primality and stability (see ideals._Interned).  Each is built
 on first use, after the mask that asks for it has been validated, so a
 carrier that is never queried pays nothing, and a carrier made by
 dataclasses.replace (a mutant, say) starts without any of them.
@@ -104,10 +105,10 @@ class FiniteQuantale:
 
     The cached properties below the tables are derived once per instance.
     The tuple-valued ones are element tables read straight from the
-    tables above.  The dict-valued ones are memos keyed by member masks:
-    ideals and classify fill them with the result of their own
-    definitional scans, so a memo is an exact cache of a definition, never
-    a shortcut for it.
+    tables above.  interned is the memo of ideals by member mask, and it
+    holds the memos that ideals and classify fill with the result of their
+    own definitional scans, so a memo is an exact cache of a definition,
+    never a shortcut for it.
     """
 
     name: str
@@ -191,27 +192,6 @@ class FiniteQuantale:
         """principals[a] = the interned ideal with members down[a]."""
         interned = self.interned
         return tuple(interned[d] for d in self.down)
-
-    @cached_property
-    def residuals(self) -> dict[tuple[int, int], Ideal]:
-        """Memo: (i.members, j.members) -> ideals.residual(i, j)."""
-        return {}
-
-    @cached_property
-    def radicals(self) -> dict[int, Ideal]:
-        """Memo: i.members -> classify.radical(i) by the powers route."""
-        return {}
-
-    @cached_property
-    def primality(self) -> dict[int, bool]:
-        """Memo: ideal mask -> classify.is_prime of that ideal."""
-        return {}
-
-    @cached_property
-    def stability(self) -> dict[int, tuple[str, str] | None]:
-        """Memo: subset mask -> None if it is closed under join and &, else
-        the (hypothesis, message) that classify.prime_avoidance raises."""
-        return {}
 
     def leq(self, i: int, j: int) -> bool:
         return bool(self.down[j] >> i & 1)

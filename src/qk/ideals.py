@@ -10,11 +10,11 @@ verification suites insist the two agree.
 
 Carriers are immutable and meant to be reused.  Ideals are interned in
 the carrier's memo q.interned (see Ideal), which every route here reads
-directly, and residuals read through the memo q.residuals: each is
-computed by its definition once per carrier and mask, and looked up after
-that.  Annihilators and generated ideals fold their columns through the
-byte-slice tables q.zero_folds and q.image_folds (see core.FiniteQuantale),
-one lookup per byte of the mask.  Since a memo or table holds the
+directly, and residuals read through its memo q.interned.residuals: each
+is computed by its definition once per carrier and mask, and looked up
+after that.  Annihilators and generated ideals fold their columns through
+the byte-slice tables q.zero_folds and q.image_folds (see
+core.FiniteQuantale), one lookup per byte of the mask.  Since a memo or table holds the
 definition's own result, it is exact, on broken tables too.
 
 No ideal exists on a noncommutative carrier: q.interned, through which
@@ -112,13 +112,23 @@ class Ideal:
 
 class _Interned(dict):
     """The memo q.interned: member mask -> the one Ideal of q with it.  A
-    lookup of a new mask makes that object, so a hit is one dict lookup."""
+    lookup of a new mask makes that object, so a hit is one dict lookup.
+    Its slots hold the other memos of the ideal calculus on q, keyed by
+    masks and filled with what the definitions compute: residuals (a pair
+    of masks -> residual), radicals (classify.radical by the powers route),
+    primality (classify.is_prime) and stability (the closure verdict of
+    classify.prime_avoidance: None, or the (hypothesis, message) it raises).
+    """
 
-    __slots__ = ("carrier",)
+    __slots__ = ("carrier", "residuals", "radicals", "primality", "stability")
 
     def __init__(self, carrier: FiniteQuantale):
         super().__init__()
         self.carrier = carrier
+        self.residuals: dict[tuple[int, int], Ideal] = {}
+        self.radicals: dict[int, Ideal] = {}
+        self.primality: dict[int, bool] = {}
+        self.stability: dict[int, tuple[str, str] | None] = {}
 
     def __missing__(self, members: int) -> Ideal:
         i = object.__new__(Ideal)
@@ -289,8 +299,9 @@ def residual(i: Ideal, j: Ideal) -> Ideal:
     q = i.carrier
     if j.carrier is not q:
         raise _mismatch(i, j)
+    residuals = q.interned.residuals
     key = (i.members, j.members)
-    out = q.residuals.get(key)
+    out = residuals.get(key)
     if out is None:
         im = i.members
         m = 0
@@ -298,7 +309,7 @@ def residual(i: Ideal, j: Ideal) -> Ideal:
             row = q.mul[x]
             if all(im >> row[y] & 1 for y in bits(j.members)):
                 m |= 1 << x
-        out = q.residuals[key] = q.interned[m]
+        out = residuals[key] = q.interned[m]
     return out
 
 

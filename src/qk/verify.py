@@ -699,7 +699,7 @@ def _suite_avoidance(ctx: _Ctx) -> list[LawResult]:
             return ((m, ps, union) for ps, union in combos)
 
         # the closure test of prime_avoidance, not its memo: only the masks
-        # passed on below may enter q.stability
+        # passed on below may enter q.interned.stability
         return ((m, cases(m)) for m in masks.values() if cl._instability(q, m) is None)
 
     def avoids(m, ps, union):

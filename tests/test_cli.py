@@ -43,6 +43,11 @@ def golden(name):
         ("spectrum_q4.txt", ["spectrum", Q4]),
         ("radical_l3_0.txt", ["radical", L3, "--below", "0", "--algorithm", "all"]),
         ("decompose_q4_bot.txt", ["decompose", Q4, "--below", "bot"]),
+        (
+            "decompose_q4_bot_irreducible.txt",
+            ["decompose", Q4, "--below", "bot", "--kind", "irreducible"],
+        ),
+        ("spectrum_l3.txt", ["spectrum", L3]),
         ("verify_q4_axioms.txt", ["verify", Q4, "--suite", "axioms"]),
         ("hom_check_q4.txt", ["hom", "check", HOM]),
         ("gen_powerset2.txt", ["gen", "powerset:2"]),
@@ -138,6 +143,21 @@ def test_table_format(capsys):
     assert code == 0
     assert "\t" not in out
     assert "status" in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["gen", "--format", "table", "m3"], ["hom", "--format", "table", "check", HOM]],
+)
+def test_format_is_refused_where_it_does_nothing(capsys, argv):
+    code, out, _ = run(capsys, *argv)
+    assert (code, out) == (2, "")
+
+
+def test_hom_check_table_format(capsys):
+    code, out, err = run(capsys, "hom", "check", "--format", "table", HOM)
+    assert (code, err) == (0, "")
+    assert out == "hom     q4_collapse\nsource  q4\ntarget  c2\nvalid   true\n"
 
 
 def test_verify_seed_flag(capsys):

@@ -295,7 +295,8 @@ def test_check_hom_conditions(q4, c2, l3):
     assert bad_mul.witness == (1, 1)
 
 
-def test_hom_identity_and_composition(q4, c2, q4_to_c2):
+def test_hom_identity_and_composition(q4_to_c2):
+    q4, c2 = q4_to_c2.source, q4_to_c2.target
     ident = QuantaleHom.identity(q4)
     assert ident.check().ok
     comp = ident.then(q4_to_c2)

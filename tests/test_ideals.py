@@ -240,7 +240,8 @@ def test_ideal_quantale_is_stable_under_iteration(l3):
     assert once.n == l3.n == twice.n
 
 
-def test_extension_contraction_frozen(q4, c2, q4_to_c2):
+def test_extension_contraction_frozen(q4_to_c2):
+    q4, c2 = q4_to_c2.source, q4_to_c2.target
     e = extension(q4_to_c2, principal(q4, q4.index("a")))
     assert e == whole_ideal(c2)
     c = contraction(q4_to_c2, zero_ideal(c2))

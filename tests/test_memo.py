@@ -76,7 +76,8 @@ def _avoidance(q, m, ps):
         return exc.hypothesis, str(exc)
 
 
-MEMOS = ("interned", "principals", "residuals", "radicals", "primality", "stability")
+MEMOS = ("interned", "principals")
+INTERNED_MEMOS = ("residuals", "radicals", "primality", "stability")
 TABLES = ("powers", "zero_folds", "image_folds")
 
 
@@ -155,6 +156,7 @@ def test_memos_do_not_outlive_their_carrier(q4):
         for j in ideals:
             residual(i, j)
     assert all(vars(base).get(name) for name in (*MEMOS, *TABLES))
+    assert all(getattr(base.interned, name) for name in INTERNED_MEMOS)
 
     mutants = [m for _, _, m in single_cell_mutants(base)]
     for fresh in [replace(base), *mutants]:
@@ -166,7 +168,7 @@ def test_memos_do_not_outlive_their_carrier(q4):
                 im, jm = Ideal(m, i.members), Ideal(m, j.members)
                 got = residual(im, jm).members
                 assert got == _residual_scan(im, jm)
-                differs += got != base.residuals[i.members, j.members].members
+                differs += got != base.interned.residuals[i.members, j.members].members
     assert differs
 
 
@@ -196,7 +198,7 @@ def test_hom_check_is_computed_once_per_hom(q4):
 def test_memo_size_after_a_full_run():
     q = generate_from_spec("lukasiewicz:9")
     assert run_suite(q, "all", seed=7).ok
-    assert 0 < len(q.residuals) <= q.n**2
+    assert 0 < len(q.interned.residuals) <= q.n**2
     # every ideal of a chain is principal and so is every generated set
     # of products there: only the n principal masks are interned
     assert set(q.interned) <= set(q.down)

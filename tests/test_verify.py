@@ -174,6 +174,16 @@ def test_collapse_suite_skips_above_cutoff():
     assert "16" in rep.results[0].note
 
 
+def test_one_element_carrier_skips_only_the_maximal_laws():
+    rep = run_suite(lukasiewicz_quantale(1), "all", seed=0)
+    assert rep.ok and rep.passed == 109
+    skipped = {r.law: r.note for r in rep.results if r.status == "skipped"}
+    note = "degenerate carrier (bottom == top)"
+    assert skipped == dict.fromkeys(
+        ("maximal_exists", "proper_below_maximal", "nilradical_below_jacobson"), note
+    )
+
+
 def test_report_formats(l3):
     rep = run_suite(l3, "axioms")
     rec = rep.format()
