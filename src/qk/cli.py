@@ -12,9 +12,10 @@
     qk hom check HOMFILE               validate a homomorphism file
 
 Output is line oriented: key<TAB>value pairs, records separated by blank
-lines (--format table for an aligned view).  Nothing is timestamped, so
-identical inputs give identical bytes.  Each command returns its text and
-exit status, and main writes the text once.  Exit status: 0 success,
+lines (--format table for an aligned view; gen, which emits .quant text,
+has no --format).  Nothing is timestamped, so identical inputs give
+identical bytes.  Each command returns its text and exit status, and main
+writes the text once.  Exit status: 0 success,
 1 domain failure (failed axioms, failed law, invalid hom, no
 decomposition: any QuantaleError but a QuantFileError), 2 usage error,
 malformed file (QuantFileError, ValueError) or a file that cannot be read
