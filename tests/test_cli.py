@@ -43,14 +43,14 @@ def golden(name):
         ("spectrum_q4.txt", ["spectrum", Q4]),
         ("radical_l3_0.txt", ["radical", L3, "--below", "0", "--algorithm", "all"]),
         ("decompose_q4_bot.txt", ["decompose", Q4, "--below", "bot"]),
+        ("verify_q4_axioms.txt", ["verify", Q4, "--suite", "axioms"]),
+        ("hom_check_q4.txt", ["hom", "check", HOM]),
+        ("gen_powerset2.txt", ["gen", "powerset:2"]),
         (
             "decompose_q4_bot_irreducible.txt",
             ["decompose", Q4, "--below", "bot", "--kind", "irreducible"],
         ),
         ("spectrum_l3.txt", ["spectrum", L3]),
-        ("verify_q4_axioms.txt", ["verify", Q4, "--suite", "axioms"]),
-        ("hom_check_q4.txt", ["hom", "check", HOM]),
-        ("gen_powerset2.txt", ["gen", "powerset:2"]),
     ],
 )
 def test_golden_outputs(capsys, name, argv):
