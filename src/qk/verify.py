@@ -46,7 +46,7 @@ from .core import (
     power,
     power_of_join,
 )
-from .errors import HomRequired, HypothesisViolated, NotDecomposable, TooLarge
+from .errors import HomRequired, HypothesisViolated, NotDecomposable
 from . import classify as cl
 from . import decompose as dc
 from . import ideals as il
@@ -1025,13 +1025,6 @@ def run_suite(
         results=tuple(results),
         elapsed=elapsed,
     )
-
-
-def cross_oracle(q: FiniteQuantale, seed: int | None = None) -> VerificationReport:
-    """The collapse suite on its own; carriers up to 12 elements."""
-    if q.n > CROSS_ORACLE_MAX_N:
-        raise TooLarge(f"cross oracle supports up to {CROSS_ORACLE_MAX_N} elements")
-    return run_suite(q, "collapse", seed=seed)
 
 
 def single_cell_mutants(q: FiniteQuantale):

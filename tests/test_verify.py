@@ -1,12 +1,11 @@
 import pytest
 
 from qk.core import QuantaleHom, build_quantale, check_axioms
-from qk.errors import HomRequired, TooLarge
+from qk.errors import HomRequired
 from qk.generators import lukasiewicz_quantale, powerset_quantale
 from qk.verify import (
     SAMPLE_COUNT,
     SUITE_ORDER,
-    cross_oracle,
     default_homs,
     resolve_seed,
     run_suite,
@@ -158,13 +157,11 @@ def test_seed_resolution(monkeypatch):
 
 def test_cross_oracle(q4, l3, m3):
     for q in (q4, l3, m3):
-        rep = cross_oracle(q)
+        rep = run_suite(q, "collapse")
         assert rep.ok
         laws = {r.law for r in rep.results}
         assert "ideals_match_brute_force" in laws
         assert "radical_algorithms_agree" in laws
-    with pytest.raises(TooLarge):
-        cross_oracle(powerset_quantale(4))
 
 
 def test_collapse_suite_skips_above_cutoff():
