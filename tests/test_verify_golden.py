@@ -4,9 +4,12 @@ Covers the CLI on the bundled carriers, the sampled path (lukasiewicz:9
 samples every sampled law; lowersets:antichain3 at n=8 samples only
 proposition_bpi.generated_meet_lower), the two carriers of the verify-large
 benchmark workload (lukasiewicz:12, powerset:4) and three q4 mutants: one
-whose laws crash, one with many failing witnesses, one noncommutative.
+whose laws crash, one with many failing witnesses, one noncommutative.  The
+first two are also pinned in the law table of --format table, whose detail
+column holds the witnesses and the crash notes.
 """
 
+import re
 from pathlib import Path
 
 import pytest
@@ -14,7 +17,7 @@ import pytest
 from qk.cli import main
 from qk.generators import generate_from_spec
 from qk.quantfile import load_quant
-from qk.verify import run_suite, single_cell_mutants
+from qk.verify import SUITE_ORDER, run_suite, single_cell_mutants
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = DATA / "golden"
@@ -39,11 +42,11 @@ def _spec(spec):
     return render
 
 
-def _mutant(i, j):
+def _mutant(i, j, fmt="records"):
     def render(capsys):
         mutants = {(a, b): m for a, b, m in single_cell_mutants(load_quant(DATA / "q4.quant"))}
         rep = run_suite(mutants[(i, j)], "all", seed=int(SEED))
-        return int(not rep.ok), rep.format()
+        return int(not rep.ok), rep.format(fmt)
 
     return render
 
@@ -66,6 +69,8 @@ CASES = {
     "run_suite_q4_mutant_0_0_seed7.txt": (1, _mutant(0, 0)),
     "run_suite_q4_mutant_1_1_seed7.txt": (1, _mutant(1, 1)),
     "run_suite_q4_mutant_0_1_seed7.txt": (1, _mutant(0, 1)),
+    "run_suite_q4_mutant_0_0_seed7_table.txt": (1, _mutant(0, 0, "table")),
+    "run_suite_q4_mutant_1_1_seed7_table.txt": (1, _mutant(1, 1, "table")),
 }
 
 
@@ -75,3 +80,16 @@ def test_verify_golden(capsys, name):
     code, out = render(capsys)
     assert code == want_code
     assert out == (GOLDEN / name).read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("fmt", ["records", "table"])
+def test_timing_rows_follow_skipped(fmt):
+    rep = run_suite(load_quant(DATA / "l3.quant"), "all", seed=int(SEED))
+    lines = rep.format(fmt, timing=True).splitlines()
+    at = lines.index(f"skipped\t{rep.skipped}") + 1
+    rows = [line.split("\t") for line in lines[at : at + len(SUITE_ORDER)]]
+    assert [key for key, _ in rows] == [f"elapsed.{s}" for s in SUITE_ORDER]
+    assert all(re.fullmatch(r"\d+\.\d{3}", value) for _, value in rows)
+    # the rest of the report is the untimed one
+    del lines[at : at + len(SUITE_ORDER)]
+    assert "\n".join(lines) + "\n" == rep.format(fmt)
