@@ -13,7 +13,8 @@
 
 Output is line oriented: key<TAB>value pairs, records separated by blank
 lines (--format table for an aligned view; gen, which emits .quant text,
-has no --format).  Nothing is timestamped, so identical inputs give
+has no --format).  The format is written by qk.records alone, for verify's
+report as for every other command.  Nothing is timestamped, so identical inputs give
 identical bytes.  Each command returns its text and exit status, and main
 writes the text once.  Exit status: 0 success,
 1 domain failure (failed axioms, failed law, invalid hom, no
@@ -38,39 +39,8 @@ from .core import FiniteQuantale, check_axioms
 from .errors import QuantaleError, QuantFileError
 from .generators import generate_from_spec
 from .quantfile import load_hom, load_quant, write_quant
+from .records import Records
 from .verify import SUITE_ORDER, run_suite
-
-
-def _fmt_val(v) -> str:
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, (list, tuple)):
-        return " ".join(_fmt_val(x) for x in v) if v else "-"
-    return str(v)
-
-
-class _Out:
-    """Accumulates key/value rows; renders records or an aligned table."""
-
-    def __init__(self):
-        self.rows: list[tuple[str, str] | None] = []
-
-    def put(self, key: str, value) -> None:
-        self.rows.append((key, _fmt_val(value)))
-
-    def sep(self) -> None:
-        if self.rows and self.rows[-1] is not None:
-            self.rows.append(None)
-
-    def render(self, fmt: str) -> str:
-        while self.rows and self.rows[-1] is None:
-            self.rows.pop()
-        if fmt == "table":
-            w = max((len(k) for r in self.rows if r for k in (r[0],)), default=0) + 2
-            lines = ["" if r is None else f"{r[0]:<{w}}{r[1]}" for r in self.rows]
-        else:
-            lines = ["" if r is None else f"{r[0]}\t{r[1]}" for r in self.rows]
-        return "\n".join(lines) + "\n"
 
 
 def _target_ideal(q: FiniteQuantale, args) -> il.Ideal:
@@ -94,7 +64,7 @@ def _add_target(p: argparse.ArgumentParser) -> None:
 def _cmd_check(args) -> tuple[str, int]:
     q = load_quant(args.file)
     rep = check_axioms(q)
-    out = _Out()
+    out = Records()
     out.put("instance", q.name)
     out.put("elements", q.n)
     out.put("lattice", rep.lattice_ok)
@@ -111,7 +81,7 @@ def _cmd_check(args) -> tuple[str, int]:
 def _cmd_ideals(args) -> tuple[str, int]:
     q = load_quant(args.file)
     ideals = il.enumerate_ideals(q)
-    out = _Out()
+    out = Records()
     out.put("instance", q.name)
     out.put("count", len(ideals))
     for i in ideals:
@@ -127,7 +97,7 @@ def _cmd_classify(args) -> tuple[str, int]:
     q = load_quant(args.file)
     i = _target_ideal(q, args)
     c = cl.classification(i)
-    out = _Out()
+    out = Records()
     out.put("instance", q.name)
     out.put("ideal", i.name)
     out.put("members", i.labels())
@@ -143,7 +113,7 @@ def _cmd_classify(args) -> tuple[str, int]:
 def _cmd_spectrum(args) -> tuple[str, int]:
     q = load_quant(args.file)
     primes = cl.spectrum(q)
-    out = _Out()
+    out = Records()
     out.put("instance", q.name)
     out.put("count", len(primes))
     for p in primes:
@@ -169,7 +139,7 @@ def _cmd_spectrum(args) -> tuple[str, int]:
 def _cmd_radical(args) -> tuple[str, int]:
     q = load_quant(args.file)
     i = _target_ideal(q, args)
-    out = _Out()
+    out = Records()
     out.put("instance", q.name)
     out.put("ideal", i.name)
     algs = ("powers", "primes", "mcsets") if args.algorithm == "all" else (args.algorithm,)
@@ -186,7 +156,7 @@ def _cmd_radical(args) -> tuple[str, int]:
 def _cmd_decompose(args) -> tuple[str, int]:
     q = load_quant(args.file)
     i = _target_ideal(q, args)
-    out = _Out()
+    out = Records()
     out.put("instance", q.name)
     out.put("ideal", i.name)
     out.put("kind", args.kind)
@@ -236,7 +206,7 @@ def _cmd_gen(args) -> tuple[str, int]:
 def _cmd_hom(args) -> tuple[str, int]:
     h = load_hom(args.homfile)
     rep = h.check()
-    out = _Out()
+    out = Records()
     out.put("hom", h.name)
     out.put("source", h.source.name)
     out.put("target", h.target.name)

@@ -47,6 +47,7 @@ from .core import (
     power_of_join,
 )
 from .errors import HomRequired, HypothesisViolated, NotDecomposable
+from .records import Records
 from . import classify as cl
 from . import decompose as dc
 from . import ideals as il
@@ -121,37 +122,40 @@ class VerificationReport:
         return [r for r in self.results if r.status == "fail"]
 
     def format(self, fmt: str = "records", timing: bool = False) -> str:
-        lines = [
-            f"instance\t{self.instance}",
-            f"suite\t{self.suite}",
-            f"seed\t{self.seed}",
-            f"laws\t{len(self.results)}",
-            f"passed\t{self.passed}",
-            f"failed\t{self.failed}",
-            f"skipped\t{self.skipped}",
-        ]
+        """The header record, then one record per law; in the table style,
+        the header record then the aligned law table."""
+        out = Records()
+        out.put("instance", self.instance)
+        out.put("suite", self.suite)
+        out.put("seed", self.seed)
+        out.put("laws", len(self.results))
+        out.put("passed", self.passed)
+        out.put("failed", self.failed)
+        out.put("skipped", self.skipped)
         if timing:
             for s, dt in self.elapsed.items():
-                lines.append(f"elapsed.{s}\t{dt:.3f}")
+                out.put(f"elapsed.{s}", f"{dt:.3f}")
         if fmt == "table":
-            w = max(len(f"{r.suite}.{r.law}") for r in self.results) + 2
-            lines.append("")
-            lines.append(f"{'law':<{w}}{'status':<9}{'checked':<9}detail")
-            for r in self.results:
-                detail = " ".join(r.witness) if r.witness else r.note
-                lines.append(
-                    f"{r.suite + '.' + r.law:<{w}}{r.status:<9}{r.checked:<9}{detail}".rstrip()
-                )
-            return "\n".join(lines) + "\n"
+            return out.render() + "\n" + self._law_table()
         for r in self.results:
-            lines.append("")
-            lines.append(f"law\t{r.suite}.{r.law}")
-            lines.append(f"status\t{r.status}")
-            lines.append(f"checked\t{r.checked}")
+            out.sep()
+            out.put("law", f"{r.suite}.{r.law}")
+            out.put("status", r.status)
+            out.put("checked", r.checked)
             if r.witness is not None:
-                lines.append(f"witness\t{' '.join(r.witness) or '-'}")
+                out.put("witness", r.witness)
             if r.note:
-                lines.append(f"note\t{r.note}")
+                out.put("note", r.note)
+        return out.render()
+
+    def _law_table(self) -> str:
+        w = max(len(f"{r.suite}.{r.law}") for r in self.results) + 2
+        lines = [f"{'law':<{w}}{'status':<9}{'checked':<9}detail"]
+        for r in self.results:
+            detail = " ".join(r.witness) if r.witness else r.note
+            lines.append(
+                f"{r.suite + '.' + r.law:<{w}}{r.status:<9}{r.checked:<9}{detail}".rstrip()
+            )
         return "\n".join(lines) + "\n"
 
 
