@@ -8,6 +8,8 @@ loaded instance.  The qk command exposes the same operations on .quant
 text files.
 """
 
+import types
+
 from .core import (
     AxiomReport,
     FiniteQuantale,
@@ -123,101 +125,7 @@ from .verify import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AxiomReport",
-    "ArithmeticReport",
-    "CarrierMismatch",
-    "Classification",
-    "Decomposition",
-    "Degenerate",
-    "DuplicateLabel",
-    "EmptyGeneratorSet",
-    "FiniteQuantale",
-    "HomInvalid",
-    "HomReport",
-    "HomRequired",
-    "HypothesisViolated",
-    "Ideal",
-    "IdealQuantale",
-    "InvalidDecomposition",
-    "LawResult",
-    "McSet",
-    "MissingBound",
-    "NoAvoidingIdeal",
-    "NotALattice",
-    "NotAPartialOrder",
-    "NotCommutative",
-    "NotDecomposable",
-    "NotMc",
-    "NotPrimary",
-    "NotPrime",
-    "NotProper",
-    "QuantFileError",
-    "QuantSyntaxError",
-    "QuantaleError",
-    "QuantaleHom",
-    "RowArity",
-    "TooLarge",
-    "UndeclaredLabel",
-    "UniquenessReport",
-    "VerificationReport",
-    "all_posets",
-    "all_topologies",
-    "annihilator",
-    "arithmetic_equivalence_check",
-    "build_quantale",
-    "check_axioms",
-    "check_hom",
-    "classification",
-    "contraction",
-    "enumerate_ideals",
-    "extension",
-    "generate",
-    "generated",
-    "ideal_quantale",
-    "irreducible_decomposition",
-    "is_arithmetic",
-    "is_ideal",
-    "is_irreducible",
-    "is_local",
-    "is_primary",
-    "is_prime",
-    "is_semiprime",
-    "is_strongly_irreducible",
-    "is_unit",
-    "jacobson",
-    "join_ideals",
-    "load_hom",
-    "load_quant",
-    "lowersets_quantale",
-    "lukasiewicz_quantale",
-    "m3_quantale",
-    "maximal_ideals",
-    "mc_generated",
-    "meet_ideals",
-    "minimal_primes_over",
-    "minimize",
-    "nilradical",
-    "opens_quantale",
-    "parse_hom",
-    "parse_quant",
-    "power",
-    "power_of_join",
-    "powerset_quantale",
-    "primary_decomposition",
-    "prime_avoidance",
-    "primes_over",
-    "principal",
-    "product_ideals",
-    "radical",
-    "residual",
-    "run_suite",
-    "saturation",
-    "save_quant",
-    "single_cell_mutants",
-    "spectrum",
-    "uniqueness_report",
-    "whole_ideal",
-    "write_quant",
-    "zero_ideal",
-]
+# the export list is the imports above: every public name but the submodules
+__all__ = sorted(
+    k for k, v in globals().items() if k[0] != "_" and not isinstance(v, types.ModuleType)
+)

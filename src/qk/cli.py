@@ -13,10 +13,10 @@
 
 Output is line oriented: key<TAB>value pairs, records separated by blank
 lines (--format table for an aligned view; gen, which emits .quant text,
-has no --format).  The format is written by qk.records alone, for verify's
-report as for every other command.  Nothing is timestamped, so identical inputs give
-identical bytes.  Each command returns its text and exit status, and main
-writes the text once.  Exit status: 0 success,
+has no --format).  qk.records alone writes the format, for verify's report
+as for every other command.  Nothing is timestamped, so identical inputs
+give identical bytes.  Each command returns its text and exit status, and
+main writes the text once.  Exit status: 0 success,
 1 domain failure (failed axioms, failed law, invalid hom, no
 decomposition: any QuantaleError but a QuantFileError), 2 usage error,
 malformed file (QuantFileError, ValueError) or a file that cannot be read

@@ -70,8 +70,8 @@ if TYPE_CHECKING:
     from .ideals import Ideal
 
 # The slowest carrier at the cap is lowersets:chain543, where Light's test
-# needs every element: check_axioms 4.5 s, qk gen 7.2-7.4 s (2-core VM,
-# Python 3.11; lukasiewicz:544 takes 0.62 s and 2.0 s)
+# needs every element: check_axioms 4.5 s, qk gen 5.5-6.1 s, qk check
+# 4.9-5.7 s (2-core VM, Python 3.11; lukasiewicz:544 takes 0.62 s and 2.0 s)
 ELEMENT_CAP = 544
 
 

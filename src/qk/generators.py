@@ -49,13 +49,37 @@ def _checked(q: FiniteQuantale) -> FiniteQuantale:
     return q
 
 
-def _subset_label(s: int, points: int) -> str:
-    """bot for the empty set, top for the full set, else the point digits."""
-    if s == 0:
-        return "bot"
-    if s == (1 << points) - 1 and points > 1:
-        return "top"
-    return "".join(str(p + 1) for p in bits(s))
+def _subset_labels(family: list[int], points: int) -> list[str]:
+    """The label of each set of family: bot for the empty set, top for the
+    full set (of 2 or more points), else its points' names (1-based) run
+    together below 10 points.  From 10 points on, a set is named by its
+    maximal points, comma separated, as it is the union of the least sets
+    holding them; points that no set separates count as one, the lowest.
+    family is sorted by size and closed under union and intersection."""
+    least, seen = {}, 0
+    for s in family:
+        for p in bits(s & ~seen):
+            least[p] = s
+        seen |= s
+    same: dict[int, int] = {}  # a least set -> the points it is least for
+    for p, s in least.items():
+        same[s] = same.get(s, 0) | 1 << p
+    members = set(family)
+
+    def label(s: int) -> str:
+        if s == 0:
+            return "bot"
+        if s == (1 << points) - 1 and points > 1:
+            return "top"
+        if points < 10:
+            return "".join(str(p + 1) for p in bits(s))
+        # p's class is maximal in s iff s without it is still a member
+        return ",".join(
+            str(p + 1) for p in bits(s)
+            if (c := same[least[p]]) & -c == 1 << p and s & ~c in members
+        )
+
+    return [label(s) for s in family]
 
 
 def _set_quantale(points: int, sets: Iterable[int], name: str) -> FiniteQuantale:
@@ -63,7 +87,7 @@ def _set_quantale(points: int, sets: Iterable[int], name: str) -> FiniteQuantale
     by inclusion, multiplied by intersection.  The family must be closed
     under union and intersection and contain the empty and full set."""
     family = sorted(set(sets), key=lambda s: (bin(s).count("1"), s))
-    labels = [_subset_label(s, points) for s in family]
+    labels = _subset_labels(family, points)
     pairs = [
         (labels[i], labels[j])
         for i, a in enumerate(family)
@@ -215,30 +239,6 @@ def all_topologies(max_points: int) -> list[tuple[int, tuple[int, ...]]]:
     return out
 
 
-def generate(kind: str, arg=None) -> FiniteQuantale:
-    """Dispatch on kind; every result has passed check_axioms.
-
-    kinds: powerset (arg k), lukasiewicz (arg n), lowersets (arg (points,
-    relations)), opens (arg (points, open sets)), m3, ideal_quantale
-    (arg a carrier).  A count may also be given as its decimal text.
-    """
-    if kind == "powerset":
-        return powerset_quantale(int(arg))
-    if kind == "lukasiewicz":
-        return lukasiewicz_quantale(int(arg))
-    if kind == "lowersets":
-        points, relations = arg
-        return lowersets_quantale(points, relations)
-    if kind == "opens":
-        points, opens = arg
-        return opens_quantale(points, opens)
-    if kind == "m3":
-        return m3_quantale()
-    if kind == "ideal_quantale":
-        return _checked(ideal_quantale(arg).quantale)
-    raise ValueError(f"unknown generator kind {kind!r}")
-
-
 _NAMED_TOPOLOGIES = {
     "sierpinski": (2, (0b00, 0b01, 0b11)),
     "discrete1": (1, (0b0, 0b1)),
@@ -278,16 +278,37 @@ def _parse_opens_arg(text: str) -> tuple[int, tuple[int, ...]]:
     return points, tuple(fam)
 
 
+# kind -> (reads the argument of a KIND:ARG spec, builds from the argument)
+_KINDS = {
+    "powerset": (str, lambda k: powerset_quantale(int(k))),
+    "lukasiewicz": (str, lambda n: lukasiewicz_quantale(int(n))),
+    "lowersets": (_parse_poset_arg, lambda a: lowersets_quantale(*a)),
+    "opens": (_parse_opens_arg, lambda a: opens_quantale(*a)),
+    "m3": (str, lambda _: m3_quantale()),
+    "ideal_quantale": (load_quant, lambda q: _checked(ideal_quantale(q).quantale)),
+}
+
+
+def _kind(kind: str):
+    if kind not in _KINDS:
+        raise ValueError(f"unknown generator kind {kind!r}")
+    return _KINDS[kind]
+
+
+def generate(kind: str, arg=None) -> FiniteQuantale:
+    """Dispatch on kind; every result has passed check_axioms.
+
+    kinds: powerset (arg k), lukasiewicz (arg n), lowersets (arg (points,
+    relations)), opens (arg (points, open sets)), m3, ideal_quantale
+    (arg a carrier).  A count may also be given as its decimal text.
+    """
+    return _kind(kind)[1](arg)
+
+
 def generate_from_spec(spec: str) -> FiniteQuantale:
     """CLI form KIND[:ARG], e.g. powerset:2, lowersets:chain3, opens:sierpinski,
     lukasiewicz:5, m3, ideal_quantale:FILE (FILE is read by load_quant).
 
-    Only the argument is read here; generate dispatches on the kind."""
+    Only the argument is read here; generate builds the carrier."""
     kind, _, arg = spec.partition(":")
-    if kind == "lowersets":
-        arg = _parse_poset_arg(arg)
-    elif kind == "opens":
-        arg = _parse_opens_arg(arg)
-    elif kind == "ideal_quantale":
-        arg = load_quant(arg)
-    return generate(kind, arg)
+    return generate(kind, _kind(kind)[0](arg))

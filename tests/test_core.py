@@ -339,3 +339,11 @@ def test_closure_up_is_the_reachability_fixpoint(case):
             break
         reach = grown
     assert _closure_up(n, pairs) == [sum(1 << j for j in r) for r in reach]
+
+
+def test_package_exports_its_public_names_but_not_its_submodules():
+    import qk
+
+    assert {"run_suite", "check_axioms", "generate", "VerificationReport"} <= set(qk.__all__)
+    assert not {"core", "verify", "records", "types"} & set(qk.__all__)
+    assert all(hasattr(qk, k) for k in qk.__all__)

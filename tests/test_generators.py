@@ -18,7 +18,7 @@ from qk.generators import (
     opens_quantale,
     powerset_quantale,
 )
-from qk.quantfile import load_quant, write_quant
+from qk.quantfile import load_quant, parse_quant, write_quant
 from qk.verify import single_cell_mutants
 
 DATA = Path(__file__).parent / "data"
@@ -215,3 +215,38 @@ def test_random_poset_lowersets_pass_axioms(data):
     except NotAPartialOrder:
         return
     assert check_axioms(q).ok
+
+
+def _round_trips(q):
+    text = write_quant(q)
+    back = parse_quant(text)
+    assert write_quant(back) == text and check_axioms(back).ok
+    return back
+
+
+def test_labels_from_ten_points_name_the_maximal_points():
+    # {2, 3} and {23} once both printed as 23; {1, 2} and {12} as 12
+    q = _round_trips(generate_from_spec("lowersets:13:2<3,3<4,4<5,5<6,6<7,7<8,8<9,9<10"))
+    assert q.n == 160 and len(set(q.elements)) == 160
+    # points 3..11 form a chain, so its lower sets are named by their top
+    assert {"12", "13", "1,2", "12,13", "1,2,11", "11"} <= set(q.elements)
+    assert "3,4" not in q.elements
+    assert _round_trips(generate_from_spec("lowersets:chain12")).elements == (
+        "bot", *(str(p) for p in range(1, 12)), "top",
+    )
+
+
+def test_opens_on_twelve_points_get_distinct_labels():
+    # three blocks of four points that no open set separates, and any union
+    blocks = (0xF, 0xF0, 0xF00)
+    opens = [sum(b for k, b in enumerate(blocks) if pick >> k & 1) for pick in range(8)]
+    q = _round_trips(opens_quantale(12, opens))
+    assert q.elements == ("bot", "1", "5", "9", "1,5", "1,9", "5,9", "top")
+    nested = _round_trips(opens_quantale(12, [0, *((1 << k) - 1 for k in range(2, 13))]))
+    assert nested.elements == ("bot", "1", *(str(p) for p in range(3, 12)), "top")
+
+
+def test_labels_below_ten_points_run_the_point_names_together():
+    q = lowersets_quantale(9, [(0, 1)])
+    # every point is named, so {1, 2} is 12 although 2 alone is its maximal point
+    assert "13456789" in q.elements and "12" in q.elements and "2" not in q.elements
