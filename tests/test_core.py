@@ -3,6 +3,7 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import qk
 from qk.core import (
     QuantaleHom,
     _closure_up,
@@ -342,8 +343,6 @@ def test_closure_up_is_the_reachability_fixpoint(case):
 
 
 def test_package_exports_its_public_names_but_not_its_submodules():
-    import qk
-
     assert {"run_suite", "check_axioms", "generate", "VerificationReport"} <= set(qk.__all__)
     assert not {"core", "verify", "records", "types"} & set(qk.__all__)
     assert all(hasattr(qk, k) for k in qk.__all__)
