@@ -30,6 +30,7 @@ from dataclasses import dataclass, field
 
 from .core import FiniteQuantale, _subset_mask, bits
 from .errors import (
+    CarrierMismatch,
     Degenerate,
     HypothesisViolated,
     NoAvoidingIdeal,
@@ -391,29 +392,32 @@ def _instability(q: FiniteQuantale, m: int) -> tuple[str, str] | None:
     return None
 
 
-_UNSEEN = object()
-
-
 def prime_avoidance(q: FiniteQuantale, stable, ps: list[Ideal]) -> int:
     """A member of the stable set outside the union of the given ideals:
     the lowest one.
 
     Hypotheses (violations raise HypothesisViolated naming the failure):
     the set is closed under join and &; every ideal from the third on is
-    prime; the set is contained in none of the ideals.  The closure verdict
-    and primality are computed once per mask and carrier.  ps is only read.
+    prime; the set is contained in none of the ideals.  The first two hold
+    of the input as a whole and are checked here; _avoiding checks the
+    third and finds the witness.  ps, ideals of q, is only read.
     """
     require_commutative(q)
     m = _subset_mask(q, stable)
-    stability = q.interned.stability
-    violation = stability.get(m, _UNSEEN)
-    if violation is _UNSEEN:
-        violation = stability[m] = _instability(q, m)
+    for p in ps:
+        if p.carrier is not q:
+            raise CarrierMismatch(f"{p.name} is not an ideal of {q.name}")
+    violation = _instability(q, m)
     if violation is not None:
         raise HypothesisViolated(*violation)
     for k, p in enumerate(ps[2:], 2):
         if not is_prime(p):
             raise HypothesisViolated("prime_tail", f"ideal {k + 1} ({p.name}) is not prime")
+    return _avoiding(m, ps)
+
+
+def _avoiding(m: int, ps: list[Ideal]) -> int:
+    """prime_avoidance once the closure and the prime tail are checked."""
     union = 0
     for k, p in enumerate(ps):
         if m & ~p.members == 0:

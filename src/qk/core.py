@@ -42,7 +42,7 @@ zero_folds and image_folds, the byte-slice folds of the annihilator and
 product-image columns, which turn a fold over a subset mask into one
 lookup per byte.  The memos are interned, the ideals by member mask, and
 principals; interned also holds the ideal layer's memos of residuals,
-radicals, primality and stability (see ideals._Interned).  Each is built
+radicals and primality (see ideals._Interned).  Each is built
 on first use, after the mask that asks for it has been validated, so a
 carrier that is never queried pays nothing, and a carrier made by
 dataclasses.replace (a mutant, say) starts without any of them.

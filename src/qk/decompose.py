@@ -29,6 +29,7 @@ from .errors import (
 )
 from .ideals import (
     Ideal,
+    _mismatch,
     enumerate_ideals,
     join_ideals,
     meet_all,
@@ -265,6 +266,8 @@ def isolated_component_formula(i: Ideal, p: Ideal) -> Ideal:
     """The unique component at an isolated prime p: all a with a & b in i
     for some b outside p."""
     q = i.carrier
+    if p.carrier is not q:
+        raise _mismatch(i, p)
     out = 0
     outside = q.full & ~p.members
     for a in range(q.n):

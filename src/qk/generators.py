@@ -162,11 +162,17 @@ def opens_quantale(
     name: str | None = None,
 ) -> FiniteQuantale:
     """Open sets of a finite topology, given as bitmasks or frozensets."""
-    fam = set()
-    for s in opens:
-        fam.add(s if isinstance(s, int) else sum(1 << p for p in s))
-    full = (1 << points) - 1
-    if 0 not in fam or full not in fam:
+    if points < 0:
+        raise ValueError(f"a space has 0 or more points, got {points}")
+    fam = {s if isinstance(s, int) else sum(1 << p for p in s) for s in opens}
+    if any(s < 0 for s in fam):
+        raise ValueError("open sets are masks of 0 or more")
+    if stray := sorted({points + p for s in fam for p in bits(s >> points)}):
+        raise ValueError(f"points {stray} are not among 0..{points - 1}")
+    if len(fam) > ELEMENT_CAP:
+        raise TooLarge(f"{len(fam)} open sets exceed the cap of {ELEMENT_CAP}")
+    # every set lies inside the full one, so it is there iff the largest is full
+    if 0 not in fam or max(fam).bit_count() != points:
         raise ValueError("a topology contains the empty and the full set")
     for a in fam:
         for b in fam:

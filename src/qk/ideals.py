@@ -12,9 +12,10 @@ Carriers are immutable and meant to be reused.  Ideals are interned in
 the carrier's memo q.interned (see Ideal), which every route here reads
 directly, and residuals read through its memo q.interned.residuals: each
 is computed by its definition once per carrier and mask, and looked up
-after that.  Annihilators and generated ideals fold their columns through
-the byte-slice tables q.zero_folds and q.image_folds (see
-core.FiniteQuantale), one lookup per byte of the mask.  Since a memo or table holds the
+after that.  Its other memos, radicals and primality, serve classify.
+Annihilators and generated ideals fold their columns through the
+byte-slice tables q.zero_folds and q.image_folds (see core.FiniteQuantale),
+one lookup per byte of the mask.  Since a memo or table holds the
 definition's own result, it is exact, on broken tables too.
 
 No ideal exists on a noncommutative carrier: q.interned, through which
@@ -115,12 +116,11 @@ class _Interned(dict):
     lookup of a new mask makes that object, so a hit is one dict lookup.
     Its slots hold the other memos of the ideal calculus on q, keyed by
     masks and filled with what the definitions compute: residuals (a pair
-    of masks -> residual), radicals (classify.radical by the powers route),
-    primality (classify.is_prime) and stability (the closure verdict of
-    classify.prime_avoidance: None, or the (hypothesis, message) it raises).
+    of masks -> residual), radicals (classify.radical by the powers route)
+    and primality (classify.is_prime).
     """
 
-    __slots__ = ("carrier", "residuals", "radicals", "primality", "stability")
+    __slots__ = ("carrier", "residuals", "radicals", "primality")
 
     def __init__(self, carrier: FiniteQuantale):
         super().__init__()
@@ -128,7 +128,6 @@ class _Interned(dict):
         self.residuals: dict[tuple[int, int], Ideal] = {}
         self.radicals: dict[int, Ideal] = {}
         self.primality: dict[int, bool] = {}
-        self.stability: dict[int, tuple[str, str] | None] = {}
 
     def __missing__(self, members: int) -> Ideal:
         i = object.__new__(Ideal)

@@ -45,7 +45,7 @@ from __future__ import annotations
 import re
 from pathlib import Path
 
-from .core import ELEMENT_CAP, FiniteQuantale, QuantaleHom, bits, build_quantale
+from .core import ELEMENT_CAP, FiniteQuantale, QuantaleHom, _lower_covers, build_quantale
 from .errors import (
     DuplicateLabel,
     QuantSyntaxError,
@@ -180,13 +180,6 @@ def load_quant(path) -> FiniteQuantale:
     return parse_quant(Path(path).read_text(encoding="utf-8"))
 
 
-def _covers(q: FiniteQuantale, lo: int, hi: int) -> bool:
-    if lo == hi or not q.leq(lo, hi):
-        return False
-    between = q.up[lo] & q.down[hi] & ~(1 << lo) & ~(1 << hi)
-    return between == 0
-
-
 def write_quant(q: FiniteQuantale) -> str:
     """Canonical text form; see the module docstring for the guarantees."""
     if not _is_label(q.name):
@@ -195,10 +188,8 @@ def write_quant(q: FiniteQuantale) -> str:
         if not _is_label(lbl):
             raise ValueError(f"element label {lbl!r} cannot be written")
     lines = [f"quantale {q.name}", "elements: " + " ".join(q.elements), "order:"]
-    for lo in range(q.n):
-        for hi in bits(q.up[lo]):
-            if _covers(q, lo, hi):
-                lines.append(f"  {q.elements[lo]} <= {q.elements[hi]}")
+    for lo, upper in enumerate(_lower_covers(q.up)):  # lower covers of the dual order
+        lines.extend(f"  {q.elements[lo]} <= {q.elements[hi]}" for hi in upper)
     lines.append("mul:")
     for i in range(q.n):
         row = " ".join(q.elements[v] for v in q.mul[i])

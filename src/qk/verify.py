@@ -189,11 +189,11 @@ class _Domain(NamedTuple):
     draws: Callable[[], Iterable[tuple[object, Iterable[tuple]]]] | None = None
 
 
-def _drawn(draws, witness, note, replay: bool) -> _Domain:
+def _drawn(draws, witness, note) -> _Domain:
     """The domain whose cases are those of draws(), in order; _run counts
-    repeated draws without evaluating them only if replay."""
+    repeated draws without evaluating them."""
     cases = lambda: itertools.chain.from_iterable(c for _, c in draws())
-    return _Domain(cases, witness, note, draws if replay else None)
+    return _Domain(cases, witness, note, draws)
 
 
 def _over(*axes: _Axis) -> _Domain:
@@ -214,7 +214,7 @@ def _over(*axes: _Axis) -> _Domain:
             return ((v, map((v,).__add__, tails)) for v in values[0])
         return ((h, map(h.__add__, tails)) for h in itertools.product(*values[:inner]))
 
-    return _drawn(draws, witness, note, True)
+    return _drawn(draws, witness, note)
 
 
 class _Law(NamedTuple):
@@ -402,7 +402,7 @@ class _Ctx:
         n, ts = self.q.n, self.subsets(tag)
         if self.exhaustive:  # each pair is a draw of its own
             pairs = lambda: ((t & m, t) for t in ts.values() for m in range(1, t + 1) if t & m)
-            return _drawn(lambda: ((p, (p,)) for p in pairs()), self._pair_witness, "", True)
+            return _drawn(lambda: ((p, (p,)) for p in pairs()), self._pair_witness, "")
 
         def cases():
             rng = self.rng(tag + ".sub")
@@ -687,37 +687,31 @@ def _suite_lpsp(ctx: _Ctx) -> list[LawResult]:
 
 
 def _suite_avoidance(ctx: _Ctx) -> list[LawResult]:
-    q = ctx.q
-    ideals, primes = ctx.ideals, ctx.primes
+    """The lemma's core on the sampled subsets closed under join and &,
+    each with every combination of one ideal, two, or two and a prime: the
+    hypotheses prime_avoidance checks of its input hold by construction."""
+    q, ideals, primes = ctx.q, ctx.ideals, ctx.primes
     masks = ctx.subsets("avoidance.stable")
+    stable = lambda: (m for m in masks.values() if cl._instability(q, m) is None)
+    combos = [[a] for a in ideals]
+    combos += [[a, b] for k, a in enumerate(ideals) for b in ideals[k:]]
+    combos += [[a, b, p] for k, a in enumerate(ideals) for b in ideals[k:] for p in primes]
+    # each combination once, with its union; _avoiding only reads it
+    combos = [(ps, reduce(or_, (p.members for p in ps))) for ps in combos]
 
-    def draws():
-        """A draw is a stable mask with every combination of ideals."""
-        combos = [[a] for a in ideals]
-        combos += [[a, b] for k, a in enumerate(ideals) for b in ideals[k:]]
-        combos += [[a, b, p] for k, a in enumerate(ideals) for b in ideals[k:] for p in primes]
-        # each combination once, with its union; prime_avoidance only reads it
-        combos = [(ps, reduce(or_, (p.members for p in ps))) for ps in combos]
-
-        def cases(m):
-            return ((m, ps, union) for ps, union in combos)
-
-        # the closure test of prime_avoidance, not its memo: only the masks
-        # passed on below may enter q.interned.stability
-        return ((m, cases(m)) for m in masks.values() if cl._instability(q, m) is None)
-
-    def avoids(m, ps, union):
+    def avoids(m, combo):
+        ps, union = combo
         try:
-            x = cl.prime_avoidance(q, m, ps)
+            x = cl._avoiding(m, ps)
         except HypothesisViolated:
             return None
         return bool(m >> x & 1) and not union >> x & 1
 
-    def witness(m, ps, union):
-        return q.labels(m), "/", " ".join(p.name for p in ps)
-
+    names = lambda combo: " ".join(p.name for p in combo[0])
+    domain = _over(masks._replace(values=stable), _Axis(lambda: combos, names))
     return _check("avoidance", [
-        _Law("witness_outside_union", _drawn(draws, witness, masks.note, masks.repeats), avoids),
+        _Law("witness_outside_union", domain, avoids,
+             witness=lambda m, combo: (q.labels(m), "/", names(combo))),
     ])
 
 

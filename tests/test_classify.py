@@ -37,6 +37,7 @@ from qk.classify import (
 from qk.core import build_quantale
 from qk.decompose import is_irreducible, is_strongly_irreducible
 from qk.errors import (
+    CarrierMismatch,
     Degenerate,
     HypothesisViolated,
     NoAvoidingIdeal,
@@ -246,6 +247,14 @@ def test_prime_avoidance_hypotheses(q4):
     # a set reaching outside the carrier is refused before any table lookup
     with pytest.raises(QuantaleError, match=r"indices \[4\] are not elements"):
         prime_avoidance(q4, 1 << q4.n, [a])
+
+
+def test_prime_avoidance_refuses_ideals_of_another_carrier():
+    q, r = generate_from_spec("powerset:2"), generate_from_spec("lukasiewicz:4")
+    with pytest.raises(CarrierMismatch, match="↓1 is not an ideal of powerset2"):
+        prime_avoidance(q, q.full, [principal(r, 1)])
+    with pytest.raises(CarrierMismatch):
+        prime_avoidance(q, 1 << q.top, [zero_ideal(q), principal(r, 0)])
 
 
 def test_mc_indices_outside_the_carrier(q4):

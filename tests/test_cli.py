@@ -310,6 +310,26 @@ def test_oversized_lowersets_exit_at_once(capsys, spec):
 
 
 @pytest.mark.parametrize(
+    "spec,code",
+    [
+        # the discrete topology on 10 points: 1,024 open sets, over the cap
+        ("opens:10:" + ",".join("".join(str(p) for p in range(10) if s >> p & 1) or "-"
+                                for s in range(1 << 10)), 1),
+        ("opens:800000000:-", 2),
+        ("opens:-1:-", 2),
+        ("opens:2:-,5,01", 2),
+    ],
+    ids=["discrete10", "huge", "negative", "stray"],
+)
+def test_bad_opens_exit_at_once(capsys, spec, code):
+    start = time.perf_counter()
+    got, out, err = run(capsys, "gen", spec)
+    assert time.perf_counter() - start < 1.0
+    assert (got, out) == (code, "")
+    assert err.startswith("qk: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["check", "{dir}"],

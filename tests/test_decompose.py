@@ -23,6 +23,7 @@ from qk.decompose import (
     validate_decomposition,
 )
 from qk.errors import (
+    CarrierMismatch,
     InvalidDecomposition,
     NotDecomposable,
     NotPrimary,
@@ -149,6 +150,14 @@ def test_uniqueness_p3(p3):
     by_rad = dict(zip(d.radicals, d.components))
     for p in rep.isolated:
         assert by_rad[p] == isolated_component_formula(i, p)
+
+
+def test_isolated_component_formula_refuses_another_carrier(q4):
+    q, r = generate_from_spec("powerset:2"), generate_from_spec("lukasiewicz:4")
+    with pytest.raises(CarrierMismatch, match=r"\(powerset2, lukasiewicz4\)"):
+        isolated_component_formula(zero_ideal(q), principal(r, 2))
+    with pytest.raises(CarrierMismatch):
+        isolated_component_formula(zero_ideal(q4), principal(replace(q4), q4.index("a")))
 
 
 def test_all_minimal_decompositions_share_radicals(q4, l3, p3):

@@ -1,3 +1,4 @@
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -117,6 +118,41 @@ def test_opens_rejects_non_topology():
     # missing the union {0} | {1}
     with pytest.raises(ValueError):
         opens_quantale(2, (0b00, 0b01, 0b10))
+
+
+def test_opens_refuse_more_than_the_cap():
+    # the discrete topology on 10 points: 1,024 open sets
+    with pytest.raises(TooLarge, match=f"1024 open sets exceed the cap of {ELEMENT_CAP}$"):
+        opens_quantale(10, range(1 << 10))
+
+
+def test_opens_refuse_a_huge_space_without_building_its_full_set():
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="contains the empty and the full set"):
+            opens_quantale(10**8, [0])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+@pytest.mark.parametrize(
+    "spec,message",
+    [
+        ("opens:-1:-", "a space has 0 or more points, got -1"),
+        ("opens:2:-,5,01", r"points \[5\] are not among 0..1"),
+    ],
+)
+def test_opens_name_the_fault(spec, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        generate_from_spec(spec)
+
+
+def test_opens_refuse_a_negative_mask():
+    # a negative int has endless set bits: it once hung the labelling
+    with pytest.raises(ValueError, match="^open sets are masks of 0 or more$"):
+        opens_quantale(1, [0, 1, -1])
 
 
 def test_m3_shape(m3):

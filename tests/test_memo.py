@@ -12,12 +12,14 @@ from itertools import combinations_with_replacement
 
 import pytest
 
-from qk.classify import is_prime, mc_generated, prime_avoidance, radical
+from qk import verify
+from qk.classify import _avoiding, is_prime, mc_generated, prime_avoidance, radical
 from qk.core import QuantaleHom, bits
 from qk.errors import HypothesisViolated, QuantaleError
-from qk.generators import generate_from_spec
+from qk.generators import generate_from_spec, m3_quantale
 from qk.ideals import (
     Ideal,
+    _Interned,
     annihilator,
     enumerate_ideals,
     generated,
@@ -26,9 +28,10 @@ from qk.ideals import (
     product_ideals,
     residual,
 )
-from qk.verify import run_suite, single_cell_mutants
+from qk.quantfile import load_quant
+from qk.verify import _Ctx, run_suite, single_cell_mutants
 
-from oracles import MUTANTS, members
+from oracles import DATA, MUTANTS, members
 
 
 def _residual_scan(i, j):
@@ -76,8 +79,17 @@ def _avoidance(q, m, ps):
         return exc.hypothesis, str(exc)
 
 
+def _outcome(avoid, *args):
+    """What a call of avoid returns, or the type and arguments of the
+    QuantaleError it raises."""
+    try:
+        return avoid(*args)
+    except QuantaleError as exc:
+        return type(exc), exc.args
+
+
 MEMOS = ("interned", "principals")
-INTERNED_MEMOS = ("residuals", "radicals", "primality", "stability")
+INTERNED_MEMOS = tuple(name for name in _Interned.__slots__ if name != "carrier")
 TABLES = ("powers", "zero_folds", "image_folds")
 
 
@@ -120,10 +132,29 @@ def test_prime_avoidance_matches_scan(mutant):
     q = mutant
     ideals = enumerate_ideals(q)
     combos = [c for k in (1, 2, 3) for c in combinations_with_replacement(ideals, k)]
-    for _ in range(2):
-        for m in range(1, q.full + 1):
-            for ps in combos:
-                assert _avoidance(q, m, ps) == _avoidance_scan(q, m, ps)
+    for m in range(1, q.full + 1):
+        for ps in combos:
+            assert _avoidance(q, m, ps) == _avoidance_scan(q, m, ps)
+
+
+@pytest.mark.parametrize(
+    "q",
+    [*MUTANTS, load_quant(DATA / "q4.quant"), load_quant(DATA / "l3.quant"), m3_quantale()],
+    ids=lambda q: q.name,
+)
+def test_avoidance_suite_core_matches_prime_avoidance(q, monkeypatch):
+    """On every case of the avoidance suite (each mask _instability passes,
+    with each combination the suite builds), the core the suite calls
+    answers as the checked entry point does."""
+    q = replace(q)
+    monkeypatch.setattr(verify, "_check", lambda suite, laws: laws)
+    [law] = verify._suite_avoidance(_Ctx(q, 0))
+    masks = set()
+    for m, (ps, _) in law.domain.cases():
+        masks.add(m)
+        assert _outcome(_avoiding, m, ps) == _outcome(prime_avoidance, q, m, ps)
+    stable = (m for m in range(1, q.full + 1) if not isinstance(_avoidance_scan(q, m, []), tuple))
+    assert masks == set(stable)
 
 
 @pytest.mark.parametrize("spec", ["powerset:3", "lukasiewicz:6"])
@@ -150,7 +181,6 @@ def test_memos_do_not_outlive_their_carrier(q4):
     for i in ideals:
         is_prime(i)
         radical(i)
-        _avoidance(base, base.full, [i])
         annihilator(base, i.members)
         generated(base, i.members)
         for j in ideals:

@@ -13,7 +13,12 @@ from qk.errors import (
     TooLarge,
     UndeclaredLabel,
 )
-from qk.generators import lukasiewicz_quantale, m3_quantale, powerset_quantale
+from qk.generators import (
+    generate_from_spec,
+    lukasiewicz_quantale,
+    m3_quantale,
+    powerset_quantale,
+)
 from qk.ideals import ideal_quantale
 from qk.quantfile import (
     load_hom,
@@ -61,6 +66,25 @@ def test_write_is_canonical(q4):
     assert "  bot <= top" not in lines
     assert lines[-1] == "end"
     assert text.endswith("\n")
+
+
+@pytest.mark.parametrize(
+    "spec", ["powerset:4", "lukasiewicz:9", "lowersets:antichain5", "lowersets:5:0<1,0<2,3<4", "m3"]
+)
+def test_order_lines_are_the_covering_pairs(spec):
+    """Each pair lo < hi with nothing strictly between, lo ascending, then hi."""
+    q = generate_from_spec(spec)
+    for c in (q, ideal_quantale(q).quantale):
+        covers = [
+            (lo, hi)
+            for lo in range(c.n)
+            for hi in range(c.n)
+            if lo != hi and c.leq(lo, hi)
+            and not any(m not in (lo, hi) and c.leq(lo, m) and c.leq(m, hi) for m in range(c.n))
+        ]
+        text = write_quant(c)
+        order = text[text.index("order:\n") + 7 : text.index("mul:")].splitlines()
+        assert order == [f"  {c.elements[lo]} <= {c.elements[hi]}" for lo, hi in covers]
 
 
 def test_roundtrip_stability(q4, l3, m3):

@@ -77,7 +77,7 @@ def test_chain8_avoidance_count():
 def _synthetic(keys, holds):
     """A law over draws keys, each of the cases (key, 0), (key, 1), (key, 2)."""
     draws = lambda: [(k, [(k, j) for j in range(3)]) for k in keys]
-    return _Law("law", _drawn(draws, lambda k, j: (str(k), str(j)), "", True), holds)
+    return _Law("law", _drawn(draws, lambda k, j: (str(k), str(j)), ""), holds)
 
 
 def _compare(keys, verdict):
