@@ -42,6 +42,7 @@ from .errors import (
 )
 from .ideals import (
     Ideal,
+    _mismatch,
     enumerate_ideals,
     join_ideals,
     meet_all,
@@ -199,7 +200,9 @@ def is_radical_ideal(i: Ideal) -> bool:
 
 
 def is_p_primary(i: Ideal, p: Ideal) -> bool:
-    """Primary with radical exactly p (which must be prime)."""
+    """Primary with radical exactly p (which must be prime, of i's carrier)."""
+    if p.carrier is not i.carrier:
+        raise _mismatch(i, p)
     if not is_prime(p):
         raise NotPrime(f"{p.name} is not prime")
     return is_primary(i) and radical(i) == p

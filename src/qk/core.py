@@ -9,7 +9,8 @@ the exhaustive machinery elsewhere in the package allocation-free.
 Every carrier is built by build_quantale from labels, order pairs and
 label rows; the .quant parser, the generators and ideals.ideal_quantale
 all go through it.  It certifies the lattice part only, looking each lub
-and glb up by its cone, and leaves the algebra unchecked.
+and glb up by its cone a table row at a time, and leaves the algebra
+unchecked.
 check_axioms re-derives everything, including the lattice tables, and is
 the sole authority on whether an instance really is a quantale.  It reads
 associativity and distributivity as row identities, one per pair (x, y),
@@ -147,13 +148,7 @@ class FiniteQuantale:
     @cached_property
     def up(self) -> tuple[int, ...]:
         """up[i] = bitmask of elements >= i."""
-        n = len(self.elements)
-        up = [0] * n
-        for j in range(n):
-            dj = self.down[j]
-            for i in bits(dj):
-                up[i] |= 1 << j
-        return tuple(up)
+        return tuple(_transpose(self.down))
 
     @cached_property
     def commutative(self) -> bool:
@@ -278,13 +273,21 @@ def _closure_up(n: int, pairs: Iterable[tuple[int, int]]) -> list[int]:
     return up
 
 
-def _mutual_pair(up: Sequence[int]) -> tuple[int, int] | None:
+def _transpose(rows: Sequence[int]) -> list[int]:
+    """The transpose of a square bit matrix: out[j] has bit i iff rows[i] has
+    bit j.  Each row is read as its binary digits, column k of the digit
+    strings being bit n - 1 - k, and each column is read back as a number."""
+    n = len(rows)
+    digits = [format(r, f"0{n}b") for r in reversed(rows)]
+    return [int("".join(col), 2) for col in zip(*digits)][::-1]
+
+
+def _mutual_pair(up: Sequence[int], down: Sequence[int]) -> tuple[int, int] | None:
     """The first (i, j), i != j, with each in the other's up[] row, or None
-    when the closed relation up is antisymmetric."""
-    for i, row in enumerate(up):
-        for j in bits(row):
-            if j != i and up[j] >> i & 1:
-                return i, j
+    when the closed relation up is antisymmetric; down is its transpose."""
+    for i, (u, d) in enumerate(zip(up, down)):
+        if both := u & d & ~(1 << i):
+            return i, (both & -both).bit_length() - 1
     return None
 
 
@@ -319,46 +322,39 @@ def build_quantale(
             raise UndeclaredLabel(f"label {lbl!r} is not a declared element")
         return index[lbl]
 
-    up = _closure_up(n, [(look(lo), look(hi)) for lo, hi in leq_generators])
-    if mutual := _mutual_pair(up):
+    pairs = list(leq_generators)
+    try:
+        pairs = [(index[lo], index[hi]) for lo, hi in pairs]
+    except KeyError:
+        pairs = [(look(lo), look(hi)) for lo, hi in pairs]  # names the first fault
+    up = _closure_up(n, pairs)
+    down = _transpose(up)
+    if mutual := _mutual_pair(up, down):
         i, j = mutual
         raise NotAPartialOrder(
             f"{elements[i]!r} and {elements[j]!r} are below each other"
         )
-    down = [0] * n
-    for i in range(n):
-        for j in bits(up[i]):
-            down[j] |= 1 << i
 
     # A set of common upper bounds is an up-set, so it has a least member l
     # exactly when it equals up[l] (and dually for lower bounds and down);
     # the order is antisymmetric, so each cone belongs to one element.
-    by_up = {u: i for i, u in enumerate(up)}
-    by_down = {d: i for i, d in enumerate(down)}
+    by_up = {u: i for i, u in enumerate(up)}.get
+    by_down = {d: i for i, d in enumerate(down)}.get
     full = (1 << n) - 1
     join_rows: list[tuple[int, ...]] = []
     meet_rows: list[tuple[int, ...]] = []
-    for i in range(n):
-        jr = []
-        mr = []
-        for j in range(n):
-            l = by_up.get(up[i] & up[j])
-            if l is None:
-                raise NotALattice(
-                    f"{elements[i]!r} and {elements[j]!r} have no least upper bound"
-                )
-            jr.append(l)
-            g = by_down.get(down[i] & down[j])
-            if g is None:
-                raise NotALattice(
-                    f"{elements[i]!r} and {elements[j]!r} have no greatest lower bound"
-                )
-            mr.append(g)
-        join_rows.append(tuple(jr))
-        meet_rows.append(tuple(mr))
+    for i, (ui, di) in enumerate(zip(up, down)):
+        jr = tuple([by_up(u & ui) for u in up])
+        mr = tuple([by_down(d & di) for d in down])
+        if None in jr or None in mr:  # the first missing bound, lub before glb
+            j = next(j for j in range(n) if jr[j] is None or mr[j] is None)
+            kind = "least upper" if jr[j] is None else "greatest lower"
+            raise NotALattice(f"{elements[i]!r} and {elements[j]!r} have no {kind} bound")
+        join_rows.append(jr)
+        meet_rows.append(mr)
 
-    bottom = by_up.get(full)
-    top = by_down.get(full)
+    bottom = by_up(full)
+    top = by_down(full)
     if bottom is None or top is None:
         raise MissingBound("carrier lacks a global bottom or top")
 
@@ -370,7 +366,12 @@ def build_quantale(
             raise RowArity(
                 f"row {elements[i]!r} has {len(row)} entries, expected {n}"
             )
-        mul_rows.append(tuple(look(lbl) for lbl in row))
+        try:
+            mul_rows.append(tuple(map(index.__getitem__, row)))
+        except KeyError:
+            for lbl in row:  # the first undeclared label of the row
+                look(lbl)
+            raise
 
     return FiniteQuantale(
         name=name,

@@ -27,6 +27,7 @@ from .core import (
     FiniteQuantale,
     _closure_up,
     _mutual_pair,
+    _transpose,
     bits,
     build_quantale,
     check_axioms,
@@ -88,14 +89,13 @@ def _set_quantale(points: int, sets: Iterable[int], name: str) -> FiniteQuantale
     under union and intersection and contain the empty and full set."""
     family = sorted(set(sets), key=lambda s: (bin(s).count("1"), s))
     labels = _subset_labels(family, points)
-    pairs = [
-        (labels[i], labels[j])
-        for i, a in enumerate(family)
-        for j, b in enumerate(family)
-        if a & ~b == 0
-    ]
-    pos = {s: i for i, s in enumerate(family)}
-    mul = [[labels[pos[a & b]] for b in family] for a in family]
+    label_of = dict(zip(family, labels)).__getitem__
+    pairs: list[tuple[str, str]] = []
+    mul = []
+    for i, a in enumerate(family):  # a's supersets come at or after it in size order
+        meets = list(map(a.__and__, family))
+        pairs += [(labels[i], labels[j]) for j in range(i, len(family)) if meets[j] == a]
+        mul.append(list(map(label_of, meets)))
     return _checked(build_quantale(labels, pairs, mul, name=name))
 
 
@@ -130,7 +130,7 @@ def lowersets_quantale(
     if stray := sorted({p for pair in pairs for p in pair if not 0 <= p < points}):
         raise ValueError(f"points {stray} are not among 0..{points - 1}")
     below = _closure_up(points, pairs)
-    if mutual := _mutual_pair(below):
+    if mutual := _mutual_pair(below, _transpose(below)):
         p, s = mutual
         raise NotAPartialOrder(f"points {s} and {p} are below each other")
     # Add the points along a linear extension (fewer points below first): a

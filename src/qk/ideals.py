@@ -355,21 +355,30 @@ def ideal_quantale(q: FiniteQuantale) -> IdealQuantale:
     iso = tuple(pos[i] for i in q.principals)
     if sorted(iso) != list(range(len(ideals))):
         raise QuantaleError("principal map is not a bijection onto the ideals")
-    pairs = [
-        (labels[k], labels[l])
-        for k, i in enumerate(ideals)
-        for l, j in enumerate(ideals)
-        if i.members & ~j.members == 0
-    ]
-    mul = [[labels[pos[product_ideals(i, j)]] for j in ideals] for i in ideals]
+    # row k: the ideals whose members include those of ideals[k], which
+    # come at or after k in size order, and the labels of
+    # product_ideals(ideals[k], j), the principal ideal of the product of
+    # the apexes, found through iso
+    n = len(ideals)
+    masks = [i.members for i in ideals]
+    apexes = [i.apex for i in ideals]
+    product_label = [labels[k] for k in iso].__getitem__
+    pairs: list[tuple[str, str]] = []
+    mul = []
+    for k, (m, a) in enumerate(zip(masks, apexes)):
+        pairs += [(labels[k], labels[l]) for l in range(k, n) if m & ~masks[l] == 0]
+        mul.append(list(map(product_label, map(q.mul[a].__getitem__, apexes))))
     carrier = build_quantale(labels, pairs, mul, name=f"{q.name}_ideals")
     rep = check_hom(iso, q, carrier)
     if not rep.ok:
         raise QuantaleError(f"principal map breaks {rep.condition} at {rep.witness}")
-    for a in range(q.n):
-        for b in range(q.n):
-            if q.leq(a, b) != carrier.leq(iso[a], iso[b]):
-                raise QuantaleError("principal map does not reflect the order")
+    # iso reflects the order: row iso[b] of carrier.down, read at the
+    # positions iso[0], iso[1], ..., is row b of q.down
+    width = f"0{n}b"
+    for b, below in enumerate(q.down):
+        digits = format(carrier.down[iso[b]], width)[::-1]  # digit k is bit k
+        if int("".join(map(digits.__getitem__, iso))[::-1], 2) != below:
+            raise QuantaleError("principal map does not reflect the order")
     return IdealQuantale(quantale=carrier, base=q, ideals=ideals, iso=iso)
 
 

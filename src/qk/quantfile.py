@@ -68,22 +68,17 @@ def _is_label(tok: str) -> bool:
     )
 
 
-def _check_label(tok: str, line: int, col: int) -> str:
-    if not _is_label(tok):
-        raise QuantSyntaxError(f"invalid label {tok!r}", line, col)
-    return tok
-
-
 class _Lines:
-    """The non-blank lines of a text, each as (line number, [(token,
-    1-based column), ...]) with its comment stripped, tokenized when taken."""
+    """The non-blank lines of a text, each as (line number, its words) with
+    its comment stripped, split when taken.  str.split() cuts at the same
+    whitespace as _TOKEN, so the words are its tokens; a token's column is
+    found only for an error message."""
 
     def __init__(self, text: str):
-        lines = text.splitlines()
-        self.last = len(lines) or 1
-        toks = ([(m.group(), m.start() + 1) for m in _TOKEN.finditer(raw.partition("#")[0])]
-                for raw in lines)
-        self.rows = ((k, t) for k, t in enumerate(toks, 1) if t)
+        self.lines = text.splitlines()
+        self.last = len(self.lines) or 1
+        words = (raw.partition("#")[0].split() for raw in self.lines)
+        self.rows = ((k, w) for k, w in enumerate(words, 1) if w)
 
     def take(self, what: str):
         """The next line; running out is an error naming what was expected."""
@@ -92,80 +87,98 @@ class _Lines:
             raise QuantSyntaxError(f"unexpected end of file, expected {what}", self.last, 1)
         return row
 
+    def col(self, ln: int, k: int) -> int:
+        """The 1-based column of word k of line ln."""
+        text = self.lines[ln - 1].partition("#")[0]
+        return [m.start() for m in _TOKEN.finditer(text)][k] + 1
+
+    def label(self, ln: int, words: list[str], k: int) -> str:
+        """Word k of line ln, which must be a label."""
+        if not _is_label(words[k]):
+            raise QuantSyntaxError(f"invalid label {words[k]!r}", ln, self.col(ln, k))
+        return words[k]
+
     def done(self) -> None:
         """Refuse anything after the closing 'end'."""
         if row := next(self.rows, None):
-            ln, toks = row
-            raise QuantSyntaxError("content after 'end'", ln, toks[0][1])
+            raise QuantSyntaxError("content after 'end'", row[0], self.col(row[0], 0))
 
 
 def parse_quant(text: str) -> FiniteQuantale:
     """Parse a carrier file; the algebra is not certified (see check_axioms)."""
     lines = _Lines(text)
-    ln, toks = lines.take("'quantale NAME'")
-    if len(toks) != 2 or toks[0][0] != "quantale":
-        raise QuantSyntaxError("expected 'quantale NAME'", ln, toks[0][1])
-    name = _check_label(toks[1][0], ln, toks[1][1])
+    ln, words = lines.take("'quantale NAME'")
+    if len(words) != 2 or words[0] != "quantale":
+        raise QuantSyntaxError("expected 'quantale NAME'", ln, lines.col(ln, 0))
+    name = lines.label(ln, words, 1)
 
-    ln, toks = lines.take("'elements:'")
-    if toks[0][0] != "elements:":
-        raise QuantSyntaxError("expected 'elements:'", ln, toks[0][1])
+    ln, words = lines.take("'elements:'")
+    if words[0] != "elements:":
+        raise QuantSyntaxError("expected 'elements:'", ln, lines.col(ln, 0))
     # labels in declaration order, in a dict so membership is one lookup
     elements: dict[str, None] = {}
-    labels = toks[1:]
+    start = 1
     while True:
-        for tok, col in labels:
-            lbl = _check_label(tok, ln, col)
+        for k in range(start, len(words)):
+            lbl = lines.label(ln, words, k)
             if lbl in elements:
-                raise DuplicateLabel(f"element {lbl!r} declared twice", ln, col)
+                raise DuplicateLabel(f"element {lbl!r} declared twice", ln, lines.col(ln, k))
             elements[lbl] = None
             if len(elements) > ELEMENT_CAP:
-                raise TooLarge(f"line {ln}, col {col}: more than {ELEMENT_CAP} elements declared")
+                raise TooLarge(
+                    f"line {ln}, col {lines.col(ln, k)}: more than {ELEMENT_CAP} elements declared"
+                )
         # further element lines until the order section
-        ln, toks = lines.take("'order:'")
-        if toks[0][0] == "order:":
+        ln, words = lines.take("'order:'")
+        if words[0] == "order:":
             break
-        labels = toks
+        start = 0
     if not elements:
-        raise QuantSyntaxError("no elements declared", ln, toks[0][1])
+        raise QuantSyntaxError("no elements declared", ln, lines.col(ln, 0))
 
     order: list[tuple[str, str]] = []
     while True:
-        ln, toks = lines.take("an order pair or 'mul:'")
-        if toks[0][0] == "mul:":
+        ln, words = lines.take("an order pair or 'mul:'")
+        if words[0] == "mul:":
             break
-        if len(toks) != 3 or toks[1][0] != "<=":
-            raise QuantSyntaxError("expected 'A <= B'", ln, toks[0][1])
-        for lbl, col in (toks[0], toks[2]):
-            if lbl not in elements:
-                raise UndeclaredLabel(f"label {lbl!r} is not a declared element", ln, col)
-        order.append((toks[0][0], toks[2][0]))
+        if len(words) != 3 or words[1] != "<=":
+            raise QuantSyntaxError("expected 'A <= B'", ln, lines.col(ln, 0))
+        for k in (0, 2):
+            if words[k] not in elements:
+                raise UndeclaredLabel(
+                    f"label {words[k]!r} is not a declared element", ln, lines.col(ln, k)
+                )
+        order.append((words[0], words[2]))
 
+    n = len(elements)
+    declared = elements.keys()
     rows: dict[str, list[str]] = {}
     while True:
-        ln, toks = lines.take("a multiplication row or 'end'")
-        if toks[0][0] == "end":
+        ln, words = lines.take("a multiplication row or 'end'")
+        head = words[0]
+        if head == "end":
             break
-        head, head_col = toks[0]
         if not head.endswith(":") or len(head) < 2:
-            raise QuantSyntaxError("expected 'X: ...' multiplication row", ln, head_col)
+            raise QuantSyntaxError("expected 'X: ...' multiplication row", ln, lines.col(ln, 0))
         row_label = head[:-1]
         if row_label not in elements:
             raise UndeclaredLabel(
-                f"label {row_label!r} is not a declared element", ln, head_col
+                f"label {row_label!r} is not a declared element", ln, lines.col(ln, 0)
             )
         if row_label in rows:
-            raise DuplicateLabel(f"row {row_label!r} given twice", ln, head_col)
-        entries = []
-        for tok, col in toks[1:]:
-            if tok not in elements:
-                raise UndeclaredLabel(f"label {tok!r} is not a declared element", ln, col)
-            entries.append(tok)
-        if len(entries) != len(elements):
+            raise DuplicateLabel(f"row {row_label!r} given twice", ln, lines.col(ln, 0))
+        entries = words[1:]
+        if len(entries) != n or not declared >= set(entries):
+            # the first fault of the row: an undeclared label, else its length
+            k = next((k for k in range(1, len(words)) if words[k] not in elements), None)
+            if k is not None:
+                raise UndeclaredLabel(
+                    f"label {words[k]!r} is not a declared element", ln, lines.col(ln, k)
+                )
             raise RowArity(
-                f"row {row_label!r} has {len(entries)} entries, expected {len(elements)}",
+                f"row {row_label!r} has {len(entries)} entries, expected {n}",
                 ln,
-                head_col,
+                lines.col(ln, 0),
             )
         rows[row_label] = entries
     lines.done()
@@ -210,50 +223,46 @@ def parse_hom(text: str, base_dir) -> QuantaleHom:
     """
     base = Path(base_dir)
     lines = _Lines(text)
-    ln, toks = lines.take("'hom NAME : SRC -> DST'")
-    shape_ok = (
-        len(toks) == 6
-        and toks[0][0] == "hom"
-        and toks[2][0] == ":"
-        and toks[4][0] == "->"
-    )
+    ln, words = lines.take("'hom NAME : SRC -> DST'")
+    shape_ok = len(words) == 6 and words[0] == "hom" and words[2] == ":" and words[4] == "->"
     if not shape_ok:
-        raise QuantSyntaxError("expected 'hom NAME : SRC -> DST'", ln, toks[0][1])
-    name = toks[1][0]
-    src_path = base / toks[3][0]
-    dst_path = base / toks[5][0]
+        raise QuantSyntaxError("expected 'hom NAME : SRC -> DST'", ln, lines.col(ln, 0))
+    name = words[1]
+    src_path = base / words[3]
+    dst_path = base / words[5]
     if not src_path.is_file():
-        raise QuantSyntaxError(f"no such carrier file: {src_path}", ln, toks[3][1])
+        raise QuantSyntaxError(f"no such carrier file: {src_path}", ln, lines.col(ln, 3))
     if not dst_path.is_file():
-        raise QuantSyntaxError(f"no such carrier file: {dst_path}", ln, toks[5][1])
+        raise QuantSyntaxError(f"no such carrier file: {dst_path}", ln, lines.col(ln, 5))
     source = load_quant(src_path)
     target = load_quant(dst_path)
 
-    ln, toks = lines.take("'map:'")
-    if toks[0][0] != "map:":
-        raise QuantSyntaxError("expected 'map:'", ln, toks[0][1])
+    ln, words = lines.take("'map:'")
+    if words[0] != "map:":
+        raise QuantSyntaxError("expected 'map:'", ln, lines.col(ln, 0))
 
+    src = {lbl: i for i, lbl in enumerate(source.elements)}
+    dst = {lbl: i for i, lbl in enumerate(target.elements)}
     images: dict[int, int] = {}
     while True:
-        ln, toks = lines.take("a 'x -> y' line or 'end'")
-        if toks[0][0] == "end":
+        ln, words = lines.take("a 'x -> y' line or 'end'")
+        if words[0] == "end":
             break
-        if len(toks) != 3 or toks[1][0] != "->":
-            raise QuantSyntaxError("expected 'x -> y'", ln, toks[0][1])
-        x_lbl, x_col = toks[0]
-        y_lbl, y_col = toks[2]
-        if x_lbl not in source.elements:
+        if len(words) != 3 or words[1] != "->":
+            raise QuantSyntaxError("expected 'x -> y'", ln, lines.col(ln, 0))
+        x_lbl, _, y_lbl = words
+        if x_lbl not in src:
             raise UndeclaredLabel(
-                f"label {x_lbl!r} is not an element of {source.name}", ln, x_col
+                f"label {x_lbl!r} is not an element of {source.name}", ln, lines.col(ln, 0)
             )
-        if y_lbl not in target.elements:
+        if y_lbl not in dst:
             raise UndeclaredLabel(
-                f"label {y_lbl!r} is not an element of {target.name}", ln, y_col
+                f"label {y_lbl!r} is not an element of {target.name}", ln, lines.col(ln, 2)
             )
-        x = source.index(x_lbl)
+        x = src[x_lbl]
         if x in images:
-            raise DuplicateLabel(f"element {x_lbl!r} mapped twice", ln, x_col)
-        images[x] = target.index(y_lbl)
+            raise DuplicateLabel(f"element {x_lbl!r} mapped twice", ln, lines.col(ln, 0))
+        images[x] = dst[y_lbl]
     lines.done()
     missing = [source.elements[i] for i in range(source.n) if i not in images]
     if missing:

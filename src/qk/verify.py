@@ -692,7 +692,15 @@ def _suite_avoidance(ctx: _Ctx) -> list[LawResult]:
     hypotheses prime_avoidance checks of its input hold by construction."""
     q, ideals, primes = ctx.q, ctx.ideals, ctx.primes
     masks = ctx.subsets("avoidance.stable")
-    stable = lambda: (m for m in masks.values() if cl._instability(q, m) is None)
+
+    def stable():
+        closed = {}  # mask -> its verdict, one filter run per distinct draw
+        for m in masks.values():
+            if m not in closed:
+                closed[m] = cl._instability(q, m) is None
+            if closed[m]:
+                yield m
+
     combos = [[a] for a in ideals]
     combos += [[a, b] for k, a in enumerate(ideals) for b in ideals[k:]]
     combos += [[a, b, p] for k, a in enumerate(ideals) for b in ideals[k:] for p in primes]

@@ -257,6 +257,15 @@ def test_prime_avoidance_refuses_ideals_of_another_carrier():
         prime_avoidance(q, 1 << q.top, [zero_ideal(q), principal(r, 0)])
 
 
+def test_p_primary_refuses_a_prime_of_another_carrier():
+    # the carrier test comes before the primality test
+    q, r = generate_from_spec("powerset:2"), generate_from_spec("lukasiewicz:4")
+    with pytest.raises(CarrierMismatch, match=r"different carriers \(powerset2, lukasiewicz4\)"):
+        is_p_primary(zero_ideal(q), principal(r, 2))
+    with pytest.raises(CarrierMismatch):
+        is_p_primary(zero_ideal(q), principal(r, 0))
+
+
 def test_mc_indices_outside_the_carrier(q4):
     assert not is_mc(q4, [q4.top, q4.n])
     assert not is_mc(q4, [q4.top, -1])

@@ -156,6 +156,36 @@ def test_build_rejects_non_lattice():
         build_quantale(els, rel, [["bot"] * 6 for _ in range(6)])
 
 
+def test_build_reports_the_first_lattice_fault_of_a_row():
+    # row x lacks a glb at column y (l1, l2 are both maximal below x and y)
+    # and a lub at the later column z (v1, v2 are both minimal above x and z):
+    # the glb at (x, y) is named
+    els = ["x", "y", "z", "l1", "l2", "u", "v1", "v2"]
+    rel = [
+        ("l1", "x"), ("l1", "y"), ("l2", "x"), ("l2", "y"), ("x", "u"), ("y", "u"),
+        ("x", "v1"), ("x", "v2"), ("z", "v1"), ("z", "v2"),
+    ]
+    with pytest.raises(NotALattice) as e:
+        build_quantale(els, rel, [["x"] * 8 for _ in range(8)])
+    assert str(e.value) == "'x' and 'y' have no greatest lower bound"
+
+
+@pytest.mark.parametrize(
+    "rows,exc,message",
+    [
+        # a short row before a row with an undeclared label, and the reverse
+        ([["a"], ["a", "c"]], RowArity, "row 'a' has 1 entries, expected 2"),
+        ([["a", "c"], ["a"]], UndeclaredLabel, "label 'c' is not a declared element"),
+        # one row both short and undeclared: its length is tested first
+        ([["a", "a"], ["c"]], RowArity, "row 'b' has 1 entries, expected 2"),
+    ],
+)
+def test_build_reports_the_first_mul_fault(rows, exc, message):
+    with pytest.raises(exc) as e:
+        build_quantale(["a", "b"], [("a", "b")], rows)
+    assert str(e.value) == message
+
+
 def _first_match_lattice(labels, pairs):
     """join, meet, bottom and top of the order generated by pairs, each bound
     found as the first candidate (in index order) below or above all others;

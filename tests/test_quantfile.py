@@ -1,3 +1,4 @@
+import sys
 from pathlib import Path
 
 import pytest
@@ -131,25 +132,61 @@ def test_single_element_file():
     assert check_axioms(q).ok
 
 
+_MUL_HEAD = "quantale q\nelements: a b c\norder:\n  a <= b\n  b <= c\nmul:\n  a: a a a\n"
+_HOM_HEAD = "hom h : q4.quant -> c2.quant\nmap:\n  bot -> bot\n"
+_ERROR_CASES = [
+    ("elements: a\n", QuantSyntaxError, 1, 1),
+    ("quantale q\nelements: a b\norder:\n  a <= c\nmul:\n  a: a a\n  b: a b\nend\n", UndeclaredLabel, 4, 8),
+    ("quantale q\nelements: a a\norder:\nmul:\n  a: a a\nend\n", DuplicateLabel, 2, 13),
+    ("quantale q\nelements: a b\norder:\n  a <= b\nmul:\n  a: a\n  b: a b\nend\n", RowArity, 6, 3),
+    ("quantale q\nelements: a b\norder:\n  a <= b\nmul:\n  a: a a\nend\n", RowArity, 7, 1),
+    ("quantale q\nelements: a b\norder:\n  a < b\nmul:\n  a: a a\n  b: a b\nend\n", QuantSyntaxError, 4, 3),
+    ("quantale q\nelements: a b\norder:\n  a <= b\nmul:\n  a: a a\n  a: a a\n  b: a b\nend\n", DuplicateLabel, 7, 3),
+    ("quantale q\nelements: a b\norder:\n  a <= b\nmul:\n  c: a a\n  b: a b\nend\n", UndeclaredLabel, 6, 3),
+    ("quantale q\nelements: a b\norder:\n  a <= b\nmul:\n  a: a a\n  b: a b\nend\nmore\n", QuantSyntaxError, 9, 1),
+    ("quantale q\nelements: a b\norder:\n  a <= b\nmul:\n  a: a a\n", QuantSyntaxError, 6, 1),
+    # an undeclared label in the middle of a row, after runs of spaces
+    (_MUL_HEAD + "  b:  a  zz   c\n  c: a b c\nend\n", UndeclaredLabel, 8, 10),
+    # a row head without its colon
+    (_MUL_HEAD + "  b a b b\n  c: a b c\nend\n", QuantSyntaxError, 8, 3),
+    # short and holding an undeclared label: the label is named
+    (_MUL_HEAD + "  b:\ta zz\n  c: a b c\nend\n", UndeclaredLabel, 8, 8),
+    # a no-break space separates tokens and counts as one column
+    (_MUL_HEAD + "  b: a\xa0zz c\n  c: a b c\nend\n", UndeclaredLabel, 8, 8),
+    (_MUL_HEAD + "  b: a b c\n  c: a b c\nend # done\n  c: a b c\n", QuantSyntaxError, 11, 3),
+    ("quantale q\nelements: a b#c\n  a:b\norder:\n", QuantSyntaxError, 3, 3),
+    (_HOM_HEAD + "  a ->  zz\n  b -> bot\n  top -> top\nend\n", UndeclaredLabel, 4, 9),
+    (_HOM_HEAD + "  a -> top\n  zz -> bot\n  top -> top\nend\n", UndeclaredLabel, 5, 3),
+    (_HOM_HEAD + "  a -> top\n  b -> bot\n  top -> top\nend\n  x\n", QuantSyntaxError, 8, 3),
+]
+
+
 @pytest.mark.parametrize(
-    "text,exc,line",
-    [
-        ("elements: a\n", QuantSyntaxError, 1),
-        ("quantale q\nelements: a b\norder:\n  a <= c\nmul:\n  a: a a\n  b: a b\nend\n", UndeclaredLabel, 4),
-        ("quantale q\nelements: a a\norder:\nmul:\n  a: a a\nend\n", DuplicateLabel, 2),
-        ("quantale q\nelements: a b\norder:\n  a <= b\nmul:\n  a: a\n  b: a b\nend\n", RowArity, 6),
-        ("quantale q\nelements: a b\norder:\n  a <= b\nmul:\n  a: a a\nend\n", RowArity, 7),
-        ("quantale q\nelements: a b\norder:\n  a < b\nmul:\n  a: a a\n  b: a b\nend\n", QuantSyntaxError, 4),
-        ("quantale q\nelements: a b\norder:\n  a <= b\nmul:\n  a: a a\n  a: a a\n  b: a b\nend\n", DuplicateLabel, 7),
-        ("quantale q\nelements: a b\norder:\n  a <= b\nmul:\n  c: a a\n  b: a b\nend\n", UndeclaredLabel, 6),
-        ("quantale q\nelements: a b\norder:\n  a <= b\nmul:\n  a: a a\n  b: a b\nend\nmore\n", QuantSyntaxError, 9),
-        ("quantale q\nelements: a b\norder:\n  a <= b\nmul:\n  a: a a\n", QuantSyntaxError, 6),
-    ],
+    "text,exc,line,col",
+    _ERROR_CASES,
+    # each case is named by its text, exception and line
+    ids=[f"{text}-{exc.__name__}-{line}" for text, exc, line, _ in _ERROR_CASES],
 )
-def test_parse_error_locations(text, exc, line):
+def test_parse_error_locations(text, exc, line, col):
     with pytest.raises(exc) as e:
-        parse_quant(text)
-    assert e.value.line == line
+        if text.startswith("hom"):
+            parse_hom(text, DATA)
+        else:
+            parse_quant(text)
+    assert (e.value.line, e.value.col) == (line, col)
+    assert str(e.value).startswith(f"line {line}, col {col}: ")
+
+
+def test_split_gives_the_token_pattern():
+    # every whitespace character that str.splitlines() leaves inside a line
+    from qk.quantfile import _TOKEN
+
+    spaces = [c for c in map(chr, range(sys.maxunicode + 1))
+              if c.isspace() and len(f"a{c}b".splitlines()) == 1]
+    assert {" ", "\t", "\x1f", "\xa0", "\u3000"} <= set(spaces)
+    for space in spaces:
+        line = f"{space}a:{space}{space}b c{space}↓d{space}"
+        assert line.split() == _TOKEN.findall(line) == ["a:", "b", "c", "↓d"], repr(space)
 
 
 def test_writer_rejects_unwritable_labels(q4):

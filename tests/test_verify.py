@@ -223,3 +223,19 @@ def test_primary_and_uniqueness_case_counts_stay_bounded_on_a_long_chain():
         assert rep.ok and rep.results
         for r in rep.results:
             assert r.checked <= SAMPLE_COUNT // 10, (r.law, r.checked)
+
+
+def test_avoidance_tests_each_drawn_mask_once(monkeypatch):
+    # lukasiewicz:12 has 4,095 nonempty subsets, so the 10,000 draws repeat
+    from qk import classify
+    from qk.verify import _Ctx
+
+    q = lukasiewicz_quantale(12)
+    drawn = list(_Ctx(q, 0).subsets("avoidance.stable").values())
+    assert len(drawn) == SAMPLE_COUNT > len(set(drawn))
+    calls = []
+    instability = classify._instability
+    monkeypatch.setattr(classify, "_instability", lambda q, m: calls.append(m) or instability(q, m))
+    rep = run_suite(q, "avoidance", seed=0)
+    assert rep.ok
+    assert sorted(calls) == sorted(set(drawn))
