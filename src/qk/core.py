@@ -344,10 +344,12 @@ def build_quantale(
     join_rows: list[tuple[int, ...]] = []
     meet_rows: list[tuple[int, ...]] = []
     for i, (ui, di) in enumerate(zip(up, down)):
-        jr = tuple([by_up(u & ui) for u in up])
-        mr = tuple([by_down(d & di) for d in down])
+        # both tables are symmetric: below column i, row i repeats column i
+        # of the rows before it, whose faults would have been found there
+        jr = tuple([r[i] for r in join_rows] + [by_up(u & ui) for u in up[i:]])
+        mr = tuple([r[i] for r in meet_rows] + [by_down(d & di) for d in down[i:]])
         if None in jr or None in mr:  # the first missing bound, lub before glb
-            j = next(j for j in range(n) if jr[j] is None or mr[j] is None)
+            j = next(j for j in range(i, n) if jr[j] is None or mr[j] is None)
             kind = "least upper" if jr[j] is None else "greatest lower"
             raise NotALattice(f"{elements[i]!r} and {elements[j]!r} have no {kind} bound")
         join_rows.append(jr)
