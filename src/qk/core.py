@@ -322,11 +322,11 @@ def build_quantale(
             raise UndeclaredLabel(f"label {lbl!r} is not a declared element")
         return index[lbl]
 
-    pairs = list(leq_generators)
+    gens = list(leq_generators)
     try:
-        pairs = [(index[lo], index[hi]) for lo, hi in pairs]
+        pairs = [(index[lo], index[hi]) for lo, hi in gens]
     except KeyError:
-        pairs = [(look(lo), look(hi)) for lo, hi in pairs]  # names the first fault
+        pairs = [(look(lo), look(hi)) for lo, hi in gens]  # names the first fault
     up = _closure_up(n, pairs)
     down = _transpose(up)
     if mutual := _mutual_pair(up, down):
