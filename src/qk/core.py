@@ -317,16 +317,11 @@ def build_quantale(
             raise DuplicateLabel(f"element {lbl!r} declared twice")
         index[lbl] = i
 
-    def look(lbl: str) -> int:
-        if lbl not in index:
-            raise UndeclaredLabel(f"label {lbl!r} is not a declared element")
-        return index[lbl]
-
-    gens = list(leq_generators)
+    # a KeyError names the first undeclared label, read in table order
     try:
-        pairs = [(index[lo], index[hi]) for lo, hi in gens]
-    except KeyError:
-        pairs = [(look(lo), look(hi)) for lo, hi in gens]  # names the first fault
+        pairs = [(index[lo], index[hi]) for lo, hi in leq_generators]
+    except KeyError as e:
+        raise UndeclaredLabel(f"label {e.args[0]!r} is not a declared element") from None
     up = _closure_up(n, pairs)
     down = _transpose(up)
     if mutual := _mutual_pair(up, down):
@@ -370,10 +365,8 @@ def build_quantale(
             )
         try:
             mul_rows.append(tuple(map(index.__getitem__, row)))
-        except KeyError:
-            for lbl in row:  # the first undeclared label of the row
-                look(lbl)
-            raise
+        except KeyError as e:
+            raise UndeclaredLabel(f"label {e.args[0]!r} is not a declared element") from None
 
     return FiniteQuantale(
         name=name,
