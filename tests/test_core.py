@@ -117,6 +117,22 @@ def test_build_rejects_undeclared_label():
         build_quantale(["a", "b"], [("a", "c")], [["a", "a"], ["a", "b"]])
 
 
+@pytest.mark.parametrize(
+    "pairs,rows,label",
+    [
+        # the first undeclared label in reading order: pair by pair, lo then hi
+        ([("a", "b"), ("c", "d")], [["a", "a"], ["a", "b"]], "c"),
+        ([("a", "d"), ("c", "b")], [["a", "a"], ["a", "b"]], "d"),
+        # within a mul row, the leftmost
+        ([("a", "b")], [["a", "a"], ["x", "y"]], "x"),
+    ],
+)
+def test_build_names_the_first_undeclared_label(pairs, rows, label):
+    with pytest.raises(UndeclaredLabel) as e:
+        build_quantale(["a", "b"], pairs, rows)
+    assert str(e.value) == f"label {label!r} is not a declared element"
+
+
 def test_build_rejects_bad_row_shape():
     with pytest.raises(RowArity):
         build_quantale(["a", "b"], [("a", "b")], [["a"], ["a", "b"]])
