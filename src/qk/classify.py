@@ -208,6 +208,22 @@ def is_p_primary(i: Ideal, p: Ideal) -> bool:
     return is_primary(i) and radical(i) == p
 
 
+def _extremal(family: list[Ideal], smallest: bool = False) -> list[Ideal]:
+    """The inclusion-maximal members of a family of ideals of one carrier
+    (the minimal ones if smallest), in the family's order.  The masks are
+    walked largest first, each kept unless it lies inside one kept before:
+    a member that is not maximal lies strictly inside a maximal one, which
+    is larger and so was kept first.  The minimal ones are the maximal
+    complements."""
+    flip = family[0].carrier.full if smallest and family else 0
+    kept: list[int] = []
+    for m in sorted({i.members ^ flip for i in family}, key=int.bit_count, reverse=True):
+        if all(m & ~k for k in kept):
+            kept.append(m)
+    keep = {m ^ flip for m in kept}
+    return [i for i in family if i.members in keep]
+
+
 def spectrum(q: FiniteQuantale) -> list[Ideal]:
     """All prime ideals, in element index order of their apexes."""
     return [i for i in enumerate_ideals(q) if is_prime(i)]
@@ -221,8 +237,7 @@ def minimal_primes_over(i: Ideal) -> list[Ideal]:
     """Inclusion-minimal primes containing i; i must be proper."""
     if not i.proper:
         raise NotProper(f"{i.name} is the whole carrier")
-    over = primes_over(i)
-    return [p for p in over if not any(o < p for o in over)]
+    return _extremal(primes_over(i), smallest=True)
 
 
 def maximal_ideals(q: FiniteQuantale) -> list[Ideal]:
@@ -230,8 +245,7 @@ def maximal_ideals(q: FiniteQuantale) -> list[Ideal]:
     require_commutative(q)
     if q.bottom == q.top:
         raise Degenerate(f"{q.name} has bottom == top")
-    proper = [i for i in enumerate_ideals(q) if i.proper]
-    return [m for m in proper if not any(m < o for o in proper)]
+    return _extremal([i for i in enumerate_ideals(q) if i.proper])
 
 
 def is_local(q: FiniteQuantale) -> tuple[bool, Ideal | None]:
@@ -377,8 +391,7 @@ def maximal_avoiding(s: McSet) -> Ideal:
     if s.members >> q.bottom & 1:
         raise NoAvoidingIdeal("the set contains bottom, which every ideal contains")
     disjoint = [i for i in enumerate_ideals(q) if not i.members & s.members]
-    best = [i for i in disjoint if not any(i < o for o in disjoint)]
-    return min(best, key=lambda i: i.apex)
+    return min(_extremal(disjoint), key=lambda i: i.apex)
 
 
 def _instability(q: FiniteQuantale, m: int) -> tuple[str, str] | None:

@@ -31,6 +31,7 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import fields
+from functools import cache
 
 from . import classify as cl
 from . import decompose as dc
@@ -113,6 +114,7 @@ def _cmd_classify(args) -> tuple[str, int]:
 def _cmd_spectrum(args) -> tuple[str, int]:
     q = load_quant(args.file)
     primes = cl.spectrum(q)
+    minimal = set(cl._extremal(primes, smallest=True))
     out = Records()
     out.put("instance", q.name)
     out.put("count", len(primes))
@@ -120,7 +122,7 @@ def _cmd_spectrum(args) -> tuple[str, int]:
         out.sep()
         out.put("prime", p.name)
         out.put("members", p.labels())
-        out.put("minimal", not any(o < p for o in primes))
+        out.put("minimal", p in minimal)
     out.sep()
     # maximal ideals, and so the Jacobson radical and locality, need bottom != top
     nondegenerate = q.bottom != q.top
@@ -218,7 +220,10 @@ def _cmd_hom(args) -> tuple[str, int]:
     return out.render(args.format), 0 if rep.ok else 1
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parsing leaves it unchanged, and
+    each parse_args call starts from a fresh namespace of defaults."""
     parser = argparse.ArgumentParser(
         prog="qk", description="finite quantale toolkit"
     )
@@ -288,9 +293,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as e:
         return e.code if isinstance(e.code, int) else 2
     try:

@@ -48,9 +48,11 @@ from qk.errors import (
     TooLarge,
 )
 from qk.generators import generate_from_spec
-from qk.ideals import enumerate_ideals, principal, whole_ideal, zero_ideal
+from qk.ideals import enumerate_ideals, ideal_quantale, principal, whole_ideal, zero_ideal
 from qk.quantfile import load_quant
 from qk.verify import single_cell_mutants
+
+from oracles import MUTANTS
 
 
 def test_spectrum_frozen(q4, l3, m3):
@@ -391,3 +393,43 @@ def test_all_mc_sets_refuses_large_carriers(monkeypatch):
     assert len(all_mc_sets(generate_from_spec("lukasiewicz:3"))) > 0
     with pytest.raises(TooLarge):
         all_mc_sets(generate_from_spec("lukasiewicz:4"))
+
+
+def _extremal_carriers():
+    """The bundled carriers, the generator families and their ideal
+    carriers, and the commutative single-cell mutants."""
+    data = Path(__file__).parent / "data"
+    bases = [load_quant(data / f"{s}.quant") for s in ("q4", "l3", "c2", "nondec")]
+    bases += [
+        generate_from_spec(s)
+        for s in (
+            "m3", "powerset:2", "powerset:3", "lukasiewicz:2", "lukasiewicz:5",
+            "lukasiewicz:7", "opens:sierpinski", "opens:point3", "lowersets:chain4",
+            "lowersets:4:0<1,2<3", "lowersets:antichain3", "lowersets:antichain4",
+        )
+    ]
+    yield from bases
+    yield from (ideal_quantale(q).quantale for q in bases)
+    yield from MUTANTS
+
+
+def test_extremal_walks_match_the_definitional_scans():
+    # maximal_ideals, minimal_primes_over and maximal_avoiding walk masks
+    # largest (or smallest) first; each must give the members, in the
+    # family's order, that the pairwise strict-inclusion scan gives
+    checked = 0
+    for q in _extremal_carriers():
+        ideals = enumerate_ideals(q)
+        proper = [i for i in ideals if i.proper]
+        assert maximal_ideals(q) == [m for m in proper if not any(m < o for o in proper)], q.name
+        for i in proper:
+            over = primes_over(i)
+            assert minimal_primes_over(i) == [p for p in over if not any(o < p for o in over)]
+        for s in all_mc_sets(q):
+            if s.members >> q.bottom & 1:
+                continue
+            disjoint = [i for i in ideals if not i.members & s.members]
+            best = [i for i in disjoint if not any(i < o for o in disjoint)]
+            assert maximal_avoiding(s) is min(best, key=lambda i: i.apex), (q.name, s)
+        checked += 1
+    assert checked == 32 + len(MUTANTS)

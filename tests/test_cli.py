@@ -107,6 +107,37 @@ def test_python_dash_m_qk(capsys):
     assert qk("--help").returncode == 0
 
 
+def test_one_parser_serves_every_call(capsys, monkeypatch):
+    # main parses with one parser per process: no option of a call may
+    # reach the next, and a usage error leaves the calls after it as they
+    # are; each call gives the bytes of its own qk process
+    assert qk.cli.build_parser() is qk.cli.build_parser()
+    monkeypatch.setenv("QK_SEED", "271")
+    monkeypatch.setenv("COLUMNS", "80")
+    calls = [
+        ["verify", L3, "--suite", "axioms", "--seed", "3"],
+        ["verify", L3, "--suite", "axioms"],
+        ["check", Q4, "--format", "table"],
+        ["spectrum", Q4, "--bogus"],
+        ["check", Q4],
+        ["verify", L3, "--suite", "lemma_bip", "--seed", "x"],
+        ["radical", L3, "--below", "0", "--algorithm", "all"],
+        ["radical", L3, "--ideal", "0"],
+    ]
+    got = [run(capsys, *argv) for argv in calls]
+    assert "seed\t3\n" in got[0][1] and "seed\t271\n" in got[1][1]
+    assert "\t" not in got[2][1] and got[4][1] == golden("check_q4.txt")
+    assert [code for code, _, _ in got] == [0, 0, 0, 2, 0, 2, 0, 0]
+    assert "radical.primes" in got[6][1] and "radical.primes" not in got[7][1]
+    env = {**os.environ, "PYTHONPATH": "src"}
+    for argv, result in zip(calls, got):
+        done = subprocess.run(
+            [sys.executable, "-m", "qk", *argv],
+            cwd=DATA.parent.parent, env=env, capture_output=True, text=True,
+        )
+        assert result == (done.returncode, done.stdout, done.stderr), argv
+
+
 def test_outputs_are_reproducible(capsys):
     first = run(capsys, "verify", Q4, "--suite", "lemma_bip")
     second = run(capsys, "verify", Q4, "--suite", "lemma_bip")
