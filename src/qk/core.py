@@ -541,18 +541,18 @@ def _lower_covers(down: Sequence[int]) -> list[list[int]]:
 
 def _cones_match(q: FiniteQuantale) -> bool:
     """Whether every join cell is a least upper bound and every meet cell a
-    greatest lower bound, tested a row at a time; exact on a carrier whose
+    greatest lower bound, tested a table at a time; exact on a carrier whose
     order is a partial order.  There the common upper bounds C = up[i] &
     up[j] have l as least member iff up[l] == C (l in C gives up[l] <= C by
     transitivity, and l in up[l]), and dually with down.  On a symmetric
     table the cells from the diagonal on decide the rest."""
     for table, cones in ((q.join, q.up), (q.meet, q.down)):
-        if list(zip(*table)) != list(map(tuple, table)):
+        if tuple(zip(*table)) != table:
             return False
         cone = dict(enumerate(cones)).get  # None for a cell out of range
-        for i, c in enumerate(cones):
-            if list(map(cone, table[i][i:])) != list(map(c.__and__, cones[i:])):
-                return False
+        cells = [cone(l) for i, row in enumerate(table) for l in row[i:]]
+        if cells != [c & d for i, c in enumerate(cones) for d in cones[i:]]:
+            return False
     return True
 
 
