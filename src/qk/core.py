@@ -34,7 +34,7 @@ middle element of a small set that generates the carrier under joins and &
 (_light_passes).  A fast test that says "fail" hands over to its scan,
 which finds the first fault in index order, so the report is the scan's
 either way.  The lub/glb group works the same way at O(n^2): once the
-order is a partial order, a symmetric join row passes when each cell's
+order is a partial order, a symmetric join table passes when each cell's
 up-cone is the common up-cone of its pair, and meet dually (_cones_match);
 any other table is scanned cell by cell.
 
@@ -479,7 +479,7 @@ def check_axioms(q: FiniteQuantale) -> AxiomReport:
                     yield "distrib", (x, y, _first_diff(left, right))
 
     # the O(n^2) groups: the fast tests run only once all of them pass, and
-    # the lub/glb rows are tested at once only on a partial order
+    # the lub/glb tables are tested whole only on a partial order
     order_f = next(order(), None)
     bounds_f = (
         None

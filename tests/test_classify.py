@@ -305,9 +305,8 @@ def test_classification_q4_prime(q4):
     assert c.radical.name == "↓a"
 
 
-def _carriers():
-    """The bundled and generated carriers, each followed by its commutative
-    single-cell mutants."""
+def _bases():
+    """The bundled and generated carriers."""
     data = Path(__file__).parent / "data"
     bases = [load_quant(data / f"{s}.quant") for s in ("q4", "l3", "c2", "nondec")]
     bases += [
@@ -318,7 +317,13 @@ def _carriers():
             "lowersets:4:0<1,2<3", "lowersets:antichain3",
         )
     ]
-    for b in bases:
+    return bases
+
+
+def _carriers():
+    """The bundled and generated carriers, each followed by its commutative
+    single-cell mutants."""
+    for b in _bases():
         yield b
         yield from (m for _, _, m in single_cell_mutants(b) if m.commutative)
 
@@ -395,33 +400,16 @@ def test_all_mc_sets_refuses_large_carriers(monkeypatch):
         all_mc_sets(generate_from_spec("lukasiewicz:4"))
 
 
-def _extremal_carriers():
-    """The bundled carriers, the generator families and their ideal
-    carriers, and the commutative single-cell mutants."""
-    data = Path(__file__).parent / "data"
-    bases = [load_quant(data / f"{s}.quant") for s in ("q4", "l3", "c2", "nondec")]
-    bases += [
-        generate_from_spec(s)
-        for s in (
-            "m3", "powerset:2", "powerset:3", "lukasiewicz:2", "lukasiewicz:5",
-            "lukasiewicz:7", "opens:sierpinski", "opens:point3", "lowersets:chain4",
-            "lowersets:4:0<1,2<3", "lowersets:antichain3", "lowersets:antichain4",
-        )
-    ]
-    yield from bases
-    yield from (ideal_quantale(q).quantale for q in bases)
-    yield from MUTANTS
-
-
 def test_extremal_walks_match_the_definitional_scans():
     # maximal_ideals, minimal_primes_over and maximal_avoiding walk masks
     # largest (or smallest) first; each must give the members, in the
     # family's order, that the pairwise strict-inclusion scan gives
-    checked = 0
-    for q in _extremal_carriers():
+    bases = _bases()
+    for q in [*bases, *(ideal_quantale(b).quantale for b in bases), *MUTANTS]:
         ideals = enumerate_ideals(q)
         proper = [i for i in ideals if i.proper]
-        assert maximal_ideals(q) == [m for m in proper if not any(m < o for o in proper)], q.name
+        if proper:  # maximal ideals need bottom != top
+            assert maximal_ideals(q) == [m for m in proper if not any(m < o for o in proper)], q.name
         for i in proper:
             over = primes_over(i)
             assert minimal_primes_over(i) == [p for p in over if not any(o < p for o in over)]
@@ -431,5 +419,3 @@ def test_extremal_walks_match_the_definitional_scans():
             disjoint = [i for i in ideals if not i.members & s.members]
             best = [i for i in disjoint if not any(i < o for o in disjoint)]
             assert maximal_avoiding(s) is min(best, key=lambda i: i.apex), (q.name, s)
-        checked += 1
-    assert checked == 32 + len(MUTANTS)
