@@ -80,10 +80,12 @@ from .classify import (
     Classification,
     McSet,
     classification,
+    is_irreducible,
     is_local,
     is_primary,
     is_prime,
     is_semiprime,
+    is_strongly_irreducible,
     jacobson,
     maximal_ideals,
     mc_generated,
@@ -102,8 +104,6 @@ from .decompose import (
     arithmetic_equivalence_check,
     irreducible_decomposition,
     is_arithmetic,
-    is_irreducible,
-    is_strongly_irreducible,
     minimize,
     primary_decomposition,
     uniqueness_report,

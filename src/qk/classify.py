@@ -19,9 +19,13 @@ does not (the whole carrier vacuously satisfies the square condition and
 the three-way radical equivalence then holds for every ideal).
 
 Each ideal property has one witness scan, which returns its first
-counterexample or None: prime, semiprime and primary scan elements,
-irreducible and strongly irreducible scan pairs of ideals (the witness
-is their apexes).  The predicates, decompose and classification read them.
+counterexample or None.  Semiprime scans elements; the other four filter
+their candidates once from the ideal's mask (the elements outside it, the
+elements no power of which lies in it, the strictly larger ideals, the
+ideals not below it), then test pairs of candidates by masks in the full
+pair scan's order, so the first witness is the same (for ideals, their
+apexes).  The predicates and classification read the scans; decompose
+reads the predicates.
 """
 
 from __future__ import annotations
@@ -65,15 +69,11 @@ def is_prime(i: Ideal) -> bool:
 
 
 def _prime_witness(i: Ideal) -> tuple[int, int] | None:
-    q = i.carrier
-    m = i.members
-    for x in range(q.n):
-        if m >> x & 1:
-            continue
+    q, m = i.carrier, i.members
+    outside = [x for x in range(q.n) if not m >> x & 1]
+    for k, x in enumerate(outside):
         row = q.mul[x]
-        for y in range(x, q.n):
-            if m >> y & 1:
-                continue
+        for y in outside[k:]:
             if m >> row[y] & 1:
                 return (x, y)
     return None
@@ -122,39 +122,53 @@ def is_primary(i: Ideal) -> bool:
 
 
 def _primary_witness(i: Ideal) -> tuple[int, int] | None:
-    q = i.carrier
-    m = i.members
-    powers = q.powers
+    q, m = i.carrier, i.members
+    unreached = [y for y, p in enumerate(q.powers) if not p & m]
     for x in range(q.n):
         if m >> x & 1:
             continue
         row = q.mul[x]
-        for y in range(q.n):
-            if m >> row[y] & 1 and not powers[y] & m:
+        for y in unreached:
+            if m >> row[y] & 1:
                 return (x, y)
     return None
 
 
-def _irreducible_witness(i: Ideal, ideals) -> tuple[int, int] | None:
-    """The apexes of two strictly larger ideals meeting exactly to i, if any."""
-    for a in ideals:
-        if not i < a:
-            continue
-        for b in ideals:
-            if i < b and a.members & b.members == i.members:
-                return (a.apex, b.apex)
-    return None
+def is_irreducible(i: Ideal) -> bool:
+    """No two strictly larger ideals intersect exactly to i."""
+    return _irreducible_witness(i) is None
 
 
-def _strongly_irreducible_witness(i: Ideal, ideals) -> tuple[int, int] | None:
-    """The apexes of two ideals whose meet lies inside i while neither
-    factor does, if any."""
-    for a in ideals:
-        if a <= i:
-            continue
-        for b in ideals:
-            if not b <= i and (a.members & b.members) & ~i.members == 0:
-                return (a.apex, b.apex)
+def _irreducible_witness(i: Ideal) -> tuple[int, int] | None:
+    """The apexes of two strictly larger ideals meeting exactly to i (whose
+    parts outside i are disjoint), if any."""
+    m = i.members
+    larger = [o for o in i.carrier.principals if o is not i and m & ~o.members == 0]
+    return _disjoint_pair([(o.members & ~m, o.apex) for o in larger])
+
+
+def is_strongly_irreducible(i: Ideal) -> bool:
+    """Any intersection landing inside i has a factor inside i."""
+    return _strongly_irreducible_witness(i) is None
+
+
+def _strongly_irreducible_witness(i: Ideal) -> tuple[int, int] | None:
+    """The apexes of two ideals not below i whose meet lies inside i (whose
+    parts outside i are disjoint), if any."""
+    m = i.members
+    return _disjoint_pair(
+        [(o.members & ~m, o.apex) for o in i.carrier.principals if o.members & ~m]
+    )
+
+
+def _disjoint_pair(parts: list[tuple[int, int]]) -> tuple[int, int] | None:
+    """The apexes of the first two (mask, apex) parts whose nonzero masks
+    are disjoint.  A mask meets itself, and disjointness is symmetric, so
+    the first part with a partner has none before it."""
+    for k, (a, x) in enumerate(parts):
+        for b, y in parts[k + 1 :]:
+            if not a & b:
+                return (x, y)
     return None
 
 
@@ -488,8 +502,8 @@ def classification(i: Ideal) -> Classification:
         "semiprime": _semiprime_witness(i),
         "primary": _primary_witness(i) if i.proper else (),
         "radical_ideal": None if rad == i else tuple(bits(rad.members & ~i.members))[:1],
-        "irreducible": _irreducible_witness(i, ideals),
-        "strongly_irreducible": _strongly_irreducible_witness(i, ideals),
+        "irreducible": _irreducible_witness(i),
+        "strongly_irreducible": _strongly_irreducible_witness(i),
     }
     return Classification(
         ideal=i,

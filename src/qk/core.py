@@ -114,6 +114,13 @@ def _subset_mask(q: FiniteQuantale, s: Iterable[int] | int) -> int:
     raise QuantaleError(f"indices {stray} are not elements of {q.name} (n={q.n})")
 
 
+def _require_element(q: FiniteQuantale, x: int) -> None:
+    """Refuse an index outside q as _subset_mask does, with one range test
+    (for the element arithmetic the suites call in their inner loops)."""
+    if not 0 <= x < q.n:
+        raise QuantaleError(f"indices [{x}] are not elements of {q.name} (n={q.n})")
+
+
 @dataclass(frozen=True, eq=False)
 class FiniteQuantale:
     """An immutable carrier.  Equality is identity; reuse instances.
@@ -635,6 +642,7 @@ def power(q: FiniteQuantale, x: int, n: int) -> int:
     """x to the n-th multiplicative power; x^0 is top (the unit)."""
     if n < 0:
         raise ValueError("negative power")
+    _require_element(q, x)
     acc = q.top
     row = q.mul[x]
     for _ in range(n):
@@ -648,6 +656,8 @@ def power_of_join(q: FiniteQuantale, x: int, y: int, n: int) -> int:
     The integer coefficients of the usual binomial formula collapse because
     join is idempotent.
     """
+    _require_element(q, x)
+    _require_element(q, y)
     acc = q.bottom
     for k in range(n + 1):
         term = q.mul[power(q, x, n - k)][power(q, y, k)]
@@ -661,6 +671,7 @@ def is_unit(q: FiniteQuantale, x: int) -> bool:
     On an integral carrier this forces x == top, but the scan is the
     definition and stays honest on broken tables.
     """
+    _require_element(q, x)
     row = q.mul[x]
     return any(row[y] == q.top for y in range(q.n))
 

@@ -38,10 +38,11 @@ from .ideals import (
     residual,
 )
 from .classify import (
-    _irreducible_witness,
-    _strongly_irreducible_witness,
+    _extremal,
+    is_irreducible,
     is_primary,
     is_prime,
+    is_strongly_irreducible,
     minimal_primes_over,
     radical,
 )
@@ -51,27 +52,18 @@ from .classify import (
 MINIMAL_PICKS_MAX = 1 << 16
 
 
-def is_irreducible(i: Ideal) -> bool:
-    """No two strictly larger ideals intersect exactly to i."""
-    return _irreducible_witness(i, enumerate_ideals(i.carrier)) is None
-
-
-def is_strongly_irreducible(i: Ideal) -> bool:
-    """Any intersection landing inside i has a factor inside i."""
-    return _strongly_irreducible_witness(i, enumerate_ideals(i.carrier)) is None
-
-
 def strongly_irreducible_elementwise(i: Ideal) -> bool:
-    """Same test over principal ideals only; agrees with the ideal-wise
-    form and is checked against it by the verification suites."""
-    q = i.carrier
-    for a in range(q.n):
-        if q.down[a] & ~i.members == 0:
-            continue
-        for b in range(q.n):
-            if q.down[b] & ~i.members == 0:
-                continue
-            if (q.down[a] & q.down[b]) & ~i.members == 0:
+    """Same test over elements: no a, b outside i meet inside it.  Exact
+    for a down-closed i on genuine lattice tables (down[meet[a][b]] is
+    down[a] & down[b]), as build_quantale makes every carrier's (mutants
+    replace only mul); the verification suites check it against the
+    ideal-wise form."""
+    q, m = i.carrier, i.members
+    outside = [x for x in range(q.n) if not m >> x & 1]
+    for a in outside:
+        row = q.meet[a]
+        for b in outside:
+            if m >> row[b] & 1:
                 return False
     return True
 
@@ -188,8 +180,7 @@ def irreducible_decomposition(i: Ideal) -> Decomposition:
     if not i.proper:
         raise NotProper(f"{i.name} is the whole carrier")
     q = i.carrier
-    ideals = enumerate_ideals(q)
-    cands = [c for c in ideals if i <= c and _irreducible_witness(c, ideals) is None]
+    cands = [c for c in enumerate_ideals(q) if i <= c and is_irreducible(c)]
     reach = meet_all(q, cands)
     if reach != i:
         raise NotDecomposable(
@@ -288,7 +279,7 @@ def colon_primes(i: Ideal) -> tuple[Ideal, ...]:
 
 def isolated_primes(radicals) -> tuple[Ideal, ...]:
     """The inclusion-minimal members of radicals, in their given order."""
-    return tuple(p for p in radicals if not any(o < p for o in radicals))
+    return tuple(_extremal(radicals, smallest=True))
 
 
 def isolated_components_agree(i: Ideal, isolated, decompositions) -> bool:
@@ -393,8 +384,8 @@ class ArithmeticReport:
 def arithmetic_equivalence_check(q: FiniteQuantale) -> ArithmeticReport:
     ideals = enumerate_ideals(q)
     wit = _distributivity_witness(q)
-    irr = tuple(i for i in ideals if _irreducible_witness(i, ideals) is None)
-    sirr = tuple(i for i in ideals if _strongly_irreducible_witness(i, ideals) is None)
+    irr = tuple(i for i in ideals if is_irreducible(i))
+    sirr = tuple(i for i in ideals if is_strongly_irreducible(i))
     sets_equal = set(irr) == set(sirr)
     rep_ok = True
     rep_wit = None
@@ -420,10 +411,8 @@ def minimal_strongly_irreducible_over(i: Ideal) -> Ideal:
     ties break toward the lowest apex index."""
     if not i.proper:
         raise NotProper(f"{i.name} is the whole carrier")
-    ideals = enumerate_ideals(i.carrier)
-    over = [s for s in ideals if i <= s and _strongly_irreducible_witness(s, ideals) is None]
-    minimal = [s for s in over if not any(o < s for o in over)]
-    return min(minimal, key=lambda s: s.apex)
+    over = [s for s in enumerate_ideals(i.carrier) if i <= s and is_strongly_irreducible(s)]
+    return min(_extremal(over, smallest=True), key=lambda s: s.apex)
 
 
 def totally_ordered_ideals(q: FiniteQuantale) -> bool:

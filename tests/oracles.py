@@ -1,19 +1,39 @@
-"""Definitional oracles and mutant carriers shared by the tests.
+"""Definitional oracles, generator specs and mutant carriers shared by the
+tests.
 
 Each carrier oracle loops over the elements one at a time, straight from
-the definition, with no table or memo of the carrier's.  flat_run runs a
-law case by case, evaluating every repeated draw again.  MUTANTS
-holds the commutative single-cell mutants of q4, l3 and m3: broken tables
-are where a shortcut would drift from the definition.
-"""
+the definition, with no table or memo of the carrier's.  The witness
+oracles are the unfiltered pair scans that classify's scans must match,
+first witness included: prime and primary over every pair of elements,
+irreducible and strongly irreducible over every pair of enumerate_ideals
+by Ideal comparison.  flat_run runs a law case by case, evaluating every
+repeated draw again.  MUTANTS holds the commutative single-cell mutants
+of q4, l3 and m3: broken tables are where a shortcut would drift from the
+definition."""
 
 from pathlib import Path
 
 from qk.generators import m3_quantale
+from qk.ideals import enumerate_ideals
 from qk.quantfile import load_quant
 from qk.verify import single_cell_mutants
 
 DATA = Path(__file__).parent / "data"
+
+# generator specs with n on both sides of each byte boundary, up to n=17
+SPECS = [
+    "lukasiewicz:1",
+    "lukasiewicz:2",
+    "opens:sierpinski",
+    "powerset:2",
+    "lukasiewicz:5",
+    "lukasiewicz:7",
+    "powerset:3",
+    "lowersets:4:0<1,2<3",
+    "lukasiewicz:15",
+    "powerset:4",
+    "lukasiewicz:17",
+]
 
 
 def members(q, m):
@@ -32,6 +52,50 @@ def generated_scan(q, s):
         for l in range(q.n):
             prods |= 1 << q.mul[l][t]
     return q.down[q.join_of(members(q, prods))]
+
+
+def prime_witness_scan(i):
+    q, m = i.carrier, i.members
+    for x in range(q.n):
+        if m >> x & 1:
+            continue
+        for y in range(x, q.n):
+            if not m >> y & 1 and m >> q.mul[x][y] & 1:
+                return (x, y)
+    return None
+
+
+def primary_witness_scan(i):
+    q, m = i.carrier, i.members
+    for x in range(q.n):
+        if m >> x & 1:
+            continue
+        for y in range(q.n):
+            if m >> q.mul[x][y] & 1 and not q.powers[y] & m:
+                return (x, y)
+    return None
+
+
+def irreducible_witness_scan(i):
+    ideals = enumerate_ideals(i.carrier)
+    for a in ideals:
+        if not i < a:
+            continue
+        for b in ideals:
+            if i < b and a.members & b.members == i.members:
+                return (a.apex, b.apex)
+    return None
+
+
+def strongly_irreducible_witness_scan(i):
+    ideals = enumerate_ideals(i.carrier)
+    for a in ideals:
+        if a <= i:
+            continue
+        for b in ideals:
+            if not b <= i and (a.members & b.members) & ~i.members == 0:
+                return (a.apex, b.apex)
+    return None
 
 
 def flat_run(law):

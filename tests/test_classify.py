@@ -52,7 +52,14 @@ from qk.ideals import enumerate_ideals, ideal_quantale, principal, whole_ideal, 
 from qk.quantfile import load_quant
 from qk.verify import single_cell_mutants
 
-from oracles import MUTANTS
+from oracles import (
+    MUTANTS,
+    SPECS,
+    irreducible_witness_scan,
+    primary_witness_scan,
+    prime_witness_scan,
+    strongly_irreducible_witness_scan,
+)
 
 
 def test_spectrum_frozen(q4, l3, m3):
@@ -389,6 +396,27 @@ def test_classification_flags_match_the_predicates_and_witnesses_refute():
             for prop, wit in c.witnesses.items():
                 assert _refutes(q, i, prop, wit), (q.name, i.name, prop, wit)
     assert count > 400
+
+
+def test_pair_witnesses_are_the_first_of_the_unfiltered_scans():
+    data = Path(__file__).parent / "data"
+    carriers = [load_quant(data / f"{s}.quant") for s in ("q4", "l3", "c2", "nondec")]
+    carriers += [generate_from_spec(s) for s in SPECS]
+    count = 0
+    for q in [*carriers, *MUTANTS]:
+        for i in enumerate_ideals(q):
+            w = classification(i).witnesses
+            count += 1
+            assert {k: w.get(k) for k in _PAIR_SCANS} == {
+                "prime": prime_witness_scan(i) if i.proper else (),
+                "primary": primary_witness_scan(i) if i.proper else (),
+                "irreducible": irreducible_witness_scan(i),
+                "strongly_irreducible": strongly_irreducible_witness_scan(i),
+            }, (q.name, i.name)
+    assert count == 161
+
+
+_PAIR_SCANS = ("prime", "primary", "irreducible", "strongly_irreducible")
 
 
 def test_all_mc_sets_refuses_large_carriers(monkeypatch):

@@ -297,6 +297,20 @@ def test_power(l3):
     assert power(l3, two, 5) == two
 
 
+@pytest.mark.parametrize("x", [-1, 4, 9])
+def test_power_refuses_an_index_outside_the_carrier(q4, x):
+    # -1 once read the top row, and 4 == n raised a bare IndexError
+    stray = rf"indices \[{x}\] are not elements of q4 \(n=4\)"
+    for call in (
+        lambda: power(q4, x, 2),
+        lambda: power(q4, x, 0),
+        lambda: power_of_join(q4, x, q4.top, 2),
+        lambda: power_of_join(q4, q4.top, x, 2),
+    ):
+        with pytest.raises(QuantaleError, match=stray):
+            call()
+
+
 def test_power_of_join_binomial(q4, l3):
     for q in (q4, l3):
         for x in range(q.n):
@@ -310,6 +324,13 @@ def test_is_unit(q4, l3):
     assert not is_unit(q4, q4.index("a"))
     assert not is_unit(l3, l3.index("1"))
     assert is_unit(l3, l3.top)
+
+
+@pytest.mark.parametrize("x", [-1, 4])
+def test_is_unit_refuses_an_index_outside_the_carrier(q4, x):
+    # -1 once answered True, for the top row
+    with pytest.raises(QuantaleError, match=rf"indices \[{x}\] are not elements of q4"):
+        is_unit(q4, x)
 
 
 def test_check_hom_valid(q4_to_c2, l3_to_c2):

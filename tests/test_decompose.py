@@ -13,6 +13,7 @@ from qk.decompose import (
     is_irreducible,
     is_strongly_irreducible,
     isolated_component_formula,
+    isolated_primes,
     minimal_strongly_irreducible_over,
     minimize,
     primary_decomposition,
@@ -39,6 +40,8 @@ from qk.ideals import (
     zero_ideal,
 )
 
+from oracles import MUTANTS
+
 
 def _assert_minimal(d):
     """Radicals pairwise distinct; no component contains the meet of the others."""
@@ -61,7 +64,7 @@ def test_irreducible_sets_frozen(q4, m3):
 
 
 def test_strong_elementwise_agrees(q4, l3, m3, p3):
-    for q in (q4, l3, m3, p3):
+    for q in (q4, l3, m3, p3, *MUTANTS):
         for i in enumerate_ideals(q):
             assert is_strongly_irreducible(i) == strongly_irreducible_elementwise(i)
 
@@ -172,6 +175,33 @@ def test_all_minimal_decompositions_share_radicals(q4, l3, p3):
             want = {r.members for r in d.radicals}
             for comps in all_minimal_decompositions(i):
                 assert {radical(c).members for c in comps} == want
+
+
+def _pairwise_minimal(family):
+    return tuple(p for p in family if not any(o < p for o in family))
+
+
+def test_isolated_primes_are_the_pairwise_minimal_radicals(q4, l3, m3, p3):
+    compared = 0
+    for q in (q4, l3, m3, p3, *map(generate_from_spec, ("lukasiewicz:6", "lowersets:chain4"))):
+        # families with nested members: the spectrum and the proper ideals
+        for family in (tuple(spectrum(q)), tuple(i for i in enumerate_ideals(q) if i.proper)):
+            assert isolated_primes(family) == _pairwise_minimal(family)
+        for i in enumerate_ideals(q):
+            if not i.proper:
+                continue
+            try:
+                rads = primary_decomposition(i).radicals
+            except NotDecomposable:
+                continue
+            for family in (rads, rads[::-1]):
+                assert isolated_primes(family) == _pairwise_minimal(family), (q.name, i.name)
+            compared += 1
+    assert compared == 26
+    # a repeated member is kept, each time, in the family's order
+    a, b, top = (principal(q4, q4.index(x)) for x in ("a", "b", "top"))
+    assert isolated_primes((top, a, b, a)) == (a, b, a)
+    assert isolated_primes(()) == ()
 
 
 def _minimal_decompositions_scan(i):

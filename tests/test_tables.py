@@ -30,22 +30,9 @@ from qk.ideals import (
     zero_ideal,
 )
 
-from oracles import MUTANTS, annihilator_scan, generated_scan
+from oracles import MUTANTS, SPECS, annihilator_scan, generated_scan
 
-_SPECS = [
-    "lukasiewicz:1",
-    "lukasiewicz:2",
-    "opens:sierpinski",
-    "powerset:2",
-    "lukasiewicz:5",
-    "lukasiewicz:7",
-    "powerset:3",
-    "lowersets:4:0<1,2<3",
-    "lukasiewicz:15",
-    "powerset:4",
-    "lukasiewicz:17",
-]
-_BASES = [generate_from_spec(s) for s in _SPECS]
+_BASES = [generate_from_spec(s) for s in SPECS]
 
 
 def _powers_scan(q, x):
@@ -118,7 +105,7 @@ def test_tables_match_the_bit_loops(case):
     _check_tables(q, masks)
 
 
-@pytest.mark.parametrize("spec", _SPECS)
+@pytest.mark.parametrize("spec", SPECS)
 def test_lawful_carriers(spec):
     q = generate_from_spec(spec)
     masks = range(1, q.full + 1) if q.n <= 8 else [q.full, *q.down, *q.up]
@@ -157,7 +144,7 @@ def _check_join_all(q, ideals):
         join_all(q, [*ideals[:1], zero_ideal(other)])
 
 
-@pytest.mark.parametrize("spec", _SPECS)
+@pytest.mark.parametrize("spec", SPECS)
 def test_join_all_on_lawful_carriers(spec):
     q = generate_from_spec(spec)
     _check_join_all(q, enumerate_ideals(q))
