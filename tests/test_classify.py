@@ -14,12 +14,14 @@ from qk.classify import (
     is_primary,
     is_prime,
     is_prime_idealwise,
+    is_irreducible,
     is_qd,
     is_radical_ideal,
     is_reduced,
     is_saturated,
     is_semiprime,
     is_semiprime_idealwise,
+    is_strongly_irreducible,
     jacobson,
     maximal_avoiding,
     maximal_ideals,
@@ -35,7 +37,6 @@ from qk.classify import (
     zero_divisors,
 )
 from qk.core import build_quantale
-from qk.decompose import is_irreducible, is_strongly_irreducible
 from qk.errors import (
     CarrierMismatch,
     Degenerate,
@@ -53,6 +54,7 @@ from qk.quantfile import load_quant
 from qk.verify import single_cell_mutants
 
 from oracles import (
+    DATA,
     MUTANTS,
     SPECS,
     irreducible_witness_scan,
@@ -399,24 +401,21 @@ def test_classification_flags_match_the_predicates_and_witnesses_refute():
 
 
 def test_pair_witnesses_are_the_first_of_the_unfiltered_scans():
-    data = Path(__file__).parent / "data"
-    carriers = [load_quant(data / f"{s}.quant") for s in ("q4", "l3", "c2", "nondec")]
+    carriers = [load_quant(DATA / f"{s}.quant") for s in ("q4", "l3", "c2", "nondec")]
     carriers += [generate_from_spec(s) for s in SPECS]
     count = 0
     for q in [*carriers, *MUTANTS]:
         for i in enumerate_ideals(q):
-            w = classification(i).witnesses
-            count += 1
-            assert {k: w.get(k) for k in _PAIR_SCANS} == {
+            want = {
                 "prime": prime_witness_scan(i) if i.proper else (),
                 "primary": primary_witness_scan(i) if i.proper else (),
                 "irreducible": irreducible_witness_scan(i),
                 "strongly_irreducible": strongly_irreducible_witness_scan(i),
-            }, (q.name, i.name)
+            }
+            w = classification(i).witnesses
+            assert {k: w.get(k) for k in want} == want, (q.name, i.name)
+            count += 1
     assert count == 161
-
-
-_PAIR_SCANS = ("prime", "primary", "irreducible", "strongly_irreducible")
 
 
 def test_all_mc_sets_refuses_large_carriers(monkeypatch):
