@@ -656,6 +656,8 @@ def power_of_join(q: FiniteQuantale, x: int, y: int, n: int) -> int:
     The integer coefficients of the usual binomial formula collapse because
     join is idempotent.
     """
+    if n < 0:
+        raise ValueError("negative power")
     _require_element(q, x)
     _require_element(q, y)
     acc = q.bottom

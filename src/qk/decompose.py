@@ -125,10 +125,14 @@ def primary_candidates(i: Ideal) -> list[Ideal]:
 def primary_decomposition(i: Ideal) -> Decomposition:
     """A minimal primary decomposition, or NotDecomposable carrying the
     smallest reachable intersection as the gap."""
+    return _primary_decomposition(i, primary_candidates(i))
+
+
+def _primary_decomposition(i: Ideal, cands: list[Ideal]) -> Decomposition:
+    """primary_decomposition of i from its primary_candidates."""
     if not i.proper:
         raise NotProper(f"{i.name} is the whole carrier")
     q = i.carrier
-    cands = primary_candidates(i)
     reach = meet_all(q, cands)
     if reach != i:
         raise NotDecomposable(
@@ -206,8 +210,12 @@ def all_minimal_decompositions(i: Ideal) -> list[tuple[Ideal, ...]]:
     MINIMAL_PICKS_MAX picks it raises TooLarge before building them.
     Results come in ascending pick order.
     """
+    return _all_minimal_decompositions(i, primary_candidates(i))
+
+
+def _all_minimal_decompositions(i: Ideal, cands: list[Ideal]) -> list[tuple[Ideal, ...]]:
+    """all_minimal_decompositions of i from its primary_candidates."""
     q = i.carrier
-    cands = primary_candidates(i)
     groups: dict[int, list[int]] = {}
     for k, c in enumerate(cands):
         groups.setdefault(radical(c).members, []).append(1 << k)
@@ -300,7 +308,8 @@ def uniqueness_report(i: Ideal) -> UniquenessReport:
     isolated components differ between minimal decompositions; such a
     failure would falsify the construction, not the input.
     """
-    d = primary_decomposition(i)
+    cands = primary_candidates(i)  # read by both decomposition routes
+    d = _primary_decomposition(i, cands)
     associated = tuple(sorted(d.radicals, key=lambda p: (p.size, p.apex)))
     colon = colon_primes(i)
     if set(colon) != set(associated):
@@ -315,7 +324,7 @@ def uniqueness_report(i: Ideal) -> UniquenessReport:
             f"isolated primes at {i.name} are not the minimal primes over it"
         )
     match = isolated_components_agree(
-        i, isolated, [*all_minimal_decompositions(i), d.components]
+        i, isolated, [*_all_minimal_decompositions(i, cands), d.components]
     )
     return UniquenessReport(
         target=i,

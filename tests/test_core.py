@@ -311,6 +311,13 @@ def test_power_refuses_an_index_outside_the_carrier(q4, x):
             call()
 
 
+def test_power_of_join_refuses_a_negative_exponent(q4):
+    # power_of_join(q4, 1, 2, -1) once summed an empty range and gave bottom
+    for call in (lambda: power(q4, 1, -1), lambda: power_of_join(q4, 1, 2, -1)):
+        with pytest.raises(ValueError, match="^negative power$"):
+            call()
+
+
 def test_power_of_join_binomial(q4, l3):
     for q in (q4, l3):
         for x in range(q.n):

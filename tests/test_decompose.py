@@ -3,6 +3,7 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qk import decompose
 from qk.classify import is_primary, radical, spectrum
 from qk.decompose import (
     Decomposition,
@@ -140,6 +141,16 @@ def test_uniqueness_q4(q4):
     assert {p.name for p in rep.isolated} == {"↓a", "↓b"}
     assert rep.embedded == ()
     assert rep.isolated_components_match
+
+
+def test_uniqueness_report_lists_the_primary_candidates_once(q4, monkeypatch):
+    # the decomposition and every minimal decomposition read one list
+    calls = []
+    candidates = decompose.primary_candidates
+    monkeypatch.setattr(decompose, "primary_candidates", lambda i: calls.append(i) or candidates(i))
+    rep = uniqueness_report(zero_ideal(q4))
+    assert rep.isolated_components_match
+    assert calls == [zero_ideal(q4)]
 
 
 def test_uniqueness_p3(p3):

@@ -145,6 +145,8 @@ def test_prime_avoidance_matches_scan(mutant):
 def test_avoidance_suite_core_matches_prime_avoidance(q, monkeypatch):
     """On every case of the avoidance suite (each mask _instability passes,
     with each combination the suite builds), the core the suite calls
+    returns None exactly where the checked entry point refuses the set as
+    lying inside an ideal, naming the first such ideal, and otherwise
     answers as the checked entry point does."""
     q = replace(q)
     monkeypatch.setattr(verify, "_check", lambda suite, laws: laws)
@@ -152,7 +154,15 @@ def test_avoidance_suite_core_matches_prime_avoidance(q, monkeypatch):
     masks = set()
     for m, (ps, _) in law.domain.cases():
         masks.add(m)
-        assert _outcome(_avoiding, m, ps) == _outcome(prime_avoidance, q, m, ps)
+        got, want = _outcome(_avoiding, m, ps), _outcome(_avoidance, q, m, ps)
+        inside = [k for k, p in enumerate(ps) if m & ~p.members == 0]
+        if inside:
+            k = inside[0]
+            assert got is None
+            message = f"the stable set lies inside ideal {k + 1} ({ps[k].name})"
+            assert want == ("not_contained", message)
+        else:
+            assert got == want
     stable = (m for m in range(1, q.full + 1) if not isinstance(_avoidance_scan(q, m, []), tuple))
     assert masks == set(stable)
 

@@ -1,16 +1,23 @@
+from collections import Counter
+from functools import partial
+
 import pytest
 
+from qk import ideals
 from qk.core import QuantaleHom, build_quantale, check_axioms
 from qk.errors import HomRequired
-from qk.generators import lukasiewicz_quantale, powerset_quantale
+from qk.generators import generate_from_spec, lukasiewicz_quantale, powerset_quantale
 from qk.verify import (
     SAMPLE_COUNT,
     SUITE_ORDER,
+    _Ctx,
     default_homs,
     resolve_seed,
     run_suite,
     single_cell_mutants,
 )
+
+from oracles import MUTANTS
 
 
 def test_all_suites_green_on_sound_instances(q4, l3, m3):
@@ -239,3 +246,56 @@ def test_avoidance_tests_each_drawn_mask_once(monkeypatch):
     rep = run_suite(q, "avoidance", seed=0)
     assert rep.ok
     assert sorted(calls) == sorted(set(drawn))
+
+
+def _plain_routes(ctx):
+    """_Ctx.routes with the memo forced off: the library calls."""
+    return partial(ideals.generated, ctx.q), partial(ideals.annihilator, ctx.q)
+
+
+def _subset_calls(q):
+    """For each suite that reads the subset routes, the masks that reached
+    ideals.generated and ideals.annihilator, with their counts."""
+    calls = {}
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("generated", "annihilator"):
+            route = getattr(ideals, name)
+
+            def counted(q, m, name=name, route=route):
+                calls[suite][name, m] += 1
+                return route(q, m)
+
+            mp.setattr(ideals, name, counted)
+        for suite in ("annihilator", "proposition_bpi"):
+            calls[suite] = Counter()
+            assert run_suite(q, suite, seed=0).ok
+    return calls
+
+
+def test_subset_routes_reach_the_library_once_per_mask_where_subsets_repeat():
+    # lukasiewicz:13 has 8,191 nonempty subsets, fewer than SAMPLE_COUNT draws
+    q = lukasiewicz_quantale(13)
+    assert q.full < SAMPLE_COUNT
+    for suite, counts in _subset_calls(q).items():
+        assert counts and max(counts.values()) == 1, suite
+
+
+def test_subset_routes_are_the_library_calls_where_subsets_do_not_repeat(monkeypatch):
+    # lukasiewicz:14 has 16,383 nonempty subsets: no memo
+    q = lukasiewicz_quantale(14)
+    assert q.full >= SAMPLE_COUNT
+    with_routes = _subset_calls(q)
+    monkeypatch.setattr(_Ctx, "routes", _plain_routes)
+    assert _subset_calls(q) == with_routes
+    assert max(with_routes["proposition_bpi"].values()) > 1
+
+
+@pytest.mark.parametrize(
+    "q",
+    [*MUTANTS, lukasiewicz_quantale(12), generate_from_spec("lowersets:antichain3")],
+    ids=lambda q: q.name,
+)
+def test_subset_memo_leaves_every_law_result_unchanged(q, monkeypatch):
+    memoized = run_suite(q, "all", seed=7).results
+    monkeypatch.setattr(_Ctx, "routes", _plain_routes)
+    assert run_suite(q, "all", seed=7).results == memoized
