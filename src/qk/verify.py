@@ -11,6 +11,8 @@ the domains (_Ctx), and such laws say so in their note.  Where a domain
 certainly repeats its draws (_Ctx says where), _check evaluates each draw
 once and counts its repeats, so case counts are those of checking every
 case; there a suite also computes generated and annihilator once per mask.
+At every size, proposition_bpi takes each residual of two ideals, and the
+join or meet of each family of ideals, once.
 Each law reports its exact case count and, on failure, the first
 witness found; later laws still run.
 
@@ -302,6 +304,18 @@ def _nonempty_draws(rng: random.Random, width: int, count: int) -> list[int]:
     return list(itertools.islice(filter(None, masks), count))
 
 
+class _Routes(NamedTuple):
+    """Library calls a suite reads through _Ctx.routes: generated and
+    annihilator of q at a mask, residual of two ideals, and the join and
+    meet of a family (a tuple) of ideals."""
+
+    gen: Callable[[int], il.Ideal]
+    ann: Callable[[int], il.Ideal]
+    res: Callable[[il.Ideal, il.Ideal], il.Ideal]
+    family_join: Callable[[tuple[il.Ideal, ...]], il.Ideal]
+    family_meet: Callable[[tuple[il.Ideal, ...]], il.Ideal]
+
+
 class _Ctx:
     """Per-instance precomputations, and the axes the suites quantify over.
 
@@ -343,7 +357,12 @@ class _Ctx:
       routes             gen(m), ann(m): ideals.generated and
                          ideals.annihilator of q at a mask, each memoized
                          for the calling suite (at most q.full entries)
-                         where subsets repeat, else the library calls
+                         where subsets repeat, else the library calls;
+                         res(i, j), family_join(f), family_meet(f):
+                         ideals.residual, ideals.join_all and
+                         ideals.meet_all, memoized for the calling suite
+                         at every size (at most one entry per pair of
+                         ideals, n^2, and per family drawn, 10^3 per law)
     """
 
     def __init__(self, q: FiniteQuantale, seed: int, homs: list[QuantaleHom] | None = None):
@@ -401,11 +420,15 @@ class _Ctx:
         draws = lambda: _nonempty_draws(self.rng(tag), self.q.n, SAMPLE_COUNT)
         return _Axis(draws, self.q.labels, "sampled", self.repeats)
 
-    def routes(self) -> tuple[Callable[[int], il.Ideal], Callable[[int], il.Ideal]]:
-        """A new pair per call, so a memo lives as long as its suite; it holds
+    def routes(self) -> _Routes:
+        """New routes per call, so a memo lives as long as its suite; it holds
         the library's own result, and a call that raises is not stored."""
-        gen, ann = partial(il.generated, self.q), partial(il.annihilator, self.q)
-        return (lru_cache(None)(gen), lru_cache(None)(ann)) if self.repeats else (gen, ann)
+        q, memo = self.q, lru_cache(None)
+        gen, ann = partial(il.generated, q), partial(il.annihilator, q)
+        if self.repeats:
+            gen, ann = memo(gen), memo(ann)
+        family_join, family_meet = partial(il.join_all, q), partial(il.meet_all, q)
+        return _Routes(gen, ann, memo(il.residual), memo(family_join), memo(family_meet))
 
     def _pair_witness(self, s: int, t: int) -> tuple[str, ...]:
         return self.q.labels(s), "/", self.q.labels(t)
@@ -518,8 +541,8 @@ def _suite_proposition_bpi(ctx: _Ctx) -> list[LawResult]:
     q, I, F = ctx.q, ctx.axis("ideals"), ctx.families
     I2, I3 = _over(I, I), _over(I, I, I)
     whole, zero = il.whole_ideal(q), il.zero_ideal(q)
-    prod, meet, join, res = il.product_ideals, il.meet_ideals, il.join_ideals, il.residual
-    gen, _ = ctx.routes()
+    prod, meet, join = il.product_ideals, il.meet_ideals, il.join_ideals
+    gen, _, res, family_join, family_meet = ctx.routes()
     meet_all, join_all = partial(il.meet_all, q), partial(il.join_all, q)
 
     def coprime_product(a, b, c):
@@ -538,7 +561,7 @@ def _suite_proposition_bpi(ctx: _Ctx) -> list[LawResult]:
         _Law("whole_is_unit", _over(I), lambda a: prod(whole, a) == a),
         _Law("zero_annihilates", _over(I), lambda a: prod(zero, a) == zero),
         _Law("product_join_distrib", _over(I, F("bpi.product_join_distrib")),
-             lambda a, fam: prod(a, join_all(fam)) == join_all([prod(a, b) for b in fam])),
+             lambda a, fam: prod(a, family_join(fam)) == join_all([prod(a, b) for b in fam])),
         _Law("product_below_meet", I2, lambda a, b: prod(a, b) <= meet(a, b)),
         _Law("product_meet_below", I3,
              lambda a, b, c: prod(a, meet(b, c)) <= meet(prod(a, b), prod(a, c))),
@@ -553,9 +576,9 @@ def _suite_proposition_bpi(ctx: _Ctx) -> list[LawResult]:
         _Law("residual_by_whole", _over(I), lambda a: res(a, whole) == a),
         _Law("below_residual_of_product", I2, lambda a, b: a <= res(prod(a, b), b)),
         _Law("residual_meet_family", _over(F("bpi.residual_meet_family"), I),
-             lambda fam, b: res(meet_all(fam), b) == meet_all([res(a, b) for a in fam])),
+             lambda fam, b: res(family_meet(fam), b) == meet_all([res(a, b) for a in fam])),
         _Law("residual_join_family", _over(I, F("bpi.residual_join_family")),
-             lambda a, fam: meet_all([res(a, b) for b in fam]) <= res(a, join_all(fam))),
+             lambda a, fam: meet_all([res(a, b) for b in fam]) <= res(a, family_join(fam))),
         _Law("residual_iterated", I3, residual_iterated),
         _Law("residual_join_absorb", I2, lambda a, b: res(a, b) == res(a, join(a, b))),
         _Law("residual_meet_absorb", I2, lambda a, b: res(a, b) == res(meet(a, b), b)),
@@ -568,7 +591,7 @@ def _suite_proposition_bpi(ctx: _Ctx) -> list[LawResult]:
 
 
 def _suite_annihilator(ctx: _Ctx) -> list[LawResult]:
-    S, (gen, ann) = ctx.subsets, ctx.routes()
+    S, (gen, ann, *_) = ctx.subsets, ctx.routes()
     zero = il.zero_ideal(ctx.q)
 
     return _check("annihilator", [
@@ -878,10 +901,11 @@ def _suite_pqx(ctx: _Ctx) -> list[LawResult]:
 
 
 def _suite_uniqueness(ctx: _Ctx) -> list[LawResult]:
-    targets, skipped = [], 0
+    targets, skipped, cands = [], 0, {}  # read by both decomposition routes
     for i in ctx.proper:
+        cands[i] = dc.primary_candidates(i)
         try:
-            targets.append((i, dc.primary_decomposition(i)))
+            targets.append((i, dc._primary_decomposition(i, cands[i])))
         except NotDecomposable:
             skipped += 1
     note = f"{skipped} proper ideals not decomposable" if skipped else ""
@@ -903,7 +927,7 @@ def _suite_uniqueness(ctx: _Ctx) -> list[LawResult]:
         _Law("isolated_component_formula", isolated, component, note),
         _Law("isolated_components_unique", decomposed,
              lambda i, d: dc.isolated_components_agree(
-                 i, dc.isolated_primes(d.radicals), dc.all_minimal_decompositions(i)),
+                 i, dc.isolated_primes(d.radicals), dc._all_minimal_decompositions(i, cands[i])),
              note),
     ])
 

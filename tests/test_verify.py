@@ -3,7 +3,7 @@ from functools import partial
 
 import pytest
 
-from qk import ideals
+from qk import decompose, ideals
 from qk.core import QuantaleHom, build_quantale, check_axioms
 from qk.errors import HomRequired
 from qk.generators import generate_from_spec, lukasiewicz_quantale, powerset_quantale
@@ -11,6 +11,7 @@ from qk.verify import (
     SAMPLE_COUNT,
     SUITE_ORDER,
     _Ctx,
+    _Routes,
     default_homs,
     resolve_seed,
     run_suite,
@@ -249,8 +250,15 @@ def test_avoidance_tests_each_drawn_mask_once(monkeypatch):
 
 
 def _plain_routes(ctx):
-    """_Ctx.routes with the memo forced off: the library calls."""
-    return partial(ideals.generated, ctx.q), partial(ideals.annihilator, ctx.q)
+    """_Ctx.routes with every memo forced off: the library calls."""
+    q = ctx.q
+    return _Routes(
+        partial(ideals.generated, q),
+        partial(ideals.annihilator, q),
+        ideals.residual,
+        partial(ideals.join_all, q),
+        partial(ideals.meet_all, q),
+    )
 
 
 def _subset_calls(q):
@@ -292,10 +300,53 @@ def test_subset_routes_are_the_library_calls_where_subsets_do_not_repeat(monkeyp
 
 @pytest.mark.parametrize(
     "q",
-    [*MUTANTS, lukasiewicz_quantale(12), generate_from_spec("lowersets:antichain3")],
+    [
+        *MUTANTS,
+        lukasiewicz_quantale(12),
+        powerset_quantale(4),
+        generate_from_spec("lowersets:antichain3"),
+    ],
     ids=lambda q: q.name,
 )
 def test_subset_memo_leaves_every_law_result_unchanged(q, monkeypatch):
     memoized = run_suite(q, "all", seed=7).results
     monkeypatch.setattr(_Ctx, "routes", _plain_routes)
     assert run_suite(q, "all", seed=7).results == memoized
+
+
+@pytest.mark.parametrize("q", [lukasiewicz_quantale(12), powerset_quantale(4)], ids=lambda q: q.name)
+def test_proposition_bpi_reaches_the_library_once_per_pair_and_family(q, monkeypatch):
+    # each residual of two ideals, and the join and the meet of each drawn
+    # family (a tuple; the per-case lists are not memoized), is computed once
+    calls = Counter()
+    residual, join_all, meet_all = ideals.residual, ideals.join_all, ideals.meet_all
+
+    def counted_residual(i, j):
+        calls["residual", i, j] += 1
+        return residual(i, j)
+
+    def fold(name, route):
+        def counted(q, family):
+            if isinstance(family, tuple):
+                calls[name, family] += 1
+            return route(q, family)
+
+        return counted
+
+    monkeypatch.setattr(ideals, "residual", counted_residual)
+    monkeypatch.setattr(ideals, "join_all", fold("join_all", join_all))
+    monkeypatch.setattr(ideals, "meet_all", fold("meet_all", meet_all))
+    assert run_suite(q, "proposition_bpi", seed=0).ok
+    assert {key[0] for key in calls} == {"residual", "join_all", "meet_all"}
+    assert max(calls.values()) == 1
+
+
+@pytest.mark.parametrize("spec", ["lukasiewicz:12", "powerset:4", "lowersets:chain8"])
+def test_uniqueness_lists_the_primary_candidates_once_per_proper_ideal(spec, monkeypatch):
+    # the decomposition and every minimal decomposition of an ideal read one list
+    q = generate_from_spec(spec)
+    calls = Counter()
+    candidates = decompose.primary_candidates
+    monkeypatch.setattr(decompose, "primary_candidates", lambda i: calls.update([i]) or candidates(i))
+    assert run_suite(q, "uniqueness", seed=0).ok
+    assert calls == Counter(i for i in ideals.enumerate_ideals(q) if i.proper)
