@@ -11,8 +11,10 @@ the domains (_Ctx), and such laws say so in their note.  Where a domain
 certainly repeats its draws (_Ctx says where), _check evaluates each draw
 once and counts its repeats, so case counts are those of checking every
 case; there a suite also computes generated and annihilator once per mask.
-At every size, proposition_bpi takes each residual of two ideals, and the
-join or meet of each family of ideals, once.
+At every size a suite takes each residual, radical, extension and
+contraction it needs, each idealness test of an ideal-op result and the
+join or meet of each family of ideals once (_Ctx.routes), and a run builds
+and checks the ideal carrier once.
 Each law reports its exact case count and, on failure, the first
 witness found; later laws still run.
 
@@ -305,15 +307,17 @@ def _nonempty_draws(rng: random.Random, width: int, count: int) -> list[int]:
 
 
 class _Routes(NamedTuple):
-    """Library calls a suite reads through _Ctx.routes: generated and
-    annihilator of q at a mask, residual of two ideals, and the join and
-    meet of a family (a tuple) of ideals."""
+    """The library calls a suite reads by name through _Ctx.routes."""
 
     gen: Callable[[int], il.Ideal]
     ann: Callable[[int], il.Ideal]
     res: Callable[[il.Ideal, il.Ideal], il.Ideal]
     family_join: Callable[[tuple[il.Ideal, ...]], il.Ideal]
     family_meet: Callable[[tuple[il.Ideal, ...]], il.Ideal]
+    ext: Callable[[QuantaleHom, il.Ideal], il.Ideal]
+    con: Callable[[QuantaleHom, il.Ideal], il.Ideal]
+    rad: Callable[[il.Ideal], il.Ideal]
+    is_ideal: Callable[[FiniteQuantale, int], bool]
 
 
 class _Ctx:
@@ -354,21 +358,27 @@ class _Ctx:
       mcsets             all mc sets up to EXHAUST_MAX_N elements, else the
                          sets generated by one element, plus {top} (note
                          "mc sets limited to generated ones")
-      routes             gen(m), ann(m): ideals.generated and
-                         ideals.annihilator of q at a mask, each memoized
-                         for the calling suite (at most q.full entries)
-                         where subsets repeat, else the library calls;
-                         res(i, j), family_join(f), family_meet(f):
-                         ideals.residual, ideals.join_all and
-                         ideals.meet_all, memoized for the calling suite
-                         at every size (at most one entry per pair of
-                         ideals, n^2, and per family drawn, 10^3 per law)
+      routes             library calls memoized for the calling suite:
+                         gen(m), ann(m) (ideals.generated, annihilator of
+                         q at a mask; at most q.full entries) where subsets
+                         repeat, else the plain calls; at every size
+                         res(i, j) (ideals.residual; n^2 pairs of ideals),
+                         family_join(f), family_meet(f) (ideals.join_all,
+                         meet_all of a tuple; 10^3 families drawn per
+                         law), ext(h, i), con(h, j) (ideals.extension,
+                         contraction; n per hom), rad(i) (classify.radical;
+                         n) and is_ideal(q, m) (ideals.is_ideal; one per
+                         carrier and mask tested)
+
+    homs, where run_suite names none, and the ideal carrier with its
+    check_axioms verdict are built once per run, on first use.
     """
 
     def __init__(self, q: FiniteQuantale, seed: int, homs: list[QuantaleHom] | None = None):
         self.q = q
         self.seed = seed
-        self.homs = homs
+        if homs is not None:  # else the cached default below
+            self.homs = homs
         self.exhaustive = q.n <= EXHAUST_MAX_N
         self.repeats = q.full < SAMPLE_COUNT  # fewer subsets than draws: n <= 13
 
@@ -390,6 +400,25 @@ class _Ctx:
     @cached_property
     def primaries(self) -> list[il.Ideal]:
         return [i for i in self.ideals if cl.is_primary(i)]
+
+    @cached_property
+    def homs(self) -> list[QuantaleHom]:
+        """Identity plus the principal embedding into the ideal carrier."""
+        homs = [QuantaleHom.identity(self.q)]
+        try:
+            homs.append(self.ideal_carrier.hom_from_base())
+        except Exception:
+            pass  # broken instances still get the identity
+        return homs
+
+    @cached_property
+    def ideal_carrier(self) -> il.IdealQuantale:
+        """ideals.ideal_quantale(q); a build that raises is not stored."""
+        return il.ideal_quantale(self.q)
+
+    @cached_property
+    def ideal_carrier_lawful(self) -> bool:
+        return check_axioms(self.ideal_carrier.quantale).ok
 
     @cached_property
     def mcsets(self) -> list[cl.McSet]:
@@ -428,7 +457,8 @@ class _Ctx:
         if self.repeats:
             gen, ann = memo(gen), memo(ann)
         family_join, family_meet = partial(il.join_all, q), partial(il.meet_all, q)
-        return _Routes(gen, ann, memo(il.residual), memo(family_join), memo(family_meet))
+        plain = family_join, family_meet, il.extension, il.contraction, cl.radical, il.is_ideal
+        return _Routes(gen, ann, *map(memo, (il.residual, *plain)))
 
     def _pair_witness(self, s: int, t: int) -> tuple[str, ...]:
         return self.q.labels(s), "/", self.q.labels(t)
@@ -542,7 +572,9 @@ def _suite_proposition_bpi(ctx: _Ctx) -> list[LawResult]:
     I2, I3 = _over(I, I), _over(I, I, I)
     whole, zero = il.whole_ideal(q), il.zero_ideal(q)
     prod, meet, join = il.product_ideals, il.meet_ideals, il.join_ideals
-    gen, _, res, family_join, family_meet = ctx.routes()
+    r = ctx.routes()
+    gen, res, is_ideal = r.gen, r.res, r.is_ideal
+    family_join, family_meet = r.family_join, r.family_meet
     meet_all, join_all = partial(il.meet_all, q), partial(il.join_all, q)
 
     def coprime_product(a, b, c):
@@ -555,7 +587,7 @@ def _suite_proposition_bpi(ctx: _Ctx) -> list[LawResult]:
 
     return _check("proposition_bpi", [
         _Law("ideal_ops_closed", I2,
-             lambda a, b: all(il.is_ideal(q, op(a, b).members) for op in (prod, meet, join, res))),
+             lambda a, b: all(is_ideal(q, op(a, b).members) for op in (prod, meet, join, res))),
         _Law("product_assoc", I3, lambda a, b, c: prod(prod(a, b), c) == prod(a, prod(b, c))),
         _Law("product_comm", I2, lambda a, b: prod(a, b) == prod(b, a)),
         _Law("whole_is_unit", _over(I), lambda a: prod(whole, a) == a),
@@ -585,13 +617,13 @@ def _suite_proposition_bpi(ctx: _Ctx) -> list[LawResult]:
         _Law("generated_meet_lower", ctx.overlapping_pairs("bpi.generated_meet_lower"),
              lambda s, t: gen(s & t) <= meet(gen(s), gen(t)),
              "inclusion only; the reverse fails once generators join above the overlap"),
-        _Law("ideal_carrier_axioms", ctx.once,
-             lambda: check_axioms(il.ideal_quantale(q).quantale).ok),
+        _Law("ideal_carrier_axioms", ctx.once, lambda: ctx.ideal_carrier_lawful),
     ])
 
 
 def _suite_annihilator(ctx: _Ctx) -> list[LawResult]:
-    S, (gen, ann, *_) = ctx.subsets, ctx.routes()
+    S, r = ctx.subsets, ctx.routes()
+    gen, ann, res = r.gen, r.ann, r.res
     zero = il.zero_ideal(ctx.q)
 
     return _check("annihilator", [
@@ -601,15 +633,14 @@ def _suite_annihilator(ctx: _Ctx) -> list[LawResult]:
         _Law("triple_stable", _over(S("ann.triple")),
              lambda s: (a := ann(s)) == ann(ann(a.members).members)),
         _Law("matches_residual_into_zero", _over(S("ann.residual")),
-             lambda s: ann(s) == il.residual(zero, gen(s))),
+             lambda s: ann(s) == res(zero, gen(s))),
     ])
 
 
 def _suite_cep(ctx: _Ctx) -> list[LawResult]:
-    q = ctx.q
-    homs = ctx.homs if ctx.homs is not None else default_homs(q)
-    ext, con = il.extension, il.contraction
-    prod, meet, res = il.product_ideals, il.meet_ideals, il.residual
+    q, homs, r = ctx.q, ctx.homs, ctx.routes()
+    ext, con, res, is_ideal = r.ext, r.con, r.res, r.is_ideal
+    prod, meet = il.product_ideals, il.meet_ideals
     source = ctx.ideals
 
     def per_hom(n_source: int, n_target: int) -> _Domain:
@@ -624,7 +655,7 @@ def _suite_cep(ctx: _Ctx) -> list[LawResult]:
         return _Domain(cases, lambda h, *ideals: (h.name, *(i.name for i in ideals)))
 
     def images_are_ideals(h, i, j):
-        return il.is_ideal(h.target, ext(h, i).members) and il.is_ideal(q, con(h, j).members)
+        return is_ideal(h.target, ext(h, i).members) and is_ideal(q, con(h, j).members)
 
     def bijection(h):
         target = il.enumerate_ideals(h.target)
@@ -757,7 +788,7 @@ def _suite_avoidance(ctx: _Ctx) -> list[LawResult]:
 def _suite_radical_lemma(ctx: _Ctx) -> list[LawResult]:
     q, I = ctx.q, ctx.axis("ideals")
     I2 = _over(I, I)
-    rad = cl.radical
+    rad = ctx.routes().rad
     prod, meet = il.product_ideals, il.meet_ideals
 
     def meet_and_product(a, b):
@@ -782,19 +813,19 @@ def _suite_radical_lemma(ctx: _Ctx) -> list[LawResult]:
 
 
 def _suite_spkr(ctx: _Ctx) -> list[LawResult]:
-    q, I = ctx.q, ctx.axis("ideals")
+    q, I, rad = ctx.q, ctx.axis("ideals"), ctx.routes().rad
     semis = [s for s in ctx.ideals if cl.is_semiprime(s)]
 
     def forms(i):
         """semiprime, the meet of the primes over it, its own radical"""
-        return cl.is_semiprime(i), il.meet_all(q, cl.primes_over(i)) == i, cl.radical(i) == i
+        return cl.is_semiprime(i), il.meet_all(q, cl.primes_over(i)) == i, rad(i) == i
 
     def forms_witness(i):
         a, b, c = forms(i)
         return i.name, f"semiprime={a}", f"primemeet={b}", f"radical={c}"
 
     def smallest(i):
-        r = cl.radical(i)
+        r = rad(i)
         return cl.is_semiprime(r) and all(r <= s for s in semis if i <= s)
 
     return _check("spkr", [
@@ -858,7 +889,7 @@ def _suite_saturation(ctx: _Ctx) -> list[LawResult]:
 
 
 def _suite_primary(ctx: _Ctx) -> list[LawResult]:
-    rad, meet_all = cl.radical, partial(il.meet_all, ctx.q)
+    rad, meet_all = ctx.routes().rad, partial(il.meet_all, ctx.q)
 
     def smallest_prime(c):
         r = rad(c)
@@ -882,20 +913,21 @@ def _suite_primary(ctx: _Ctx) -> list[LawResult]:
 
 
 def _suite_pqx(ctx: _Ctx) -> list[LawResult]:
-    q = ctx.q
+    q, routes = ctx.q, ctx.routes()
+    rad, res = routes.rad, routes.res
 
     def cases():
         """c, its radical p, x and the residual (c : x), for each primary c."""
         for c in ctx.primaries:
-            p = cl.radical(c)
+            p = rad(c)
             for x in range(q.n):
-                yield c, p, x, il.residual(c, il.principal(q, x))
+                yield c, p, x, res(c, q.principals[x])
 
     residuals = _Domain(cases, lambda c, p, x, r: (c.name, q.elements[x]))
     return _check("pqx", [
         _Law("inside_gives_whole", residuals, lambda c, p, x, r: r.is_whole if x in c else None),
         _Law("outside_stays_primary", residuals,
-             lambda c, p, x, r: None if x in c else cl.is_primary(r) and cl.radical(r) == p),
+             lambda c, p, x, r: None if x in c else cl.is_primary(r) and rad(r) == p),
         _Law("outside_radical_identity", residuals, lambda c, p, x, r: None if x in p else r == c),
     ])
 
@@ -989,8 +1021,7 @@ def _suite_collapse(ctx: _Ctx) -> list[LawResult]:
         return brute == {i.members for i in ideals}
 
     def ideal_carrier_iso():
-        iq = il.ideal_quantale(q)
-        return check_axioms(iq.quantale).ok and iq.quantale.n == q.n
+        return ctx.ideal_carrier_lawful and ctx.ideal_carrier.quantale.n == q.n
 
     return _check("collapse", [
         _Law("ideals_match_brute_force", ctx.once, brute_force),
@@ -1012,19 +1043,17 @@ def _suite_collapse(ctx: _Ctx) -> list[LawResult]:
 
 def default_homs(q: FiniteQuantale) -> list[QuantaleHom]:
     """Identity plus the principal embedding into the ideal carrier."""
-    homs = [QuantaleHom.identity(q)]
-    try:
-        homs.append(il.ideal_quantale(q).hom_from_base())
-    except Exception:
-        pass  # broken instances still get the identity
-    return homs
+    return _Ctx(q, DEFAULT_SEED).homs
 
 
 def resolve_seed(seed: int | None) -> int:
     if seed is not None:
         return seed
     env = os.environ.get("QK_SEED")
-    return int(env) if env else DEFAULT_SEED
+    try:
+        return int(env) if env else DEFAULT_SEED
+    except ValueError:
+        raise ValueError(f"QK_SEED must be an integer, got {env!r}") from None
 
 
 def run_suite(

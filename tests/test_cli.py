@@ -210,6 +210,13 @@ def test_qk_seed_env(capsys, monkeypatch):
     assert "seed\t271" in out
 
 
+def test_non_integer_qk_seed_names_the_variable(capsys, monkeypatch):
+    monkeypatch.setenv("QK_SEED", "abc")
+    code, out, err = run(capsys, "verify", L3)
+    assert (code, out) == (2, "")
+    assert err == "qk: QK_SEED must be an integer, got 'abc'\n"
+
+
 def test_verify_all_green(capsys):
     code, out, _ = run(capsys, "verify", L3)
     assert code == 0

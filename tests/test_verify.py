@@ -3,10 +3,11 @@ from functools import partial
 
 import pytest
 
-from qk import decompose, ideals
+from qk import classify, decompose, ideals, verify
 from qk.core import QuantaleHom, build_quantale, check_axioms
 from qk.errors import HomRequired
 from qk.generators import generate_from_spec, lukasiewicz_quantale, powerset_quantale
+from qk.quantfile import load_hom
 from qk.verify import (
     SAMPLE_COUNT,
     SUITE_ORDER,
@@ -18,7 +19,11 @@ from qk.verify import (
     single_cell_mutants,
 )
 
-from oracles import MUTANTS
+from oracles import DATA, MUTANTS
+
+# into the two-element chain, so neither is a bijection; the bad one breaks
+# meet, so every extension and contraction along it raises HomInvalid
+FILE_HOMS = [load_hom(DATA / f) for f in ("q4_to_c2.hom", "l3_to_c2.hom", "q4_to_c2_bad.hom")]
 
 
 def test_all_suites_green_on_sound_instances(q4, l3, m3):
@@ -159,6 +164,9 @@ def test_seed_resolution(monkeypatch):
     monkeypatch.setenv("QK_SEED", "314")
     assert resolve_seed(None) == 314
     assert resolve_seed(5) == 5
+    monkeypatch.setenv("QK_SEED", "abc")
+    with pytest.raises(ValueError, match="^QK_SEED must be an integer, got 'abc'$"):
+        resolve_seed(None)
     monkeypatch.delenv("QK_SEED")
     assert resolve_seed(None) == default
 
@@ -253,12 +261,24 @@ def _plain_routes(ctx):
     """_Ctx.routes with every memo forced off: the library calls."""
     q = ctx.q
     return _Routes(
-        partial(ideals.generated, q),
-        partial(ideals.annihilator, q),
-        ideals.residual,
-        partial(ideals.join_all, q),
-        partial(ideals.meet_all, q),
+        gen=partial(ideals.generated, q),
+        ann=partial(ideals.annihilator, q),
+        res=ideals.residual,
+        family_join=partial(ideals.join_all, q),
+        family_meet=partial(ideals.meet_all, q),
+        ext=ideals.extension,
+        con=ideals.contraction,
+        rad=classify.radical,
+        is_ideal=ideals.is_ideal,
     )
+
+
+def _counted(monkeypatch, module, name):
+    """Replace module.name by a wrapper; the Counter it returns counts each
+    argument tuple the wrapper is called with."""
+    calls, route = Counter(), getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args: calls.update([args]) or route(*args))
+    return calls
 
 
 def _subset_calls(q):
@@ -299,19 +319,27 @@ def test_subset_routes_are_the_library_calls_where_subsets_do_not_repeat(monkeyp
 
 
 @pytest.mark.parametrize(
-    "q",
+    "q,hom",
     [
-        *MUTANTS,
-        lukasiewicz_quantale(12),
-        powerset_quantale(4),
-        generate_from_spec("lowersets:antichain3"),
+        *(
+            pytest.param(q, None, id=q.name)
+            for q in (
+                *MUTANTS,
+                lukasiewicz_quantale(12),
+                powerset_quantale(4),
+                generate_from_spec("lowersets:antichain3"),
+            )
+        ),
+        *(pytest.param(h.source, h, id=h.name) for h in FILE_HOMS),
     ],
-    ids=lambda q: q.name,
 )
-def test_subset_memo_leaves_every_law_result_unchanged(q, monkeypatch):
-    memoized = run_suite(q, "all", seed=7).results
+def test_subset_memo_leaves_every_law_result_unchanged(q, hom, monkeypatch):
+    memoized = run_suite(q, "all", hom=hom, seed=7).results
     monkeypatch.setattr(_Ctx, "routes", _plain_routes)
-    assert run_suite(q, "all", seed=7).results == memoized
+    assert run_suite(q, "all", hom=hom, seed=7).results == memoized
+    if hom is not None and not hom.check().ok:  # a memo stores no call that raises
+        cep = [r for r in memoized if r.suite == "cep" and r.law != "maps_are_homs"]
+        assert cep and all("HomInvalid" in r.note for r in cep)
 
 
 @pytest.mark.parametrize("q", [lukasiewicz_quantale(12), powerset_quantale(4)], ids=lambda q: q.name)
@@ -350,3 +378,49 @@ def test_uniqueness_lists_the_primary_candidates_once_per_proper_ideal(spec, mon
     monkeypatch.setattr(decompose, "primary_candidates", lambda i: calls.update([i]) or candidates(i))
     assert run_suite(q, "uniqueness", seed=0).ok
     assert calls == Counter(i for i in ideals.enumerate_ideals(q) if i.proper)
+
+
+@pytest.mark.parametrize("q", [lukasiewicz_quantale(12), powerset_quantale(4)], ids=lambda q: q.name)
+def test_cep_reaches_extension_and_contraction_once_per_hom_and_ideal(q, monkeypatch):
+    # two default homs, into q and into its ideal carrier, n ideals on each side
+    ext = _counted(monkeypatch, ideals, "extension")
+    con = _counted(monkeypatch, ideals, "contraction")
+    assert run_suite(q, "all", seed=0).ok
+    assert len(ext) == len(con) == 2 * q.n
+    assert max(ext.values()) == max(con.values()) == 1
+
+
+@pytest.mark.parametrize("hom", FILE_HOMS[:2], ids=lambda h: h.name)
+def test_cep_reaches_extension_and_contraction_once_on_a_file_hom(hom, monkeypatch):
+    ext = _counted(monkeypatch, ideals, "extension")
+    con = _counted(monkeypatch, ideals, "contraction")
+    assert run_suite(hom.source, "cep", hom=hom, seed=0).ok
+    assert set(ext) == {(hom, i) for i in ideals.enumerate_ideals(hom.source)}
+    assert set(con) == {(hom, j) for j in ideals.enumerate_ideals(hom.target)}
+    assert max(ext.values()) == max(con.values()) == 1
+
+
+@pytest.mark.parametrize("suite", ["radical_lemma", "primary"])
+@pytest.mark.parametrize("spec", ["lukasiewicz:12", "powerset:4", "lowersets:chain8"])
+def test_radical_suites_reach_the_library_once_per_ideal(spec, suite, monkeypatch):
+    q = generate_from_spec(spec)
+    calls = _counted(monkeypatch, classify, "radical")
+    assert run_suite(q, suite, seed=0).ok
+    assert calls and max(calls.values()) == 1
+
+
+@pytest.mark.parametrize(
+    "q",
+    [
+        lukasiewicz_quantale(12),
+        powerset_quantale(4),
+        next(m for m in MUTANTS if m.name == "q4~3,3"),  # the unit wrecked
+    ],
+    ids=lambda q: q.name,
+)
+def test_one_run_builds_and_checks_one_ideal_carrier(q, monkeypatch):
+    built = _counted(monkeypatch, ideals, "ideal_quantale")
+    checked = _counted(monkeypatch, verify, "check_axioms")
+    run_suite(q, "all", seed=0)
+    assert built == Counter([(q,)])
+    assert sum(n for (c,), n in checked.items() if c is not q) == 1
