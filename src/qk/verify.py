@@ -11,10 +11,9 @@ the domains (_Ctx), and such laws say so in their note.  Where a domain
 certainly repeats its draws (_Ctx says where), _check evaluates each draw
 once and counts its repeats, so case counts are those of checking every
 case; there a suite also computes generated and annihilator once per mask.
-At every size a suite takes each residual, radical, extension and
-contraction it needs, each idealness test of an ideal-op result and the
-join or meet of each family of ideals once (_Ctx.routes), and a run builds
-and checks the ideal carrier once.
+At every size, a suite that repeats a residual, radical, extension,
+contraction, idealness test or family fold computes each once
+(_Ctx.routes), and a run builds and checks the ideal carrier once.
 Each law reports its exact case count and, on failure, the first
 witness found; later laws still run.
 
@@ -572,9 +571,9 @@ def _suite_proposition_bpi(ctx: _Ctx) -> list[LawResult]:
     I2, I3 = _over(I, I), _over(I, I, I)
     whole, zero = il.whole_ideal(q), il.zero_ideal(q)
     prod, meet, join = il.product_ideals, il.meet_ideals, il.join_ideals
-    r = ctx.routes()
-    gen, res, is_ideal = r.gen, r.res, r.is_ideal
-    family_join, family_meet = r.family_join, r.family_meet
+    routes = ctx.routes()
+    gen, res, is_ideal = routes.gen, routes.res, routes.is_ideal
+    family_join, family_meet = routes.family_join, routes.family_meet
     meet_all, join_all = partial(il.meet_all, q), partial(il.join_all, q)
 
     def coprime_product(a, b, c):
@@ -622,8 +621,8 @@ def _suite_proposition_bpi(ctx: _Ctx) -> list[LawResult]:
 
 
 def _suite_annihilator(ctx: _Ctx) -> list[LawResult]:
-    S, r = ctx.subsets, ctx.routes()
-    gen, ann, res = r.gen, r.ann, r.res
+    S, routes = ctx.subsets, ctx.routes()
+    gen, ann, res = routes.gen, routes.ann, routes.res
     zero = il.zero_ideal(ctx.q)
 
     return _check("annihilator", [
@@ -638,8 +637,8 @@ def _suite_annihilator(ctx: _Ctx) -> list[LawResult]:
 
 
 def _suite_cep(ctx: _Ctx) -> list[LawResult]:
-    q, homs, r = ctx.q, ctx.homs, ctx.routes()
-    ext, con, res, is_ideal = r.ext, r.con, r.res, r.is_ideal
+    q, homs, routes = ctx.q, ctx.homs, ctx.routes()
+    ext, con, res, is_ideal = routes.ext, routes.con, routes.res, routes.is_ideal
     prod, meet = il.product_ideals, il.meet_ideals
     source = ctx.ideals
 
@@ -788,7 +787,8 @@ def _suite_avoidance(ctx: _Ctx) -> list[LawResult]:
 def _suite_radical_lemma(ctx: _Ctx) -> list[LawResult]:
     q, I = ctx.q, ctx.axis("ideals")
     I2 = _over(I, I)
-    rad = ctx.routes().rad
+    routes = ctx.routes()
+    rad, is_ideal = routes.rad, routes.is_ideal
     prod, meet = il.product_ideals, il.meet_ideals
 
     def meet_and_product(a, b):
@@ -796,7 +796,7 @@ def _suite_radical_lemma(ctx: _Ctx) -> list[LawResult]:
 
     return _check("radical_lemma", [
         _Law("contains_and_ideal", _over(I),
-             lambda i: i <= rad(i) and il.is_ideal(q, rad(i).members)),
+             lambda i: i <= rad(i) and is_ideal(q, rad(i).members)),
         _Law("monotone", I2, lambda a, b: rad(a) <= rad(b) if a <= b else None),
         _Law("idempotent", _over(I), lambda i: rad(rad(i)) == rad(i)),
         _Law("power_stable", _over(I),
@@ -921,7 +921,7 @@ def _suite_pqx(ctx: _Ctx) -> list[LawResult]:
         for c in ctx.primaries:
             p = rad(c)
             for x in range(q.n):
-                yield c, p, x, res(c, q.principals[x])
+                yield c, p, x, res(c, il.principal(q, x))
 
     residuals = _Domain(cases, lambda c, p, x, r: (c.name, q.elements[x]))
     return _check("pqx", [
