@@ -6,8 +6,7 @@ verification suites require to agree:
 
   powers   x belongs iff one of x, x^2, ... does; q.powers holds each
            element's powers as a mask (they repeat within n steps on an
-           n-element carrier), and q.interned.radicals keeps each
-           radical once computed
+           n-element carrier)
   primes   intersection of the prime ideals containing the target (the
            empty intersection is the whole carrier)
   mcsets   an element belongs iff every multiplicatively closed set
@@ -188,12 +187,7 @@ def radical(i: Ideal, algorithm: str = "powers") -> Ideal:
 
 def _radical_powers(i: Ideal) -> Ideal:
     q, m = i.carrier, i.members
-    radicals = q.interned.radicals
-    out = radicals.get(m)
-    if out is None:
-        rad = sum(1 << x for x, p in enumerate(q.powers) if p & m)
-        out = radicals[m] = q.interned[rad]
-    return out
+    return q.interned[sum(1 << x for x, p in enumerate(q.powers) if p & m)]
 
 
 def _radical_primes(i: Ideal) -> Ideal:

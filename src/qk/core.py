@@ -45,11 +45,11 @@ The tables are up, powers (the positive powers of each element), and
 zero_folds and image_folds, the byte-slice folds of the annihilator and
 product-image columns, which turn a fold over a subset mask into one
 lookup per byte.  The memos are interned, the ideals by member mask, and
-principals; interned also holds the ideal layer's memos of residuals,
-radicals and primality (see ideals._Interned).  Each is built
-on first use, after the mask that asks for it has been validated, so a
-carrier that is never queried pays nothing, and a carrier made by
-dataclasses.replace (a mutant, say) starts without any of them.
+principals; interned also holds the ideal layer's memo of primality (see
+ideals._Interned).  Each is built on first use, after the mask that asks
+for it has been validated, so a carrier that is never queried pays
+nothing, and a carrier made by dataclasses.replace (a mutant, say) starts
+without any of them.
 """
 
 from __future__ import annotations
@@ -132,8 +132,8 @@ class FiniteQuantale:
     The cached properties below the tables are derived once per instance.
     The tuple-valued ones are element tables read straight from the
     tables above.  interned is the memo of ideals by member mask, and it
-    holds the memos that ideals and classify fill with the result of their
-    own definitional scans, so a memo is an exact cache of a definition,
+    holds the primality memo that classify fills with the result of its
+    own definitional scan, so the memo is an exact cache of a definition,
     never a shortcut for it.
     """
 

@@ -10,12 +10,10 @@ verification suites insist the two agree.
 
 Carriers are immutable and meant to be reused.  Ideals are interned in
 the carrier's memo q.interned (see Ideal), which every route here reads
-directly, and residuals read through its memo q.interned.residuals: each
-is computed by its definition once per carrier and mask, and looked up
-after that.  Its other memos, radicals and primality, serve classify.
-Annihilators and generated ideals fold their columns through the
-byte-slice tables q.zero_folds and q.image_folds (see core.FiniteQuantale),
-one lookup per byte of the mask.  Since a memo or table holds the
+directly; its one other memo, primality, serves classify.  Annihilators
+and generated ideals fold their columns through the byte-slice tables
+q.zero_folds and q.image_folds (see core.FiniteQuantale), one lookup per
+byte of the mask.  Since a memo or table holds the
 definition's own result, it is exact, on broken tables too.
 
 No ideal exists on a noncommutative carrier: q.interned, through which
@@ -114,19 +112,16 @@ class Ideal:
 class _Interned(dict):
     """The memo q.interned: member mask -> the one Ideal of q with it.  A
     lookup of a new mask makes that object, so a hit is one dict lookup.
-    Its slots hold the other memos of the ideal calculus on q, keyed by
-    masks and filled with what the definitions compute: residuals (a pair
-    of masks -> residual), radicals (classify.radical by the powers route)
-    and primality (classify.is_prime).
+    Its slot primality (member mask -> classify.is_prime) is the one other
+    memo of the ideal calculus on q, filled with what the definition
+    computes.
     """
 
-    __slots__ = ("carrier", "residuals", "radicals", "primality")
+    __slots__ = ("carrier", "primality")
 
     def __init__(self, carrier: FiniteQuantale):
         super().__init__()
         self.carrier = carrier
-        self.residuals: dict[tuple[int, int], Ideal] = {}
-        self.radicals: dict[int, Ideal] = {}
         self.primality: dict[int, bool] = {}
 
     def __missing__(self, members: int) -> Ideal:
@@ -298,18 +293,13 @@ def residual(i: Ideal, j: Ideal) -> Ideal:
     q = i.carrier
     if j.carrier is not q:
         raise _mismatch(i, j)
-    residuals = q.interned.residuals
-    key = (i.members, j.members)
-    out = residuals.get(key)
-    if out is None:
-        im = i.members
-        m = 0
-        for x in range(q.n):
-            row = q.mul[x]
-            if all(im >> row[y] & 1 for y in bits(j.members)):
-                m |= 1 << x
-        out = residuals[key] = q.interned[m]
-    return out
+    im = i.members
+    m = 0
+    for x in range(q.n):
+        row = q.mul[x]
+        if all(im >> row[y] & 1 for y in bits(j.members)):
+            m |= 1 << x
+    return q.interned[m]
 
 
 def annihilator(q: FiniteQuantale, s: Iterable[int] | int) -> Ideal:

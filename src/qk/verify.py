@@ -10,10 +10,10 @@ are sampled or narrowed on larger carriers, by the rules stated once with
 the domains (_Ctx), and such laws say so in their note.  Where a domain
 certainly repeats its draws (_Ctx says where), _check evaluates each draw
 once and counts its repeats, so case counts are those of checking every
-case; there a suite also computes generated and annihilator once per mask.
-At every size, a suite that repeats a residual, radical, extension,
-contraction, idealness test or family fold computes each once
-(_Ctx.routes), and a run builds and checks the ideal carrier once.
+case; there a run also computes generated and annihilator once per mask.
+At every size, a run computes each residual, radical, primary test,
+extension, contraction, idealness test and family fold its suites repeat
+once (_Ctx.routes), and builds and checks the ideal carrier once.
 Each law reports its exact case count and, on failure, the first
 witness found; later laws still run.
 
@@ -306,7 +306,7 @@ def _nonempty_draws(rng: random.Random, width: int, count: int) -> list[int]:
 
 
 class _Routes(NamedTuple):
-    """The library calls a suite reads by name through _Ctx.routes."""
+    """The library calls the suites read by name through _Ctx.routes."""
 
     gen: Callable[[int], il.Ideal]
     ann: Callable[[int], il.Ideal]
@@ -317,6 +317,7 @@ class _Routes(NamedTuple):
     con: Callable[[QuantaleHom, il.Ideal], il.Ideal]
     rad: Callable[[il.Ideal], il.Ideal]
     is_ideal: Callable[[FiniteQuantale, int], bool]
+    primary: Callable[[il.Ideal], bool]
 
 
 class _Ctx:
@@ -357,20 +358,21 @@ class _Ctx:
       mcsets             all mc sets up to EXHAUST_MAX_N elements, else the
                          sets generated by one element, plus {top} (note
                          "mc sets limited to generated ones")
-      routes             library calls memoized for the calling suite:
-                         gen(m), ann(m) (ideals.generated, annihilator of
-                         q at a mask; at most q.full entries) where subsets
-                         repeat, else the plain calls; at every size
-                         res(i, j) (ideals.residual; n^2 pairs of ideals),
-                         family_join(f), family_meet(f) (ideals.join_all,
-                         meet_all of a tuple; 10^3 families drawn per
-                         law), ext(h, i), con(h, j) (ideals.extension,
-                         contraction; n per hom), rad(i) (classify.radical;
-                         n) and is_ideal(q, m) (ideals.is_ideal; one per
-                         carrier and mask tested)
+      routes             library calls memoized for the run, shared by
+                         every suite: gen(m), ann(m) (ideals.generated,
+                         annihilator of q at a mask; at most q.full
+                         entries) where subsets repeat, else the plain
+                         calls; at every size res(i, j) (ideals.residual;
+                         n^2 pairs of ideals), family_join(f),
+                         family_meet(f) (ideals.join_all, meet_all of a
+                         tuple; 10^3 families drawn per law), ext(h, i),
+                         con(h, j) (ideals.extension, contraction; n per
+                         hom), rad(i) (classify.radical; n), is_ideal(q, m)
+                         (ideals.is_ideal; one per carrier and mask
+                         tested) and primary(i) (classify.is_primary; n)
 
-    homs, where run_suite names none, and the ideal carrier with its
-    check_axioms verdict are built once per run, on first use.
+    routes, homs where run_suite names none, and the ideal carrier with
+    its check_axioms verdict are built once per run, on first use.
     """
 
     def __init__(self, q: FiniteQuantale, seed: int, homs: list[QuantaleHom] | None = None):
@@ -398,7 +400,7 @@ class _Ctx:
 
     @cached_property
     def primaries(self) -> list[il.Ideal]:
-        return [i for i in self.ideals if cl.is_primary(i)]
+        return [i for i in self.ideals if self.routes.primary(i)]
 
     @cached_property
     def homs(self) -> list[QuantaleHom]:
@@ -448,16 +450,17 @@ class _Ctx:
         draws = lambda: _nonempty_draws(self.rng(tag), self.q.n, SAMPLE_COUNT)
         return _Axis(draws, self.q.labels, "sampled", self.repeats)
 
+    @cached_property
     def routes(self) -> _Routes:
-        """New routes per call, so a memo lives as long as its suite; it holds
-        the library's own result, and a call that raises is not stored."""
+        """One set of routes per run, shared by every suite; a memo holds the
+        library's own result, and a call that raises is not stored."""
         q, memo = self.q, lru_cache(None)
         gen, ann = partial(il.generated, q), partial(il.annihilator, q)
         if self.repeats:
             gen, ann = memo(gen), memo(ann)
-        family_join, family_meet = partial(il.join_all, q), partial(il.meet_all, q)
-        plain = family_join, family_meet, il.extension, il.contraction, cl.radical, il.is_ideal
-        return _Routes(gen, ann, *map(memo, (il.residual, *plain)))
+        folds = partial(il.join_all, q), partial(il.meet_all, q)
+        calls = il.residual, *folds, il.extension, il.contraction, cl.radical, il.is_ideal
+        return _Routes(gen, ann, *map(memo, calls), memo(cl.is_primary))
 
     def _pair_witness(self, s: int, t: int) -> tuple[str, ...]:
         return self.q.labels(s), "/", self.q.labels(t)
@@ -571,7 +574,7 @@ def _suite_proposition_bpi(ctx: _Ctx) -> list[LawResult]:
     I2, I3 = _over(I, I), _over(I, I, I)
     whole, zero = il.whole_ideal(q), il.zero_ideal(q)
     prod, meet, join = il.product_ideals, il.meet_ideals, il.join_ideals
-    routes = ctx.routes()
+    routes = ctx.routes
     gen, res, is_ideal = routes.gen, routes.res, routes.is_ideal
     family_join, family_meet = routes.family_join, routes.family_meet
     meet_all, join_all = partial(il.meet_all, q), partial(il.join_all, q)
@@ -621,7 +624,7 @@ def _suite_proposition_bpi(ctx: _Ctx) -> list[LawResult]:
 
 
 def _suite_annihilator(ctx: _Ctx) -> list[LawResult]:
-    S, routes = ctx.subsets, ctx.routes()
+    S, routes = ctx.subsets, ctx.routes
     gen, ann, res = routes.gen, routes.ann, routes.res
     zero = il.zero_ideal(ctx.q)
 
@@ -637,7 +640,7 @@ def _suite_annihilator(ctx: _Ctx) -> list[LawResult]:
 
 
 def _suite_cep(ctx: _Ctx) -> list[LawResult]:
-    q, homs, routes = ctx.q, ctx.homs, ctx.routes()
+    q, homs, routes = ctx.q, ctx.homs, ctx.routes
     ext, con, res, is_ideal = routes.ext, routes.con, routes.res, routes.is_ideal
     prod, meet = il.product_ideals, il.meet_ideals
     source = ctx.ideals
@@ -691,7 +694,7 @@ def _suite_cep(ctx: _Ctx) -> list[LawResult]:
 
 def _suite_lpsp(ctx: _Ctx) -> list[LawResult]:
     q, I, P, proper = ctx.q, ctx.axis("ideals"), ctx.axis("primes"), ctx.axis("proper")
-    primes = ctx.primes
+    primes, rad = ctx.primes, ctx.routes.rad
     zero = il.zero_ideal(q)
     meet, prod = il.meet_ideals, il.product_ideals
 
@@ -713,7 +716,7 @@ def _suite_lpsp(ctx: _Ctx) -> list[LawResult]:
 
     def qd_reduced():
         mins = cl.minimal_primes_over(zero) if zero.proper else []
-        return cl.is_qd(q) == (cl.is_reduced(q) and len(mins) == 1)
+        return cl.is_qd(q) == (rad(zero).is_zero and len(mins) == 1)
 
     if q.bottom == q.top:
         why = "degenerate carrier (bottom == top)"
@@ -727,7 +730,7 @@ def _suite_lpsp(ctx: _Ctx) -> list[LawResult]:
             _Law("maximal_exists", ctx.once, lambda: bool(maxima)),
             _Law("proper_below_maximal", _over(proper), lambda i: any(i <= m for m in maxima)),
             _Law("nilradical_below_jacobson", ctx.once,
-                 lambda: cl.nilradical(q) <= cl.jacobson(q)),
+                 lambda: rad(zero) <= cl.jacobson(q)),
         ]
 
     return _check("lpsp", [
@@ -743,7 +746,7 @@ def _suite_lpsp(ctx: _Ctx) -> list[LawResult]:
         *maximal_laws,
         _Law("local_characterization", _over(proper), local),
         _Law("nilradical_is_prime_meet", ctx.once,
-             lambda: cl.nilradical(q) == il.meet_all(q, primes)),
+             lambda: rad(zero) == il.meet_all(q, primes)),
         _Law("qd_iff_zero_prime", ctx.once,
              lambda: cl.is_qd(q) == (zero.proper and cl.is_prime(zero))),
         _Law("qd_iff_reduced_unique_minimal", ctx.once, qd_reduced),
@@ -787,7 +790,7 @@ def _suite_avoidance(ctx: _Ctx) -> list[LawResult]:
 def _suite_radical_lemma(ctx: _Ctx) -> list[LawResult]:
     q, I = ctx.q, ctx.axis("ideals")
     I2 = _over(I, I)
-    routes = ctx.routes()
+    routes = ctx.routes
     rad, is_ideal = routes.rad, routes.is_ideal
     prod, meet = il.product_ideals, il.meet_ideals
 
@@ -813,7 +816,7 @@ def _suite_radical_lemma(ctx: _Ctx) -> list[LawResult]:
 
 
 def _suite_spkr(ctx: _Ctx) -> list[LawResult]:
-    q, I, rad = ctx.q, ctx.axis("ideals"), ctx.routes().rad
+    q, I, rad = ctx.q, ctx.axis("ideals"), ctx.routes.rad
     semis = [s for s in ctx.ideals if cl.is_semiprime(s)]
 
     def forms(i):
@@ -836,7 +839,7 @@ def _suite_spkr(ctx: _Ctx) -> list[LawResult]:
 
 
 def _suite_saturation(ctx: _Ctx) -> list[LawResult]:
-    q, mc = ctx.q, ctx.axis("mcsets")
+    q, mc, rad = ctx.q, ctx.axis("mcsets"), ctx.routes.rad
     mcsets = ctx.mcsets
     saturated = [s for s in mcsets if cl.is_saturated(s)]
     join_differs = []
@@ -869,7 +872,7 @@ def _suite_saturation(ctx: _Ctx) -> list[LawResult]:
 
     def decider_cases():
         for i in ctx.ideals:
-            r = cl.radical(i, "powers")
+            r = rad(i)
             for x in range(q.n):
                 yield i, r, x
 
@@ -889,7 +892,8 @@ def _suite_saturation(ctx: _Ctx) -> list[LawResult]:
 
 
 def _suite_primary(ctx: _Ctx) -> list[LawResult]:
-    rad, meet_all = ctx.routes().rad, partial(il.meet_all, ctx.q)
+    routes, meet_all = ctx.routes, partial(il.meet_all, ctx.q)
+    rad, primary = routes.rad, routes.primary
 
     def smallest_prime(c):
         r = rad(c)
@@ -900,11 +904,11 @@ def _suite_primary(ctx: _Ctx) -> list[LawResult]:
 
     def meet_is_p_primary(p, fam):
         m = meet_all(fam)
-        return cl.is_primary(m) and rad(m) == p
+        return primary(m) and rad(m) == p
 
     p_families = ctx.subfamilies("primary.p_primary_meet_closed", primaries_by_radical)
     return _check("primary", [
-        _Law("prime_implies_primary", _over(ctx.axis("primes")), cl.is_primary),
+        _Law("prime_implies_primary", _over(ctx.axis("primes")), primary),
         _Law("radical_smallest_prime_over", _over(ctx.axis("primaries")), smallest_prime),
         _Law("radical_meet_family", _over(ctx.families("primary.radical_meet_family")),
              lambda fam: rad(meet_all(fam)) == meet_all([rad(i) for i in fam])),
@@ -913,8 +917,8 @@ def _suite_primary(ctx: _Ctx) -> list[LawResult]:
 
 
 def _suite_pqx(ctx: _Ctx) -> list[LawResult]:
-    q, routes = ctx.q, ctx.routes()
-    rad, res = routes.rad, routes.res
+    q, routes = ctx.q, ctx.routes
+    rad, res, primary = routes.rad, routes.res, routes.primary
 
     def cases():
         """c, its radical p, x and the residual (c : x), for each primary c."""
@@ -927,7 +931,7 @@ def _suite_pqx(ctx: _Ctx) -> list[LawResult]:
     return _check("pqx", [
         _Law("inside_gives_whole", residuals, lambda c, p, x, r: r.is_whole if x in c else None),
         _Law("outside_stays_primary", residuals,
-             lambda c, p, x, r: None if x in c else cl.is_primary(r) and rad(r) == p),
+             lambda c, p, x, r: None if x in c else primary(r) and rad(r) == p),
         _Law("outside_radical_identity", residuals, lambda c, p, x, r: None if x in p else r == c),
     ])
 
@@ -966,7 +970,7 @@ def _suite_uniqueness(ctx: _Ctx) -> list[LawResult]:
 
 def _suite_irreducible(ctx: _Ctx) -> list[LawResult]:
     q, I, proper = ctx.q, ctx.axis("ideals"), ctx.axis("proper")
-    ideals = ctx.ideals
+    ideals, rad = ctx.ideals, ctx.routes.rad
     irr = [i for i in ideals if dc.is_irreducible(i)]
     sirr = [i for i in ideals if dc.is_strongly_irreducible(i)]
     strong = _over(_Axis(lambda: sirr, _name))
@@ -984,7 +988,7 @@ def _suite_irreducible(ctx: _Ctx) -> list[LawResult]:
         _Law("strong_elementwise_agree", _over(I),
              lambda i: (i in sirr) == dc.strongly_irreducible_elementwise(i)),
         _Law("strong_prime_iff_radical", strong,
-             lambda i: cl.is_prime(i) == cl.is_radical_ideal(i) if i.proper else None),
+             lambda i: cl.is_prime(i) == (rad(i) == i) if i.proper else None),
         _Law("separating_irreducible", _over(proper, ctx.axis("elements")),
              lambda i, x: None if x in i else any(i <= j and x not in j for j in irr)),
         _Law("representation", _over(proper),

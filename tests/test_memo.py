@@ -1,10 +1,12 @@
 """The carrier memos are exact caches of the definitions, scoped to one carrier.
 
-Every memoized operation is compared with its definitional scan, written
-out here, on every commutative single-cell mutant of q4, l3 and m3 (see
-oracles): broken tables are where a shortcut would drift from the
-definition.  Each call is made twice so the second answer comes from the
-memo.
+A carrier memoizes its interned ideals, principals and primality; a
+residual or radical is memoized by the run that repeats it
+(verify._Ctx.routes), not by the carrier.  Each memoized operation, and
+the residual, is compared with its definitional scan, written out here,
+on every commutative single-cell mutant of q4, l3 and m3 (see oracles):
+broken tables are where a shortcut would drift from the definition.
+Each call is made twice so the second answer comes from the memo.
 """
 
 from dataclasses import replace
@@ -201,15 +203,18 @@ def test_memos_do_not_outlive_their_carrier(q4):
     mutants = [m for _, _, m in single_cell_mutants(base)]
     for fresh in [replace(base), *mutants]:
         assert not any(name in vars(fresh) for name in (*MEMOS, *TABLES))
-    differs = 0
+    residuals_differ = primes_differ = 0
     for m in filter(lambda m: m.commutative, mutants):
         for i in ideals:
+            im = Ideal(m, i.members)
+            assert is_prime(im) == _prime_scan(im)
+            primes_differ += is_prime(im) != base.interned.primality[i.members]
             for j in ideals:
-                im, jm = Ideal(m, i.members), Ideal(m, j.members)
+                jm = Ideal(m, j.members)
                 got = residual(im, jm).members
                 assert got == _residual_scan(im, jm)
-                differs += got != base.interned.residuals[i.members, j.members].members
-    assert differs
+                residuals_differ += got != residual(i, j).members
+    assert residuals_differ and primes_differ
 
 
 def test_interned_ideals_belong_to_one_carrier(q4):
@@ -238,10 +243,11 @@ def test_hom_check_is_computed_once_per_hom(q4):
 def test_memo_size_after_a_full_run():
     q = generate_from_spec("lukasiewicz:9")
     assert run_suite(q, "all", seed=7).ok
-    assert 0 < len(q.interned.residuals) <= q.n**2
-    # every ideal of a chain is principal and so is every generated set
-    # of products there: only the n principal masks are interned
-    assert set(q.interned) <= set(q.down)
+    # primality is asked of ideals only; every ideal of a chain is
+    # principal and so is every generated set of products there: only the
+    # n principal masks are interned
+    assert 0 < len(q.interned.primality) <= q.n
+    assert set(q.interned.primality) <= set(q.interned) <= set(q.down)
 
 
 def test_unqueried_carrier_builds_no_memo():

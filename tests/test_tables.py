@@ -2,9 +2,8 @@
 join_all, against their bit-loop and fold definitions.
 
 q.powers, q.zero_folds and q.image_folds are built once per carrier and
-read in place of a loop over the bits of a mask, q.interned.radicals
-keeps each radical once computed, and join_all folds apexes through
-q.join.  The oracles below loop over the elements one at a time, or fold
+read in place of a loop over the bits of a mask, and join_all folds
+apexes through q.join.  The oracles below loop over the elements one at a time, or fold
 join_ideals from the zero ideal.  The table routes must return exactly
 what they return, on lawful carriers and on tables corrupted in any
 field, with n on both sides of each byte boundary.

@@ -270,6 +270,7 @@ def _plain_routes(ctx):
         con=ideals.contraction,
         rad=classify.radical,
         is_ideal=ideals.is_ideal,
+        primary=classify.is_primary,
     )
 
 
@@ -313,7 +314,7 @@ def test_subset_routes_are_the_library_calls_where_subsets_do_not_repeat(monkeyp
     q = lukasiewicz_quantale(14)
     assert q.full >= SAMPLE_COUNT
     with_routes = _subset_calls(q)
-    monkeypatch.setattr(_Ctx, "routes", _plain_routes)
+    monkeypatch.setattr(_Ctx, "routes", property(_plain_routes))
     assert _subset_calls(q) == with_routes
     assert max(with_routes["proposition_bpi"].values()) > 1
 
@@ -335,7 +336,7 @@ def test_subset_routes_are_the_library_calls_where_subsets_do_not_repeat(monkeyp
 )
 def test_subset_memo_leaves_every_law_result_unchanged(q, hom, monkeypatch):
     memoized = run_suite(q, "all", hom=hom, seed=7).results
-    monkeypatch.setattr(_Ctx, "routes", _plain_routes)
+    monkeypatch.setattr(_Ctx, "routes", property(_plain_routes))
     assert run_suite(q, "all", hom=hom, seed=7).results == memoized
     if hom is not None and not hom.check().ok:  # a memo stores no call that raises
         cep = [r for r in memoized if r.suite == "cep" and r.law != "maps_are_homs"]
@@ -400,13 +401,59 @@ def test_cep_reaches_extension_and_contraction_once_on_a_file_hom(hom, monkeypat
     assert max(ext.values()) == max(con.values()) == 1
 
 
-@pytest.mark.parametrize("suite", ["radical_lemma", "primary"])
+@pytest.mark.parametrize(
+    "name,suite",
+    [
+        ("radical", "radical_lemma"),
+        ("radical", "primary"),
+        ("is_primary", "primary"),
+        ("is_primary", "pqx"),
+    ],
+)
 @pytest.mark.parametrize("spec", ["lukasiewicz:12", "powerset:4", "lowersets:chain8"])
-def test_radical_suites_reach_the_library_once_per_ideal(spec, suite, monkeypatch):
+def test_radical_suites_reach_the_library_once_per_ideal(spec, name, suite, monkeypatch):
     q = generate_from_spec(spec)
-    calls = _counted(monkeypatch, classify, "radical")
+    calls = _counted(monkeypatch, classify, name)
     assert run_suite(q, suite, seed=0).ok
     assert calls and max(calls.values()) == 1
+
+
+@pytest.mark.parametrize(
+    "q,hom",
+    [
+        pytest.param(lukasiewicz_quantale(12), None, id="lukasiewicz12"),
+        pytest.param(powerset_quantale(4), None, id="powerset4"),
+        pytest.param(FILE_HOMS[0].source, FILE_HOMS[0], id=FILE_HOMS[0].name),
+    ],
+)
+def test_one_run_reaches_each_ideal_operation_once_per_argument_tuple(q, hom, monkeypatch):
+    # every suite reads one set of routes; collapse calls the library on
+    # purpose, once per case, to compare it with brute force, so its calls
+    # are not counted
+    calls = {
+        name: _counted(monkeypatch, module, name)
+        for module, name in (
+            (ideals, "residual"),
+            (classify, "radical"),
+            (ideals, "extension"),
+            (ideals, "contraction"),
+            (ideals, "is_ideal"),
+        )
+    }
+    collapse = verify._suite_collapse
+
+    def uncounted(ctx):
+        before = {name: counts.copy() for name, counts in calls.items()}
+        rows = collapse(ctx)
+        for name, counts in calls.items():
+            counts.clear()
+            counts.update(before[name])
+        return rows
+
+    monkeypatch.setattr(verify, "_suite_collapse", uncounted)
+    assert run_suite(q, "all", hom=hom, seed=0).ok
+    for name, counts in calls.items():
+        assert counts and max(counts.values()) == 1, name
 
 
 @pytest.mark.parametrize(
