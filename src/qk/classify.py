@@ -23,8 +23,8 @@ their candidates once from the ideal's mask (the elements outside it, the
 elements no power of which lies in it, the strictly larger ideals, the
 ideals not below it), then test pairs of candidates by masks in the full
 pair scan's order, so the first witness is the same (for ideals, their
-apexes).  The predicates and classification read the scans; decompose
-reads the predicates.
+apexes).  The predicates (but is_primary, through q.residuals where it
+can) and classification read the scans; decompose reads the predicates.
 """
 
 from __future__ import annotations
@@ -59,12 +59,8 @@ MC_SETS_MAX_N = 20
 
 
 def is_prime(i: Ideal) -> bool:
-    """Proper, and x & y inside forces x or y inside (memoized per mask)."""
-    primality = i.carrier.interned.primality
-    prime = primality.get(i.members)
-    if prime is None:
-        prime = primality[i.members] = i.proper and _prime_witness(i) is None
-    return prime
+    """Proper, and x & y inside forces x or y inside."""
+    return i.proper and _prime_witness(i) is None
 
 
 def _prime_witness(i: Ideal) -> tuple[int, int] | None:
@@ -116,8 +112,13 @@ def is_semiprime_idealwise(i: Ideal) -> bool:
 
 
 def is_primary(i: Ideal) -> bool:
-    """Proper, and x & y inside forces x inside or some power of y inside."""
-    return i.proper and _primary_witness(i) is None
+    """Proper, and x & y inside forces x inside or some power of y inside.
+    Where q.residuals exists and i = ↓b, the x with x & y <= b are
+    ↓residuals[y][b], which must lie in i for each y no power of which does."""
+    q, m, b = i.carrier, i.members, i.apex
+    if q.residuals is None or m != q.down[b]:
+        return i.proper and _primary_witness(i) is None
+    return i.proper and all(m >> r[b] & 1 for r, p in zip(q.residuals, q.powers) if not p & m)
 
 
 def _primary_witness(i: Ideal) -> tuple[int, int] | None:
@@ -238,7 +239,8 @@ def spectrum(q: FiniteQuantale) -> list[Ideal]:
 
 
 def primes_over(i: Ideal) -> list[Ideal]:
-    return [p for p in spectrum(i.carrier) if i <= p]
+    """The prime ideals containing i, in element index order of their apexes."""
+    return [p for p in enumerate_ideals(i.carrier) if i <= p and is_prime(p)]
 
 
 def minimal_primes_over(i: Ideal) -> list[Ideal]:

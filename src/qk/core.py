@@ -27,8 +27,8 @@ replaced by two fast tests that may only say "pass".  The tests run once
 every O(n^2) group has passed (order, bounds, lub/glb, comm, bot_absorb and
 identity), so a noncommutative or otherwise broken table runs the scans
 alone.  Distributivity holds iff each row has a right adjoint: for every
-x and b, the set {y : x & y <= b} is a principal down-set, folded
-bottom-up along the lower covers of b (_joins_preserved).
+x and b, the set {y : x & y <= b} is a principal down-set, which is
+whether the residuation table q.residuals exists (see there).
 Associativity then follows from Light's test: the row identity for each
 middle element of a small set that generates the carrier under joins and &
 (_light_passes).  A fast test that says "fail" hands over to its scan,
@@ -41,15 +41,15 @@ any other table is scanned cell by cell.
 Carriers and homomorphisms are immutable and meant to be reused: each
 carries lazy element tables and memos of the ideal calculus that hold
 exactly what the defining scans compute, on any table, lawful or not.
-The tables are up, powers (the positive powers of each element), and
-zero_folds and image_folds, the byte-slice folds of the annihilator and
-product-image columns, which turn a fold over a subset mask into one
-lookup per byte.  The memos are interned, the ideals by member mask, and
-principals; interned also holds the ideal layer's memo of primality (see
-ideals._Interned).  Each is built on first use, after the mask that asks
-for it has been validated, so a carrier that is never queried pays
-nothing, and a carrier made by dataclasses.replace (a mutant, say) starts
-without any of them.
+The tables are up, powers (the positive powers of each element),
+residuals (the right adjoints, see there), and zero_folds and
+image_folds, the byte-slice folds of the annihilator and product-image
+columns, which turn a fold over a subset mask into one lookup per byte.
+The memos are interned, the ideals by member mask, and principals.  Each
+is built on first use, after the mask that asks for it has been
+validated, so a carrier that is never queried pays nothing, and a
+carrier made by dataclasses.replace (a mutant, say) starts without any
+of them.  check_axioms and residuals read one cached partial-order test.
 """
 
 from __future__ import annotations
@@ -131,10 +131,7 @@ class FiniteQuantale:
 
     The cached properties below the tables are derived once per instance.
     The tuple-valued ones are element tables read straight from the
-    tables above.  interned is the memo of ideals by member mask, and it
-    holds the primality memo that classify fills with the result of its
-    own definitional scan, so the memo is an exact cache of a definition,
-    never a shortcut for it.
+    tables above.  interned is the memo of ideals by member mask.
     """
 
     name: str
@@ -196,6 +193,51 @@ class FiniteQuantale:
                 y = row[y]
             out.append(seen)
         return tuple(out)
+
+    @cached_property
+    def _order_fault(self) -> tuple[str, tuple[int, ...]] | None:
+        """The first fault of down as a partial order (reflexive,
+        antisymmetric, transitive) in check_axioms' index order, or None."""
+        down = self.down
+        for i, di in enumerate(down):
+            if not di >> i & 1:
+                return "partial_order", (i,)
+            for j in bits(di):
+                if j != i and down[j] >> i & 1:
+                    return "partial_order", (i, j)
+                if down[j] & ~di:
+                    return "partial_order", (j, i)
+        return None
+
+    @cached_property
+    def residuals(self) -> tuple[tuple[int, ...], ...] | None:
+        """residuals[a][b] = the greatest y with a & y <= b, or None unless
+        down is a partial order and each S_b = {y : a & y <= b} is a principal
+        down-set.  On genuine order, bounds and join tables, that is whether
+        every row y -> a & y preserves all joins: a map between finite
+        lattices does iff it has a right adjoint (Davey and Priestley, ch. 7).
+        S_b is folded bottom-up from the S_c of the lower covers c of b."""
+        if self._order_fault is not None:
+            return None
+        down, covers = self.down, _lower_covers(self.down)
+        steps = [(b, covers[b]) for b in _bottom_up(self)]
+        apex = {d: r for r, d in enumerate(down)}  # the element with down-set d
+        bit = [1 << y for y in range(self.n)]
+        rows = []
+        try:
+            for row in self.mul:
+                pre = [0] * len(row)  # pre[b] = {y : a & y == b}, then S_b once folded
+                for y, v in enumerate(row):
+                    pre[v] |= bit[y]
+                for b, cs in steps:
+                    s = pre[b]
+                    for c in cs:
+                        s |= pre[c]
+                    pre[b] = s
+                rows.append(_reader(pre)(apex))
+        except KeyError:  # an S_b that is not a principal down-set
+            return None
+        return tuple(rows)
 
     @cached_property
     def interned(self) -> dict[int, Ideal]:
@@ -450,16 +492,6 @@ def check_axioms(q: FiniteQuantale) -> AxiomReport:
     b, t = q.bottom, q.top
     mread = [_reader(r) for r in mul]
 
-    def order():  # reflexive, antisymmetric, transitive
-        for i in range(n):
-            if not down[i] >> i & 1:
-                yield "partial_order", (i,)
-            for j in bits(down[i]):
-                if j != i and down[j] >> i & 1:
-                    yield "partial_order", (i, j)
-                if down[j] & ~down[i]:
-                    yield "partial_order", (j, i)
-
     def tables():  # join and meet hold genuine lubs and glbs
         for i in range(n):
             for j in range(n):
@@ -487,7 +519,7 @@ def check_axioms(q: FiniteQuantale) -> AxiomReport:
 
     # the O(n^2) groups: the fast tests run only once all of them pass, and
     # the lub/glb tables are tested whole only on a partial order
-    order_f = next(order(), None)
+    order_f = q._order_fault
     bounds_f = (
         None
         if 0 <= b < n and 0 <= t < n and up[b] == down[t] == q.full
@@ -503,7 +535,7 @@ def check_axioms(q: FiniteQuantale) -> AxiomReport:
         )
     ]
     gate = not any((order_f, bounds_f, tables_f, comm_f, bot_f, identity_f))
-    distrib_f = None if gate and _joins_preserved(q) else next(distrib(), None)
+    distrib_f = None if gate and q.residuals is not None else next(distrib(), None)
     assoc_f = (
         None
         if gate and distrib_f is None and _light_passes(q)
@@ -560,36 +592,6 @@ def _cones_match(q: FiniteQuantale) -> bool:
         cells = [cone(l) for i, row in enumerate(table) for l in row[i:]]
         if cells != [c & d for i, c in enumerate(cones) for d in cones[i:]]:
             return False
-    return True
-
-
-def _joins_preserved(q: FiniteQuantale) -> bool:
-    """Whether every row y -> x & y preserves all joins, the empty one
-    included; exact on a carrier whose order, bounds and join table are
-    genuine.
-
-    A map between finite lattices preserves all joins iff it has a right
-    adjoint (Davey and Priestley, ch. 7): for every b, the preimage
-    S_b = {y : x & y <= b} is a principal down-set.  S_b folds bottom-up:
-    it is the union of the S_c over the lower covers c of b, together with
-    the y where x & y == b.
-    """
-    down = q.down
-    covers = _lower_covers(down)
-    ranked = _bottom_up(q)
-    principal = set(down)
-    bit = [1 << y for y in range(q.n)]
-    for row in q.mul:
-        pre = [0] * q.n  # pre[b] = {y : x & y == b}, then S_b once folded
-        for y, v in enumerate(row):
-            pre[v] |= bit[y]
-        for b in ranked:
-            s = pre[b]
-            for c in covers[b]:
-                s |= pre[c]
-            if s not in principal:
-                return False
-            pre[b] = s
     return True
 
 

@@ -280,8 +280,8 @@ def colon_primes(i: Ideal) -> tuple[Ideal, ...]:
     """The proper prime radicals of the residuals (i : principal x), each
     once, ascending by (size, apex)."""
     q = i.carrier
-    rads = (radical(residual(i, principal(q, x))) for x in range(q.n))
-    found = dict.fromkeys(r for r in rads if r.proper and is_prime(r))
+    rads = dict.fromkeys(radical(residual(i, principal(q, x))) for x in range(q.n))
+    found = [r for r in rads if r.proper and is_prime(r)]
     return tuple(sorted(found, key=lambda p: (p.size, p.apex)))
 
 
@@ -310,6 +310,7 @@ def uniqueness_report(i: Ideal) -> UniquenessReport:
     """
     cands = primary_candidates(i)  # read by both decomposition routes
     d = _primary_decomposition(i, cands)
+    minimal = _all_minimal_decompositions(i, cands)  # refuses before any prime scan
     associated = tuple(sorted(d.radicals, key=lambda p: (p.size, p.apex)))
     colon = colon_primes(i)
     if set(colon) != set(associated):
@@ -323,9 +324,7 @@ def uniqueness_report(i: Ideal) -> UniquenessReport:
         raise QuantaleError(
             f"isolated primes at {i.name} are not the minimal primes over it"
         )
-    match = isolated_components_agree(
-        i, isolated, [*_all_minimal_decompositions(i, cands), d.components]
-    )
+    match = isolated_components_agree(i, isolated, [*minimal, d.components])
     return UniquenessReport(
         target=i,
         decomposition=d,

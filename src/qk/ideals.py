@@ -10,10 +10,11 @@ verification suites insist the two agree.
 
 Carriers are immutable and meant to be reused.  Ideals are interned in
 the carrier's memo q.interned (see Ideal), which every route here reads
-directly; its one other memo, primality, serves classify.  Annihilators
-and generated ideals fold their columns through the byte-slice tables
-q.zero_folds and q.image_folds (see core.FiniteQuantale), one lookup per
-byte of the mask.  Since a memo or table holds the
+directly.  Annihilators and generated ideals fold their columns through
+the byte-slice tables q.zero_folds and q.image_folds (see
+core.FiniteQuantale), one lookup per byte of the mask, and the residual
+of two principal ideals is one lookup in q.residuals where that table
+exists; elsewhere the residual scans.  Since a memo or table holds the
 definition's own result, it is exact, on broken tables too.
 
 No ideal exists on a noncommutative carrier: q.interned, through which
@@ -112,17 +113,12 @@ class Ideal:
 class _Interned(dict):
     """The memo q.interned: member mask -> the one Ideal of q with it.  A
     lookup of a new mask makes that object, so a hit is one dict lookup.
-    Its slot primality (member mask -> classify.is_prime) is the one other
-    memo of the ideal calculus on q, filled with what the definition
-    computes.
     """
 
-    __slots__ = ("carrier", "primality")
+    __slots__ = ("carrier",)
 
     def __init__(self, carrier: FiniteQuantale):
-        super().__init__()
         self.carrier = carrier
-        self.primality: dict[int, bool] = {}
 
     def __missing__(self, members: int) -> Ideal:
         i = object.__new__(Ideal)
@@ -289,16 +285,17 @@ def product_closure(i: Ideal, j: Ideal) -> Ideal:
 
 
 def residual(i: Ideal, j: Ideal) -> Ideal:
-    """(i : j) = all x whose product with every member of j lands in i."""
+    """(i : j) = all x whose product with every member of j lands in i: a
+    scan, or where q.residuals exists and both are principal, (↓b : ↓a) =
+    ↓residuals[a][b] (every row is then monotone, so y = a decides)."""
     q = i.carrier
     if j.carrier is not q:
         raise _mismatch(i, j)
-    im = i.members
-    m = 0
-    for x in range(q.n):
-        row = q.mul[x]
-        if all(im >> row[y] & 1 for y in bits(j.members)):
-            m |= 1 << x
+    im, table = i.members, q.residuals
+    if table is not None and im == q.down[i.apex] and j.members == q.down[j.apex]:
+        return q.principals[table[j.apex][i.apex]]
+    js = list(bits(j.members))
+    m = sum(1 << x for x, row in enumerate(q.mul) if all(im >> row[y] & 1 for y in js))
     return q.interned[m]
 
 

@@ -11,9 +11,9 @@ the domains (_Ctx), and such laws say so in their note.  Where a domain
 certainly repeats its draws (_Ctx says where), _check evaluates each draw
 once and counts its repeats, so case counts are those of checking every
 case; there a run also computes generated and annihilator once per mask.
-At every size, a run computes each residual, radical, primary test,
-extension, contraction, idealness test and family fold its suites repeat
-once (_Ctx.routes), and builds and checks the ideal carrier once.
+At every size, a run computes each residual, radical, extension,
+contraction, idealness test and family fold its suites repeat once
+(_Ctx.routes), and builds and checks the ideal carrier once.
 Each law reports its exact case count and, on failure, the first
 witness found; later laws still run.
 
@@ -317,7 +317,6 @@ class _Routes(NamedTuple):
     con: Callable[[QuantaleHom, il.Ideal], il.Ideal]
     rad: Callable[[il.Ideal], il.Ideal]
     is_ideal: Callable[[FiniteQuantale, int], bool]
-    primary: Callable[[il.Ideal], bool]
 
 
 class _Ctx:
@@ -367,9 +366,9 @@ class _Ctx:
                          family_meet(f) (ideals.join_all, meet_all of a
                          tuple; 10^3 families drawn per law), ext(h, i),
                          con(h, j) (ideals.extension, contraction; n per
-                         hom), rad(i) (classify.radical; n), is_ideal(q, m)
-                         (ideals.is_ideal; one per carrier and mask
-                         tested) and primary(i) (classify.is_primary; n)
+                         hom), rad(i) (classify.radical; n) and
+                         is_ideal(q, m) (ideals.is_ideal; one per carrier
+                         and mask tested)
 
     routes, homs where run_suite names none, and the ideal carrier with
     its check_axioms verdict are built once per run, on first use.
@@ -400,7 +399,7 @@ class _Ctx:
 
     @cached_property
     def primaries(self) -> list[il.Ideal]:
-        return [i for i in self.ideals if self.routes.primary(i)]
+        return [i for i in self.ideals if cl.is_primary(i)]
 
     @cached_property
     def homs(self) -> list[QuantaleHom]:
@@ -460,7 +459,7 @@ class _Ctx:
             gen, ann = memo(gen), memo(ann)
         folds = partial(il.join_all, q), partial(il.meet_all, q)
         calls = il.residual, *folds, il.extension, il.contraction, cl.radical, il.is_ideal
-        return _Routes(gen, ann, *map(memo, calls), memo(cl.is_primary))
+        return _Routes(gen, ann, *map(memo, calls))
 
     def _pair_witness(self, s: int, t: int) -> tuple[str, ...]:
         return self.q.labels(s), "/", self.q.labels(t)
@@ -892,8 +891,7 @@ def _suite_saturation(ctx: _Ctx) -> list[LawResult]:
 
 
 def _suite_primary(ctx: _Ctx) -> list[LawResult]:
-    routes, meet_all = ctx.routes, partial(il.meet_all, ctx.q)
-    rad, primary = routes.rad, routes.primary
+    rad, primary, meet_all = ctx.routes.rad, cl.is_primary, partial(il.meet_all, ctx.q)
 
     def smallest_prime(c):
         r = rad(c)
@@ -917,8 +915,7 @@ def _suite_primary(ctx: _Ctx) -> list[LawResult]:
 
 
 def _suite_pqx(ctx: _Ctx) -> list[LawResult]:
-    q, routes = ctx.q, ctx.routes
-    rad, res, primary = routes.rad, routes.res, routes.primary
+    q, rad, res, primary = ctx.q, ctx.routes.rad, ctx.routes.res, cl.is_primary
 
     def cases():
         """c, its radical p, x and the residual (c : x), for each primary c."""

@@ -54,6 +54,17 @@ def generated_scan(q, s):
     return q.down[q.join_of(members(q, prods))]
 
 
+def residual_scan(i, j):
+    """The member mask of (i : j): every x whose product with each member
+    of j lands in i."""
+    q = i.carrier
+    return sum(
+        1 << x
+        for x in range(q.n)
+        if all(i.members >> q.mul[x][y] & 1 for y in members(q, j.members))
+    )
+
+
 def prime_witness_scan(i):
     q, m = i.carrier, i.members
     for x in range(q.n):

@@ -1,7 +1,7 @@
 """The carrier memos are exact caches of the definitions, scoped to one carrier.
 
-A carrier memoizes its interned ideals, principals and primality; a
-residual or radical is memoized by the run that repeats it
+A carrier memoizes its interned ideals and principals; a residual or
+radical is memoized by the run that repeats it
 (verify._Ctx.routes), not by the carrier.  Each memoized operation, and
 the residual, is compared with its definitional scan, written out here,
 on every commutative single-cell mutant of q4, l3 and m3 (see oracles):
@@ -21,7 +21,6 @@ from qk.errors import HypothesisViolated, QuantaleError
 from qk.generators import generate_from_spec, m3_quantale
 from qk.ideals import (
     Ideal,
-    _Interned,
     annihilator,
     enumerate_ideals,
     generated,
@@ -33,16 +32,7 @@ from qk.ideals import (
 from qk.quantfile import load_quant
 from qk.verify import _Ctx, run_suite, single_cell_mutants
 
-from oracles import DATA, MUTANTS, members
-
-
-def _residual_scan(i, j):
-    q = i.carrier
-    return sum(
-        1 << x
-        for x in range(q.n)
-        if all(i.members >> q.mul[x][y] & 1 for y in members(q, j.members))
-    )
+from oracles import DATA, MUTANTS, members, residual_scan
 
 
 def _prime_scan(i):
@@ -91,7 +81,6 @@ def _outcome(avoid, *args):
 
 
 MEMOS = ("interned", "principals")
-INTERNED_MEMOS = tuple(name for name in _Interned.__slots__ if name != "carrier")
 TABLES = ("powers", "zero_folds", "image_folds")
 
 
@@ -113,7 +102,7 @@ def test_apex_residual_annihilator_generated_match_scans(mutant):
         for i in ideals:
             assert is_prime(i) == _prime_scan(i)
             for j in ideals:
-                assert residual(i, j).members == _residual_scan(i, j)
+                assert residual(i, j).members == residual_scan(i, j)
     # every object made on the way, by any route, is the one for its mask
     for m, i in q.interned.items():
         assert i.carrier is q and i.members == m
@@ -197,22 +186,23 @@ def test_memos_do_not_outlive_their_carrier(q4):
         generated(base, i.members)
         for j in ideals:
             residual(i, j)
-    assert all(vars(base).get(name) for name in (*MEMOS, *TABLES))
-    assert all(getattr(base.interned, name) for name in INTERNED_MEMOS)
+    built = (*MEMOS, *TABLES, "residuals")
+    assert all(vars(base).get(name) for name in built)
 
     mutants = [m for _, _, m in single_cell_mutants(base)]
     for fresh in [replace(base), *mutants]:
-        assert not any(name in vars(fresh) for name in (*MEMOS, *TABLES))
+        assert not any(name in vars(fresh) for name in built)
     residuals_differ = primes_differ = 0
     for m in filter(lambda m: m.commutative, mutants):
         for i in ideals:
             im = Ideal(m, i.members)
+            assert im is m.interned[i.members] is not base.interned[i.members]
             assert is_prime(im) == _prime_scan(im)
-            primes_differ += is_prime(im) != base.interned.primality[i.members]
+            primes_differ += is_prime(im) != is_prime(i)
             for j in ideals:
                 jm = Ideal(m, j.members)
                 got = residual(im, jm).members
-                assert got == _residual_scan(im, jm)
+                assert got == residual_scan(im, jm)
                 residuals_differ += got != residual(i, j).members
     assert residuals_differ and primes_differ
 
@@ -243,11 +233,9 @@ def test_hom_check_is_computed_once_per_hom(q4):
 def test_memo_size_after_a_full_run():
     q = generate_from_spec("lukasiewicz:9")
     assert run_suite(q, "all", seed=7).ok
-    # primality is asked of ideals only; every ideal of a chain is
-    # principal and so is every generated set of products there: only the
-    # n principal masks are interned
-    assert 0 < len(q.interned.primality) <= q.n
-    assert set(q.interned.primality) <= set(q.interned) <= set(q.down)
+    # every ideal of a chain is principal and so is every generated set of
+    # products there: only the n principal masks are interned
+    assert set(q.interned) == set(q.down)
 
 
 def test_unqueried_carrier_builds_no_memo():

@@ -9,7 +9,8 @@ the edge cases.
 import pytest
 
 from oracles import MUTANTS, flat_run
-from qk.decompose import MINIMAL_PICKS_MAX, all_minimal_decompositions
+from qk import classify
+from qk.decompose import MINIMAL_PICKS_MAX, all_minimal_decompositions, uniqueness_report
 from qk.errors import TooLarge
 from qk.generators import generate_from_spec
 from qk.ideals import zero_ideal
@@ -135,12 +136,20 @@ def test_a_flat_domain_is_not_replayed():
     assert (row.status, row.checked, seen) == ("pass", 3, [1, 1, 2])
 
 
-def test_minimal_decompositions_refuse_too_many_picks():
+def test_minimal_decompositions_refuse_too_many_picks(monkeypatch):
     # the zero ideal of the Goedel chain has one radical group per proper ideal
     chain16, chain17 = (generate_from_spec(f"lowersets:chain{k}") for k in (16, 17))
     assert MINIMAL_PICKS_MAX == 1 << 16
     with pytest.raises(TooLarge, match="needs 131072"):
         all_minimal_decompositions(zero_ideal(chain17))
+    # the uniqueness report refuses before it scans for a prime or primary witness
+    scans = []
+    for name in ("_prime_witness", "_primary_witness"):
+        scan = getattr(classify, name)
+        monkeypatch.setattr(classify, name, lambda i, scan=scan: scans.append(i) or scan(i))
+    with pytest.raises(TooLarge, match="needs 131072"):
+        uniqueness_report(zero_ideal(chain17))
+    assert scans == []
     rep = run_suite(chain17, "uniqueness", seed=0)
     row = next(r for r in rep.results if r.law == "isolated_components_unique")
     assert row.status == "fail" and "TooLarge" in row.note

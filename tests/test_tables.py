@@ -1,12 +1,15 @@
-"""The element tables behind powers, radical, annihilator, generated and
-join_all, against their bit-loop and fold definitions.
+"""The element tables behind powers, radical, annihilator, generated,
+join_all, residual and is_primary, against their bit-loop and fold
+definitions.
 
 q.powers, q.zero_folds and q.image_folds are built once per carrier and
-read in place of a loop over the bits of a mask, and join_all folds
-apexes through q.join.  The oracles below loop over the elements one at a time, or fold
-join_ideals from the zero ideal.  The table routes must return exactly
-what they return, on lawful carriers and on tables corrupted in any
-field, with n on both sides of each byte boundary.
+read in place of a loop over the bits of a mask, join_all folds apexes
+through q.join, and residual and is_primary read q.residuals on principal
+ideals where that table exists.  The oracles below loop over the
+elements one at a time, or fold join_ideals from the zero ideal.  The
+table routes must return exactly what they return, on lawful carriers
+and on tables corrupted in any field, with n on both sides of each byte
+boundary.
 """
 
 from dataclasses import replace
@@ -16,7 +19,15 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qk.classify import mc_generated, radical
+from qk.classify import (
+    is_primary,
+    jacobson,
+    maximal_ideals,
+    mc_generated,
+    nilradical,
+    radical,
+    spectrum,
+)
 from qk.errors import CarrierMismatch, NotCommutative
 from qk.generators import generate_from_spec
 from qk.ideals import (
@@ -24,14 +35,26 @@ from qk.ideals import (
     annihilator,
     enumerate_ideals,
     generated,
+    ideal_quantale,
     join_all,
     join_ideals,
+    residual,
     zero_ideal,
 )
+from qk.quantfile import load_quant
 
-from oracles import MUTANTS, SPECS, annihilator_scan, generated_scan
+from oracles import (
+    DATA,
+    MUTANTS,
+    SPECS,
+    annihilator_scan,
+    generated_scan,
+    primary_witness_scan,
+    residual_scan,
+)
 
 _BASES = [generate_from_spec(s) for s in SPECS]
+_FILES = [load_quant(p) for p in sorted(DATA.glob("*.quant"))]
 
 
 def _powers_scan(q, x):
@@ -45,6 +68,41 @@ def _powers_scan(q, x):
 
 def _radical_scan(q, m):
     return sum(1 << x for x in range(q.n) if _powers_scan(q, x) & m)
+
+
+def _residuals_scan(q):
+    """residuals[a][b] as the r whose down-set is {y : a & y <= b}, which
+    makes r the greatest such y; None unless down is a partial order and
+    every such set is one element's down-set."""
+    R = range(q.n)
+
+    def leq(i, j):
+        return bool(q.down[j] >> i & 1)
+
+    reflexive = all(leq(i, i) for i in R)
+    antisymmetric = not any(leq(i, j) and leq(j, i) for i in R for j in R if i != j)
+    transitive = all(leq(i, k) for i in R for j in R for k in R if leq(i, j) and leq(j, k))
+    if not (reflexive and antisymmetric and transitive):
+        return None
+    table = []
+    for a in R:
+        row = []
+        for b in R:
+            s = sum(1 << y for y in R if leq(q.mul[a][y], b))
+            if s not in q.down:
+                return None
+            row.append(q.down.index(s))
+        table.append(tuple(row))
+    return tuple(table)
+
+
+def _check_readers(ideals):
+    """residual and is_primary answer as their scans do on the given ideals
+    of one commutative carrier, whichever route they take."""
+    for i in ideals:
+        assert is_primary(i) == (i.proper and primary_witness_scan(i) is None), i.name
+        for j in ideals:
+            assert residual(i, j).members == residual_scan(i, j), (i.name, j.name)
 
 
 def _check_tables(q, masks):
@@ -66,6 +124,9 @@ def _check_tables(q, masks):
             assert mc_generated(q, x).members == _powers_scan(q, x) | 1 << q.top
     byte_counts = [len(t).bit_length() - 1 for t in (*q.zero_folds, *q.image_folds)]
     assert sum(byte_counts) == 2 * q.n and all(0 < k <= 8 for k in byte_counts)
+    assert q.residuals == _residuals_scan(q)
+    if q.commutative:  # a few masks, and the first principal ideals
+        _check_readers([Ideal(q, m) for m in {*masks[:8], *q.down[:4]}])
 
 
 @st.composite
@@ -129,6 +190,35 @@ def test_every_single_cell_rewrite(name, request):
                     _check_tables(mutant, masks)
                     commutative += mutant.commutative
     assert commutative > 0
+
+
+@pytest.mark.parametrize("q", [*_BASES, *_FILES], ids=lambda q: q.name)
+def test_residuation_table_on_lawful_carriers_and_their_ideal_carriers(q):
+    carriers = [q, ideal_quantale(q).quantale] if q.commutative else [q]
+    for c in carriers:
+        assert c.residuals is not None and c.residuals == _residuals_scan(c), c.name
+        if c.commutative:
+            _check_readers(enumerate_ideals(c))
+
+
+def test_residuation_table_on_the_single_cell_mutants():
+    # where some preimage is not a principal down-set there is no table, and
+    # the readers scan; the rewrites of l3 and m3 in
+    # test_every_single_cell_rewrite include broken tables that keep one
+    without = 0
+    for q in MUTANTS:
+        q = replace(q)
+        assert q.residuals == _residuals_scan(q), q.name
+        without += q.residuals is None
+        _check_readers(enumerate_ideals(q))
+    assert without
+
+
+def test_the_prime_structure_builds_no_residuation_table():
+    # is_prime scans, so the spectrum of a carrier never asks for the table
+    q = replace(generate_from_spec("lukasiewicz:128"))
+    spectrum(q), maximal_ideals(q), nilradical(q), jacobson(q)
+    assert "residuals" not in vars(q)
 
 
 def _check_join_all(q, ideals):

@@ -4,7 +4,7 @@ from functools import partial
 import pytest
 
 from qk import classify, decompose, ideals, verify
-from qk.core import QuantaleHom, build_quantale, check_axioms
+from qk.core import FiniteQuantale, QuantaleHom, build_quantale, check_axioms
 from qk.errors import HomRequired
 from qk.generators import generate_from_spec, lukasiewicz_quantale, powerset_quantale
 from qk.quantfile import load_hom
@@ -270,7 +270,6 @@ def _plain_routes(ctx):
         con=ideals.contraction,
         rad=classify.radical,
         is_ideal=ideals.is_ideal,
-        primary=classify.is_primary,
     )
 
 
@@ -335,8 +334,11 @@ def test_subset_routes_are_the_library_calls_where_subsets_do_not_repeat(monkeyp
     ],
 )
 def test_subset_memo_leaves_every_law_result_unchanged(q, hom, monkeypatch):
+    # the second run has neither the run's memos nor the residuation table,
+    # so every residual and primary test there is the library's scan
     memoized = run_suite(q, "all", hom=hom, seed=7).results
     monkeypatch.setattr(_Ctx, "routes", property(_plain_routes))
+    monkeypatch.setattr(FiniteQuantale, "residuals", property(lambda q: None))
     assert run_suite(q, "all", hom=hom, seed=7).results == memoized
     if hom is not None and not hom.check().ok:  # a memo stores no call that raises
         cep = [r for r in memoized if r.suite == "cep" and r.law != "maps_are_homs"]
@@ -406,8 +408,6 @@ def test_cep_reaches_extension_and_contraction_once_on_a_file_hom(hom, monkeypat
     [
         ("radical", "radical_lemma"),
         ("radical", "primary"),
-        ("is_primary", "primary"),
-        ("is_primary", "pqx"),
     ],
 )
 @pytest.mark.parametrize("spec", ["lukasiewicz:12", "powerset:4", "lowersets:chain8"])
@@ -416,6 +416,23 @@ def test_radical_suites_reach_the_library_once_per_ideal(spec, name, suite, monk
     calls = _counted(monkeypatch, classify, name)
     assert run_suite(q, suite, seed=0).ok
     assert calls and max(calls.values()) == 1
+
+
+@pytest.mark.parametrize("suite", ["primary", "pqx"])
+@pytest.mark.parametrize(
+    "q",
+    [
+        *map(generate_from_spec, ["lukasiewicz:12", "powerset:4", "lowersets:chain8"]),
+        next(m for m in MUTANTS if m.residuals is None),
+    ],
+    ids=lambda q: q.name,
+)
+def test_primary_tests_scan_only_without_the_residuation_table(q, suite, monkeypatch):
+    # with the table every primary test is a row lookup; a mutant whose
+    # rows have no right adjoints scans for a witness instead
+    calls = _counted(monkeypatch, classify, "_primary_witness")
+    run_suite(q, suite, seed=0)
+    assert bool(calls) == (q.residuals is None)
 
 
 @pytest.mark.parametrize(
