@@ -45,11 +45,12 @@ The tables are up, powers (the positive powers of each element),
 residuals (the right adjoints, see there), and zero_folds and
 image_folds, the byte-slice folds of the annihilator and product-image
 columns, which turn a fold over a subset mask into one lookup per byte.
-The memos are interned, the ideals by member mask, and principals.  Each
-is built on first use, after the mask that asks for it has been
-validated, so a carrier that is never queried pays nothing, and a
-carrier made by dataclasses.replace (a mutant, say) starts without any
-of them.  check_axioms and residuals read one cached partial-order test.
+The memos are principals and interned, by member mask: the ideals, and
+the product masks ideals.generated looks up for their apex alone, which
+need not be ideals.  Each is built on first use, after the mask that asks
+for it has been validated, so a carrier that is never queried pays
+nothing, and one made by dataclasses.replace (a mutant, say) has none.
+check_axioms and residuals read one cached partial-order test.
 """
 
 from __future__ import annotations
@@ -73,9 +74,10 @@ from .errors import (
 if TYPE_CHECKING:
     from .ideals import Ideal
 
-# The slowest carrier at the cap is lowersets:chain543, where Light's test
-# needs every element: check_axioms 4.5 s, qk gen 5.2-6.2 s, qk check
-# 4.2-5.8 s (2-core VM, Python 3.11; lukasiewicz:544 takes 0.62 s and 0.95-1.4 s)
+# Budgets at the cap (2-core VM, Python 3.11): qk gen and qk check 10 s, qk decompose
+# --below BOTTOM 5 s.  Slowest is lowersets:chain543 (Light's test needs every element):
+# check_axioms 4.5 s, gen 5.2-6.2 s, check 4.2-5.8 s; lukasiewicz:544 0.62 s, 0.95-1.4 s.
+# decompose: irreducible 1.9-2.8 s, primary 0.8-1.2 s on both (TooLarge on the chain).
 ELEMENT_CAP = 544
 
 
@@ -573,7 +575,7 @@ def _lower_covers(down: Sequence[int]) -> list[list[int]]:
         while rest:
             c = rest.bit_length() - 1
             deeper |= down[c] & ~(1 << c)
-            rest &= ~down[c]
+            rest &= ~(down[c] | 1 << c)
         covers.append(list(bits(below & ~deeper)))
     return covers
 

@@ -12,8 +12,8 @@ certainly repeats its draws (_Ctx says where), _check evaluates each draw
 once and counts its repeats, so case counts are those of checking every
 case; there a run also computes generated and annihilator once per mask.
 At every size, a run computes each residual, radical, extension,
-contraction, idealness test and family fold its suites repeat once
-(_Ctx.routes), and builds and checks the ideal carrier once.
+contraction and idealness test its suites repeat once (_Ctx.routes),
+folds each drawn family once, and builds and checks the ideal carrier once.
 Each law reports its exact case count and, on failure, the first
 witness found; later laws still run.
 
@@ -290,13 +290,22 @@ def _check(suite: str, laws: list[_Law]) -> list[LawResult]:
 _name = attrgetter("name")
 
 
-def _size(family) -> str:
-    return str(len(family))
+class _Family(NamedTuple):
+    """A drawn family of ideals, its join and its meet; it prints as its size."""
+
+    ideals: tuple[il.Ideal, ...]
+    join: il.Ideal
+    meet: il.Ideal
+
+    def __str__(self) -> str:
+        return str(len(self.ideals))
 
 
-def _pick(items, pick: int) -> tuple:
-    """The subfamily of items selected by the bits of pick."""
-    return tuple(items[j] for j in range(len(items)) if pick >> j & 1)
+def _pick(q: FiniteQuantale, items, pick: int) -> _Family:
+    """The subfamily of items (ideals of q) selected by the bits of pick,
+    folded once: the one place a drawn family is joined and met."""
+    ideals = tuple(items[j] for j in range(len(items)) if pick >> j & 1)
+    return _Family(ideals, il.join_all(q, ideals), il.meet_all(q, ideals))
 
 
 def _nonempty_draws(rng: random.Random, width: int, count: int) -> list[int]:
@@ -311,8 +320,6 @@ class _Routes(NamedTuple):
     gen: Callable[[int], il.Ideal]
     ann: Callable[[int], il.Ideal]
     res: Callable[[il.Ideal, il.Ideal], il.Ideal]
-    family_join: Callable[[tuple[il.Ideal, ...]], il.Ideal]
-    family_meet: Callable[[tuple[il.Ideal, ...]], il.Ideal]
     ext: Callable[[QuantaleHom, il.Ideal], il.Ideal]
     con: Callable[[QuantaleHom, il.Ideal], il.Ideal]
     rad: Callable[[il.Ideal], il.Ideal]
@@ -348,12 +355,12 @@ class _Ctx:
                          SAMPLE_COUNT drawn pairs
       families           all families of ideals, the empty one included, up
                          to EXHAUST_MAX_N ideals, else SAMPLE_COUNT // 10
-                         (10^3) draws
+                         (10^3) draws, each a _Family with its join and meet
       subfamilies        (key, f) for each group (key, items) a law supplies
-                         and each nonempty subfamily f of items: all of
-                         them for groups of up to _SUBFAMILY_EXHAUST_MAX
-                         (12) members, else SAMPLE_COUNT // 10 (10^3)
-                         nonempty draws for each larger group
+                         and each nonempty subfamily f of items, a _Family:
+                         all of them for groups of up to _SUBFAMILY_EXHAUST_MAX
+                         (12) members, else SAMPLE_COUNT // 10 (10^3) nonempty
+                         draws for each larger group
       mcsets             all mc sets up to EXHAUST_MAX_N elements, else the
                          sets generated by one element, plus {top} (note
                          "mc sets limited to generated ones")
@@ -362,13 +369,11 @@ class _Ctx:
                          annihilator of q at a mask; at most q.full
                          entries) where subsets repeat, else the plain
                          calls; at every size res(i, j) (ideals.residual;
-                         n^2 pairs of ideals), family_join(f),
-                         family_meet(f) (ideals.join_all, meet_all of a
-                         tuple; 10^3 families drawn per law), ext(h, i),
-                         con(h, j) (ideals.extension, contraction; n per
-                         hom), rad(i) (classify.radical; n) and
-                         is_ideal(q, m) (ideals.is_ideal; one per carrier
-                         and mask tested)
+                         n^2 pairs of ideals), ext(h, i), con(h, j)
+                         (ideals.extension, contraction; n per hom),
+                         rad(i) (classify.radical; n) and is_ideal(q, m)
+                         (ideals.is_ideal; one per carrier and mask
+                         tested)
 
     routes, homs where run_suite names none, and the ideal carrier with
     its check_axioms verdict are built once per run, on first use.
@@ -457,8 +462,7 @@ class _Ctx:
         gen, ann = partial(il.generated, q), partial(il.annihilator, q)
         if self.repeats:
             gen, ann = memo(gen), memo(ann)
-        folds = partial(il.join_all, q), partial(il.meet_all, q)
-        calls = il.residual, *folds, il.extension, il.contraction, cl.radical, il.is_ideal
+        calls = il.residual, il.extension, il.contraction, cl.radical, il.is_ideal
         return _Routes(gen, ann, *map(memo, calls))
 
     def _pair_witness(self, s: int, t: int) -> tuple[str, ...]:
@@ -491,16 +495,16 @@ class _Ctx:
         return _Domain(draws, self._pair_witness, "sampled")
 
     def families(self, tag: str) -> _Axis:
-        ideals = self.ideals
+        q, ideals = self.q, self.ideals
         k = len(ideals)
 
         def draws():
             rng = self.rng(tag)
-            return [_pick(ideals, rng.getrandbits(k)) for _ in range(SAMPLE_COUNT // 10)]
+            return [_pick(q, ideals, rng.getrandbits(k)) for _ in range(SAMPLE_COUNT // 10)]
 
         if k <= EXHAUST_MAX_N:
-            return _Axis(lambda: [_pick(ideals, p) for p in range(1 << k)], _size)
-        return _Axis(draws, _size, "sampled", 1 << k < SAMPLE_COUNT // 10)
+            return _Axis(lambda: [_pick(q, ideals, p) for p in range(1 << k)], str)
+        return _Axis(draws, str, "sampled", 1 << k < SAMPLE_COUNT // 10)
 
     def subfamilies(self, tag: str, groups: Callable[[], Iterable[tuple]]) -> _Domain:
         """groups() yields (key, items) pairs; a witness is the key's name
@@ -516,10 +520,10 @@ class _Ctx:
                     picks = range(1, 1 << k)
                 else:
                     picks = _nonempty_draws(rng, k, SAMPLE_COUNT // 10)
-                yield from ((key, _pick(items, pick)) for pick in picks)
+                yield from ((key, _pick(self.q, items, pick)) for pick in picks)
 
         note = lambda: "sampled" if max(sizes, default=0) > _SUBFAMILY_EXHAUST_MAX else ""
-        return _Domain(cases, lambda key, fam: (key.name, _size(fam)), note)
+        return _Domain(cases, lambda key, f: (key.name, f), note)
 
 
 # --- suites -----------------------------------------------------------
@@ -573,9 +577,7 @@ def _suite_proposition_bpi(ctx: _Ctx) -> list[LawResult]:
     I2, I3 = _over(I, I), _over(I, I, I)
     whole, zero = il.whole_ideal(q), il.zero_ideal(q)
     prod, meet, join = il.product_ideals, il.meet_ideals, il.join_ideals
-    routes = ctx.routes
-    gen, res, is_ideal = routes.gen, routes.res, routes.is_ideal
-    family_join, family_meet = routes.family_join, routes.family_meet
+    gen, res, is_ideal = ctx.routes.gen, ctx.routes.res, ctx.routes.is_ideal
     meet_all, join_all = partial(il.meet_all, q), partial(il.join_all, q)
 
     def coprime_product(a, b, c):
@@ -594,7 +596,7 @@ def _suite_proposition_bpi(ctx: _Ctx) -> list[LawResult]:
         _Law("whole_is_unit", _over(I), lambda a: prod(whole, a) == a),
         _Law("zero_annihilates", _over(I), lambda a: prod(zero, a) == zero),
         _Law("product_join_distrib", _over(I, F("bpi.product_join_distrib")),
-             lambda a, fam: prod(a, family_join(fam)) == join_all([prod(a, b) for b in fam])),
+             lambda a, f: prod(a, f.join) == join_all([prod(a, b) for b in f.ideals])),
         _Law("product_below_meet", I2, lambda a, b: prod(a, b) <= meet(a, b)),
         _Law("product_meet_below", I3,
              lambda a, b, c: prod(a, meet(b, c)) <= meet(prod(a, b), prod(a, c))),
@@ -609,9 +611,9 @@ def _suite_proposition_bpi(ctx: _Ctx) -> list[LawResult]:
         _Law("residual_by_whole", _over(I), lambda a: res(a, whole) == a),
         _Law("below_residual_of_product", I2, lambda a, b: a <= res(prod(a, b), b)),
         _Law("residual_meet_family", _over(F("bpi.residual_meet_family"), I),
-             lambda fam, b: res(family_meet(fam), b) == meet_all([res(a, b) for a in fam])),
+             lambda f, b: res(f.meet, b) == meet_all([res(a, b) for a in f.ideals])),
         _Law("residual_join_family", _over(I, F("bpi.residual_join_family")),
-             lambda a, fam: meet_all([res(a, b) for b in fam]) <= res(a, family_join(fam))),
+             lambda a, f: meet_all([res(a, b) for b in f.ideals]) <= res(a, f.join)),
         _Law("residual_iterated", I3, residual_iterated),
         _Law("residual_join_absorb", I2, lambda a, b: res(a, b) == res(a, join(a, b))),
         _Law("residual_meet_absorb", I2, lambda a, b: res(a, b) == res(meet(a, b), b)),
@@ -805,7 +807,7 @@ def _suite_radical_lemma(ctx: _Ctx) -> list[LawResult]:
              lambda i: rad(prod(i, i)) == rad(i) and rad(prod(prod(i, i), i)) == rad(i)),
         _Law("meet_and_product", I2, meet_and_product),
         _Law("join_family_below", _over(ctx.families("radical.join_family")),
-             lambda fam: il.join_all(q, [rad(i) for i in fam]) <= rad(il.join_all(q, fam))),
+             lambda f: il.join_all(q, [rad(i) for i in f.ideals]) <= rad(f.join)),
         _Law("whole_iff", _over(I), lambda i: rad(i).is_whole == i.is_whole),
         _Law("join_radical_collapse", I2,
              lambda a, b: rad(il.join_ideals(a, b)) == rad(il.join_ideals(rad(a), rad(b)))),
@@ -900,17 +902,13 @@ def _suite_primary(ctx: _Ctx) -> list[LawResult]:
     def primaries_by_radical():
         return ((p, [c for c in ctx.primaries if rad(c) == p]) for p in ctx.primes)
 
-    def meet_is_p_primary(p, fam):
-        m = meet_all(fam)
-        return primary(m) and rad(m) == p
-
-    p_families = ctx.subfamilies("primary.p_primary_meet_closed", primaries_by_radical)
+    families = ctx.subfamilies("primary.p_primary_meet_closed", primaries_by_radical)
     return _check("primary", [
         _Law("prime_implies_primary", _over(ctx.axis("primes")), primary),
         _Law("radical_smallest_prime_over", _over(ctx.axis("primaries")), smallest_prime),
         _Law("radical_meet_family", _over(ctx.families("primary.radical_meet_family")),
-             lambda fam: rad(meet_all(fam)) == meet_all([rad(i) for i in fam])),
-        _Law("p_primary_meet_closed", p_families, meet_is_p_primary),
+             lambda f: rad(f.meet) == meet_all([rad(i) for i in f.ideals])),
+        _Law("p_primary_meet_closed", families, lambda p, f: primary(f.meet) and rad(f.meet) == p),
     ])
 
 

@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -393,6 +397,34 @@ def test_same_structure(q4):
     again = parse_quant(write_quant(q4))
     assert q4.same_structure(again)
     assert q4.same_structure(replace(again))
+
+
+def test_lower_covers_returns_on_a_row_without_its_own_bit(q4):
+    # the walk once cleared down[c] alone from the elements left to visit,
+    # so a row of down without its own bit kept c there and never returned;
+    # the calls run in a child process, so a hang fails here and stops nothing
+    from qk.quantfile import write_quant
+
+    code = (
+        "from dataclasses import replace\n"
+        "from qk.core import _lower_covers\n"
+        "from qk.quantfile import load_quant, write_quant\n"
+        "print(_lower_covers((0, 0b11)))\n"
+        "q = load_quant('tests/data/q4.quant')\n"
+        "down = list(q.down)\n"
+        "down[q.top] &= ~(1 << q.top)\n"
+        "print(write_quant(replace(q, down=tuple(down))), end='')\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        cwd=Path(__file__).parent.parent,
+        env={**os.environ, "PYTHONPATH": "src"},
+        capture_output=True,
+        text=True,
+        timeout=10,
+    )
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout == "[[], [0]]\n" + write_quant(q4)
 
 
 @st.composite
