@@ -50,7 +50,8 @@ the product masks ideals.generated looks up for their apex alone, which
 need not be ideals.  Each is built on first use, after the mask that asks
 for it has been validated, so a carrier that is never queried pays
 nothing, and one made by dataclasses.replace (a mutant, say) has none.
-check_axioms and residuals read one cached partial-order test.
+check_axioms, residuals and ideals.ideal_quantale read one cached
+partial-order test.
 """
 
 from __future__ import annotations

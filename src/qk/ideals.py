@@ -18,8 +18,9 @@ exists; elsewhere the residual scans.  Since a memo or table holds the
 definition's own result, it is exact, on broken tables too.
 
 No ideal exists on a noncommutative carrier: q.interned, through which
-every Ideal is made, raises NotCommutative there.  The routines that take
-a carrier and could answer before making an ideal check for themselves:
+every Ideal is made, raises NotCommutative there; annihilator takes
+q.interned before it builds q.zero_folds.  The routines that take a
+carrier and could answer before making an ideal check for themselves:
 generated here; maximal_ideals, zero_divisors, is_qd, mc_set,
 mc_generated, all_mc_sets and prime_avoidance in classify.  is_ideal,
 is_mc and saturation answer on any table.
@@ -304,11 +305,12 @@ def annihilator(q: FiniteQuantale, s: Iterable[int] | int) -> Ideal:
     m = _subset_mask(q, s)
     if m == 0:
         raise EmptyGeneratorSet("annihilator of the empty set is not defined")
+    interned = q.interned  # refuses a noncommutative carrier before the fold is built
     out = q.full
     for table in q.zero_folds:
         out &= table[m & 255]
         m >>= 8
-    return q.interned[out]
+    return interned[out]
 
 
 @dataclass(frozen=True, eq=False)
@@ -338,7 +340,7 @@ def ideal_quantale(q: FiniteQuantale) -> IdealQuantale:
     if len(ideals) > ELEMENT_CAP:
         raise TooLarge(f"{len(ideals)} ideals exceeds the cap of {ELEMENT_CAP}")
     pos = {i: k for k, i in enumerate(ideals)}
-    labels = tuple("↓" + q.elements[i.apex] for i in ideals)
+    labels = tuple(i.name for i in ideals)
     iso = tuple(pos[i] for i in q.principals)
     if sorted(iso) != list(range(len(ideals))):
         raise QuantaleError("principal map is not a bijection onto the ideals")
@@ -359,13 +361,13 @@ def ideal_quantale(q: FiniteQuantale) -> IdealQuantale:
     rep = check_hom(iso, q, carrier)
     if not rep.ok:
         raise QuantaleError(f"principal map breaks {rep.condition} at {rep.witness}")
-    # iso reflects the order: row iso[b] of carrier.down, read at the
-    # positions iso[0], iso[1], ..., is row b of q.down
-    width = f"0{n}b"
-    for b, below in enumerate(q.down):
-        digits = format(carrier.down[iso[b]], width)[::-1]  # digit k is bit k
-        if int("".join(map(digits.__getitem__, iso))[::-1], 2) != below:
-            raise QuantaleError("principal map does not reflect the order")
+    # iso reflects the order: carrier.down[iso[b]] holds iso[a] iff down[a]
+    # is inside down[b], which is a <= b exactly when down is reflexive and
+    # transitive.  A transitivity fault has already failed check_hom's order
+    # test, and an antisymmetry fault, two equal rows once down is
+    # reflexive and transitive, the bijection test.
+    if q._order_fault is not None:
+        raise QuantaleError("principal map does not reflect the order")
     return IdealQuantale(quantale=carrier, base=q, ideals=ideals, iso=iso)
 
 

@@ -9,11 +9,6 @@ place of the tab.
 
 from __future__ import annotations
 
-# the value types that print as str() does, tested by exact type so that a
-# put of one skips value_text (bool, a subclass of int, is not among them)
-_PLAIN = frozenset({str, int})
-
-
 def value_text(v) -> str:
     if isinstance(v, bool):
         return "true" if v else "false"
@@ -30,7 +25,7 @@ class Records:
         self.lines: list[str] = []
 
     def put(self, key: str, value) -> None:
-        self.lines.append(f"{key}\t{value if type(value) in _PLAIN else value_text(value)}")
+        self.lines.append(f"{key}\t{value_text(value)}")
 
     def sep(self) -> None:
         """End the current record, if there is one."""

@@ -214,8 +214,6 @@ def _over(*axes: _Axis) -> _Domain:
     def draws():
         values = [a.values() for a in axes]
         tails = list(itertools.product(*values[inner:]))
-        if inner == 1:  # the key is the value itself, not a 1-tuple of it
-            return ((v, map((v,).__add__, tails)) for v in values[0])
         return ((h, map(h.__add__, tails)) for h in itertools.product(*values[:inner]))
 
     return _drawn(draws, witness, note)

@@ -223,6 +223,24 @@ def test_ideal_quantale_q4(q4):
             assert q4.leq(x, y) == iq.quantale.leq(h(x), h(y))
 
 
+@pytest.mark.parametrize(
+    "down, message",
+    [
+        # bot's row lacks its own bit; so does top's
+        ((0b0, 0b11, 0b101, 0b1111), "principal map does not reflect the order"),
+        ((0b1, 0b11, 0b101, 0b0111), "principal map does not reflect the order"),
+        # not transitive (bot <= b, a <= bot, yet b is not below a): the
+        # principal map fails check_hom's order test before the reflection test
+        ((0b101, 0b11, 0b1, 0b1111), "principal map breaks order at (0, 1)"),
+        # two equal rows: two elements share one principal ideal
+        ((0b1, 0b1, 0b101, 0b1111), "principal map is not a bijection onto the ideals"),
+    ],
+)
+def test_ideal_quantale_refuses_a_broken_order(q4, down, message):
+    with pytest.raises(QuantaleError, match=re.escape(message) + "$"):
+        ideal_quantale(replace(q4, down=down))
+
+
 @pytest.mark.parametrize("name", ["q4", "l3", "m3", "lowersets:antichain3"])
 def test_ideal_quantale_tables_are_ideal_operations(request, name):
     q = generate_from_spec(name) if ":" in name else request.getfixturevalue(name)
@@ -307,6 +325,7 @@ def test_noncommutative_is_gated():
         with pytest.raises(NotCommutative):
             call()
     assert "interned" not in vars(nc)
+    assert "zero_folds" not in vars(nc)
 
     assert [m for m in range(8) if is_ideal(nc, m)] == [1, 3, 7]
     assert [m for m in range(8) if cl.is_mc(nc, m)] == [4, 5, 7]

@@ -3,8 +3,8 @@
 A carrier memoizes its interned ideals and principals; a residual or
 radical is memoized by the run that repeats it
 (verify._Ctx.routes), not by the carrier.  Each memoized operation, and
-the residual, is compared with its definitional scan, written out here,
-on every commutative single-cell mutant of q4, l3 and m3 (see oracles):
+the residual, is compared with its definitional scan in oracles, on
+every commutative single-cell mutant of q4, l3 and m3 (oracles.MUTANTS):
 broken tables are where a shortcut would drift from the definition.
 Each call is made twice so the second answer comes from the memo.
 """
@@ -32,16 +32,11 @@ from qk.ideals import (
 from qk.quantfile import load_quant
 from qk.verify import _Ctx, run_suite, single_cell_mutants
 
-from oracles import DATA, MUTANTS, members, residual_scan
+from oracles import DATA, MUTANTS, members, prime_witness_scan, residual_scan
 
 
 def _prime_scan(i):
-    q, m = i.carrier, i.members
-    return i.proper and not any(
-        m >> q.mul[x][y] & 1 and not m >> x & 1 and not m >> y & 1
-        for x in range(q.n)
-        for y in range(q.n)
-    )
+    return i.proper and prime_witness_scan(i) is None
 
 
 def _avoidance_scan(q, m, ps):
