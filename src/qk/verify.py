@@ -13,7 +13,9 @@ once and counts its repeats, so case counts are those of checking every
 case; there a run also computes generated and annihilator once per mask.
 At every size, a run computes each residual, radical, extension,
 contraction and idealness test its suites repeat once (_Ctx.routes),
-folds each drawn family once, and builds and checks the ideal carrier once.
+folds each drawn family once and its members' products, residuals and
+radicals from rows of those results, and builds and checks the ideal
+carrier once.
 Each law reports its exact case count and, on failure, the first
 witness found; later laws still run.
 
@@ -289,9 +291,11 @@ _name = attrgetter("name")
 
 
 class _Family(NamedTuple):
-    """A drawn family of ideals, its join and its meet; it prints as its size."""
+    """A drawn family of ideals, their positions in the list it was drawn
+    from, its join and its meet; it prints as its size."""
 
     ideals: tuple[il.Ideal, ...]
+    picks: tuple[int, ...]
     join: il.Ideal
     meet: il.Ideal
 
@@ -302,8 +306,9 @@ class _Family(NamedTuple):
 def _pick(q: FiniteQuantale, items, pick: int) -> _Family:
     """The subfamily of items (ideals of q) selected by the bits of pick,
     folded once: the one place a drawn family is joined and met."""
-    ideals = tuple(items[j] for j in range(len(items)) if pick >> j & 1)
-    return _Family(ideals, il.join_all(q, ideals), il.meet_all(q, ideals))
+    picks = tuple(bits(pick))
+    ideals = tuple(map(items.__getitem__, picks))
+    return _Family(ideals, picks, il.join_all(q, ideals), il.meet_all(q, ideals))
 
 
 def _nonempty_draws(rng: random.Random, width: int, count: int) -> list[int]:
@@ -313,7 +318,8 @@ def _nonempty_draws(rng: random.Random, width: int, count: int) -> list[int]:
 
 
 class _Routes(NamedTuple):
-    """The library calls the suites read by name through _Ctx.routes."""
+    """The library calls the suites read by name through _Ctx.routes.  A
+    row holds one call against every ideal, in _Ctx.ideals order."""
 
     gen: Callable[[int], il.Ideal]
     ann: Callable[[int], il.Ideal]
@@ -322,6 +328,11 @@ class _Routes(NamedTuple):
     con: Callable[[QuantaleHom, il.Ideal], il.Ideal]
     rad: Callable[[il.Ideal], il.Ideal]
     is_ideal: Callable[[FiniteQuantale, int], bool]
+    prods: Callable[[il.Ideal], list[il.Ideal]]
+    res_row: Callable[[il.Ideal], list[il.Ideal]]
+    res_col: Callable[[il.Ideal], list[il.Ideal]]
+    rads: Callable[[], list[il.Ideal]]
+    ann_of: Callable[[il.Ideal], il.Ideal]
 
 
 class _Ctx:
@@ -352,8 +363,9 @@ class _Ctx:
                          _PAIR_EXHAUST_MAX_N (6) elements, else
                          SAMPLE_COUNT drawn pairs
       families           all families of ideals, the empty one included, up
-                         to EXHAUST_MAX_N ideals, else SAMPLE_COUNT // 10
-                         (10^3) draws, each a _Family with its join and meet
+                         to EXHAUST_MAX_N ideals (every_family, one list for
+                         the run), else SAMPLE_COUNT // 10 (10^3) draws, each
+                         a _Family with its picks, join and meet
       subfamilies        (key, f) for each group (key, items) a law supplies
                          and each nonempty subfamily f of items, a _Family:
                          all of them for groups of up to _SUBFAMILY_EXHAUST_MAX
@@ -369,9 +381,14 @@ class _Ctx:
                          calls; at every size res(i, j) (ideals.residual;
                          n^2 pairs of ideals), ext(h, i), con(h, j)
                          (ideals.extension, contraction; n per hom),
-                         rad(i) (classify.radical; n) and is_ideal(q, m)
+                         rad(i) (classify.radical; n), is_ideal(q, m)
                          (ideals.is_ideal; one per carrier and mask
-                         tested)
+                         tested) and ann_of(i) (ann(i.members) for an
+                         ideal i; n); and the rows, in ideals order, each
+                         built whole on its first read: prods(a)
+                         (ideals.product_ideals(a, j) for each ideal j),
+                         res_row(a) (res(a, j)), res_col(b) (res(j, b)),
+                         n rows of n each, and rads() (rad(j))
 
     routes, homs where run_suite names none, and the ideal carrier with
     its check_axioms verdict are built once per run, on first use.
@@ -461,7 +478,18 @@ class _Ctx:
         if self.repeats:
             gen, ann = memo(gen), memo(ann)
         calls = il.residual, il.extension, il.contraction, cl.radical, il.is_ideal
-        return _Routes(gen, ann, *map(memo, calls))
+        res, ext, con, rad, is_ideal = map(memo, calls)
+        # A row is built whole on its first read.  Its entries are products,
+        # residuals and radicals of ideals of q, which never raise, so an
+        # entry that no case reads changes nothing a report shows.
+        return _Routes(
+            gen, ann, res, ext, con, rad, is_ideal,
+            prods=memo(lambda a: [il.product_ideals(a, b) for b in self.ideals]),
+            res_row=memo(lambda a: [res(a, b) for b in self.ideals]),
+            res_col=memo(lambda b: [res(a, b) for a in self.ideals]),
+            rads=memo(lambda: list(map(rad, self.ideals))),
+            ann_of=memo(lambda i: ann(i.members)),
+        )
 
     def _pair_witness(self, s: int, t: int) -> tuple[str, ...]:
         return self.q.labels(s), "/", self.q.labels(t)
@@ -492,6 +520,12 @@ class _Ctx:
             return _Domain(every, self._pair_witness)
         return _Domain(draws, self._pair_witness, "sampled")
 
+    @cached_property
+    def every_family(self) -> list[_Family]:
+        """Every family of ideals, the empty one included, folded once for
+        the run: the families axis up to EXHAUST_MAX_N ideals."""
+        return [_pick(self.q, self.ideals, p) for p in range(1 << len(self.ideals))]
+
     def families(self, tag: str) -> _Axis:
         q, ideals = self.q, self.ideals
         k = len(ideals)
@@ -501,7 +535,7 @@ class _Ctx:
             return [_pick(q, ideals, rng.getrandbits(k)) for _ in range(SAMPLE_COUNT // 10)]
 
         if k <= EXHAUST_MAX_N:
-            return _Axis(lambda: [_pick(q, ideals, p) for p in range(1 << k)], str)
+            return _Axis(lambda: self.every_family, str)
         return _Axis(draws, str, "sampled", 1 << k < SAMPLE_COUNT // 10)
 
     def subfamilies(self, tag: str, groups: Callable[[], Iterable[tuple]]) -> _Domain:
@@ -554,17 +588,23 @@ def _suite_axioms(ctx: _Ctx) -> list[LawResult]:
 
 def _suite_lemma_bip(ctx: _Ctx) -> list[LawResult]:
     q, E = ctx.q, ctx.axis("elements")
-    E3 = _over(E, E, E)
-    leq, mul = q.leq, q.mul
+    leq, mul, el = q.leq, q.mul, q.elements
     exponents = _Axis(lambda: range(1, 5), str)
+    # the hypotheses x <= y and u <= v as an axis: the comparable pairs, x
+    # then y ascending, so the cases run in the order of the element tuples
+    # and are exactly those where the hypotheses hold
+    below = [(x, y) for x in range(q.n) for y in range(q.n) if leq(x, y)]
+    B = _Axis(lambda: below, str)
+    labels = lambda *xs: tuple(el[x] for x in xs)
 
     return _check("lemma_bip", [
         _Law("mul_below_meet", _over(E, E), lambda x, y: leq(mul[x][y], q.meet[x][y])),
         _Law("bot_annihilates", _over(E), lambda x: mul[x][q.bottom] == q.bottom),
-        _Law("mul_monotone", E3,
-             lambda x, y, z: leq(mul[x][z], mul[y][z]) if leq(x, y) else None),
-        _Law("mul_monotone_pairs", _over(E, E, E, E),
-             lambda x, y, u, v: leq(mul[x][u], mul[y][v]) if leq(x, y) and leq(u, v) else None),
+        _Law("mul_monotone", _over(B, E), lambda p, z: leq(mul[p[0]][z], mul[p[1]][z]),
+             witness=lambda p, z: labels(*p, z)),
+        _Law("mul_monotone_pairs", _over(B, B),
+             lambda p, r: leq(mul[p[0]][r[0]], mul[p[1]][r[1]]),
+             witness=lambda p, r: labels(*p, *r)),
         _Law("binomial_power", _over(E, E, exponents),
              lambda x, y, k: power_of_join(q, x, y, k) == power(q, q.join[x][y], k)),
     ])
@@ -575,7 +615,9 @@ def _suite_proposition_bpi(ctx: _Ctx) -> list[LawResult]:
     I2, I3 = _over(I, I), _over(I, I, I)
     whole, zero = il.whole_ideal(q), il.zero_ideal(q)
     prod, meet, join = il.product_ideals, il.meet_ideals, il.join_ideals
-    gen, res, is_ideal = ctx.routes.gen, ctx.routes.res, ctx.routes.is_ideal
+    routes = ctx.routes
+    gen, res, is_ideal = routes.gen, routes.res, routes.is_ideal
+    prods, res_row, res_col = routes.prods, routes.res_row, routes.res_col
     meet_all, join_all = partial(il.meet_all, q), partial(il.join_all, q)
 
     def coprime_product(a, b, c):
@@ -594,7 +636,7 @@ def _suite_proposition_bpi(ctx: _Ctx) -> list[LawResult]:
         _Law("whole_is_unit", _over(I), lambda a: prod(whole, a) == a),
         _Law("zero_annihilates", _over(I), lambda a: prod(zero, a) == zero),
         _Law("product_join_distrib", _over(I, F("bpi.product_join_distrib")),
-             lambda a, f: prod(a, f.join) == join_all([prod(a, b) for b in f.ideals])),
+             lambda a, f: prod(a, f.join) == join_all(map(prods(a).__getitem__, f.picks))),
         _Law("product_below_meet", I2, lambda a, b: prod(a, b) <= meet(a, b)),
         _Law("product_meet_below", I3,
              lambda a, b, c: prod(a, meet(b, c)) <= meet(prod(a, b), prod(a, c))),
@@ -609,9 +651,9 @@ def _suite_proposition_bpi(ctx: _Ctx) -> list[LawResult]:
         _Law("residual_by_whole", _over(I), lambda a: res(a, whole) == a),
         _Law("below_residual_of_product", I2, lambda a, b: a <= res(prod(a, b), b)),
         _Law("residual_meet_family", _over(F("bpi.residual_meet_family"), I),
-             lambda f, b: res(f.meet, b) == meet_all([res(a, b) for a in f.ideals])),
+             lambda f, b: res(f.meet, b) == meet_all(map(res_col(b).__getitem__, f.picks))),
         _Law("residual_join_family", _over(I, F("bpi.residual_join_family")),
-             lambda a, f: meet_all([res(a, b) for b in f.ideals]) <= res(a, f.join)),
+             lambda a, f: meet_all(map(res_row(a).__getitem__, f.picks)) <= res(a, f.join)),
         _Law("residual_iterated", I3, residual_iterated),
         _Law("residual_join_absorb", I2, lambda a, b: res(a, b) == res(a, join(a, b))),
         _Law("residual_meet_absorb", I2, lambda a, b: res(a, b) == res(meet(a, b), b)),
@@ -624,15 +666,14 @@ def _suite_proposition_bpi(ctx: _Ctx) -> list[LawResult]:
 
 def _suite_annihilator(ctx: _Ctx) -> list[LawResult]:
     S, routes = ctx.subsets, ctx.routes
-    gen, ann, res = routes.gen, routes.ann, routes.res
+    gen, ann, res, ann_of = routes.gen, routes.ann, routes.res, routes.ann_of
     zero = il.zero_ideal(ctx.q)
 
     return _check("annihilator", [
         _Law("antitone", ctx.subset_pairs("ann.antitone"), lambda s, t: ann(t) <= ann(s)),
         _Law("double_contains", _over(S("ann.double")),
-             lambda s: s & ~ann(ann(s).members).members == 0),
-        _Law("triple_stable", _over(S("ann.triple")),
-             lambda s: (a := ann(s)) == ann(ann(a.members).members)),
+             lambda s: s & ~ann_of(ann(s)).members == 0),
+        _Law("triple_stable", _over(S("ann.triple")), lambda s: (a := ann(s)) == ann_of(ann_of(a))),
         _Law("matches_residual_into_zero", _over(S("ann.residual")),
              lambda s: ann(s) == res(zero, gen(s))),
     ])
@@ -805,7 +846,7 @@ def _suite_radical_lemma(ctx: _Ctx) -> list[LawResult]:
              lambda i: rad(prod(i, i)) == rad(i) and rad(prod(prod(i, i), i)) == rad(i)),
         _Law("meet_and_product", I2, meet_and_product),
         _Law("join_family_below", _over(ctx.families("radical.join_family")),
-             lambda f: il.join_all(q, [rad(i) for i in f.ideals]) <= rad(f.join)),
+             lambda f: il.join_all(q, map(routes.rads().__getitem__, f.picks)) <= rad(f.join)),
         _Law("whole_iff", _over(I), lambda i: rad(i).is_whole == i.is_whole),
         _Law("join_radical_collapse", I2,
              lambda a, b: rad(il.join_ideals(a, b)) == rad(il.join_ideals(rad(a), rad(b)))),
@@ -891,7 +932,8 @@ def _suite_saturation(ctx: _Ctx) -> list[LawResult]:
 
 
 def _suite_primary(ctx: _Ctx) -> list[LawResult]:
-    rad, primary, meet_all = ctx.routes.rad, cl.is_primary, partial(il.meet_all, ctx.q)
+    rad, rads, primary = ctx.routes.rad, ctx.routes.rads, cl.is_primary
+    meet_all = partial(il.meet_all, ctx.q)
 
     def smallest_prime(c):
         r = rad(c)
@@ -905,7 +947,7 @@ def _suite_primary(ctx: _Ctx) -> list[LawResult]:
         _Law("prime_implies_primary", _over(ctx.axis("primes")), primary),
         _Law("radical_smallest_prime_over", _over(ctx.axis("primaries")), smallest_prime),
         _Law("radical_meet_family", _over(ctx.families("primary.radical_meet_family")),
-             lambda f: rad(f.meet) == meet_all([rad(i) for i in f.ideals])),
+             lambda f: rad(f.meet) == meet_all(map(rads().__getitem__, f.picks))),
         _Law("p_primary_meet_closed", families, lambda p, f: primary(f.meet) and rad(f.meet) == p),
     ])
 

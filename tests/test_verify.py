@@ -1,5 +1,6 @@
 from collections import Counter
 from functools import partial
+from itertools import product
 
 import pytest
 
@@ -7,7 +8,7 @@ from qk import classify, decompose, ideals, verify
 from qk.core import FiniteQuantale, QuantaleHom, build_quantale, check_axioms
 from qk.errors import HomRequired
 from qk.generators import generate_from_spec, lukasiewicz_quantale, powerset_quantale
-from qk.quantfile import load_hom
+from qk.quantfile import load_hom, load_quant
 from qk.verify import (
     SAMPLE_COUNT,
     SUITE_ORDER,
@@ -24,6 +25,26 @@ from oracles import DATA, MUTANTS
 # into the two-element chain, so neither is a bijection; the bad one breaks
 # meet, so every extension and contraction along it raises HomInvalid
 FILE_HOMS = [load_hom(DATA / f) for f in ("q4_to_c2.hom", "l3_to_c2.hom", "q4_to_c2_bad.hom")]
+
+# the commutative single-cell mutants of the benchmark's mutation carriers
+MUTATION_MUTANTS = [
+    m
+    for base in (
+        load_quant(DATA / "q4.quant"),
+        load_quant(DATA / "l3.quant"),
+        *map(generate_from_spec, ("m3", "lukasiewicz:6", "lowersets:chain4", "powerset:3")),
+    )
+    for _, _, m in single_cell_mutants(base)
+    if m.commutative
+]
+
+FAMILY_TAGS = (
+    "bpi.product_join_distrib",
+    "bpi.residual_meet_family",
+    "bpi.residual_join_family",
+    "radical.join_family",
+    "primary.radical_meet_family",
+)
 
 
 def test_all_suites_green_on_sound_instances(q4, l3, m3):
@@ -258,7 +279,8 @@ def test_avoidance_tests_each_drawn_mask_once(monkeypatch):
 
 
 def _plain_routes(ctx):
-    """_Ctx.routes with every memo forced off: the library calls."""
+    """_Ctx.routes with every memo forced off: the library calls, and each
+    row made from them afresh on every read."""
     q = ctx.q
     return _Routes(
         gen=partial(ideals.generated, q),
@@ -268,6 +290,11 @@ def _plain_routes(ctx):
         con=ideals.contraction,
         rad=classify.radical,
         is_ideal=ideals.is_ideal,
+        prods=lambda a: [ideals.product_ideals(a, b) for b in ctx.ideals],
+        res_row=lambda a: [ideals.residual(a, b) for b in ctx.ideals],
+        res_col=lambda b: [ideals.residual(a, b) for a in ctx.ideals],
+        rads=lambda: [classify.radical(i) for i in ctx.ideals],
+        ann_of=lambda i: ideals.annihilator(q, i.members),
     )
 
 
@@ -307,11 +334,18 @@ def test_subset_routes_reach_the_library_once_per_mask_where_subsets_repeat():
 
 
 def test_subset_routes_are_the_library_calls_where_subsets_do_not_repeat(monkeypatch):
-    # lukasiewicz:14 has 16,383 nonempty subsets: no memo
+    # lukasiewicz:14 has 16,383 nonempty subsets: gen and ann hold no memo
+    # (ann_of, the annihilator of an ideal, keeps its memo at every size)
     q = lukasiewicz_quantale(14)
     assert q.full >= SAMPLE_COUNT
     with_routes = _subset_calls(q)
-    monkeypatch.setattr(_Ctx, "routes", property(_plain_routes))
+    routes = _Ctx.routes.func
+
+    def plain(ctx):
+        gen, ann = partial(ideals.generated, q), partial(ideals.annihilator, q)
+        return routes(ctx)._replace(gen=gen, ann=ann)
+
+    monkeypatch.setattr(_Ctx, "routes", property(plain))
     assert _subset_calls(q) == with_routes
     assert max(with_routes["proposition_bpi"].values()) > 1
 
@@ -346,8 +380,9 @@ def test_subset_memo_leaves_every_law_result_unchanged(q, hom, monkeypatch):
 @pytest.mark.parametrize("q", [lukasiewicz_quantale(12), powerset_quantale(4)], ids=lambda q: q.name)
 def test_proposition_bpi_reaches_the_library_once_per_pair_and_family(q, monkeypatch):
     # each residual of two ideals is computed once, and the join and the meet
-    # of a drawn family (a tuple; the per-case folds take lists) once per draw:
-    # 10^3 calls per sampled law, not 10^3 for each ideal a family meets
+    # of a drawn family (a tuple; the per-case folds take maps over a row)
+    # once per draw: 10^3 calls per sampled law, not 10^3 for each ideal a
+    # family meets
     tags = ("bpi.product_join_distrib", "bpi.residual_meet_family", "bpi.residual_join_family")
     drawn = Counter(f.ideals for tag in tags for f in _Ctx(q, 0).families(tag).values())
     assert sum(drawn.values()) == len(tags) * SAMPLE_COUNT // 10
@@ -374,7 +409,95 @@ def test_proposition_bpi_reaches_the_library_once_per_pair_and_family(q, monkeyp
     for name in ("join_all", "meet_all"):
         assert Counter({key[1]: n for key, n in calls.items() if key[0] == name}) == drawn
 
+    # product_join_distrib takes the product of a with each family's join,
+    # once per case, and each product of two ideals once, for the row of a
+    ctx = _Ctx(q, 0)
+    monkeypatch.setattr(verify, "_check", lambda suite, laws: laws)
+    products = _counted(monkeypatch, ideals, "product_ideals")
+    laws = verify._suite_proposition_bpi(ctx)
+    [law] = [law for law in laws if law.name == "product_join_distrib"]
+    assert verify._run(law)[0] == "pass"
+    joins = Counter(
+        (a, f.join) for a in ctx.ideals for f in ctx.families("bpi.product_join_distrib").values()
+    )
+    assert products == joins + Counter(product(ctx.ideals, repeat=2))
 
+
+@pytest.mark.parametrize(
+    "q", [lukasiewicz_quantale(12), powerset_quantale(4), *MUTATION_MUTANTS], ids=lambda q: q.name
+)
+def test_rows_and_family_picks_are_the_library_calls(q):
+    ctx = _Ctx(q, 0)
+    routes, every = ctx.routes, ctx.ideals
+    assert routes.rads() == [classify.radical(i) for i in every]
+    for a in every:
+        assert routes.prods(a) == [ideals.product_ideals(a, b) for b in every]
+        assert routes.res_row(a) == [ideals.residual(a, b) for b in every]
+        assert routes.res_col(a) == [ideals.residual(b, a) for b in every]
+        assert routes.ann_of(a) == ideals.annihilator(q, a.members)
+    for tag in FAMILY_TAGS:
+        families = ctx.families(tag).values()
+        assert all(f.ideals == tuple(every[j] for j in f.picks) for f in families)
+        # up to EXHAUST_MAX_N ideals every law reads the one list of the run
+        assert (families is ctx.every_family) == (len(every) <= verify.EXHAUST_MAX_N)
+
+
+# mul_monotone and mul_monotone_pairs as the element-tuple domains, with the
+# order hypotheses inside the predicate, reported them on every mutant of the
+# mutation carriers where either fails: both fail on each, with these
+# checked counts and witnesses
+LEMMA_BIP_FAILURES = {
+    "q4~0,0": (5, "bot a bot", 2, "bot bot bot a"),
+    "q4~1,1": (22, "a top a", 42, "a a a top"),
+    "q4~2,2": (31, "b top b", 62, "b b b top"),
+    "q4~3,3": (24, "a top top", 51, "a top a top"),
+    "l3~0,0": (4, "0 1 0", 2, "0 0 0 1"),
+    "l3~1,1": (14, "1 2 1", 23, "1 1 1 2"),
+    "l3~2,2": (15, "1 2 2", 30, "1 2 2 2"),
+    "m3~0,0": (7, "bot p bot", 2, "bot bot bot p"),
+    "m3~1,1": (44, "p m p", 116, "p p p m"),
+    "m3~2,2": (63, "q m q", 173, "q q q m"),
+    "m3~3,3": (82, "r m r", 230, "r r r m"),
+    "m3~4,4": (101, "m top m", 287, "m m m top"),
+    "m3~5,5": (54, "p top top", 162, "p top top top"),
+    "lukasiewicz6~0,0": (7, "0 1 0", 2, "0 0 0 1"),
+    "lukasiewicz6~1,1": (44, "1 2 1", 134, "1 1 1 2"),
+    "lukasiewicz6~2,2": (75, "2 3 2", 244, "2 2 2 3"),
+    "lukasiewicz6~3,3": (100, "3 4 3", 332, "3 3 3 4"),
+    "lukasiewicz6~4,4": (119, "4 5 4", 398, "4 4 4 5"),
+    "lukasiewicz6~5,5": (66, "1 5 5", 231, "1 5 5 5"),
+    "lowersets4~0,0": (6, "bot 1 bot", 2, "bot bot bot 1"),
+    "lowersets4~1,1": (32, "1 12 1", 82, "1 1 1 12"),
+    "lowersets4~2,2": (53, "12 123 12", 146, "12 12 12 123"),
+    "lowersets4~3,3": (69, "123 top 123", 194, "123 123 123 top"),
+    "lowersets4~4,4": (45, "1 top top", 129, "1 top 1 top"),
+    "powerset3~0,0": (9, "bot 1 bot", 2, "bot bot bot 1"),
+    "powerset3~1,1": (74, "1 12 1", 226, "1 1 1 12"),
+    "powerset3~2,2": (107, "2 12 2", 338, "2 2 2 12"),
+    "powerset3~3,3": (140, "3 13 3", 450, "3 3 3 13"),
+    "powerset3~4,4": (173, "12 top 12", 562, "12 12 12 top"),
+    "powerset3~5,5": (190, "13 top 13", 618, "13 13 13 top"),
+    "powerset3~6,6": (207, "23 top 23", 674, "23 23 23 top"),
+    "powerset3~7,7": (96, "1 top top", 309, "1 top 1 top"),
+}
+
+
+def _monotone_rows(q):
+    rows = {r.law: r for r in run_suite(q, "lemma_bip", seed=0).results}
+    return rows["mul_monotone"], rows["mul_monotone_pairs"]
+
+
+def test_monotonicity_domains_keep_their_counts_and_witnesses():
+    failing = {}
+    for q in MUTATION_MUTANTS:
+        rows = _monotone_rows(q)
+        if any(r.status == "fail" for r in rows):
+            assert all(r.status == "fail" for r in rows), q.name
+            failing[q.name] = tuple(x for r in rows for x in (r.checked, " ".join(r.witness)))
+    assert failing == LEMMA_BIP_FAILURES
+    # powerset:4 has 3^4 = 81 pairs x <= y: 81 * 16 and 81^2 cases
+    rows = _monotone_rows(powerset_quantale(4))
+    assert [(r.status, r.checked) for r in rows] == [("pass", 1296), ("pass", 6561)]
 @pytest.mark.parametrize("spec", ["lukasiewicz:12", "powerset:4", "lowersets:chain8"])
 def test_uniqueness_lists_the_primary_candidates_once_per_proper_ideal(spec, monkeypatch):
     # the decomposition and every minimal decomposition of an ideal read one list
