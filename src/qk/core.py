@@ -295,12 +295,10 @@ class FiniteQuantale:
         return f"<FiniteQuantale {self.name} n={self.n}>"
 
 
-def _byte_folds(
-    cols: Sequence[int], op: Callable[[int, int], int], unit: int
-) -> tuple[tuple[int, ...], ...]:
+def _byte_folds(cols: Sequence, op: Callable, unit) -> tuple[tuple, ...]:
     """tables[k][b] = op folded from unit over cols[8k + i] for the bits i
     set in b, one table per 8 columns; a fold over a subset mask s is then
-    one lookup per byte of s."""
+    one lookup per byte of s.  Each entry is an object op returned, or unit."""
     tables = []
     for k in range(0, len(cols), 8):
         chunk = cols[k : k + 8]

@@ -13,9 +13,11 @@ once and counts its repeats, so case counts are those of checking every
 case; there a run also computes generated and annihilator once per mask.
 At every size, a run computes each residual, radical, extension,
 contraction and idealness test its suites repeat once (_Ctx.routes),
-folds each drawn family once and its members' products, residuals and
-radicals from rows of those results, and builds and checks the ideal
-carrier once.
+runs check_axioms once, and builds and checks the ideal carrier once.
+A drawn family is the mask of its positions in the list it was drawn
+from (its pick), folded once where it is drawn; it and its members'
+products, residuals and radicals (rows of those results) are joined and
+met through byte-slice tables (_Folds), one lookup per byte of the pick.
 Each law reports its exact case count and, on failure, the first
 witness found; later laws still run.
 
@@ -44,8 +46,10 @@ from operator import attrgetter, or_
 from typing import Callable, Iterable, NamedTuple
 
 from .core import (
+    AxiomReport,
     FiniteQuantale,
     QuantaleHom,
+    _byte_folds,
     bits,
     check_axioms,
     is_unit,
@@ -290,25 +294,75 @@ def _check(suite: str, laws: list[_Law]) -> list[LawResult]:
 _name = attrgetter("name")
 
 
-class _Family(NamedTuple):
-    """A drawn family of ideals, their positions in the list it was drawn
-    from, its join and its meet; it prints as its size."""
+class _Folds:
+    """A list of ideals of q (items) with the join and the meet of the
+    subfamily at any pick, a mask of positions in items: one lookup per
+    byte of the pick, in tables core._byte_folds builds on first use.
 
-    ideals: tuple[il.Ideal, ...]
-    picks: tuple[int, ...]
+    A meet table entry is the interned meet of the items it folds, so
+    meet(pick) is meet_all's result on any table: AND is associative.  A
+    join table entry is the q.join fold of their apexes, which gives
+    join_all's left fold only where q.join is the lub of a partial order
+    with global bounds; lattice (check_axioms' lattice_ok) says so, and
+    without it join(pick) is join_all over the picked items, the oracle.
+
+    Every entry is an apex read from q.join or an interned Ideal, and each
+    table is kept as the equal one in shared, a dict of the tables kept so
+    far: rows repeat most of their byte tables on a chain (197 distinct of
+    1,584 in a run on lukasiewicz:64)."""
+
+    def __init__(self, q: FiniteQuantale, items: list[il.Ideal], lattice: bool, shared: dict):
+        self.q, self.items, self.lattice, self.shared = q, items, lattice, shared
+
+    def _kept(self, tables: tuple[tuple, ...]) -> tuple[tuple, ...]:
+        return tuple(map(self.shared.setdefault, tables, tables))
+
+    @cached_property
+    def _joins(self) -> tuple[tuple[int, ...], ...]:
+        join = self.q.join
+        apexes = [i.apex for i in self.items]
+        return self._kept(_byte_folds(apexes, lambda a, b: join[a][b], self.q.bottom))
+
+    @cached_property
+    def _meets(self) -> tuple[tuple[il.Ideal, ...], ...]:
+        interned = self.q.interned
+        meet = lambda a, b: interned[a.members & b.members]
+        return self._kept(_byte_folds(self.items, meet, interned[self.q.full]))
+
+    def join(self, pick: int) -> il.Ideal:
+        q = self.q
+        if not self.lattice:
+            return il.join_all(q, map(self.items.__getitem__, bits(pick)))
+        x, join = q.bottom, q.join
+        for table in self._joins:
+            x = join[x][table[pick & 255]]
+            pick >>= 8
+        return q.principals[x]
+
+    def meet(self, pick: int) -> il.Ideal:
+        m = self.q.full
+        for table in self._meets:
+            m &= table[pick & 255].members
+            pick >>= 8
+        return self.q.interned[m]
+
+
+class _Family(NamedTuple):
+    """A drawn family of ideals: its pick (the mask of its positions in the
+    list it was drawn from), its join and its meet; it prints as its size."""
+
+    pick: int
     join: il.Ideal
     meet: il.Ideal
 
     def __str__(self) -> str:
-        return str(len(self.ideals))
+        return str(self.pick.bit_count())
 
 
-def _pick(q: FiniteQuantale, items, pick: int) -> _Family:
-    """The subfamily of items (ideals of q) selected by the bits of pick,
-    folded once: the one place a drawn family is joined and met."""
-    picks = tuple(bits(pick))
-    ideals = tuple(map(items.__getitem__, picks))
-    return _Family(ideals, picks, il.join_all(q, ideals), il.meet_all(q, ideals))
+def _pick(folds: _Folds, pick: int) -> _Family:
+    """The subfamily of folds.items selected by the bits of pick, folded
+    once: the one place a drawn family is joined and met."""
+    return _Family(pick, folds.join(pick), folds.meet(pick))
 
 
 def _nonempty_draws(rng: random.Random, width: int, count: int) -> list[int]:
@@ -319,7 +373,8 @@ def _nonempty_draws(rng: random.Random, width: int, count: int) -> list[int]:
 
 class _Routes(NamedTuple):
     """The library calls the suites read by name through _Ctx.routes.  A
-    row holds one call against every ideal, in _Ctx.ideals order."""
+    row is a _Folds whose items hold one call against every ideal, in
+    _Ctx.ideals order."""
 
     gen: Callable[[int], il.Ideal]
     ann: Callable[[int], il.Ideal]
@@ -328,10 +383,10 @@ class _Routes(NamedTuple):
     con: Callable[[QuantaleHom, il.Ideal], il.Ideal]
     rad: Callable[[il.Ideal], il.Ideal]
     is_ideal: Callable[[FiniteQuantale, int], bool]
-    prods: Callable[[il.Ideal], list[il.Ideal]]
-    res_row: Callable[[il.Ideal], list[il.Ideal]]
-    res_col: Callable[[il.Ideal], list[il.Ideal]]
-    rads: Callable[[], list[il.Ideal]]
+    prods: Callable[[il.Ideal], _Folds]
+    res_row: Callable[[il.Ideal], _Folds]
+    res_col: Callable[[il.Ideal], _Folds]
+    rads: Callable[[], _Folds]
     ann_of: Callable[[il.Ideal], il.Ideal]
 
 
@@ -365,11 +420,13 @@ class _Ctx:
       families           all families of ideals, the empty one included, up
                          to EXHAUST_MAX_N ideals (every_family, one list for
                          the run), else SAMPLE_COUNT // 10 (10^3) draws, each
-                         a _Family with its picks, join and meet
+                         a _Family with its pick, join and meet, folded
+                         through folds, the _Folds of ideals
       subfamilies        (key, f) for each group (key, items) a law supplies
-                         and each nonempty subfamily f of items, a _Family:
-                         all of them for groups of up to _SUBFAMILY_EXHAUST_MAX
-                         (12) members, else SAMPLE_COUNT // 10 (10^3) nonempty
+                         and each nonempty subfamily f of items, a _Family
+                         folded through one _Folds per group: all of them
+                         for groups of up to _SUBFAMILY_EXHAUST_MAX (12)
+                         members, else SAMPLE_COUNT // 10 (10^3) nonempty
                          draws for each larger group
       mcsets             all mc sets up to EXHAUST_MAX_N elements, else the
                          sets generated by one element, plus {top} (note
@@ -385,13 +442,16 @@ class _Ctx:
                          (ideals.is_ideal; one per carrier and mask
                          tested) and ann_of(i) (ann(i.members) for an
                          ideal i; n); and the rows, in ideals order, each
-                         built whole on its first read: prods(a)
+                         a _Folds built whole on its first read and kept for
+                         the run, its list of calls as .items: prods(a)
                          (ideals.product_ideals(a, j) for each ideal j),
                          res_row(a) (res(a, j)), res_col(b) (res(j, b)),
                          n rows of n each, and rads() (rad(j))
 
-    routes, homs where run_suite names none, and the ideal carrier with
-    its check_axioms verdict are built once per run, on first use.
+    routes, homs where run_suite names none, the check_axioms report of q
+    (axioms: the axioms suite's rows, and the lattice_ok gate of every
+    _Folds) and the ideal carrier with its check_axioms verdict are built
+    once per run, on first use.
     """
 
     def __init__(self, q: FiniteQuantale, seed: int, homs: list[QuantaleHom] | None = None):
@@ -401,6 +461,7 @@ class _Ctx:
             self.homs = homs
         self.exhaustive = q.n <= EXHAUST_MAX_N
         self.repeats = q.full < SAMPLE_COUNT  # fewer subsets than draws: n <= 13
+        self.tables: dict[tuple, tuple] = {}  # the fold tables of the run, see _Folds
 
     def rng(self, tag: str) -> random.Random:
         return random.Random(f"{self.seed}:{tag}")
@@ -408,6 +469,18 @@ class _Ctx:
     @cached_property
     def ideals(self) -> list[il.Ideal]:
         return il.enumerate_ideals(self.q)
+
+    @cached_property
+    def folds(self) -> _Folds:
+        return self.fold(self.ideals)
+
+    def fold(self, items: list[il.Ideal]) -> _Folds:
+        """A _Folds of items, its join tables gated on the run's lattice_ok."""
+        return _Folds(self.q, items, self.axioms.lattice_ok, self.tables)
+
+    @cached_property
+    def axioms(self) -> AxiomReport:
+        return check_axioms(self.q)
 
     @cached_property
     def proper(self) -> list[il.Ideal]:
@@ -482,12 +555,13 @@ class _Ctx:
         # A row is built whole on its first read.  Its entries are products,
         # residuals and radicals of ideals of q, which never raise, so an
         # entry that no case reads changes nothing a report shows.
+        fold, ideals = self.fold, self.ideals
         return _Routes(
             gen, ann, res, ext, con, rad, is_ideal,
-            prods=memo(lambda a: [il.product_ideals(a, b) for b in self.ideals]),
-            res_row=memo(lambda a: [res(a, b) for b in self.ideals]),
-            res_col=memo(lambda b: [res(a, b) for a in self.ideals]),
-            rads=memo(lambda: list(map(rad, self.ideals))),
+            prods=memo(lambda a: fold([il.product_ideals(a, b) for b in ideals])),
+            res_row=memo(lambda a: fold([res(a, b) for b in ideals])),
+            res_col=memo(lambda b: fold([res(a, b) for a in ideals])),
+            rads=memo(lambda: fold(list(map(rad, ideals)))),
             ann_of=memo(lambda i: ann(i.members)),
         )
 
@@ -524,15 +598,14 @@ class _Ctx:
     def every_family(self) -> list[_Family]:
         """Every family of ideals, the empty one included, folded once for
         the run: the families axis up to EXHAUST_MAX_N ideals."""
-        return [_pick(self.q, self.ideals, p) for p in range(1 << len(self.ideals))]
+        return [_pick(self.folds, p) for p in range(1 << len(self.ideals))]
 
     def families(self, tag: str) -> _Axis:
-        q, ideals = self.q, self.ideals
-        k = len(ideals)
+        k = len(self.ideals)
 
         def draws():
-            rng = self.rng(tag)
-            return [_pick(q, ideals, rng.getrandbits(k)) for _ in range(SAMPLE_COUNT // 10)]
+            rng, folds = self.rng(tag), self.folds
+            return [_pick(folds, rng.getrandbits(k)) for _ in range(SAMPLE_COUNT // 10)]
 
         if k <= EXHAUST_MAX_N:
             return _Axis(lambda: self.every_family, str)
@@ -552,7 +625,8 @@ class _Ctx:
                     picks = range(1, 1 << k)
                 else:
                     picks = _nonempty_draws(rng, k, SAMPLE_COUNT // 10)
-                yield from ((key, _pick(self.q, items, pick)) for pick in picks)
+                folds = self.fold(items)
+                yield from ((key, _pick(folds, pick)) for pick in picks)
 
         note = lambda: "sampled" if max(sizes, default=0) > _SUBFAMILY_EXHAUST_MAX else ""
         return _Domain(cases, lambda key, f: (key.name, f), note)
@@ -565,7 +639,7 @@ def _suite_axioms(ctx: _Ctx) -> list[LawResult]:
     """The check_axioms report, one row per law."""
     q = ctx.q
     n = q.n
-    ce = dict(check_axioms(q).counterexamples)
+    ce = dict(ctx.axioms.counterexamples)
     rows = []
     for law, tags, checked in (
         ("partial_order", ("partial_order",), n * n),
@@ -618,7 +692,6 @@ def _suite_proposition_bpi(ctx: _Ctx) -> list[LawResult]:
     routes = ctx.routes
     gen, res, is_ideal = routes.gen, routes.res, routes.is_ideal
     prods, res_row, res_col = routes.prods, routes.res_row, routes.res_col
-    meet_all, join_all = partial(il.meet_all, q), partial(il.join_all, q)
 
     def coprime_product(a, b, c):
         if not (join(a, c).is_whole and join(b, c).is_whole):
@@ -636,7 +709,7 @@ def _suite_proposition_bpi(ctx: _Ctx) -> list[LawResult]:
         _Law("whole_is_unit", _over(I), lambda a: prod(whole, a) == a),
         _Law("zero_annihilates", _over(I), lambda a: prod(zero, a) == zero),
         _Law("product_join_distrib", _over(I, F("bpi.product_join_distrib")),
-             lambda a, f: prod(a, f.join) == join_all(map(prods(a).__getitem__, f.picks))),
+             lambda a, f: prod(a, f.join) == prods(a).join(f.pick)),
         _Law("product_below_meet", I2, lambda a, b: prod(a, b) <= meet(a, b)),
         _Law("product_meet_below", I3,
              lambda a, b, c: prod(a, meet(b, c)) <= meet(prod(a, b), prod(a, c))),
@@ -651,9 +724,9 @@ def _suite_proposition_bpi(ctx: _Ctx) -> list[LawResult]:
         _Law("residual_by_whole", _over(I), lambda a: res(a, whole) == a),
         _Law("below_residual_of_product", I2, lambda a, b: a <= res(prod(a, b), b)),
         _Law("residual_meet_family", _over(F("bpi.residual_meet_family"), I),
-             lambda f, b: res(f.meet, b) == meet_all(map(res_col(b).__getitem__, f.picks))),
+             lambda f, b: res(f.meet, b) == res_col(b).meet(f.pick)),
         _Law("residual_join_family", _over(I, F("bpi.residual_join_family")),
-             lambda a, f: meet_all(map(res_row(a).__getitem__, f.picks)) <= res(a, f.join)),
+             lambda a, f: res_row(a).meet(f.pick) <= res(a, f.join)),
         _Law("residual_iterated", I3, residual_iterated),
         _Law("residual_join_absorb", I2, lambda a, b: res(a, b) == res(a, join(a, b))),
         _Law("residual_meet_absorb", I2, lambda a, b: res(a, b) == res(meet(a, b), b)),
@@ -846,7 +919,7 @@ def _suite_radical_lemma(ctx: _Ctx) -> list[LawResult]:
              lambda i: rad(prod(i, i)) == rad(i) and rad(prod(prod(i, i), i)) == rad(i)),
         _Law("meet_and_product", I2, meet_and_product),
         _Law("join_family_below", _over(ctx.families("radical.join_family")),
-             lambda f: il.join_all(q, map(routes.rads().__getitem__, f.picks)) <= rad(f.join)),
+             lambda f: routes.rads().join(f.pick) <= rad(f.join)),
         _Law("whole_iff", _over(I), lambda i: rad(i).is_whole == i.is_whole),
         _Law("join_radical_collapse", I2,
              lambda a, b: rad(il.join_ideals(a, b)) == rad(il.join_ideals(rad(a), rad(b)))),
@@ -933,7 +1006,6 @@ def _suite_saturation(ctx: _Ctx) -> list[LawResult]:
 
 def _suite_primary(ctx: _Ctx) -> list[LawResult]:
     rad, rads, primary = ctx.routes.rad, ctx.routes.rads, cl.is_primary
-    meet_all = partial(il.meet_all, ctx.q)
 
     def smallest_prime(c):
         r = rad(c)
@@ -947,7 +1019,7 @@ def _suite_primary(ctx: _Ctx) -> list[LawResult]:
         _Law("prime_implies_primary", _over(ctx.axis("primes")), primary),
         _Law("radical_smallest_prime_over", _over(ctx.axis("primaries")), smallest_prime),
         _Law("radical_meet_family", _over(ctx.families("primary.radical_meet_family")),
-             lambda f: rad(f.meet) == meet_all(map(rads().__getitem__, f.picks))),
+             lambda f: rad(f.meet) == rads().meet(f.pick)),
         _Law("p_primary_meet_closed", families, lambda p, f: primary(f.meet) and rad(f.meet) == p),
     ])
 

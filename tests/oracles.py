@@ -8,12 +8,13 @@ first witness included: prime and primary over every pair of elements,
 irreducible and strongly irreducible over every pair of enumerate_ideals
 by Ideal comparison.  flat_run runs a law case by case, evaluating every
 repeated draw again.  MUTANTS holds the commutative single-cell mutants
-of q4, l3 and m3: broken tables are where a shortcut would drift from the
+of q4, l3 and m3, and MUTATION_MUTANTS those of the benchmark's mutation
+carriers: broken tables are where a shortcut would drift from the
 definition."""
 
 from pathlib import Path
 
-from qk.generators import m3_quantale
+from qk.generators import generate_from_spec, m3_quantale
 from qk.ideals import enumerate_ideals
 from qk.quantfile import load_quant
 from qk.verify import single_cell_mutants
@@ -129,6 +130,17 @@ def flat_run(law):
 MUTANTS = [
     m
     for q in (load_quant(DATA / "q4.quant"), load_quant(DATA / "l3.quant"), m3_quantale())
+    for _, _, m in single_cell_mutants(q)
+    if m.commutative
+]
+
+MUTATION_MUTANTS = [
+    m
+    for q in (
+        load_quant(DATA / "q4.quant"),
+        load_quant(DATA / "l3.quant"),
+        *map(generate_from_spec, ("m3", "lukasiewicz:6", "lowersets:chain4", "powerset:3")),
+    )
     for _, _, m in single_cell_mutants(q)
     if m.commutative
 ]

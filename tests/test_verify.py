@@ -1,14 +1,15 @@
 from collections import Counter
 from functools import partial
 from itertools import product
+from typing import NamedTuple
 
 import pytest
 
 from qk import classify, decompose, ideals, verify
-from qk.core import FiniteQuantale, QuantaleHom, build_quantale, check_axioms
+from qk.core import FiniteQuantale, QuantaleHom, bits, build_quantale, check_axioms
 from qk.errors import HomRequired
 from qk.generators import generate_from_spec, lukasiewicz_quantale, powerset_quantale
-from qk.quantfile import load_hom, load_quant
+from qk.quantfile import load_hom
 from qk.verify import (
     SAMPLE_COUNT,
     SUITE_ORDER,
@@ -20,23 +21,11 @@ from qk.verify import (
     single_cell_mutants,
 )
 
-from oracles import DATA, MUTANTS
+from oracles import DATA, MUTANTS, MUTATION_MUTANTS
 
 # into the two-element chain, so neither is a bijection; the bad one breaks
 # meet, so every extension and contraction along it raises HomInvalid
 FILE_HOMS = [load_hom(DATA / f) for f in ("q4_to_c2.hom", "l3_to_c2.hom", "q4_to_c2_bad.hom")]
-
-# the commutative single-cell mutants of the benchmark's mutation carriers
-MUTATION_MUTANTS = [
-    m
-    for base in (
-        load_quant(DATA / "q4.quant"),
-        load_quant(DATA / "l3.quant"),
-        *map(generate_from_spec, ("m3", "lukasiewicz:6", "lowersets:chain4", "powerset:3")),
-    )
-    for _, _, m in single_cell_mutants(base)
-    if m.commutative
-]
 
 FAMILY_TAGS = (
     "bpi.product_join_distrib",
@@ -278,10 +267,25 @@ def test_avoidance_tests_each_drawn_mask_once(monkeypatch):
     assert sorted(calls) == sorted(set(drawn))
 
 
+class _OracleFolds(NamedTuple):
+    """verify._Folds by definition: join_all and meet_all of the items at
+    the bits of a pick, with no table."""
+
+    q: FiniteQuantale
+    items: list
+
+    def join(self, pick):
+        return ideals.join_all(self.q, [self.items[k] for k in bits(pick)])
+
+    def meet(self, pick):
+        return ideals.meet_all(self.q, [self.items[k] for k in bits(pick)])
+
+
 def _plain_routes(ctx):
     """_Ctx.routes with every memo forced off: the library calls, and each
-    row made from them afresh on every read."""
+    row made from them afresh on every read and folded by definition."""
     q = ctx.q
+    fold = partial(_OracleFolds, q)
     return _Routes(
         gen=partial(ideals.generated, q),
         ann=partial(ideals.annihilator, q),
@@ -290,10 +294,10 @@ def _plain_routes(ctx):
         con=ideals.contraction,
         rad=classify.radical,
         is_ideal=ideals.is_ideal,
-        prods=lambda a: [ideals.product_ideals(a, b) for b in ctx.ideals],
-        res_row=lambda a: [ideals.residual(a, b) for b in ctx.ideals],
-        res_col=lambda b: [ideals.residual(a, b) for a in ctx.ideals],
-        rads=lambda: [classify.radical(i) for i in ctx.ideals],
+        prods=lambda a: fold([ideals.product_ideals(a, b) for b in ctx.ideals]),
+        res_row=lambda a: fold([ideals.residual(a, b) for b in ctx.ideals]),
+        res_col=lambda b: fold([ideals.residual(a, b) for a in ctx.ideals]),
+        rads=lambda: fold([classify.radical(i) for i in ctx.ideals]),
         ann_of=lambda i: ideals.annihilator(q, i.members),
     )
 
@@ -366,10 +370,12 @@ def test_subset_routes_are_the_library_calls_where_subsets_do_not_repeat(monkeyp
     ],
 )
 def test_subset_memo_leaves_every_law_result_unchanged(q, hom, monkeypatch):
-    # the second run has neither the run's memos nor the residuation table,
-    # so every residual and primary test there is the library's scan
+    # the second run has neither the run's memos, nor the residuation table,
+    # nor a fold table: every residual and primary test there is the
+    # library's scan, and every family and row fold is join_all or meet_all
     memoized = run_suite(q, "all", hom=hom, seed=7).results
     monkeypatch.setattr(_Ctx, "routes", property(_plain_routes))
+    monkeypatch.setattr(_Ctx, "fold", lambda ctx, items: _OracleFolds(ctx.q, items))
     monkeypatch.setattr(FiniteQuantale, "residuals", property(lambda q: None))
     assert run_suite(q, "all", hom=hom, seed=7).results == memoized
     if hom is not None and not hom.check().ok:  # a memo stores no call that raises
@@ -379,35 +385,21 @@ def test_subset_memo_leaves_every_law_result_unchanged(q, hom, monkeypatch):
 
 @pytest.mark.parametrize("q", [lukasiewicz_quantale(12), powerset_quantale(4)], ids=lambda q: q.name)
 def test_proposition_bpi_reaches_the_library_once_per_pair_and_family(q, monkeypatch):
-    # each residual of two ideals is computed once, and the join and the meet
-    # of a drawn family (a tuple; the per-case folds take maps over a row)
-    # once per draw: 10^3 calls per sampled law, not 10^3 for each ideal a
-    # family meets
-    tags = ("bpi.product_join_distrib", "bpi.residual_meet_family", "bpi.residual_join_family")
-    drawn = Counter(f.ideals for tag in tags for f in _Ctx(q, 0).families(tag).values())
-    assert sum(drawn.values()) == len(tags) * SAMPLE_COUNT // 10
-    calls = Counter()
-    residual, join_all, meet_all = ideals.residual, ideals.join_all, ideals.meet_all
-
-    def counted_residual(i, j):
-        calls["residual", i, j] += 1
-        return residual(i, j)
-
-    def fold(name, route):
-        def counted(q, family):
-            if isinstance(family, tuple):
-                calls[name, family] += 1
-            return route(q, family)
-
-        return counted
-
-    monkeypatch.setattr(ideals, "residual", counted_residual)
-    monkeypatch.setattr(ideals, "join_all", fold("join_all", join_all))
-    monkeypatch.setattr(ideals, "meet_all", fold("meet_all", meet_all))
-    assert run_suite(q, "proposition_bpi", seed=0).ok
-    assert max(n for key, n in calls.items() if key[0] == "residual") == 1
-    for name in ("join_all", "meet_all"):
-        assert Counter({key[1]: n for key, n in calls.items() if key[0] == name}) == drawn
+    # each residual of two ideals is computed once, and the fold tables of
+    # each row and of the drawn families' list are built once for the run:
+    # one set per row and kind its law reads, not one per drawn family
+    residuals = _counted(monkeypatch, ideals, "residual")
+    built, byte_folds = [], verify._byte_folds
+    monkeypatch.setattr(verify, "_byte_folds", lambda *args: built.append(args) or byte_folds(*args))
+    ctx = _Ctx(q, 0)
+    assert all(r.status == "pass" for r in verify._suite_proposition_bpi(ctx))
+    assert max(residuals.values()) == 1
+    routes = ctx.routes
+    rows = [r.cache_info().currsize for r in (routes.prods, routes.res_row, routes.res_col)]
+    assert rows == [len(ctx.ideals)] * 3
+    # prods(a) is joined, res_row(a) and res_col(b) are met, and the
+    # families' list is both joined and met
+    assert len(built) == sum(rows) + 2
 
     # product_join_distrib takes the product of a with each family's join,
     # once per case, and each product of two ideals once, for the row of a
@@ -429,15 +421,18 @@ def test_proposition_bpi_reaches_the_library_once_per_pair_and_family(q, monkeyp
 def test_rows_and_family_picks_are_the_library_calls(q):
     ctx = _Ctx(q, 0)
     routes, every = ctx.routes, ctx.ideals
-    assert routes.rads() == [classify.radical(i) for i in every]
+    assert routes.rads().items == [classify.radical(i) for i in every]
     for a in every:
-        assert routes.prods(a) == [ideals.product_ideals(a, b) for b in every]
-        assert routes.res_row(a) == [ideals.residual(a, b) for b in every]
-        assert routes.res_col(a) == [ideals.residual(b, a) for b in every]
+        assert routes.prods(a).items == [ideals.product_ideals(a, b) for b in every]
+        assert routes.res_row(a).items == [ideals.residual(a, b) for b in every]
+        assert routes.res_col(a).items == [ideals.residual(b, a) for b in every]
         assert routes.ann_of(a) == ideals.annihilator(q, a.members)
     for tag in FAMILY_TAGS:
         families = ctx.families(tag).values()
-        assert all(f.ideals == tuple(every[j] for j in f.picks) for f in families)
+        for f in families:
+            members = [every[k] for k in bits(f.pick)]
+            assert f.join is ideals.join_all(q, members), f.pick
+            assert f.meet is ideals.meet_all(q, members), f.pick
         # up to EXHAUST_MAX_N ideals every law reads the one list of the run
         assert (families is ctx.every_family) == (len(every) <= verify.EXHAUST_MAX_N)
 
@@ -613,4 +608,6 @@ def test_one_run_builds_and_checks_one_ideal_carrier(q, monkeypatch):
     checked = _counted(monkeypatch, verify, "check_axioms")
     run_suite(q, "all", seed=0)
     assert built == Counter([(q,)])
+    # q itself once too, for the axioms suite and the fold tables' gate
+    assert checked[(q,)] == 1
     assert sum(n for (c,), n in checked.items() if c is not q) == 1
