@@ -404,17 +404,18 @@ def maximal_avoiding(s: McSet) -> Ideal:
     return min(_extremal(disjoint), key=lambda i: i.apex)
 
 
-def _instability(q: FiniteQuantale, m: int) -> tuple[str, str] | None:
+def _instability(q: FiniteQuantale, m: int) -> tuple[str, int, int] | None:
     """The first way the set m fails to be closed under join and &, as the
-    (hypothesis, message) of prime_avoidance, or None."""
+    hypothesis of prime_avoidance and the two members x, y whose join or
+    product leaves the set, or None."""
     xs = list(bits(m))
     for x in xs:
         jr, mr = q.join[x], q.mul[x]
         for y in xs:
             if not m >> jr[y] & 1:
-                return "stable_under_join", f"{q.label(x)} v {q.label(y)} leaves the set"
+                return "stable_under_join", x, y
             if not m >> mr[y] & 1:
-                return "stable_under_mul", f"{q.label(x)} & {q.label(y)} leaves the set"
+                return "stable_under_mul", x, y
     return None
 
 
@@ -435,7 +436,9 @@ def prime_avoidance(q: FiniteQuantale, stable, ps: list[Ideal]) -> int:
             raise CarrierMismatch(f"{p.name} is not an ideal of {q.name}")
     violation = _instability(q, m)
     if violation is not None:
-        raise HypothesisViolated(*violation)
+        hypothesis, x, y = violation
+        op = "v" if hypothesis == "stable_under_join" else "&"
+        raise HypothesisViolated(hypothesis, f"{q.label(x)} {op} {q.label(y)} leaves the set")
     for k, p in enumerate(ps[2:], 2):
         if not is_prime(p):
             raise HypothesisViolated("prime_tail", f"ideal {k + 1} ({p.name}) is not prime")

@@ -1,25 +1,26 @@
 """Exhaustive re-verification of the ideal-theoretic laws on an instance.
 
 run_suite replays a fixed catalogue of laws, organised into named suites,
-against one carrier.  Each suite is a table of laws: a name, a domain to
-quantify over and a predicate.  One function (_check) runs every table: it
-counts the cases, records the first witness and turns a crash into a
-finding.  Quantifiers over elements and ideals are always exhausted; the
-exponential ones (subsets, pairs of subsets, families of ideals, mc sets)
-are sampled or narrowed on larger carriers, by the rules stated once with
-the domains (_Ctx), and such laws say so in their note.  Where a domain
-certainly repeats its draws (_Ctx says where), _check evaluates each draw
-once and counts its repeats, so case counts are those of checking every
-case; there a run also computes generated and annihilator once per mask.
-At every size, a run computes each residual, radical, extension,
-contraction and idealness test its suites repeat once (_Ctx.routes),
-runs check_axioms once, and builds and checks the ideal carrier once.
-A drawn family is the mask of its positions in the list it was drawn
-from (its pick), folded once where it is drawn; it and its members'
-products, residuals and radicals (rows of those results) are joined and
-met through byte-slice tables (_Folds), one lookup per byte of the pick.
-Each law reports its exact case count and, on failure, the first
-witness found; later laws still run.
+against one carrier.  Each suite but "axioms" is a table of laws: a name, a
+domain to quantify over and a predicate.  A suite only builds its table; a
+scan its laws read is made on their first read.  run_suite runs every table
+through one function (_check): it counts the cases, records the first
+witness and turns a crash, a scan's included, into a finding.  Quantifiers
+over elements and ideals are always exhausted; the exponential ones
+(subsets, pairs of subsets, families of ideals, mc sets) are sampled or
+narrowed on larger carriers, by the rules stated once with the domains
+(_Ctx), and such laws say so in their note.  Where a domain certainly
+repeats its draws (_Ctx says where), _check evaluates each draw once and
+counts its repeats, so case counts are those of checking every case; there
+a run also computes generated and annihilator once per mask.  At every
+size, a run computes each residual, radical, extension, contraction and
+idealness test its suites repeat once (_Ctx.routes), runs check_axioms
+once, and builds and checks the ideal carrier once.  A drawn family is the
+mask of its positions in the list it was drawn from (its pick), folded once
+where it is drawn; it and its members' products, residuals and radicals
+(rows of those results) are joined and met through byte-slice tables
+(_Folds), one lookup per byte of the pick.  Each law reports its exact case
+count and, on failure, the first witness found; later laws still run.
 
 Suites other than "axioms" skip on a noncommutative carrier: that is a
 precondition, not a failure.  The "cep" suite needs homomorphisms; inside
@@ -41,7 +42,7 @@ import os
 import random
 import time
 from dataclasses import dataclass, replace
-from functools import cached_property, lru_cache, partial, reduce
+from functools import cache, cached_property, lru_cache, partial, reduce
 from operator import attrgetter, or_
 from typing import Callable, Iterable, NamedTuple
 
@@ -71,9 +72,10 @@ _PAIR_EXHAUST_MAX_N = 6
 # the largest group whose nonempty subfamilies are all checked: 2^12 - 1 cases
 _SUBFAMILY_EXHAUST_MAX = 12
 
-# The suites in report order; suite s runs _suite_<s>.  run_suite looks the
-# function up by name when it runs, so a wrapper later bound to the module
-# attribute (a tracing profiler, say) sees the call.
+# The suites in report order; _suite_<s> builds the table of suite s (the
+# rows of axioms), which run_suite runs.  run_suite looks the function up by
+# name when it runs, so a wrapper later bound to the module attribute (a
+# tracing profiler, say) sees the call.
 SUITE_ORDER = (
     "axioms",
     "lemma_bip",
@@ -660,7 +662,7 @@ def _suite_axioms(ctx: _Ctx) -> list[LawResult]:
     return rows
 
 
-def _suite_lemma_bip(ctx: _Ctx) -> list[LawResult]:
+def _suite_lemma_bip(ctx: _Ctx) -> list[_Law]:
     q, E = ctx.q, ctx.axis("elements")
     leq, mul, el = q.leq, q.mul, q.elements
     exponents = _Axis(lambda: range(1, 5), str)
@@ -671,7 +673,7 @@ def _suite_lemma_bip(ctx: _Ctx) -> list[LawResult]:
     B = _Axis(lambda: below, str)
     labels = lambda *xs: tuple(el[x] for x in xs)
 
-    return _check("lemma_bip", [
+    return [
         _Law("mul_below_meet", _over(E, E), lambda x, y: leq(mul[x][y], q.meet[x][y])),
         _Law("bot_annihilates", _over(E), lambda x: mul[x][q.bottom] == q.bottom),
         _Law("mul_monotone", _over(B, E), lambda p, z: leq(mul[p[0]][z], mul[p[1]][z]),
@@ -681,10 +683,10 @@ def _suite_lemma_bip(ctx: _Ctx) -> list[LawResult]:
              witness=lambda p, r: labels(*p, *r)),
         _Law("binomial_power", _over(E, E, exponents),
              lambda x, y, k: power_of_join(q, x, y, k) == power(q, q.join[x][y], k)),
-    ])
+    ]
 
 
-def _suite_proposition_bpi(ctx: _Ctx) -> list[LawResult]:
+def _suite_proposition_bpi(ctx: _Ctx) -> list[_Law]:
     q, I, F = ctx.q, ctx.axis("ideals"), ctx.families
     I2, I3 = _over(I, I), _over(I, I, I)
     whole, zero = il.whole_ideal(q), il.zero_ideal(q)
@@ -701,7 +703,7 @@ def _suite_proposition_bpi(ctx: _Ctx) -> list[LawResult]:
     def residual_iterated(a, b, c):
         return res(res(a, b), c) == res(a, prod(b, c)) and res(res(a, b), c) == res(res(a, c), b)
 
-    return _check("proposition_bpi", [
+    return [
         _Law("ideal_ops_closed", I2,
              lambda a, b: all(is_ideal(q, op(a, b).members) for op in (prod, meet, join, res))),
         _Law("product_assoc", I3, lambda a, b, c: prod(prod(a, b), c) == prod(a, prod(b, c))),
@@ -734,25 +736,25 @@ def _suite_proposition_bpi(ctx: _Ctx) -> list[LawResult]:
              lambda s, t: gen(s & t) <= meet(gen(s), gen(t)),
              "inclusion only; the reverse fails once generators join above the overlap"),
         _Law("ideal_carrier_axioms", ctx.once, lambda: ctx.ideal_carrier_lawful),
-    ])
+    ]
 
 
-def _suite_annihilator(ctx: _Ctx) -> list[LawResult]:
+def _suite_annihilator(ctx: _Ctx) -> list[_Law]:
     S, routes = ctx.subsets, ctx.routes
     gen, ann, res, ann_of = routes.gen, routes.ann, routes.res, routes.ann_of
     zero = il.zero_ideal(ctx.q)
 
-    return _check("annihilator", [
+    return [
         _Law("antitone", ctx.subset_pairs("ann.antitone"), lambda s, t: ann(t) <= ann(s)),
         _Law("double_contains", _over(S("ann.double")),
              lambda s: s & ~ann_of(ann(s)).members == 0),
         _Law("triple_stable", _over(S("ann.triple")), lambda s: (a := ann(s)) == ann_of(ann_of(a))),
         _Law("matches_residual_into_zero", _over(S("ann.residual")),
              lambda s: ann(s) == res(zero, gen(s))),
-    ])
+    ]
 
 
-def _suite_cep(ctx: _Ctx) -> list[LawResult]:
+def _suite_cep(ctx: _Ctx) -> list[_Law]:
     q, homs, routes = ctx.q, ctx.homs, ctx.routes
     ext, con, res, is_ideal = routes.ext, routes.con, routes.res, routes.is_ideal
     prod, meet = il.product_ideals, il.meet_ideals
@@ -782,7 +784,7 @@ def _suite_cep(ctx: _Ctx) -> list[LawResult]:
 
     each_hom = _over(_Axis(lambda: homs, _name))
     src, src2, tgt, tgt2 = per_hom(1, 0), per_hom(2, 0), per_hom(0, 1), per_hom(0, 2)
-    return _check("cep", [
+    return [
         _Law("maps_are_homs", each_hom, lambda h: h.check().ok),
         _Law("images_are_ideals", per_hom(1, 1), images_are_ideals),
         _Law("extend_contract_expands", src, lambda h, i: i <= con(h, ext(h, i))),
@@ -802,10 +804,10 @@ def _suite_cep(ctx: _Ctx) -> list[LawResult]:
         _Law("contraction_residual_below", tgt2,
              lambda h, a, b: con(h, res(a, b)) <= res(con(h, a), con(h, b))),
         _Law("restricted_bijection", each_hom, bijection),
-    ])
+    ]
 
 
-def _suite_lpsp(ctx: _Ctx) -> list[LawResult]:
+def _suite_lpsp(ctx: _Ctx) -> list[_Law]:
     q, I, P, proper = ctx.q, ctx.axis("ideals"), ctx.axis("primes"), ctx.axis("proper")
     primes, rad = ctx.primes, ctx.routes.rad
     zero = il.zero_ideal(q)
@@ -838,15 +840,15 @@ def _suite_lpsp(ctx: _Ctx) -> list[LawResult]:
             for law in ("maximal_exists", "proper_below_maximal", "nilradical_below_jacobson")
         ]
     else:
-        maxima = cl.maximal_ideals(q)
+        maxima = cache(partial(cl.maximal_ideals, q))
         maximal_laws = [
-            _Law("maximal_exists", ctx.once, lambda: bool(maxima)),
-            _Law("proper_below_maximal", _over(proper), lambda i: any(i <= m for m in maxima)),
+            _Law("maximal_exists", ctx.once, lambda: bool(maxima())),
+            _Law("proper_below_maximal", _over(proper), lambda i: any(i <= m for m in maxima())),
             _Law("nilradical_below_jacobson", ctx.once,
                  lambda: rad(zero) <= cl.jacobson(q)),
         ]
 
-    return _check("lpsp", [
+    return [
         _Law("prime_two_forms", _over(I), lambda i: cl.is_prime(i) == cl.is_prime_idealwise(i)),
         _Law("prime_descent", _over(P, I), descends, witness=lambda p, i: (i.name, p.name)),
         _Law("minimal_primes_nonempty", _over(proper), minimal_primes),
@@ -863,10 +865,10 @@ def _suite_lpsp(ctx: _Ctx) -> list[LawResult]:
         _Law("qd_iff_zero_prime", ctx.once,
              lambda: cl.is_qd(q) == (zero.proper and cl.is_prime(zero))),
         _Law("qd_iff_reduced_unique_minimal", ctx.once, qd_reduced),
-    ])
+    ]
 
 
-def _suite_avoidance(ctx: _Ctx) -> list[LawResult]:
+def _suite_avoidance(ctx: _Ctx) -> list[_Law]:
     """The lemma's core on the sampled subsets closed under join and &,
     each with every combination of one ideal, two, or two and a prime: the
     hypotheses prime_avoidance checks of its input hold by construction."""
@@ -894,13 +896,13 @@ def _suite_avoidance(ctx: _Ctx) -> list[LawResult]:
 
     names = lambda combo: " ".join(p.name for p in combo[0])
     domain = _over(masks._replace(values=stable), _Axis(lambda: combos, names))
-    return _check("avoidance", [
+    return [
         _Law("witness_outside_union", domain, avoids,
              witness=lambda m, combo: (q.labels(m), "/", names(combo))),
-    ])
+    ]
 
 
-def _suite_radical_lemma(ctx: _Ctx) -> list[LawResult]:
+def _suite_radical_lemma(ctx: _Ctx) -> list[_Law]:
     q, I = ctx.q, ctx.axis("ideals")
     I2 = _over(I, I)
     routes = ctx.routes
@@ -910,7 +912,7 @@ def _suite_radical_lemma(ctx: _Ctx) -> list[LawResult]:
     def meet_and_product(a, b):
         return rad(meet(a, b)) == meet(rad(a), rad(b)) and rad(meet(a, b)) == rad(prod(a, b))
 
-    return _check("radical_lemma", [
+    return [
         _Law("contains_and_ideal", _over(I),
              lambda i: i <= rad(i) and is_ideal(q, rad(i).members)),
         _Law("monotone", I2, lambda a, b: rad(a) <= rad(b) if a <= b else None),
@@ -925,12 +927,12 @@ def _suite_radical_lemma(ctx: _Ctx) -> list[LawResult]:
              lambda a, b: rad(il.join_ideals(a, b)) == rad(il.join_ideals(rad(a), rad(b)))),
         _Law("meet_of_primes_over", _over(I),
              lambda i: rad(i) == il.meet_all(q, cl.primes_over(i))),
-    ])
+    ]
 
 
-def _suite_spkr(ctx: _Ctx) -> list[LawResult]:
+def _suite_spkr(ctx: _Ctx) -> list[_Law]:
     q, I, rad = ctx.q, ctx.axis("ideals"), ctx.routes.rad
-    semis = [s for s in ctx.ideals if cl.is_semiprime(s)]
+    semis = cache(lambda: [s for s in ctx.ideals if cl.is_semiprime(s)])
 
     def forms(i):
         """semiprime, the meet of the primes over it, its own radical"""
@@ -942,19 +944,19 @@ def _suite_spkr(ctx: _Ctx) -> list[LawResult]:
 
     def smallest(i):
         r = rad(i)
-        return cl.is_semiprime(r) and all(r <= s for s in semis if i <= s)
+        return cl.is_semiprime(r) and all(r <= s for s in semis() if i <= s)
 
-    return _check("spkr", [
+    return [
         _Law("three_way_agreement", _over(I), lambda i: len(set(forms(i))) == 1,
              witness=forms_witness),
         _Law("radical_smallest_semiprime", _over(I), smallest),
-    ])
+    ]
 
 
-def _suite_saturation(ctx: _Ctx) -> list[LawResult]:
+def _suite_saturation(ctx: _Ctx) -> list[_Law]:
     q, mc, rad = ctx.q, ctx.axis("mcsets"), ctx.routes.rad
     mcsets = ctx.mcsets
-    saturated = [s for s in mcsets if cl.is_saturated(s)]
+    saturated = cache(lambda: [s for s in mcsets if cl.is_saturated(s)])
     join_differs = []
 
     def smallest(s):
@@ -963,7 +965,7 @@ def _suite_saturation(ctx: _Ctx) -> list[LawResult]:
             s.members & ~t.members == 0
             and cl.is_mc(q, t.members)
             and cl.is_saturated(t)
-            and all(t.members & ~u.members == 0 for u in saturated if s.members & ~u.members == 0)
+            and all(t.members & ~u.members == 0 for u in saturated() if s.members & ~u.members == 0)
         )
 
     def union_of_primes(s):
@@ -994,17 +996,17 @@ def _suite_saturation(ctx: _Ctx) -> list[LawResult]:
         return (r.members >> x & 1) == (1 if via_all_mc else 0)
 
     decider = _Domain(decider_cases, lambda i, r, x: (i.name, q.elements[x]), mc.note)
-    return _check("saturation", [
+    return [
         _Law("saturation_smallest", _over(mc), smallest),
         _Law("saturated_iff_union_of_primes", _over(mc), union_of_primes, join_note),
         _Law("semiprime_separation", _over(ctx.axis("proper"), ctx.axis("elements")), separates),
         _Law("avoiding_maximal_prime", _over(mc),
              lambda s: None if q.bottom in s else cl.is_prime(cl.maximal_avoiding(s))),
         _Law("mc_radical_decider", decider, decides),
-    ])
+    ]
 
 
-def _suite_primary(ctx: _Ctx) -> list[LawResult]:
+def _suite_primary(ctx: _Ctx) -> list[_Law]:
     rad, rads, primary = ctx.routes.rad, ctx.routes.rads, cl.is_primary
 
     def smallest_prime(c):
@@ -1015,16 +1017,16 @@ def _suite_primary(ctx: _Ctx) -> list[LawResult]:
         return ((p, [c for c in ctx.primaries if rad(c) == p]) for p in ctx.primes)
 
     families = ctx.subfamilies("primary.p_primary_meet_closed", primaries_by_radical)
-    return _check("primary", [
+    return [
         _Law("prime_implies_primary", _over(ctx.axis("primes")), primary),
         _Law("radical_smallest_prime_over", _over(ctx.axis("primaries")), smallest_prime),
         _Law("radical_meet_family", _over(ctx.families("primary.radical_meet_family")),
              lambda f: rad(f.meet) == rads().meet(f.pick)),
         _Law("p_primary_meet_closed", families, lambda p, f: primary(f.meet) and rad(f.meet) == p),
-    ])
+    ]
 
 
-def _suite_pqx(ctx: _Ctx) -> list[LawResult]:
+def _suite_pqx(ctx: _Ctx) -> list[_Law]:
     q, rad, res, primary = ctx.q, ctx.routes.rad, ctx.routes.res, cl.is_primary
 
     def cases():
@@ -1035,95 +1037,100 @@ def _suite_pqx(ctx: _Ctx) -> list[LawResult]:
                 yield c, p, x, res(c, il.principal(q, x))
 
     residuals = _Domain(cases, lambda c, p, x, r: (c.name, q.elements[x]))
-    return _check("pqx", [
+    return [
         _Law("inside_gives_whole", residuals, lambda c, p, x, r: r.is_whole if x in c else None),
         _Law("outside_stays_primary", residuals,
              lambda c, p, x, r: None if x in c else primary(r) and rad(r) == p),
         _Law("outside_radical_identity", residuals, lambda c, p, x, r: None if x in p else r == c),
-    ])
+    ]
 
 
-def _suite_uniqueness(ctx: _Ctx) -> list[LawResult]:
-    targets, skipped, cands = [], 0, {}  # read by both decomposition routes
-    for i in ctx.proper:
-        cands[i] = dc.primary_candidates(i)
-        try:
-            targets.append((i, dc._primary_decomposition(i, cands[i])))
-        except NotDecomposable:
-            skipped += 1
-    note = f"{skipped} proper ideals not decomposable" if skipped else ""
+def _suite_uniqueness(ctx: _Ctx) -> list[_Law]:
+    cands, skipped = {}, set()  # filled by targets(); cands read by both decomposition routes
+
+    @cache
+    def targets():
+        found = []
+        for i in ctx.proper:
+            cands[i] = dc.primary_candidates(i)
+            try:
+                found.append((i, dc._primary_decomposition(i, cands[i])))
+            except NotDecomposable:
+                skipped.add(i)
+        return found
+
+    # the domains' note, first in _check's note: it reads the count, never the pass
+    note = lambda: f"{len(skipped)} proper ideals not decomposable" if skipped else ""
 
     def component(i, d, p):
         return dict(zip(d.radicals, d.components))[p] == dc.isolated_component_formula(i, p)
 
-    decomposed = _Domain(lambda: targets, lambda i, d: (i.name,))
+    decomposed = _Domain(targets, lambda i, d: (i.name,), note)
     isolated = _Domain(
-        lambda: ((i, d, p) for i, d in targets for p in dc.isolated_primes(d.radicals)),
-        lambda i, d, p: (i.name, p.name),
+        lambda: ((i, d, p) for i, d in targets() for p in dc.isolated_primes(d.radicals)),
+        lambda i, d, p: (i.name, p.name), note,
     )
-    return _check("uniqueness", [
+    return [
         _Law("associated_eq_colon_primes", decomposed,
-             lambda i, d: set(d.radicals) == set(dc.colon_primes(i)), note),
+             lambda i, d: set(d.radicals) == set(dc.colon_primes(i))),
         _Law("isolated_eq_minimal_primes", decomposed,
-             lambda i, d: set(dc.isolated_primes(d.radicals)) == set(cl.minimal_primes_over(i)),
-             note),
-        _Law("isolated_component_formula", isolated, component, note),
+             lambda i, d: set(dc.isolated_primes(d.radicals)) == set(cl.minimal_primes_over(i))),
+        _Law("isolated_component_formula", isolated, component),
         _Law("isolated_components_unique", decomposed,
              lambda i, d: dc.isolated_components_agree(
-                 i, dc.isolated_primes(d.radicals), dc._all_minimal_decompositions(i, cands[i])),
-             note),
-    ])
+                 i, dc.isolated_primes(d.radicals), dc._all_minimal_decompositions(i, cands[i]))),
+    ]
 
 
-def _suite_irreducible(ctx: _Ctx) -> list[LawResult]:
+def _suite_irreducible(ctx: _Ctx) -> list[_Law]:
     q, I, proper = ctx.q, ctx.axis("ideals"), ctx.axis("proper")
     ideals, rad = ctx.ideals, ctx.routes.rad
-    irr = [i for i in ideals if dc.is_irreducible(i)]
-    sirr = [i for i in ideals if dc.is_strongly_irreducible(i)]
-    strong = _over(_Axis(lambda: sirr, _name))
+    irr = cache(lambda: [i for i in ideals if dc.is_irreducible(i)])
+    sirr = cache(lambda: [i for i in ideals if dc.is_strongly_irreducible(i)])
+    strong = _over(_Axis(sirr, _name))
 
     def decomposes(i):
         d = dc.irreducible_decomposition(i)
-        return all(c in irr for c in d.components) and il.meet_all(q, d.components) == i
+        return all(c in irr() for c in d.components) and il.meet_all(q, d.components) == i
 
     def minimal_strong(i):
         m = dc.minimal_strongly_irreducible_over(i)
-        return m in sirr and i <= m and not any(s < m for s in sirr if i <= s)
+        return m in sirr() and i <= m and not any(s < m for s in sirr() if i <= s)
 
-    return _check("irreducible", [
-        _Law("strong_implies_irreducible", strong, lambda i: i in irr),
+    return [
+        _Law("strong_implies_irreducible", strong, lambda i: i in irr()),
         _Law("strong_elementwise_agree", _over(I),
-             lambda i: (i in sirr) == dc.strongly_irreducible_elementwise(i)),
+             lambda i: (i in sirr()) == dc.strongly_irreducible_elementwise(i)),
         _Law("strong_prime_iff_radical", strong,
              lambda i: cl.is_prime(i) == (rad(i) == i) if i.proper else None),
         _Law("separating_irreducible", _over(proper, ctx.axis("elements")),
-             lambda i, x: None if x in i else any(i <= j and x not in j for j in irr)),
+             lambda i, x: None if x in i else any(i <= j and x not in j for j in irr())),
         _Law("representation", _over(proper),
-             lambda i: il.meet_all(q, [j for j in irr if i <= j]) == i),
+             lambda i: il.meet_all(q, [j for j in irr() if i <= j]) == i),
         _Law("decomposition_exists", _over(proper), decomposes),
         _Law("minimal_strong_over", _over(proper), minimal_strong),
         _Law("chain_iff_all_strong", ctx.once,
-             lambda: dc.totally_ordered_ideals(q) == (len(sirr) == len(ideals))),
-    ])
+             lambda: dc.totally_ordered_ideals(q) == (len(sirr()) == len(ideals))),
+    ]
 
 
-def _suite_arithmetic(ctx: _Ctx) -> list[LawResult]:
-    rep = dc.arithmetic_equivalence_check(ctx.q)
+def _suite_arithmetic(ctx: _Ctx) -> list[_Law]:
+    rep = cache(partial(dc.arithmetic_equivalence_check, ctx.q))
     note = "distributive-ideal-lattice definition"
-    return _check("arithmetic", [
+    return [
         _Law("forward_sets_equal", ctx.once,
-             lambda: rep.sets_equal if rep.arithmetic else True, note),
+             lambda: rep().sets_equal if rep().arithmetic else True, note),
         _Law("forward_representation", ctx.once,
-             lambda: rep.representation_ok if rep.arithmetic else True, note),
-        _Law("converse_witness", ctx.once, lambda: rep.arithmetic or not rep.sets_equal, note),
-    ])
+             lambda: rep().representation_ok if rep().arithmetic else True, note),
+        _Law("converse_witness", ctx.once, lambda: rep().arithmetic or not rep().sets_equal, note),
+    ]
 
 
-def _suite_collapse(ctx: _Ctx) -> list[LawResult]:
+def _suite_collapse(ctx: _Ctx) -> list[_Law]:
     q, I, rad = ctx.q, ctx.axis("ideals"), cl.radical
     if q.n > CROSS_ORACLE_MAX_N:
         why = f"carrier has {q.n} > {CROSS_ORACLE_MAX_N} elements"
-        return _check("collapse", [_Law("*", None, note=why)])
+        return [_Law("*", None, note=why)]
     ideals = ctx.ideals
     every_subset = _over(_Axis(lambda: range(1, q.full + 1), q.labels))
 
@@ -1134,7 +1141,7 @@ def _suite_collapse(ctx: _Ctx) -> list[LawResult]:
     def ideal_carrier_iso():
         return ctx.ideal_carrier_lawful and ctx.ideal_carrier.quantale.n == q.n
 
-    return _check("collapse", [
+    return [
         _Law("ideals_match_brute_force", ctx.once, brute_force),
         _Law("principal_apex", _over(I), lambda i: i.members == q.down[i.apex]),
         _Law("radical_algorithms_agree", _over(I),
@@ -1146,7 +1153,7 @@ def _suite_collapse(ctx: _Ctx) -> list[LawResult]:
         _Law("generated_matches_downset", every_subset,
              lambda s: il.generated(q, s) == il.Ideal(q, q.down[q.join_of(bits(s))])),
         _Law("ideal_carrier_iso", ctx.once, ideal_carrier_iso),
-    ])
+    ]
 
 
 # --- entry points -----------------------------------------------------
@@ -1193,8 +1200,9 @@ def run_suite(
             results.append(
                 LawResult(s, "*", "skipped", 0, None, "noncommutative carrier")
             )
-        else:
-            results.extend(globals()["_suite_" + s](ctx))
+        else:  # the rows of axioms, else a table to run
+            rows = globals()["_suite_" + s](ctx)
+            results.extend(rows if s == "axioms" else _check(s, rows))
         elapsed[s] = time.perf_counter() - t0
     return VerificationReport(
         instance=q.name,

@@ -1,5 +1,6 @@
+import inspect
 from collections import Counter
-from functools import partial
+from functools import cached_property, partial
 from itertools import product
 from typing import NamedTuple
 
@@ -7,13 +8,14 @@ import pytest
 
 from qk import classify, decompose, ideals, verify
 from qk.core import FiniteQuantale, QuantaleHom, bits, build_quantale, check_axioms
-from qk.errors import HomRequired
+from qk.errors import HomRequired, QuantaleError
 from qk.generators import generate_from_spec, lukasiewicz_quantale, powerset_quantale
-from qk.quantfile import load_hom
+from qk.quantfile import load_hom, load_quant
 from qk.verify import (
     SAMPLE_COUNT,
     SUITE_ORDER,
     _Ctx,
+    _Law,
     _Routes,
     default_homs,
     resolve_seed,
@@ -392,7 +394,8 @@ def test_proposition_bpi_reaches_the_library_once_per_pair_and_family(q, monkeyp
     built, byte_folds = [], verify._byte_folds
     monkeypatch.setattr(verify, "_byte_folds", lambda *args: built.append(args) or byte_folds(*args))
     ctx = _Ctx(q, 0)
-    assert all(r.status == "pass" for r in verify._suite_proposition_bpi(ctx))
+    rows = verify._check("proposition_bpi", verify._suite_proposition_bpi(ctx))
+    assert all(r.status == "pass" for r in rows)
     assert max(residuals.values()) == 1
     routes = ctx.routes
     rows = [r.cache_info().currsize for r in (routes.prods, routes.res_row, routes.res_col)]
@@ -404,7 +407,6 @@ def test_proposition_bpi_reaches_the_library_once_per_pair_and_family(q, monkeyp
     # product_join_distrib takes the product of a with each family's join,
     # once per case, and each product of two ideals once, for the row of a
     ctx = _Ctx(q, 0)
-    monkeypatch.setattr(verify, "_check", lambda suite, laws: laws)
     products = _counted(monkeypatch, ideals, "product_ideals")
     laws = verify._suite_proposition_bpi(ctx)
     [law] = [law for law in laws if law.name == "product_join_distrib"]
@@ -578,17 +580,19 @@ def test_one_run_reaches_each_ideal_operation_once_per_argument_tuple(q, hom, mo
             (ideals, "is_ideal"),
         )
     }
-    collapse = verify._suite_collapse
+    check = verify._check
 
-    def uncounted(ctx):
+    def uncounted(suite, laws):
+        if suite != "collapse":
+            return check(suite, laws)
         before = {name: counts.copy() for name, counts in calls.items()}
-        rows = collapse(ctx)
+        rows = check(suite, laws)
         for name, counts in calls.items():
             counts.clear()
             counts.update(before[name])
         return rows
 
-    monkeypatch.setattr(verify, "_suite_collapse", uncounted)
+    monkeypatch.setattr(verify, "_check", uncounted)
     assert run_suite(q, "all", hom=hom, seed=0).ok
     for name, counts in calls.items():
         assert counts and max(counts.values()) == 1, name
@@ -611,3 +615,86 @@ def test_one_run_builds_and_checks_one_ideal_carrier(q, monkeypatch):
     # q itself once too, for the axioms suite and the fold tables' gate
     assert checked[(q,)] == 1
     assert sum(n for (c,), n in checked.items() if c is not q) == 1
+
+
+def _raising(*args, **kwargs):
+    raise AssertionError("called while a table was built")
+
+
+@pytest.mark.parametrize(
+    "q",
+    [
+        lukasiewicz_quantale(12),
+        powerset_quantale(4),
+        load_quant(DATA / "nondec.quant"),
+        next(m for m in MUTATION_MUTANTS if m.name == "q4~3,3"),  # the unit wrecked
+    ],
+    ids=lambda q: q.name,
+)
+def test_building_a_table_runs_no_law(q, monkeypatch):
+    # the run's shared lists are read first; after that a suite only builds
+    # its table: no law case, no classify or decompose routine
+    ctx = _Ctx(q, 0)
+    for name, attr in vars(_Ctx).items():
+        if isinstance(attr, cached_property):
+            getattr(ctx, name)
+    monkeypatch.setattr(verify, "_run", _raising)
+    monkeypatch.setattr(verify, "_check", _raising)
+    for module in (classify, decompose):
+        for name, fn in list(vars(module).items()):
+            if inspect.isfunction(fn) and fn.__module__ == module.__name__:
+                monkeypatch.setattr(module, name, _raising)
+    for s in SUITE_ORDER[1:]:
+        table = getattr(verify, "_suite_" + s)(ctx)
+        assert isinstance(table, list) and table, s
+        assert all(isinstance(law, _Law) for law in table), s
+
+
+@pytest.mark.parametrize("name,calls", [("q4.quant", 15), ("nc.quant", 0)])
+def test_run_suite_runs_each_table_through_one_check(name, calls, monkeypatch):
+    suites, check = [], verify._check
+    monkeypatch.setattr(verify, "_check", lambda s, laws: suites.append(s) or check(s, laws))
+    run_suite(load_quant(DATA / name), "all", seed=0)
+    assert suites == list(SUITE_ORDER[1 : calls + 1])
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+@pytest.mark.parametrize("name", ["q4", "l3", "m3", "nondec", "lukasiewicz:12"])
+def test_each_suite_alone_gives_its_rows_of_the_full_run(name, seed, request):
+    q = generate_from_spec(name) if ":" in name else request.getfixturevalue(name)
+    every = run_suite(q, "all", seed=seed).results
+    for s in SUITE_ORDER:
+        if s != "cep":
+            alone = run_suite(q, s, seed=seed).results
+            assert alone == tuple(r for r in every if r.suite == s), s
+
+
+def test_a_raising_scan_fails_the_laws_that_read_it(q4, monkeypatch):
+    # the arithmetic report is made on the first read by a law, so an
+    # exception there is a finding of each law that reads it, not a crash
+    # of the run
+    def broken(q):
+        raise QuantaleError("no report")
+
+    monkeypatch.setattr(decompose, "arithmetic_equivalence_check", broken)
+    rep = run_suite(q4, "all", seed=0)
+    arithmetic = [r for r in rep.results if r.suite == "arithmetic"]
+    assert [r.status for r in arithmetic] == ["fail"] * 3
+    note = "distributive-ideal-lattice definition; error: QuantaleError: no report"
+    assert all(r.note == note for r in arithmetic)
+    assert {r.suite for r in rep.results} == set(SUITE_ORDER)
+    assert all(r.status == "pass" for r in rep.results if r.suite != "arithmetic")
+
+
+def test_uniqueness_note_names_the_undecomposable_ideals_before_an_error(nondec, monkeypatch):
+    # the count is the domain's note, read after the decomposition pass
+    # ran, so it comes first even where the law's predicate raises
+    def broken(i):
+        raise QuantaleError("no colon primes")
+
+    monkeypatch.setattr(decompose, "colon_primes", broken)
+    rows = {r.law: r for r in run_suite(nondec, "uniqueness", seed=0).results}
+    row = rows["associated_eq_colon_primes"]
+    assert row.status == "fail"
+    assert row.note == "1 proper ideals not decomposable; error: QuantaleError: no colon primes"
+    assert rows["isolated_eq_minimal_primes"].note == "1 proper ideals not decomposable"
