@@ -2,13 +2,14 @@
 
 run_suite replays a fixed catalogue of laws, organised into named suites,
 against one carrier.  Each suite but "axioms" is a table of laws: a name, a
-domain to quantify over and a predicate.  A suite only builds its table; a
-scan its laws read is made on their first read.  run_suite runs every table
-through one function (_check): it counts the cases, records the first
-witness and turns a crash, a scan's included, into a finding.  Quantifiers
-over elements and ideals are always exhausted; the exponential ones
-(subsets, pairs of subsets, families of ideals, mc sets) are sampled or
-narrowed on larger carriers, by the rules stated once with the domains
+domain to quantify over and a predicate.  A suite only builds its table and
+reads no scan (the spectrum, the mc sets and the default homs included):
+each is made on its first read by a law.  run_suite runs every table through
+one function (_check): it counts the cases, records the first witness and
+turns a crash, a scan's included, into a finding of the laws that read it.
+Quantifiers over elements and ideals are always exhausted; the exponential
+ones (subsets, pairs of subsets, families of ideals, mc sets) are sampled
+or narrowed on larger carriers, by the rules stated once with the domains
 (_Ctx), and such laws say so in their note.  Where a domain certainly
 repeats its draws (_Ctx says where), _check evaluates each draw once and
 counts its repeats, so case counts are those of checking every case; there
@@ -231,15 +232,15 @@ class _Law(NamedTuple):
     """A row of a suite's table.
 
     holds(*case) is true or false, or None where the case lies outside the
-    law's hypothesis and is not counted.  note is a string, or a thunk read
-    after the cases ran; witness(*case) replaces the domain's witness.  A
-    law without a domain is skipped, with note as the reason.
+    law's hypothesis and is not counted.  note is a string, put after the
+    domain's note; witness(*case) replaces the domain's witness.  A law
+    without a domain is skipped, with note as the reason.
     """
 
     name: str
     domain: _Domain | None
     holds: Callable[..., bool | None] | None = None
-    note: str | Callable[[], str] = ""
+    note: str = ""
     witness: Callable[..., tuple] | None = None
 
 
@@ -276,7 +277,8 @@ def _run(law: _Law) -> tuple[str, int, tuple[str, ...] | None, str]:
 
 
 def _check(suite: str, laws: list[_Law]) -> list[LawResult]:
-    """Run a suite's table, one law at a time (see _run)."""
+    """Run a suite's table, one law at a time (see _run).  A row's note
+    joins the domain's note, the law's and the error, in that order."""
     rows = []
     for law in laws:
         if law.domain is None:
@@ -284,11 +286,7 @@ def _check(suite: str, laws: list[_Law]) -> list[LawResult]:
             continue
         status, checked, witness, error = _run(law)
         domain_note = law.domain.note() if callable(law.domain.note) else law.domain.note
-        if callable(law.note):
-            parts = (domain_note, error, law.note())
-        else:
-            parts = (domain_note, law.note, error)
-        note = "; ".join(p for p in parts if p)
+        note = "; ".join(p for p in (domain_note, law.note, error) if p)
         rows.append(LawResult(suite, law.name, status, checked, witness, note))
     return rows
 
@@ -755,7 +753,7 @@ def _suite_annihilator(ctx: _Ctx) -> list[_Law]:
 
 
 def _suite_cep(ctx: _Ctx) -> list[_Law]:
-    q, homs, routes = ctx.q, ctx.homs, ctx.routes
+    q, routes = ctx.q, ctx.routes
     ext, con, res, is_ideal = routes.ext, routes.con, routes.res, routes.is_ideal
     prod, meet = il.product_ideals, il.meet_ideals
     source = ctx.ideals
@@ -764,7 +762,7 @@ def _suite_cep(ctx: _Ctx) -> list[_Law]:
         """h, then n_source ideals of its source and n_target of its target."""
 
         def cases():
-            for h in homs:
+            for h in ctx.homs:
                 target = il.enumerate_ideals(h.target)
                 for ideals in itertools.product(*[source] * n_source, *[target] * n_target):
                     yield (h, *ideals)
@@ -782,7 +780,7 @@ def _suite_cep(ctx: _Ctx) -> list[_Law]:
         ok = ok and all(ext(h, i) in stable_tgt and con(h, ext(h, i)) == i for i in stable_src)
         return ok and all(con(h, j) in stable_src and ext(h, con(h, j)) == j for j in stable_tgt)
 
-    each_hom = _over(_Axis(lambda: homs, _name))
+    each_hom = _over(_Axis(lambda: ctx.homs, _name))
     src, src2, tgt, tgt2 = per_hom(1, 0), per_hom(2, 0), per_hom(0, 1), per_hom(0, 2)
     return [
         _Law("maps_are_homs", each_hom, lambda h: h.check().ok),
@@ -809,14 +807,13 @@ def _suite_cep(ctx: _Ctx) -> list[_Law]:
 
 def _suite_lpsp(ctx: _Ctx) -> list[_Law]:
     q, I, P, proper = ctx.q, ctx.axis("ideals"), ctx.axis("primes"), ctx.axis("proper")
-    primes, rad = ctx.primes, ctx.routes.rad
-    zero = il.zero_ideal(q)
+    rad, zero = ctx.routes.rad, il.zero_ideal(q)
     meet, prod = il.meet_ideals, il.product_ideals
 
     def descends(p, i):
         if not i <= p:
             return None
-        between = [r for r in primes if i <= r and r <= p]
+        between = [r for r in ctx.primes if i <= r and r <= p]
         return bool([r for r in between if not any(o < r for o in between)])
 
     def minimal_primes(i):
@@ -861,7 +858,7 @@ def _suite_lpsp(ctx: _Ctx) -> list[_Law]:
         *maximal_laws,
         _Law("local_characterization", _over(proper), local),
         _Law("nilradical_is_prime_meet", ctx.once,
-             lambda: rad(zero) == il.meet_all(q, primes)),
+             lambda: rad(zero) == il.meet_all(q, ctx.primes)),
         _Law("qd_iff_zero_prime", ctx.once,
              lambda: cl.is_qd(q) == (zero.proper and cl.is_prime(zero))),
         _Law("qd_iff_reduced_unique_minimal", ctx.once, qd_reduced),
@@ -872,8 +869,7 @@ def _suite_avoidance(ctx: _Ctx) -> list[_Law]:
     """The lemma's core on the sampled subsets closed under join and &,
     each with every combination of one ideal, two, or two and a prime: the
     hypotheses prime_avoidance checks of its input hold by construction."""
-    q, ideals, primes = ctx.q, ctx.ideals, ctx.primes
-    masks = ctx.subsets("avoidance.stable")
+    q, masks = ctx.q, ctx.subsets("avoidance.stable")
 
     def stable():
         closed = {}  # mask -> its verdict, one filter run per distinct draw
@@ -883,11 +879,14 @@ def _suite_avoidance(ctx: _Ctx) -> list[_Law]:
             if closed[m]:
                 yield m
 
-    combos = [[a] for a in ideals]
-    combos += [[a, b] for k, a in enumerate(ideals) for b in ideals[k:]]
-    combos += [[a, b, p] for k, a in enumerate(ideals) for b in ideals[k:] for p in primes]
-    # each combination once, with its union; _avoiding only reads it
-    combos = [(ps, reduce(or_, (p.members for p in ps))) for ps in combos]
+    @cache
+    def combos():
+        """each combination once, with its union; _avoiding only reads it"""
+        ideals, primes = ctx.ideals, ctx.primes
+        found = [[a] for a in ideals]
+        found += [[a, b] for k, a in enumerate(ideals) for b in ideals[k:]]
+        found += [[a, b, p] for k, a in enumerate(ideals) for b in ideals[k:] for p in primes]
+        return [(ps, reduce(or_, (p.members for p in ps))) for ps in found]
 
     def avoids(m, combo):
         ps, union = combo
@@ -895,7 +894,7 @@ def _suite_avoidance(ctx: _Ctx) -> list[_Law]:
         return None if x is None else bool(m >> x & 1) and not union >> x & 1
 
     names = lambda combo: " ".join(p.name for p in combo[0])
-    domain = _over(masks._replace(values=stable), _Axis(lambda: combos, names))
+    domain = _over(masks._replace(values=stable), _Axis(combos, names))
     return [
         _Law("witness_outside_union", domain, avoids,
              witness=lambda m, combo: (q.labels(m), "/", names(combo))),
@@ -955,8 +954,7 @@ def _suite_spkr(ctx: _Ctx) -> list[_Law]:
 
 def _suite_saturation(ctx: _Ctx) -> list[_Law]:
     q, mc, rad = ctx.q, ctx.axis("mcsets"), ctx.routes.rad
-    mcsets = ctx.mcsets
-    saturated = cache(lambda: [s for s in mcsets if cl.is_saturated(s)])
+    saturated = cache(lambda: [s for s in ctx.mcsets if cl.is_saturated(s)])
     join_differs = []
 
     def smallest(s):
@@ -976,33 +974,28 @@ def _suite_saturation(ctx: _Ctx) -> list[_Law]:
             join_differs.append(s)
         return cl.is_saturated(s) == (comp == union)
 
-    def join_note():
+    def unions_note():
         n = len(join_differs)
-        return f"lattice-join reading differs on {n} sets" if n else ""
+        differs = f"lattice-join reading differs on {n} sets" if n else ""
+        return "; ".join(p for p in (mc.note, differs) if p)
 
     def separates(i, x):
         if x in i or not cl.is_semiprime(i):
             return None
         return cl.mc_generated(q, x).members & i.members == 0
 
-    def decider_cases():
-        for i in ctx.ideals:
-            r = rad(i)
-            for x in range(q.n):
-                yield i, r, x
+    def decides(i, x):
+        via_all_mc = all(s.members & i.members for s in ctx.mcsets if s.members >> x & 1)
+        return (rad(i).members >> x & 1) == (1 if via_all_mc else 0)
 
-    def decides(i, r, x):
-        via_all_mc = all(s.members & i.members for s in mcsets if s.members >> x & 1)
-        return (r.members >> x & 1) == (1 if via_all_mc else 0)
-
-    decider = _Domain(decider_cases, lambda i, r, x: (i.name, q.elements[x]), mc.note)
+    E = ctx.axis("elements")
     return [
         _Law("saturation_smallest", _over(mc), smallest),
-        _Law("saturated_iff_union_of_primes", _over(mc), union_of_primes, join_note),
-        _Law("semiprime_separation", _over(ctx.axis("proper"), ctx.axis("elements")), separates),
+        _Law("saturated_iff_union_of_primes", _over(mc)._replace(note=unions_note), union_of_primes),
+        _Law("semiprime_separation", _over(ctx.axis("proper"), E), separates),
         _Law("avoiding_maximal_prime", _over(mc),
              lambda s: None if q.bottom in s else cl.is_prime(cl.maximal_avoiding(s))),
-        _Law("mc_radical_decider", decider, decides),
+        _Law("mc_radical_decider", _over(ctx.axis("ideals"), E), decides, mc.note),
     ]
 
 
@@ -1028,20 +1021,15 @@ def _suite_primary(ctx: _Ctx) -> list[_Law]:
 
 def _suite_pqx(ctx: _Ctx) -> list[_Law]:
     q, rad, res, primary = ctx.q, ctx.routes.rad, ctx.routes.res, cl.is_primary
+    cx = _over(ctx.axis("primaries"), ctx.axis("elements"))
+    colon = lambda c, x: res(c, il.principal(q, x))  # (c : x)
 
-    def cases():
-        """c, its radical p, x and the residual (c : x), for each primary c."""
-        for c in ctx.primaries:
-            p = rad(c)
-            for x in range(q.n):
-                yield c, p, x, res(c, il.principal(q, x))
-
-    residuals = _Domain(cases, lambda c, p, x, r: (c.name, q.elements[x]))
     return [
-        _Law("inside_gives_whole", residuals, lambda c, p, x, r: r.is_whole if x in c else None),
-        _Law("outside_stays_primary", residuals,
-             lambda c, p, x, r: None if x in c else primary(r) and rad(r) == p),
-        _Law("outside_radical_identity", residuals, lambda c, p, x, r: None if x in p else r == c),
+        _Law("inside_gives_whole", cx, lambda c, x: colon(c, x).is_whole if x in c else None),
+        _Law("outside_stays_primary", cx,
+             lambda c, x: None if x in c else primary(r := colon(c, x)) and rad(r) == rad(c)),
+        _Law("outside_radical_identity", cx,
+             lambda c, x: None if x in rad(c) else colon(c, x) == c),
     ]
 
 
@@ -1059,7 +1047,7 @@ def _suite_uniqueness(ctx: _Ctx) -> list[_Law]:
                 skipped.add(i)
         return found
 
-    # the domains' note, first in _check's note: it reads the count, never the pass
+    # the domains' note, read after the cases ran: it reads the count, never the pass
     note = lambda: f"{len(skipped)} proper ideals not decomposable" if skipped else ""
 
     def component(i, d, p):
@@ -1157,11 +1145,6 @@ def _suite_collapse(ctx: _Ctx) -> list[_Law]:
 
 
 # --- entry points -----------------------------------------------------
-
-
-def default_homs(q: FiniteQuantale) -> list[QuantaleHom]:
-    """Identity plus the principal embedding into the ideal carrier."""
-    return _Ctx(q, DEFAULT_SEED).homs
 
 
 def resolve_seed(seed: int | None) -> int:

@@ -1,6 +1,6 @@
 import inspect
 from collections import Counter
-from functools import cached_property, partial
+from functools import partial
 from itertools import product
 from typing import NamedTuple
 
@@ -12,12 +12,12 @@ from qk.errors import HomRequired, QuantaleError
 from qk.generators import generate_from_spec, lukasiewicz_quantale, powerset_quantale
 from qk.quantfile import load_hom, load_quant
 from qk.verify import (
+    DEFAULT_SEED,
     SAMPLE_COUNT,
     SUITE_ORDER,
     _Ctx,
     _Law,
     _Routes,
-    default_homs,
     resolve_seed,
     run_suite,
     single_cell_mutants,
@@ -140,7 +140,7 @@ def test_cep_accepts_file_homs(q4_to_c2, l3_to_c2):
 
 
 def test_default_homs_include_identity_and_embedding(q4):
-    homs = default_homs(q4)
+    homs = _Ctx(q4, DEFAULT_SEED).homs
     assert len(homs) == 2
     assert homs[0].name == "id"
     assert all(h.check().ok for h in homs)
@@ -632,14 +632,15 @@ def _raising(*args, **kwargs):
     ids=lambda q: q.name,
 )
 def test_building_a_table_runs_no_law(q, monkeypatch):
-    # the run's shared lists are read first; after that a suite only builds
-    # its table: no law case, no classify or decompose routine
+    # from a fresh context a suite only builds its table: no law case, no
+    # check_axioms, no ideal carrier, no classify or decompose routine, and
+    # none of the run's scans (homs swallows a raising ideal carrier, so a
+    # read of it would show only as its cached value)
     ctx = _Ctx(q, 0)
-    for name, attr in vars(_Ctx).items():
-        if isinstance(attr, cached_property):
-            getattr(ctx, name)
     monkeypatch.setattr(verify, "_run", _raising)
     monkeypatch.setattr(verify, "_check", _raising)
+    monkeypatch.setattr(verify, "check_axioms", _raising)
+    monkeypatch.setattr(ideals, "ideal_quantale", _raising)
     for module in (classify, decompose):
         for name, fn in list(vars(module).items()):
             if inspect.isfunction(fn) and fn.__module__ == module.__name__:
@@ -648,6 +649,8 @@ def test_building_a_table_runs_no_law(q, monkeypatch):
         table = getattr(verify, "_suite_" + s)(ctx)
         assert isinstance(table, list) and table, s
         assert all(isinstance(law, _Law) for law in table), s
+    scans = {"primes", "mcsets", "homs", "primaries", "ideal_carrier", "axioms"}
+    assert not scans & vars(ctx).keys()
 
 
 @pytest.mark.parametrize("name,calls", [("q4.quant", 15), ("nc.quant", 0)])
@@ -698,3 +701,42 @@ def test_uniqueness_note_names_the_undecomposable_ideals_before_an_error(nondec,
     assert row.status == "fail"
     assert row.note == "1 proper ideals not decomposable; error: QuantaleError: no colon primes"
     assert rows["isolated_eq_minimal_primes"].note == "1 proper ideals not decomposable"
+
+
+# the rows of lukasiewicz:6 that read each scan: a scan that raises fails
+# exactly these, with the error in their note, and every other row is the
+# unpatched run's
+SCAN_READERS = {
+    "spectrum": {
+        "lpsp.prime_descent",
+        "lpsp.nilradical_is_prime_meet",
+        "avoidance.witness_outside_union",
+        "saturation.saturated_iff_union_of_primes",
+        "primary.prime_implies_primary",
+        "primary.p_primary_meet_closed",
+    },
+    "all_mc_sets": {
+        "saturation.saturation_smallest",
+        "saturation.saturated_iff_union_of_primes",
+        "saturation.avoiding_maximal_prime",
+        "saturation.mc_radical_decider",
+    },
+}
+
+
+@pytest.mark.parametrize("scan", sorted(SCAN_READERS))
+def test_a_raising_scan_fails_only_its_readers(scan, monkeypatch):
+    q = generate_from_spec("lukasiewicz:6")
+    before = run_suite(q, "all", seed=0).results
+
+    def broken(*args, **kwargs):
+        raise QuantaleError(f"no {scan}")
+
+    monkeypatch.setattr(classify, scan, broken)
+    after = run_suite(q, "all", seed=0).results
+    assert [(r.suite, r.law) for r in after] == [(r.suite, r.law) for r in before]
+    changed = {f"{r.suite}.{r.law}": r for r, old in zip(after, before) if r != old}
+    assert changed.keys() == SCAN_READERS[scan]
+    for r in changed.values():
+        assert r.status == "fail"
+        assert f"error: QuantaleError: no {scan}" in r.note

@@ -6,7 +6,10 @@ proposition_bpi.generated_meet_lower), the two carriers of the verify-large
 benchmark workload (lukasiewicz:12, powerset:4) and three q4 mutants: one
 whose laws crash, one with many failing witnesses, one noncommutative.  The
 first two are also pinned in the law table of --format table, whose detail
-column holds the witnesses and the crash notes.
+column holds the witnesses and the crash notes.  The laws over the product
+domains of primaries or ideals by elements (pqx, and two saturation laws)
+are pinned at seed 0 on every mutant of the mutation benchmark, where most
+of them fail with a witness.
 """
 
 import re
@@ -17,7 +20,9 @@ import pytest
 from qk.cli import main
 from qk.generators import generate_from_spec
 from qk.quantfile import load_quant
-from qk.verify import SUITE_ORDER, run_suite, single_cell_mutants
+from qk.verify import SUITE_ORDER, VerificationReport, run_suite, single_cell_mutants
+
+from oracles import MUTATION_MUTANTS
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = DATA / "golden"
@@ -51,6 +56,19 @@ def _mutant(i, j, fmt="records"):
     return render
 
 
+def _product_domains(capsys):
+    """The pqx rows and two saturation rows of each mutant, one report each."""
+    reports = []
+    for q in MUTATION_MUTANTS:
+        rows = run_suite(q, "pqx", seed=0).results + tuple(
+            r
+            for r in run_suite(q, "saturation", seed=0).results
+            if r.law in ("saturated_iff_union_of_primes", "mc_radical_decider")
+        )
+        reports.append(VerificationReport(q.name, "pqx saturation", 0, rows, {}))
+    return int(not all(r.ok for r in reports)), "\n".join(r.format() for r in reports)
+
+
 CASES = {
     "verify_q4_seed7.txt": (0, _cli(str(DATA / "q4.quant"))),
     "verify_l3_seed7.txt": (0, _cli(str(DATA / "l3.quant"))),
@@ -71,6 +89,7 @@ CASES = {
     "run_suite_q4_mutant_0_1_seed7.txt": (1, _mutant(0, 1)),
     "run_suite_q4_mutant_0_0_seed7_table.txt": (1, _mutant(0, 0, "table")),
     "run_suite_q4_mutant_1_1_seed7_table.txt": (1, _mutant(1, 1, "table")),
+    "run_suite_mutation_mutants_product_domains_seed0.txt": (1, _product_domains),
 }
 
 
