@@ -10,18 +10,21 @@ turns a crash, a scan's included, into a finding of the laws that read it.
 Quantifiers over elements and ideals are always exhausted; the exponential
 ones (subsets, pairs of subsets, families of ideals, mc sets) are sampled
 or narrowed on larger carriers, by the rules stated once with the domains
-(_Ctx), and such laws say so in their note.  Where a domain certainly
-repeats its draws (_Ctx says where), _check evaluates each draw once and
-counts its repeats, so case counts are those of checking every case; there
-a run also computes generated and annihilator once per mask.  At every
-size, a run computes each residual, radical, extension, contraction and
-idealness test its suites repeat once (_Ctx.routes), runs check_axioms
-once, and builds and checks the ideal carrier once.  A drawn family is the
-mask of its positions in the list it was drawn from (its pick), folded once
-where it is drawn; it and its members' products, residuals and radicals
-(rows of those results) are joined and met through byte-slice tables
-(_Folds), one lookup per byte of the pick.  Each law reports its exact case
-count and, on failure, the first witness found; later laws still run.
+(_Ctx), and such laws say so in their note.  Two domains are run draw by
+draw: annihilator.antitone's exhaustive pairs, most of whose cases repeat,
+and avoidance's masks, each tested for stability once.  There _check
+evaluates each draw once and counts its repeats, so case counts are those
+of checking every case.  Every other law runs case by case, and its
+repeated library calls reach the run's memos (_Ctx.routes): generated and
+annihilator once per mask where subsets repeat (n <= 13), and at every
+size each residual, radical, extension, contraction and idealness test.
+A run also runs check_axioms once, and builds and checks the ideal
+carrier once.  A drawn family is the mask of its positions in the list it
+was drawn from (its pick), folded once where it is drawn; it and its
+members' products, residuals and radicals (rows of those results) are
+joined and met through byte-slice tables (_Folds), one lookup per byte of
+the pick.  Each law reports its exact case count and, on failure, the first
+witness found; later laws still run.
 
 Suites other than "axioms" skip on a noncommutative carrier: that is a
 precondition, not a failure.  The "cep" suite needs homomorphisms; inside
@@ -177,13 +180,11 @@ class VerificationReport:
 
 class _Axis(NamedTuple):
     """One quantified variable: a thunk giving its values, how a value
-    prints in a witness, the note a sampled axis adds to its laws, and
-    whether its values certainly repeat (set by _Ctx alone)."""
+    prints in a witness, and the note a sampled axis adds to its laws."""
 
     values: Callable[[], Iterable]
     label: Callable[[object], str]
     note: str = ""
-    repeats: bool = False
 
 
 class _Domain(NamedTuple):
@@ -191,10 +192,11 @@ class _Domain(NamedTuple):
     of the predicate), the witness of a case, and the domain's note (a
     string, or a thunk read after the cases ran).
 
-    draws, where repeats are certain, is a thunk yielding the same cases
-    grouped into draws: (key, the cases of that draw), the cases a pure
-    function of the key.  _run evaluates the first occurrence of a key and
-    counts each later one without evaluating it again."""
+    draws, where a draw carries work of its own (see _drawn), is a thunk
+    yielding the same cases grouped into draws: (key, the cases of that
+    draw), the cases a pure function of the key.  _run evaluates the first
+    occurrence of a key and counts each later one without evaluating it
+    again."""
 
     cases: Callable[[], Iterable[tuple]]
     witness: Callable[..., tuple]
@@ -204,28 +206,19 @@ class _Domain(NamedTuple):
 
 def _drawn(draws, witness, note) -> _Domain:
     """The domain whose cases are those of draws(), in order; _run counts
-    repeated draws without evaluating them."""
+    repeated draws without evaluating them.  Only subset_pairs' exhaustive
+    pairs and avoidance's masks are drawn: elsewhere a repeated case costs
+    less than counting it, as its library calls are the run's memos."""
     cases = lambda: itertools.chain.from_iterable(c for _, c in draws())
     return _Domain(cases, witness, note, draws)
 
 
 def _over(*axes: _Axis) -> _Domain:
     """The product of some axes, last axis fastest; nothing is built before
-    the law runs, and only the axes' value lists are ever held.  If some
-    axis repeats, a draw is one value of the axes up to the last repeating
-    one, with every case after it."""
+    the law runs, and only the axes' value lists are ever held."""
     witness = lambda *case: tuple(a.label(v) for a, v in zip(axes, case))
     note = "; ".join(a.note for a in axes if a.note)
-    inner = max((k + 1 for k, a in enumerate(axes) if a.repeats), default=0)
-    if not inner:
-        return _Domain(lambda: itertools.product(*(a.values() for a in axes)), witness, note)
-
-    def draws():
-        values = [a.values() for a in axes]
-        tails = list(itertools.product(*values[inner:]))
-        return ((h, map(h.__add__, tails)) for h in itertools.product(*values[:inner]))
-
-    return _drawn(draws, witness, note)
+    return _Domain(lambda: itertools.product(*(a.values() for a in axes)), witness, note)
 
 
 class _Law(NamedTuple):
@@ -398,12 +391,11 @@ class _Ctx:
     A sampled domain draws from Random(f"{seed}:{tag}"), one tag per law,
     and its laws say "sampled" in their note.
 
-    Where repeats are certain, a domain is run draw by draw and _check
-    counts a repeated draw without evaluating it again: sampled subsets
-    with fewer masks than draws (n <= 13), sampled families with fewer
-    families than draws (9 ideals) and the exhaustive subset_pairs.  Case
-    counts are unchanged.  A draw is one value of the repeating axis with
-    everything quantified inside it (in _over, the axes after it).
+    Sampled values repeat where there are fewer of them than draws (subsets
+    at n <= 13, families of 9 ideals); a law over them runs case by case
+    and reaches the memos in routes.  Only the exhaustive subset_pairs is a
+    _drawn domain here, each pair a draw that _check counts again without
+    evaluating it.
 
       subsets            all nonempty subsets up to EXHAUST_MAX_N (8)
                          elements, else SAMPLE_COUNT (10^4) nonempty draws
@@ -460,7 +452,6 @@ class _Ctx:
         if homs is not None:  # else the cached default below
             self.homs = homs
         self.exhaustive = q.n <= EXHAUST_MAX_N
-        self.repeats = q.full < SAMPLE_COUNT  # fewer subsets than draws: n <= 13
         self.tables: dict[tuple, tuple] = {}  # the fold tables of the run, see _Folds
 
     def rng(self, tag: str) -> random.Random:
@@ -496,13 +487,9 @@ class _Ctx:
 
     @cached_property
     def homs(self) -> list[QuantaleHom]:
-        """Identity plus the principal embedding into the ideal carrier."""
-        homs = [QuantaleHom.identity(self.q)]
-        try:
-            homs.append(self.ideal_carrier.hom_from_base())
-        except Exception:
-            pass  # broken instances still get the identity
-        return homs
+        """Identity plus the principal embedding into the ideal carrier; an
+        embedding that cannot be built fails the laws that read homs."""
+        return [QuantaleHom.identity(self.q), self.ideal_carrier.hom_from_base()]
 
     @cached_property
     def ideal_carrier(self) -> il.IdealQuantale:
@@ -540,7 +527,7 @@ class _Ctx:
         if self.exhaustive:
             return _Axis(lambda: range(1, self.q.full + 1), self.q.labels)
         draws = lambda: _nonempty_draws(self.rng(tag), self.q.n, SAMPLE_COUNT)
-        return _Axis(draws, self.q.labels, "sampled", self.repeats)
+        return _Axis(draws, self.q.labels, "sampled")
 
     @cached_property
     def routes(self) -> _Routes:
@@ -548,7 +535,7 @@ class _Ctx:
         library's own result, and a call that raises is not stored."""
         q, memo = self.q, lru_cache(None)
         gen, ann = partial(il.generated, q), partial(il.annihilator, q)
-        if self.repeats:
+        if q.full < SAMPLE_COUNT:  # fewer subsets than draws: n <= 13
             gen, ann = memo(gen), memo(ann)
         calls = il.residual, il.extension, il.contraction, cl.radical, il.is_ideal
         res, ext, con, rad, is_ideal = map(memo, calls)
@@ -609,7 +596,7 @@ class _Ctx:
 
         if k <= EXHAUST_MAX_N:
             return _Axis(lambda: self.every_family, str)
-        return _Axis(draws, str, "sampled", 1 << k < SAMPLE_COUNT // 10)
+        return _Axis(draws, str, "sampled")
 
     def subfamilies(self, tag: str, groups: Callable[[], Iterable[tuple]]) -> _Domain:
         """groups() yields (key, items) pairs; a witness is the key's name
@@ -868,16 +855,14 @@ def _suite_lpsp(ctx: _Ctx) -> list[_Law]:
 def _suite_avoidance(ctx: _Ctx) -> list[_Law]:
     """The lemma's core on the sampled subsets closed under join and &,
     each with every combination of one ideal, two, or two and a prime: the
-    hypotheses prime_avoidance checks of its input hold by construction."""
+    hypotheses prime_avoidance checks of its input hold by construction.
+    A draw is one sampled mask, so its stability is tested once per
+    distinct mask, when the draw is first evaluated."""
     q, masks = ctx.q, ctx.subsets("avoidance.stable")
 
-    def stable():
-        closed = {}  # mask -> its verdict, one filter run per distinct draw
-        for m in masks.values():
-            if m not in closed:
-                closed[m] = cl._instability(q, m) is None
-            if closed[m]:
-                yield m
+    def cases(m):
+        if cl._instability(q, m) is None:
+            yield from zip(itertools.repeat(m), combos())
 
     @cache
     def combos():
@@ -894,11 +879,9 @@ def _suite_avoidance(ctx: _Ctx) -> list[_Law]:
         return None if x is None else bool(m >> x & 1) and not union >> x & 1
 
     names = lambda combo: " ".join(p.name for p in combo[0])
-    domain = _over(masks._replace(values=stable), _Axis(combos, names))
-    return [
-        _Law("witness_outside_union", domain, avoids,
-             witness=lambda m, combo: (q.labels(m), "/", names(combo))),
-    ]
+    domain = _drawn(lambda: ((m, cases(m)) for m in masks.values()),
+                    lambda m, combo: (q.labels(m), "/", names(combo)), masks.note)
+    return [_Law("witness_outside_union", domain, avoids)]
 
 
 def _suite_radical_lemma(ctx: _Ctx) -> list[_Law]:

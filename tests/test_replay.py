@@ -9,16 +9,18 @@ the edge cases.
 import pytest
 
 from oracles import MUTANTS, flat_run
-from qk import classify
+from qk import classify, verify
 from qk.decompose import MINIMAL_PICKS_MAX, all_minimal_decompositions, uniqueness_report
 from qk.errors import TooLarge
 from qk.generators import generate_from_spec
 from qk.ideals import zero_ideal
-from qk.verify import _Ctx, _Domain, _Law, _check, _drawn, _over, run_suite
+from qk.verify import EXHAUST_MAX_N, SUITE_ORDER, _Ctx, _Domain, _Law, _check, _drawn, run_suite
 
 SEEDS = (0, 1, 7)
-# subsets repeat at 9 <= n <= 13, families at 9 ideals (lukasiewicz:9 and
-# lowersets:4:0<1,2<3, whose 9 lower sets are its ideals), subset_pairs at n <= 8
+# sampled subsets repeat at 9 <= n <= 13 and families at 9 ideals
+# (lukasiewicz:9 and lowersets:4:0<1,2<3, whose 9 lower sets are its ideals),
+# and run case by case; annihilator.antitone's pairs (n <= 8) and avoidance's
+# masks are run draw by draw
 SPECS = (
     "lukasiewicz:9",
     "lukasiewicz:12",
@@ -52,21 +54,22 @@ def test_replay_matches_the_flat_loop_on_mutants(seed, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "spec,subsets,families,pairs",
-    [
-        ("lukasiewicz:8", False, False, True),
-        ("lukasiewicz:9", True, True, False),
-        ("lukasiewicz:13", True, False, False),
-        ("lukasiewicz:14", False, False, False),
-        ("lowersets:4:0<1,2<3", True, True, False),
-    ],
+    "spec",
+    ["lukasiewicz:8", "lukasiewicz:9", "lukasiewicz:13", "lukasiewicz:14", "lowersets:4:0<1,2<3"],
 )
-def test_replay_applies_only_where_repeats_are_certain(spec, subsets, families, pairs):
+def test_only_antitone_pairs_and_avoidance_masks_are_drawn(spec):
+    # no _over domain has draws, sampled subsets and families included: of
+    # every table, only annihilator.antitone's exhaustive pairs (n <= 8) and
+    # avoidance's masks (at every n) are run draw by draw
     ctx = _Ctx(generate_from_spec(spec), 0)
-    assert ctx.subsets("t").repeats is subsets
-    assert ctx.families("t").repeats is families
-    assert (ctx.subset_pairs("t").draws is not None) is pairs
-    assert (_over(ctx.axis("ideals"), ctx.families("t")).draws is not None) is families
+    drawn = {
+        f"{s}.{law.name}"
+        for s in SUITE_ORDER[1:]
+        for law in getattr(verify, "_suite_" + s)(ctx)
+        if law.domain is not None and law.domain.draws is not None
+    }
+    pairs = {"annihilator.antitone"} if ctx.q.n <= EXHAUST_MAX_N else set()
+    assert drawn == {"avoidance.witness_outside_union"} | pairs
 
 
 def test_chain8_avoidance_count():

@@ -634,8 +634,7 @@ def _raising(*args, **kwargs):
 def test_building_a_table_runs_no_law(q, monkeypatch):
     # from a fresh context a suite only builds its table: no law case, no
     # check_axioms, no ideal carrier, no classify or decompose routine, and
-    # none of the run's scans (homs swallows a raising ideal carrier, so a
-    # read of it would show only as its cached value)
+    # none of the run's scans
     ctx = _Ctx(q, 0)
     monkeypatch.setattr(verify, "_run", _raising)
     monkeypatch.setattr(verify, "_check", _raising)
@@ -703,24 +702,37 @@ def test_uniqueness_note_names_the_undecomposable_ideals_before_an_error(nondec,
     assert rows["isolated_eq_minimal_primes"].note == "1 proper ideals not decomposable"
 
 
-# the rows of lukasiewicz:6 that read each scan: a scan that raises fails
-# exactly these, with the error in their note, and every other row is the
-# unpatched run's
+# the rows of lukasiewicz:6 that read each scan, by the module it is read
+# from: a scan that raises fails exactly these, with the error in their note,
+# and every other row is the unpatched run's
 SCAN_READERS = {
-    "spectrum": {
+    "spectrum": (classify, {
         "lpsp.prime_descent",
         "lpsp.nilradical_is_prime_meet",
         "avoidance.witness_outside_union",
         "saturation.saturated_iff_union_of_primes",
         "primary.prime_implies_primary",
         "primary.p_primary_meet_closed",
-    },
-    "all_mc_sets": {
+    }),
+    "all_mc_sets": (classify, {
         "saturation.saturation_smallest",
         "saturation.saturated_iff_union_of_primes",
         "saturation.avoiding_maximal_prime",
         "saturation.mc_radical_decider",
-    },
+    }),
+    # the ideal carrier: its two laws, and every cep law through the
+    # principal embedding in ctx.homs
+    "ideal_quantale": (ideals, {
+        "proposition_bpi.ideal_carrier_axioms",
+        "collapse.ideal_carrier_iso",
+        *(f"cep.{law}" for law in (
+            "maps_are_homs", "images_are_ideals", "extend_contract_expands",
+            "contract_extend_reduces", "contraction_stable", "extension_stable",
+            "extension_meet_below", "extension_product", "extension_residual_below",
+            "contraction_meet", "contraction_product_below", "contraction_residual_below",
+            "restricted_bijection",
+        )),
+    }),
 }
 
 
@@ -732,11 +744,12 @@ def test_a_raising_scan_fails_only_its_readers(scan, monkeypatch):
     def broken(*args, **kwargs):
         raise QuantaleError(f"no {scan}")
 
-    monkeypatch.setattr(classify, scan, broken)
+    module, readers = SCAN_READERS[scan]
+    monkeypatch.setattr(module, scan, broken)
     after = run_suite(q, "all", seed=0).results
     assert [(r.suite, r.law) for r in after] == [(r.suite, r.law) for r in before]
     changed = {f"{r.suite}.{r.law}": r for r, old in zip(after, before) if r != old}
-    assert changed.keys() == SCAN_READERS[scan]
+    assert changed.keys() == readers
     for r in changed.values():
         assert r.status == "fail"
         assert f"error: QuantaleError: no {scan}" in r.note
