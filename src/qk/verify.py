@@ -10,14 +10,17 @@ turns a crash, a scan's included, into a finding of the laws that read it.
 Quantifiers over elements and ideals are always exhausted; the exponential
 ones (subsets, pairs of subsets, families of ideals, mc sets) are sampled
 or narrowed on larger carriers, by the rules stated once with the domains
-(_Ctx), and such laws say so in their note.  Two domains are run draw by
-draw: annihilator.antitone's exhaustive pairs, most of whose cases repeat,
-and avoidance's masks, each tested for stability once.  There _check
-evaluates each draw once and counts its repeats, so case counts are those
-of checking every case.  Every other law runs case by case, and its
-repeated library calls reach the run's memos (_Ctx.routes): generated and
-annihilator once per mask where subsets repeat (n <= 13), and at every
-size each residual, radical, extension, contraction and idealness test.
+(_Ctx), and such laws say so in their note.  Two domains skip repeated
+cases.  annihilator.antitone's exhaustive pairs, most of whose cases
+repeat, are tallied per t at C speed and each distinct pair is evaluated
+once; avoidance's masks are run draw by draw, each tested for stability
+once and each repeated draw counted without being evaluated again.  Case
+counts and witnesses are those of checking every case.  Sampled masks are
+drawn from C iterators over the seeded Random.  Every other law runs case
+by case, and its repeated library calls reach the run's memos
+(_Ctx.routes): generated and annihilator once per mask where subsets
+repeat (n <= 13), and at every size each residual, radical, extension,
+contraction and idealness test.
 A run also runs check_axioms once, and builds and checks the ideal
 carrier once.  A drawn family is the mask of its positions in the list it
 was drawn from (its pick), folded once where it is drawn; it and its
@@ -45,9 +48,10 @@ import itertools
 import os
 import random
 import time
+from collections import Counter
 from dataclasses import dataclass, replace
 from functools import cache, cached_property, lru_cache, partial, reduce
-from operator import attrgetter, or_
+from operator import and_, attrgetter, itemgetter, or_
 from typing import Callable, Iterable, NamedTuple
 
 from .core import (
@@ -196,19 +200,27 @@ class _Domain(NamedTuple):
     yielding the same cases grouped into draws: (key, the cases of that
     draw), the cases a pure function of the key.  _run evaluates the first
     occurrence of a key and counts each later one without evaluating it
-    again."""
+    again.
+
+    tallies, where a group repeats most of its pairs (only _Ctx.subset_pairs'
+    exhaustive pairs), is a thunk yielding the same cases grouped by their
+    last argument: (t, its tally, a thunk of its flat keys), the cases of
+    group t being (s, t) for each s of the flat keys, and the tally counting
+    each distinct s, in first-occurrence order.  _run evaluates each
+    distinct pair once and adds its count."""
 
     cases: Callable[[], Iterable[tuple]]
     witness: Callable[..., tuple]
     note: str | Callable[[], str] = ""
     draws: Callable[[], Iterable[tuple[object, Iterable[tuple]]]] | None = None
+    tallies: Callable[[], Iterable[tuple[int, Counter, Callable[[], Iterable]]]] | None = None
 
 
 def _drawn(draws, witness, note) -> _Domain:
     """The domain whose cases are those of draws(), in order; _run counts
-    repeated draws without evaluating them.  Only subset_pairs' exhaustive
-    pairs and avoidance's masks are drawn: elsewhere a repeated case costs
-    less than counting it, as its library calls are the run's memos."""
+    repeated draws without evaluating them.  Only avoidance's masks are
+    drawn: elsewhere a repeated case costs less than counting it, as its
+    library calls are the run's memos."""
     cases = lambda: itertools.chain.from_iterable(c for _, c in draws())
     return _Domain(cases, witness, note, draws)
 
@@ -241,16 +253,51 @@ def _run(law: _Law) -> tuple[str, int, tuple[str, ...] | None, str]:
     """Status, case count, witness and error of a law with a domain: its
     cases counted up to the first failure, a crash a failure.
 
-    A domain with draws is run draw by draw.  A case's verdict depends on
-    the case alone and the run stops at the first failure, so a repeated
-    draw would only pass again: it adds the count of its first occurrence
-    (its cases where holds is not None) and is not evaluated.  The counts
-    live here and go when the law ends; the result is the one the flat
-    loop over cases() gives."""
-    holds, domain = law.holds, law.domain
-    checked, counted = 0, {}  # draw -> the cases its first occurrence counted
+    A case's verdict depends on the case alone and the run stops at the
+    first failure, so a repeated case would only pass again.  A domain with
+    tallies is run group by group: each distinct pair is evaluated once, in
+    the order of its first occurrence, and adds its count where it holds.
+    A group where a pair fails or crashes is run again case by case from
+    the group's start, which gives the count of the cases before the first
+    occurrence of that pair.  The result is the one the flat loop over
+    cases() gives."""
+    domain = law.domain
+    if domain.tallies is None:
+        return _run_draws(law, domain.draws or (lambda: ((None, domain.cases()),)), 0)
+    holds, checked = law.holds, 0
     try:
-        for draw, cases in domain.draws() if domain.draws else ((None, domain.cases()),):
+        for t, tally, keys in domain.tallies():
+            start = checked
+            try:
+                for s, k in tally.items():
+                    ok = holds(s, t)
+                    if ok:
+                        checked += k
+                    elif ok is not None:
+                        break
+                else:
+                    continue
+            except Exception:
+                pass
+            # a failure or a crash in group t: its flat loop from the start counts
+            result = _run_draws(law, lambda: ((None, zip(keys(), itertools.repeat(t))),), start)
+            if result[0] == "fail":
+                return result
+            checked = result[1]
+    except Exception as exc:  # a crash on this instance is a finding
+        return "fail", checked, (), f"error: {type(exc).__name__}: {exc}"
+    return "pass", checked, None, ""
+
+
+def _run_draws(law: _Law, draws, checked: int) -> tuple[str, int, tuple[str, ...] | None, str]:
+    """_run over draws(), (key, the cases of that draw) pairs, counting
+    from checked.  A repeated draw adds the count of its first occurrence
+    (its cases where holds is not None) and is not evaluated.  The counts
+    live here and go when the law ends."""
+    holds, domain = law.holds, law.domain
+    counted = {}  # draw -> the cases its first occurrence counted
+    try:
+        for draw, cases in draws():
             if draw in counted:
                 checked += counted[draw]
                 continue
@@ -358,10 +405,20 @@ def _pick(folds: _Folds, pick: int) -> _Family:
     return _Family(pick, folds.join(pick), folds.meet(pick))
 
 
+def _draws(rng: random.Random, width: int) -> Iterable[int]:
+    """The endless stream of masks of width bits drawn from rng."""
+    return iter(partial(rng.getrandbits, width), None)
+
+
 def _nonempty_draws(rng: random.Random, width: int, count: int) -> list[int]:
     """The first count nonzero masks of width bits drawn from rng."""
-    masks = (rng.getrandbits(width) for _ in itertools.count())
-    return list(itertools.islice(filter(None, masks), count))
+    return list(itertools.islice(filter(None, _draws(rng, width)), count))
+
+
+def _overlapping(pairs: Iterable[tuple[int, int]]) -> Iterable[tuple[int, int]]:
+    """The pairs of masks s, t with s & t nonzero, in order."""
+    pairs, tested = itertools.tee(pairs)
+    return itertools.compress(pairs, itertools.starmap(and_, tested))
 
 
 class _Routes(NamedTuple):
@@ -393,9 +450,10 @@ class _Ctx:
 
     Sampled values repeat where there are fewer of them than draws (subsets
     at n <= 13, families of 9 ideals); a law over them runs case by case
-    and reaches the memos in routes.  Only the exhaustive subset_pairs is a
-    _drawn domain here, each pair a draw that _check counts again without
-    evaluating it.
+    and reaches the memos in routes.  Only the exhaustive subset_pairs has
+    tallies, each distinct pair of a t evaluated once and counted as often
+    as it repeats.  Every sampled stream of masks is drawn by _draws, a C
+    iterator over rng.getrandbits.
 
       subsets            all nonempty subsets up to EXHAUST_MAX_N (8)
                          elements, else SAMPLE_COUNT (10^4) nonempty draws
@@ -403,9 +461,9 @@ class _Ctx:
                          each nonempty t, (m & t, t) for every m in 1..t
                          with m & t nonempty, so a pair repeats once per m
                          giving it (95 cases for 65 pairs at n=4, 29,615
-                         for 6,305 at n=8) and is a draw of its own; else
-                         t from subsets and one draw of m (tag + ".sub")
-                         per t
+                         for 6,305 at n=8), tallied per t by a Counter of
+                         the masks m & t; else t from subsets and one draw
+                         of m (tag + ".sub") per t
       overlapping_pairs  pairs s, t with s & t nonempty: all of them up to
                          _PAIR_EXHAUST_MAX_N (6) elements, else
                          SAMPLE_COUNT drawn pairs
@@ -557,13 +615,22 @@ class _Ctx:
 
     def subset_pairs(self, tag: str) -> _Domain:
         n, ts = self.q.n, self.subsets(tag)
-        if self.exhaustive:  # each pair is a draw of its own
-            pairs = lambda: ((t & m, t) for t in ts.values() for m in range(1, t + 1) if t & m)
-            return _drawn(lambda: ((p, (p,)) for p in pairs()), self._pair_witness, "")
+        if self.exhaustive:  # tallied per t: the masks m & t of m in 1..t
+            keys = lambda t: filter(None, map(t.__and__, range(1, t + 1)))
+
+            def tallies():
+                for t in ts.values():
+                    tally = Counter(map(t.__and__, range(1, t + 1)))
+                    tally.pop(0, None)
+                    yield t, tally, partial(keys, t)
+
+            cases = lambda: ((s, t) for t in ts.values() for s in keys(t))
+            return _Domain(cases, self._pair_witness, tallies=tallies)
 
         def cases():
-            rng = self.rng(tag + ".sub")
-            return ((m & t, t) for t in ts.values() for m in (rng.getrandbits(n),) if m & t)
+            t = ts.values()
+            m = _draws(self.rng(tag + ".sub"), n)
+            return filter(itemgetter(0), zip(map(and_, m, t), t))
 
         return _Domain(cases, self._pair_witness, ts.note)
 
@@ -571,14 +638,12 @@ class _Ctx:
         n = self.q.n
 
         def draws():
-            rng = self.rng(tag)
-            pairs = ((rng.getrandbits(n), rng.getrandbits(n)) for _ in itertools.count())
-            return itertools.islice(((s, t) for s, t in pairs if s & t), SAMPLE_COUNT)
+            drawn = _draws(self.rng(tag), n)
+            return itertools.islice(_overlapping(zip(drawn, drawn)), SAMPLE_COUNT)
 
         if n <= _PAIR_EXHAUST_MAX_N:
             masks = range(1, self.q.full + 1)
-            every = lambda: ((s, t) for s in masks for t in masks if s & t)
-            return _Domain(every, self._pair_witness)
+            return _Domain(lambda: _overlapping(itertools.product(masks, masks)), self._pair_witness)
         return _Domain(draws, self._pair_witness, "sampled")
 
     @cached_property
@@ -591,8 +656,8 @@ class _Ctx:
         k = len(self.ideals)
 
         def draws():
-            rng, folds = self.rng(tag), self.folds
-            return [_pick(folds, rng.getrandbits(k)) for _ in range(SAMPLE_COUNT // 10)]
+            picks = itertools.islice(_draws(self.rng(tag), k), SAMPLE_COUNT // 10)
+            return list(map(partial(_pick, self.folds), picks))
 
         if k <= EXHAUST_MAX_N:
             return _Axis(lambda: self.every_family, str)
@@ -718,7 +783,7 @@ def _suite_proposition_bpi(ctx: _Ctx) -> list[_Law]:
         _Law("residual_join_absorb", I2, lambda a, b: res(a, b) == res(a, join(a, b))),
         _Law("residual_meet_absorb", I2, lambda a, b: res(a, b) == res(meet(a, b), b)),
         _Law("generated_meet_lower", ctx.overlapping_pairs("bpi.generated_meet_lower"),
-             lambda s, t: gen(s & t) <= meet(gen(s), gen(t)),
+             lambda s, t: gen(s & t).members & ~(gen(s).members & gen(t).members) == 0,
              "inclusion only; the reverse fails once generators join above the overlap"),
         _Law("ideal_carrier_axioms", ctx.once, lambda: ctx.ideal_carrier_lawful),
     ]

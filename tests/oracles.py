@@ -9,8 +9,8 @@ irreducible and strongly irreducible over every pair of enumerate_ideals
 by Ideal comparison.  flat_run runs a law case by case, evaluating every
 repeated draw again.  MUTANTS holds the commutative single-cell mutants
 of q4, l3 and m3, and MUTATION_MUTANTS those of the benchmark's mutation
-carriers: broken tables are where a shortcut would drift from the
-definition."""
+carriers, MUTATION_BASES: broken tables are where a shortcut would drift
+from the definition."""
 
 from pathlib import Path
 
@@ -134,13 +134,12 @@ MUTANTS = [
     if m.commutative
 ]
 
+MUTATION_BASES = [
+    load_quant(DATA / "q4.quant"),
+    load_quant(DATA / "l3.quant"),
+    *map(generate_from_spec, ("m3", "lukasiewicz:6", "lowersets:chain4", "powerset:3")),
+]
+
 MUTATION_MUTANTS = [
-    m
-    for q in (
-        load_quant(DATA / "q4.quant"),
-        load_quant(DATA / "l3.quant"),
-        *map(generate_from_spec, ("m3", "lukasiewicz:6", "lowersets:chain4", "powerset:3")),
-    )
-    for _, _, m in single_cell_mutants(q)
-    if m.commutative
+    m for q in MUTATION_BASES for _, _, m in single_cell_mutants(q) if m.commutative
 ]

@@ -1,4 +1,5 @@
-"""_check evaluates each repeated draw once and counts its repeats.
+"""_check evaluates each repeated draw, and each repeated pair of a tally,
+once and counts its repeats.
 
 The report must be the flat loop's: every law of run_suite on carriers where
 the rule applies, at three seeds, equals the report with verify._run replaced
@@ -8,7 +9,7 @@ the edge cases.
 
 import pytest
 
-from oracles import MUTANTS, flat_run
+from oracles import MUTANTS, MUTATION_MUTANTS, flat_run
 from qk import classify, verify
 from qk.decompose import MINIMAL_PICKS_MAX, all_minimal_decompositions, uniqueness_report
 from qk.errors import TooLarge
@@ -19,8 +20,8 @@ from qk.verify import EXHAUST_MAX_N, SUITE_ORDER, _Ctx, _Domain, _Law, _check, _
 SEEDS = (0, 1, 7)
 # sampled subsets repeat at 9 <= n <= 13 and families at 9 ideals
 # (lukasiewicz:9 and lowersets:4:0<1,2<3, whose 9 lower sets are its ideals),
-# and run case by case; annihilator.antitone's pairs (n <= 8) and avoidance's
-# masks are run draw by draw
+# and run case by case; annihilator.antitone's pairs (n <= 8) are tallied
+# per t and avoidance's masks are run draw by draw
 SPECS = (
     "lukasiewicz:9",
     "lukasiewicz:12",
@@ -31,11 +32,11 @@ SPECS = (
 )
 
 
-def _both(q, seed, monkeypatch):
-    replayed = run_suite(q, "all", seed=seed).results
+def _both(q, seed, monkeypatch, suite="all"):
+    replayed = run_suite(q, suite, seed=seed).results
     with monkeypatch.context() as m:
         m.setattr("qk.verify._run", flat_run)
-        flat = run_suite(q, "all", seed=seed).results
+        flat = run_suite(q, suite, seed=seed).results
     return replayed, flat
 
 
@@ -53,23 +54,34 @@ def test_replay_matches_the_flat_loop_on_mutants(seed, monkeypatch):
         assert replayed == flat, q.name
 
 
+def test_antitone_tallies_match_the_flat_loop_on_mutation_mutants(monkeypatch):
+    # every mutant of the mutation benchmark's carriers, up to n=8, where
+    # annihilator.antitone's exhaustive pairs are tallied per t
+    for q in MUTATION_MUTANTS:
+        replayed, flat = _both(q, 0, monkeypatch, "annihilator")
+        assert replayed == flat, q.name
+
+
 @pytest.mark.parametrize(
     "spec",
     ["lukasiewicz:8", "lukasiewicz:9", "lukasiewicz:13", "lukasiewicz:14", "lowersets:4:0<1,2<3"],
 )
 def test_only_antitone_pairs_and_avoidance_masks_are_drawn(spec):
-    # no _over domain has draws, sampled subsets and families included: of
-    # every table, only annihilator.antitone's exhaustive pairs (n <= 8) and
-    # avoidance's masks (at every n) are run draw by draw
+    # no _over domain skips a repeated case, sampled subsets and families
+    # included: of every table, only annihilator.antitone's exhaustive pairs
+    # (n <= 8) are tallied and only avoidance's masks (at every n) are run
+    # draw by draw
     ctx = _Ctx(generate_from_spec(spec), 0)
-    drawn = {
-        f"{s}.{law.name}"
+    domains = {
+        f"{s}.{law.name}": law.domain
         for s in SUITE_ORDER[1:]
         for law in getattr(verify, "_suite_" + s)(ctx)
-        if law.domain is not None and law.domain.draws is not None
+        if law.domain is not None
     }
-    pairs = {"annihilator.antitone"} if ctx.q.n <= EXHAUST_MAX_N else set()
-    assert drawn == {"avoidance.witness_outside_union"} | pairs
+    drawn = {name for name, d in domains.items() if d.draws is not None}
+    tallied = {name for name, d in domains.items() if d.tallies is not None}
+    assert drawn == {"avoidance.witness_outside_union"}
+    assert tallied == ({"annihilator.antitone"} if ctx.q.n <= EXHAUST_MAX_N else set())
 
 
 def test_chain8_avoidance_count():
@@ -128,6 +140,58 @@ def test_a_crash_on_a_first_occurrence_keeps_the_count():
 
     row, _ = _compare([1, 1, 2, 3, 1], verdict)
     assert (row.status, row.checked, row.witness) == ("fail", 10, ())
+    assert row.note == "error: ZeroDivisionError: boom"
+
+
+# The pair (2, t) at t = 0b10011 first occurs at m = 2, and the smaller pair
+# (1, t) recurs after it, at m = 5: the flat count before the failure is one
+# case of t, not the tally of (1, t).
+_PAIR = (2, 0b10011)
+
+
+def _tallied_law(verdict):
+    """A law over subset_pairs' exhaustive pairs on lukasiewicz:5, its
+    predicate verdict; the pairs it evaluated."""
+    ctx, seen = _Ctx(generate_from_spec("lukasiewicz:5"), 0), []
+    law = _Law("law", ctx.subset_pairs("t"), lambda s, t: seen.append((s, t)) or verdict(s, t))
+    assert law.domain.tallies is not None
+    return law, seen
+
+
+def _flat_count_before(pair):
+    """The cases of the flat loop before the first occurrence of pair, at
+    m = s."""
+    s, t = pair
+    return sum(1 for u in range(1, t) for m in range(1, u + 1) if u & m) + sum(
+        1 for m in range(1, s) if t & m
+    )
+
+
+def test_a_tallied_failure_reports_the_flat_count():
+    law, seen = _tallied_law(lambda s, t: (s, t) != _PAIR)
+    [row] = _check("s", [law])
+    assert len(seen) < _flat_count_before(_PAIR)  # repeated pairs were not evaluated
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr("qk.verify._run", flat_run)
+        [flat] = _check("s", [law])
+    assert row == flat
+    assert (row.status, row.checked) == ("fail", _flat_count_before(_PAIR) + 1)
+    assert row.witness == ("1", "/", "0 1 4")
+
+
+def test_a_tallied_crash_reports_the_flat_count():
+    def verdict(s, t):
+        if (s, t) == _PAIR:
+            raise ZeroDivisionError("boom")
+        return True
+
+    law, _ = _tallied_law(verdict)
+    [row] = _check("s", [law])
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr("qk.verify._run", flat_run)
+        [flat] = _check("s", [law])
+    assert row == flat
+    assert (row.status, row.checked, row.witness) == ("fail", _flat_count_before(_PAIR), ())
     assert row.note == "error: ZeroDivisionError: boom"
 
 

@@ -9,7 +9,9 @@ first two are also pinned in the law table of --format table, whose detail
 column holds the witnesses and the crash notes.  The laws over the product
 domains of primaries or ideals by elements (pqx, and two saturation laws)
 are pinned at seed 0 on every mutant of the mutation benchmark, where most
-of them fail with a witness.
+of them fail with a witness.  The laws over masks (annihilator, and
+proposition_bpi.generated_meet_lower) are pinned at seeds 0 and 7 on those
+carriers and their mutants.
 """
 
 import re
@@ -22,7 +24,7 @@ from qk.generators import generate_from_spec
 from qk.quantfile import load_quant
 from qk.verify import SUITE_ORDER, VerificationReport, run_suite, single_cell_mutants
 
-from oracles import MUTATION_MUTANTS
+from oracles import MUTATION_BASES, MUTATION_MUTANTS
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = DATA / "golden"
@@ -69,6 +71,21 @@ def _product_domains(capsys):
     return int(not all(r.ok for r in reports)), "\n".join(r.format() for r in reports)
 
 
+def _mask_laws(capsys):
+    """The annihilator rows and proposition_bpi.generated_meet_lower of each
+    mutation carrier and each of its mutants, at seeds 0 and 7."""
+    reports = []
+    for q in (*MUTATION_BASES, *MUTATION_MUTANTS):
+        for seed in (0, 7):
+            rows = run_suite(q, "annihilator", seed=seed).results + tuple(
+                r
+                for r in run_suite(q, "proposition_bpi", seed=seed).results
+                if r.law == "generated_meet_lower"
+            )
+            reports.append(VerificationReport(q.name, "annihilator bpi", seed, rows, {}))
+    return int(not all(r.ok for r in reports)), "\n".join(r.format() for r in reports)
+
+
 CASES = {
     "verify_q4_seed7.txt": (0, _cli(str(DATA / "q4.quant"))),
     "verify_l3_seed7.txt": (0, _cli(str(DATA / "l3.quant"))),
@@ -90,6 +107,7 @@ CASES = {
     "run_suite_q4_mutant_0_0_seed7_table.txt": (1, _mutant(0, 0, "table")),
     "run_suite_q4_mutant_1_1_seed7_table.txt": (1, _mutant(1, 1, "table")),
     "run_suite_mutation_mutants_product_domains_seed0.txt": (1, _product_domains),
+    "run_suite_mutation_mask_laws_seed0_seed7.txt": (1, _mask_laws),
 }
 
 
