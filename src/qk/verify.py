@@ -10,14 +10,14 @@ turns a crash, a scan's included, into a finding of the laws that read it.
 Quantifiers over elements and ideals are always exhausted; the exponential
 ones (subsets, pairs of subsets, families of ideals, mc sets) are sampled
 or narrowed on larger carriers, by the rules stated once with the domains
-(_Ctx), and such laws say so in their note.  Two domains skip repeated
-cases.  annihilator.antitone's exhaustive pairs, most of whose cases
-repeat, are tallied per t at C speed and each distinct pair is evaluated
-once; avoidance's masks are run draw by draw, each tested for stability
-once and each repeated draw counted without being evaluated again.  Case
-counts and witnesses are those of checking every case.  Sampled masks are
-drawn from C iterators over the seeded Random.  Every other law runs case
-by case, and its repeated library calls reach the run's memos
+(_Ctx), and such laws say so in their note.  Two domains run in groups
+decided at once: annihilator.antitone's exhaustive pairs by t, each
+distinct pair evaluated once, and avoidance's masks, each distinct mask
+decided from its parts outside the ideals.  A group not so passed runs
+case by case from its start and a repeated group adds its first count,
+so case counts and witnesses are those of checking every case.  Sampled
+masks are drawn from C iterators over the seeded Random.  Every other law
+runs case by case, and its repeated library calls reach the run's memos
 (_Ctx.routes): generated and annihilator once per mask where subsets
 repeat (n <= 13), and at every size each residual, radical, extension,
 contraction and idealness test.
@@ -196,33 +196,27 @@ class _Domain(NamedTuple):
     of the predicate), the witness of a case, and the domain's note (a
     string, or a thunk read after the cases ran).
 
-    draws, where a draw carries work of its own (see _drawn), is a thunk
-    yielding the same cases grouped into draws: (key, the cases of that
-    draw), the cases a pure function of the key.  _run evaluates the first
-    occurrence of a key and counts each later one without evaluating it
-    again.
-
-    tallies, where a group repeats most of its pairs (only _Ctx.subset_pairs'
-    exhaustive pairs), is a thunk yielding the same cases grouped by their
-    last argument: (t, its tally, a thunk of its flat keys), the cases of
-    group t being (s, t) for each s of the flat keys, and the tally counting
-    each distinct s, in first-occurrence order.  _run evaluates each
-    distinct pair once and adds its count."""
+    groups, where a group of cases can be decided at once (see _grouped),
+    is a thunk yielding the same cases in groups, in order: (key, decide,
+    a thunk of the group's cases), the cases a pure function of the key.
+    decide(holds) is the count of the group's cases if every case where
+    holds is not None holds, else None; _run evaluates only the group's
+    first occurrence and runs it case by case where decide gives None."""
 
     cases: Callable[[], Iterable[tuple]]
     witness: Callable[..., tuple]
     note: str | Callable[[], str] = ""
-    draws: Callable[[], Iterable[tuple[object, Iterable[tuple]]]] | None = None
-    tallies: Callable[[], Iterable[tuple[int, Counter, Callable[[], Iterable]]]] | None = None
+    groups: Callable[[], Iterable[tuple[object, Callable, Callable[[], Iterable]]]] | None = None
 
 
-def _drawn(draws, witness, note) -> _Domain:
-    """The domain whose cases are those of draws(), in order; _run counts
-    repeated draws without evaluating them.  Only avoidance's masks are
-    drawn: elsewhere a repeated case costs less than counting it, as its
+def _grouped(keys, decide, cases, witness, note="") -> _Domain:
+    """The domain whose cases are cases(key) for each key of keys(), in
+    order, grouped by key: decide(key, holds) decides a group at once.
+    Only annihilator.antitone's exhaustive pairs and avoidance's masks are
+    grouped: elsewhere a repeated case costs less than grouping it, as its
     library calls are the run's memos."""
-    cases = lambda: itertools.chain.from_iterable(c for _, c in draws())
-    return _Domain(cases, witness, note, draws)
+    groups = lambda: ((k, partial(decide, k), partial(cases, k)) for k in keys())
+    return _Domain(lambda: itertools.chain.from_iterable(map(cases, keys())), witness, note, groups)
 
 
 def _over(*axes: _Axis) -> _Domain:
@@ -253,64 +247,38 @@ def _run(law: _Law) -> tuple[str, int, tuple[str, ...] | None, str]:
     """Status, case count, witness and error of a law with a domain: its
     cases counted up to the first failure, a crash a failure.
 
-    A case's verdict depends on the case alone and the run stops at the
-    first failure, so a repeated case would only pass again.  A domain with
-    tallies is run group by group: each distinct pair is evaluated once, in
-    the order of its first occurrence, and adds its count where it holds.
-    A group where a pair fails or crashes is run again case by case from
-    the group's start, which gives the count of the cases before the first
-    occurrence of that pair.  The result is the one the flat loop over
-    cases() gives."""
-    domain = law.domain
-    if domain.tallies is None:
-        return _run_draws(law, domain.draws or (lambda: ((None, domain.cases()),)), 0)
-    holds, checked = law.holds, 0
+    A domain without groups is one group run case by case.  A case's
+    verdict depends on the case alone and the run stops at the first
+    failure, so a repeated group would only pass again: it adds the count
+    of its first occurrence and is not evaluated.  A group whose decide
+    gives None or raises is run case by case from the group's start, which
+    gives the count of the cases before its first failure and its witness.
+    The result is the one the flat loop over cases() gives; the counts live
+    here and go when the law ends."""
+    holds, domain = law.holds, law.domain
+    groups = domain.groups or (lambda: ((None, lambda holds: None, domain.cases),))
+    counted, checked = {}, 0  # key -> the cases its first occurrence counted
     try:
-        for t, tally, keys in domain.tallies():
+        for key, decide, cases in groups():
+            if key in counted:
+                checked += counted[key]
+                continue
             start = checked
             try:
-                for s, k in tally.items():
-                    ok = holds(s, t)
-                    if ok:
-                        checked += k
-                    elif ok is not None:
-                        break
-                else:
-                    continue
-            except Exception:
-                pass
-            # a failure or a crash in group t: its flat loop from the start counts
-            result = _run_draws(law, lambda: ((None, zip(keys(), itertools.repeat(t))),), start)
-            if result[0] == "fail":
-                return result
-            checked = result[1]
-    except Exception as exc:  # a crash on this instance is a finding
-        return "fail", checked, (), f"error: {type(exc).__name__}: {exc}"
-    return "pass", checked, None, ""
-
-
-def _run_draws(law: _Law, draws, checked: int) -> tuple[str, int, tuple[str, ...] | None, str]:
-    """_run over draws(), (key, the cases of that draw) pairs, counting
-    from checked.  A repeated draw adds the count of its first occurrence
-    (its cases where holds is not None) and is not evaluated.  The counts
-    live here and go when the law ends."""
-    holds, domain = law.holds, law.domain
-    counted = {}  # draw -> the cases its first occurrence counted
-    try:
-        for draw, cases in draws():
-            if draw in counted:
-                checked += counted[draw]
-                continue
-            first = checked
-            for case in cases:
-                ok = holds(*case)
-                if ok is None:
-                    continue
-                if not ok:  # the witness is built before the case counts, as a crash is
-                    wit = (law.witness or domain.witness)(*case)
-                    return "fail", checked + 1, tuple(str(w) for w in wit), ""
-                checked += 1
-            counted[draw] = checked - first
+                count = decide(holds)
+            except Exception:  # the group's flat loop meets the crash again
+                count = None
+            if count is None:
+                for case in cases():
+                    ok = holds(*case)
+                    if ok is None:
+                        continue
+                    if not ok:  # the witness is built before the case counts, as a crash is
+                        wit = (law.witness or domain.witness)(*case)
+                        return "fail", checked + 1, tuple(str(w) for w in wit), ""
+                    checked += 1
+                count = checked - start
+            counted[key], checked = count, start + count
     except Exception as exc:  # a crash on this instance is a finding
         return "fail", checked, (), f"error: {type(exc).__name__}: {exc}"
     return "pass", checked, None, ""
@@ -410,6 +378,28 @@ def _draws(rng: random.Random, width: int) -> Iterable[int]:
     return iter(partial(rng.getrandbits, width), None)
 
 
+@cache
+def _tally(t: int) -> tuple[tuple[int, int], ...]:
+    """Each distinct nonzero t & m of m in 1..t with its count, in order of
+    first occurrence, counted at C speed: subset_pairs' exhaustive pairs at
+    t.  Kept for the process: t < 2^EXHAUST_MAX_N."""
+    tally = Counter(map(t.__and__, range(1, t + 1)))
+    tally.pop(0, None)
+    return tuple(tally.items())
+
+
+def _decide_tally(t: int, holds) -> int | None:
+    """The count of t's pairs, each distinct one evaluated once, or None."""
+    checked = 0
+    for s, k in _tally(t):
+        ok = holds(s, t)
+        if ok:
+            checked += k
+        elif ok is not None:
+            return None
+    return checked
+
+
 def _nonempty_draws(rng: random.Random, width: int, count: int) -> list[int]:
     """The first count nonzero masks of width bits drawn from rng."""
     return list(itertools.islice(filter(None, _draws(rng, width)), count))
@@ -450,10 +440,10 @@ class _Ctx:
 
     Sampled values repeat where there are fewer of them than draws (subsets
     at n <= 13, families of 9 ideals); a law over them runs case by case
-    and reaches the memos in routes.  Only the exhaustive subset_pairs has
-    tallies, each distinct pair of a t evaluated once and counted as often
-    as it repeats.  Every sampled stream of masks is drawn by _draws, a C
-    iterator over rng.getrandbits.
+    and reaches the memos in routes.  Of these domains only the exhaustive
+    subset_pairs has groups, one per t, each distinct pair of a t evaluated
+    once and counted as often as it repeats.  Every sampled stream of masks
+    is drawn by _draws, a C iterator over rng.getrandbits.
 
       subsets            all nonempty subsets up to EXHAUST_MAX_N (8)
                          elements, else SAMPLE_COUNT (10^4) nonempty draws
@@ -462,8 +452,8 @@ class _Ctx:
                          with m & t nonempty, so a pair repeats once per m
                          giving it (95 cases for 65 pairs at n=4, 29,615
                          for 6,305 at n=8), tallied per t by a Counter of
-                         the masks m & t; else t from subsets and one draw
-                         of m (tag + ".sub") per t
+                         the masks m & t (_tally); else t from subsets and
+                         one draw of m (tag + ".sub") per t
       overlapping_pairs  pairs s, t with s & t nonempty: all of them up to
                          _PAIR_EXHAUST_MAX_N (6) elements, else
                          SAMPLE_COUNT drawn pairs
@@ -615,17 +605,10 @@ class _Ctx:
 
     def subset_pairs(self, tag: str) -> _Domain:
         n, ts = self.q.n, self.subsets(tag)
-        if self.exhaustive:  # tallied per t: the masks m & t of m in 1..t
-            keys = lambda t: filter(None, map(t.__and__, range(1, t + 1)))
-
-            def tallies():
-                for t in ts.values():
-                    tally = Counter(map(t.__and__, range(1, t + 1)))
-                    tally.pop(0, None)
-                    yield t, tally, partial(keys, t)
-
-            cases = lambda: ((s, t) for t in ts.values() for s in keys(t))
-            return _Domain(cases, self._pair_witness, tallies=tallies)
+        if self.exhaustive:  # grouped by t, each distinct pair of its tally once
+            masks = lambda t: filter(None, map(t.__and__, range(1, t + 1)))
+            pairs = lambda t: zip(masks(t), itertools.repeat(t))
+            return _grouped(ts.values, _decide_tally, pairs, self._pair_witness)
 
         def cases():
             t = ts.values()
@@ -921,8 +904,8 @@ def _suite_avoidance(ctx: _Ctx) -> list[_Law]:
     """The lemma's core on the sampled subsets closed under join and &,
     each with every combination of one ideal, two, or two and a prime: the
     hypotheses prime_avoidance checks of its input hold by construction.
-    A draw is one sampled mask, so its stability is tested once per
-    distinct mask, when the draw is first evaluated."""
+    A group is one sampled mask, so its stability is tested once per
+    distinct mask, where the mask is first decided."""
     q, masks = ctx.q, ctx.subsets("avoidance.stable")
 
     def cases(m):
@@ -943,9 +926,24 @@ def _suite_avoidance(ctx: _Ctx) -> list[_Law]:
         x = cl._avoiding(m, ps)
         return None if x is None else bool(m >> x & 1) and not union >> x & 1
 
-    names = lambda combo: " ".join(p.name for p in combo[0])
-    domain = _drawn(lambda: ((m, cases(m)) for m in masks.values()),
-                    lambda m, combo: (q.labels(m), "/", names(combo)), masks.note)
+    def decide(m, holds):
+        """avoids on every combination, from the parts c of m outside each
+        ideal: _avoiding gives None where some c is 0, raises where their
+        AND is 0, else a witness that avoids passes.  The k ideals and the
+        primes P with c nonzero make k + k(k+1)/2 (1 + |P|) cases, which
+        hold unless two c of ideals, or two and one of P, AND to 0."""
+        if cl._instability(q, m) is not None:
+            return 0
+        outside = [c for i in ctx.ideals if (c := m & ~i.members)]
+        primes = [c for p in ctx.primes if (c := m & ~p.members)]
+        meets = {x & y for x, y in itertools.combinations_with_replacement(set(outside), 2)}
+        if 0 in meets or not all(s & p for p in set(primes) for s in meets):
+            return None
+        k = len(outside)
+        return k + k * (k + 1) // 2 * (1 + len(primes))
+
+    witness = lambda m, combo: (q.labels(m), "/", " ".join(p.name for p in combo[0]))
+    domain = _grouped(masks.values, decide, cases, witness, masks.note)
     return [_Law("witness_outside_union", domain, avoids)]
 
 

@@ -1,11 +1,15 @@
-"""_check evaluates each repeated draw, and each repeated pair of a tally,
-once and counts its repeats.
+"""_check decides each group of a grouped domain at once, evaluates a
+repeated group once and counts its repeats, and runs a group it cannot
+decide case by case.
 
 The report must be the flat loop's: every law of run_suite on carriers where
 the rule applies, at three seeds, equals the report with verify._run replaced
-by oracles.flat_run, which evaluates every case again; synthetic domains pin
+by oracles.flat_run, which evaluates every case again; carriers where the
+avoidance decide refuses a mask reach the fallback, and synthetic domains pin
 the edge cases.
 """
+
+from dataclasses import replace
 
 import pytest
 
@@ -15,13 +19,13 @@ from qk.decompose import MINIMAL_PICKS_MAX, all_minimal_decompositions, uniquene
 from qk.errors import TooLarge
 from qk.generators import generate_from_spec
 from qk.ideals import zero_ideal
-from qk.verify import EXHAUST_MAX_N, SUITE_ORDER, _Ctx, _Domain, _Law, _check, _drawn, run_suite
+from qk.verify import EXHAUST_MAX_N, SUITE_ORDER, _Ctx, _Domain, _grouped, _Law, _check, run_suite
 
 SEEDS = (0, 1, 7)
 # sampled subsets repeat at 9 <= n <= 13 and families at 9 ideals
 # (lukasiewicz:9 and lowersets:4:0<1,2<3, whose 9 lower sets are its ideals),
-# and run case by case; annihilator.antitone's pairs (n <= 8) are tallied
-# per t and avoidance's masks are run draw by draw
+# and run case by case; annihilator.antitone's pairs (n <= 8) are grouped
+# per t and avoidance's masks are grouped by mask
 SPECS = (
     "lukasiewicz:9",
     "lukasiewicz:12",
@@ -69,8 +73,7 @@ def test_antitone_tallies_match_the_flat_loop_on_mutation_mutants(monkeypatch):
 def test_only_antitone_pairs_and_avoidance_masks_are_drawn(spec):
     # no _over domain skips a repeated case, sampled subsets and families
     # included: of every table, only annihilator.antitone's exhaustive pairs
-    # (n <= 8) are tallied and only avoidance's masks (at every n) are run
-    # draw by draw
+    # (n <= 8) and avoidance's masks (at every n) are grouped
     ctx = _Ctx(generate_from_spec(spec), 0)
     domains = {
         f"{s}.{law.name}": law.domain
@@ -78,10 +81,58 @@ def test_only_antitone_pairs_and_avoidance_masks_are_drawn(spec):
         for law in getattr(verify, "_suite_" + s)(ctx)
         if law.domain is not None
     }
-    drawn = {name for name, d in domains.items() if d.draws is not None}
-    tallied = {name for name, d in domains.items() if d.tallies is not None}
-    assert drawn == {"avoidance.witness_outside_union"}
-    assert tallied == ({"annihilator.antitone"} if ctx.q.n <= EXHAUST_MAX_N else set())
+    grouped = {name for name, d in domains.items() if d.groups is not None}
+    antitone = {"annihilator.antitone"} if ctx.q.n <= EXHAUST_MAX_N else set()
+    assert grouped == {"avoidance.witness_outside_union"} | antitone
+
+
+def _join_rewrites(q):
+    """Each carrier made from q by one symmetric rewrite of a join cell,
+    join[i][j] = join[j][i] = v for i <= j and every v but the old one."""
+    for i in range(q.n):
+        for j in range(i, q.n):
+            for v in set(range(q.n)) - {q.join[i][j]}:
+                rows = [list(r) for r in q.join]
+                rows[i][j] = rows[j][i] = v
+                yield replace(q, name=f"{q.name}~j{i},{j}={v}", join=tuple(map(tuple, rows)))
+
+
+def test_avoidance_fallback_matches_the_flat_loop_on_join_rewrites(monkeypatch):
+    # On a lattice join a join-closed mask contains its own join, so an ideal
+    # holding that join holds the whole mask: the join lies outside every
+    # ideal that misses a part of the mask, the law cannot fail and its
+    # decide passes every mask.  The mutation carriers break only mul, so no
+    # other test reaches the fallback.  A rewritten join cell can: 12 of these
+    # carriers fail, each on a mask the decide refuses and runs case by case
+    # through classify._avoiding.
+    rewrites = [
+        m for spec in ("powerset:2", "lukasiewicz:4", "m3")
+        for m in _join_rewrites(generate_from_spec(spec))
+    ]
+    assert len(rewrites) == 165 and all(m.commutative for m in rewrites)
+    failed = set()
+    for q in rewrites:
+        for seed in (0, 7):
+            replayed, flat = _both(q, seed, monkeypatch, "avoidance")
+            assert replayed == flat, (q.name, seed)
+            failed.update(q.name for r in replayed if r.status == "fail")
+    assert len(failed) == 12
+    pinned = next(m for m in rewrites if m.name == "powerset2~j1,2=0")
+    [row] = run_suite(pinned, "avoidance", seed=0).results
+    missing = "error: QuantaleError: avoidance witness missing despite satisfied hypotheses"
+    assert (row.status, row.checked, row.witness, row.note) == ("fail", 39, (), missing)
+
+
+@pytest.mark.parametrize("spec", ["lukasiewicz:12", "powerset:4", "lowersets:chain8"])
+def test_avoidance_decides_its_masks_without_the_core(spec, monkeypatch):
+    # every stable mask of these lawful carriers passes its decide, so the
+    # suite never calls the core it re-proves
+    calls = []
+    avoiding = classify._avoiding
+    monkeypatch.setattr(classify, "_avoiding", lambda m, ps: calls.append(m) or avoiding(m, ps))
+    [row] = run_suite(generate_from_spec(spec), "avoidance", seed=0).results
+    assert row.status == "pass" and row.checked > 0
+    assert calls == []
 
 
 def test_chain8_avoidance_count():
@@ -90,22 +141,29 @@ def test_chain8_avoidance_count():
     assert (row.status, row.checked, row.note) == ("pass", 2_499_385, "sampled")
 
 
-def _synthetic(keys, holds):
-    """A law over draws keys, each of the cases (key, 0), (key, 1), (key, 2)."""
-    draws = lambda: [(k, [(k, j) for j in range(3)]) for k in keys]
-    return _Law("law", _drawn(draws, lambda k, j: (str(k), str(j)), ""), holds)
+def _evaluated(k, holds):
+    """A decide that evaluates each case of group k: its count, or None
+    where one fails."""
+    verdicts = [holds(k, j) for j in range(3)]
+    return None if False in verdicts else sum(v is not None for v in verdicts)
 
 
-def _compare(keys, verdict):
-    """_check with and without replay on one synthetic law; the cases _check
-    evaluated with it."""
+def _synthetic(keys, holds, decide=_evaluated):
+    """A law over groups keys, each of the cases (key, 0), (key, 1), (key, 2)."""
+    cases = lambda k: [(k, j) for j in range(3)]
+    return _Law("law", _grouped(lambda: keys, decide, cases, lambda k, j: (str(k), str(j))), holds)
+
+
+def _compare(keys, verdict, decide=_evaluated):
+    """_check with and without groups on one synthetic law; the cases _check
+    evaluated with them."""
     seen = []
 
     def holds(k, j):
         seen.append((k, j))
         return verdict(k, j)
 
-    law = _synthetic(keys, holds)
+    law = _synthetic(keys, holds, decide)
     [replayed] = _check("s", [law])
     evaluated = list(seen)
     with pytest.MonkeyPatch.context() as m:
@@ -116,6 +174,7 @@ def _compare(keys, verdict):
 
 
 def test_consecutive_repeats_are_separate_draws():
+    # a repeated key adds the count of its first occurrence
     row, seen = _compare([1, 1, 2, 2, 2, 1], lambda k, j: True)
     assert (row.status, row.checked) == ("pass", 18)
     assert seen == [(1, 0), (1, 1), (1, 2), (2, 0), (2, 1), (2, 2)]
@@ -143,6 +202,27 @@ def test_a_crash_on_a_first_occurrence_keeps_the_count():
     assert row.note == "error: ZeroDivisionError: boom"
 
 
+def test_an_undecided_group_runs_alone_from_its_start():
+    # key 2's decide gives None though its cases hold: only that group runs
+    # case by case, and its repeat adds the count of that run
+    decide = lambda k, holds: None if k == 2 else 3
+    row, seen = _compare([1, 2, 3, 2], lambda k, j: True, decide)
+    assert (row.status, row.checked) == ("pass", 12)
+    assert seen == [(2, 0), (2, 1), (2, 2)]
+
+
+def test_a_crashing_decide_runs_its_group_case_by_case():
+    def decide(k, holds):
+        if k == 2:
+            raise ZeroDivisionError("boom")
+        return 3
+
+    verdict = lambda k, j: None if (k, j) == (2, 1) else (k, j) != (2, 2)
+    row, seen = _compare([1, 2, 3], verdict, decide)
+    assert (row.status, row.checked, row.witness) == ("fail", 5, ("2", "2"))
+    assert seen == [(2, 0), (2, 1), (2, 2)]
+
+
 # The pair (2, t) at t = 0b10011 first occurs at m = 2, and the smaller pair
 # (1, t) recurs after it, at m = 5: the flat count before the failure is one
 # case of t, not the tally of (1, t).
@@ -154,7 +234,7 @@ def _tallied_law(verdict):
     predicate verdict; the pairs it evaluated."""
     ctx, seen = _Ctx(generate_from_spec("lukasiewicz:5"), 0), []
     law = _Law("law", ctx.subset_pairs("t"), lambda s, t: seen.append((s, t)) or verdict(s, t))
-    assert law.domain.tallies is not None
+    assert law.domain.groups is not None
     return law, seen
 
 
