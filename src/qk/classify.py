@@ -172,20 +172,6 @@ def _disjoint_pair(parts: list[tuple[int, int]]) -> tuple[int, int] | None:
     return None
 
 
-def radical(i: Ideal, algorithm: str = "powers") -> Ideal:
-    """Elements some power of which lands in the ideal.
-
-    algorithm selects the route: powers, primes, or mcsets.
-    """
-    if algorithm == "powers":
-        return _radical_powers(i)
-    if algorithm == "primes":
-        return _radical_primes(i)
-    if algorithm == "mcsets":
-        return _radical_mcsets(i)
-    raise ValueError(f"unknown radical algorithm {algorithm!r}")
-
-
 def _radical_powers(i: Ideal) -> Ideal:
     q, m = i.carrier, i.members
     return q.interned[sum(1 << x for x, p in enumerate(q.powers) if p & m)]
@@ -202,6 +188,18 @@ def _radical_mcsets(i: Ideal) -> Ideal:
         if mc_generated(q, x).members & i.members:
             out |= 1 << x
     return q.interned[out]
+
+
+# the radical routes by name, in the order the collapse suite compares them
+RADICAL_ROUTES = {"powers": _radical_powers, "primes": _radical_primes, "mcsets": _radical_mcsets}
+
+
+def radical(i: Ideal, algorithm: str = next(iter(RADICAL_ROUTES))) -> Ideal:
+    """Elements some power of which lands in the ideal, by the route named
+    algorithm, a key of RADICAL_ROUTES (the first by default)."""
+    if algorithm not in RADICAL_ROUTES:
+        raise ValueError(f"unknown radical algorithm {algorithm!r}")
+    return RADICAL_ROUTES[algorithm](i)
 
 
 def is_radical_ideal(i: Ideal) -> bool:

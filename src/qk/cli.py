@@ -144,7 +144,7 @@ def _cmd_radical(args) -> tuple[str, int]:
     out = Records()
     out.put("instance", q.name)
     out.put("ideal", i.name)
-    algs = ("powers", "primes", "mcsets") if args.algorithm == "all" else (args.algorithm,)
+    algs = tuple(cl.RADICAL_ROUTES) if args.algorithm == "all" else (args.algorithm,)
     rads = {a: cl.radical(i, a) for a in algs}
     for a in algs:
         out.put(f"radical.{a}", rads[a].name)
@@ -255,10 +255,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("radical", parents=[fmt], help="radical of an ideal")
     p.add_argument("file")
     _add_target(p)
-    p.add_argument(
-        "--algorithm", choices=("powers", "primes", "mcsets", "all"),
-        default="powers",
-    )
+    routes = tuple(cl.RADICAL_ROUTES)
+    p.add_argument("--algorithm", choices=routes + ("all",), default=routes[0])
     p.set_defaults(run=_cmd_radical)
 
     p = sub.add_parser("decompose", parents=[fmt], help="decompose an ideal")

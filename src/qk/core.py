@@ -355,8 +355,8 @@ def build_quantale(
 
     The order is the reflexive-transitive closure of the generator pairs
     (lo, hi), each read as lo <= hi.  The lattice part is certified here:
-    every pair must have a least upper and greatest lower bound and global
-    bounds must exist.  The algebra is left unchecked; see check_axioms.
+    every pair must have a least upper and greatest lower bound, so a
+    nonempty carrier has global ones.  The algebra is left unchecked.
 
     mul_table rows are label sequences: row x, column j gives x & elements[j].
     """
@@ -405,8 +405,6 @@ def build_quantale(
 
     bottom = by_up(full)
     top = by_down(full)
-    if bottom is None or top is None:
-        raise MissingBound("carrier lacks a global bottom or top")
 
     if len(mul_table) != n:
         raise RowArity(f"expected {n} multiplication rows, got {len(mul_table)}")

@@ -305,8 +305,9 @@ def uniqueness_report(i: Ideal) -> UniquenessReport:
     """Build the report and check the uniqueness statements on the way.
 
     Raises QuantaleError if associated and colon primes disagree or the
-    isolated components differ between minimal decompositions; such a
-    failure would falsify the construction, not the input.
+    isolated primes are not the minimal primes over i, which would falsify
+    the construction, not the input.  Whether the minimal decompositions
+    share their isolated components is recorded in isolated_components_match.
     """
     cands = primary_candidates(i)  # read by both decomposition routes
     d = _primary_decomposition(i, cands)

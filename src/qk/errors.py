@@ -21,7 +21,7 @@ class NotALattice(QuantaleError):
 
 
 class MissingBound(QuantaleError):
-    """The carrier has no global bottom or top (or is empty)."""
+    """The carrier is empty, so it has no bottom or top."""
 
 
 class TooLarge(QuantaleError):

@@ -2,7 +2,8 @@
 
 Four families plus one fixed reference instance:
 
-  powerset k      all subsets of a k-point set, multiplication = intersection
+  powerset k      all subsets of a k-point set, multiplication = intersection:
+                  the lower sets of a k-point antichain
   lowersets       down-closed subsets of a finite poset, mul = intersection
   opens           open sets of a finite topology, mul = intersection
   lukasiewicz n   chain 0..n-1 with a & b = max(0, a + b - (n - 1))
@@ -35,8 +36,6 @@ from .core import (
 from .errors import NotAPartialOrder, QuantaleError, TooLarge
 from .ideals import ideal_quantale
 from .quantfile import load_quant
-
-POWERSET_MAX = 5
 
 
 def _checked(q: FiniteQuantale) -> FiniteQuantale:
@@ -100,16 +99,15 @@ def _set_quantale(points: int, sets: Iterable[int], name: str) -> FiniteQuantale
 
 
 def powerset_quantale(k: int, *, name: str | None = None) -> FiniteQuantale:
-    """The full powerset of a k-point set; k <= 5."""
-    if not 0 <= k <= POWERSET_MAX:
-        raise TooLarge(f"powerset supports 0 <= k <= {POWERSET_MAX}, got {k}")
-    return _set_quantale(k, range(1 << k), name or f"powerset{k}")
+    """The full powerset of a k-point set: the lower sets of a k-point
+    antichain, under the same cap."""
+    return lowersets_quantale(k, (), name=name or f"powerset{k}")
 
 
 def lukasiewicz_quantale(n: int, *, name: str | None = None) -> FiniteQuantale:
     """The n-element chain 0 < 1 < ... < n-1 with truncated addition."""
     if n < 1:
-        raise TooLarge("lukasiewicz needs at least one element")
+        raise ValueError(f"lukasiewicz needs at least one element, got {n}")
     if n > ELEMENT_CAP:
         raise TooLarge(f"{n} elements exceeds the cap of {ELEMENT_CAP}")
     labels = [str(i) for i in range(n)]

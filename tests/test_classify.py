@@ -36,7 +36,7 @@ from qk.classify import (
     spectrum,
     zero_divisors,
 )
-from qk.core import build_quantale
+from qk.core import build_quantale, check_axioms
 from qk.errors import (
     CarrierMismatch,
     Degenerate,
@@ -137,6 +137,13 @@ def test_p_primary(l3):
         is_p_primary(z, z)
 
 
+def test_p_primary_needs_the_given_radical(q4):
+    # ↓a is primary, but its radical is ↓a, not the prime ↓b
+    a, b = principal(q4, q4.index("a")), principal(q4, q4.index("b"))
+    assert is_primary(a) and radical(a) == a and is_prime(b)
+    assert not is_p_primary(a, b)
+
+
 def test_maximal_ideals_and_local(q4, l3):
     assert {m.name for m in maximal_ideals(q4)} == {"↓a", "↓b"}
     flag, at = is_local(q4)
@@ -205,6 +212,29 @@ def test_saturation_and_saturated(q4):
         t = saturation(s)
         assert s.members & ~t.members == 0
         assert is_saturated(t)
+
+
+def _reversed(q):
+    """q built again with its elements listed in the opposite order."""
+    labels = q.elements
+    pairs = [(labels[x], labels[y]) for x in range(q.n) for y in range(q.n) if q.leq(x, y)]
+    mul = [[labels[z] for z in reversed(q.mul[x])] for x in reversed(range(q.n))]
+    return build_quantale(labels[::-1], pairs, mul, name=f"{q.name}_reversed")
+
+
+@pytest.mark.parametrize("spec", ["powerset:3", "lowersets:4:0<1,2<3", "lowersets:chain4"])
+def test_is_saturated_matches_its_definition_in_any_element_order(spec):
+    # in the order qk builds a carrier, the test that x is in the set adds
+    # nothing; with the order reversed it decides some of these mc sets
+    q = _reversed(generate_from_spec(spec))
+    assert check_axioms(q).ok
+    for s in all_mc_sets(q):
+        m = s.members
+        both = all(
+            m >> x & 1 and m >> y & 1
+            for x in range(q.n) for y in range(q.n) if m >> q.mul[x][y] & 1
+        )
+        assert is_saturated(s) == both, q.labels(m)
 
 
 def test_saturated_complement_is_union_of_primes(q4, l3, m3):

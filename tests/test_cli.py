@@ -87,10 +87,21 @@ def test_gen_and_check_golden_outputs(capsys, tmp_path, stem, spec):
 
 @pytest.mark.parametrize(
     "stem,spec,code",
-    [("nope", "nope", 2), ("powerset", "powerset", 2), ("powerset9", "powerset:9", 1)],
+    [("nope", "nope", 2), ("powerset", "powerset", 2), ("powerset10", "powerset:10", 1)],
 )
 def test_gen_error_golden_outputs(capsys, stem, spec, code):
     assert run(capsys, "gen", spec) == (code, "", golden(f"gen_error_{stem}.txt"))
+
+
+@pytest.mark.parametrize(
+    "spec,message",
+    [
+        ("lukasiewicz:0", "lukasiewicz needs at least one element, got 0"),
+        ("powerset:-1", "a poset has 0 or more points, got -1"),
+    ],
+)
+def test_gen_below_one_element_is_a_usage_error(capsys, spec, message):
+    assert run(capsys, "gen", spec) == (2, "", f"qk: {message}\n")
 
 
 def test_python_dash_m_qk(capsys):

@@ -371,3 +371,21 @@ def test_irreducible_decomposition_is_irredundant(q4, l3, m3, p3):
                 for c in rest[1:]:
                     m = meet_ideals(m, c)
                 assert m != i  # dropping any component changes the meet
+
+
+def test_decomposition_refusals_name_their_fault(q4):
+    zero, whole = zero_ideal(q4), whole_ideal(q4)
+    # the zero ideal is not primary: a & b lies in it, but neither a nor any
+    # power of b does
+    cases = [
+        (lambda: validate_decomposition(Decomposition(zero, "primary", (), ())),
+         InvalidDecomposition, "a decomposition needs at least one component"),
+        (lambda: validate_decomposition(Decomposition(zero, "primary", (zero,), (radical(zero),))),
+         InvalidDecomposition, "component ↓bot is not primary"),
+        (lambda: minimize(irreducible_decomposition(zero)), InvalidDecomposition,
+         "minimize applies to primary decompositions"),
+        (lambda: irreducible_decomposition(whole), NotProper, "↓top is the whole carrier"),
+    ]
+    for call, error, message in cases:
+        with pytest.raises(error, match=f"^{message}$"):
+            call()

@@ -37,8 +37,17 @@ def test_powerset_labels_and_tables(p3):
 def test_powerset_small_and_cap():
     assert powerset_quantale(0).n == 1
     assert powerset_quantale(1).n == 2
-    with pytest.raises(TooLarge):
-        powerset_quantale(6)
+    with pytest.raises(TooLarge, match=f"^the lower sets exceed the cap of {ELEMENT_CAP}$"):
+        powerset_quantale(10)
+    with pytest.raises(ValueError, match="^a poset has 0 or more points, got -1$"):
+        powerset_quantale(-1)
+
+
+def test_lukasiewicz_sizes():
+    with pytest.raises(ValueError, match="^lukasiewicz needs at least one element, got 0$"):
+        lukasiewicz_quantale(0)
+    with pytest.raises(TooLarge, match=f"^{ELEMENT_CAP + 1} elements exceeds the cap of {ELEMENT_CAP}$"):
+        lukasiewicz_quantale(ELEMENT_CAP + 1)
 
 
 def test_lukasiewicz_table():
@@ -142,6 +151,10 @@ def test_opens_refuse_a_huge_space_without_building_its_full_set():
     [
         ("opens:-1:-", "a space has 0 or more points, got -1"),
         ("opens:2:-,5,01", r"points \[5\] are not among 0..1"),
+        # {0} and {1} are open, {0, 1} is not
+        ("opens:3:-,0,1,012", "opens must be closed under union and intersection"),
+        # {0, 1} and {1, 2} are open, {1} is not
+        ("opens:3:-,01,12,012", "opens must be closed under union and intersection"),
     ],
 )
 def test_opens_name_the_fault(spec, message):

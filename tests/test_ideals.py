@@ -12,6 +12,7 @@ from qk.errors import (
     HomInvalid,
     NotCommutative,
     QuantaleError,
+    TooLarge,
 )
 from qk.ideals import (
     Ideal,
@@ -340,3 +341,23 @@ def test_ideal_equality_and_hash(q4):
     assert i1 == i2 and hash(i1) == hash(i2)
     assert len({i1, i2}) == 1
     assert i1 != principal(q4, q4.index("b"))
+
+
+def test_ideal_refusals_name_their_fault(q4, q4_to_c2, monkeypatch):
+    h = q4_to_c2
+    cases = [
+        (lambda: generated(q4, -1), QuantaleError, "-1 is not a subset mask"),
+        (lambda: ideal_from_closure(q4, 0), EmptyGeneratorSet,
+         "cannot close an empty set into an ideal"),
+        (lambda: contraction(h, zero_ideal(h.source)), CarrierMismatch,
+         "contraction needs an ideal of the hom's target"),
+        (lambda: extension(h, zero_ideal(h.target)), CarrierMismatch,
+         "extension needs an ideal of the hom's source"),
+    ]
+    for call, error, message in cases:
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            call()
+    # q4 has 4 ideals: over a cap of 3
+    monkeypatch.setattr("qk.ideals.ELEMENT_CAP", 3)
+    with pytest.raises(TooLarge, match="^4 ideals exceeds the cap of 3$"):
+        ideal_quantale(q4)

@@ -298,3 +298,22 @@ def test_edited_files_parse_or_fail_with_a_location(text):
         return
     once = write_quant(q)
     assert write_quant(parse_quant(once)) == once
+
+
+def test_file_refusals_name_their_fault(tmp_path):
+    (tmp_path / "a.quant").write_text("quantale a\nelements: x\norder:\nmul:\n  x: x\nend\n")
+    missing = tmp_path / "missing.quant"
+    cases = [
+        (lambda: parse_quant("quantale q\nelements:\norder:\nmul:\nend\n"),
+         "line 3, col 1: no elements declared"),
+        (lambda: parse_hom("hom h : a.quant -> missing.quant\nmap:\nend\n", tmp_path),
+         f"line 1, col 20: no such carrier file: {missing}"),
+        (lambda: parse_hom("hom h : a.quant -> a.quant\nmaps:\nend\n", tmp_path),
+         "line 2, col 1: expected 'map:'"),
+        (lambda: parse_hom("hom h : a.quant -> a.quant\nmap:\n  x => x\nend\n", tmp_path),
+         "line 3, col 3: expected 'x -> y'"),
+    ]
+    for call, message in cases:
+        with pytest.raises(QuantSyntaxError) as e:
+            call()
+        assert str(e.value) == message
