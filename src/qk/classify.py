@@ -116,7 +116,7 @@ def is_primary(i: Ideal) -> bool:
     Where q.residuals exists and i = ↓b, the x with x & y <= b are
     ↓residuals[y][b], which must lie in i for each y no power of which does."""
     q, m, b = i.carrier, i.members, i.apex
-    if q.residuals is None or m != q.down[b]:
+    if q.residuals is None or not i.is_principal:
         return i.proper and _primary_witness(i) is None
     return i.proper and all(m >> r[b] & 1 for r, p in zip(q.residuals, q.powers) if not p & m)
 

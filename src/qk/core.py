@@ -51,7 +51,7 @@ need not be ideals.  Each is built on first use, after the mask that asks
 for it has been validated, so a carrier that is never queried pays
 nothing, and one made by dataclasses.replace (a mutant, say) has none.
 check_axioms, residuals and ideals.ideal_quantale read one cached
-partial-order test.
+partial-order test, check_axioms and commutative one commutativity test.
 """
 
 from __future__ import annotations
@@ -162,9 +162,13 @@ class FiniteQuantale:
 
     @cached_property
     def commutative(self) -> bool:
-        mul = self.mul
-        n = len(self.elements)
-        return all(mul[x][y] == mul[y][x] for x in range(n) for y in range(x + 1, n))
+        return self._comm_fault is None
+
+    @cached_property
+    def _comm_fault(self) -> tuple[str, tuple[int, int]] | None:
+        """The first pair x < y with x & y != y & x in index order, or None."""
+        mul, n = self.mul, len(self.elements)
+        return next((("comm", (x, y)) for x in range(n) for y in range(x + 1, n) if mul[x][y] != mul[y][x]), None)
 
     @cached_property
     def zero_folds(self) -> tuple[tuple[int, ...], ...]:
@@ -518,17 +522,16 @@ def check_axioms(q: FiniteQuantale) -> AxiomReport:
 
     # the O(n^2) groups: the fast tests run only once all of them pass, and
     # the lub/glb tables are tested whole only on a partial order
-    order_f = q._order_fault
+    order_f, comm_f = q._order_fault, q._comm_fault
     bounds_f = (
         None
         if 0 <= b < n and 0 <= t < n and up[b] == down[t] == q.full
         else ("bounds", (b, t))
     )
     tables_f = None if order_f is None and _cones_match(q) else next(tables(), None)
-    comm_f, bot_f, identity_f = [
+    bot_f, identity_f = [
         next(g, None)
         for g in (
-            (("comm", (x, y)) for x in range(n) for y in range(x + 1, n) if mul[x][y] != mul[y][x]),
             (("bot_absorb", (x,)) for x in range(n) if mul[x][b] != b),  # the empty join
             (("identity", (x,)) for x in range(n) if mul[x][t] != x),
         )

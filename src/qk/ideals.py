@@ -72,7 +72,15 @@ class Ideal:
 
     @property
     def name(self) -> str:
-        return "↓" + self.carrier.elements[self.apex]
+        """↓a for a principal mask, else its member labels in braces."""
+        if self.is_principal:
+            return "↓" + self.carrier.elements[self.apex]
+        return "{" + ",".join(map(self.carrier.elements.__getitem__, bits(self.members))) + "}"
+
+    @property
+    def is_principal(self) -> bool:
+        """Whether the members are the down-set of the apex."""
+        return self.members == self.carrier.down[self.apex]
 
     @property
     def size(self) -> int:
@@ -292,10 +300,10 @@ def residual(i: Ideal, j: Ideal) -> Ideal:
     q = i.carrier
     if j.carrier is not q:
         raise _mismatch(i, j)
-    im, table = i.members, q.residuals
-    if table is not None and im == q.down[i.apex] and j.members == q.down[j.apex]:
+    table = q.residuals
+    if table is not None and i.is_principal and j.is_principal:
         return q.principals[table[j.apex][i.apex]]
-    js = list(bits(j.members))
+    im, js = i.members, list(bits(j.members))
     m = sum(1 << x for x, row in enumerate(q.mul) if all(im >> row[y] & 1 for y in js))
     return q.interned[m]
 

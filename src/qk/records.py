@@ -34,8 +34,6 @@ class Records:
 
     def render(self, fmt: str = "records") -> str:
         lines = self.lines
-        while lines and not lines[-1]:
-            lines.pop()
         if fmt == "table":
             rows = [line.partition("\t") for line in lines]
             w = max((len(k) for k, _, _ in rows), default=0) + 2

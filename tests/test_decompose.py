@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import pytest
@@ -30,6 +31,7 @@ from qk.errors import (
     NotDecomposable,
     NotPrimary,
     NotProper,
+    QuantaleError,
 )
 from qk.generators import generate_from_spec
 from qk.ideals import (
@@ -40,6 +42,7 @@ from qk.ideals import (
     whole_ideal,
     zero_ideal,
 )
+from qk.verify import single_cell_mutants
 
 from oracles import MUTANTS
 
@@ -389,3 +392,25 @@ def test_decomposition_refusals_name_their_fault(q4):
     for call, error, message in cases:
         with pytest.raises(error, match=f"^{message}$"):
             call()
+
+
+def test_uniqueness_and_quotient_refusals_on_q4_mutants(q4):
+    """The refusals that no lawful carrier reaches: x & y rewritten to top
+    at (bot, bot), or to bottom at (top, top)."""
+    mutant = {(i, j): m for i, j, m in single_cell_mutants(q4)}
+    bot_bot, top_top = mutant[0, 0], mutant[3, 3]
+    a, b = q4.index("a"), q4.index("b")
+    cases = [
+        (lambda: uniqueness_report(zero_ideal(bot_bot)),
+         "associated primes ['↓a', '↓b'] differ from colon primes ['{}', '{a}', '{b}'] at ↓bot"),
+        (lambda: uniqueness_report(zero_ideal(top_top)),
+         "isolated primes at ↓bot are not the minimal primes over it"),
+        (lambda: quotient_by_element(principal(bot_bot, a), q4.bottom),
+         "residual at an inside element must be the whole carrier"),
+        (lambda: quotient_by_element(principal(bot_bot, a), b),
+         "residual at an outside element must stay primary"),
+    ]
+    for call, message in cases:
+        with pytest.raises(QuantaleError, match=f"^{re.escape(message)}$") as e:
+            call()
+        assert type(e.value) is QuantaleError

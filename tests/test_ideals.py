@@ -35,6 +35,9 @@ from qk.ideals import (
     whole_ideal,
     zero_ideal,
 )
+from qk.verify import single_cell_mutants
+
+from oracles import SPECS
 
 
 def brute_force_ideals(q):
@@ -64,6 +67,23 @@ def test_every_ideal_is_principal(q4, m3, p3):
     for q in (q4, m3, p3):
         for i in enumerate_ideals(q):
             assert i.members == q.down[i.apex]
+
+
+def test_is_principal_and_name(q4):
+    for spec in SPECS:
+        q = generate_from_spec(spec)
+        for i in enumerate_ideals(q):
+            assert i.is_principal and i.name == "↓" + q.elements[i.apex], (spec, i.members)
+    # interned masks that are no down-set are named by their members
+    a = q4.index("a")
+    for m, name in ((0, "{}"), (1 << a, "{a}")):
+        assert not q4.interned[m].is_principal and q4.interned[m].name == name
+    # with 0 & 0 = 6 the colon prime of ↓3 is the mask 1 2 3 4 5, whose join is 5
+    l7 = generate_from_spec("lukasiewicz:7")
+    mutant = next(m for i, j, m in single_cell_mutants(l7) if (i, j) == (0, 0))
+    (p,) = dc.colon_primes(principal(mutant, mutant.index("3")))
+    assert p.members == 0b0111110 and p.apex == mutant.index("5")
+    assert not p.is_principal and p.name == "{1,2,3,4,5}"
 
 
 def test_is_ideal_rejections(q4):
