@@ -662,8 +662,6 @@ def power_of_join(q: FiniteQuantale, x: int, y: int, n: int) -> int:
     """
     if n < 0:
         raise ValueError("negative power")
-    _require_element(q, x)
-    _require_element(q, y)
     acc = q.bottom
     for k in range(n + 1):
         term = q.mul[power(q, x, n - k)][power(q, y, k)]

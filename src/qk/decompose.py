@@ -280,7 +280,8 @@ def colon_primes(i: Ideal) -> tuple[Ideal, ...]:
     """The proper prime radicals of the residuals (i : principal x), each
     once, ascending by (size, apex)."""
     q = i.carrier
-    rads = dict.fromkeys(radical(residual(i, principal(q, x))) for x in range(q.n))
+    residuals = dict.fromkeys(residual(i, principal(q, x)) for x in range(q.n))
+    rads = dict.fromkeys(radical(r) for r in residuals)
     found = [r for r in rads if r.proper and is_prime(r)]
     return tuple(sorted(found, key=lambda p: (p.size, p.apex)))
 

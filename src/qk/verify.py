@@ -853,7 +853,10 @@ def _suite_lpsp(ctx: _Ctx) -> list[_Law]:
 
     def minimal_primes(i):
         mins = cl.minimal_primes_over(i)
-        return bool(mins) and all(not any(p2 < p for p2 in cl.primes_over(i)) for p in mins)
+        if not mins:
+            return False
+        over = cl.primes_over(i)
+        return all(not any(p2 < p for p2 in over) for p in mins)
 
     def local(m):
         if not all(is_unit(q, x) for x in bits(q.full & ~m.members)):

@@ -11,6 +11,7 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qk import core
 from qk.core import AxiomReport, _cones_match, _light_passes, check_axioms
 from qk.generators import generate_from_spec
 
@@ -193,3 +194,30 @@ def test_one_element_carrier():
     broken = replace(q, down=(0,))
     assert check_axioms(broken) == _oracle(broken)
     assert check_axioms(broken).counterexamples[0] == ("partial_order", (0,))
+
+
+@pytest.mark.parametrize(
+    "spec, field, cell, v, fault",
+    [
+        ("powerset:2", "meet", (1, 2), 1, "glb"),  # {1} ^ {2} = {1}
+        ("lukasiewicz:4", "mul", (1, 2), 1, "assoc"),  # (1 & 2) & 2 = 1, 1 & (2 & 2) = 0
+        ("lowersets:chain4", "mul", (3, 3), 4, "distrib"),  # 3 & 3 = 4 > 3 & 4 = 3
+    ],
+    ids=["glb", "assoc", "distrib"],
+)
+def test_check_axioms_follows_each_fast_test(monkeypatch, spec, field, cell, v, fault):
+    # a carrier whose one fault only its group's scan finds: where the fast
+    # test of that group says "pass", check_axioms reports no fault, so a
+    # gate that always scans fails here
+    q = generate_from_spec(spec)
+    rows = [list(r) for r in getattr(q, field)]
+    i, j = cell
+    rows[i][j] = rows[j][i] = v
+    broken = replace(q, name=f"{spec}~", **{field: tuple(map(tuple, rows))})
+    assert [tag for tag, _ in check_axioms(broken).counterexamples] == [fault]
+    if fault == "distrib":  # the fast test is whether the residuation table exists
+        broken.__dict__["residuals"] = q.residuals
+    else:
+        fast = "_cones_match" if fault == "glb" else "_light_passes"
+        monkeypatch.setattr(core, fast, lambda _: True)
+    assert check_axioms(broken).ok
