@@ -75,10 +75,7 @@ from .errors import (
 if TYPE_CHECKING:
     from .ideals import Ideal
 
-# Budgets at the cap (2-core VM, Python 3.11): qk gen and qk check 10 s, qk decompose
-# --below BOTTOM 5 s.  Slowest is lowersets:chain543 (Light's test needs every element):
-# check_axioms 4.5 s, gen 5.2-6.2 s, check 4.2-5.8 s; lukasiewicz:544 0.62 s, 0.95-1.4 s.
-# decompose: irreducible 1.9-2.8 s, primary 0.8-1.2 s on both (TooLarge on the chain).
+# The budgets this cap keeps, and the measured times at it: README.md "Limits".
 ELEMENT_CAP = 544
 
 

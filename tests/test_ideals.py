@@ -205,7 +205,6 @@ def test_residual_is_largest_solution(q4, l3):
                         assert k <= r
 
 
-
 def test_residual_of_principal_ideals_reads_the_table():
     # (↓1 : ↓3) = ↓2 on the Lukasiewicz chain 0 < ... < 4; a copy whose
     # residuation table says 4 there must answer the whole carrier, so a
@@ -217,6 +216,7 @@ def test_residual_of_principal_ideals_reads_the_table():
     tampered = replace(q, name="lukasiewicz5~")
     tampered.__dict__["residuals"] = tuple(map(tuple, table))
     assert residual(principal(tampered, 1), principal(tampered, 3)) is principal(tampered, 4)
+
 
 def test_annihilator_frozen(q4):
     ann = annihilator(q4, 1 << q4.index("a"))
