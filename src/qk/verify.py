@@ -10,17 +10,19 @@ turns a crash, a scan's included, into a finding of the laws that read it.
 Quantifiers over elements and ideals are always exhausted; the exponential
 ones (subsets, pairs of subsets, families of ideals, mc sets) are sampled
 or narrowed on larger carriers, by the rules stated once with the domains
-(_Ctx), and such laws say so in their note.  Two domains run in groups
-decided at once: annihilator.antitone's exhaustive pairs by t, each
-distinct pair evaluated once, and avoidance's masks, each distinct mask
-decided from its parts outside the ideals.  A group not so passed runs
-case by case from its start and a repeated group adds its first count,
-so case counts and witnesses are those of checking every case.  Sampled
-masks are drawn from C iterators over the seeded Random.  Every other law
-runs case by case, and its repeated library calls reach the run's memos
-(_Ctx.routes): generated and annihilator once per mask where subsets
-repeat (n <= 13), and at every size each residual, radical, extension,
-contraction and idealness test.
+(_Ctx), and such laws say so in their note.  Three kinds of domain run in
+groups decided at once: annihilator.antitone's exhaustive pairs by t, each
+distinct pair evaluated once; avoidance's masks, each distinct mask
+decided from its parts outside the ideals; and the five family laws, by
+the ideal before the families, each group decided from the empty family
+and the families of one or two ideals (_Ctx.family_law).  A group not so
+passed runs case by case from its start and a repeated group adds its
+first count, so case counts and witnesses are those of checking every
+case.  Sampled masks are drawn from C iterators over the seeded Random.
+Every other law runs case by case, and its repeated library calls reach
+the run's memos (_Ctx.routes): generated and annihilator once per mask
+where subsets repeat (n <= 13), and at every size each residual, radical,
+extension, contraction and idealness test.
 A run also runs check_axioms once, and builds and checks the ideal
 carrier once.  A drawn family is the mask of its positions in the list it
 was drawn from (its pick), folded once where it is drawn; it and its
@@ -184,11 +186,13 @@ class VerificationReport:
 
 class _Axis(NamedTuple):
     """One quantified variable: a thunk giving its values, how a value
-    prints in a witness, and the note a sampled axis adds to its laws."""
+    prints in a witness, the note a sampled axis adds to its laws, and the
+    count of its values where it is known without making them."""
 
     values: Callable[[], Iterable]
     label: Callable[[object], str]
     note: str = ""
+    size: int | None = None
 
 
 class _Domain(NamedTuple):
@@ -212,9 +216,10 @@ class _Domain(NamedTuple):
 def _grouped(keys, decide, cases, witness, note="") -> _Domain:
     """The domain whose cases are cases(key) for each key of keys(), in
     order, grouped by key: decide(key, holds) decides a group at once.
-    Only annihilator.antitone's exhaustive pairs and avoidance's masks are
-    grouped: elsewhere a repeated case costs less than grouping it, as its
-    library calls are the run's memos."""
+    Only annihilator.antitone's exhaustive pairs, avoidance's masks and the
+    five family laws (_Ctx.family_law) are grouped: elsewhere a repeated
+    case costs less than grouping it, as its library calls are the run's
+    memos."""
     groups = lambda: ((k, partial(decide, k), partial(cases, k)) for k in keys())
     return _Domain(lambda: itertools.chain.from_iterable(map(cases, keys())), witness, note, groups)
 
@@ -440,10 +445,11 @@ class _Ctx:
 
     Sampled values repeat where there are fewer of them than draws (subsets
     at n <= 13, families of 9 ideals); a law over them runs case by case
-    and reaches the memos in routes.  Of these domains only the exhaustive
+    and reaches the memos in routes.  Of these domains the exhaustive
     subset_pairs has groups, one per t, each distinct pair of a t evaluated
-    once and counted as often as it repeats.  Every sampled stream of masks
-    is drawn by _draws, a C iterator over rng.getrandbits.
+    once and counted as often as it repeats, and so has family_law.  Every
+    sampled stream of masks is drawn by _draws, a C iterator over
+    rng.getrandbits.
 
       subsets            all nonempty subsets up to EXHAUST_MAX_N (8)
                          elements, else SAMPLE_COUNT (10^4) nonempty draws
@@ -461,7 +467,10 @@ class _Ctx:
                          to EXHAUST_MAX_N ideals (every_family, one list for
                          the run), else SAMPLE_COUNT // 10 (10^3) draws, each
                          a _Family with its pick, join and meet, folded
-                         through folds, the _Folds of ideals
+                         through folds, the _Folds of ideals; the family
+                         laws' groups (family_law) are decided from the run's
+                         small_families, the empty family and those of one
+                         or two ideals, where they are fewer
       subfamilies        (key, f) for each group (key, items) a law supplies
                          and each nonempty subfamily f of items, a _Family
                          folded through one _Folds per group: all of them
@@ -643,8 +652,50 @@ class _Ctx:
             return list(map(partial(_pick, self.folds), picks))
 
         if k <= EXHAUST_MAX_N:
-            return _Axis(lambda: self.every_family, str)
-        return _Axis(draws, str, "sampled")
+            return _Axis(lambda: self.every_family, str, size=1 << k)
+        return _Axis(draws, str, "sampled", SAMPLE_COUNT // 10)
+
+    @cached_property
+    def small_families(self) -> list[_Family]:
+        """The empty family and those of one or two ideals, folded once for
+        the run: k(k+1)/2 + 1 of them for k ideals."""
+        k = len(self.ideals)
+        picks = (1 << i | 1 << j for i in range(k) for j in range(i, k))
+        return [_pick(self.folds, p) for p in itertools.chain((0,), picks)]
+
+    def family_law(self, tag: str, before: _Axis | None = None, after: _Axis | None = None) -> _Domain:
+        """_over(before, F, after), F the families axis of tag and an absent
+        axis left out, grouped by the value of before (or one group).  Where
+        the run has lattice_ok and small_families are fewer than F's values,
+        a group passes if the law holds on each small family; else it runs
+        case by case, F drawn once for all groups.
+
+        Sound only for a law that a map of ideals takes a family's join
+        (meet) to the join (meet) of its images, or below or above it.  Under
+        lattice_ok the join or meet of listed ideals is a listed principal
+        ideal, and _Folds gives the lub or glb in any order of the fold.  By
+        induction on a family F of three or more, i in F, G the rest and j
+        the listed join (meet) of G: F's join (meet) is that of {j, i}, a
+        small family, and G's images fold to j's image (or below or above
+        it, ideal join and mask AND being monotone), so F's images fold as
+        those of {j, i}, where the law holds."""
+        F = self.families(tag)
+        drawn = cache(F.values)
+
+        def cases(key, families=drawn):
+            lead = () if before is None else ((key,),)
+            return itertools.product(*lead, families(), *(() if after is None else (after.values(),)))
+
+        def decide(key, holds):
+            if not self.axioms.lattice_ok or len(self.small_families) >= F.size:
+                return None
+            if all(itertools.starmap(holds, cases(key, lambda: self.small_families))):
+                return F.size * (1 if after is None else len(after.values()))
+            return None
+
+        keys = (lambda: [None]) if before is None else before.values
+        flat = _over(*(a for a in (before, F, after) if a is not None))
+        return _grouped(keys, decide, cases, flat.witness, flat.note)
 
     def subfamilies(self, tag: str, groups: Callable[[], Iterable[tuple]]) -> _Domain:
         """groups() yields (key, items) pairs; a witness is the key's name
@@ -720,7 +771,7 @@ def _suite_lemma_bip(ctx: _Ctx) -> list[_Law]:
 
 
 def _suite_proposition_bpi(ctx: _Ctx) -> list[_Law]:
-    q, I, F = ctx.q, ctx.axis("ideals"), ctx.families
+    q, I, F = ctx.q, ctx.axis("ideals"), ctx.family_law
     I2, I3 = _over(I, I), _over(I, I, I)
     whole, zero = il.whole_ideal(q), il.zero_ideal(q)
     prod, meet, join = il.product_ideals, il.meet_ideals, il.join_ideals
@@ -743,7 +794,7 @@ def _suite_proposition_bpi(ctx: _Ctx) -> list[_Law]:
         _Law("product_comm", I2, lambda a, b: prod(a, b) == prod(b, a)),
         _Law("whole_is_unit", _over(I), lambda a: prod(whole, a) == a),
         _Law("zero_annihilates", _over(I), lambda a: prod(zero, a) == zero),
-        _Law("product_join_distrib", _over(I, F("bpi.product_join_distrib")),
+        _Law("product_join_distrib", F("bpi.product_join_distrib", before=I),
              lambda a, f: prod(a, f.join) == prods(a).join(f.pick)),
         _Law("product_below_meet", I2, lambda a, b: prod(a, b) <= meet(a, b)),
         _Law("product_meet_below", I3,
@@ -758,9 +809,9 @@ def _suite_proposition_bpi(ctx: _Ctx) -> list[_Law]:
         _Law("residual_whole_iff", I2, lambda a, b: (b <= a) == res(a, b).is_whole),
         _Law("residual_by_whole", _over(I), lambda a: res(a, whole) == a),
         _Law("below_residual_of_product", I2, lambda a, b: a <= res(prod(a, b), b)),
-        _Law("residual_meet_family", _over(F("bpi.residual_meet_family"), I),
+        _Law("residual_meet_family", F("bpi.residual_meet_family", after=I),
              lambda f, b: res(f.meet, b) == res_col(b).meet(f.pick)),
-        _Law("residual_join_family", _over(I, F("bpi.residual_join_family")),
+        _Law("residual_join_family", F("bpi.residual_join_family", before=I),
              lambda a, f: res_row(a).meet(f.pick) <= res(a, f.join)),
         _Law("residual_iterated", I3, residual_iterated),
         _Law("residual_join_absorb", I2, lambda a, b: res(a, b) == res(a, join(a, b))),
@@ -968,7 +1019,7 @@ def _suite_radical_lemma(ctx: _Ctx) -> list[_Law]:
         _Law("power_stable", _over(I),
              lambda i: rad(prod(i, i)) == rad(i) and rad(prod(prod(i, i), i)) == rad(i)),
         _Law("meet_and_product", I2, meet_and_product),
-        _Law("join_family_below", _over(ctx.families("radical.join_family")),
+        _Law("join_family_below", ctx.family_law("radical.join_family"),
              lambda f: routes.rads().join(f.pick) <= rad(f.join)),
         _Law("whole_iff", _over(I), lambda i: rad(i).is_whole == i.is_whole),
         _Law("join_radical_collapse", I2,
@@ -1062,7 +1113,7 @@ def _suite_primary(ctx: _Ctx) -> list[_Law]:
     return [
         _Law("prime_implies_primary", _over(ctx.axis("primes")), primary),
         _Law("radical_smallest_prime_over", _over(ctx.axis("primaries")), smallest_prime),
-        _Law("radical_meet_family", _over(ctx.families("primary.radical_meet_family")),
+        _Law("radical_meet_family", ctx.family_law("primary.radical_meet_family"),
              lambda f: rad(f.meet) == rads().meet(f.pick)),
         _Law("p_primary_meet_closed", families, lambda p, f: primary(f.meet) and rad(f.meet) == p),
     ]

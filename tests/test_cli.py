@@ -446,3 +446,46 @@ def test_a_closed_pipe_is_a_usage_error(capsys, monkeypatch):
     code, _, err = run(capsys, "check", Q4)
     assert code == 2
     assert err == "qk: closed pipe\n"
+
+
+def _workflow_rows(text):
+    """(command, carrier) -> (timeout, exit status) of each row of the
+    table-driven CI step: the file $f dropped, the --below label read as
+    BOTTOM, and a gen row without a file named by the spec it makes."""
+    body = text.split("<<'ROWS'\n", 1)[1].split("\n          ROWS\n", 1)[0]
+    rows = {}
+    for line in body.splitlines():
+        limit, want, spec, args = line.split(None, 3)
+        words = args.replace("$f", "").split()
+        if "--below" in words:
+            words[words.index("--below") + 1] = "BOTTOM"
+        if spec == "-" and words[0] == "gen":
+            spec = words.pop(1)
+        assert (" ".join(words), spec) not in rows, line
+        rows[" ".join(words), spec] = (int(limit), int(want))
+    return rows
+
+
+def test_readme_limits_match_the_ci_rows():
+    # every README "Limits" row with a CI timeout is run by CI with that
+    # timeout and exit status: a row of the table-driven step or, for a
+    # file its own step edits, a step that makes, times and tests it
+    root = Path(__file__).parent.parent
+    workflow = (root / ".github" / "workflows" / "tier1.yml").read_text(encoding="utf-8")
+    rows = _workflow_rows(workflow)
+    steps = workflow.split("- name: ")
+    limits = (root / "README.md").read_text(encoding="utf-8").split("## Limits\n", 1)[1]
+    checked = 0
+    for line in limits.split("\n## ", 1)[0].splitlines():
+        cells = [c.strip() for c in line.strip("|").split("|")]
+        if not line.startswith("| `") or not cells[4]:
+            continue
+        command, carrier = cells[0].strip("`"), cells[1].split("`")[1]
+        timeout, status = int(cells[4].removesuffix(" s")), int(cells[6].split()[0])
+        if cells[1] == f"`{carrier}`":
+            assert rows.get((command, carrier)) == (timeout, status), line
+        else:
+            runs = (f"qk gen {carrier} ", f"timeout {timeout} python -m qk {command} ", f"-eq {status}\n")
+            assert any(all(r in step for r in runs) for step in steps), line
+        checked += 1
+    assert checked == 21

@@ -9,23 +9,39 @@ avoidance decide refuses a mask reach the fallback, and synthetic domains pin
 the edge cases.
 """
 
+from collections import Counter
 from dataclasses import replace
 
 import pytest
 
 from oracles import MUTANTS, MUTATION_MUTANTS, flat_run
 from qk import classify, verify
+from qk.core import check_axioms
 from qk.decompose import MINIMAL_PICKS_MAX, all_minimal_decompositions, uniqueness_report
 from qk.errors import TooLarge
 from qk.generators import generate_from_spec
 from qk.ideals import zero_ideal
-from qk.verify import EXHAUST_MAX_N, SUITE_ORDER, _Ctx, _Domain, _grouped, _Law, _check, run_suite
+from qk.verify import (
+    EXHAUST_MAX_N,
+    SAMPLE_COUNT,
+    SUITE_ORDER,
+    _Ctx,
+    _Domain,
+    _grouped,
+    _Law,
+    _check,
+    _over,
+    _run,
+    run_suite,
+)
 
 SEEDS = (0, 1, 7)
-# sampled subsets repeat at 9 <= n <= 13 and families at 9 ideals
-# (lukasiewicz:9 and lowersets:4:0<1,2<3, whose 9 lower sets are its ideals),
-# and run case by case; annihilator.antitone's pairs (n <= 8) are grouped
-# per t and avoidance's masks are grouped by mask
+# sampled subsets repeat at 9 <= n <= 13 and run case by case, as do
+# families of 9 ideals (lukasiewicz:9 and lowersets:4:0<1,2<3, whose 9 lower
+# sets are its ideals) outside the five family laws;
+# annihilator.antitone's pairs (n <= 8) are grouped per t, avoidance's masks
+# by mask, and the family laws by the ideal before their families, each
+# group decided from the small families
 SPECS = (
     "lukasiewicz:9",
     "lukasiewicz:12",
@@ -71,9 +87,9 @@ def test_antitone_tallies_match_the_flat_loop_on_mutation_mutants(monkeypatch):
     ["lukasiewicz:8", "lukasiewicz:9", "lukasiewicz:13", "lukasiewicz:14", "lowersets:4:0<1,2<3"],
 )
 def test_only_antitone_pairs_and_avoidance_masks_are_drawn(spec):
-    # no _over domain skips a repeated case, sampled subsets and families
-    # included: of every table, only annihilator.antitone's exhaustive pairs
-    # (n <= 8) and avoidance's masks (at every n) are grouped
+    # no _over domain skips a repeated case, sampled subsets included: of
+    # every table, only annihilator.antitone's exhaustive pairs (n <= 8),
+    # avoidance's masks and the five family laws (at every n) are grouped
     ctx = _Ctx(generate_from_spec(spec), 0)
     domains = {
         f"{s}.{law.name}": law.domain
@@ -83,7 +99,8 @@ def test_only_antitone_pairs_and_avoidance_masks_are_drawn(spec):
     }
     grouped = {name for name, d in domains.items() if d.groups is not None}
     antitone = {"annihilator.antitone"} if ctx.q.n <= EXHAUST_MAX_N else set()
-    assert grouped == {"avoidance.witness_outside_union"} | antitone
+    family = {f"{s}.{name}" for name, (s, _, _) in FAMILY_LAWS.items()}
+    assert grouped == {"avoidance.witness_outside_union"} | antitone | family
 
 
 def _join_rewrites(q):
@@ -97,6 +114,101 @@ def _join_rewrites(q):
                 yield replace(q, name=f"{q.name}~j{i},{j}={v}", join=tuple(map(tuple, rows)))
 
 
+# each family law: its suite, its families tag, and its axes in order (I
+# the ideals, F the families)
+FAMILY_LAWS = {
+    "product_join_distrib": ("proposition_bpi", "bpi.product_join_distrib", "IF"),
+    "residual_meet_family": ("proposition_bpi", "bpi.residual_meet_family", "FI"),
+    "residual_join_family": ("proposition_bpi", "bpi.residual_join_family", "IF"),
+    "join_family_below": ("radical_lemma", "radical.join_family", "F"),
+    "radical_meet_family": ("primary", "primary.radical_meet_family", "F"),
+}
+
+
+def _family_laws(q, seed=0):
+    """The context of a run on q and its five family laws, with their suites."""
+    ctx = _Ctx(q, seed)
+    suites = dict.fromkeys(s for s, _, _ in FAMILY_LAWS.values())
+    return ctx, [
+        (s, law)
+        for s in suites
+        for law in getattr(verify, "_suite_" + s)(ctx)
+        if law.name in FAMILY_LAWS
+    ]
+
+
+def _family_verdicts(q, seed=0):
+    """Each family law's decide verdicts, group by group up to the first
+    refused, after checking that its row is the flat loop's over the plain
+    product of its axes."""
+    ctx, laws = _family_laws(q, seed)
+    verdicts = {}
+    for _, law in laws:
+        _, tag, shape = FAMILY_LAWS[law.name]
+        plain = _over(*(ctx.axis("ideals") if c == "I" else ctx.families(tag) for c in shape))
+        assert _run(law) == flat_run(law) == flat_run(law._replace(domain=plain)), (q.name, law.name)
+        verdicts[law.name] = []
+        for _, decide, _ in law.domain.groups():
+            verdicts[law.name].append(decide(law.holds))
+            if verdicts[law.name][-1] is None:
+                break
+    return ctx, verdicts
+
+
+def test_family_laws_match_the_flat_loop_on_mutation_mutants():
+    # a group refused after earlier groups passed runs case by case from
+    # its own start
+    later = Counter()
+    for q in MUTATION_MUTANTS:
+        _, verdicts = _family_verdicts(q)
+        later.update(name for name, v in verdicts.items() if len(v) > 1 and v[-1] is None)
+    assert later == {"product_join_distrib": 26, "residual_join_family": 3}
+
+
+@pytest.mark.parametrize(
+    "spec, small, decided", [("lukasiewicz:44", 991, True), ("lukasiewicz:45", 1036, False)]
+)
+def test_family_laws_are_decided_while_the_small_families_are_fewer(spec, small, decided):
+    # 44 ideals make 991 small families, fewer than the 10^3 draws; 45 make 1,036
+    ctx, verdicts = _family_verdicts(generate_from_spec(spec))
+    assert len(ctx.small_families) == small and (small < SAMPLE_COUNT // 10) == decided
+    for v in verdicts.values():
+        assert None not in v if decided else v == [None]
+
+
+@pytest.mark.parametrize("spec", ["lukasiewicz:12", "powerset:4", "powerset:3"])
+def test_family_laws_fold_only_the_small_families(spec, monkeypatch):
+    # each law passes from the empty family and the families of one or two
+    # ideals: no family outside them is drawn or folded
+    folded = []
+    for name in ("join", "meet"):
+        fold = getattr(verify._Folds, name)
+        monkeypatch.setattr(
+            verify._Folds, name, lambda self, pick, fold=fold: folded.append(pick) or fold(self, pick)
+        )
+    _, laws = _family_laws(generate_from_spec(spec))
+    rows = [_check(s, [law])[0] for s, law in laws]
+    assert len(rows) == 5 and all(r.status == "pass" for r in rows)
+    assert folded and max(p.bit_count() for p in folded) == 2
+
+
+def _join_rewrite_carriers():
+    rewrites = [
+        m for spec in ("powerset:2", "lukasiewicz:4", "m3")
+        for m in _join_rewrites(generate_from_spec(spec))
+    ]
+    assert len(rewrites) == 165 and all(m.commutative for m in rewrites)
+    return rewrites
+
+
+def test_family_laws_run_flat_on_join_rewrites():
+    # a rewritten join cell fails lattice_ok, so no group is decided
+    for q in _join_rewrite_carriers():
+        assert not check_axioms(q).lattice_ok, q.name
+        _, verdicts = _family_verdicts(q)
+        assert all(v == [None] for v in verdicts.values()), q.name
+
+
 def test_avoidance_fallback_matches_the_flat_loop_on_join_rewrites(monkeypatch):
     # On a lattice join a join-closed mask contains its own join, so an ideal
     # holding that join holds the whole mask: the join lies outside every
@@ -105,11 +217,7 @@ def test_avoidance_fallback_matches_the_flat_loop_on_join_rewrites(monkeypatch):
     # other test reaches the fallback.  A rewritten join cell can: 12 of these
     # carriers fail, each on a mask the decide refuses and runs case by case
     # through classify._avoiding.
-    rewrites = [
-        m for spec in ("powerset:2", "lukasiewicz:4", "m3")
-        for m in _join_rewrites(generate_from_spec(spec))
-    ]
-    assert len(rewrites) == 165 and all(m.commutative for m in rewrites)
+    rewrites = _join_rewrite_carriers()
     failed = set()
     for q in rewrites:
         for seed in (0, 7):

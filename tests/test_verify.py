@@ -388,8 +388,9 @@ def test_subset_memo_leaves_every_law_result_unchanged(q, hom, monkeypatch):
 @pytest.mark.parametrize("q", [lukasiewicz_quantale(12), powerset_quantale(4)], ids=lambda q: q.name)
 def test_proposition_bpi_reaches_the_library_once_per_pair_and_family(q, monkeypatch):
     # each residual of two ideals is computed once, and the fold tables of
-    # each row and of the drawn families' list are built once for the run:
-    # one set per row and kind its law reads, not one per drawn family
+    # each row and of the list of ideals the families are picked from are
+    # built once for the run: one set per row and kind its law reads, not
+    # one per family
     residuals = _counted(monkeypatch, ideals, "residual")
     built, byte_folds = [], verify._byte_folds
     monkeypatch.setattr(verify, "_byte_folds", lambda *args: built.append(args) or byte_folds(*args))
@@ -400,20 +401,19 @@ def test_proposition_bpi_reaches_the_library_once_per_pair_and_family(q, monkeyp
     routes = ctx.routes
     rows = [r.cache_info().currsize for r in (routes.prods, routes.res_row, routes.res_col)]
     assert rows == [len(ctx.ideals)] * 3
-    # prods(a) is joined, res_row(a) and res_col(b) are met, and the
-    # families' list is both joined and met
+    # prods(a) is joined, res_row(a) and res_col(b) are met, and the list
+    # of ideals is both joined and met, for the small families
     assert len(built) == sum(rows) + 2
 
-    # product_join_distrib takes the product of a with each family's join,
-    # once per case, and each product of two ideals once, for the row of a
+    # product_join_distrib takes the product of a with the join of each of
+    # the small families that decide its group, and each product of two
+    # ideals once, for the row of a
     ctx = _Ctx(q, 0)
     products = _counted(monkeypatch, ideals, "product_ideals")
     laws = verify._suite_proposition_bpi(ctx)
     [law] = [law for law in laws if law.name == "product_join_distrib"]
     assert verify._run(law)[0] == "pass"
-    joins = Counter(
-        (a, f.join) for a in ctx.ideals for f in ctx.families("bpi.product_join_distrib").values()
-    )
+    joins = Counter((a, f.join) for a in ctx.ideals for f in ctx.small_families)
     assert products == joins + Counter(product(ctx.ideals, repeat=2))
 
 
