@@ -687,7 +687,8 @@ class _Ctx:
             return itertools.product(*lead, families(), *(() if after is None else (after.values(),)))
 
         def decide(key, holds):
-            if not self.axioms.lattice_ok or len(self.small_families) >= F.size:
+            k = len(self.ideals)  # small_families' count, without building them
+            if not self.axioms.lattice_ok or k * (k + 1) // 2 + 1 >= F.size:
                 return None
             if all(itertools.starmap(holds, cases(key, lambda: self.small_families))):
                 return F.size * (1 if after is None else len(after.values()))

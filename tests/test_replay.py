@@ -36,12 +36,12 @@ from qk.verify import (
 )
 
 SEEDS = (0, 1, 7)
-# sampled subsets repeat at 9 <= n <= 13 and run case by case, as do
-# families of 9 ideals (lukasiewicz:9 and lowersets:4:0<1,2<3, whose 9 lower
-# sets are its ideals) outside the five family laws;
-# annihilator.antitone's pairs (n <= 8) are grouped per t, avoidance's masks
-# by mask, and the family laws by the ideal before their families, each
-# group decided from the small families
+# sampled subsets repeat at 9 <= n <= 13 and run case by case; families
+# repeat at 9 ideals (lukasiewicz:9 and lowersets:4:0<1,2<3, whose 9 lower
+# sets are its ideals), and the five family laws over them are grouped by
+# the ideal before their families, each group decided from the small
+# families; annihilator.antitone's pairs (n <= 8) are grouped per t and
+# avoidance's masks by mask
 SPECS = (
     "lukasiewicz:9",
     "lukasiewicz:12",
