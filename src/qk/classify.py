@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .core import FiniteQuantale, _subset_mask, bits
+from .core import FiniteQuantale, _require_element, _subset_mask, bits
 from .errors import (
     CarrierMismatch,
     Degenerate,
@@ -344,7 +344,7 @@ def mc_set(q: FiniteQuantale, subset) -> McSet:
 def mc_generated(q: FiniteQuantale, x: int) -> McSet:
     """Least mc set containing x: the unit together with all powers of x."""
     require_commutative(q)
-    _subset_mask(q, [x])
+    _require_element(q, x)
     return McSet(q, q.powers[x] | 1 << q.top)
 
 

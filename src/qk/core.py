@@ -31,9 +31,11 @@ x and b, the set {y : x & y <= b} is a principal down-set, which is
 whether the residuation table q.residuals exists (see there).
 Associativity then follows from Light's test: the row identity for each
 middle element of a small set that generates the carrier under joins and &
-(_light_passes).  A fast test that says "fail" hands over to its scan,
-which finds the first fault in index order, so the report is the scan's
-either way.  The lub/glb group works the same way at O(n^2): once the
+(_light_passes).  Where & is the meet table, as on every lowersets,
+powerset and opens carrier and their ideal carriers, it is the glb of a
+lattice and associative, and Light's test passes without a row compare.
+A fast test that says "fail" hands over to its scan, which finds the
+first fault in index order, so the report is the scan's either way.  The lub/glb group works the same way at O(n^2): once the
 order is a partial order, a symmetric join table passes when each cell's
 up-cone is the common up-cone of its pair, and meet dually (_cones_match);
 any other table is scanned cell by cell.
@@ -115,8 +117,7 @@ def _subset_mask(q: FiniteQuantale, s: Iterable[int] | int) -> int:
 
 
 def _require_element(q: FiniteQuantale, x: int) -> None:
-    """Refuse an index outside q as _subset_mask does, with one range test
-    (for the element arithmetic the suites call in their inner loops)."""
+    """Refuse an index outside q as _subset_mask does, with one range test."""
     if not 0 <= x < q.n:
         raise QuantaleError(f"indices [{x}] are not elements of {q.name} (n={q.n})")
 
@@ -319,8 +320,6 @@ def _closure_up(n: int, pairs: Iterable[tuple[int, int]]) -> list[int]:
         up[lo] |= 1 << hi
     for k in range(n):
         bit, row = 1 << k, up[k]
-        if row == bit:  # nothing above k: the pass would change no row
-            continue
         for i in range(n):
             if up[i] & bit:
                 up[i] |= row
@@ -604,8 +603,11 @@ def _light_passes(q: FiniteQuantale) -> bool:
     follows once the row identity of a holds for each a in a set G that
     generates the carrier from bottom and top under joins and &.  G is
     greedy, top-down: an element joins G when the closure of the elements
-    before it misses it.
+    before it misses it.  Where & is the meet table it is the glb of a
+    lattice, which is associative, and no row is compared.
     """
+    if q.mul == q.meet:
+        return True
     join, mul, n = q.join, q.mul, q.n
     inside: set[int] = set()
     members: list[int] = []

@@ -35,6 +35,7 @@ from .core import (
     ELEMENT_CAP,
     FiniteQuantale,
     QuantaleHom,
+    _require_element,
     _subset_mask,
     bits,
     build_quantale,
@@ -175,7 +176,7 @@ def as_ideal(q: FiniteQuantale, subset: Iterable[int] | int) -> Ideal:
 
 def principal(q: FiniteQuantale, a: int) -> Ideal:
     """The down-set of a single element."""
-    _subset_mask(q, [a])
+    _require_element(q, a)
     return q.principals[a]
 
 

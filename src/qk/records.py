@@ -28,9 +28,8 @@ class Records:
         self.lines.append(f"{key}\t{value_text(value)}")
 
     def sep(self) -> None:
-        """End the current record, if there is one."""
-        if self.lines and self.lines[-1]:
-            self.lines.append("")
+        """End the current record."""
+        self.lines.append("")
 
     def render(self, fmt: str = "records") -> str:
         lines = self.lines

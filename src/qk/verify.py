@@ -171,14 +171,12 @@ class VerificationReport:
         return out.render()
 
     def _law_table(self) -> str:
-        w = max(len(f"{r.suite}.{r.law}") for r in self.results) + 2
-        lines = [f"{'law':<{w}}{'status':<9}{'checked':<9}detail"]
+        out = Records()
+        out.put("law", f"{'status':<9}{'checked':<9}detail")
         for r in self.results:
             detail = " ".join(r.witness) if r.witness else r.note
-            lines.append(
-                f"{r.suite + '.' + r.law:<{w}}{r.status:<9}{r.checked:<9}{detail}".rstrip()
-            )
-        return "\n".join(lines) + "\n"
+            out.put(f"{r.suite}.{r.law}", f"{r.status:<9}{r.checked:<9}{detail}".rstrip())
+        return out.render("table")
 
 
 # --- domains and the law runner ----------------------------------------
@@ -464,13 +462,13 @@ class _Ctx:
                          _PAIR_EXHAUST_MAX_N (6) elements, else
                          SAMPLE_COUNT drawn pairs
       families           all families of ideals, the empty one included, up
-                         to EXHAUST_MAX_N ideals (every_family, one list for
-                         the run), else SAMPLE_COUNT // 10 (10^3) draws, each
-                         a _Family with its pick, join and meet, folded
-                         through folds, the _Folds of ideals; the family
-                         laws' groups (family_law) are decided from the run's
-                         small_families, the empty family and those of one
-                         or two ideals, where they are fewer
+                         to EXHAUST_MAX_N ideals, else SAMPLE_COUNT // 10
+                         (10^3) draws, each a _Family with its pick, join
+                         and meet, folded through folds, the _Folds of
+                         ideals; the family laws' groups (family_law) are
+                         decided from the run's small_families, the empty
+                         family and those of one or two ideals, where they
+                         are fewer
       subfamilies        (key, f) for each group (key, items) a law supplies
                          and each nonempty subfamily f of items, a _Family
                          folded through one _Folds per group: all of them
@@ -638,21 +636,12 @@ class _Ctx:
             return _Domain(lambda: _overlapping(itertools.product(masks, masks)), self._pair_witness)
         return _Domain(draws, self._pair_witness, "sampled")
 
-    @cached_property
-    def every_family(self) -> list[_Family]:
-        """Every family of ideals, the empty one included, folded once for
-        the run: the families axis up to EXHAUST_MAX_N ideals."""
-        return [_pick(self.folds, p) for p in range(1 << len(self.ideals))]
-
     def families(self, tag: str) -> _Axis:
         k = len(self.ideals)
-
-        def draws():
-            picks = itertools.islice(_draws(self.rng(tag), k), SAMPLE_COUNT // 10)
-            return list(map(partial(_pick, self.folds), picks))
-
+        fold = lambda picks: list(map(partial(_pick, self.folds), picks))
         if k <= EXHAUST_MAX_N:
-            return _Axis(lambda: self.every_family, str, size=1 << k)
+            return _Axis(lambda: fold(range(1 << k)), str, size=1 << k)
+        draws = lambda: fold(itertools.islice(_draws(self.rng(tag), k), SAMPLE_COUNT // 10))
         return _Axis(draws, str, "sampled", SAMPLE_COUNT // 10)
 
     @cached_property

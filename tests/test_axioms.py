@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 from qk import core
 from qk.core import AxiomReport, _cones_match, _light_passes, check_axioms
 from qk.generators import generate_from_spec
+from qk.ideals import ideal_quantale
 
 _SMALL = [
     "lukasiewicz:1",
@@ -221,3 +222,20 @@ def test_check_axioms_follows_each_fast_test(monkeypatch, spec, field, cell, v, 
         fast = "_cones_match" if fault == "glb" else "_light_passes"
         monkeypatch.setattr(core, fast, lambda _: True)
     assert check_axioms(broken).ok
+
+
+@pytest.mark.parametrize(
+    "spec", ["lowersets:chain8", "lowersets:4:0<1,2<3", "powerset:4", "opens:3:-,0,01,012"]
+)
+def test_light_passes_at_once_where_the_product_is_the_meet(monkeypatch, spec):
+    # & is the glb of a lattice on these carriers and their ideal carriers,
+    # so Light's test builds no generating set: a copy that does fails here
+    def no_generating_set(_):
+        raise AssertionError("Light's test built a generating set")
+
+    q = generate_from_spec(spec)
+    for c in (q, ideal_quantale(q).quantale):
+        assert c.mul == c.meet and c.residuals is not None
+        with monkeypatch.context() as m:
+            m.setattr(core, "_bottom_up", no_generating_set)
+            assert check_axioms(c).ok, c.name
