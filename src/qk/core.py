@@ -35,10 +35,11 @@ middle element of a small set that generates the carrier under joins and &
 powerset and opens carrier and their ideal carriers, it is the glb of a
 lattice and associative, and Light's test passes without a row compare.
 A fast test that says "fail" hands over to its scan, which finds the
-first fault in index order, so the report is the scan's either way.  The lub/glb group works the same way at O(n^2): once the
-order is a partial order, a symmetric join table passes when each cell's
-up-cone is the common up-cone of its pair, and meet dually (_cones_match);
-any other table is scanned cell by cell.
+first fault in index order, so the report is the scan's either way.
+The lub/glb group works the same way at O(n^2): once the order is a
+partial order, a symmetric join table passes when each cell's up-cone is
+the common up-cone of its pair, and meet dually (_cones_match); any
+other table is scanned cell by cell.
 
 Carriers and homomorphisms are immutable and meant to be reused: each
 carries lazy element tables and memos of the ideal calculus that hold
