@@ -49,8 +49,6 @@ from .errors import (
     UndeclaredLabel,
 )
 from .generators import (
-    all_posets,
-    all_topologies,
     generate,
     lowersets_quantale,
     lukasiewicz_quantale,

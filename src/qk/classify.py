@@ -1,7 +1,7 @@
 """Classification of ideals: prime, semiprime, primary, radicals, spectra,
 multiplicatively closed sets and saturation.
 
-The radical of an ideal is computed by three independent routes that the
+The radical of an ideal is computed by two independent routes that the
 verification suites require to agree:
 
   powers   x belongs iff one of x, x^2, ... does; q.powers holds each
@@ -9,9 +9,10 @@ verification suites require to agree:
            n-element carrier)
   primes   intersection of the prime ideals containing the target (the
            empty intersection is the whole carrier)
-  mcsets   an element belongs iff every multiplicatively closed set
-           containing it meets the target; since the closure of a single
-           element is the least such set, testing it decides the lot
+
+The mc-set form (x belongs iff every multiplicatively closed set holding x
+meets the target) is the verify law saturation.mc_radical_decider, not a
+route: its least set, mc_generated(x), adds only top to the powers of x.
 
 Primality requires properness throughout; being semiprime deliberately
 does not (the whole carrier vacuously satisfies the square condition and
@@ -59,7 +60,9 @@ MC_SETS_MAX_N = 20
 
 
 def is_prime(i: Ideal) -> bool:
-    """Proper, and x & y inside forces x or y inside."""
+    """Proper, and x & y inside forces x or y inside.  A scan: reading
+    q.residuals would make qk spectrum, which loads files unchecked, build
+    it, which on lukasiewicz:128 costs more than the whole spectrum."""
     return i.proper and _prime_witness(i) is None
 
 
@@ -181,17 +184,8 @@ def _radical_primes(i: Ideal) -> Ideal:
     return meet_all(i.carrier, primes_over(i))
 
 
-def _radical_mcsets(i: Ideal) -> Ideal:
-    q = i.carrier
-    out = 0
-    for x in range(q.n):
-        if mc_generated(q, x).members & i.members:
-            out |= 1 << x
-    return q.interned[out]
-
-
 # the radical routes by name, in the order the collapse suite compares them
-RADICAL_ROUTES = {"powers": _radical_powers, "primes": _radical_primes, "mcsets": _radical_mcsets}
+RADICAL_ROUTES = {"powers": _radical_powers, "primes": _radical_primes}
 
 
 def radical(i: Ideal, algorithm: str = next(iter(RADICAL_ROUTES))) -> Ideal:
@@ -220,8 +214,8 @@ def _extremal(family: list[Ideal], smallest: bool = False) -> list[Ideal]:
     (the minimal ones if smallest), in the family's order.  The masks are
     walked largest first, each kept unless it lies inside one kept before:
     a member that is not maximal lies strictly inside a maximal one, which
-    is larger and so was kept first.  The minimal ones are the maximal
-    complements."""
+    is larger and so was kept first (k·M mask tests for M maxima, not k^2).
+    The minimal ones are the maximal complements."""
     flip = family[0].carrier.full if smallest and family else 0
     kept: list[int] = []
     for m in sorted({i.members ^ flip for i in family}, key=int.bit_count, reverse=True):

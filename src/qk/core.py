@@ -583,7 +583,8 @@ def _cones_match(q: FiniteQuantale) -> bool:
     order is a partial order.  There the common upper bounds C = up[i] &
     up[j] have l as least member iff up[l] == C (l in C gives up[l] <= C by
     transitivity, and l in up[l]), and dually with down.  On a symmetric
-    table the cells from the diagonal on decide the rest."""
+    table the cells from the diagonal on decide the rest.  Where down[i]
+    lacks its own bit, join[i][i] = i matches its cone but is no upper bound."""
     for table, cones in ((q.join, q.up), (q.meet, q.down)):
         if tuple(zip(*table)) != table:
             return False

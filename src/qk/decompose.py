@@ -16,7 +16,9 @@ check verifies both directions on the given instance.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import prod
+from functools import reduce
+from itertools import count
+from operator import and_
 
 from .core import FiniteQuantale, bits
 from .errors import (
@@ -47,8 +49,8 @@ from .classify import (
     radical,
 )
 
-# picks all_minimal_decompositions may try: 2^16 takes about 0.5 s (the zero
-# ideal of lowersets:chain16); the bundled and benchmark carriers need at most 20
+# search nodes all_minimal_decompositions may visit; the zero ideal of lukasiewicz:n
+# takes n (544 at the cap), the most of any bundled, golden, test or benchmark carrier
 MINIMAL_PICKS_MAX = 1 << 16
 
 
@@ -202,43 +204,49 @@ def irreducible_decomposition(i: Ideal) -> Decomposition:
 def all_minimal_decompositions(i: Ideal) -> list[tuple[Ideal, ...]]:
     """Every minimal primary decomposition of i, as component tuples.
 
-    A pick is a bitmask over the primary ideals containing i (ascending by
-    size).  Radicals must be distinct, so only picks of at most one ideal
-    per radical are tried: the product of (group size + 1) over the radical
-    groups, not every subset.  That is 2^k for k one-member groups (every
-    proper ideal of lowersets:chainN over the zero ideal), so above
-    MINIMAL_PICKS_MAX picks it raises TooLarge before building them.
-    Results come in ascending pick order.
+    A depth-first search takes at most one primary ideal over i per radical
+    group, in group order.  A branch ends when its meet is i, stops before
+    a group when the meet of its components and of every candidate from
+    that group on is not i, and skips a candidate that does not shrink its
+    meet or makes a chosen component redundant (redundancy only grows as
+    components are added).  Above MINIMAL_PICKS_MAX search nodes it raises
+    TooLarge.  Results come in ascending order of their pick, the bitmask
+    of their positions among the candidates (ascending by size).
     """
     return _all_minimal_decompositions(i, primary_candidates(i))
 
 
 def _all_minimal_decompositions(i: Ideal, cands: list[Ideal]) -> list[tuple[Ideal, ...]]:
     """all_minimal_decompositions of i from its primary_candidates."""
-    q = i.carrier
     groups: dict[int, list[int]] = {}
     for k, c in enumerate(cands):
-        groups.setdefault(radical(c).members, []).append(1 << k)
-    tries = prod(len(group) + 1 for group in groups.values())
-    if tries > MINIMAL_PICKS_MAX:
-        raise TooLarge(
-            f"all_minimal_decompositions tries up to {MINIMAL_PICKS_MAX} picks,"
-            f" {i.name} needs {tries}"
-        )
-    picks = [0]
-    for group in groups.values():
-        picks = [pick | b for pick in picks for b in (0, *group)]
-    out = []
-    for pick in sorted(picks)[1:]:
-        comps = [c for k, c in enumerate(cands) if pick >> k & 1]
-        if meet_all(q, comps) != i:
-            continue
-        if len(comps) > 1 and any(
-            meet_all(q, comps[:k] + comps[k + 1 :]) == i for k in range(len(comps))
-        ):
-            continue
-        out.append(tuple(comps))
-    return out
+        groups.setdefault(radical(c).members, []).append(k)
+    order = list(groups.values())
+    reach = [i.carrier.full]  # reach[g]: the meet of every candidate in groups g on
+    for group in reversed(order):
+        reach.insert(0, reduce(and_, (cands[k].members for k in group), reach[0]))
+    picks, nodes = [], count(1)
+
+    def search(g: int, pick: int, meet: int) -> None:
+        if next(nodes) > MINIMAL_PICKS_MAX:
+            raise TooLarge(f"all_minimal_decompositions of {i.name} needs more than"
+                           f" {MINIMAL_PICKS_MAX} search nodes")
+        if meet == i.members:
+            picks.append(pick)
+            return
+        chosen = [cands[k].members for k in bits(pick)]
+        # the meet of the chosen components but one, for each one
+        others = [reduce(and_, chosen[:j] + chosen[j + 1 :], -1) for j in range(len(chosen))]
+        for h in range(g, len(order)):
+            if meet & reach[h] != i.members:
+                return
+            for k in order[h]:
+                m = meet & cands[k].members
+                if m != meet and all(o & cands[k].members != m for o in others):
+                    search(h + 1, pick | 1 << k, m)
+
+    search(0, 0, i.carrier.full)  # on the whole carrier it ends at once, with pick 0
+    return [tuple(cands[k] for k in bits(pick)) for pick in sorted(picks) if pick]
 
 
 @dataclass(frozen=True)

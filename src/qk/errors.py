@@ -26,7 +26,8 @@ class MissingBound(QuantaleError):
 
 class TooLarge(QuantaleError):
     """A construction or search would exceed a documented size cap
-    (core.ELEMENT_CAP, classify.MC_SETS_MAX_N, decompose.MINIMAL_PICKS_MAX)."""
+    (core.ELEMENT_CAP, classify.MC_SETS_MAX_N, decompose.MINIMAL_PICKS_MAX
+    search nodes)."""
 
 
 class NotCommutative(QuantaleError):

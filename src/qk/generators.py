@@ -20,7 +20,6 @@ Each generator returns a carrier that has already passed check_axioms.
 
 from __future__ import annotations
 
-import itertools
 from typing import Iterable
 
 from .core import (
@@ -202,45 +201,6 @@ def chain_poset(n: int) -> tuple[int, list[tuple[int, int]]]:
 
 def antichain_poset(n: int) -> tuple[int, list[tuple[int, int]]]:
     return n, []
-
-
-def all_posets(max_points: int) -> list[tuple[int, tuple[tuple[int, int], ...]]]:
-    """All posets on 1..max_points points, one representative per isomorphism
-    class.  Brute force; intended for max_points <= 4."""
-    out: list[tuple[int, tuple[tuple[int, int], ...]]] = []
-    for n in range(1, max_points + 1):
-        pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
-        seen: set[frozenset[tuple[int, int]]] = set()
-        for choice in range(1 << len(pairs)):
-            rel = frozenset(pairs[k] for k in range(len(pairs)) if choice >> k & 1)
-            if any((b, a) in rel for a, b in rel):
-                continue
-            if any(
-                (a, c) not in rel
-                for a, b in rel
-                for b2, c in rel
-                if b == b2 and a != c
-            ):
-                continue
-            if rel in seen:
-                continue
-            out.append((n, tuple(sorted(rel))))
-            for perm in itertools.permutations(range(n)):
-                seen.add(frozenset((perm[a], perm[b]) for a, b in rel))
-    return out
-
-
-def all_topologies(max_points: int) -> list[tuple[int, tuple[int, ...]]]:
-    """All labeled topologies on 1..max_points points; max_points <= 3."""
-    out: list[tuple[int, tuple[int, ...]]] = []
-    for n in range(1, max_points + 1):
-        full = (1 << n) - 1
-        middles = [s for s in range(1, full)]
-        for choice in range(1 << len(middles)):
-            fam = {0, full} | {middles[k] for k in range(len(middles)) if choice >> k & 1}
-            if all(a | b in fam and a & b in fam for a in fam for b in fam):
-                out.append((n, tuple(sorted(fam))))
-    return out
 
 
 _NAMED_TOPOLOGIES = {

@@ -6,16 +6,22 @@ the definition, with no table or memo of the carrier's.  The witness
 oracles are the unfiltered pair scans that classify's scans must match,
 first witness included: prime and primary over every pair of elements,
 irreducible and strongly irreducible over every pair of enumerate_ideals
-by Ideal comparison.  flat_run runs a law case by case, evaluating every
+by Ideal comparison.  mc_radical_scan is the radical by its mc-set form,
+over every mc set.  minimal_decompositions_picks is the product of
+picks that the search of decompose._all_minimal_decompositions replaced.
+all_posets and all_topologies enumerate the small posets and topologies
+that the generator tests build carriers from.  flat_run runs a law case by case, evaluating every
 repeated draw again.  MUTANTS holds the commutative single-cell mutants
 of q4, l3 and m3, and MUTATION_MUTANTS those of the benchmark's mutation
 carriers, MUTATION_BASES: broken tables are where a shortcut would drift
 from the definition."""
 
+import itertools
 from pathlib import Path
 
+from qk.classify import all_mc_sets, radical
 from qk.generators import generate_from_spec, m3_quantale
-from qk.ideals import enumerate_ideals
+from qk.ideals import enumerate_ideals, meet_all
 from qk.quantfile import load_quant
 from qk.verify import single_cell_mutants
 
@@ -108,6 +114,81 @@ def strongly_irreducible_witness_scan(i):
             if not b <= i and (a.members & b.members) & ~i.members == 0:
                 return (a.apex, b.apex)
     return None
+
+
+def mc_radical_scan(i):
+    """The member mask of the radical of i by its mc-set form: every x such
+    that each multiplicatively closed set containing x meets i."""
+    q, sets = i.carrier, all_mc_sets(i.carrier)
+    return sum(
+        1 << x
+        for x in range(q.n)
+        if all(s.members & i.members for s in sets if s.members >> x & 1)
+    )
+
+
+def minimal_decompositions_picks(i, cands):
+    """decompose._all_minimal_decompositions by its product of picks: every
+    choice of at most one candidate per radical group, in ascending pick
+    order, kept when it meets to i with no redundant member."""
+    q = i.carrier
+    groups = {}
+    for k, c in enumerate(cands):
+        groups.setdefault(radical(c).members, []).append(1 << k)
+    picks = [0]
+    for group in groups.values():
+        picks = [pick | b for pick in picks for b in (0, *group)]
+    out = []
+    for pick in sorted(picks)[1:]:
+        comps = [c for k, c in enumerate(cands) if pick >> k & 1]
+        if meet_all(q, comps) != i:
+            continue
+        if len(comps) > 1 and any(
+            meet_all(q, comps[:k] + comps[k + 1 :]) == i for k in range(len(comps))
+        ):
+            continue
+        out.append(tuple(comps))
+    return out
+
+
+def all_posets(max_points: int) -> list[tuple[int, tuple[tuple[int, int], ...]]]:
+    """All posets on 1..max_points points, one representative per isomorphism
+    class.  Brute force; intended for max_points <= 4."""
+    out: list[tuple[int, tuple[tuple[int, int], ...]]] = []
+    for n in range(1, max_points + 1):
+        pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+        seen: set[frozenset[tuple[int, int]]] = set()
+        for choice in range(1 << len(pairs)):
+            rel = frozenset(pairs[k] for k in range(len(pairs)) if choice >> k & 1)
+            if any((b, a) in rel for a, b in rel):
+                continue
+            if any(
+                (a, c) not in rel
+                for a, b in rel
+                for b2, c in rel
+                if b == b2 and a != c
+            ):
+                continue
+            if rel in seen:
+                continue
+            out.append((n, tuple(sorted(rel))))
+            for perm in itertools.permutations(range(n)):
+                seen.add(frozenset((perm[a], perm[b]) for a, b in rel))
+    return out
+
+
+def all_topologies(max_points: int) -> list[tuple[int, tuple[int, ...]]]:
+    """All labeled topologies on 1..max_points points; max_points <= 3."""
+    out: list[tuple[int, tuple[int, ...]]] = []
+    for n in range(1, max_points + 1):
+        full = (1 << n) - 1
+        middles = [s for s in range(1, full)]
+        for choice in range(1 << len(middles)):
+            fam = {0, full} | {middles[k] for k in range(len(middles)) if choice >> k & 1}
+            if all(a | b in fam and a & b in fam for a in fam for b in fam):
+                out.append((n, tuple(sorted(fam))))
+    return out
+
 
 
 def flat_run(law):

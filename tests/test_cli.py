@@ -318,6 +318,10 @@ def test_exit_code_usage_errors(capsys, tmp_path):
     assert code == 2
     code, _, _ = run(capsys, "radical", L3)  # neither --below nor --ideal
     assert code == 2
+    # the mc-set form of the radical is a verify law, not a route
+    code, _, err = run(capsys, "radical", L3, "--below", "0", "--algorithm", "mcsets")
+    assert code == 2
+    assert "invalid choice: 'mcsets'" in err
     code, _, _ = run(capsys)  # no subcommand
     assert code == 2
 
@@ -488,4 +492,4 @@ def test_readme_limits_match_the_ci_rows():
             runs = (f"qk gen {carrier} ", f"timeout {timeout} python -m qk {command} ", f"-eq {status}\n")
             assert any(all(r in step for r in runs) for step in steps), line
         checked += 1
-    assert checked == 21
+    assert checked == 22

@@ -7,8 +7,6 @@ from hypothesis import given, settings, strategies as st
 from qk.core import ELEMENT_CAP, check_axioms
 from qk.errors import NotAPartialOrder, QuantaleError, TooLarge
 from qk.generators import (
-    all_posets,
-    all_topologies,
     antichain_poset,
     chain_poset,
     generate,
@@ -21,6 +19,8 @@ from qk.generators import (
 )
 from qk.quantfile import load_quant, parse_quant, write_quant
 from qk.verify import single_cell_mutants
+
+from oracles import all_posets, all_topologies
 
 DATA = Path(__file__).parent / "data"
 

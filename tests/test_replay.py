@@ -9,18 +9,27 @@ avoidance decide refuses a mask reach the fallback, and synthetic domains pin
 the edge cases.
 """
 
+import itertools
 from collections import Counter
 from dataclasses import replace
+from operator import attrgetter
 
 import pytest
 
-from oracles import MUTANTS, MUTATION_MUTANTS, flat_run
-from qk import classify, verify
+import oracles
+from oracles import MUTANTS, MUTATION_MUTANTS, flat_run, minimal_decompositions_picks
+from qk import classify, decompose, verify
 from qk.core import check_axioms
-from qk.decompose import MINIMAL_PICKS_MAX, all_minimal_decompositions, uniqueness_report
+from qk.decompose import (
+    MINIMAL_PICKS_MAX,
+    _all_minimal_decompositions,
+    all_minimal_decompositions,
+    primary_candidates,
+    uniqueness_report,
+)
 from qk.errors import TooLarge
 from qk.generators import generate_from_spec
-from qk.ideals import zero_ideal
+from qk.ideals import enumerate_ideals, zero_ideal
 from qk.verify import (
     EXHAUST_MAX_N,
     SAMPLE_COUNT,
@@ -391,21 +400,51 @@ def test_a_flat_domain_is_not_replayed():
     assert (row.status, row.checked, seen) == ("pass", 3, [1, 1, 2])
 
 
+def test_minimal_decompositions_match_the_picks_loop():
+    # the search keeps the product of picks' list and order on every ideal
+    compared = 0
+    specs = [*oracles.SPECS, "lowersets:chain8"]
+    for q in [*map(generate_from_spec, specs), *MUTANTS, *MUTATION_MUTANTS]:
+        for i in enumerate_ideals(q):
+            cands = primary_candidates(i)
+            want = minimal_decompositions_picks(i, cands)
+            assert _all_minimal_decompositions(i, cands) == want, (q.name, i.name)
+            compared += 1
+    assert compared == 343
+    # any family of ideals over a proper i as the candidates: a chosen
+    # component can turn redundant (↓12 once ↓13 and ↓24 are chosen on
+    # powerset:4)
+    compared = 0
+    for q in map(generate_from_spec, ("powerset:4", "m3", "lukasiewicz:5", "lowersets:4:0<1,2<3")):
+        for i in filter(attrgetter("proper"), enumerate_ideals(q)):
+            over = sorted((c for c in enumerate_ideals(q) if i <= c), key=lambda c: (c.size, c.apex))
+            for k in range(1, 5):
+                for cands in map(list, itertools.combinations(over, k)):
+                    want = minimal_decompositions_picks(i, cands)
+                    assert _all_minimal_decompositions(i, cands) == want, (q.name, i.name, cands)
+                    compared += 1
+    assert compared == 3803
+
+
 def test_minimal_decompositions_refuse_too_many_picks(monkeypatch):
-    # the zero ideal of the Goedel chain has one radical group per proper ideal
-    chain16, chain17 = (generate_from_spec(f"lowersets:chain{k}") for k in (16, 17))
+    # the zero ideal of the Goedel chain has one radical group per proper
+    # ideal, 2^17 picks on chain17; the search visits two nodes
+    chain17 = generate_from_spec("lowersets:chain17")
+    zero = zero_ideal(chain17)
     assert MINIMAL_PICKS_MAX == 1 << 16
-    with pytest.raises(TooLarge, match="needs 131072"):
-        all_minimal_decompositions(zero_ideal(chain17))
-    # the uniqueness report refuses before it scans for a prime or primary witness
-    scans = []
-    for name in ("_prime_witness", "_primary_witness"):
-        scan = getattr(classify, name)
-        monkeypatch.setattr(classify, name, lambda i, scan=scan: scans.append(i) or scan(i))
-    with pytest.raises(TooLarge, match="needs 131072"):
-        uniqueness_report(zero_ideal(chain17))
-    assert scans == []
-    rep = run_suite(chain17, "uniqueness", seed=0)
-    row = next(r for r in rep.results if r.law == "isolated_components_unique")
-    assert row.status == "fail" and "TooLarge" in row.note
-    assert len(all_minimal_decompositions(zero_ideal(chain16))) == 1
+    assert all_minimal_decompositions(zero) == [(zero,)]
+    rep = uniqueness_report(zero)
+    assert rep.decomposition.components == (zero,) and rep.isolated_components_match
+    rows = run_suite(chain17, "uniqueness", seed=0).results
+    assert {r.law: r.status for r in rows}["isolated_components_unique"] == "pass"
+    monkeypatch.setattr(decompose, "MINIMAL_PICKS_MAX", 1)
+    with pytest.raises(TooLarge, match="needs more than 1 search nodes"):
+        all_minimal_decompositions(zero)
+    # the zero ideal of powerset:4 meets its four primes: a node for each
+    # prime chosen in turn, each other branch pruned at once
+    zero = zero_ideal(generate_from_spec("powerset:4"))
+    monkeypatch.setattr(decompose, "MINIMAL_PICKS_MAX", 5)
+    assert len(all_minimal_decompositions(zero)) == 1
+    monkeypatch.setattr(decompose, "MINIMAL_PICKS_MAX", 4)
+    with pytest.raises(TooLarge):
+        all_minimal_decompositions(zero)
