@@ -38,8 +38,6 @@ from .errors import (
     NotCommutative,
     NotDecomposable,
     NotMc,
-    NotPrimary,
-    NotPrime,
     NotProper,
     QuantFileError,
     QuantSyntaxError,
@@ -60,6 +58,7 @@ from .ideals import (
     Ideal,
     IdealQuantale,
     annihilator,
+    as_ideal,
     contraction,
     enumerate_ideals,
     extension,
@@ -87,6 +86,7 @@ from .classify import (
     jacobson,
     maximal_ideals,
     mc_generated,
+    mc_set,
     minimal_primes_over,
     nilradical,
     prime_avoidance,
@@ -99,6 +99,7 @@ from .decompose import (
     ArithmeticReport,
     Decomposition,
     UniquenessReport,
+    all_minimal_decompositions,
     arithmetic_equivalence_check,
     irreducible_decomposition,
     is_arithmetic,

@@ -39,14 +39,12 @@ from .errors import (
     HypothesisViolated,
     NoAvoidingIdeal,
     NotMc,
-    NotPrime,
     NotProper,
     QuantaleError,
     TooLarge,
 )
 from .ideals import (
     Ideal,
-    _mismatch,
     enumerate_ideals,
     join_ideals,
     meet_all,
@@ -196,19 +194,6 @@ def radical(i: Ideal, algorithm: str = next(iter(RADICAL_ROUTES))) -> Ideal:
     return RADICAL_ROUTES[algorithm](i)
 
 
-def is_radical_ideal(i: Ideal) -> bool:
-    return radical(i) == i
-
-
-def is_p_primary(i: Ideal, p: Ideal) -> bool:
-    """Primary with radical exactly p (which must be prime, of i's carrier)."""
-    if p.carrier is not i.carrier:
-        raise _mismatch(i, p)
-    if not is_prime(p):
-        raise NotPrime(f"{p.name} is not prime")
-    return is_primary(i) and radical(i) == p
-
-
 def _extremal(family: list[Ideal], smallest: bool = False) -> list[Ideal]:
     """The inclusion-maximal members of a family of ideals of one carrier
     (the minimal ones if smallest), in the family's order.  The masks are
@@ -266,10 +251,6 @@ def jacobson(q: FiniteQuantale) -> Ideal:
 def nilradical(q: FiniteQuantale) -> Ideal:
     """Radical of the zero ideal."""
     return radical(zero_ideal(q))
-
-
-def is_reduced(q: FiniteQuantale) -> bool:
-    return nilradical(q).is_zero
 
 
 def zero_divisors(q: FiniteQuantale) -> tuple[int, ...]:

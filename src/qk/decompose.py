@@ -24,7 +24,6 @@ from .core import FiniteQuantale, bits
 from .errors import (
     InvalidDecomposition,
     NotDecomposable,
-    NotPrimary,
     NotProper,
     QuantaleError,
     TooLarge,
@@ -207,9 +206,10 @@ def all_minimal_decompositions(i: Ideal) -> list[tuple[Ideal, ...]]:
     A depth-first search takes at most one primary ideal over i per radical
     group, in group order.  A branch ends when its meet is i, stops before
     a group when the meet of its components and of every candidate from
-    that group on is not i, and skips a candidate that does not shrink its
-    meet or makes a chosen component redundant (redundancy only grows as
-    components are added).  Above MINIMAL_PICKS_MAX search nodes it raises
+    that group on is not i, and skips a candidate that makes a chosen
+    component redundant (redundancy only grows as components are added; a
+    candidate that does not shrink the meet is itself redundant, so its
+    node opens no child).  Above MINIMAL_PICKS_MAX search nodes it raises
     TooLarge.  Results come in ascending order of their pick, the bitmask
     of their positions among the candidates (ascending by size).
     """
@@ -242,7 +242,7 @@ def _all_minimal_decompositions(i: Ideal, cands: list[Ideal]) -> list[tuple[Idea
                 return
             for k in order[h]:
                 m = meet & cands[k].members
-                if m != meet and all(o & cands[k].members != m for o in others):
+                if all(o & cands[k].members != m for o in others):
                     search(h + 1, pick | 1 << k, m)
 
     search(0, 0, i.carrier.full)  # on the whole carrier it ends at once, with pick 0
@@ -346,27 +346,6 @@ def uniqueness_report(i: Ideal) -> UniquenessReport:
     )
 
 
-def quotient_by_element(p_primary: Ideal, x: int) -> Ideal:
-    """The residual (p' : principal x) for a primary p', with its
-    position trichotomy enforced: inside p' the residual is the whole
-    carrier; outside p' it is primary for the radical of p'; outside the
-    radical it is p' itself."""
-    if not is_primary(p_primary):
-        raise NotPrimary(f"{p_primary.name} is not primary")
-    q = p_primary.carrier
-    r = residual(p_primary, principal(q, x))
-    p = radical(p_primary)
-    if x in p_primary:
-        if not r.is_whole:
-            raise QuantaleError("residual at an inside element must be the whole carrier")
-    else:
-        if not (is_primary(r) and radical(r) == p):
-            raise QuantaleError("residual at an outside element must stay primary")
-        if x not in p and r != p_primary:
-            raise QuantaleError("residual outside the radical must be the ideal itself")
-    return r
-
-
 def is_arithmetic(q: FiniteQuantale) -> bool:
     """Whether the ideal lattice is distributive."""
     return _distributivity_witness(q) is None
@@ -437,8 +416,4 @@ def totally_ordered_ideals(q: FiniteQuantale) -> bool:
     """Whether the ideals form a chain (equivalently, every ideal is
     strongly irreducible; the suites check the equivalence)."""
     ideals = enumerate_ideals(q)
-    for a in ideals:
-        for b in ideals:
-            if not (a <= b or b <= a):
-                return False
-    return True
+    return all(a <= b or b <= a for a in ideals for b in ideals)

@@ -51,14 +51,6 @@ class HomRequired(QuantaleError):
     """The requested verification suite needs a homomorphism."""
 
 
-class NotPrime(QuantaleError):
-    """An operation required a prime ideal."""
-
-
-class NotPrimary(QuantaleError):
-    """An operation required a primary ideal."""
-
-
 class NotProper(QuantaleError):
     """An operation required a proper ideal."""
 

@@ -29,7 +29,7 @@ is_mc and saturation answer on any table.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .core import (
     ELEMENT_CAP,

@@ -19,10 +19,11 @@ and the families of one or two ideals (_Ctx.family_law).  A group not so
 passed runs case by case from its start and a repeated group adds its
 first count, so case counts and witnesses are those of checking every
 case.  Sampled masks are drawn from C iterators over the seeded Random.
-Every other law runs case by case, and its repeated library calls reach
-the run's memos (_Ctx.routes): generated and annihilator once per mask
-where subsets repeat (n <= 13), and at every size each residual, radical,
-extension, contraction and idealness test.
+Every other law runs case by case, and outside collapse (which compares
+the library with brute force, one call per case) its repeated library
+calls reach the run's memos (_Ctx.routes): generated and annihilator once
+per mask where subsets repeat (n <= 13), and at every size each residual,
+radical, extension, contraction and idealness test.
 A run also runs check_axioms once, and builds and checks the ideal
 carrier once.  A drawn family is the mask of its positions in the list it
 was drawn from (its pick), folded once where it is drawn; it and its
@@ -667,7 +668,8 @@ class _Ctx:
         the listed join (meet) of G: F's join (meet) is that of {j, i}, a
         small family, and G's images fold to j's image (or below or above
         it, ideal join and mask AND being monotone), so F's images fold as
-        those of {j, i}, where the law holds."""
+        those of {j, i}, where the law holds (Davey and Priestley,
+        Introduction to Lattices and Order, 2002, ch. 2 and 7)."""
         F = self.families(tag)
         drawn = cache(F.values)
 

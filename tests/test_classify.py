@@ -10,14 +10,11 @@ from qk.classify import (
     classification,
     is_local,
     is_mc,
-    is_p_primary,
     is_primary,
     is_prime,
     is_prime_idealwise,
     is_irreducible,
     is_qd,
-    is_radical_ideal,
-    is_reduced,
     is_saturated,
     is_semiprime,
     is_semiprime_idealwise,
@@ -43,7 +40,6 @@ from qk.errors import (
     HypothesisViolated,
     NoAvoidingIdeal,
     NotMc,
-    NotPrime,
     NotProper,
     QuantaleError,
     TooLarge,
@@ -98,7 +94,7 @@ def test_l3_zero_primary_not_prime(l3):
     z = zero_ideal(l3)
     assert is_primary(z)
     assert not is_prime(z)
-    assert not is_radical_ideal(z)
+    assert radical(z) != z
     assert radical(z).name == "↓1"
 
 
@@ -129,21 +125,6 @@ def test_primes_over_and_minimal(l3, p3):
     assert {p.name for p in minimal_primes_over(z3)} == {"↓12", "↓13", "↓23"}
 
 
-def test_p_primary(l3):
-    z = zero_ideal(l3)
-    one = principal(l3, l3.index("1"))
-    assert is_p_primary(z, one)
-    with pytest.raises(NotPrime):
-        is_p_primary(z, z)
-
-
-def test_p_primary_needs_the_given_radical(q4):
-    # ↓a is primary, but its radical is ↓a, not the prime ↓b
-    a, b = principal(q4, q4.index("a")), principal(q4, q4.index("b"))
-    assert is_primary(a) and radical(a) == a and is_prime(b)
-    assert not is_p_primary(a, b)
-
-
 def test_maximal_ideals_and_local(q4, l3):
     assert {m.name for m in maximal_ideals(q4)} == {"↓a", "↓b"}
     flag, at = is_local(q4)
@@ -166,7 +147,7 @@ def test_jacobson_and_nilradical(q4, l3):
 
 
 def test_reduced_and_qd(q4, l3, c2):
-    assert is_reduced(q4) and not is_reduced(l3)
+    assert nilradical(q4).is_zero and not nilradical(l3).is_zero
     za, zb = zero_divisors(q4), zero_divisors(l3)
     assert {q4.elements[x] for x in za} == {"a", "b"}
     assert {l3.elements[x] for x in zb} == {"1"}
@@ -298,15 +279,6 @@ def test_prime_avoidance_refuses_ideals_of_another_carrier():
         prime_avoidance(q, 1 << q.top, [zero_ideal(q), principal(r, 0)])
 
 
-def test_p_primary_refuses_a_prime_of_another_carrier():
-    # the carrier test comes before the primality test
-    q, r = generate_from_spec("powerset:2"), generate_from_spec("lukasiewicz:4")
-    with pytest.raises(CarrierMismatch, match=r"different carriers \(powerset2, lukasiewicz4\)"):
-        is_p_primary(zero_ideal(q), principal(r, 2))
-    with pytest.raises(CarrierMismatch):
-        is_p_primary(zero_ideal(q), principal(r, 0))
-
-
 def test_mc_indices_outside_the_carrier(q4):
     assert not is_mc(q4, [q4.top, q4.n])
     assert not is_mc(q4, [q4.top, -1])
@@ -417,7 +389,7 @@ def test_classification_flags_match_the_predicates_and_witnesses_refute():
             assert c.prime == is_prime(i)
             assert c.semiprime == is_semiprime(i)
             assert c.primary == is_primary(i)
-            assert c.radical_ideal == is_radical_ideal(i)
+            assert c.radical_ideal == (radical(i) == i)
             assert c.irreducible == is_irreducible(i)
             assert c.strongly_irreducible == is_strongly_irreducible(i)
             if maximal is not None:

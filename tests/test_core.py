@@ -1,3 +1,4 @@
+import ast
 import os
 import subprocess
 import sys
@@ -452,3 +453,25 @@ def test_package_exports_its_public_names_but_not_its_submodules():
     assert {"run_suite", "check_axioms", "generate", "VerificationReport"} <= set(qk.__all__)
     assert not {"core", "verify", "records", "types"} & set(qk.__all__)
     assert all(hasattr(qk, k) for k in qk.__all__)
+
+
+def test_every_public_name_has_a_caller():
+    """A top-level public def or class of the package is exported or used
+    by other package code; one that only tests reach belongs in tests.
+    Names are read with ast, so a docstring mention is no use."""
+    used: dict[str, set[int]] = {}  # name -> ids of the top-level nodes naming it
+    defined = []
+    for path in sorted(Path(qk.__file__).parent.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            for sub in ast.walk(node):
+                name = sub.id if isinstance(sub, ast.Name) else getattr(sub, "attr", None)
+                if name:
+                    used.setdefault(name, set()).add(id(node))
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+                defined.append((path.name, node))
+    orphans = [
+        f"{module}:{node.name}"
+        for module, node in defined
+        if node.name not in qk.__all__ and not used.get(node.name, set()) - {id(node)}
+    ]
+    assert orphans == []

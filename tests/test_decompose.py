@@ -19,7 +19,6 @@ from qk.decompose import (
     minimal_strongly_irreducible_over,
     minimize,
     primary_decomposition,
-    quotient_by_element,
     strongly_irreducible_elementwise,
     totally_ordered_ideals,
     uniqueness_report,
@@ -29,7 +28,6 @@ from qk.errors import (
     CarrierMismatch,
     InvalidDecomposition,
     NotDecomposable,
-    NotPrimary,
     NotProper,
     QuantaleError,
 )
@@ -310,17 +308,6 @@ def test_all_minimal_decompositions_on_every_symmetric_rewrite(spec):
                         assert all_minimal_decompositions(ideal) == want, mutant.name
 
 
-def test_quotient_by_element_trichotomy(l3):
-    z = zero_ideal(l3)
-    zero_i, one, two = l3.index("0"), l3.index("1"), l3.index("2")
-    assert quotient_by_element(z, zero_i) == whole_ideal(l3)
-    out = quotient_by_element(z, one)
-    assert is_primary(out) and radical(out).name == "↓1"
-    assert quotient_by_element(z, two) == z
-    with pytest.raises(NotPrimary):
-        quotient_by_element(whole_ideal(l3), one)
-
-
 def test_arithmetic_flags(q4, l3, m3, p3):
     assert is_arithmetic(q4)
     assert is_arithmetic(l3)
@@ -399,16 +386,11 @@ def test_uniqueness_and_quotient_refusals_on_q4_mutants(q4):
     at (bot, bot), or to bottom at (top, top)."""
     mutant = {(i, j): m for i, j, m in single_cell_mutants(q4)}
     bot_bot, top_top = mutant[0, 0], mutant[3, 3]
-    a, b = q4.index("a"), q4.index("b")
     cases = [
         (lambda: uniqueness_report(zero_ideal(bot_bot)),
          "associated primes ['↓a', '↓b'] differ from colon primes ['{}', '{a}', '{b}'] at ↓bot"),
         (lambda: uniqueness_report(zero_ideal(top_top)),
          "isolated primes at ↓bot are not the minimal primes over it"),
-        (lambda: quotient_by_element(principal(bot_bot, a), q4.bottom),
-         "residual at an inside element must be the whole carrier"),
-        (lambda: quotient_by_element(principal(bot_bot, a), b),
-         "residual at an outside element must stay primary"),
     ]
     for call, message in cases:
         with pytest.raises(QuantaleError, match=f"^{re.escape(message)}$") as e:
