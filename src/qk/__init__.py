@@ -30,7 +30,6 @@ from .errors import (
     HomInvalid,
     HomRequired,
     HypothesisViolated,
-    InvalidDecomposition,
     MissingBound,
     NoAvoidingIdeal,
     NotALattice,
@@ -103,7 +102,6 @@ from .decompose import (
     arithmetic_equivalence_check,
     irreducible_decomposition,
     is_arithmetic,
-    minimize,
     primary_decomposition,
     uniqueness_report,
 )

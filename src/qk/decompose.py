@@ -3,10 +3,10 @@ distributivity (arithmetic) check on the ideal lattice.
 
 A decomposition presents an ideal as the intersection of components.  A
 primary decomposition is minimal when the component radicals are pairwise
-distinct and no component contains the intersection of the others; both
-conditions are reachable from any decomposition by merging equal-radical
-components (their intersection stays primary with the shared radical) and
-dropping redundant ones, which is what minimize does.
+distinct and no component contains the intersection of the others.
+all_minimal_decompositions finds every minimal one by a depth-first search
+over the primary ideals containing the target, and primary_decomposition
+returns the first that search finds.
 
 "Arithmetic" means the ideal lattice is distributive.  The irreducible and
 strongly irreducible ideals coincide exactly then, and the equivalence
@@ -21,13 +21,7 @@ from itertools import count
 from operator import and_
 
 from .core import FiniteQuantale, bits
-from .errors import (
-    InvalidDecomposition,
-    NotDecomposable,
-    NotProper,
-    QuantaleError,
-    TooLarge,
-)
+from .errors import NotDecomposable, NotProper, QuantaleError, TooLarge
 from .ideals import (
     Ideal,
     _mismatch,
@@ -87,20 +81,6 @@ class Decomposition:
         return f"<Decomposition {self.target.name} = {parts} ({self.kind})>"
 
 
-def validate_decomposition(d: Decomposition) -> None:
-    """Raise InvalidDecomposition unless the components really intersect
-    to the target and (for primary kind) are primary."""
-    q = d.target.carrier
-    if not d.components:
-        raise InvalidDecomposition("a decomposition needs at least one component")
-    if meet_all(q, d.components) != d.target:
-        raise InvalidDecomposition("components do not intersect to the target")
-    if d.kind == "primary":
-        for c in d.components:
-            if not is_primary(c):
-                raise InvalidDecomposition(f"component {c.name} is not primary")
-
-
 def _irredundant(q: FiniteQuantale, target: Ideal, components: list[Ideal]) -> list[Ideal]:
     """Drop components whose removal keeps the intersection, scanning in
     ascending size order."""
@@ -124,59 +104,28 @@ def primary_candidates(i: Ideal) -> list[Ideal]:
 
 
 def primary_decomposition(i: Ideal) -> Decomposition:
-    """A minimal primary decomposition, or NotDecomposable carrying the
-    smallest reachable intersection as the gap."""
-    return _primary_decomposition(i, primary_candidates(i))
+    """The first minimal primary decomposition of all_minimal_decompositions,
+    or NotDecomposable carrying the meet of the primary ideals over i as
+    the gap."""
+    cands = primary_candidates(i)
+    return _first_decomposition(i, cands, _all_minimal_decompositions(i, cands))
 
 
-def _primary_decomposition(i: Ideal, cands: list[Ideal]) -> Decomposition:
-    """primary_decomposition of i from its primary_candidates."""
+def _first_decomposition(i: Ideal, cands: list[Ideal], minimal) -> Decomposition:
+    """primary_decomposition of i from its primary_candidates and their minimal ones."""
     if not i.proper:
         raise NotProper(f"{i.name} is the whole carrier")
-    q = i.carrier
-    reach = meet_all(q, cands)
-    if reach != i:
+    if not minimal:
+        reach = meet_all(i.carrier, cands)
         raise NotDecomposable(
             f"primary ideals over {i.name} intersect to {reach.name}, not {i.name}",
             gap=reach,
         )
-    # primary candidates meeting to i: already a valid decomposition
-    return _merge_and_prune(i, cands)
-
-
-def minimize(d: Decomposition) -> Decomposition:
-    """Merge equal-radical components, then drop redundant ones.
-
-    The merged intersection of components sharing a prime radical must
-    itself be primary with that radical; a violation raises
-    InvalidDecomposition since it would falsify the construction.
-    """
-    validate_decomposition(d)
-    if d.kind != "primary":
-        raise InvalidDecomposition("minimize applies to primary decompositions")
-    return _merge_and_prune(d.target, d.components)
-
-
-def _merge_and_prune(target: Ideal, components) -> Decomposition:
-    """minimize of a valid primary decomposition of target into components."""
-    q = target.carrier
-    groups: dict[int, list[Ideal]] = {}
-    for c in components:
-        groups.setdefault(radical(c).members, []).append(c)
-    merged = []
-    for rad_members, group in sorted(groups.items()):
-        m = meet_all(q, group)
-        if not is_primary(m) or radical(m).members != rad_members:
-            raise InvalidDecomposition(
-                f"merged component {m.name} is not primary for its radical"
-            )
-        merged.append(m)
-    sel = _irredundant(q, target, merged)
     return Decomposition(
-        target=target,
+        target=i,
         kind="primary",
-        components=tuple(sel),
-        radicals=tuple(radical(c) for c in sel),
+        components=minimal[0],
+        radicals=tuple(map(radical, minimal[0])),
     )
 
 
@@ -253,7 +202,7 @@ def _all_minimal_decompositions(i: Ideal, cands: list[Ideal]) -> list[tuple[Idea
 class UniquenessReport:
     """First-uniqueness analysis of a decomposable proper ideal.
 
-    associated_primes are the radicals of a minimal decomposition;
+    associated_primes are the radicals of decomposition, the first minimal one;
     colon_primes are the prime radicals of residuals (target : principal);
     isolated are the inclusion-minimal associated primes and embedded the
     rest; isolated_components_match records that every minimal
@@ -313,36 +262,37 @@ def isolated_components_agree(i: Ideal, isolated, decompositions) -> bool:
 def uniqueness_report(i: Ideal) -> UniquenessReport:
     """Build the report and check the uniqueness statements on the way.
 
-    Raises QuantaleError if associated and colon primes disagree or the
-    isolated primes are not the minimal primes over i, which would falsify
-    the construction, not the input.  Whether the minimal decompositions
-    share their isolated components is recorded in isolated_components_match.
+    Raises QuantaleError if, for any minimal decomposition, the associated
+    and colon primes disagree or the isolated primes are not the minimal
+    primes over i, which would falsify the construction, not the input.
+    Whether the minimal decompositions share their isolated components is
+    recorded in isolated_components_match.
     """
-    cands = primary_candidates(i)  # read by both decomposition routes
-    d = _primary_decomposition(i, cands)
+    cands = primary_candidates(i)
     minimal = _all_minimal_decompositions(i, cands)  # refuses before any prime scan
-    associated = tuple(sorted(d.radicals, key=lambda p: (p.size, p.apex)))
-    colon = colon_primes(i)
-    if set(colon) != set(associated):
-        raise QuantaleError(
-            f"associated primes {[p.name for p in associated]} differ from "
-            f"colon primes {[p.name for p in colon]} at {i.name}"
-        )
-    isolated = isolated_primes(associated)
-    embedded = tuple(p for p in associated if p not in isolated)
-    if set(isolated) != set(minimal_primes_over(i)):
-        raise QuantaleError(
-            f"isolated primes at {i.name} are not the minimal primes over it"
-        )
-    match = isolated_components_agree(i, isolated, [*minimal, d.components])
+    d = _first_decomposition(i, cands, minimal)
+    by_size = lambda p: (p.size, p.apex)
+    associated = [tuple(sorted(map(radical, comps), key=by_size)) for comps in minimal]
+    colon, lowest = colon_primes(i), set(minimal_primes_over(i))
+    for primes in associated:
+        if set(colon) != set(primes):
+            raise QuantaleError(
+                f"associated primes {[p.name for p in primes]} differ from "
+                f"colon primes {[p.name for p in colon]} at {i.name}"
+            )
+        if set(isolated_primes(primes)) != lowest:
+            raise QuantaleError(
+                f"isolated primes at {i.name} are not the minimal primes over it"
+            )
+    isolated = isolated_primes(associated[0])
     return UniquenessReport(
         target=i,
         decomposition=d,
-        associated_primes=associated,
+        associated_primes=associated[0],
         colon_primes=colon,
         isolated=isolated,
-        embedded=embedded,
-        isolated_components_match=match,
+        embedded=tuple(p for p in associated[0] if p not in isolated),
+        isolated_components_match=isolated_components_agree(i, isolated, minimal),
     )
 
 

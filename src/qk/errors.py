@@ -91,10 +91,6 @@ class NotDecomposable(QuantaleError):
         super().__init__(message)
 
 
-class InvalidDecomposition(QuantaleError):
-    """A candidate decomposition violated its invariants."""
-
-
 class QuantFileError(QuantaleError):
     """Base for text-format errors; line/col are 1-based, None if unknown."""
 

@@ -68,7 +68,7 @@ from .core import (
     power,
     power_of_join,
 )
-from .errors import HomRequired, NotDecomposable
+from .errors import HomRequired
 from .records import Records
 from . import classify as cl
 from . import decompose as dc
@@ -1128,39 +1128,49 @@ def _suite_pqx(ctx: _Ctx) -> list[_Law]:
 
 
 def _suite_uniqueness(ctx: _Ctx) -> list[_Law]:
-    cands, skipped = {}, set()  # filled by targets(); cands read by both decomposition routes
+    rad, skipped = ctx.routes.rad, set()  # skipped filled by targets()
+    rads = lambda comps: tuple(map(rad, comps))
+    isolated_of = lambda comps: dc.isolated_primes(rads(comps))
 
     @cache
     def targets():
+        # each decomposable proper ideal with its minimal decompositions, the
+        # first being primary_decomposition's
         found = []
         for i in ctx.proper:
-            cands[i] = dc.primary_candidates(i)
-            try:
-                found.append((i, dc._primary_decomposition(i, cands[i])))
-            except NotDecomposable:
+            minimal = dc._all_minimal_decompositions(i, dc.primary_candidates(i))
+            if minimal:
+                found.append((i, minimal))
+            else:
                 skipped.add(i)
         return found
 
     # the domains' note, read after the cases ran: it reads the count, never the pass
     note = lambda: f"{len(skipped)} proper ideals not decomposable" if skipped else ""
 
-    def component(i, d, p):
-        return dict(zip(d.radicals, d.components))[p] == dc.isolated_component_formula(i, p)
+    # the first uniqueness theorem, on every minimal decomposition
+    def colon_primes(i, minimal):
+        colon = set(dc.colon_primes(i))
+        return all(set(rads(comps)) == colon for comps in minimal)
 
-    decomposed = _Domain(targets, lambda i, d: (i.name,), note)
+    def minimal_primes(i, minimal):
+        lowest = set(cl.minimal_primes_over(i))
+        return all(set(isolated_of(comps)) == lowest for comps in minimal)
+
+    def component(i, minimal, p):
+        return dict(zip(rads(minimal[0]), minimal[0]))[p] == dc.isolated_component_formula(i, p)
+
+    decomposed = _Domain(targets, lambda i, minimal: (i.name,), note)
     isolated = _Domain(
-        lambda: ((i, d, p) for i, d in targets() for p in dc.isolated_primes(d.radicals)),
-        lambda i, d, p: (i.name, p.name), note,
+        lambda: ((i, m, p) for i, m in targets() for p in isolated_of(m[0])),
+        lambda i, minimal, p: (i.name, p.name), note,
     )
     return [
-        _Law("associated_eq_colon_primes", decomposed,
-             lambda i, d: set(d.radicals) == set(dc.colon_primes(i))),
-        _Law("isolated_eq_minimal_primes", decomposed,
-             lambda i, d: set(dc.isolated_primes(d.radicals)) == set(cl.minimal_primes_over(i))),
+        _Law("associated_eq_colon_primes", decomposed, colon_primes),
+        _Law("isolated_eq_minimal_primes", decomposed, minimal_primes),
         _Law("isolated_component_formula", isolated, component),
         _Law("isolated_components_unique", decomposed,
-             lambda i, d: dc.isolated_components_agree(
-                 i, dc.isolated_primes(d.radicals), dc._all_minimal_decompositions(i, cands[i]))),
+             lambda i, minimal: dc.isolated_components_agree(i, isolated_of(minimal[0]), minimal)),
     ]
 
 

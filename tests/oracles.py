@@ -8,7 +8,9 @@ first witness included: prime and primary over every pair of elements,
 irreducible and strongly irreducible over every pair of enumerate_ideals
 by Ideal comparison.  mc_radical_scan is the radical by its mc-set form,
 over every mc set.  minimal_decompositions_picks is the product of
-picks that the search of decompose._all_minimal_decompositions replaced.
+picks that the search of decompose._all_minimal_decompositions replaced,
+and merge_and_prune the merge-and-prune route that primary_decomposition
+replaced by the search's first result.
 all_posets and all_topologies enumerate the small posets and topologies
 that the generator tests build carriers from.  flat_run runs a law case by case, evaluating every
 repeated draw again.  MUTANTS holds the commutative single-cell mutants
@@ -19,7 +21,8 @@ from the definition."""
 import itertools
 from pathlib import Path
 
-from qk.classify import all_mc_sets, radical
+from qk.classify import all_mc_sets, is_primary, radical
+from qk.errors import NotDecomposable
 from qk.generators import generate_from_spec, m3_quantale
 from qk.ideals import enumerate_ideals, meet_all
 from qk.quantfile import load_quant
@@ -149,6 +152,34 @@ def minimal_decompositions_picks(i, cands):
             continue
         out.append(tuple(comps))
     return out
+
+
+def merge_and_prune(i):
+    """decompose.primary_decomposition's components and radicals by merging
+    the primary ideals over i that share a radical, then dropping redundant
+    components in ascending size.  Raises NotDecomposable, with the meet as
+    the gap, where those ideals do not meet to i."""
+    q = i.carrier
+    cands = [c for c in enumerate_ideals(q) if i <= c and is_primary(c)]
+    reach = meet_all(q, cands)
+    if reach != i:
+        raise NotDecomposable(
+            f"primary ideals over {i.name} intersect to {reach.name}, not {i.name}", gap=reach
+        )
+    groups = {}
+    for c in cands:
+        groups.setdefault(radical(c).members, []).append(c)
+    merged = [meet_all(q, group) for _, group in sorted(groups.items())]
+    assert all(is_primary(m) and radical(m).members == r for m, r in zip(merged, sorted(groups)))
+    sel = sorted(merged, key=lambda c: (c.size, c.apex))
+    k = 0
+    while k < len(sel):
+        rest = sel[:k] + sel[k + 1 :]
+        if rest and meet_all(q, rest) == i:
+            sel = rest
+        else:
+            k += 1
+    return tuple(sel), tuple(map(radical, sel))
 
 
 def all_posets(max_points: int) -> list[tuple[int, tuple[tuple[int, int], ...]]]:

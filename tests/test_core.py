@@ -475,3 +475,21 @@ def test_every_public_name_has_a_caller():
         if node.name not in qk.__all__ and not used.get(node.name, set()) - {id(node)}
     ]
     assert orphans == []
+
+
+def test_every_import_is_used():
+    """Each top-level import of a package module or a test module names
+    something the module reads.  The package's __init__ is left out: its
+    imports are its exports."""
+    package = [p for p in Path(qk.__file__).parent.glob("*.py") if p.name != "__init__.py"]
+    unused = []
+    for path in sorted([*package, *Path(__file__).parent.glob("*.py")]):
+        tree = ast.parse(path.read_text())
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", "") != "__future__":
+                for alias in node.names:
+                    name = (alias.asname or alias.name).partition(".")[0]
+                    if name not in read:
+                        unused.append(f"{path.parent.name}/{path.name}:{name}")
+    assert unused == []

@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from qk import decompose
 from qk.classify import is_primary, radical, spectrum
 from qk.decompose import (
-    Decomposition,
     all_minimal_decompositions,
     arithmetic_equivalence_check,
     irreducible_decomposition,
@@ -17,16 +16,13 @@ from qk.decompose import (
     isolated_component_formula,
     isolated_primes,
     minimal_strongly_irreducible_over,
-    minimize,
     primary_decomposition,
     strongly_irreducible_elementwise,
     totally_ordered_ideals,
     uniqueness_report,
-    validate_decomposition,
 )
 from qk.errors import (
     CarrierMismatch,
-    InvalidDecomposition,
     NotDecomposable,
     NotProper,
     QuantaleError,
@@ -40,9 +36,10 @@ from qk.ideals import (
     whole_ideal,
     zero_ideal,
 )
-from qk.verify import single_cell_mutants
+from qk.verify import run_suite, single_cell_mutants
 
-from oracles import MUTANTS
+import oracles
+from oracles import MUTANTS, MUTATION_MUTANTS
 
 
 def _assert_minimal(d):
@@ -77,7 +74,8 @@ def test_primary_decomposition_q4_zero(q4):
     _assert_minimal(d)
     assert {c.name for c in d.components} == {"↓a", "↓b"}
     assert {r.name for r in d.radicals} == {"↓a", "↓b"}
-    validate_decomposition(d)
+    assert meet_all(q4, d.components) == zero_ideal(q4)
+    assert all(map(is_primary, d.components))
 
 
 def test_primary_decomposition_l3_zero(l3):
@@ -109,31 +107,44 @@ def test_not_decomposable_with_gap(nondec):
     assert got == z
 
 
-def test_minimize_drops_redundant_component(l3):
-    # ↓0 and ↓1 are both primary over ↓0 and share the radical ↓1,
-    # so minimize merges them into their intersection and ends at ↓0 alone
-    z = zero_ideal(l3)
-    comps = [zero_ideal(l3), principal(l3, l3.index("1"))]
-    d = Decomposition(
-        target=z,
-        kind="primary",
-        components=tuple(comps),
-        radicals=tuple(radical(c) for c in comps),
-    )
-    m = minimize(d)
-    _assert_minimal(m)
-    assert [c.name for c in m.components] == ["↓0"]
+def test_primary_decomposition_matches_merge_and_prune(m3):
+    # the search's first result is what merging equal radicals and pruning
+    # gave, on lawful and broken tables alike; so is each refusal's gap
+    compared = refused = 0
+    specs = [*oracles.SPECS, "lowersets:chain8"]
+    for q in [*map(generate_from_spec, specs), m3, *MUTANTS, *MUTATION_MUTANTS]:
+        for i in filter(lambda i: i.proper, enumerate_ideals(q)):
+            try:
+                want = oracles.merge_and_prune(i)
+            except NotDecomposable as e:
+                with pytest.raises(NotDecomposable, match=f"^{re.escape(str(e))}$") as got:
+                    primary_decomposition(i)
+                assert got.value.gap == e.gap, (q.name, i.name)
+                refused += 1
+                continue
+            d = primary_decomposition(i)
+            assert (d.components, d.radicals) == want, (q.name, i.name)
+            compared += 1
+    assert (compared, refused) == (256, 35)
 
 
-def test_minimize_rejects_wrong_meet(p3):
-    z = zero_ideal(p3)
-    comps = (principal(p3, p3.index("12")),)
-    d = Decomposition(
-        target=z, kind="primary", components=comps,
-        radicals=(radical(comps[0]),),
-    )
-    with pytest.raises(InvalidDecomposition):
-        minimize(d)
+def test_two_minimal_decompositions_with_different_radicals():
+    # powerset:2 with 1 & 2 rewritten to 1: ↓bot is prime and its own
+    # decomposition, and ↓1 meets ↓2 in it; a lawful carrier has no such
+    # pair, as every minimal decomposition has the colon primes as radicals
+    q = generate_from_spec("powerset:2")
+    rows = [list(r) for r in q.mul]
+    rows[1][2] = rows[2][1] = 1
+    q = replace(q, name="powerset2~1,2", mul=tuple(map(tuple, rows)))
+    zero, one, two = zero_ideal(q), principal(q, 1), principal(q, 2)
+    assert all_minimal_decompositions(zero) == [(zero,), (one, two)]
+    assert primary_decomposition(zero).components == (zero,)
+    message = "associated primes ['↓1', '↓2'] differ from colon primes ['↓bot'] at ↓bot"
+    with pytest.raises(QuantaleError, match=f"^{re.escape(message)}$"):
+        uniqueness_report(zero)
+    rows = {r.law: r for r in run_suite(q, "uniqueness", seed=0).results}
+    assert rows["associated_eq_colon_primes"].status == "fail"
+    assert rows["associated_eq_colon_primes"].witness == ("↓bot",)
 
 
 def test_uniqueness_q4(q4):
@@ -364,16 +375,9 @@ def test_irreducible_decomposition_is_irredundant(q4, l3, m3, p3):
 
 
 def test_decomposition_refusals_name_their_fault(q4):
-    zero, whole = zero_ideal(q4), whole_ideal(q4)
-    # the zero ideal is not primary: a & b lies in it, but neither a nor any
-    # power of b does
+    whole = whole_ideal(q4)
     cases = [
-        (lambda: validate_decomposition(Decomposition(zero, "primary", (), ())),
-         InvalidDecomposition, "a decomposition needs at least one component"),
-        (lambda: validate_decomposition(Decomposition(zero, "primary", (zero,), (radical(zero),))),
-         InvalidDecomposition, "component ↓bot is not primary"),
-        (lambda: minimize(irreducible_decomposition(zero)), InvalidDecomposition,
-         "minimize applies to primary decompositions"),
+        (lambda: primary_decomposition(whole), NotProper, "↓top is the whole carrier"),
         (lambda: irreducible_decomposition(whole), NotProper, "↓top is the whole carrier"),
     ]
     for call, error, message in cases:
@@ -381,7 +385,7 @@ def test_decomposition_refusals_name_their_fault(q4):
             call()
 
 
-def test_uniqueness_and_quotient_refusals_on_q4_mutants(q4):
+def test_uniqueness_refusals_on_q4_mutants(q4):
     """The refusals that no lawful carrier reaches: x & y rewritten to top
     at (bot, bot), or to bottom at (top, top)."""
     mutant = {(i, j): m for i, j, m in single_cell_mutants(q4)}

@@ -17,7 +17,6 @@ from qk.errors import (
 from qk.generators import (
     generate_from_spec,
     lukasiewicz_quantale,
-    m3_quantale,
     powerset_quantale,
 )
 from qk.ideals import ideal_quantale
