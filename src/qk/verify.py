@@ -11,14 +11,17 @@ Quantifiers over elements and ideals are always exhausted; the exponential
 ones (subsets, pairs of subsets, families of ideals, mc sets) are sampled
 or narrowed on larger carriers, by the rules stated once with the domains
 (_Ctx), and such laws say so in their note.  Three kinds of domain run in
-groups decided at once: annihilator.antitone's exhaustive pairs by t, each
-distinct pair evaluated once; avoidance's masks, each distinct mask
-decided from its parts outside the ideals; and the five family laws, by
-the ideal before the families, each group decided from the empty family
-and the families of one or two ideals (_Ctx.family_law).  A group not so
-passed runs case by case from its start and a repeated group adds its
-first count, so case counts and witnesses are those of checking every
-case.  Sampled masks are drawn from C iterators over the seeded Random.
+groups decided at once: avoidance's masks, each distinct mask decided from
+its parts outside the ideals; the five family laws, by the ideal before
+the families, each group decided from the empty family and the families
+of one or two ideals (_Ctx.family_law); and four monotonicity laws, each
+one group decided along the covers of its order (_monotone):
+annihilator.antitone and generated_meet_lower on the nonempty masks under
+inclusion, mul_monotone and mul_monotone_pairs on the carrier's Hasse
+diagram.  A group not so passed runs case by case from its start and a
+repeated group adds its first count, so case counts and witnesses are
+those of checking every case.  Sampled masks are drawn from C iterators
+over the seeded Random.
 Every other law runs case by case, and outside collapse (which compares
 the library with brute force, one call per case) its repeated library
 calls reach the run's memos (_Ctx.routes): generated and annihilator once
@@ -51,7 +54,6 @@ import itertools
 import os
 import random
 import time
-from collections import Counter
 from dataclasses import dataclass, replace
 from functools import cache, cached_property, lru_cache, partial, reduce
 from operator import and_, attrgetter, itemgetter, or_
@@ -62,6 +64,7 @@ from .core import (
     FiniteQuantale,
     QuantaleHom,
     _byte_folds,
+    _lower_covers,
     bits,
     check_axioms,
     is_unit,
@@ -215,10 +218,12 @@ class _Domain(NamedTuple):
 def _grouped(keys, decide, cases, witness, note="") -> _Domain:
     """The domain whose cases are cases(key) for each key of keys(), in
     order, grouped by key: decide(key, holds) decides a group at once.
-    Only annihilator.antitone's exhaustive pairs, avoidance's masks and the
-    five family laws (_Ctx.family_law) are grouped: elsewhere a repeated
-    case costs less than grouping it, as its library calls are the run's
-    memos."""
+    Only avoidance's masks, the five family laws (_Ctx.family_law) and the
+    four monotonicity laws decided along covers (_monotone:
+    annihilator.antitone's exhaustive pairs, generated_meet_lower's pairs
+    up to 10 elements, mul_monotone and mul_monotone_pairs) are grouped:
+    elsewhere a repeated case costs less than grouping it, as its library
+    calls are the run's memos."""
     groups = lambda: ((k, partial(decide, k), partial(cases, k)) for k in keys())
     return _Domain(lambda: itertools.chain.from_iterable(map(cases, keys())), witness, note, groups)
 
@@ -229,6 +234,52 @@ def _over(*axes: _Axis) -> _Domain:
     witness = lambda *case: tuple(a.label(v) for a, v in zip(axes, case))
     note = "; ".join(a.note for a in axes if a.note)
     return _Domain(lambda: itertools.product(*(a.values() for a in axes)), witness, note)
+
+
+def _monotone(flat: _Domain, covers: Callable[[], Iterable[tuple] | None], count: int) -> _Domain:
+    """flat's cases as one group, decided along covers: the group passes
+    with count, flat's case count, if holds is exactly True on each case of
+    covers(), cases of flat; else, or where covers() is None, it runs case
+    by case.
+
+    Sound only for a law that compares f(s) with f(t), for s <= t in a
+    finite partial order, by a reflexive and transitive relation R:
+    annihilator.antitone (ann(t) <= ann(s)) and generated_meet_lower on the
+    nonempty masks under inclusion, and lemma_bip.mul_monotone and
+    mul_monotone_pairs on the carrier's order where q._order_fault is None.
+    The covers c < d (d covers c) generate such an order: s <= t iff s = t
+    or s = c0 < c1 < ... < ck = t, each c(i+1) covering c(i) (Davey and
+    Priestley, Introduction to Lattices and Order, 2002, ch. 1).  By
+    induction on k, R holding on every cover gives f(s) R f(t) through the
+    chain, by transitivity, and s = t holds by reflexivity.  The cases read:
+
+      (t & ~b, t)              for each nonempty mask t and bit b of t with
+                               t & ~b nonempty: the covers of the nonempty
+                               masks.  For generated_meet_lower the case
+                               (s, t), s inside t, reads gen(s) inside gen(s)
+                               & gen(t), so gen is monotone, and for any
+                               overlapping s, t, gen(s & t) lies in gen(s)
+                               and in gen(t)
+      ((c, d), z)              mul_monotone: c & z <= d & z
+      ((c, d), (z, z)) and     mul_monotone_pairs: x & u <= y & u <= y & v
+      ((w, w), (c, d))         for x <= y and u <= v, through the left
+                               chain from x to y, then the right one from u
+                               to v
+
+    From n = 2 on, every nonempty mask is an end of a cover, so f is
+    evaluated on each, and a crash in it makes decide raise and _run meet it
+    again in the flat loop; the mask laws are decided only where the
+    n 2^(n-1) covers are fewer than count, which leaves out n = 1.  On the
+    carrier f reads q.mul, whose entries are elements, so leq is reflexive
+    on them."""
+
+    def decide(key, holds):
+        found = covers()
+        if found is None or not all(holds(*case) is True for case in found):
+            return None
+        return count
+
+    return _grouped(lambda: (None,), decide, lambda key: flat.cases(), flat.witness, flat.note)
 
 
 class _Law(NamedTuple):
@@ -383,25 +434,12 @@ def _draws(rng: random.Random, width: int) -> Iterable[int]:
 
 
 @cache
-def _tally(t: int) -> tuple[tuple[int, int], ...]:
-    """Each distinct nonzero t & m of m in 1..t with its count, in order of
-    first occurrence, counted at C speed: subset_pairs' exhaustive pairs at
-    t.  Kept for the process: t < 2^EXHAUST_MAX_N."""
-    tally = Counter(map(t.__and__, range(1, t + 1)))
-    tally.pop(0, None)
-    return tuple(tally.items())
-
-
-def _decide_tally(t: int, holds) -> int | None:
-    """The count of t's pairs, each distinct one evaluated once, or None."""
-    checked = 0
-    for s, k in _tally(t):
-        ok = holds(s, t)
-        if ok:
-            checked += k
-        elif ok is not None:
-            return None
-    return checked
+def _subset_covers(n: int) -> tuple[tuple[int, int], ...]:
+    """(t & ~b, t) for each nonempty mask t of n bits and each bit b of t
+    with t & ~b nonempty: the covers of the nonempty masks under
+    inclusion, n 2^(n-1) - n of them.  Kept for the process: built only
+    where the mask laws decide along covers, n <= 10."""
+    return tuple((s, t) for t in range(1, 1 << n) for b in bits(t) if (s := t & ~(1 << b)))
 
 
 def _nonempty_draws(rng: random.Random, width: int, count: int) -> list[int]:
@@ -444,10 +482,11 @@ class _Ctx:
 
     Sampled values repeat where there are fewer of them than draws (subsets
     at n <= 13, families of 9 ideals); a law over them runs case by case
-    and reaches the memos in routes.  Of these domains the exhaustive
-    subset_pairs has groups, one per t, each distinct pair of a t evaluated
-    once and counted as often as it repeats, and so has family_law.  Every
-    sampled stream of masks is drawn by _draws, a C iterator over
+    and reaches the memos in routes.  Of these domains family_law has
+    groups, and the pairs of masks are one group decided along the covers
+    of the nonempty masks (_monotone) where they are fewer than the pairs:
+    subset_pairs up to EXHAUST_MAX_N elements, overlapping_pairs up to 10.
+    Every sampled stream of masks is drawn by _draws, a C iterator over
     rng.getrandbits.
 
       subsets            all nonempty subsets up to EXHAUST_MAX_N (8)
@@ -456,12 +495,16 @@ class _Ctx:
                          each nonempty t, (m & t, t) for every m in 1..t
                          with m & t nonempty, so a pair repeats once per m
                          giving it (95 cases for 65 pairs at n=4, 29,615
-                         for 6,305 at n=8), tallied per t by a Counter of
-                         the masks m & t (_tally); else t from subsets and
-                         one draw of m (tag + ".sub") per t
+                         for 6,305 at n=8); else t from subsets and one
+                         draw of m (tag + ".sub") per t
       overlapping_pairs  pairs s, t with s & t nonempty: all of them up to
                          _PAIR_EXHAUST_MAX_N (6) elements, else
                          SAMPLE_COUNT drawn pairs
+      covers             the covers (c, d) of the carrier's order, from
+                         core._lower_covers, where q._order_fault is None:
+                         mul_monotone and mul_monotone_pairs, over the
+                         comparable pairs, are decided along them
+                         (_monotone), E n cases and 2 E n for E covers
       families           all families of ideals, the empty one included, up
                          to EXHAUST_MAX_N ideals, else SAMPLE_COUNT // 10
                          (10^3) draws, each a _Family with its pick, join
@@ -611,12 +654,32 @@ class _Ctx:
     def _pair_witness(self, s: int, t: int) -> tuple[str, ...]:
         return self.q.labels(s), "/", self.q.labels(t)
 
+    def _along_masks(self, flat: _Domain, count: int) -> _Domain:
+        """flat, of count cases, decided along the covers of the nonempty
+        masks (_monotone) where they are fewer: n <= 10 at most."""
+        n = self.q.n
+        if (n << n) // 2 >= count:
+            return flat
+        return _monotone(flat, partial(_subset_covers, n), count)
+
+    @cached_property
+    def covers(self) -> list[tuple[int, int]] | None:
+        """The covers (c, d) of the carrier's order, d covering c, from
+        core._lower_covers; None unless down is a partial order."""
+        if self.q._order_fault is not None:
+            return None
+        return [(c, d) for d, below in enumerate(_lower_covers(self.q.down)) for c in below]
+
     def subset_pairs(self, tag: str) -> _Domain:
         n, ts = self.q.n, self.subsets(tag)
-        if self.exhaustive:  # grouped by t, each distinct pair of its tally once
+        if self.exhaustive:
             masks = lambda t: filter(None, map(t.__and__, range(1, t + 1)))
             pairs = lambda t: zip(masks(t), itertools.repeat(t))
-            return _grouped(ts.values, _decide_tally, pairs, self._pair_witness)
+            cases = lambda: itertools.chain.from_iterable(map(pairs, ts.values()))
+            # the m in 0..t with m & t == 0 are the masks below t's top bit
+            # that miss its other bits: 2^(bit_length - bit_count) of them
+            count = sum(t + 1 - (1 << t.bit_length() - t.bit_count()) for t in range(1, 1 << n))
+            return self._along_masks(_Domain(cases, self._pair_witness), count)
 
         def cases():
             t = ts.values()
@@ -634,8 +697,12 @@ class _Ctx:
 
         if n <= _PAIR_EXHAUST_MAX_N:
             masks = range(1, self.q.full + 1)
-            return _Domain(lambda: _overlapping(itertools.product(masks, masks)), self._pair_witness)
-        return _Domain(draws, self._pair_witness, "sampled")
+            pairs = lambda: _overlapping(itertools.product(masks, masks))
+            flat = _Domain(pairs, self._pair_witness)
+            # the pairs of nonempty masks but the disjoint ones: 3^n pairs of
+            # disjoint masks, 2^(n+1) - 1 of them with an empty side
+            return self._along_masks(flat, (2**n - 1) ** 2 - 3**n + 2 ** (n + 1) - 1)
+        return self._along_masks(_Domain(draws, self._pair_witness, "sampled"), SAMPLE_COUNT)
 
     def families(self, tag: str) -> _Axis:
         k = len(self.ideals)
@@ -750,12 +817,24 @@ def _suite_lemma_bip(ctx: _Ctx) -> list[_Law]:
     B = _Axis(lambda: below, str)
     labels = lambda *xs: tuple(el[x] for x in xs)
 
+    def along_covers(*cases):
+        """each case(cover, z) for every cover of the order and element z,
+        the cases _monotone decides by, or None where down is no partial
+        order"""
+        covers = ctx.covers
+        if covers is None:
+            return None
+        return (case(p, z) for case in cases for p in covers for z in range(q.n))
+
+    monotone = _monotone(_over(B, E), partial(along_covers, lambda p, z: (p, z)), len(below) * q.n)
+    left, right = (lambda p, z: (p, (z, z))), (lambda p, z: ((z, z), p))
+    pairs = _monotone(_over(B, B), partial(along_covers, left, right), len(below) ** 2)
     return [
         _Law("mul_below_meet", _over(E, E), lambda x, y: leq(mul[x][y], q.meet[x][y])),
         _Law("bot_annihilates", _over(E), lambda x: mul[x][q.bottom] == q.bottom),
-        _Law("mul_monotone", _over(B, E), lambda p, z: leq(mul[p[0]][z], mul[p[1]][z]),
+        _Law("mul_monotone", monotone, lambda p, z: leq(mul[p[0]][z], mul[p[1]][z]),
              witness=lambda p, z: labels(*p, z)),
-        _Law("mul_monotone_pairs", _over(B, B),
+        _Law("mul_monotone_pairs", pairs,
              lambda p, r: leq(mul[p[0]][r[0]], mul[p[1]][r[1]]),
              witness=lambda p, r: labels(*p, *r)),
         _Law("binomial_power", _over(E, E, exponents),

@@ -12,14 +12,22 @@ the edge cases.
 import itertools
 from collections import Counter
 from dataclasses import replace
-from operator import attrgetter
+from functools import reduce
+from operator import attrgetter, or_
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
-from oracles import MUTANTS, MUTATION_MUTANTS, flat_run, minimal_decompositions_picks
+from oracles import (
+    MUTANTS,
+    MUTATION_BASES,
+    MUTATION_MUTANTS,
+    flat_run,
+    minimal_decompositions_picks,
+)
 from qk import classify, decompose, verify
-from qk.core import check_axioms
+from qk.core import bits, check_axioms
 from qk.decompose import (
     MINIMAL_PICKS_MAX,
     _all_minimal_decompositions,
@@ -42,6 +50,7 @@ from qk.verify import (
     _over,
     _run,
     run_suite,
+    single_cell_mutants,
 )
 
 SEEDS = (0, 1, 7)
@@ -49,8 +58,10 @@ SEEDS = (0, 1, 7)
 # repeat at 9 ideals (lukasiewicz:9 and lowersets:4:0<1,2<3, whose 9 lower
 # sets are its ideals), and the five family laws over them are grouped by
 # the ideal before their families, each group decided from the small
-# families; annihilator.antitone's pairs (n <= 8) are grouped per t and
-# avoidance's masks by mask
+# families; avoidance's masks are grouped by mask, and the monotonicity
+# laws are each one group decided along covers (annihilator.antitone's
+# pairs up to n = 8, generated_meet_lower's up to n = 10, mul_monotone and
+# mul_monotone_pairs at every n)
 SPECS = (
     "lukasiewicz:9",
     "lukasiewicz:12",
@@ -83,9 +94,10 @@ def test_replay_matches_the_flat_loop_on_mutants(seed, monkeypatch):
         assert replayed == flat, q.name
 
 
-def test_antitone_tallies_match_the_flat_loop_on_mutation_mutants(monkeypatch):
+def test_antitone_covers_match_the_flat_loop_on_mutation_mutants(monkeypatch):
     # every mutant of the mutation benchmark's carriers, up to n=8, where
-    # annihilator.antitone's exhaustive pairs are tallied per t
+    # annihilator.antitone's exhaustive pairs are decided along the covers
+    # of the nonempty masks
     for q in MUTATION_MUTANTS:
         replayed, flat = _both(q, 0, monkeypatch, "annihilator")
         assert replayed == flat, q.name
@@ -97,9 +109,13 @@ def test_antitone_tallies_match_the_flat_loop_on_mutation_mutants(monkeypatch):
 )
 def test_only_antitone_pairs_and_avoidance_masks_are_drawn(spec):
     # no _over domain skips a repeated case, sampled subsets included: of
-    # every table, only annihilator.antitone's exhaustive pairs (n <= 8),
-    # avoidance's masks and the five family laws (at every n) are grouped
+    # every table, only avoidance's masks, the five family laws and the
+    # monotonicity laws decided along covers are grouped: mul_monotone and
+    # mul_monotone_pairs at every n, annihilator.antitone's exhaustive pairs
+    # (n <= 8) and generated_meet_lower's pairs where the n 2^(n-1) covers
+    # are fewer than its cases (n <= 10)
     ctx = _Ctx(generate_from_spec(spec), 0)
+    n = ctx.q.n
     domains = {
         f"{s}.{law.name}": law.domain
         for s in SUITE_ORDER[1:]
@@ -107,9 +123,12 @@ def test_only_antitone_pairs_and_avoidance_masks_are_drawn(spec):
         if law.domain is not None
     }
     grouped = {name for name, d in domains.items() if d.groups is not None}
-    antitone = {"annihilator.antitone"} if ctx.q.n <= EXHAUST_MAX_N else set()
+    antitone = {"annihilator.antitone"} if n <= EXHAUST_MAX_N else set()
+    meet_lower = {"proposition_bpi.generated_meet_lower"} if n <= 10 else set()
+    monotone = {"lemma_bip.mul_monotone", "lemma_bip.mul_monotone_pairs"}
     family = {f"{s}.{name}" for name, (s, _, _) in FAMILY_LAWS.items()}
-    assert grouped == {"avoidance.witness_outside_union"} | antitone | family
+    expected = {"avoidance.witness_outside_union"} | antitone | meet_lower | monotone | family
+    assert grouped == expected
 
 
 def _join_rewrites(q):
@@ -240,6 +259,114 @@ def test_avoidance_fallback_matches_the_flat_loop_on_join_rewrites(monkeypatch):
     assert (row.status, row.checked, row.witness, row.note) == ("fail", 39, (), missing)
 
 
+def _law(ctx, suite, name):
+    """The law name of suite's table on ctx."""
+    return next(law for law in getattr(verify, "_suite_" + suite)(ctx) if law.name == name)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_monotone_mask_laws_match_the_flat_loop(data):
+    # a map f of masks, monotone but at a few rewritten masks and with at
+    # most one mask where it raises, in both mask shapes: f(t) inside f(s)
+    # for s inside t (antitone, of the complement of f) on subset_pairs, and
+    # f(s & t) inside f(s) & f(t) (generated_meet_lower) on
+    # overlapping_pairs, exhausted up to 6 elements and sampled above
+    n = data.draw(st.integers(1, 8), "n")
+    full = (1 << n) - 1
+    images = data.draw(st.lists(st.integers(0, 63), min_size=n, max_size=n), "images")
+    f = {m: reduce(or_, (images[b] for b in bits(m))) for m in range(1, full + 1)}
+    rewrites = st.dictionaries(st.integers(1, full), st.integers(0, 63), max_size=2)
+    f.update(data.draw(rewrites, "rewrites"))
+    crash = data.draw(st.none() | st.integers(1, full), "crash")
+
+    def g(m):
+        if m == crash:
+            raise ZeroDivisionError("boom")
+        return f[m]
+
+    ctx = _Ctx(generate_from_spec(f"lukasiewicz:{n}"), data.draw(st.integers(0, 7), "seed"))
+    laws = [
+        _Law("antitone", ctx.subset_pairs("t"), lambda s, t: ~g(t) & g(s) == 0),
+        _Law("meet_lower", ctx.overlapping_pairs("t"), lambda s, t: g(s & t) & ~(g(s) & g(t)) == 0),
+    ]
+    for law in laws:
+        assert (law.domain.groups is not None) == (n >= 2), law.name
+        assert _run(law) == flat_run(law), law.name
+
+
+def test_mul_monotone_laws_match_the_flat_loop_on_mutants(monkeypatch):
+    # every mutant fails both laws along some cover, so each runs flat
+    for q in MUTANTS + MUTATION_MUTANTS:
+        replayed, flat = _both(q, 0, monkeypatch, "lemma_bip")
+        assert replayed == flat, q.name
+        statuses = {r.law: r.status for r in replayed}
+        assert statuses["mul_monotone"] == statuses["mul_monotone_pairs"] == "fail", q.name
+
+
+def test_mul_monotone_pairs_reads_both_sides_on_noncommutative_mutants():
+    # run_suite skips a noncommutative carrier, but the table built on one
+    # still decides by its covers: on 17 of these mutants the left covers
+    # ((c, d), (z, z)) pass and a right one ((w, w), (c, d)) fails
+    mutants = [m for q in MUTATION_BASES for _, _, m in single_cell_mutants(q) if not m.commutative]
+    assert len(mutants) == 154
+    for q in mutants:
+        ctx = _Ctx(q, 0)
+        for name in ("mul_monotone", "mul_monotone_pairs"):
+            law = _law(ctx, "lemma_bip", name)
+            assert _run(law) == flat_run(law), (q.name, name)
+
+
+def test_mul_monotone_laws_run_flat_without_a_partial_order():
+    # down[3] of lukasiewicz:5 without 1: not transitive, so the covers do
+    # not generate the order, and both laws, which pass on every cover,
+    # fail on a comparable pair
+    q = generate_from_spec("lukasiewicz:5")
+    q = replace(q, name="broken", down=(*q.down[:3], q.down[3] & ~0b10, q.down[4]))
+    assert q._order_fault is not None
+    ctx = _Ctx(q, 0)
+    assert ctx.covers is None
+    for name in ("mul_monotone", "mul_monotone_pairs"):
+        law = _law(ctx, "lemma_bip", name)
+        assert _run(law) == flat_run(law) and _run(law)[0] == "fail", name
+
+
+def test_generated_meet_lower_matches_the_flat_loop_on_join_rewrites():
+    # a rewritten join cell makes generated non-monotone on 49 of them
+    failed = 0
+    for q in _join_rewrite_carriers():
+        law = _law(_Ctx(q, 0), "proposition_bpi", "generated_meet_lower")
+        assert _run(law) == flat_run(law), q.name
+        failed += _run(law)[0] == "fail"
+    assert failed == 49
+
+
+@pytest.mark.parametrize(
+    "spec, suite, name",
+    [
+        ("lukasiewicz:64", "lemma_bip", "mul_monotone"),
+        ("lukasiewicz:64", "lemma_bip", "mul_monotone_pairs"),
+        ("powerset:3", "annihilator", "antitone"),
+        ("powerset:3", "proposition_bpi", "generated_meet_lower"),
+    ],
+)
+def test_monotone_laws_evaluate_only_their_covers(spec, suite, name):
+    # each passes from its cover cases: E covers of the order times n
+    # elements (twice for the pairs), or at most n 2^(n-1) covers of the
+    # masks, where the flat loop has |B| n = 2080 * 64 and |B|^2 = 2080^2
+    # cases, or 29,615 and 10^4
+    ctx, calls = _Ctx(generate_from_spec(spec), 0), []
+    law = _law(ctx, suite, name)
+    law = law._replace(holds=lambda *case, holds=law.holds: calls.append(case) or holds(*case))
+    [row] = _check(suite, [law])
+    n = ctx.q.n
+    if suite == "lemma_bip":
+        bound = len(ctx.covers) * n * (2 if name == "mul_monotone_pairs" else 1)
+    else:
+        bound = n << n - 1
+    assert row.status == "pass" and 0 < len(calls) <= bound < row.checked
+
+
 @pytest.mark.parametrize("spec", ["lukasiewicz:12", "powerset:4", "lowersets:chain8"])
 def test_avoidance_decides_its_masks_without_the_core(spec, monkeypatch):
     # every stable mask of these lawful carriers passes its decide, so the
@@ -340,15 +467,18 @@ def test_a_crashing_decide_runs_its_group_case_by_case():
     assert seen == [(2, 0), (2, 1), (2, 2)]
 
 
-# The pair (2, t) at t = 0b10011 first occurs at m = 2, and the smaller pair
-# (1, t) recurs after it, at m = 5: the flat count before the failure is one
-# case of t, not the tally of (1, t).
+# The pair (2, t) at t = 0b10011 first occurs at m = 2, after (1, t) at
+# m = 1, and the mask t is first read at (1, t).  f(s) is the complement of
+# s but at t, where it is the mask 2, the one bit the complement of 2
+# lacks, so f(t) inside f(s) fails first at the pair and on the cover
+# (0b10010, t) too: the flat loop runs from the start, and its count
+# before the failure is one case of t.
 _PAIR = (2, 0b10011)
 
 
-def _tallied_law(verdict):
-    """A law over subset_pairs' exhaustive pairs on lukasiewicz:5, its
-    predicate verdict; the pairs it evaluated."""
+def _covers_law(verdict):
+    """A law of antitone's shape over subset_pairs' exhaustive pairs on
+    lukasiewicz:5, its predicate verdict; the pairs it evaluated."""
     ctx, seen = _Ctx(generate_from_spec("lukasiewicz:5"), 0), []
     law = _Law("law", ctx.subset_pairs("t"), lambda s, t: seen.append((s, t)) or verdict(s, t))
     assert law.domain.groups is not None
@@ -364,10 +494,23 @@ def _flat_count_before(pair):
     )
 
 
-def test_a_tallied_failure_reports_the_flat_count():
-    law, seen = _tallied_law(lambda s, t: (s, t) != _PAIR)
+def _complement(crash=None):
+    """f(s) = the complement of s in 5 bits, but f(_PAIR[1]) = _PAIR[0];
+    f(crash) raises."""
+
+    def f(s):
+        if s == crash:
+            raise ZeroDivisionError("boom")
+        return _PAIR[0] if s == _PAIR[1] else 0b11111 & ~s
+
+    return f
+
+
+def test_a_failure_along_covers_reports_the_flat_count():
+    f = _complement()
+    law, seen = _covers_law(lambda s, t: f(t) & ~f(s) == 0)
     [row] = _check("s", [law])
-    assert len(seen) < _flat_count_before(_PAIR)  # repeated pairs were not evaluated
+    assert seen[0] == (0b10, 0b11)  # the decide read the first cover first
     with pytest.MonkeyPatch.context() as m:
         m.setattr("qk.verify._run", flat_run)
         [flat] = _check("s", [law])
@@ -376,19 +519,16 @@ def test_a_tallied_failure_reports_the_flat_count():
     assert row.witness == ("1", "/", "0 1 4")
 
 
-def test_a_tallied_crash_reports_the_flat_count():
-    def verdict(s, t):
-        if (s, t) == _PAIR:
-            raise ZeroDivisionError("boom")
-        return True
-
-    law, _ = _tallied_law(verdict)
+def test_a_crash_along_covers_reports_the_flat_count():
+    # f raises on the mask t, first read at the pair (1, t)
+    f = _complement(crash=_PAIR[1])
+    law, _ = _covers_law(lambda s, t: f(t) & ~f(s) == 0)
     [row] = _check("s", [law])
     with pytest.MonkeyPatch.context() as m:
         m.setattr("qk.verify._run", flat_run)
         [flat] = _check("s", [law])
     assert row == flat
-    assert (row.status, row.checked, row.witness) == ("fail", _flat_count_before(_PAIR), ())
+    assert (row.status, row.checked, row.witness) == ("fail", _flat_count_before((1, _PAIR[1])), ())
     assert row.note == "error: ZeroDivisionError: boom"
 
 
