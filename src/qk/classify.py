@@ -24,15 +24,17 @@ their candidates once from the ideal's mask (the elements outside it, the
 elements no power of which lies in it, the strictly larger ideals, the
 ideals not below it), then test pairs of candidates by masks in the full
 pair scan's order, so the first witness is the same (for ideals, their
-apexes).  The predicates (but is_primary, through q.residuals where it
-can) and classification read the scans; decompose reads the predicates.
+apexes).  The predicates (is_primary through q.residuals where it can) and
+classification read the scans; decompose, the predicates and _outside_pair.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import and_, itemgetter
 
-from .core import FiniteQuantale, _require_element, _subset_mask, bits
+from .core import FiniteQuantale, _closed, _colons, _require_element, _subset_mask, bits
 from .errors import (
     CarrierMismatch,
     Degenerate,
@@ -61,14 +63,17 @@ def is_prime(i: Ideal) -> bool:
     """Proper, and x & y inside forces x or y inside.  A scan: reading
     q.residuals would make qk spectrum, which loads files unchecked, build
     it, which on lukasiewicz:128 costs more than the whole spectrum."""
-    return i.proper and _prime_witness(i) is None
+    return i.proper and _outside_pair(i, i.carrier.mul) is None
 
 
-def _prime_witness(i: Ideal) -> tuple[int, int] | None:
-    q, m = i.carrier, i.members
-    outside = [x for x in range(q.n) if not m >> x & 1]
+def _outside_pair(i: Ideal, table) -> tuple[int, int] | None:
+    """The first pair x <= y outside i, by index, with table[x][y] inside i,
+    or None: the full square's verdict on a symmetric table, as q.mul where &
+    commutes and q.meet always are (build_quantale; mutants replace only mul)."""
+    m = i.members
+    outside = [x for x in range(i.carrier.n) if not m >> x & 1]
     for k, x in enumerate(outside):
-        row = q.mul[x]
+        row = table[x]
         for y in outside[k:]:
             if m >> row[y] & 1:
                 return (x, y)
@@ -165,7 +170,10 @@ def _strongly_irreducible_witness(i: Ideal) -> tuple[int, int] | None:
 def _disjoint_pair(parts: list[tuple[int, int]]) -> tuple[int, int] | None:
     """The apexes of the first two (mask, apex) parts whose nonzero masks
     are disjoint.  A mask meets itself, and disjointness is symmetric, so
-    the first part with a partner has none before it."""
+    the first part with a partner has none before it.  Where every mask
+    shares an element (as on every ideal of a chain) no two are disjoint."""
+    if reduce(and_, map(itemgetter(0), parts), -1):
+        return None
     for k, (a, x) in enumerate(parts):
         for b, y in parts[k + 1 :]:
             if not a & b:
@@ -256,15 +264,8 @@ def nilradical(q: FiniteQuantale) -> Ideal:
 def zero_divisors(q: FiniteQuantale) -> tuple[int, ...]:
     """Nonzero x with x & y == bottom for some nonzero y."""
     require_commutative(q)
-    b = q.bottom
-    out = []
-    for x in range(q.n):
-        if x == b:
-            continue
-        row = q.mul[x]
-        if any(row[y] == b for y in range(q.n) if y != b):
-            out.append(x)
-    return tuple(out)
+    zero = 1 << q.bottom
+    return tuple(bits(_colons(q, zero, q.full & ~zero) & ~zero))
 
 
 def is_qd(q: FiniteQuantale) -> bool:
@@ -298,14 +299,7 @@ def is_mc(q: FiniteQuantale, subset) -> bool:
         m = _subset_mask(q, subset)
     except QuantaleError:
         return False
-    if not m >> q.top & 1:
-        return False
-    for x in bits(m):
-        row = q.mul[x]
-        for y in bits(m):
-            if not m >> row[y] & 1:
-                return False
-    return True
+    return bool(m >> q.top & 1) and _closed(m, q.mul)
 
 
 def mc_set(q: FiniteQuantale, subset) -> McSet:
@@ -346,13 +340,7 @@ def all_mc_sets(q: FiniteQuantale) -> list[McSet]:
 def saturation(s: McSet) -> McSet:
     """Smallest saturated mc superset: everything whose product with
     something lands in s."""
-    q = s.carrier
-    out = 0
-    for x in range(q.n):
-        row = q.mul[x]
-        if any(s.members >> row[y] & 1 for y in range(q.n)):
-            out |= 1 << x
-    return McSet(q, out)
+    return McSet(s.carrier, _colons(s.carrier, s.members, s.carrier.full))
 
 
 def is_saturated(s: McSet) -> bool:
@@ -476,7 +464,7 @@ def classification(i: Ideal) -> Classification:
         "proper": proper,
         "maximal": tuple(larger[:1]) if larger else proper,
         "minimal_ideal": tuple(smaller[:1]) if smaller or i.is_zero else None,
-        "prime": _prime_witness(i) if i.proper else (),
+        "prime": _outside_pair(i, q.mul) if i.proper else (),
         "semiprime": _semiprime_witness(i),
         "primary": _primary_witness(i) if i.proper else (),
         "radical_ideal": None if rad == i else tuple(bits(rad.members & ~i.members))[:1],

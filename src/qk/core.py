@@ -123,6 +123,27 @@ def _require_element(q: FiniteQuantale, x: int) -> None:
         raise QuantaleError(f"indices [{x}] are not elements of {q.name} (n={q.n})")
 
 
+def _colons(q: FiniteQuantale, m: int, ys: int) -> int:
+    """The mask of the x with x & y in the mask m for some y in the mask ys,
+    the union of the colons (m : y): per row, one itemgetter and a set test."""
+    cols = list(bits(ys))
+    if not cols:
+        return 0
+    read, inside = _reader(cols), set(bits(m))
+    return sum(1 << x for x, row in enumerate(q.mul) if not inside.isdisjoint(read(row)))
+
+
+def _closed(m: int, table: Sequence[Sequence[int]]) -> bool:
+    """Whether table[x][y] lies in the mask m for every x, y in m."""
+    xs = list(bits(m))
+    for x in xs:
+        row = table[x]
+        for y in xs:
+            if not m >> row[y] & 1:
+                return False
+    return True
+
+
 @dataclass(frozen=True, eq=False)
 class FiniteQuantale:
     """An immutable carrier.  Equality is identity; reuse instances.

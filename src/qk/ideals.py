@@ -35,6 +35,8 @@ from .core import (
     ELEMENT_CAP,
     FiniteQuantale,
     QuantaleHom,
+    _closed,
+    _colons,
     _require_element,
     _subset_mask,
     bits,
@@ -154,16 +156,10 @@ def is_ideal(q: FiniteQuantale, subset: Iterable[int] | int) -> bool:
         return False
     if m == 0:
         return False
-    xs = list(bits(m))
-    for x in xs:
+    for x in bits(m):
         if q.down[x] & ~m:
             return False
-    for x in xs:
-        row = q.join[x]
-        for y in xs:
-            if not m >> row[y] & 1:
-                return False
-    return True
+    return _closed(m, q.join)
 
 
 def as_ideal(q: FiniteQuantale, subset: Iterable[int] | int) -> Ideal:
@@ -295,18 +291,17 @@ def product_closure(i: Ideal, j: Ideal) -> Ideal:
 
 
 def residual(i: Ideal, j: Ideal) -> Ideal:
-    """(i : j) = all x whose product with every member of j lands in i: a
-    scan, or where q.residuals exists and both are principal, (↓b : ↓a) =
-    ↓residuals[a][b] (every row is then monotone, so y = a decides)."""
+    """(i : j) = all x whose product with every member of j lands in i: the
+    complement of core._colons(q, full & ~i, j); or, where q.residuals exists
+    and both are principal, (↓b : ↓a) = ↓residuals[a][b] (every row is then
+    monotone, so y = a decides)."""
     q = i.carrier
     if j.carrier is not q:
         raise _mismatch(i, j)
     table = q.residuals
     if table is not None and i.is_principal and j.is_principal:
         return q.principals[table[j.apex][i.apex]]
-    im, js = i.members, list(bits(j.members))
-    m = sum(1 << x for x, row in enumerate(q.mul) if all(im >> row[y] & 1 for y in js))
-    return q.interned[m]
+    return q.interned[q.full & ~_colons(q, q.full & ~i.members, j.members)]
 
 
 def annihilator(q: FiniteQuantale, s: Iterable[int] | int) -> Ideal:

@@ -81,8 +81,6 @@ DEFAULT_SEED = 1105
 SAMPLE_COUNT = 10_000
 EXHAUST_MAX_N = 8
 CROSS_ORACLE_MAX_N = 12
-# pairs of subsets for generated_meet_lower: (2^n)^2 cases, so a lower cut-off
-_PAIR_EXHAUST_MAX_N = 6
 # the largest group whose nonempty subfamilies are all checked: 2^12 - 1 cases
 _SUBFAMILY_EXHAUST_MAX = 12
 
@@ -497,9 +495,9 @@ class _Ctx:
                          giving it (95 cases for 65 pairs at n=4, 29,615
                          for 6,305 at n=8); else t from subsets and one
                          draw of m (tag + ".sub") per t
-      overlapping_pairs  pairs s, t with s & t nonempty: all of them up to
-                         _PAIR_EXHAUST_MAX_N (6) elements, else
-                         SAMPLE_COUNT drawn pairs
+      overlapping_pairs  pairs s, t with s & t nonempty: all of them where
+                         they are at most SAMPLE_COUNT (n <= 6: 3,367 at
+                         n=6, 14,197 at n=7), else SAMPLE_COUNT drawn pairs
       covers             the covers (c, d) of the carrier's order, from
                          core._lower_covers, where q._order_fault is None:
                          mul_monotone and mul_monotone_pairs, over the
@@ -695,13 +693,13 @@ class _Ctx:
             drawn = _draws(self.rng(tag), n)
             return itertools.islice(_overlapping(zip(drawn, drawn)), SAMPLE_COUNT)
 
-        if n <= _PAIR_EXHAUST_MAX_N:
+        # the pairs of nonempty masks but the disjoint ones: 3^n pairs of
+        # disjoint masks, 2^(n+1) - 1 of them with an empty side
+        count = (2**n - 1) ** 2 - 3**n + 2 ** (n + 1) - 1
+        if count <= SAMPLE_COUNT:
             masks = range(1, self.q.full + 1)
             pairs = lambda: _overlapping(itertools.product(masks, masks))
-            flat = _Domain(pairs, self._pair_witness)
-            # the pairs of nonempty masks but the disjoint ones: 3^n pairs of
-            # disjoint masks, 2^(n+1) - 1 of them with an empty side
-            return self._along_masks(flat, (2**n - 1) ** 2 - 3**n + 2 ** (n + 1) - 1)
+            return self._along_masks(_Domain(pairs, self._pair_witness), count)
         return self._along_masks(_Domain(draws, self._pair_witness, "sampled"), SAMPLE_COUNT)
 
     def families(self, tag: str) -> _Axis:
@@ -1256,8 +1254,8 @@ def _suite_uniqueness(ctx: _Ctx) -> list[_Law]:
 def _suite_irreducible(ctx: _Ctx) -> list[_Law]:
     q, I, proper = ctx.q, ctx.axis("ideals"), ctx.axis("proper")
     ideals, rad = ctx.ideals, ctx.routes.rad
-    irr = cache(lambda: [i for i in ideals if dc.is_irreducible(i)])
-    sirr = cache(lambda: [i for i in ideals if dc.is_strongly_irreducible(i)])
+    irr = cache(lambda: [i for i in ideals if cl.is_irreducible(i)])
+    sirr = cache(lambda: [i for i in ideals if cl.is_strongly_irreducible(i)])
     strong = _over(_Axis(sirr, _name))
 
     def decomposes(i):

@@ -6,8 +6,11 @@ the definition, with no table or memo of the carrier's.  The witness
 oracles are the unfiltered pair scans that classify's scans must match,
 first witness included: prime and primary over every pair of elements,
 irreducible and strongly irreducible over every pair of enumerate_ideals
-by Ideal comparison.  mc_radical_scan is the radical by its mc-set form,
-over every mc set.  minimal_decompositions_picks is the product of
+by Ideal comparison.  is_ideal_scan, is_mc_scan, saturation_scan,
+zero_divisors_scan, isolated_component_scan and
+strongly_irreducible_elementwise_scan are the definitions of the routines
+that read core's colon and closure scans and classify._outside_pair.
+mc_radical_scan is the radical by its mc-set form, over every mc set.  minimal_decompositions_picks is the product of
 picks that the search of decompose._all_minimal_decompositions replaced,
 and merge_and_prune the merge-and-prune route that primary_decomposition
 replaced by the search's first result.
@@ -73,6 +76,53 @@ def residual_scan(i, j):
         for x in range(q.n)
         if all(i.members >> q.mul[x][y] & 1 for y in members(q, j.members))
     )
+
+
+def is_ideal_scan(q, m):
+    """Nonempty, down-closed and closed under binary join."""
+    xs = members(q, m)
+    return (
+        bool(xs)
+        and all(m >> y & 1 for x in xs for y in range(q.n) if q.leq(y, x))
+        and all(m >> q.join[x][y] & 1 for x in xs for y in xs)
+    )
+
+
+def is_mc_scan(q, m):
+    """Contains top and is closed under &."""
+    xs = members(q, m)
+    return bool(m >> q.top & 1) and all(m >> q.mul[x][y] & 1 for x in xs for y in xs)
+
+
+def saturation_scan(s):
+    """The member mask of the saturation of the mc set s: every x whose
+    product with some element lands in s."""
+    q = s.carrier
+    return sum(
+        1 << x for x in range(q.n) if any(s.members >> q.mul[x][y] & 1 for y in range(q.n))
+    )
+
+
+def zero_divisors_scan(q):
+    """The nonzero x with x & y == bottom for some nonzero y."""
+    nonzero = [x for x in range(q.n) if x != q.bottom]
+    return tuple(x for x in nonzero if any(q.mul[x][y] == q.bottom for y in nonzero))
+
+
+def isolated_component_scan(i, p):
+    """The member mask of every a with a & b in i for some b outside p."""
+    q = i.carrier
+    outside = [b for b in range(q.n) if not p.members >> b & 1]
+    return sum(
+        1 << a for a in range(q.n) if any(i.members >> q.mul[a][b] & 1 for b in outside)
+    )
+
+
+def strongly_irreducible_elementwise_scan(i):
+    """No a, b outside i, in either order, meet inside i."""
+    q = i.carrier
+    outside = [x for x in range(q.n) if not i.members >> x & 1]
+    return not any(i.members >> q.meet[a][b] & 1 for a in outside for b in outside)
 
 
 def prime_witness_scan(i):

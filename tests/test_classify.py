@@ -52,6 +52,7 @@ from qk.verify import single_cell_mutants
 from oracles import (
     DATA,
     MUTANTS,
+    MUTATION_MUTANTS,
     SPECS,
     irreducible_witness_scan,
     mc_radical_scan,
@@ -404,9 +405,9 @@ def test_classification_flags_match_the_predicates_and_witnesses_refute():
 
 def test_pair_witnesses_are_the_first_of_the_unfiltered_scans():
     carriers = [load_quant(DATA / f"{s}.quant") for s in ("q4", "l3", "c2", "nondec")]
-    carriers += [generate_from_spec(s) for s in SPECS]
+    carriers += [generate_from_spec(s) for s in [*SPECS, "lukasiewicz:24"]]
     count = 0
-    for q in [*carriers, *MUTANTS]:
+    for q in [*carriers, *MUTANTS, *MUTATION_MUTANTS]:
         for i in enumerate_ideals(q):
             want = {
                 "prime": prime_witness_scan(i) if i.proper else (),
@@ -417,7 +418,23 @@ def test_pair_witnesses_are_the_first_of_the_unfiltered_scans():
             w = classification(i).witnesses
             assert {k: w.get(k) for k in want} == want, (q.name, i.name)
             count += 1
-    assert count == 161
+    assert count == 371
+
+
+def test_disjoint_pair_answers_parts_sharing_an_element_without_a_pair_scan():
+    # where every part's mask holds a common element no two are disjoint:
+    # the AND of the masks answers before the pair scan takes any slice
+    class Unsliced(list):
+        def __getitem__(self, k):
+            if isinstance(k, slice):
+                raise AssertionError("pair scan")
+            return super().__getitem__(k)
+
+    assert classify._disjoint_pair(Unsliced([(0b011, 0), (0b110, 1), (0b111, 2)])) is None
+    assert classify._disjoint_pair(Unsliced([])) is None
+    with pytest.raises(AssertionError, match="pair scan"):
+        classify._disjoint_pair(Unsliced([(0b011, 0), (0b100, 1)]))
+    assert classify._disjoint_pair([(0b011, 0), (0b110, 1), (0b100, 2)]) == (0, 2)
 
 
 def test_all_mc_sets_refuses_large_carriers(monkeypatch):

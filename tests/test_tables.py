@@ -11,7 +11,9 @@ check_axioms' lattice_ok.  The oracles below loop over the elements one
 at a time, fold join_ideals from the zero ideal, or call join_all and
 meet_all.  The table routes must return exactly what they return, on
 lawful carriers and on tables corrupted in any field, with n on both
-sides of each byte boundary.
+sides of each byte boundary.  The routines that read the scan shapes
+core._colons, core._closed and classify._outside_pair meet their
+definitional loops on the lawful carriers and the mutants.
 """
 
 import random
@@ -23,15 +25,20 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qk.classify import (
+    all_mc_sets,
+    is_mc,
     is_primary,
     jacobson,
     maximal_ideals,
     mc_generated,
     nilradical,
     radical,
+    saturation,
     spectrum,
+    zero_divisors,
 )
 from qk.core import bits, check_axioms
+from qk.decompose import isolated_component_formula, strongly_irreducible_elementwise
 from qk.errors import CarrierMismatch, NotCommutative
 from qk.generators import generate_from_spec
 from qk.ideals import (
@@ -40,6 +47,7 @@ from qk.ideals import (
     enumerate_ideals,
     generated,
     ideal_quantale,
+    is_ideal,
     join_all,
     join_ideals,
     meet_all,
@@ -56,8 +64,14 @@ from oracles import (
     SPECS,
     annihilator_scan,
     generated_scan,
+    is_ideal_scan,
+    is_mc_scan,
+    isolated_component_scan,
     primary_witness_scan,
     residual_scan,
+    saturation_scan,
+    strongly_irreducible_elementwise_scan,
+    zero_divisors_scan,
 )
 
 _BASES = [generate_from_spec(s) for s in SPECS]
@@ -221,6 +235,35 @@ def test_residuation_table_on_the_single_cell_mutants():
         without += q.residuals is None
         _check_readers(enumerate_ideals(q))
     assert without
+
+
+def test_scan_shapes_match_their_definitions():
+    # is_ideal and is_mc read core._closed, saturation, zero_divisors and
+    # isolated_component_formula core._colons, and
+    # strongly_irreducible_elementwise classify._outside_pair: each answers
+    # as its definitional loop on every mask (above 8 elements the down-sets,
+    # up-sets, their complements and the mc sets), every mc set and every
+    # ideal, or pair of ideals, of the lawful carriers and the mutants
+    cases = 0
+    for q in [*_BASES, *MUTANTS, *MUTATION_MUTANTS]:
+        mcs = all_mc_sets(q)
+        sets = [s.members for s in mcs]
+        cones = [*q.down, *q.up]
+        masks = range(q.full + 1) if q.n <= 8 else {*cones, *(q.full & ~m for m in cones), *sets}
+        for m in masks:
+            assert is_ideal(q, m) == is_ideal_scan(q, m), (q.name, m)
+            assert is_mc(q, m) == is_mc_scan(q, m), (q.name, m)
+        for s in mcs:
+            assert saturation(s).members == saturation_scan(s), (q.name, s)
+        assert zero_divisors(q) == zero_divisors_scan(q), q.name
+        ideals = enumerate_ideals(q)
+        for i in ideals:
+            assert strongly_irreducible_elementwise(i) == strongly_irreducible_elementwise_scan(i)
+            for p in ideals:
+                got = isolated_component_formula(i, p).members
+                assert got == isolated_component_scan(i, p), (q.name, i.name, p.name)
+        cases += len(masks) + len(sets) + len(ideals) ** 2
+    assert cases == 14463
 
 
 def test_the_prime_structure_builds_no_residuation_table():
