@@ -10,18 +10,23 @@ turns a crash, a scan's included, into a finding of the laws that read it.
 Quantifiers over elements and ideals are always exhausted; the exponential
 ones (subsets, pairs of subsets, families of ideals, mc sets) are sampled
 or narrowed on larger carriers, by the rules stated once with the domains
-(_Ctx), and such laws say so in their note.  Three kinds of domain run in
+(_Ctx), and such laws say so in their note.  Four kinds of domain run in
 groups decided at once: avoidance's masks, each distinct mask decided from
 its parts outside the ideals; the five family laws, by the ideal before
-the families, each group decided from the empty family and the families
-of one or two ideals (_Ctx.family_law); and four monotonicity laws, each
-one group decided along the covers of its order (_monotone):
-annihilator.antitone and generated_meet_lower on the nonempty masks under
-inclusion, mul_monotone and mul_monotone_pairs on the carrier's Hasse
-diagram.  A group not so passed runs case by case from its start and a
-repeated group adds its first count, so case counts and witnesses are
-those of checking every case.  Sampled masks are drawn from C iterators
-over the seeded Random.
+the families, each group passed by transport (the three of
+proposition_bpi) or decided from the empty family and the families of one
+or two ideals (_Ctx.family_law); the six proposition_bpi laws over triples
+of ideals, each one group passed by transport (_Ctx.transported), since
+each is a theorem of the axioms where check_axioms passes and the
+library's product, join, meet and residual of every pair of ideals are
+the principal ideals of the element tables (_Ctx.transport, 4 n^2 calls
+once per run); and four monotonicity laws, each one group decided along
+the covers of its order (_monotone): annihilator.antitone and
+generated_meet_lower on the nonempty masks under inclusion, mul_monotone
+and mul_monotone_pairs on the carrier's Hasse diagram.  A group not so
+passed runs case by case from its start and a repeated group adds its
+first count, so case counts and witnesses are those of checking every
+case.  Sampled masks are drawn from C iterators over the seeded Random.
 Every other law runs case by case, and outside collapse (which compares
 the library with brute force, one call per case) its repeated library
 calls reach the run's memos (_Ctx.routes): generated and annihilator once
@@ -216,8 +221,11 @@ class _Domain(NamedTuple):
 def _grouped(keys, decide, cases, witness, note="") -> _Domain:
     """The domain whose cases are cases(key) for each key of keys(), in
     order, grouped by key: decide(key, holds) decides a group at once.
-    Only avoidance's masks, the five family laws (_Ctx.family_law) and the
-    four monotonicity laws decided along covers (_monotone:
+    Only avoidance's masks, the five family laws (_Ctx.family_law), the six
+    proposition_bpi laws over triples of ideals passed by transport
+    (_Ctx.transported: product_assoc, product_meet_below, product_join_mix,
+    coprime_product, coprime_meet and residual_iterated) and the four
+    monotonicity laws decided along covers (_monotone:
     annihilator.antitone's exhaustive pairs, generated_meet_lower's pairs
     up to 10 elements, mul_monotone and mul_monotone_pairs) are grouped:
     elsewhere a repeated case costs less than grouping it, as its library
@@ -271,13 +279,20 @@ def _monotone(flat: _Domain, covers: Callable[[], Iterable[tuple] | None], count
     carrier f reads q.mul, whose entries are elements, so leq is reflexive
     on them."""
 
-    def decide(key, holds):
+    def decide(holds):
         found = covers()
         if found is None or not all(holds(*case) is True for case in found):
             return None
         return count
 
-    return _grouped(lambda: (None,), decide, lambda key: flat.cases(), flat.witness, flat.note)
+    return _decided(flat, decide)
+
+
+def _decided(flat: _Domain, decide: Callable[[Callable], int | None]) -> _Domain:
+    """flat's cases as one group, decided by decide(holds): flat's case
+    count, or None to run the cases one by one."""
+    group = lambda key, holds: decide(holds)
+    return _grouped(lambda: (None,), group, lambda key: flat.cases(), flat.witness, flat.note)
 
 
 class _Law(NamedTuple):
@@ -508,9 +523,10 @@ class _Ctx:
                          (10^3) draws, each a _Family with its pick, join
                          and meet, folded through folds, the _Folds of
                          ideals; the family laws' groups (family_law) are
-                         decided from the run's small_families, the empty
-                         family and those of one or two ideals, where they
-                         are fewer
+                         passed by transport for the three of
+                         proposition_bpi, else decided from the run's
+                         small_families, the empty family and those of one
+                         or two ideals, where they are fewer
       subfamilies        (key, f) for each group (key, items) a law supplies
                          and each nonempty subfamily f of items, a _Family
                          folded through one _Folds per group: all of them
@@ -539,7 +555,8 @@ class _Ctx:
 
     routes, homs where run_suite names none, the check_axioms report of q
     (axioms: the axioms suite's rows, and the lattice_ok gate of every
-    _Folds) and the ideal carrier with its check_axioms verdict are built
+    _Folds), the transport gate (transport: the laws that transported
+    decides) and the ideal carrier with its check_axioms verdict are built
     once per run, on first use.
     """
 
@@ -569,6 +586,28 @@ class _Ctx:
     @cached_property
     def axioms(self) -> AxiomReport:
         return check_axioms(self.q)
+
+    @cached_property
+    def transport(self) -> bool:
+        """Whether the ideal operations are the element tables carried over
+        by the principal map x -> q.principals[x]: check_axioms passes,
+        q.residuals exists, the ideals are the principal ideals in element
+        order, and for every pair of ideals (a, b) = (↓x, ↓y) the library's
+        product_ideals, join_ideals and meet_ideals and routes.res give ↓ of
+        mul[x][y], join[x][y], meet[x][y] and residuals[y][x].  These are
+        the calls the laws make, so a fast path that drifts from its table
+        turns the gate off: 4 n^2 calls, once per run."""
+        q, ideals = self.q, self.ideals
+        if not self.axioms.ok or q.residuals is None or ideals != list(q.principals):
+            return False
+        image = lambda row: list(map(q.principals.__getitem__, row))
+        prod, join, meet, res = il.product_ideals, il.join_ideals, il.meet_ideals, self.routes.res
+        columns = list(zip(*q.residuals))  # columns[x][y] = residuals[y][x]
+        for x, a in enumerate(ideals):
+            rows = (prod, q.mul[x]), (join, q.join[x]), (meet, q.meet[x]), (res, columns[x])
+            if any(list(map(op, itertools.repeat(a), ideals)) != image(row) for op, row in rows):
+                return False
+        return True
 
     @cached_property
     def proper(self) -> list[il.Ideal]:
@@ -718,12 +757,69 @@ class _Ctx:
         picks = (1 << i | 1 << j for i in range(k) for j in range(i, k))
         return [_pick(self.folds, p) for p in itertools.chain((0,), picks)]
 
-    def family_law(self, tag: str, before: _Axis | None = None, after: _Axis | None = None) -> _Domain:
+    def transported(self, flat: _Domain, count: Callable[[], int]) -> _Domain:
+        """flat's cases as one group, passed with count(), flat's case
+        count, where the run's transport holds; else it runs case by case
+        from the start.  family_law(transported=True) reads the same gate.
+
+        Sound only for a law over ideals whose element form is a theorem of
+        the axioms check_axioms decides.  Under transport, x -> ↓x is a
+        bijection from the elements onto the ideals that takes mul, join,
+        meet and residuals to product_ideals, join_ideals, meet_ideals and
+        routes.res, and since down is a partial order with top, ↓x <= ↓y iff
+        x <= y, ↓x == ↓y iff x == y, and ↓x is whole iff x is top.  So the
+        law holds on every case iff its element form does, in an integral
+        commutative quantale, & for mul and (a : b) = b -> a, the greatest z
+        with b & z <= a (Rosenthal, Quantales and their Applications, 1990;
+        Galatos, Jipsen, Kowalski and Ono, Residuated Lattices, 2007):
+
+          product_assoc         (a & b) & c = a & (b & c): associativity
+          product_meet_below    a & (b ∧ c) <= (a & b) ∧ (a & c): & keeps
+                                binary joins, so it is monotone, and b ∧ c
+                                lies below b and c
+          product_join_mix      (a ∨ c) & (b ∨ c) = (a & b) ∨ (a & c) ∨
+                                (c & b) ∨ (c & c) <= (a & b) ∨ c, as x & c
+                                <= top & c = c (top is the unit)
+          coprime_product       a ∨ c = b ∨ c = top gives top = top & top =
+                                (a ∨ c) & (b ∨ c) <= (a & b) ∨ c
+          coprime_meet          a ∨ c = top gives b = b & (a ∨ c) = (b & a)
+                                ∨ (b & c) <= (a ∧ b) ∨ c, so b ∨ c <= (a ∧
+                                b) ∨ c <= b ∨ c
+          residual_iterated     z <= c -> (b -> a) iff c & z <= b -> a iff
+                                b & (c & z) <= a iff (b & c) & z <= a iff
+                                z <= (b & c) -> a; b and c commute
+          product_join_distrib  a & (f1 ∨ ... ∨ fk) = (a & f1) ∨ ... ∨ (a &
+                                fk), by induction from the binary join, and
+                                a & bottom = bottom for the empty family
+          residual_meet_family  b -> (f1 ∧ ... ∧ fk) = (b -> f1) ∧ ... ∧ (b
+                                -> fk): b -> (-) is right adjoint to b & (-)
+                                and keeps every meet, b -> top = top the
+                                empty one
+          residual_join_family  z <= fi -> a for each i iff fi & z <= a for
+                                each i iff (f1 ∨ ... ∨ fk) & z <= a iff z
+                                <= (f1 ∨ ... ∨ fk) -> a, so the meet of the
+                                fi -> a lies below
+
+        A family's join and meet are folded by _Folds: under lattice_ok the
+        join is the lub of the apexes, and the meet, an AND of down-sets,
+        is ↓ of the meet of the apexes by transport's binary meets.  The
+        counts are the flat loop's: k^3 on k ideals for the cube laws,
+        sum_c k_c^2 and k sum_c k_c for coprime_product and coprime_meet,
+        k_c = #{a : a ∨ c = top}, and F.size times the other axis for the
+        family laws."""
+        return _decided(flat, lambda holds: count() if self.transport else None)
+
+    def family_law(
+        self, tag: str, before: _Axis | None = None, after: _Axis | None = None,
+        transported: bool = False,
+    ) -> _Domain:
         """_over(before, F, after), F the families axis of tag and an absent
         axis left out, grouped by the value of before (or one group).  Where
-        the run has lattice_ok and small_families are fewer than F's values,
-        a group passes if the law holds on each small family; else it runs
-        case by case, F drawn once for all groups.
+        transported and the run's transport holds, each group passes at once
+        (see transported); else where the run has lattice_ok and
+        small_families are fewer than F's values, a group passes if the law
+        holds on each small family; else it runs case by case, F drawn once
+        for all groups.
 
         Sound only for a law that a map of ideals takes a family's join
         (meet) to the join (meet) of its images, or below or above it.  Under
@@ -743,11 +839,14 @@ class _Ctx:
             return itertools.product(*lead, families(), *(() if after is None else (after.values(),)))
 
         def decide(key, holds):
+            count = F.size * (1 if after is None else len(after.values()))
+            if transported and self.transport:
+                return count
             k = len(self.ideals)  # small_families' count, without building them
             if not self.axioms.lattice_ok or k * (k + 1) // 2 + 1 >= F.size:
                 return None
             if all(itertools.starmap(holds, cases(key, lambda: self.small_families))):
-                return F.size * (1 if after is None else len(after.values()))
+                return count
             return None
 
         keys = (lambda: [None]) if before is None else before.values
@@ -841,8 +940,10 @@ def _suite_lemma_bip(ctx: _Ctx) -> list[_Law]:
 
 
 def _suite_proposition_bpi(ctx: _Ctx) -> list[_Law]:
-    q, I, F = ctx.q, ctx.axis("ideals"), ctx.family_law
+    q, I = ctx.q, ctx.axis("ideals")
+    F = partial(ctx.family_law, transported=True)
     I2, I3 = _over(I, I), _over(I, I, I)
+    cube = ctx.transported(I3, lambda: len(ctx.ideals) ** 3)
     whole, zero = il.whole_ideal(q), il.zero_ideal(q)
     prod, meet, join = il.product_ideals, il.meet_ideals, il.join_ideals
     routes = ctx.routes
@@ -857,22 +958,28 @@ def _suite_proposition_bpi(ctx: _Ctx) -> list[_Law]:
     def residual_iterated(a, b, c):
         return res(res(a, b), c) == res(a, prod(b, c)) and res(res(a, b), c) == res(res(a, c), b)
 
+    @cache
+    def coprimes():
+        """k_c = #{a : a ∨ c = top} for each ideal c, through join_ideals"""
+        return [sum(join(a, c).is_whole for a in ctx.ideals) for c in ctx.ideals]
+
     return [
         _Law("ideal_ops_closed", I2,
              lambda a, b: all(is_ideal(q, op(a, b).members) for op in (prod, meet, join, res))),
-        _Law("product_assoc", I3, lambda a, b, c: prod(prod(a, b), c) == prod(a, prod(b, c))),
+        _Law("product_assoc", cube, lambda a, b, c: prod(prod(a, b), c) == prod(a, prod(b, c))),
         _Law("product_comm", I2, lambda a, b: prod(a, b) == prod(b, a)),
         _Law("whole_is_unit", _over(I), lambda a: prod(whole, a) == a),
         _Law("zero_annihilates", _over(I), lambda a: prod(zero, a) == zero),
         _Law("product_join_distrib", F("bpi.product_join_distrib", before=I),
              lambda a, f: prod(a, f.join) == prods(a).join(f.pick)),
         _Law("product_below_meet", I2, lambda a, b: prod(a, b) <= meet(a, b)),
-        _Law("product_meet_below", I3,
+        _Law("product_meet_below", cube,
              lambda a, b, c: prod(a, meet(b, c)) <= meet(prod(a, b), prod(a, c))),
-        _Law("product_join_mix", I3,
+        _Law("product_join_mix", cube,
              lambda a, b, c: prod(join(a, c), join(b, c)) <= join(prod(a, b), c)),
-        _Law("coprime_product", I3, coprime_product),
-        _Law("coprime_meet", I3,
+        _Law("coprime_product", ctx.transported(I3, lambda: sum(k * k for k in coprimes())),
+             coprime_product),
+        _Law("coprime_meet", ctx.transported(I3, lambda: len(ctx.ideals) * sum(coprimes())),
              lambda a, b, c: join(meet(a, b), c) == join(b, c) if join(a, c).is_whole else None),
         _Law("residual_product_below", I2, lambda a, b: prod(res(a, b), b) <= a),
         _Law("ideal_below_residual", I2, lambda a, b: a <= res(a, b)),
@@ -883,7 +990,7 @@ def _suite_proposition_bpi(ctx: _Ctx) -> list[_Law]:
              lambda f, b: res(f.meet, b) == res_col(b).meet(f.pick)),
         _Law("residual_join_family", F("bpi.residual_join_family", before=I),
              lambda a, f: res_row(a).meet(f.pick) <= res(a, f.join)),
-        _Law("residual_iterated", I3, residual_iterated),
+        _Law("residual_iterated", cube, residual_iterated),
         _Law("residual_join_absorb", I2, lambda a, b: res(a, b) == res(a, join(a, b))),
         _Law("residual_meet_absorb", I2, lambda a, b: res(a, b) == res(meet(a, b), b)),
         _Law("generated_meet_lower", ctx.overlapping_pairs("bpi.generated_meet_lower"),
@@ -1258,6 +1365,12 @@ def _suite_irreducible(ctx: _Ctx) -> list[_Law]:
     sirr = cache(lambda: [i for i in ideals if cl.is_strongly_irreducible(i)])
     strong = _over(_Axis(sirr, _name))
 
+    @cache
+    def over(i):
+        """M(i), the meet of the irreducibles over i: i is separated from
+        x by an irreducible over it exactly when x lies outside M(i)"""
+        return il.meet_all(q, [j for j in irr() if i <= j])
+
     def decomposes(i):
         d = dc.irreducible_decomposition(i)
         return all(c in irr() for c in d.components) and il.meet_all(q, d.components) == i
@@ -1273,9 +1386,8 @@ def _suite_irreducible(ctx: _Ctx) -> list[_Law]:
         _Law("strong_prime_iff_radical", strong,
              lambda i: cl.is_prime(i) == (rad(i) == i) if i.proper else None),
         _Law("separating_irreducible", _over(proper, ctx.axis("elements")),
-             lambda i, x: None if x in i else any(i <= j and x not in j for j in irr())),
-        _Law("representation", _over(proper),
-             lambda i: il.meet_all(q, [j for j in irr() if i <= j]) == i),
+             lambda i, x: None if x in i else x not in over(i)),
+        _Law("representation", _over(proper), lambda i: over(i) == i),
         _Law("decomposition_exists", _over(proper), decomposes),
         _Law("minimal_strong_over", _over(proper), minimal_strong),
         _Law("chain_iff_all_strong", ctx.once,

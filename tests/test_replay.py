@@ -26,7 +26,7 @@ from oracles import (
     flat_run,
     minimal_decompositions_picks,
 )
-from qk import classify, decompose, verify
+from qk import classify, decompose, ideals, verify
 from qk.core import bits, check_axioms
 from qk.decompose import (
     MINIMAL_PICKS_MAX,
@@ -109,8 +109,9 @@ def test_antitone_covers_match_the_flat_loop_on_mutation_mutants(monkeypatch):
 )
 def test_only_antitone_pairs_and_avoidance_masks_are_drawn(spec):
     # no _over domain skips a repeated case, sampled subsets included: of
-    # every table, only avoidance's masks, the five family laws and the
-    # monotonicity laws decided along covers are grouped: mul_monotone and
+    # every table, only avoidance's masks, the five family laws, the six
+    # laws over triples of ideals decided by transport and the monotonicity
+    # laws decided along covers are grouped: mul_monotone and
     # mul_monotone_pairs at every n, annihilator.antitone's exhaustive pairs
     # (n <= 8) and generated_meet_lower's pairs where the n 2^(n-1) covers
     # are fewer than its cases (n <= 10)
@@ -127,7 +128,8 @@ def test_only_antitone_pairs_and_avoidance_masks_are_drawn(spec):
     meet_lower = {"proposition_bpi.generated_meet_lower"} if n <= 10 else set()
     monotone = {"lemma_bip.mul_monotone", "lemma_bip.mul_monotone_pairs"}
     family = {f"{s}.{name}" for name, (s, _, _) in FAMILY_LAWS.items()}
-    expected = {"avoidance.witness_outside_union"} | antitone | meet_lower | monotone | family
+    cube = {f"proposition_bpi.{name}" for name in CUBE_LAWS}
+    expected = {"avoidance.witness_outside_union"} | antitone | meet_lower | monotone | family | cube
     assert grouped == expected
 
 
@@ -141,6 +143,16 @@ def _join_rewrites(q):
                 rows[i][j] = rows[j][i] = v
                 yield replace(q, name=f"{q.name}~j{i},{j}={v}", join=tuple(map(tuple, rows)))
 
+
+# the laws over triples of ideals that transport decides
+CUBE_LAWS = (
+    "product_assoc",
+    "product_meet_below",
+    "product_join_mix",
+    "coprime_product",
+    "coprime_meet",
+    "residual_iterated",
+)
 
 # each family law: its suite, its families tag, and its axes in order (I
 # the ideals, F the families)
@@ -196,8 +208,11 @@ def test_family_laws_match_the_flat_loop_on_mutation_mutants():
 @pytest.mark.parametrize(
     "spec, small, decided", [("lukasiewicz:44", 991, True), ("lukasiewicz:45", 1036, False)]
 )
-def test_family_laws_are_decided_while_the_small_families_are_fewer(spec, small, decided):
-    # 44 ideals make 991 small families, fewer than the 10^3 draws; 45 make 1,036
+def test_family_laws_are_decided_while_the_small_families_are_fewer(spec, small, decided, monkeypatch):
+    # 44 ideals make 991 small families, fewer than the 10^3 draws; 45 make
+    # 1,036.  Without transport, which decides the proposition_bpi family
+    # laws at any size
+    monkeypatch.setattr(_Ctx, "transport", False)
     ctx, verdicts = _family_verdicts(generate_from_spec(spec))
     assert len(ctx.small_families) == small and (small < SAMPLE_COUNT // 10) == decided
     for v in verdicts.values():
@@ -218,6 +233,92 @@ def test_family_laws_fold_only_the_small_families(spec, monkeypatch):
     rows = [_check(s, [law])[0] for s, law in laws]
     assert len(rows) == 5 and all(r.status == "pass" for r in rows)
     assert folded and max(p.bit_count() for p in folded) == 2
+
+
+# the proposition_bpi laws that transport decides: the six over triples
+# of ideals and the three family laws
+TRANSPORTED = (*CUBE_LAWS, "product_join_distrib", "residual_meet_family", "residual_join_family")
+
+
+def _transported_laws(ctx):
+    return {law.name: law for law in verify._suite_proposition_bpi(ctx) if law.name in TRANSPORTED}
+
+
+@pytest.mark.parametrize("spec", ["lukasiewicz:12", "powerset:4", "m3"])
+def test_transport_decides_without_a_case(spec):
+    ctx = _Ctx(generate_from_spec(spec), 0)
+    for name, law in _transported_laws(ctx).items():
+        calls = []
+        holds = lambda *case, holds=law.holds: calls.append(case) or holds(*case)
+        row = _run(law._replace(holds=holds))
+        assert row == flat_run(law) and row[0] == "pass", name
+        assert calls == [], name
+    assert ctx.transport
+
+
+# a fast path wrong at one pair (↓x, ↓y), with x and y read from the
+# carrier, giving the whole carrier there; and a law of TRANSPORTED that
+# the wrong result fails
+_TOP = attrgetter("top")
+_BOTTOM = attrgetter("bottom")
+WRONG_PATHS = {
+    "product_ideals": (_TOP, _BOTTOM, "product_assoc"),
+    "residual": (_BOTTOM, _TOP, "residual_iterated"),
+    "join_ideals": (_BOTTOM, _BOTTOM, "coprime_meet"),
+    "meet_ideals": (_BOTTOM, _TOP, "product_meet_below"),
+}
+
+
+def _wrong_at(route, x, y):
+    def wrong(i, j):
+        q = i.carrier
+        if (i.members, j.members) == (q.down[x(q)], q.down[y(q)]):
+            return q.principals[q.top]
+        return route(i, j)
+
+    return wrong
+
+
+@pytest.mark.parametrize("route", sorted(WRONG_PATHS))
+@pytest.mark.parametrize("spec", ["lukasiewicz:9", "powerset:3", "m3"])
+def test_transport_refuses_a_wrong_fast_path(spec, route, monkeypatch):
+    # on a lawful carrier with a wrong library the gate fails, so each law
+    # it decides gets the flat loop's result, and the pinned one fails
+    x, y, fails = WRONG_PATHS[route]
+    q = generate_from_spec(spec)
+    assert check_axioms(q).ok and _Ctx(q, 0).transport
+    monkeypatch.setattr(ideals, route, _wrong_at(getattr(ideals, route), x, y))
+    ctx = _Ctx(q, 0)
+    laws = _transported_laws(ctx)
+    results = {name: _run(law) for name, law in laws.items()}
+    assert not ctx.transport
+    for name, law in laws.items():
+        assert results[name] == flat_run(law), name
+    assert results[fails][0] == "fail"
+
+
+def test_transport_never_fires_on_mutation_mutants(monkeypatch):
+    # check_axioms fails on every one, so the gate does, and their
+    # proposition_bpi reports are the flat loop's
+    for q in MUTATION_MUTANTS:
+        ctx = _Ctx(q, 0)
+        assert not ctx.axioms.ok and not ctx.transport, q.name
+        replayed, flat = _both(q, 0, monkeypatch, "proposition_bpi")
+        assert replayed == flat, q.name
+
+
+def test_coprime_counts_are_the_flat_loops():
+    # sum_c k_c^2 and k sum_c k_c for k_c = #{a : a ∨ c = top}, read here
+    # from the join table
+    specs = ("lowersets:8:0<1,2<3,4<5,6<7", "lukasiewicz:24")
+    for q in [*MUTATION_BASES, *map(generate_from_spec, specs)]:
+        k_c = [sum(row[c] == q.top for row in q.join) for c in range(q.n)]
+        counts = {"coprime_product": sum(k * k for k in k_c), "coprime_meet": q.n * sum(k_c)}
+        ctx = _Ctx(q, 0)
+        for name, count in counts.items():
+            law = _law(ctx, "proposition_bpi", name)
+            assert _run(law) == flat_run(law) == ("pass", count, None, ""), (q.name, name)
+        assert ctx.transport, q.name
 
 
 def _join_rewrite_carriers():

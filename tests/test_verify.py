@@ -1,6 +1,6 @@
 import inspect
 from collections import Counter
-from functools import partial
+from functools import cache, partial
 from itertools import product
 from typing import NamedTuple
 
@@ -390,10 +390,20 @@ def test_proposition_bpi_reaches_the_library_once_per_pair_and_family(q, monkeyp
     # each residual of two ideals is computed once, and the fold tables of
     # each row and of the list of ideals the families are picked from are
     # built once for the run: one set per row and kind its law reads, not
-    # one per family
+    # one per family.  Transport decides the family laws with no row and
+    # no family folded; without it they read the small families.
     residuals = _counted(monkeypatch, ideals, "residual")
     built, byte_folds = [], verify._byte_folds
     monkeypatch.setattr(verify, "_byte_folds", lambda *args: built.append(args) or byte_folds(*args))
+    ctx = _Ctx(q, 0)
+    rows = verify._check("proposition_bpi", verify._suite_proposition_bpi(ctx))
+    assert ctx.transport and all(r.status == "pass" for r in rows)
+    assert max(residuals.values()) == 1 and built == []
+    routes = ctx.routes
+    assert [r.cache_info().currsize for r in (routes.prods, routes.res_row, routes.res_col)] == [0] * 3
+
+    residuals.clear()
+    monkeypatch.setattr(_Ctx, "transport", False)
     ctx = _Ctx(q, 0)
     rows = verify._check("proposition_bpi", verify._suite_proposition_bpi(ctx))
     assert all(r.status == "pass" for r in rows)
@@ -754,3 +764,39 @@ def test_a_raising_scan_fails_only_its_readers(scan, monkeypatch):
     for r in changed.values():
         assert r.status == "fail"
         assert f"error: QuantaleError: no {scan}" in r.note
+
+
+# the carriers of the verify goldens, which run the irreducible suite, and
+# every commutative single-cell mutant of q4, l3 and m3
+IRREDUCIBLE_GOLDEN_SPECS = (
+    "m3", "lowersets:antichain3", "lukasiewicz:9", "lukasiewicz:12", "powerset:4"
+)
+
+
+@pytest.mark.parametrize("wrong", [False, True])
+def test_irreducible_separation_matches_its_definition(wrong, monkeypatch):
+    # separating_irreducible and representation read M(i), the meet of the
+    # irreducibles over i, once per ideal: the same rows as an irreducible
+    # over i without x, and the meet of the irreducibles over i.  Both laws
+    # hold on every table, so a wrong irreducibility test (the ideals of odd
+    # size) makes them fail, with the definitions' counts and witnesses.
+    if wrong:
+        monkeypatch.setattr(classify, "is_irreducible", lambda j: j.size % 2 == 1)
+    carriers = [load_quant(DATA / f"{name}.quant") for name in ("q4", "l3", "c2", "nondec")]
+    carriers += [*map(generate_from_spec, IRREDUCIBLE_GOLDEN_SPECS), *MUTANTS]
+    failed = 0
+    for q in carriers:
+        ctx = _Ctx(q, 7)
+        irr = cache(lambda: [j for j in ctx.ideals if classify.is_irreducible(j)])
+        definitions = {
+            "separating_irreducible":
+                lambda i, x: None if x in i else any(i <= j and x not in j for j in irr()),
+            "representation": lambda i: ideals.meet_all(q, [j for j in irr() if i <= j]) == i,
+        }
+        for law in verify._suite_irreducible(ctx):
+            if law.name in definitions:
+                defined = law._replace(holds=definitions[law.name])
+                row = verify._run(law)
+                assert row == verify._run(defined), (q.name, law.name)
+                failed += row[0] == "fail"
+    assert (failed > 0) == wrong
