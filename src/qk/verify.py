@@ -33,12 +33,11 @@ calls reach the run's memos (_Ctx.routes): generated and annihilator once
 per mask where subsets repeat (n <= 13), and at every size each residual,
 radical, extension, contraction and idealness test.
 A run also runs check_axioms once, and builds and checks the ideal
-carrier once.  A drawn family is the mask of its positions in the list it
-was drawn from (its pick), folded once where it is drawn; it and its
-members' products, residuals and radicals (rows of those results) are
-joined and met through byte-slice tables (_Folds), one lookup per byte of
-the pick.  Each law reports its exact case count and, on failure, the first
-witness found; later laws still run.
+carrier once.  A drawn family is the list of ideals at the bits of its
+draw, folded once where it is drawn by the library's join_all and
+meet_all; a family law folds its members' products, residuals or radicals
+the same way.  Each law reports its exact case count and, on failure, the
+first witness found; later laws still run.
 
 Suites other than "axioms" skip on a noncommutative carrier: that is a
 precondition, not a failure.  The "cep" suite needs homomorphisms; inside
@@ -68,7 +67,6 @@ from .core import (
     AxiomReport,
     FiniteQuantale,
     QuantaleHom,
-    _byte_folds,
     _lower_covers,
     bits,
     check_axioms,
@@ -370,75 +368,23 @@ def _check(suite: str, laws: list[_Law]) -> list[LawResult]:
 _name = attrgetter("name")
 
 
-class _Folds:
-    """A list of ideals of q (items) with the join and the meet of the
-    subfamily at any pick, a mask of positions in items: one lookup per
-    byte of the pick, in tables core._byte_folds builds on first use.
-
-    A meet table entry is the interned meet of the items it folds, so
-    meet(pick) is meet_all's result on any table: AND is associative.  A
-    join table entry is the q.join fold of their apexes, which gives
-    join_all's left fold only where q.join is the lub of a partial order
-    with global bounds; lattice (check_axioms' lattice_ok) says so, and
-    without it join(pick) is join_all over the picked items, the oracle.
-
-    Every entry is an apex read from q.join or an interned Ideal, and each
-    table is kept as the equal one in shared, a dict of the tables kept so
-    far: rows repeat most of their byte tables on a chain (197 distinct of
-    1,584 in a run on lukasiewicz:64)."""
-
-    def __init__(self, q: FiniteQuantale, items: list[il.Ideal], lattice: bool, shared: dict):
-        self.q, self.items, self.lattice, self.shared = q, items, lattice, shared
-
-    def _kept(self, tables: tuple[tuple, ...]) -> tuple[tuple, ...]:
-        return tuple(map(self.shared.setdefault, tables, tables))
-
-    @cached_property
-    def _joins(self) -> tuple[tuple[int, ...], ...]:
-        join = self.q.join
-        apexes = [i.apex for i in self.items]
-        return self._kept(_byte_folds(apexes, lambda a, b: join[a][b], self.q.bottom))
-
-    @cached_property
-    def _meets(self) -> tuple[tuple[il.Ideal, ...], ...]:
-        interned = self.q.interned
-        meet = lambda a, b: interned[a.members & b.members]
-        return self._kept(_byte_folds(self.items, meet, interned[self.q.full]))
-
-    def join(self, pick: int) -> il.Ideal:
-        q = self.q
-        if not self.lattice:
-            return il.join_all(q, map(self.items.__getitem__, bits(pick)))
-        x, join = q.bottom, q.join
-        for table in self._joins:
-            x = join[x][table[pick & 255]]
-            pick >>= 8
-        return q.principals[x]
-
-    def meet(self, pick: int) -> il.Ideal:
-        m = self.q.full
-        for table in self._meets:
-            m &= table[pick & 255].members
-            pick >>= 8
-        return self.q.interned[m]
-
-
 class _Family(NamedTuple):
-    """A drawn family of ideals: its pick (the mask of its positions in the
-    list it was drawn from), its join and its meet; it prints as its size."""
+    """A drawn family of ideals: its members, their join and their meet;
+    it prints as its size."""
 
-    pick: int
+    members: list[il.Ideal]
     join: il.Ideal
     meet: il.Ideal
 
     def __str__(self) -> str:
-        return str(self.pick.bit_count())
+        return str(len(self.members))
 
 
-def _pick(folds: _Folds, pick: int) -> _Family:
-    """The subfamily of folds.items selected by the bits of pick, folded
-    once: the one place a drawn family is joined and met."""
-    return _Family(pick, folds.join(pick), folds.meet(pick))
+def _pick(q: FiniteQuantale, items: list[il.Ideal], pick: int) -> _Family:
+    """The subfamily of items at the bits of pick, folded once by join_all
+    and meet_all: the one place a drawn family is joined and met."""
+    members = list(map(items.__getitem__, bits(pick)))
+    return _Family(members, il.join_all(q, members), il.meet_all(q, members))
 
 
 def _draws(rng: random.Random, width: int) -> Iterable[int]:
@@ -467,9 +413,7 @@ def _overlapping(pairs: Iterable[tuple[int, int]]) -> Iterable[tuple[int, int]]:
 
 
 class _Routes(NamedTuple):
-    """The library calls the suites read by name through _Ctx.routes.  A
-    row is a _Folds whose items hold one call against every ideal, in
-    _Ctx.ideals order."""
+    """The library calls the suites read by name through _Ctx.routes."""
 
     gen: Callable[[int], il.Ideal]
     ann: Callable[[int], il.Ideal]
@@ -478,10 +422,6 @@ class _Routes(NamedTuple):
     con: Callable[[QuantaleHom, il.Ideal], il.Ideal]
     rad: Callable[[il.Ideal], il.Ideal]
     is_ideal: Callable[[FiniteQuantale, int], bool]
-    prods: Callable[[il.Ideal], _Folds]
-    res_row: Callable[[il.Ideal], _Folds]
-    res_col: Callable[[il.Ideal], _Folds]
-    rads: Callable[[], _Folds]
     ann_of: Callable[[il.Ideal], il.Ideal]
 
 
@@ -520,16 +460,16 @@ class _Ctx:
                          (_monotone), E n cases and 2 E n for E covers
       families           all families of ideals, the empty one included, up
                          to EXHAUST_MAX_N ideals, else SAMPLE_COUNT // 10
-                         (10^3) draws, each a _Family with its pick, join
-                         and meet, folded through folds, the _Folds of
-                         ideals; the family laws' groups (family_law) are
+                         (10^3) draws, each a _Family with its members,
+                         join and meet, folded by join_all and meet_all;
+                         the family laws' groups (family_law) are
                          passed by transport for the three of
                          proposition_bpi, else decided from the run's
                          small_families, the empty family and those of one
                          or two ideals, where they are fewer
       subfamilies        (key, f) for each group (key, items) a law supplies
                          and each nonempty subfamily f of items, a _Family
-                         folded through one _Folds per group: all of them
+                         folded as the families are: all of them
                          for groups of up to _SUBFAMILY_EXHAUST_MAX (12)
                          members, else SAMPLE_COUNT // 10 (10^3) nonempty
                          draws for each larger group
@@ -546,16 +486,11 @@ class _Ctx:
                          rad(i) (classify.radical; n), is_ideal(q, m)
                          (ideals.is_ideal; one per carrier and mask
                          tested) and ann_of(i) (ann(i.members) for an
-                         ideal i; n); and the rows, in ideals order, each
-                         a _Folds built whole on its first read and kept for
-                         the run, its list of calls as .items: prods(a)
-                         (ideals.product_ideals(a, j) for each ideal j),
-                         res_row(a) (res(a, j)), res_col(b) (res(j, b)),
-                         n rows of n each, and rads() (rad(j))
+                         ideal i; n)
 
     routes, homs where run_suite names none, the check_axioms report of q
-    (axioms: the axioms suite's rows, and the lattice_ok gate of every
-    _Folds), the transport gate (transport: the laws that transported
+    (axioms: the axioms suite's rows, and the lattice_ok gate of
+    family_law), the transport gate (transport: the laws that transported
     decides) and the ideal carrier with its check_axioms verdict are built
     once per run, on first use.
     """
@@ -566,7 +501,6 @@ class _Ctx:
         if homs is not None:  # else the cached default below
             self.homs = homs
         self.exhaustive = q.n <= EXHAUST_MAX_N
-        self.tables: dict[tuple, tuple] = {}  # the fold tables of the run, see _Folds
 
     def rng(self, tag: str) -> random.Random:
         return random.Random(f"{self.seed}:{tag}")
@@ -574,14 +508,6 @@ class _Ctx:
     @cached_property
     def ideals(self) -> list[il.Ideal]:
         return il.enumerate_ideals(self.q)
-
-    @cached_property
-    def folds(self) -> _Folds:
-        return self.fold(self.ideals)
-
-    def fold(self, items: list[il.Ideal]) -> _Folds:
-        """A _Folds of items, its join tables gated on the run's lattice_ok."""
-        return _Folds(self.q, items, self.axioms.lattice_ok, self.tables)
 
     @cached_property
     def axioms(self) -> AxiomReport:
@@ -675,18 +601,7 @@ class _Ctx:
             gen, ann = memo(gen), memo(ann)
         calls = il.residual, il.extension, il.contraction, cl.radical, il.is_ideal
         res, ext, con, rad, is_ideal = map(memo, calls)
-        # A row is built whole on its first read.  Its entries are products,
-        # residuals and radicals of ideals of q, which never raise, so an
-        # entry that no case reads changes nothing a report shows.
-        fold, ideals = self.fold, self.ideals
-        return _Routes(
-            gen, ann, res, ext, con, rad, is_ideal,
-            prods=memo(lambda a: fold([il.product_ideals(a, b) for b in ideals])),
-            res_row=memo(lambda a: fold([res(a, b) for b in ideals])),
-            res_col=memo(lambda b: fold([res(a, b) for a in ideals])),
-            rads=memo(lambda: fold(list(map(rad, ideals)))),
-            ann_of=memo(lambda i: ann(i.members)),
-        )
+        return _Routes(gen, ann, res, ext, con, rad, is_ideal, ann_of=memo(lambda i: ann(i.members)))
 
     def _pair_witness(self, s: int, t: int) -> tuple[str, ...]:
         return self.q.labels(s), "/", self.q.labels(t)
@@ -743,7 +658,7 @@ class _Ctx:
 
     def families(self, tag: str) -> _Axis:
         k = len(self.ideals)
-        fold = lambda picks: list(map(partial(_pick, self.folds), picks))
+        fold = lambda picks: list(map(partial(_pick, self.q, self.ideals), picks))
         if k <= EXHAUST_MAX_N:
             return _Axis(lambda: fold(range(1 << k)), str, size=1 << k)
         draws = lambda: fold(itertools.islice(_draws(self.rng(tag), k), SAMPLE_COUNT // 10))
@@ -755,7 +670,7 @@ class _Ctx:
         the run: k(k+1)/2 + 1 of them for k ideals."""
         k = len(self.ideals)
         picks = (1 << i | 1 << j for i in range(k) for j in range(i, k))
-        return [_pick(self.folds, p) for p in itertools.chain((0,), picks)]
+        return [_pick(self.q, self.ideals, p) for p in itertools.chain((0,), picks)]
 
     def transported(self, flat: _Domain, count: Callable[[], int]) -> _Domain:
         """flat's cases as one group, passed with count(), flat's case
@@ -800,8 +715,8 @@ class _Ctx:
                                 <= (f1 ∨ ... ∨ fk) -> a, so the meet of the
                                 fi -> a lies below
 
-        A family's join and meet are folded by _Folds: under lattice_ok the
-        join is the lub of the apexes, and the meet, an AND of down-sets,
+        A family's join and meet are join_all and meet_all: under lattice_ok
+        the join is the lub of the apexes, and the meet, an AND of down-sets,
         is ↓ of the meet of the apexes by transport's binary meets.  The
         counts are the flat loop's: k^3 on k ideals for the cube laws,
         sum_c k_c^2 and k sum_c k_c for coprime_product and coprime_meet,
@@ -824,7 +739,7 @@ class _Ctx:
         Sound only for a law that a map of ideals takes a family's join
         (meet) to the join (meet) of its images, or below or above it.  Under
         lattice_ok the join or meet of listed ideals is a listed principal
-        ideal, and _Folds gives the lub or glb in any order of the fold.  By
+        ideal, and join_all and meet_all give the lub or glb in any order.  By
         induction on a family F of three or more, i in F, G the rest and j
         the listed join (meet) of G: F's join (meet) is that of {j, i}, a
         small family, and G's images fold to j's image (or below or above
@@ -867,8 +782,7 @@ class _Ctx:
                     picks = range(1, 1 << k)
                 else:
                     picks = _nonempty_draws(rng, k, SAMPLE_COUNT // 10)
-                folds = self.fold(items)
-                yield from ((key, _pick(folds, pick)) for pick in picks)
+                yield from ((key, _pick(self.q, items, pick)) for pick in picks)
 
         note = lambda: "sampled" if max(sizes, default=0) > _SUBFAMILY_EXHAUST_MAX else ""
         return _Domain(cases, lambda key, f: (key.name, f), note)
@@ -948,7 +862,7 @@ def _suite_proposition_bpi(ctx: _Ctx) -> list[_Law]:
     prod, meet, join = il.product_ideals, il.meet_ideals, il.join_ideals
     routes = ctx.routes
     gen, res, is_ideal = routes.gen, routes.res, routes.is_ideal
-    prods, res_row, res_col = routes.prods, routes.res_row, routes.res_col
+    join_all, meet_all = partial(il.join_all, q), partial(il.meet_all, q)
 
     def coprime_product(a, b, c):
         if not (join(a, c).is_whole and join(b, c).is_whole):
@@ -971,7 +885,7 @@ def _suite_proposition_bpi(ctx: _Ctx) -> list[_Law]:
         _Law("whole_is_unit", _over(I), lambda a: prod(whole, a) == a),
         _Law("zero_annihilates", _over(I), lambda a: prod(zero, a) == zero),
         _Law("product_join_distrib", F("bpi.product_join_distrib", before=I),
-             lambda a, f: prod(a, f.join) == prods(a).join(f.pick)),
+             lambda a, f: prod(a, f.join) == join_all(prod(a, j) for j in f.members)),
         _Law("product_below_meet", I2, lambda a, b: prod(a, b) <= meet(a, b)),
         _Law("product_meet_below", cube,
              lambda a, b, c: prod(a, meet(b, c)) <= meet(prod(a, b), prod(a, c))),
@@ -987,9 +901,9 @@ def _suite_proposition_bpi(ctx: _Ctx) -> list[_Law]:
         _Law("residual_by_whole", _over(I), lambda a: res(a, whole) == a),
         _Law("below_residual_of_product", I2, lambda a, b: a <= res(prod(a, b), b)),
         _Law("residual_meet_family", F("bpi.residual_meet_family", after=I),
-             lambda f, b: res(f.meet, b) == res_col(b).meet(f.pick)),
+             lambda f, b: res(f.meet, b) == meet_all(res(j, b) for j in f.members)),
         _Law("residual_join_family", F("bpi.residual_join_family", before=I),
-             lambda a, f: res_row(a).meet(f.pick) <= res(a, f.join)),
+             lambda a, f: meet_all(res(a, j) for j in f.members) <= res(a, f.join)),
         _Law("residual_iterated", cube, residual_iterated),
         _Law("residual_join_absorb", I2, lambda a, b: res(a, b) == res(a, join(a, b))),
         _Law("residual_meet_absorb", I2, lambda a, b: res(a, b) == res(meet(a, b), b)),
@@ -1198,7 +1112,7 @@ def _suite_radical_lemma(ctx: _Ctx) -> list[_Law]:
              lambda i: rad(prod(i, i)) == rad(i) and rad(prod(prod(i, i), i)) == rad(i)),
         _Law("meet_and_product", I2, meet_and_product),
         _Law("join_family_below", ctx.family_law("radical.join_family"),
-             lambda f: routes.rads().join(f.pick) <= rad(f.join)),
+             lambda f: il.join_all(q, map(rad, f.members)) <= rad(f.join)),
         _Law("whole_iff", _over(I), lambda i: rad(i).is_whole == i.is_whole),
         _Law("join_radical_collapse", I2,
              lambda a, b: rad(il.join_ideals(a, b)) == rad(il.join_ideals(rad(a), rad(b)))),
@@ -1278,7 +1192,7 @@ def _suite_saturation(ctx: _Ctx) -> list[_Law]:
 
 
 def _suite_primary(ctx: _Ctx) -> list[_Law]:
-    rad, rads, primary = ctx.routes.rad, ctx.routes.rads, cl.is_primary
+    q, rad, primary = ctx.q, ctx.routes.rad, cl.is_primary
 
     def smallest_prime(c):
         r = rad(c)
@@ -1292,7 +1206,7 @@ def _suite_primary(ctx: _Ctx) -> list[_Law]:
         _Law("prime_implies_primary", _over(ctx.axis("primes")), primary),
         _Law("radical_smallest_prime_over", _over(ctx.axis("primaries")), smallest_prime),
         _Law("radical_meet_family", ctx.family_law("primary.radical_meet_family"),
-             lambda f: rad(f.meet) == rads().meet(f.pick)),
+             lambda f: rad(f.meet) == il.meet_all(q, map(rad, f.members))),
         _Law("p_primary_meet_closed", families, lambda p, f: primary(f.meet) and rad(f.meet) == p),
     ]
 

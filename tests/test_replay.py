@@ -223,16 +223,18 @@ def test_family_laws_are_decided_while_the_small_families_are_fewer(spec, small,
 def test_family_laws_fold_only_the_small_families(spec, monkeypatch):
     # each law passes from the empty family and the families of one or two
     # ideals: no family outside them is drawn or folded
-    folded = []
-    for name in ("join", "meet"):
-        fold = getattr(verify._Folds, name)
-        monkeypatch.setattr(
-            verify._Folds, name, lambda self, pick, fold=fold: folded.append(pick) or fold(self, pick)
-        )
+    sizes, pick = [], verify._pick
+
+    def counted(q, items, mask):
+        family = pick(q, items, mask)
+        sizes.append(len(family.members))
+        return family
+
+    monkeypatch.setattr(verify, "_pick", counted)
     _, laws = _family_laws(generate_from_spec(spec))
     rows = [_check(s, [law])[0] for s, law in laws]
     assert len(rows) == 5 and all(r.status == "pass" for r in rows)
-    assert folded and max(p.bit_count() for p in folded) == 2
+    assert sizes and max(sizes) == 2
 
 
 # the proposition_bpi laws that transport decides: the six over triples
@@ -328,6 +330,38 @@ def _join_rewrite_carriers():
     ]
     assert len(rewrites) == 165 and all(m.commutative for m in rewrites)
     return rewrites
+
+
+# each family law's row on the diagonal single-cell mutants (1, 1) of two
+# carriers with more than EXHAUST_MAX_N ideals, at seed 0
+DRAWN_FAMILY_ROWS = {
+    "lukasiewicz:12": {
+        "product_join_distrib": ("fail", 1001, ("↓1", "6"), ""),
+        "residual_meet_family": ("pass", 12000, None, ""),
+        "residual_join_family": ("pass", 12000, None, ""),
+        "join_family_below": ("pass", 1000, None, ""),
+        "radical_meet_family": ("pass", 1000, None, ""),
+    },
+    "powerset:4": {
+        "product_join_distrib": ("fail", 1001, ("↓1", "10"), ""),
+        "residual_meet_family": ("pass", 16000, None, ""),
+        "residual_join_family": ("pass", 16000, None, ""),
+        "join_family_below": ("pass", 1000, None, ""),
+        "radical_meet_family": ("pass", 1000, None, ""),
+    },
+}
+
+
+@pytest.mark.parametrize("spec", sorted(DRAWN_FAMILY_ROWS))
+def test_family_laws_over_drawn_families_on_an_unlawful_carrier(spec):
+    # check_axioms fails, so transport does not hold, and the families are
+    # drawn; _family_verdicts checks that each row is the flat loop's, over
+    # the law's domain and over the plain product of its axes
+    q = next(m for i, j, m in single_cell_mutants(generate_from_spec(spec)) if i == j == 1)
+    assert not check_axioms(q).ok and len(enumerate_ideals(q)) > EXHAUST_MAX_N
+    _family_verdicts(q)
+    _, laws = _family_laws(q)
+    assert {law.name: _run(law) for _, law in laws} == DRAWN_FAMILY_ROWS[spec]
 
 
 def test_family_laws_run_flat_on_join_rewrites():

@@ -1,22 +1,19 @@
 """The element tables behind powers, radical, annihilator, generated,
-join_all, residual, is_primary and the family folds of verify, against
-their bit-loop and fold definitions.
+join_all, residual and is_primary, against their bit-loop and fold
+definitions.
 
 q.powers, q.zero_folds and q.image_folds are built once per carrier and
 read in place of a loop over the bits of a mask, join_all folds apexes
-through q.join, residual and is_primary read q.residuals on principal
-ideals where that table exists, and verify._Folds joins and meets a pick
-of a list of ideals through byte tables, its join tables gated on
-check_axioms' lattice_ok.  The oracles below loop over the elements one
-at a time, fold join_ideals from the zero ideal, or call join_all and
-meet_all.  The table routes must return exactly what they return, on
-lawful carriers and on tables corrupted in any field, with n on both
-sides of each byte boundary.  The routines that read the scan shapes
-core._colons, core._closed and classify._outside_pair meet their
-definitional loops on the lawful carriers and the mutants.
+through q.join, and residual and is_primary read q.residuals on principal
+ideals where that table exists.  The oracles below loop over the elements
+one at a time or fold join_ideals from the zero ideal.  The table routes
+must return exactly what they return, on lawful carriers and on tables
+corrupted in any field, with n on both sides of each byte boundary.  The
+routines that read the scan shapes core._colons, core._closed and
+classify._outside_pair meet their definitional loops on the lawful
+carriers and the mutants.
 """
 
-import random
 from dataclasses import replace
 from functools import reduce
 from itertools import product
@@ -37,7 +34,6 @@ from qk.classify import (
     spectrum,
     zero_divisors,
 )
-from qk.core import bits, check_axioms
 from qk.decompose import isolated_component_formula, strongly_irreducible_elementwise
 from qk.errors import CarrierMismatch, NotCommutative
 from qk.generators import generate_from_spec
@@ -50,12 +46,10 @@ from qk.ideals import (
     is_ideal,
     join_all,
     join_ideals,
-    meet_all,
     residual,
     zero_ideal,
 )
 from qk.quantfile import load_quant
-from qk.verify import _Folds
 
 from oracles import (
     DATA,
@@ -151,18 +145,17 @@ def _check_tables(q, masks):
 
 
 @st.composite
-def corrupted(draw, also=()):
-    """A lawful carrier with some fields, those in also among them,
-    overwritten by values that stay in range; mul cells are rewritten in
-    symmetric pairs unless drawn otherwise, so most corrupted carriers stay
-    commutative."""
+def corrupted(draw):
+    """A lawful carrier with some fields overwritten by values that stay in
+    range; mul cells are rewritten in symmetric pairs unless drawn
+    otherwise, so most corrupted carriers stay commutative."""
     q = draw(st.sampled_from(_BASES))
     n = q.n
     element = st.integers(0, n - 1)
     symmetric = draw(st.booleans() | st.just(True))
     changes = {}
     fields = draw(st.sets(st.sampled_from(["down", "join", "mul", "bottom", "top"])))
-    for field in sorted(fields | set(also)):
+    for field in sorted(fields):
         if field in ("bottom", "top"):
             changes[field] = draw(element)
         elif field == "down":
@@ -307,53 +300,3 @@ def test_join_all_on_corrupted_tables(case):
             Ideal(q, masks[0])
         return
     _check_join_all(q, [Ideal(q, m) for m in masks[:6]])
-
-
-def _check_folds(q, pool, seed):
-    """verify._Folds over lists drawn from pool, gated as a run gates it,
-    joins and meets as join_all and meet_all do, object for object: at
-    every pick of 3, 8 and 12 items, and at drawn picks of 16 and 32."""
-    rng, lattice = random.Random(seed), check_axioms(q).lattice_ok
-    for k in (3, 8, 12, 16, 32):
-        items = rng.choices(pool, k=k)
-        folds = _Folds(q, items, lattice, {})
-        picks = range(1 << k) if k <= 12 else [rng.getrandbits(k) for _ in range(200)]
-        for pick in picks:
-            family = [items[j] for j in bits(pick)]
-            assert folds.join(pick) is join_all(q, family), (k, pick)
-            assert folds.meet(pick) is meet_all(q, family), (k, pick)
-
-
-@pytest.mark.parametrize("spec", ["lukasiewicz:12", "powerset:4", "powerset:5"])
-def test_family_folds_on_lawful_carriers(spec):
-    q = generate_from_spec(spec)
-    _check_folds(q, enumerate_ideals(q), spec)
-
-
-def test_family_folds_on_mutation_mutants():
-    for q in MUTATION_MUTANTS:
-        _check_folds(q, enumerate_ideals(q), q.name)
-
-
-@settings(max_examples=100, deadline=None)
-@given(corrupted(also={"join"}))
-def test_family_folds_on_corrupted_joins(case):
-    q, masks = case
-    if q.commutative:
-        _check_folds(q, [*enumerate_ideals(q), *(Ideal(q, m) for m in masks)], q.name)
-
-
-def test_join_tables_read_without_the_gate_differ_from_join_all():
-    # 2 v 1 rewritten to 1 on the five-element chain, in one cell only: a
-    # table folds a byte's items from the highest bit down, join_all from
-    # the lowest up, so at the pick of 1 and 2 one reads 2 v 1, the other 1 v 2
-    q = generate_from_spec("lukasiewicz:5")
-    rows = [list(r) for r in q.join]
-    rows[2][1] = 1
-    q = replace(q, join=tuple(map(tuple, rows)))
-    assert not check_axioms(q).lattice_ok
-    items = enumerate_ideals(q)
-    ungated = _Folds(q, items, True, {})
-    differ = [p for p in range(1 << q.n) if ungated.join(p) is not join_all(q, [items[j] for j in bits(p)])]
-    assert 0b110 in differ
-    _check_folds(q, items, q.name)

@@ -1,8 +1,6 @@
 import inspect
 from collections import Counter
 from functools import cache, partial
-from itertools import product
-from typing import NamedTuple
 
 import pytest
 
@@ -269,25 +267,9 @@ def test_avoidance_tests_each_drawn_mask_once(monkeypatch):
     assert sorted(calls) == sorted(set(drawn))
 
 
-class _OracleFolds(NamedTuple):
-    """verify._Folds by definition: join_all and meet_all of the items at
-    the bits of a pick, with no table."""
-
-    q: FiniteQuantale
-    items: list
-
-    def join(self, pick):
-        return ideals.join_all(self.q, [self.items[k] for k in bits(pick)])
-
-    def meet(self, pick):
-        return ideals.meet_all(self.q, [self.items[k] for k in bits(pick)])
-
-
 def _plain_routes(ctx):
-    """_Ctx.routes with every memo forced off: the library calls, and each
-    row made from them afresh on every read and folded by definition."""
+    """_Ctx.routes with every memo forced off: the library calls."""
     q = ctx.q
-    fold = partial(_OracleFolds, q)
     return _Routes(
         gen=partial(ideals.generated, q),
         ann=partial(ideals.annihilator, q),
@@ -296,10 +278,6 @@ def _plain_routes(ctx):
         con=ideals.contraction,
         rad=classify.radical,
         is_ideal=ideals.is_ideal,
-        prods=lambda a: fold([ideals.product_ideals(a, b) for b in ctx.ideals]),
-        res_row=lambda a: fold([ideals.residual(a, b) for b in ctx.ideals]),
-        res_col=lambda b: fold([ideals.residual(a, b) for a in ctx.ideals]),
-        rads=lambda: fold([classify.radical(i) for i in ctx.ideals]),
         ann_of=lambda i: ideals.annihilator(q, i.members),
     )
 
@@ -372,12 +350,10 @@ def test_subset_routes_are_the_library_calls_where_subsets_do_not_repeat(monkeyp
     ],
 )
 def test_subset_memo_leaves_every_law_result_unchanged(q, hom, monkeypatch):
-    # the second run has neither the run's memos, nor the residuation table,
-    # nor a fold table: every residual and primary test there is the
-    # library's scan, and every family and row fold is join_all or meet_all
+    # the second run has neither the run's memos nor the residuation table:
+    # every residual and primary test there is the library's scan
     memoized = run_suite(q, "all", hom=hom, seed=7).results
     monkeypatch.setattr(_Ctx, "routes", property(_plain_routes))
-    monkeypatch.setattr(_Ctx, "fold", lambda ctx, items: _OracleFolds(ctx.q, items))
     monkeypatch.setattr(FiniteQuantale, "residuals", property(lambda q: None))
     assert run_suite(q, "all", hom=hom, seed=7).results == memoized
     if hom is not None and not hom.check().ok:  # a memo stores no call that raises
@@ -387,20 +363,13 @@ def test_subset_memo_leaves_every_law_result_unchanged(q, hom, monkeypatch):
 
 @pytest.mark.parametrize("q", [lukasiewicz_quantale(12), powerset_quantale(4)], ids=lambda q: q.name)
 def test_proposition_bpi_reaches_the_library_once_per_pair_and_family(q, monkeypatch):
-    # each residual of two ideals is computed once, and the fold tables of
-    # each row and of the list of ideals the families are picked from are
-    # built once for the run: one set per row and kind its law reads, not
-    # one per family.  Transport decides the family laws with no row and
-    # no family folded; without it they read the small families.
+    # each residual of two ideals is computed once, with transport deciding
+    # the family laws and without it, where they read the small families
     residuals = _counted(monkeypatch, ideals, "residual")
-    built, byte_folds = [], verify._byte_folds
-    monkeypatch.setattr(verify, "_byte_folds", lambda *args: built.append(args) or byte_folds(*args))
     ctx = _Ctx(q, 0)
     rows = verify._check("proposition_bpi", verify._suite_proposition_bpi(ctx))
     assert ctx.transport and all(r.status == "pass" for r in rows)
-    assert max(residuals.values()) == 1 and built == []
-    routes = ctx.routes
-    assert [r.cache_info().currsize for r in (routes.prods, routes.res_row, routes.res_col)] == [0] * 3
+    assert max(residuals.values()) == 1
 
     residuals.clear()
     monkeypatch.setattr(_Ctx, "transport", False)
@@ -408,23 +377,19 @@ def test_proposition_bpi_reaches_the_library_once_per_pair_and_family(q, monkeyp
     rows = verify._check("proposition_bpi", verify._suite_proposition_bpi(ctx))
     assert all(r.status == "pass" for r in rows)
     assert max(residuals.values()) == 1
-    routes = ctx.routes
-    rows = [r.cache_info().currsize for r in (routes.prods, routes.res_row, routes.res_col)]
-    assert rows == [len(ctx.ideals)] * 3
-    # prods(a) is joined, res_row(a) and res_col(b) are met, and the list
-    # of ideals is both joined and met, for the small families
-    assert len(built) == sum(rows) + 2
 
     # product_join_distrib takes the product of a with the join of each of
-    # the small families that decide its group, and each product of two
-    # ideals once, for the row of a
+    # the small families that decide its group, and with each member of
+    # each of them
     ctx = _Ctx(q, 0)
     products = _counted(monkeypatch, ideals, "product_ideals")
     laws = verify._suite_proposition_bpi(ctx)
     [law] = [law for law in laws if law.name == "product_join_distrib"]
     assert verify._run(law)[0] == "pass"
-    joins = Counter((a, f.join) for a in ctx.ideals for f in ctx.small_families)
-    assert products == joins + Counter(product(ctx.ideals, repeat=2))
+    small = ctx.small_families
+    joins = Counter((a, f.join) for a in ctx.ideals for f in small)
+    members = Counter((a, j) for a in ctx.ideals for f in small for j in f.members)
+    assert products == joins + members
 
 
 @pytest.mark.parametrize(
@@ -433,21 +398,17 @@ def test_proposition_bpi_reaches_the_library_once_per_pair_and_family(q, monkeyp
 def test_rows_and_family_picks_are_the_library_calls(q):
     ctx = _Ctx(q, 0)
     routes, every = ctx.routes, ctx.ideals
-    assert routes.rads().items == [classify.radical(i) for i in every]
     for a in every:
-        assert routes.prods(a).items == [ideals.product_ideals(a, b) for b in every]
-        assert routes.res_row(a).items == [ideals.residual(a, b) for b in every]
-        assert routes.res_col(a).items == [ideals.residual(b, a) for b in every]
         assert routes.ann_of(a) == ideals.annihilator(q, a.members)
     for tag in FAMILY_TAGS:
         families = ctx.families(tag).values()
         for f in families:
-            members = [every[k] for k in bits(f.pick)]
-            assert f.join is ideals.join_all(q, members), f.pick
-            assert f.meet is ideals.meet_all(q, members), f.pick
-        # up to EXHAUST_MAX_N ideals the axis folds every pick, in order
+            assert f.join is ideals.join_all(q, f.members), f
+            assert f.meet is ideals.meet_all(q, f.members), f
+        # up to EXHAUST_MAX_N ideals the axis yields every pick, in order
         if len(every) <= verify.EXHAUST_MAX_N:
-            assert families == [verify._pick(ctx.folds, p) for p in range(1 << len(every))]
+            picks = [[every[k] for k in bits(p)] for p in range(1 << len(every))]
+            assert [f.members for f in families] == picks
 
 
 # mul_monotone and mul_monotone_pairs as the element-tuple domains, with the
@@ -623,7 +584,7 @@ def test_one_run_builds_and_checks_one_ideal_carrier(q, monkeypatch):
     checked = _counted(monkeypatch, verify, "check_axioms")
     run_suite(q, "all", seed=0)
     assert built == Counter([(q,)])
-    # q itself once too, for the axioms suite and the fold tables' gate
+    # q itself once too, for the axioms suite and the family and transport gates
     assert checked[(q,)] == 1
     assert sum(n for (c,), n in checked.items() if c is not q) == 1
 
