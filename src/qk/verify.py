@@ -10,23 +10,23 @@ turns a crash, a scan's included, into a finding of the laws that read it.
 Quantifiers over elements and ideals are always exhausted; the exponential
 ones (subsets, pairs of subsets, families of ideals, mc sets) are sampled
 or narrowed on larger carriers, by the rules stated once with the domains
-(_Ctx), and such laws say so in their note.  Four kinds of domain run in
-groups decided at once: avoidance's masks, each distinct mask decided from
-its parts outside the ideals; the five family laws, by the ideal before
-the families, each group passed by transport (the three of
-proposition_bpi) or decided from the empty family and the families of one
-or two ideals (_Ctx.family_law); the six proposition_bpi laws over triples
-of ideals, each one group passed by transport (_Ctx.transported), since
+(_Ctx), and such laws say so in their note.  Four kinds of domain carry a
+decide, which passes a law at once with its case count: avoidance's masks,
+each distinct mask decided once from its parts outside the ideals and
+counted for each draw; the five family laws, passed by transport (the
+three of proposition_bpi) or decided from the empty family and the
+families of one or two ideals (_Ctx.family_law); the six proposition_bpi
+laws over triples of ideals, passed by transport (_Ctx.transported), since
 each is a theorem of the axioms where check_axioms passes and the
 library's product, join, meet and residual of every pair of ideals are
 the principal ideals of the element tables (_Ctx.transport, 4 n^2 calls
-once per run); and four monotonicity laws, each one group decided along
-the covers of its order (_monotone): annihilator.antitone and
-generated_meet_lower on the nonempty masks under inclusion, mul_monotone
-and mul_monotone_pairs on the carrier's Hasse diagram.  A group not so
-passed runs case by case from its start and a repeated group adds its
-first count, so case counts and witnesses are those of checking every
-case.  Sampled masks are drawn from C iterators over the seeded Random.
+once per run); and four monotonicity laws, each decided along the covers
+of its order (_monotone): annihilator.antitone and generated_meet_lower on
+the nonempty masks under inclusion, mul_monotone and mul_monotone_pairs on
+the carrier's Hasse diagram.  A law whose decide does not pass runs case
+by case from its first case, so case counts and witnesses are those of
+checking every case.  Sampled masks are drawn from C iterators over the
+seeded Random.
 Every other law runs case by case, and outside collapse (which compares
 the library with brute force, one call per case) its repeated library
 calls reach the run's memos (_Ctx.routes): generated and annihilator once
@@ -55,9 +55,11 @@ sampling (env QK_SEED overrides), and no timestamps unless asked.
 from __future__ import annotations
 
 import itertools
+import math
 import os
 import random
 import time
+from collections import Counter
 from dataclasses import dataclass, replace
 from functools import cache, cached_property, lru_cache, partial, reduce
 from operator import and_, attrgetter, itemgetter, or_
@@ -203,33 +205,23 @@ class _Domain(NamedTuple):
     of the predicate), the witness of a case, and the domain's note (a
     string, or a thunk read after the cases ran).
 
-    groups, where a group of cases can be decided at once (see _grouped),
-    is a thunk yielding the same cases in groups, in order: (key, decide,
-    a thunk of the group's cases), the cases a pure function of the key.
-    decide(holds) is the count of the group's cases if every case where
-    holds is not None holds, else None; _run evaluates only the group's
-    first occurrence and runs it case by case where decide gives None."""
-
-    cases: Callable[[], Iterable[tuple]]
-    witness: Callable[..., tuple]
-    note: str | Callable[[], str] = ""
-    groups: Callable[[], Iterable[tuple[object, Callable, Callable[[], Iterable]]]] | None = None
-
-
-def _grouped(keys, decide, cases, witness, note="") -> _Domain:
-    """The domain whose cases are cases(key) for each key of keys(), in
-    order, grouped by key: decide(key, holds) decides a group at once.
+    decide(holds), where the cases can be decided at once, is the count of
+    the cases where holds is not None if every such case holds, else None.
     Only avoidance's masks, the five family laws (_Ctx.family_law), the six
     proposition_bpi laws over triples of ideals passed by transport
     (_Ctx.transported: product_assoc, product_meet_below, product_join_mix,
     coprime_product, coprime_meet and residual_iterated) and the four
     monotonicity laws decided along covers (_monotone:
     annihilator.antitone's exhaustive pairs, generated_meet_lower's pairs
-    up to 10 elements, mul_monotone and mul_monotone_pairs) are grouped:
-    elsewhere a repeated case costs less than grouping it, as its library
-    calls are the run's memos."""
-    groups = lambda: ((k, partial(decide, k), partial(cases, k)) for k in keys())
-    return _Domain(lambda: itertools.chain.from_iterable(map(cases, keys())), witness, note, groups)
+    up to 10 elements, mul_monotone and mul_monotone_pairs) have one:
+    elsewhere a repeated case costs less than a decide, as its library
+    calls are the run's memos.  A domain with a decide has a string note,
+    as a thunk would read what only cases() fills."""
+
+    cases: Callable[[], Iterable[tuple]]
+    witness: Callable[..., tuple]
+    note: str | Callable[[], str] = ""
+    decide: Callable[[Callable], int | None] | None = None
 
 
 def _over(*axes: _Axis) -> _Domain:
@@ -241,10 +233,9 @@ def _over(*axes: _Axis) -> _Domain:
 
 
 def _monotone(flat: _Domain, covers: Callable[[], Iterable[tuple] | None], count: int) -> _Domain:
-    """flat's cases as one group, decided along covers: the group passes
-    with count, flat's case count, if holds is exactly True on each case of
-    covers(), cases of flat; else, or where covers() is None, it runs case
-    by case.
+    """flat, decided along covers: it passes with count, flat's case
+    count, if holds is exactly True on each case of covers(), cases of
+    flat; else, or where covers() is None, it runs case by case.
 
     Sound only for a law that compares f(s) with f(t), for s <= t in a
     finite partial order, by a reflexive and transitive relation R:
@@ -283,14 +274,7 @@ def _monotone(flat: _Domain, covers: Callable[[], Iterable[tuple] | None], count
             return None
         return count
 
-    return _decided(flat, decide)
-
-
-def _decided(flat: _Domain, decide: Callable[[Callable], int | None]) -> _Domain:
-    """flat's cases as one group, decided by decide(holds): flat's case
-    count, or None to run the cases one by one."""
-    group = lambda key, holds: decide(holds)
-    return _grouped(lambda: (None,), group, lambda key: flat.cases(), flat.witness, flat.note)
+    return flat._replace(decide=decide)
 
 
 class _Law(NamedTuple):
@@ -313,38 +297,29 @@ def _run(law: _Law) -> tuple[str, int, tuple[str, ...] | None, str]:
     """Status, case count, witness and error of a law with a domain: its
     cases counted up to the first failure, a crash a failure.
 
-    A domain without groups is one group run case by case.  A case's
-    verdict depends on the case alone and the run stops at the first
-    failure, so a repeated group would only pass again: it adds the count
-    of its first occurrence and is not evaluated.  A group whose decide
-    gives None or raises is run case by case from the group's start, which
-    gives the count of the cases before its first failure and its witness.
-    The result is the one the flat loop over cases() gives; the counts live
-    here and go when the law ends."""
+    A domain's decide, where it has one, is called once, and a count passes
+    the law with that count.  Where it gives None or raises, the cases run
+    one by one from the first, which gives the count of the cases before
+    the first failure and its witness: the result is always the one the
+    flat loop over cases() gives."""
     holds, domain = law.holds, law.domain
-    groups = domain.groups or (lambda: ((None, lambda holds: None, domain.cases),))
-    counted, checked = {}, 0  # key -> the cases its first occurrence counted
+    if domain.decide is not None:
+        try:
+            count = domain.decide(holds)
+        except Exception:  # the flat loop meets the crash again
+            count = None
+        if count is not None:
+            return "pass", count, None, ""
+    checked = 0
     try:
-        for key, decide, cases in groups():
-            if key in counted:
-                checked += counted[key]
+        for case in domain.cases():
+            ok = holds(*case)
+            if ok is None:
                 continue
-            start = checked
-            try:
-                count = decide(holds)
-            except Exception:  # the group's flat loop meets the crash again
-                count = None
-            if count is None:
-                for case in cases():
-                    ok = holds(*case)
-                    if ok is None:
-                        continue
-                    if not ok:  # the witness is built before the case counts, as a crash is
-                        wit = (law.witness or domain.witness)(*case)
-                        return "fail", checked + 1, tuple(str(w) for w in wit), ""
-                    checked += 1
-                count = checked - start
-            counted[key], checked = count, start + count
+            if not ok:  # the witness is built before the case counts, as a crash is
+                wit = (law.witness or domain.witness)(*case)
+                return "fail", checked + 1, tuple(str(w) for w in wit), ""
+            checked += 1
     except Exception as exc:  # a crash on this instance is a finding
         return "fail", checked, (), f"error: {type(exc).__name__}: {exc}"
     return "pass", checked, None, ""
@@ -435,9 +410,9 @@ class _Ctx:
 
     Sampled values repeat where there are fewer of them than draws (subsets
     at n <= 13, families of 9 ideals); a law over them runs case by case
-    and reaches the memos in routes.  Of these domains family_law has
-    groups, and the pairs of masks are one group decided along the covers
-    of the nonempty masks (_monotone) where they are fewer than the pairs:
+    and reaches the memos in routes.  Of these domains family_law has a
+    decide, and the pairs of masks are decided along the covers of the
+    nonempty masks (_monotone) where they are fewer than the pairs:
     subset_pairs up to EXHAUST_MAX_N elements, overlapping_pairs up to 10.
     Every sampled stream of masks is drawn by _draws, a C iterator over
     rng.getrandbits.
@@ -462,11 +437,11 @@ class _Ctx:
                          to EXHAUST_MAX_N ideals, else SAMPLE_COUNT // 10
                          (10^3) draws, each a _Family with its members,
                          join and meet, folded by join_all and meet_all;
-                         the family laws' groups (family_law) are
-                         passed by transport for the three of
-                         proposition_bpi, else decided from the run's
-                         small_families, the empty family and those of one
-                         or two ideals, where they are fewer
+                         the family laws (family_law) are passed by
+                         transport for the three of proposition_bpi, else
+                         decided from the run's small_families, the empty
+                         family and those of one or two ideals, where they
+                         are fewer
       subfamilies        (key, f) for each group (key, items) a law supplies
                          and each nonempty subfamily f of items, a _Family
                          folded as the families are: all of them
@@ -673,9 +648,9 @@ class _Ctx:
         return [_pick(self.q, self.ideals, p) for p in itertools.chain((0,), picks)]
 
     def transported(self, flat: _Domain, count: Callable[[], int]) -> _Domain:
-        """flat's cases as one group, passed with count(), flat's case
-        count, where the run's transport holds; else it runs case by case
-        from the start.  family_law(transported=True) reads the same gate.
+        """flat, passed with count(), flat's case count, where the run's
+        transport holds; else it runs case by case.
+        family_law(transported=True) reads the same gate.
 
         Sound only for a law over ideals whose element form is a theorem of
         the axioms check_axioms decides.  Under transport, x -> ↓x is a
@@ -722,19 +697,18 @@ class _Ctx:
         sum_c k_c^2 and k sum_c k_c for coprime_product and coprime_meet,
         k_c = #{a : a ∨ c = top}, and F.size times the other axis for the
         family laws."""
-        return _decided(flat, lambda holds: count() if self.transport else None)
+        return flat._replace(decide=lambda holds: count() if self.transport else None)
 
     def family_law(
         self, tag: str, before: _Axis | None = None, after: _Axis | None = None,
         transported: bool = False,
     ) -> _Domain:
         """_over(before, F, after), F the families axis of tag and an absent
-        axis left out, grouped by the value of before (or one group).  Where
-        transported and the run's transport holds, each group passes at once
-        (see transported); else where the run has lattice_ok and
-        small_families are fewer than F's values, a group passes if the law
-        holds on each small family; else it runs case by case, F drawn once
-        for all groups.
+        axis left out.  Where transported and the run's transport holds, it
+        passes at once (see transported); else where the run has lattice_ok
+        and small_families are fewer than F's values, it passes if the law
+        holds with F's values replaced by small_families; else it runs case
+        by case.
 
         Sound only for a law that a map of ideals takes a family's join
         (meet) to the join (meet) of its images, or below or above it.  Under
@@ -747,26 +721,20 @@ class _Ctx:
         those of {j, i}, where the law holds (Davey and Priestley,
         Introduction to Lattices and Order, 2002, ch. 2 and 7)."""
         F = self.families(tag)
-        drawn = cache(F.values)
+        axes = [a for a in (before, F, after) if a is not None]
+        small = F._replace(values=lambda: self.small_families)
 
-        def cases(key, families=drawn):
-            lead = () if before is None else ((key,),)
-            return itertools.product(*lead, families(), *(() if after is None else (after.values(),)))
-
-        def decide(key, holds):
-            count = F.size * (1 if after is None else len(after.values()))
+        def decide(holds):
+            count = F.size * math.prod(len(a.values()) for a in axes if a is not F)
             if transported and self.transport:
                 return count
             k = len(self.ideals)  # small_families' count, without building them
             if not self.axioms.lattice_ok or k * (k + 1) // 2 + 1 >= F.size:
                 return None
-            if all(itertools.starmap(holds, cases(key, lambda: self.small_families))):
-                return count
-            return None
+            cases = _over(*(small if a is F else a for a in axes)).cases()
+            return count if all(itertools.starmap(holds, cases)) else None
 
-        keys = (lambda: [None]) if before is None else before.values
-        flat = _over(*(a for a in (before, F, after) if a is not None))
-        return _grouped(keys, decide, cases, flat.witness, flat.note)
+        return _over(*axes)._replace(decide=decide)
 
     def subfamilies(self, tag: str, groups: Callable[[], Iterable[tuple]]) -> _Domain:
         """groups() yields (key, items) pairs; a witness is the key's name
@@ -1049,13 +1017,14 @@ def _suite_avoidance(ctx: _Ctx) -> list[_Law]:
     """The lemma's core on the sampled subsets closed under join and &,
     each with every combination of one ideal, two, or two and a prime: the
     hypotheses prime_avoidance checks of its input hold by construction.
-    A group is one sampled mask, so its stability is tested once per
-    distinct mask, where the mask is first decided."""
+    The decide tests each distinct drawn mask for stability once and
+    counts its cases for each draw of it."""
     q, masks = ctx.q, ctx.subsets("avoidance.stable")
 
-    def cases(m):
-        if cl._instability(q, m) is None:
-            yield from zip(itertools.repeat(m), combos())
+    def cases():
+        for m in masks.values():
+            if cl._instability(q, m) is None:
+                yield from zip(itertools.repeat(m), combos())
 
     @cache
     def combos():
@@ -1071,10 +1040,11 @@ def _suite_avoidance(ctx: _Ctx) -> list[_Law]:
         x = cl._avoiding(m, ps)
         return None if x is None else bool(m >> x & 1) and not union >> x & 1
 
-    def decide(m, holds):
-        """avoids on every combination, from the parts c of m outside each
-        ideal: _avoiding gives None where some c is 0, raises where their
-        AND is 0, else a witness that avoids passes.  The k ideals and the
+    def mask_count(m):
+        """m's case count, 0 where m is not stable, if avoids holds on
+        every combination, else None, decided from the parts c of m outside
+        each ideal: _avoiding gives None where some c is 0, raises where
+        their AND is 0, else a witness that avoids passes.  The k ideals and the
         primes P with c nonzero make k + k(k+1)/2 (1 + |P|) cases, which
         hold unless two c of ideals, or two and one of P, AND to 0: never on
         a lawful carrier, where every c holds the join of m."""
@@ -1088,8 +1058,17 @@ def _suite_avoidance(ctx: _Ctx) -> list[_Law]:
         k = len(outside)
         return k + k * (k + 1) // 2 * (1 + len(primes))
 
+    def decide(holds):
+        total = 0
+        for m, draws in Counter(masks.values()).items():
+            count = mask_count(m)
+            if count is None:
+                return None
+            total += draws * count
+        return total
+
     witness = lambda m, combo: (q.labels(m), "/", " ".join(p.name for p in combo[0]))
-    domain = _grouped(masks.values, decide, cases, witness, masks.note)
+    domain = _Domain(cases, witness, masks.note, decide)
     return [_Law("witness_outside_union", domain, avoids)]
 
 

@@ -1,10 +1,9 @@
-"""_check decides each group of a grouped domain at once, evaluates a
-repeated group once and counts its repeats, and runs a group it cannot
-decide case by case.
+"""_check passes a law whose domain's decide gives a count, and runs every
+other law case by case from its first case.
 
 The report must be the flat loop's: every law of run_suite on carriers where
-the rule applies, at three seeds, equals the report with verify._run replaced
-by oracles.flat_run, which evaluates every case again; carriers where the
+a decide applies, at three seeds, equals the report with verify._run
+replaced by oracles.flat_run, which evaluates every case; carriers where the
 avoidance decide refuses a mask reach the fallback, and synthetic domains pin
 the edge cases.
 """
@@ -44,7 +43,6 @@ from qk.verify import (
     SUITE_ORDER,
     _Ctx,
     _Domain,
-    _grouped,
     _Law,
     _check,
     _over,
@@ -56,11 +54,10 @@ from qk.verify import (
 SEEDS = (0, 1, 7)
 # sampled subsets repeat at 9 <= n <= 13 and run case by case; families
 # repeat at 9 ideals (lukasiewicz:9 and lowersets:4:0<1,2<3, whose 9 lower
-# sets are its ideals), and the five family laws over them are grouped by
-# the ideal before their families, each group decided from the small
-# families; avoidance's masks are grouped by mask, and the monotonicity
-# laws are each one group decided along covers (annihilator.antitone's
-# pairs up to n = 8, generated_meet_lower's up to n = 10, mul_monotone and
+# sets are its ideals), and the five family laws over them are decided from
+# the small families; avoidance decides each distinct mask once, and the
+# monotonicity laws are decided along covers (annihilator.antitone's pairs
+# up to n = 8, generated_meet_lower's up to n = 10, mul_monotone and
 # mul_monotone_pairs at every n)
 SPECS = (
     "lukasiewicz:9",
@@ -111,7 +108,7 @@ def test_only_antitone_pairs_and_avoidance_masks_are_drawn(spec):
     # no _over domain skips a repeated case, sampled subsets included: of
     # every table, only avoidance's masks, the five family laws, the six
     # laws over triples of ideals decided by transport and the monotonicity
-    # laws decided along covers are grouped: mul_monotone and
+    # laws decided along covers have a decide: mul_monotone and
     # mul_monotone_pairs at every n, annihilator.antitone's exhaustive pairs
     # (n <= 8) and generated_meet_lower's pairs where the n 2^(n-1) covers
     # are fewer than its cases (n <= 10)
@@ -123,14 +120,14 @@ def test_only_antitone_pairs_and_avoidance_masks_are_drawn(spec):
         for law in getattr(verify, "_suite_" + s)(ctx)
         if law.domain is not None
     }
-    grouped = {name for name, d in domains.items() if d.groups is not None}
+    decided = {name for name, d in domains.items() if d.decide is not None}
     antitone = {"annihilator.antitone"} if n <= EXHAUST_MAX_N else set()
     meet_lower = {"proposition_bpi.generated_meet_lower"} if n <= 10 else set()
     monotone = {"lemma_bip.mul_monotone", "lemma_bip.mul_monotone_pairs"}
     family = {f"{s}.{name}" for name, (s, _, _) in FAMILY_LAWS.items()}
     cube = {f"proposition_bpi.{name}" for name in CUBE_LAWS}
     expected = {"avoidance.witness_outside_union"} | antitone | meet_lower | monotone | family | cube
-    assert grouped == expected
+    assert decided == expected
 
 
 def _join_rewrites(q):
@@ -178,31 +175,27 @@ def _family_laws(q, seed=0):
 
 
 def _family_verdicts(q, seed=0):
-    """Each family law's decide verdicts, group by group up to the first
-    refused, after checking that its row is the flat loop's over the plain
-    product of its axes."""
+    """Each family law's decide verdict, after checking that its row is the
+    flat loop's over the plain product of its axes."""
     ctx, laws = _family_laws(q, seed)
     verdicts = {}
     for _, law in laws:
         _, tag, shape = FAMILY_LAWS[law.name]
         plain = _over(*(ctx.axis("ideals") if c == "I" else ctx.families(tag) for c in shape))
         assert _run(law) == flat_run(law) == flat_run(law._replace(domain=plain)), (q.name, law.name)
-        verdicts[law.name] = []
-        for _, decide, _ in law.domain.groups():
-            verdicts[law.name].append(decide(law.holds))
-            if verdicts[law.name][-1] is None:
-                break
+        verdicts[law.name] = law.domain.decide(law.holds)
     return ctx, verdicts
 
 
 def test_family_laws_match_the_flat_loop_on_mutation_mutants():
-    # a group refused after earlier groups passed runs case by case from
-    # its own start
-    later = Counter()
+    # every refused law is the flat loop's from its first case, which
+    # _family_verdicts checks; transport never holds on these mutants, so
+    # no law passes by it, and the small families refuse these
+    refused = Counter()
     for q in MUTATION_MUTANTS:
         _, verdicts = _family_verdicts(q)
-        later.update(name for name, v in verdicts.items() if len(v) > 1 and v[-1] is None)
-    assert later == {"product_join_distrib": 26, "residual_join_family": 3}
+        refused.update(name for name, v in verdicts.items() if v is None)
+    assert refused == {"product_join_distrib": 32, "residual_join_family": 13, "join_family_below": 10}
 
 
 @pytest.mark.parametrize(
@@ -215,8 +208,7 @@ def test_family_laws_are_decided_while_the_small_families_are_fewer(spec, small,
     monkeypatch.setattr(_Ctx, "transport", False)
     ctx, verdicts = _family_verdicts(generate_from_spec(spec))
     assert len(ctx.small_families) == small and (small < SAMPLE_COUNT // 10) == decided
-    for v in verdicts.values():
-        assert None not in v if decided else v == [None]
+    assert all((v is not None) == decided for v in verdicts.values())
 
 
 @pytest.mark.parametrize("spec", ["lukasiewicz:12", "powerset:4", "powerset:3"])
@@ -365,11 +357,11 @@ def test_family_laws_over_drawn_families_on_an_unlawful_carrier(spec):
 
 
 def test_family_laws_run_flat_on_join_rewrites():
-    # a rewritten join cell fails lattice_ok, so no group is decided
+    # a rewritten join cell fails lattice_ok, so no family law is decided
     for q in _join_rewrite_carriers():
         assert not check_axioms(q).lattice_ok, q.name
         _, verdicts = _family_verdicts(q)
-        assert all(v == [None] for v in verdicts.values()), q.name
+        assert all(v is None for v in verdicts.values()), q.name
 
 
 def test_avoidance_fallback_matches_the_flat_loop_on_join_rewrites(monkeypatch):
@@ -426,7 +418,7 @@ def test_monotone_mask_laws_match_the_flat_loop(data):
         _Law("meet_lower", ctx.overlapping_pairs("t"), lambda s, t: g(s & t) & ~(g(s) & g(t)) == 0),
     ]
     for law in laws:
-        assert (law.domain.groups is not None) == (n >= 2), law.name
+        assert (law.domain.decide is not None) == (n >= 2), law.name
         assert _run(law) == flat_run(law), law.name
 
 
@@ -520,86 +512,148 @@ def test_chain8_avoidance_count():
     assert (row.status, row.checked, row.note) == ("pass", 2_499_385, "sampled")
 
 
-def _evaluated(k, holds):
-    """A decide that evaluates each case of group k: its count, or None
-    where one fails."""
-    verdicts = [holds(k, j) for j in range(3)]
-    return None if False in verdicts else sum(v is not None for v in verdicts)
+# the cases of the synthetic laws: (k, j) for k in 1, 2, 3 and j in 0, 1, 2
+_CASES = [(k, j) for k in (1, 2, 3) for j in range(3)]
 
 
-def _synthetic(keys, holds, decide=_evaluated):
-    """A law over groups keys, each of the cases (key, 0), (key, 1), (key, 2)."""
-    cases = lambda k: [(k, j) for j in range(3)]
-    return _Law("law", _grouped(lambda: keys, decide, cases, lambda k, j: (str(k), str(j))), holds)
-
-
-def _compare(keys, verdict, decide=_evaluated):
-    """_check with and without groups on one synthetic law; the cases _check
-    evaluated with them."""
+def _compare(verdict, decide):
+    """_check on a law over _CASES with verdict and decide, and with
+    verify._run replaced by flat_run: both rows, and the cases _check
+    evaluated."""
     seen = []
 
     def holds(k, j):
         seen.append((k, j))
         return verdict(k, j)
 
-    law = _synthetic(keys, holds, decide)
-    [replayed] = _check("s", [law])
+    domain = _Domain(lambda: _CASES, lambda k, j: (str(k), str(j)), decide=decide)
+    law = _Law("law", domain, holds)
+    [row] = _check("s", [law])
     evaluated = list(seen)
     with pytest.MonkeyPatch.context() as m:
         m.setattr("qk.verify._run", flat_run)
         [flat] = _check("s", [law])
-    assert replayed == flat
-    return replayed, evaluated
+    return row, flat, evaluated
 
 
-def test_consecutive_repeats_are_separate_draws():
-    # a repeated key adds the count of its first occurrence
-    row, seen = _compare([1, 1, 2, 2, 2, 1], lambda k, j: True)
-    assert (row.status, row.checked) == ("pass", 18)
-    assert seen == [(1, 0), (1, 1), (1, 2), (2, 0), (2, 1), (2, 2)]
+def _boom(*args):
+    raise ZeroDivisionError("boom")
 
 
-def test_a_draw_outside_the_hypothesis_counts_nothing():
-    row, seen = _compare([5, 1, 5, 1, 5], lambda k, j: None if k == 5 else True)
-    assert (row.status, row.checked) == ("pass", 6)
-    assert len(seen) == 6
+def test_a_counting_decide_passes_without_a_case():
+    row, flat, seen = _compare(lambda k, j: True, lambda holds: len(_CASES))
+    assert row == flat and (row.status, row.checked) == ("pass", 9)
+    assert seen == []
 
 
-def test_a_failure_after_repeats_reports_the_flat_witness():
-    row, _ = _compare([1, 2, 1, 2, 3, 1], lambda k, j: None if j == 0 else not (k == 3 and j == 2))
-    assert (row.status, row.checked, row.witness) == ("fail", 10, ("3", "2"))
+def test_an_undecided_domain_runs_flat_from_the_first_case():
+    # the decide gives None though every case holds, then on a law that
+    # fails at (2, 2): the flat loop's count and witness either way
+    row, flat, seen = _compare(lambda k, j: True, lambda holds: None)
+    assert row == flat and (row.status, row.checked) == ("pass", 9)
+    assert seen == _CASES
+    row, flat, seen = _compare(lambda k, j: (k, j) != (2, 2), lambda holds: None)
+    assert row == flat and (row.status, row.checked, row.witness) == ("fail", 6, ("2", "2"))
+    assert seen == _CASES[:6]
 
 
-def test_a_crash_on_a_first_occurrence_keeps_the_count():
+def test_a_crashing_decide_runs_the_flat_loop():
+    verdict = lambda k, j: None if (k, j) == (2, 1) else (k, j) != (2, 2)
+    row, flat, seen = _compare(verdict, _boom)
+    assert row == flat and (row.status, row.checked, row.witness) == ("fail", 5, ("2", "2"))
+    assert seen == _CASES[:6]
+
+
+def test_a_crash_in_the_flat_loop_keeps_its_count():
+    # the decide meets the crash first and raises; the flat loop meets it
+    # again and counts the cases before it
     def verdict(k, j):
-        if k == 3 and j == 1:
+        if (k, j) == (3, 1):
             raise ZeroDivisionError("boom")
         return True
 
-    row, _ = _compare([1, 1, 2, 3, 1], verdict)
-    assert (row.status, row.checked, row.witness) == ("fail", 10, ())
+    decide = lambda holds: all(itertools.starmap(holds, _CASES)) and len(_CASES)
+    row, flat, _ = _compare(verdict, decide)
+    assert row == flat and (row.status, row.checked, row.witness) == ("fail", 7, ())
     assert row.note == "error: ZeroDivisionError: boom"
 
 
-def test_an_undecided_group_runs_alone_from_its_start():
-    # key 2's decide gives None though its cases hold: only that group runs
-    # case by case, and its repeat adds the count of that run
-    decide = lambda k, holds: None if k == 2 else 3
-    row, seen = _compare([1, 2, 3, 2], lambda k, j: True, decide)
-    assert (row.status, row.checked) == ("pass", 12)
-    assert seen == [(2, 0), (2, 1), (2, 2)]
+def test_a_failure_after_repeats_reports_the_flat_witness():
+    # a repeated case is evaluated and counted again, one outside the
+    # hypothesis (j == 1) never
+    seen = []
+    cases = [(1, 0), (2, 1), (1, 0), (3, 0), (2, 1), (1, 0), (3, 2), (1, 0)]
+    verdict = lambda k, j: None if j == 1 else (k, j) != (3, 2)
+    domain = _Domain(lambda: cases, lambda k, j: (str(k), str(j)), decide=lambda holds: None)
+    law = _Law("law", domain, lambda k, j: seen.append((k, j)) or verdict(k, j))
+    assert _run(law) == flat_run(law) == ("fail", 5, ("3", "2"), "")
+    assert seen == cases[:7] * 2
 
 
-def test_a_crashing_decide_runs_its_group_case_by_case():
-    def decide(k, holds):
-        if k == 2:
-            raise ZeroDivisionError("boom")
-        return 3
+def _avoidance_over(draws, monkeypatch):
+    """The avoidance law on lukasiewicz:5 over the drawn masks draws, and
+    the masks classify._instability is called on."""
+    ctx, tested = _Ctx(generate_from_spec("lukasiewicz:5"), 0), []
+    ctx.subsets = lambda tag: verify._Axis(lambda: draws, ctx.q.labels, "sampled")
+    instability = classify._instability
+    monkeypatch.setattr(classify, "_instability", lambda q, m: tested.append(m) or instability(q, m))
+    [law] = verify._suite_avoidance(ctx)
+    return law, tested
 
-    verdict = lambda k, j: None if (k, j) == (2, 1) else (k, j) != (2, 2)
-    row, seen = _compare([1, 2, 3], verdict, decide)
-    assert (row.status, row.checked, row.witness) == ("fail", 5, ("2", "2"))
-    assert seen == [(2, 0), (2, 1), (2, 2)]
+
+# masks of lukasiewicz:5: {4} and {0, 4} are stable, {3} is not, as 3 & 3 = 2
+_FOUR, _ENDS, _THREE = 0b10000, 0b10001, 0b01000
+
+
+def test_consecutive_repeats_are_separate_draws(monkeypatch):
+    # the decide tests each distinct mask once and counts its cases for
+    # every draw of it, as the flat loop, which tests every draw, does
+    counts = {m: flat_run(_avoidance_over([m], monkeypatch)[0])[1] for m in (_FOUR, _ENDS)}
+    draws = [_FOUR, _FOUR, _ENDS, _ENDS, _ENDS, _FOUR]
+    law, tested = _avoidance_over(draws, monkeypatch)
+    row = _run(law)
+    assert row == ("pass", 3 * counts[_FOUR] + 3 * counts[_ENDS], None, "")
+    assert tested == [_FOUR, _ENDS]
+    tested.clear()
+    assert flat_run(law) == row and tested == draws
+
+
+def test_a_draw_outside_the_hypothesis_counts_nothing(monkeypatch):
+    # a mask not closed under & has no case, drawn once or often
+    law, _ = _avoidance_over([_THREE, _FOUR, _THREE], monkeypatch)
+    alone, _ = _avoidance_over([_FOUR], monkeypatch)
+    assert _run(law) == flat_run(law) == flat_run(alone)
+    assert _run(law)[:2] == ("pass", flat_run(alone)[1]) and flat_run(alone)[1] > 0
+
+
+UNIQUENESS_LAWS = (
+    "associated_eq_colon_primes",
+    "isolated_eq_minimal_primes",
+    "isolated_component_formula",
+    "isolated_components_unique",
+)
+
+
+def test_no_decided_domain_has_a_callable_note():
+    # a callable note reads state that only cases() fills (uniqueness's
+    # skipped ideals, saturation's join differences, subfamilies' sizes),
+    # so a decide that passes would leave it stale
+    mutant = next(m for i, j, m in single_cell_mutants(generate_from_spec("lukasiewicz:12")) if i == j == 1)
+    callable_notes = set()
+    for q in (generate_from_spec("lukasiewicz:12"), generate_from_spec("powerset:4"), mutant):
+        ctx = _Ctx(q, 0)
+        for s in SUITE_ORDER[1:]:
+            for law in getattr(verify, "_suite_" + s)(ctx):
+                if law.domain is None:
+                    continue
+                if callable(law.domain.note):
+                    callable_notes.add(f"{s}.{law.name}")
+                assert law.domain.decide is None or not callable(law.domain.note), (q.name, s, law.name)
+    assert callable_notes == {
+        "saturation.saturated_iff_union_of_primes",
+        "primary.p_primary_meet_closed",
+        *(f"uniqueness.{name}" for name in UNIQUENESS_LAWS),
+    }
 
 
 # The pair (2, t) at t = 0b10011 first occurs at m = 2, after (1, t) at
@@ -616,7 +670,7 @@ def _covers_law(verdict):
     lukasiewicz:5, its predicate verdict; the pairs it evaluated."""
     ctx, seen = _Ctx(generate_from_spec("lukasiewicz:5"), 0), []
     law = _Law("law", ctx.subset_pairs("t"), lambda s, t: seen.append((s, t)) or verdict(s, t))
-    assert law.domain.groups is not None
+    assert law.domain.decide is not None
     return law, seen
 
 

@@ -378,8 +378,8 @@ def test_proposition_bpi_reaches_the_library_once_per_pair_and_family(q, monkeyp
     assert all(r.status == "pass" for r in rows)
     assert max(residuals.values()) == 1
 
-    # product_join_distrib takes the product of a with the join of each of
-    # the small families that decide its group, and with each member of
+    # product_join_distrib takes the product of each ideal a with the join
+    # of each of the small families that decide it, and with each member of
     # each of them
     ctx = _Ctx(q, 0)
     products = _counted(monkeypatch, ideals, "product_ideals")
