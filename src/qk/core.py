@@ -240,31 +240,11 @@ class FiniteQuantale:
     def residuals(self) -> tuple[tuple[int, ...], ...] | None:
         """residuals[a][b] = the greatest y with a & y <= b, or None unless
         down is a partial order and each S_b = {y : a & y <= b} is a principal
-        down-set.  On genuine order, bounds and join tables, that is whether
-        every row y -> a & y preserves all joins: a map between finite
-        lattices does iff it has a right adjoint (Davey and Priestley, ch. 7).
-        S_b is folded bottom-up from the S_c of the lower covers c of b."""
-        if self._order_fault is not None:
-            return None
-        down, covers = self.down, _lower_covers(self.down)
-        steps = [(b, covers[b]) for b in _bottom_up(self)]
-        apex = {d: r for r, d in enumerate(down)}  # the element with down-set d
-        bit = [1 << y for y in range(self.n)]
-        rows = []
-        try:
-            for row in self.mul:
-                pre = [0] * len(row)  # pre[b] = {y : a & y == b}, then S_b once folded
-                for y, v in enumerate(row):
-                    pre[v] |= bit[y]
-                for b, cs in steps:
-                    s = pre[b]
-                    for c in cs:
-                        s |= pre[c]
-                    pre[b] = s
-                rows.append(_reader(pre)(apex))
-        except KeyError:  # an S_b that is not a principal down-set
-            return None
-        return tuple(rows)
+        down-set: _right_adjoints of mul.  On genuine order, bounds and join
+        tables, that is whether every row y -> a & y preserves all joins: a
+        map between finite lattices does iff it has a right adjoint (Davey
+        and Priestley, ch. 7)."""
+        return _right_adjoints(self, self.mul)
 
     @cached_property
     def interned(self) -> dict[int, Ideal]:
@@ -300,7 +280,10 @@ class FiniteQuantale:
 
     def join_of(self, xs: Iterable[int]) -> int:
         """Join of finitely many elements; empty join is bottom."""
-        return reduce(lambda a, b: self.join[a][b], xs, self.bottom)
+        out, join = self.bottom, self.join
+        for x in xs:
+            out = join[out][x]
+        return out
 
     def meet_of(self, xs: Iterable[int]) -> int:
         """Meet of finitely many elements; empty meet is top."""
@@ -317,6 +300,36 @@ class FiniteQuantale:
 
     def __repr__(self) -> str:
         return f"<FiniteQuantale {self.name} n={self.n}>"
+
+
+def _right_adjoints(
+    q: FiniteQuantale, table: Sequence[Sequence[int]]
+) -> tuple[tuple[int, ...], ...] | None:
+    """adjoints[a][b] = the greatest y with table[a][y] <= b, or None unless
+    q.down is a partial order and each S_b = {y : table[a][y] <= b} is a
+    principal down-set.  S_b is folded bottom-up from the S_c of the lower
+    covers c of b, one pass per row."""
+    if q._order_fault is not None:
+        return None
+    down, covers = q.down, _lower_covers(q.down)
+    steps = [(b, covers[b]) for b in _bottom_up(q)]
+    apex = {d: r for r, d in enumerate(down)}  # the element with down-set d
+    bit = [1 << y for y in range(q.n)]
+    rows = []
+    try:
+        for row in table:
+            pre = [0] * len(row)  # pre[b] = {y : table[a][y] == b}, then S_b once folded
+            for y, v in enumerate(row):
+                pre[v] |= bit[y]
+            for b, cs in steps:
+                s = pre[b]
+                for c in cs:
+                    s |= pre[c]
+                pre[b] = s
+            rows.append(_reader(pre)(apex))
+    except KeyError:  # an S_b that is not a principal down-set
+        return None
+    return tuple(rows)
 
 
 def _byte_folds(cols: Sequence, op: Callable, unit) -> tuple[tuple, ...]:

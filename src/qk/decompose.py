@@ -20,7 +20,7 @@ from functools import reduce
 from itertools import count
 from operator import and_
 
-from .core import FiniteQuantale, _colons, bits
+from .core import FiniteQuantale, _colons, _cones_match, _right_adjoints, bits
 from .errors import NotDecomposable, NotProper, QuantaleError, TooLarge
 from .ideals import (
     Ideal,
@@ -289,7 +289,17 @@ def is_arithmetic(q: FiniteQuantale) -> bool:
 
 
 def _distributivity_witness(q: FiniteQuantale):
+    """The first triple (a, b, c) of ideals with a ∧ (b ∨ c) != (a ∧ b) ∨
+    (a ∧ c), or None.  None at once where the meet table has right adjoints
+    and every join and meet cell is a lub and a glb (core._cones_match): the
+    ideals are then the principal ones, a lattice isomorphic to the
+    elements', and a finite lattice is distributive iff it is a Heyting
+    algebra, each y -> a ∧ y having a right adjoint (Davey and Priestley,
+    Introduction to Lattices and Order, 2002, ch. 7).  Elsewhere the loop
+    over every triple answers; it is also the oracle of that shortcut."""
     ideals = enumerate_ideals(q)
+    if _right_adjoints(q, q.meet) is not None and _cones_match(q):
+        return None
     for a in ideals:
         for b in ideals:
             for c in ideals:

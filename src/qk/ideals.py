@@ -210,7 +210,7 @@ def generated(q: FiniteQuantale, s: Iterable[int] | int) -> Ideal:
     l & t with t in s.  On a sound carrier this equals the down-set of the
     join of s (top is the unit); the verification suites compare the two."""
     require_commutative(q)
-    m = _subset_mask(q, s)
+    m = s if type(s) is int and 0 < s <= q.full else _subset_mask(q, s)
     if m == 0:
         raise EmptyGeneratorSet("generated ideal needs at least one generator")
     prods = 0
@@ -306,7 +306,7 @@ def residual(i: Ideal, j: Ideal) -> Ideal:
 
 def annihilator(q: FiniteQuantale, s: Iterable[int] | int) -> Ideal:
     """All x with x & t == bottom for every t in s."""
-    m = _subset_mask(q, s)
+    m = s if type(s) is int and 0 < s <= q.full else _subset_mask(q, s)
     if m == 0:
         raise EmptyGeneratorSet("annihilator of the empty set is not defined")
     interned = q.interned  # refuses a noncommutative carrier before the fold is built

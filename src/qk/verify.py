@@ -10,28 +10,35 @@ turns a crash, a scan's included, into a finding of the laws that read it.
 Quantifiers over elements and ideals are always exhausted; the exponential
 ones (subsets, pairs of subsets, families of ideals, mc sets) are sampled
 or narrowed on larger carriers, by the rules stated once with the domains
-(_Ctx), and such laws say so in their note.  Four kinds of domain carry a
+(_Ctx), and such laws say so in their note.  Six kinds of domain carry a
 decide, which passes a law at once with its case count: avoidance's masks,
 each distinct mask decided once from its parts outside the ideals and
 counted for each draw; the five family laws, passed by transport (the
 three of proposition_bpi) or decided from the empty family and the
-families of one or two ideals (_Ctx.family_law); the six proposition_bpi
-laws over triples of ideals, passed by transport (_Ctx.transported), since
-each is a theorem of the axioms where check_axioms passes and the
-library's product, join, meet and residual of every pair of ideals are
-the principal ideals of the element tables (_Ctx.transport, 4 n^2 calls
-once per run); and four monotonicity laws, each decided along the covers
-of its order (_monotone): annihilator.antitone and generated_meet_lower on
-the nonempty masks under inclusion, mul_monotone and mul_monotone_pairs on
-the carrier's Hasse diagram.  A law whose decide does not pass runs case
-by case from its first case, so case counts and witnesses are those of
-checking every case.  Sampled masks are drawn from C iterators over the
-seeded Random.
+families of one or two ideals (_Ctx.family_law); p_primary_meet_closed,
+decided from the one- and two-member subfamilies of each radical group
+(_Ctx.subfamilies); the six proposition_bpi laws over triples of ideals,
+passed by transport (_Ctx.transported), since each is a theorem of the
+axioms where check_axioms passes and the library's product, join, meet and
+residual of every pair of ideals are the principal ideals of the element
+tables (_Ctx.transport, 4 n^2 calls once per run); the four annihilator
+laws and generated_meet_lower over nonempty masks, passed by mask
+transport where no cover decides them (_Ctx.mask_transported), since
+there generated and annihilator of every mask are the principal ideals of
+its join and of that join's residual into bottom (_Ctx.mask_transport,
+2 (2^n - 1) calls once per run, n <= 13); and four monotonicity laws,
+each decided along the covers of its order (_monotone):
+annihilator.antitone and generated_meet_lower on the nonempty masks under
+inclusion, mul_monotone and mul_monotone_pairs on the carrier's Hasse
+diagram.  A law whose decide does not pass runs case by case from its
+first case, so case counts and witnesses are those of checking every
+case.  Sampled masks are drawn from C iterators over the seeded Random.
 Every other law runs case by case, and outside collapse (which compares
 the library with brute force, one call per case) its repeated library
 calls reach the run's memos (_Ctx.routes): generated and annihilator once
-per mask where subsets repeat (n <= 13), and at every size each residual,
-radical, extension, contraction and idealness test.
+per mask where subsets repeat (n <= 13; the mask transport gate fills
+them), and at every size each residual, radical, extension, contraction
+and idealness test.
 A run also runs check_axioms once, and builds and checks the ideal
 carrier once.  A drawn family is the list of ideals at the bits of its
 draw, folded once where it is drawn by the library's join_all and
@@ -207,16 +214,20 @@ class _Domain(NamedTuple):
 
     decide(holds), where the cases can be decided at once, is the count of
     the cases where holds is not None if every such case holds, else None.
-    Only avoidance's masks, the five family laws (_Ctx.family_law), the six
+    Only avoidance's masks, the five family laws (_Ctx.family_law),
+    p_primary_meet_closed's subfamilies (_Ctx.subfamilies), the six
     proposition_bpi laws over triples of ideals passed by transport
     (_Ctx.transported: product_assoc, product_meet_below, product_join_mix,
-    coprime_product, coprime_meet and residual_iterated) and the four
+    coprime_product, coprime_meet and residual_iterated), the four
     monotonicity laws decided along covers (_monotone:
     annihilator.antitone's exhaustive pairs, generated_meet_lower's pairs
-    up to 10 elements, mul_monotone and mul_monotone_pairs) have one:
-    elsewhere a repeated case costs less than a decide, as its library
-    calls are the run's memos.  A domain with a decide has a string note,
-    as a thunk would read what only cases() fills."""
+    up to 10 elements, mul_monotone and mul_monotone_pairs) and the mask
+    laws passed by mask transport where no cover decides them
+    (_Ctx.mask_transported: the four annihilator laws and
+    generated_meet_lower) have one: elsewhere a repeated case costs less
+    than a decide, as its library calls are the run's memos.  A thunk note
+    reads state that cases() fills, so a decide on such a domain fills it
+    too (subfamilies' group sizes)."""
 
     cases: Callable[[], Iterable[tuple]]
     witness: Callable[..., tuple]
@@ -409,12 +420,14 @@ class _Ctx:
     and its laws say "sampled" in their note.
 
     Sampled values repeat where there are fewer of them than draws (subsets
-    at n <= 13, families of 9 ideals); a law over them runs case by case
-    and reaches the memos in routes.  Of these domains family_law has a
-    decide, and the pairs of masks are decided along the covers of the
-    nonempty masks (_monotone) where they are fewer than the pairs:
-    subset_pairs up to EXHAUST_MAX_N elements, overlapping_pairs up to 10.
-    Every sampled stream of masks is drawn by _draws, a C iterator over
+    at n <= 13, families of 9 ideals); a law over them that no decide passes
+    runs case by case and reaches the memos in routes.  Of these domains
+    family_law has a decide; the pairs of masks are decided along the
+    covers of the nonempty masks (_monotone) where they are fewer than the
+    pairs, subset_pairs up to EXHAUST_MAX_N elements and overlapping_pairs
+    up to 10; and the laws over subsets and pairs of masks that no cover
+    decides pass by mask transport (mask_transported) up to n = 13.  Every
+    sampled stream of masks is drawn by _draws, a C iterator over
     rng.getrandbits.
 
       subsets            all nonempty subsets up to EXHAUST_MAX_N (8)
@@ -447,14 +460,17 @@ class _Ctx:
                          folded as the families are: all of them
                          for groups of up to _SUBFAMILY_EXHAUST_MAX (12)
                          members, else SAMPLE_COUNT // 10 (10^3) nonempty
-                         draws for each larger group
+                         draws for each larger group; decided from the one-
+                         and two-member subfamilies of the groups, under
+                         lattice_ok, where they are fewer
       mcsets             all mc sets up to EXHAUST_MAX_N elements, else the
                          sets generated by one element, plus {top} (note
                          "mc sets limited to generated ones")
       routes             library calls memoized for the run, shared by
                          every suite: gen(m), ann(m) (ideals.generated,
                          annihilator of q at a mask; at most q.full
-                         entries) where subsets repeat, else the plain
+                         entries, every one where mask_transport is
+                         checked) where subsets repeat, else the plain
                          calls; at every size res(i, j) (ideals.residual;
                          n^2 pairs of ideals), ext(h, i), con(h, j)
                          (ideals.extension, contraction; n per hom),
@@ -464,10 +480,11 @@ class _Ctx:
                          ideal i; n)
 
     routes, homs where run_suite names none, the check_axioms report of q
-    (axioms: the axioms suite's rows, and the lattice_ok gate of
-    family_law), the transport gate (transport: the laws that transported
-    decides) and the ideal carrier with its check_axioms verdict are built
-    once per run, on first use.
+    (axioms: the axioms suite's rows, and the lattice_ok gate of family_law
+    and subfamilies), the transport gate (transport: the laws that
+    transported decides), the mask transport gate (mask_transport: the laws
+    that mask_transported decides) and the ideal carrier with its
+    check_axioms verdict are built once per run, on first use.
     """
 
     def __init__(self, q: FiniteQuantale, seed: int, homs: list[QuantaleHom] | None = None):
@@ -509,6 +526,27 @@ class _Ctx:
             if any(list(map(op, itertools.repeat(a), ideals)) != image(row) for op, row in rows):
                 return False
         return True
+
+    @cached_property
+    def mask_transport(self) -> bool:
+        """Whether generated and annihilator are the element tables carried
+        over too: transport holds, routes memoizes gen and ann (q.full <
+        SAMPLE_COUNT, so n <= 13), and for every nonempty mask m, routes.gen(m)
+        is ↓J(m) and routes.ann(m) is ↓residuals[J(m)][bottom], J(m) the join
+        of m's elements (J(m | 2^b) = join[b][J(m)] for m below 2^b).  These
+        are the calls the subset laws make: 2 (2^n - 1) calls, once per run,
+        which the memos keep for a law that runs case by case."""
+        q = self.q
+        if q.full >= SAMPLE_COUNT or not self.transport:
+            return False
+        joins = [q.bottom]
+        for b in range(q.n):
+            joins += list(map(q.join[b].__getitem__, joins))
+        ideal, zero = q.principals.__getitem__, [row[q.bottom] for row in q.residuals]
+        masks, joins = range(1, q.full + 1), joins[1:]
+        if list(map(self.routes.gen, masks)) != list(map(ideal, joins)):
+            return False
+        return list(map(self.routes.ann, masks)) == [ideal(zero[j]) for j in joins]
 
     @cached_property
     def proper(self) -> list[il.Ideal]:
@@ -699,6 +737,37 @@ class _Ctx:
         family laws."""
         return flat._replace(decide=lambda holds: count() if self.transport else None)
 
+    def mask_transported(self, flat: _Domain) -> _Domain:
+        """flat, passed with its case count where the run's mask_transport
+        holds; else it runs case by case.  A domain that already has a decide
+        (the covers of _along_masks) keeps it.
+
+        Sound only for a law over nonempty masks, never outside its
+        hypothesis, whose element form is a theorem of the axioms: a drawn or
+        listed mask, m & t where it is nonempty, and the members of an ideal
+        (ann_of) are nonempty masks.  Under transport and mask_transport,
+        gen(s) = ↓J(s) and ann(s) = ↓¬J(s), J(s) the join of s and ¬a = a ->
+        bottom, the greatest z with a & z = bottom; ann_of(↓a) = ↓¬a, as the
+        members of ↓a join to a; and s lies inside ↓a iff J(s) <= a.  So the
+        law holds on every case iff its element form does (see transported):
+
+          antitone                    s inside t gives J(s) <= J(t), so
+                                      J(s) & ¬J(t) <= J(t) & ¬J(t) = bottom
+                                      and ¬J(t) <= ¬J(s)
+          double_contains             J(s) & ¬J(s) = bottom gives J(s) <= ¬¬J(s)
+          triple_stable               ¬a <= ¬¬¬a by the line above at ¬a, and
+                                      a <= ¬¬a gives ¬¬¬a <= ¬a by antitone
+          matches_residual_into_zero  res(↓bottom, ↓J(s)) = ↓residuals[J(s)]
+                                      [bottom], the gate's own ann(s)
+          generated_meet_lower        s & t inside s and t gives J(s & t) <=
+                                      J(s) ∧ J(t)
+
+        The count is the flat loop's, its cases counted without a law call."""
+        if flat.decide is not None:
+            return flat
+        decide = lambda holds: sum(1 for _ in flat.cases()) if self.mask_transport else None
+        return flat._replace(decide=decide)
+
     def family_law(
         self, tag: str, before: _Axis | None = None, after: _Axis | None = None,
         transported: bool = False,
@@ -738,22 +807,49 @@ class _Ctx:
 
     def subfamilies(self, tag: str, groups: Callable[[], Iterable[tuple]]) -> _Domain:
         """groups() yields (key, items) pairs; a witness is the key's name
-        and the subfamily's size."""
-        sizes = []  # of the groups, set when the cases start
+        and the subfamily's size.  Where the run has lattice_ok and the one-
+        and two-member subfamilies are fewer than the cases, it passes if the
+        law holds on each of them; else it runs case by case.  The decide
+        and the cases fill the same group sizes, which the note reads.
+
+        Sound only for a law that reads a subfamily's meet alone, over
+        groups that each list every ideal c where the law holds on {c}:
+        primary.p_primary_meet_closed, whose group of p lists every primary
+        ideal with radical p.  Under lattice_ok the meet of two listed ideals
+        is a listed principal ideal.  By induction on a subfamily F of three
+        or more, i in F and g the meet of the rest: the law holds on the rest,
+        so on {g}, and g is in the group; F's meet is that of {g, i}, where
+        it holds."""
+        sizes = []  # of the groups, set when the cases or the decide start
+
+        def found():
+            out = list(groups())
+            sizes[:] = [len(items) for _, items in out]
+            return out
 
         def cases():
             rng = self.rng(tag)
-            found = list(groups())
-            sizes[:] = [len(items) for _, items in found]
-            for (key, items), k in zip(found, sizes):
+            for (key, items), k in zip(found(), sizes):
                 if k <= _SUBFAMILY_EXHAUST_MAX:
                     picks = range(1, 1 << k)
                 else:
                     picks = _nonempty_draws(rng, k, SAMPLE_COUNT // 10)
                 yield from ((key, _pick(self.q, items, pick)) for pick in picks)
 
+        def decide(holds):
+            if not self.axioms.lattice_ok:
+                return None
+            pairs = [(key, items, 1 << i | 1 << j) for key, items in found()
+                     for j in range(len(items)) for i in range(j + 1)]
+            count = sum((1 << k) - 1 if k <= _SUBFAMILY_EXHAUST_MAX else SAMPLE_COUNT // 10
+                        for k in sizes)
+            if len(pairs) >= count:
+                return None
+            small = ((key, _pick(self.q, items, pick)) for key, items, pick in pairs)
+            return count if all(itertools.starmap(holds, small)) else None
+
         note = lambda: "sampled" if max(sizes, default=0) > _SUBFAMILY_EXHAUST_MAX else ""
-        return _Domain(cases, lambda key, f: (key.name, f), note)
+        return _Domain(cases, lambda key, f: (key.name, f), note, decide)
 
 
 # --- suites -----------------------------------------------------------
@@ -831,6 +927,7 @@ def _suite_proposition_bpi(ctx: _Ctx) -> list[_Law]:
     routes = ctx.routes
     gen, res, is_ideal = routes.gen, routes.res, routes.is_ideal
     join_all, meet_all = partial(il.join_all, q), partial(il.meet_all, q)
+    overlapping = ctx.mask_transported(ctx.overlapping_pairs("bpi.generated_meet_lower"))
 
     def coprime_product(a, b, c):
         if not (join(a, c).is_whole and join(b, c).is_whole):
@@ -875,7 +972,7 @@ def _suite_proposition_bpi(ctx: _Ctx) -> list[_Law]:
         _Law("residual_iterated", cube, residual_iterated),
         _Law("residual_join_absorb", I2, lambda a, b: res(a, b) == res(a, join(a, b))),
         _Law("residual_meet_absorb", I2, lambda a, b: res(a, b) == res(meet(a, b), b)),
-        _Law("generated_meet_lower", ctx.overlapping_pairs("bpi.generated_meet_lower"),
+        _Law("generated_meet_lower", overlapping,
              lambda s, t: gen(s & t).members & ~(gen(s).members & gen(t).members) == 0,
              "inclusion only; the reverse fails once generators join above the overlap"),
         _Law("ideal_carrier_axioms", ctx.once, lambda: ctx.ideal_carrier_lawful),
@@ -883,16 +980,16 @@ def _suite_proposition_bpi(ctx: _Ctx) -> list[_Law]:
 
 
 def _suite_annihilator(ctx: _Ctx) -> list[_Law]:
-    S, routes = ctx.subsets, ctx.routes
+    S, T, routes = ctx.subsets, ctx.mask_transported, ctx.routes
     gen, ann, res, ann_of = routes.gen, routes.ann, routes.res, routes.ann_of
     zero = il.zero_ideal(ctx.q)
 
     return [
-        _Law("antitone", ctx.subset_pairs("ann.antitone"), lambda s, t: ann(t) <= ann(s)),
-        _Law("double_contains", _over(S("ann.double")),
+        _Law("antitone", T(ctx.subset_pairs("ann.antitone")), lambda s, t: ann(t) <= ann(s)),
+        _Law("double_contains", T(_over(S("ann.double"))),
              lambda s: s & ~ann_of(ann(s)).members == 0),
-        _Law("triple_stable", _over(S("ann.triple")), lambda s: (a := ann(s)) == ann_of(ann_of(a))),
-        _Law("matches_residual_into_zero", _over(S("ann.residual")),
+        _Law("triple_stable", T(_over(S("ann.triple"))), lambda s: (a := ann(s)) == ann_of(ann_of(a))),
+        _Law("matches_residual_into_zero", T(_over(S("ann.residual"))),
              lambda s: ann(s) == res(zero, gen(s))),
     ]
 

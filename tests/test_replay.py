@@ -4,8 +4,10 @@ other law case by case from its first case.
 The report must be the flat loop's: every law of run_suite on carriers where
 a decide applies, at three seeds, equals the report with verify._run
 replaced by oracles.flat_run, which evaluates every case; carriers where the
-avoidance decide refuses a mask reach the fallback, and synthetic domains pin
-the edge cases.
+avoidance decide refuses a mask reach the fallback, lawful carriers with a
+wrong library route or primary test reach the fallback of the transport
+gates and of the subfamilies decide, and synthetic domains pin the edge
+cases.
 """
 
 import itertools
@@ -52,17 +54,20 @@ from qk.verify import (
 )
 
 SEEDS = (0, 1, 7)
-# sampled subsets repeat at 9 <= n <= 13 and run case by case; families
-# repeat at 9 ideals (lukasiewicz:9 and lowersets:4:0<1,2<3, whose 9 lower
-# sets are its ideals), and the five family laws over them are decided from
-# the small families; avoidance decides each distinct mask once, and the
-# monotonicity laws are decided along covers (annihilator.antitone's pairs
-# up to n = 8, generated_meet_lower's up to n = 10, mul_monotone and
-# mul_monotone_pairs at every n)
+# sampled subsets repeat at 9 <= n <= 13, where mask transport decides the
+# subset laws, and run case by case above; families repeat at 9 ideals
+# (lukasiewicz:9 and lowersets:4:0<1,2<3, whose 9 lower sets are its
+# ideals), and the five family laws over them are decided from the small
+# families; avoidance decides each distinct mask once, the monotonicity laws
+# are decided along covers (annihilator.antitone's pairs up to n = 8,
+# generated_meet_lower's up to n = 10, mul_monotone and mul_monotone_pairs
+# at every n), and p_primary_meet_closed from the one- and two-member
+# subfamilies (lukasiewicz:14's one radical group of 13 is sampled)
 SPECS = (
     "lukasiewicz:9",
     "lukasiewicz:12",
     "lukasiewicz:13",
+    "lukasiewicz:14",
     "powerset:3",
     "lowersets:antichain3",
     "lowersets:4:0<1,2<3",
@@ -107,11 +112,13 @@ def test_antitone_covers_match_the_flat_loop_on_mutation_mutants(monkeypatch):
 def test_only_antitone_pairs_and_avoidance_masks_are_drawn(spec):
     # no _over domain skips a repeated case, sampled subsets included: of
     # every table, only avoidance's masks, the five family laws, the six
-    # laws over triples of ideals decided by transport and the monotonicity
-    # laws decided along covers have a decide: mul_monotone and
-    # mul_monotone_pairs at every n, annihilator.antitone's exhaustive pairs
-    # (n <= 8) and generated_meet_lower's pairs where the n 2^(n-1) covers
-    # are fewer than its cases (n <= 10)
+    # laws over triples of ideals decided by transport, p_primary_meet_closed,
+    # the monotonicity laws decided along covers and the subset laws decided
+    # by mask transport have a decide: mul_monotone and mul_monotone_pairs at
+    # every n; annihilator.antitone's exhaustive pairs (n <= 8) and
+    # generated_meet_lower's pairs where the n 2^(n-1) covers are fewer than
+    # its cases (n <= 10) along covers, and by mask transport above that,
+    # with the other three annihilator laws at every n
     ctx = _Ctx(generate_from_spec(spec), 0)
     n = ctx.q.n
     domains = {
@@ -121,13 +128,17 @@ def test_only_antitone_pairs_and_avoidance_masks_are_drawn(spec):
         if law.domain is not None
     }
     decided = {name for name, d in domains.items() if d.decide is not None}
-    antitone = {"annihilator.antitone"} if n <= EXHAUST_MAX_N else set()
-    meet_lower = {"proposition_bpi.generated_meet_lower"} if n <= 10 else set()
+    masks = {f"{s}.{name}" for s, names in MASK_LAWS.items() for name in names}
     monotone = {"lemma_bip.mul_monotone", "lemma_bip.mul_monotone_pairs"}
     family = {f"{s}.{name}" for name, (s, _, _) in FAMILY_LAWS.items()}
     cube = {f"proposition_bpi.{name}" for name in CUBE_LAWS}
-    expected = {"avoidance.witness_outside_union"} | antitone | meet_lower | monotone | family | cube
-    assert decided == expected
+    others = {"avoidance.witness_outside_union", "primary.p_primary_meet_closed"}
+    assert decided == others | masks | monotone | family | cube
+    # the cover decides are kept where they apply
+    along_covers = {"annihilator.antitone"} if n <= EXHAUST_MAX_N else set()
+    along_covers |= {"proposition_bpi.generated_meet_lower"} if n <= 10 else set()
+    by_covers = {name for name in masks if domains[name].decide.__qualname__.startswith("_monotone")}
+    assert by_covers == along_covers
 
 
 def _join_rewrites(q):
@@ -140,6 +151,12 @@ def _join_rewrites(q):
                 rows[i][j] = rows[j][i] = v
                 yield replace(q, name=f"{q.name}~j{i},{j}={v}", join=tuple(map(tuple, rows)))
 
+
+# the laws over nonempty masks that mask transport decides, by suite
+MASK_LAWS = {
+    "annihilator": ("antitone", "double_contains", "triple_stable", "matches_residual_into_zero"),
+    "proposition_bpi": ("generated_meet_lower",),
+}
 
 # the laws over triples of ideals that transport decides
 CUBE_LAWS = (
@@ -299,6 +316,104 @@ def test_transport_never_fires_on_mutation_mutants(monkeypatch):
         assert not ctx.axioms.ok and not ctx.transport, q.name
         replayed, flat = _both(q, 0, monkeypatch, "proposition_bpi")
         assert replayed == flat, q.name
+
+
+def _mask_laws(ctx):
+    return {
+        f"{s}.{law.name}": law
+        for s, names in MASK_LAWS.items()
+        for law in getattr(verify, "_suite_" + s)(ctx)
+        if law.name in names
+    }
+
+
+@pytest.mark.parametrize("spec", ["lukasiewicz:9", "lukasiewicz:12", "powerset:3"])
+def test_mask_transport_decides_without_a_case(spec):
+    # the mask laws that have no cover decide pass with the flat loop's count
+    ctx = _Ctx(generate_from_spec(spec), 0)
+    covered = 0
+    for name, law in _mask_laws(ctx).items():
+        calls = []
+        row = _run(law._replace(holds=lambda *case, holds=law.holds: calls.append(case) or holds(*case)))
+        assert row == flat_run(law) and row[0] == "pass", name
+        covered += bool(calls)
+    # antitone is decided along covers up to n = 8, generated_meet_lower up to 10
+    assert ctx.mask_transport and covered == (ctx.q.n <= EXHAUST_MAX_N) + (ctx.q.n <= 10)
+
+
+# a subset route wrong at the single mask of one element, read from the
+# carrier, giving the ideal it picks there in place of the right one
+WRONG_MASKS = {
+    "generated": (_BOTTOM, lambda q: q.principals[q.top]),
+    "annihilator": (_BOTTOM, lambda q: q.principals[q.bottom]),
+}
+
+
+@pytest.mark.parametrize("route", sorted(WRONG_MASKS))
+@pytest.mark.parametrize("spec", ["lukasiewicz:9", "lukasiewicz:12", "powerset:3"])
+def test_mask_transport_refuses_a_wrong_subset_route(spec, route, monkeypatch):
+    # on a lawful carrier with a wrong library the gate fails while
+    # transport holds, so each mask law gets the flat loop's result, and
+    # some law fails with the flat loop's witness
+    element, answer = WRONG_MASKS[route]
+    q = generate_from_spec(spec)
+    assert _Ctx(q, 0).mask_transport
+    right = getattr(ideals, route)
+    monkeypatch.setattr(
+        ideals, route, lambda q, s: answer(q) if s == 1 << element(q) else right(q, s)
+    )
+    ctx = _Ctx(q, 0)
+    laws = _mask_laws(ctx)
+    results = {name: _run(law) for name, law in laws.items()}
+    assert ctx.transport and not ctx.mask_transport
+    for name, law in laws.items():
+        assert results[name] == flat_run(law), name
+    assert any(r[0] == "fail" and r[2] for r in results.values())
+    failed = set()
+    for suite in MASK_LAWS:
+        replayed, flat = _both(q, 0, monkeypatch, suite)
+        assert replayed == flat, suite
+        failed.update(f"{suite}.{r.law}" for r in replayed if r.status == "fail")
+    assert failed == {name for name, r in results.items() if r[0] == "fail"}
+
+
+def _p_primary_law(ctx):
+    return _law(ctx, "primary", "p_primary_meet_closed")
+
+
+def test_p_primary_meet_closed_refuses_a_wrong_primary_test(monkeypatch):
+    # m3's one radical group lists ↓bot, ↓p, ↓q, ↓r and ↓m, and ↓p ∧ ↓q is
+    # ↓bot, a third member: with is_primary wrong there, the two-member
+    # subfamily {↓p, ↓q} fails, so the decide refuses and the law fails
+    # with the flat loop's witness
+    q = generate_from_spec("m3")
+    law = _p_primary_law(_Ctx(q, 0))
+    assert law.domain.decide(law.holds) == 31
+    primary, zero = classify.is_primary, zero_ideal(q)
+    monkeypatch.setattr(classify, "is_primary", lambda i: i is not zero and primary(i))
+    law = _p_primary_law(_Ctx(q, 0))
+    assert law.domain.decide(law.holds) is None
+    assert _run(law) == flat_run(law) == ("fail", 3, ("↓m", "2"), "")
+
+
+def test_p_primary_meet_closed_matches_the_flat_loop_on_mutants():
+    # each law is the flat loop's, decided or not; lattice_ok holds on
+    # these, and the decide passes on 5 of them
+    decided = 0
+    for q in MUTANTS + MUTATION_MUTANTS:
+        law = _p_primary_law(_Ctx(q, 0))
+        assert _run(law) == flat_run(law), q.name
+        decided += law.domain.decide(law.holds) is not None
+    assert decided == 5
+
+
+def test_p_primary_meet_closed_runs_flat_on_join_rewrites():
+    # a rewritten join cell fails lattice_ok, under which alone the meet of
+    # two listed ideals is listed, so the law is never decided there
+    for q in _join_rewrite_carriers():
+        law = _p_primary_law(_Ctx(q, 0))
+        assert law.domain.decide(law.holds) is None, q.name
+        assert _run(law) == flat_run(law), q.name
 
 
 def test_coprime_counts_are_the_flat_loops():
@@ -634,26 +749,38 @@ UNIQUENESS_LAWS = (
 )
 
 
-def test_no_decided_domain_has_a_callable_note():
-    # a callable note reads state that only cases() fills (uniqueness's
-    # skipped ideals, saturation's join differences, subfamilies' sizes),
-    # so a decide that passes would leave it stale
+def test_a_decided_pass_gives_the_flat_loops_note(monkeypatch):
+    # a callable note reads state that cases() fills (uniqueness's skipped
+    # ideals, saturation's join differences, subfamilies' group sizes), so a
+    # decide on such a domain must fill it too: p_primary_meet_closed's,
+    # which passes on lukasiewicz:12 and on lukasiewicz:14, whose group of
+    # 13 makes the note "sampled", and on the mutant, whose lattice is
+    # lawful, and refuses on powerset:4, whose groups have one member
     mutant = next(m for i, j, m in single_cell_mutants(generate_from_spec("lukasiewicz:12")) if i == j == 1)
-    callable_notes = set()
-    for q in (generate_from_spec("lukasiewicz:12"), generate_from_spec("powerset:4"), mutant):
-        ctx = _Ctx(q, 0)
+    carriers = [*map(generate_from_spec, ("lukasiewicz:12", "lukasiewicz:14", "powerset:4")), mutant]
+    callable_notes, decided = set(), []
+    for q in carriers:
         for s in SUITE_ORDER[1:]:
-            for law in getattr(verify, "_suite_" + s)(ctx):
-                if law.domain is None:
-                    continue
-                if callable(law.domain.note):
+            for law in getattr(verify, "_suite_" + s)(_Ctx(q, 0)):
+                if law.domain is not None and callable(law.domain.note):
                     callable_notes.add(f"{s}.{law.name}")
-                assert law.domain.decide is None or not callable(law.domain.note), (q.name, s, law.name)
+                    if law.domain.decide is not None:
+                        count = law.domain.decide(law.holds)
+                        decided.append((q.name, law.name, count, law.domain.note()))
+        replayed, flat = _both(q, 0, monkeypatch, "primary")
+        assert replayed == flat, q.name
     assert callable_notes == {
         "saturation.saturated_iff_union_of_primes",
         "primary.p_primary_meet_closed",
         *(f"uniqueness.{name}" for name in UNIQUENESS_LAWS),
     }
+    law = "p_primary_meet_closed"
+    assert decided == [
+        ("lukasiewicz12", law, 2047, ""),
+        ("lukasiewicz14", law, 1000, "sampled"),
+        ("powerset4", law, None, ""),
+        (mutant.name, law, 1023, ""),
+    ]
 
 
 # The pair (2, t) at t = 0b10011 first occurs at m = 2, after (1, t) at

@@ -11,7 +11,9 @@ must return exactly what they return, on lawful carriers and on tables
 corrupted in any field, with n on both sides of each byte boundary.  The
 routines that read the scan shapes core._colons, core._closed and
 classify._outside_pair meet their definitional loops on the lawful
-carriers and the mutants.
+carriers and the mutants, and decompose._distributivity_witness's
+shortcut, from core._right_adjoints of the meet table, meets its triple
+loop there and on every join- and meet-cell rewrite of five lattices.
 """
 
 from dataclasses import replace
@@ -34,6 +36,8 @@ from qk.classify import (
     spectrum,
     zero_divisors,
 )
+from qk import decompose
+from qk.core import _cones_match, _right_adjoints
 from qk.decompose import isolated_component_formula, strongly_irreducible_elementwise
 from qk.errors import CarrierMismatch, NotCommutative
 from qk.generators import generate_from_spec
@@ -300,3 +304,57 @@ def test_join_all_on_corrupted_tables(case):
             Ideal(q, masks[0])
         return
     _check_join_all(q, [Ideal(q, m) for m in masks[:6]])
+
+
+def _distributivity(q, loop=False):
+    """decompose._distributivity_witness of q, with its shortcut off where
+    loop, so that the triple loop answers; NotCommutative where it raises."""
+    with pytest.MonkeyPatch.context() as m:
+        if loop:
+            m.setattr(decompose, "_right_adjoints", lambda q, table: None)
+        try:
+            return decompose._distributivity_witness(q)
+        except NotCommutative:
+            return NotCommutative
+
+
+def _lattice_rewrites(q):
+    """Each carrier made from q by one symmetric rewrite of a join or a meet
+    cell, table[i][j] = table[j][i] = v for i <= j and every v but the old
+    one."""
+    for field in ("join", "meet"):
+        table = getattr(q, field)
+        for i in range(q.n):
+            for j in range(i, q.n):
+                for v in set(range(q.n)) - {table[i][j]}:
+                    rows = [list(r) for r in table]
+                    rows[i][j] = rows[j][i] = v
+                    name = f"{q.name}~{field}{i},{j}={v}"
+                    yield replace(q, name=name, **{field: tuple(map(tuple, rows))})
+
+
+def test_distributivity_shortcut_matches_the_triple_loop():
+    # the Heyting shortcut answers None only where the loop does: on the
+    # lawful carriers, the files, the mutants and every symmetric join- and
+    # meet-cell rewrite of five small lattices, distributive or not
+    specs = ("m3", "lukasiewicz:5", "powerset:3", "lowersets:chain4", "lowersets:4:0<1,2<3")
+    rewrites = [m for spec in specs for m in _lattice_rewrites(generate_from_spec(spec))]
+    carriers = [*_BASES, *_FILES, *MUTANTS, *MUTATION_MUTANTS, *rewrites]
+    outcomes = [(_distributivity(q), _distributivity(q, loop=True)) for q in carriers]
+    assert all(fast == loop for fast, loop in outcomes)
+    # the shortcut answers on the 49 distributive lattices among them; a
+    # rewritten cell is no lub or glb, so the loop answers every rewrite
+    shortcut = [q for q in carriers if _right_adjoints(q, q.meet) is not None and _cones_match(q)]
+    assert (len(carriers), len(shortcut)) == (1735, 49) and not set(shortcut) & set(rewrites)
+    assert sum(fast is None for fast, _ in outcomes) == 790
+
+
+@pytest.mark.parametrize("spec", ["lukasiewicz:17", "powerset:4", "lowersets:4:0<1,2<3"])
+def test_distributivity_shortcut_answers_without_the_loop(spec, monkeypatch):
+    # on a distributive lattice no ideal is met or joined
+    def refuse(*args):
+        raise AssertionError("the loop ran")
+
+    monkeypatch.setattr(decompose, "meet_ideals", refuse)
+    monkeypatch.setattr(decompose, "join_ideals", refuse)
+    assert decompose._distributivity_witness(generate_from_spec(spec)) is None
