@@ -101,8 +101,10 @@ def mask_of(indices: Iterable[int] | int) -> int:
 
 
 def _subset_mask(q: FiniteQuantale, s: Iterable[int] | int) -> int:
-    """mask_of(s), refusing a negative mask and indices outside q (QuantaleError,
-    naming them) before any table lookup could trip over them."""
+    """mask_of(s), refusing anything that is neither an int mask nor an
+    iterable of int indices, a negative mask and indices outside q
+    (QuantaleError, naming them) before any table lookup could trip over
+    them."""
     if isinstance(s, int):
         if s < 0:
             raise QuantaleError(f"{s} is not a subset mask")
@@ -110,7 +112,13 @@ def _subset_mask(q: FiniteQuantale, s: Iterable[int] | int) -> int:
             return s
         stray = list(bits(s & ~q.full))
     else:
-        s = list(s)
+        try:
+            indices = list(s)
+        except TypeError:
+            indices = None
+        if indices is None or not all(isinstance(i, int) for i in indices):
+            raise QuantaleError(f"{s!r} is neither a subset mask nor an iterable of int indices")
+        s = indices
         stray = sorted({i for i in s if not 0 <= i < q.n})
         if not stray:
             return mask_of(s)
@@ -681,12 +689,16 @@ def power(q: FiniteQuantale, x: int, n: int) -> int:
     """x to the n-th multiplicative power; x^0 is top (the unit)."""
     if n < 0:
         raise ValueError("negative power")
+    return _powers(q, x, n)[-1]
+
+
+def _powers(q: FiniteQuantale, x: int, n: int) -> list[int]:
+    """[x^0, x^1, ..., x^n]: each power x & x^(k-1), from top."""
     _require_element(q, x)
-    acc = q.top
-    row = q.mul[x]
+    row, out = q.mul[x], [q.top]
     for _ in range(n):
-        acc = row[acc]
-    return acc
+        out.append(row[out[-1]])
+    return out
 
 
 def power_of_join(q: FiniteQuantale, x: int, y: int, n: int) -> int:
@@ -697,10 +709,10 @@ def power_of_join(q: FiniteQuantale, x: int, y: int, n: int) -> int:
     """
     if n < 0:
         raise ValueError("negative power")
+    xs, ys = _powers(q, x, n), _powers(q, y, n)
     acc = q.bottom
     for k in range(n + 1):
-        term = q.mul[power(q, x, n - k)][power(q, y, k)]
-        acc = q.join[acc][term]
+        acc = q.join[acc][q.mul[xs[n - k]][ys[k]]]
     return acc
 
 

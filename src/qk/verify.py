@@ -10,35 +10,38 @@ turns a crash, a scan's included, into a finding of the laws that read it.
 Quantifiers over elements and ideals are always exhausted; the exponential
 ones (subsets, pairs of subsets, families of ideals, mc sets) are sampled
 or narrowed on larger carriers, by the rules stated once with the domains
-(_Ctx), and such laws say so in their note.  Six kinds of domain carry a
-decide, which passes a law at once with its case count: avoidance's masks,
-each distinct mask decided once from its parts outside the ideals and
-counted for each draw; the five family laws, passed by transport (the
-three of proposition_bpi) or decided from the empty family and the
-families of one or two ideals (_Ctx.family_law); p_primary_meet_closed,
-decided from the one- and two-member subfamilies of each radical group
-(_Ctx.subfamilies); the six proposition_bpi laws over triples of ideals,
-passed by transport (_Ctx.transported), since each is a theorem of the
-axioms where check_axioms passes and the library's product, join, meet and
-residual of every pair of ideals are the principal ideals of the element
-tables (_Ctx.transport, 4 n^2 calls once per run); the four annihilator
-laws and generated_meet_lower over nonempty masks, passed by mask
-transport where no cover decides them (_Ctx.mask_transported), since
-there generated and annihilator of every mask are the principal ideals of
-its join and of that join's residual into bottom (_Ctx.mask_transport,
-2 (2^n - 1) calls once per run, n <= 13); and four monotonicity laws,
-each decided along the covers of its order (_monotone):
-annihilator.antitone and generated_meet_lower on the nonempty masks under
-inclusion, mul_monotone and mul_monotone_pairs on the carrier's Hasse
-diagram.  A law whose decide does not pass runs case by case from its
-first case, so case counts and witnesses are those of checking every
-case.  Sampled masks are drawn from C iterators over the seeded Random.
+(_Ctx), and such laws say so in their note.  Sampled masks are drawn from C
+iterators over the seeded Random.
+
+A domain may carry evidence (_Domain.by and count): _run passes its law
+with the flat loop's count where holds is exactly True on every case of
+the evidence, and else runs it case by case from its first case, so case
+counts and witnesses are those of checking every case.  The decided laws,
+each proved once beside its evidence:
+
+  covers (_Ctx.covers)       lemma_bip.mul_monotone and mul_monotone_pairs
+                             on the carrier's Hasse diagram;
+                             annihilator.antitone (n <= 8) and
+                             proposition_bpi.generated_meet_lower (n <= 10)
+                             on the covers of the nonempty masks
+  transport (_Ctx.transport) the six proposition_bpi laws over triples of
+                             ideals and its three family laws; the four
+                             annihilator laws and generated_meet_lower where
+                             no covers decide them and subsets repeat
+                             (n <= 13); no case, a gate checked once per run
+  small families             the five family laws, those of proposition_bpi
+  (_Ctx.family_law)          where transport does not hold
+  subfamilies                primary.p_primary_meet_closed, from the one-
+  (_Ctx.subfamilies)         and two-member subfamilies of its groups
+  parts (_suite_avoidance)   avoidance.witness_outside_union, each distinct
+                             mask decided once from its parts outside the
+                             ideals and counted for each draw
+
 Every other law runs case by case, and outside collapse (which compares
 the library with brute force, one call per case) its repeated library
 calls reach the run's memos (_Ctx.routes): generated and annihilator once
-per mask where subsets repeat (n <= 13; the mask transport gate fills
-them), and at every size each residual, radical, extension, contraction
-and idealness test.
+per mask where subsets repeat (transport fills them), and at every size
+each residual, radical, extension, contraction and idealness test.
 A run also runs check_axioms once, and builds and checks the ideal
 carrier once.  A drawn family is the list of ideals at the bits of its
 draw, folded once where it is drawn by the library's join_all and
@@ -212,27 +215,19 @@ class _Domain(NamedTuple):
     of the predicate), the witness of a case, and the domain's note (a
     string, or a thunk read after the cases ran).
 
-    decide(holds), where the cases can be decided at once, is the count of
-    the cases where holds is not None if every such case holds, else None.
-    Only avoidance's masks, the five family laws (_Ctx.family_law),
-    p_primary_meet_closed's subfamilies (_Ctx.subfamilies), the six
-    proposition_bpi laws over triples of ideals passed by transport
-    (_Ctx.transported: product_assoc, product_meet_below, product_join_mix,
-    coprime_product, coprime_meet and residual_iterated), the four
-    monotonicity laws decided along covers (_monotone:
-    annihilator.antitone's exhaustive pairs, generated_meet_lower's pairs
-    up to 10 elements, mul_monotone and mul_monotone_pairs) and the mask
-    laws passed by mask transport where no cover decides them
-    (_Ctx.mask_transported: the four annihilator laws and
-    generated_meet_lower) have one: elsewhere a repeated case costs less
-    than a decide, as its library calls are the run's memos.  A thunk note
-    reads state that cases() fills, so a decide on such a domain fills it
-    too (subfamilies' group sizes)."""
+    A decided domain also has by, a thunk giving the cases that prove the
+    law (none where a gate alone proves it, None where nothing does), and
+    count, a thunk giving the flat loop's count when every case holds (see
+    _run and the module's catalogue).  Elsewhere a repeated case costs less
+    than evidence, as its library calls are the run's memos.  A thunk note
+    reads state that cases() fills, so by fills it too (subfamilies' group
+    sizes)."""
 
     cases: Callable[[], Iterable[tuple]]
     witness: Callable[..., tuple]
     note: str | Callable[[], str] = ""
-    decide: Callable[[Callable], int | None] | None = None
+    by: Callable[[], Iterable[tuple] | None] | None = None
+    count: Callable[[], int] | None = None
 
 
 def _over(*axes: _Axis) -> _Domain:
@@ -241,51 +236,6 @@ def _over(*axes: _Axis) -> _Domain:
     witness = lambda *case: tuple(a.label(v) for a, v in zip(axes, case))
     note = "; ".join(a.note for a in axes if a.note)
     return _Domain(lambda: itertools.product(*(a.values() for a in axes)), witness, note)
-
-
-def _monotone(flat: _Domain, covers: Callable[[], Iterable[tuple] | None], count: int) -> _Domain:
-    """flat, decided along covers: it passes with count, flat's case
-    count, if holds is exactly True on each case of covers(), cases of
-    flat; else, or where covers() is None, it runs case by case.
-
-    Sound only for a law that compares f(s) with f(t), for s <= t in a
-    finite partial order, by a reflexive and transitive relation R:
-    annihilator.antitone (ann(t) <= ann(s)) and generated_meet_lower on the
-    nonempty masks under inclusion, and lemma_bip.mul_monotone and
-    mul_monotone_pairs on the carrier's order where q._order_fault is None.
-    The covers c < d (d covers c) generate such an order: s <= t iff s = t
-    or s = c0 < c1 < ... < ck = t, each c(i+1) covering c(i) (Davey and
-    Priestley, Introduction to Lattices and Order, 2002, ch. 1).  By
-    induction on k, R holding on every cover gives f(s) R f(t) through the
-    chain, by transitivity, and s = t holds by reflexivity.  The cases read:
-
-      (t & ~b, t)              for each nonempty mask t and bit b of t with
-                               t & ~b nonempty: the covers of the nonempty
-                               masks.  For generated_meet_lower the case
-                               (s, t), s inside t, reads gen(s) inside gen(s)
-                               & gen(t), so gen is monotone, and for any
-                               overlapping s, t, gen(s & t) lies in gen(s)
-                               and in gen(t)
-      ((c, d), z)              mul_monotone: c & z <= d & z
-      ((c, d), (z, z)) and     mul_monotone_pairs: x & u <= y & u <= y & v
-      ((w, w), (c, d))         for x <= y and u <= v, through the left
-                               chain from x to y, then the right one from u
-                               to v
-
-    From n = 2 on, every nonempty mask is an end of a cover, so f is
-    evaluated on each, and a crash in it makes decide raise and _run meet it
-    again in the flat loop; the mask laws are decided only where the
-    n 2^(n-1) covers are fewer than count, which leaves out n = 1.  On the
-    carrier f reads q.mul, whose entries are elements, so leq is reflexive
-    on them."""
-
-    def decide(holds):
-        found = covers()
-        if found is None or not all(holds(*case) is True for case in found):
-            return None
-        return count
-
-    return flat._replace(decide=decide)
 
 
 class _Law(NamedTuple):
@@ -308,19 +258,20 @@ def _run(law: _Law) -> tuple[str, int, tuple[str, ...] | None, str]:
     """Status, case count, witness and error of a law with a domain: its
     cases counted up to the first failure, a crash a failure.
 
-    A domain's decide, where it has one, is called once, and a count passes
-    the law with that count.  Where it gives None or raises, the cases run
-    one by one from the first, which gives the count of the cases before
-    the first failure and its witness: the result is always the one the
-    flat loop over cases() gives."""
+    The one decide rule: a law passes with its domain's count() where by()
+    gives cases and holds is exactly True on each of them.  Where by() gives
+    None, a case does not hold or either thunk raises, the cases run one by
+    one from the first, which gives the count of the cases before the first
+    failure and its witness: the result is always the one the flat loop
+    over cases() gives."""
     holds, domain = law.holds, law.domain
-    if domain.decide is not None:
+    if domain.by is not None:
         try:
-            count = domain.decide(holds)
+            evidence = domain.by()
+            if evidence is not None and all(holds(*case) is True for case in evidence):
+                return "pass", domain.count(), None, ""
         except Exception:  # the flat loop meets the crash again
-            count = None
-        if count is not None:
-            return "pass", count, None, ""
+            pass
     checked = 0
     try:
         for case in domain.cases():
@@ -383,7 +334,7 @@ def _subset_covers(n: int) -> tuple[tuple[int, int], ...]:
     """(t & ~b, t) for each nonempty mask t of n bits and each bit b of t
     with t & ~b nonempty: the covers of the nonempty masks under
     inclusion, n 2^(n-1) - n of them.  Kept for the process: built only
-    where the mask laws decide along covers, n <= 10."""
+    where the mask laws are proved along covers, n <= 10."""
     return tuple((s, t) for t in range(1, 1 << n) for b in bits(t) if (s := t & ~(1 << b)))
 
 
@@ -420,15 +371,11 @@ class _Ctx:
     and its laws say "sampled" in their note.
 
     Sampled values repeat where there are fewer of them than draws (subsets
-    at n <= 13, families of 9 ideals); a law over them that no decide passes
-    runs case by case and reaches the memos in routes.  Of these domains
-    family_law has a decide; the pairs of masks are decided along the
-    covers of the nonempty masks (_monotone) where they are fewer than the
-    pairs, subset_pairs up to EXHAUST_MAX_N elements and overlapping_pairs
-    up to 10; and the laws over subsets and pairs of masks that no cover
-    decides pass by mask transport (mask_transported) up to n = 13.  Every
-    sampled stream of masks is drawn by _draws, a C iterator over
-    rng.getrandbits.
+    where subsets_repeat, families of 9 ideals); a law over them that no
+    evidence passes runs case by case and reaches the memos in routes.
+    Every sampled stream of masks is drawn by _draws, a C iterator over
+    rng.getrandbits.  Which domains carry evidence is the module's
+    catalogue.
 
       subsets            all nonempty subsets up to EXHAUST_MAX_N (8)
                          elements, else SAMPLE_COUNT (10^4) nonempty draws
@@ -442,48 +389,35 @@ class _Ctx:
                          they are at most SAMPLE_COUNT (n <= 6: 3,367 at
                          n=6, 14,197 at n=7), else SAMPLE_COUNT drawn pairs
       covers             the covers (c, d) of the carrier's order, from
-                         core._lower_covers, where q._order_fault is None:
-                         mul_monotone and mul_monotone_pairs, over the
-                         comparable pairs, are decided along them
-                         (_monotone), E n cases and 2 E n for E covers
+                         core._lower_covers, where q._order_fault is None
       families           all families of ideals, the empty one included, up
                          to EXHAUST_MAX_N ideals, else SAMPLE_COUNT // 10
                          (10^3) draws, each a _Family with its members,
-                         join and meet, folded by join_all and meet_all;
-                         the family laws (family_law) are passed by
-                         transport for the three of proposition_bpi, else
-                         decided from the run's small_families, the empty
-                         family and those of one or two ideals, where they
-                         are fewer
+                         join and meet, folded by join_all and meet_all
       subfamilies        (key, f) for each group (key, items) a law supplies
                          and each nonempty subfamily f of items, a _Family
                          folded as the families are: all of them
                          for groups of up to _SUBFAMILY_EXHAUST_MAX (12)
                          members, else SAMPLE_COUNT // 10 (10^3) nonempty
-                         draws for each larger group; decided from the one-
-                         and two-member subfamilies of the groups, under
-                         lattice_ok, where they are fewer
+                         draws for each larger group
       mcsets             all mc sets up to EXHAUST_MAX_N elements, else the
                          sets generated by one element, plus {top} (note
                          "mc sets limited to generated ones")
       routes             library calls memoized for the run, shared by
                          every suite: gen(m), ann(m) (ideals.generated,
                          annihilator of q at a mask; at most q.full
-                         entries, every one where mask_transport is
-                         checked) where subsets repeat, else the plain
-                         calls; at every size res(i, j) (ideals.residual;
-                         n^2 pairs of ideals), ext(h, i), con(h, j)
-                         (ideals.extension, contraction; n per hom),
-                         rad(i) (classify.radical; n), is_ideal(q, m)
-                         (ideals.is_ideal; one per carrier and mask
-                         tested) and ann_of(i) (ann(i.members) for an
-                         ideal i; n)
+                         entries, every one where transport is checked)
+                         where subsets repeat, else the plain calls; at
+                         every size res(i, j) (ideals.residual; n^2 pairs
+                         of ideals), ext(h, i), con(h, j) (ideals.extension,
+                         contraction; n per hom), rad(i) (classify.radical;
+                         n), is_ideal(q, m) (ideals.is_ideal; one per
+                         carrier and mask tested) and ann_of(i)
+                         (ann(i.members) for an ideal i; n)
 
     routes, homs where run_suite names none, the check_axioms report of q
     (axioms: the axioms suite's rows, and the lattice_ok gate of family_law
-    and subfamilies), the transport gate (transport: the laws that
-    transported decides), the mask transport gate (mask_transport: the laws
-    that mask_transported decides) and the ideal carrier with its
+    and subfamilies), the transport gate and the ideal carrier with its
     check_axioms verdict are built once per run, on first use.
     """
 
@@ -505,48 +439,112 @@ class _Ctx:
     def axioms(self) -> AxiomReport:
         return check_axioms(self.q)
 
+    @property
+    def subsets_repeat(self) -> bool:
+        """Whether there are fewer nonempty masks than draws (q.full <
+        SAMPLE_COUNT, so n <= 13): there sampled subsets repeat, routes
+        memoizes gen and ann, and transport checks every mask."""
+        return self.q.full < SAMPLE_COUNT
+
     @cached_property
     def transport(self) -> bool:
         """Whether the ideal operations are the element tables carried over
-        by the principal map x -> q.principals[x]: check_axioms passes,
+        by the principal map x -> ↓x = q.principals[x]: check_axioms passes,
         q.residuals exists, the ideals are the principal ideals in element
-        order, and for every pair of ideals (a, b) = (↓x, ↓y) the library's
-        product_ideals, join_ideals and meet_ideals and routes.res give ↓ of
-        mul[x][y], join[x][y], meet[x][y] and residuals[y][x].  These are
-        the calls the laws make, so a fast path that drifts from its table
-        turns the gate off: 4 n^2 calls, once per run."""
+        order, for every pair of ideals (↓x, ↓y) the library's product_ideals,
+        join_ideals and meet_ideals and routes.res give ↓ of mul[x][y],
+        join[x][y], meet[x][y] and residuals[y][x], and, where subsets_repeat,
+        for every nonempty mask s, routes.gen(s) is ↓J(s) and routes.ann(s) is
+        ↓¬J(s), J(s) the join of s (J(s | 2^b) = join[b][J(s)] for s below
+        2^b) and ¬a = residuals[a][bottom], the greatest z with a & z =
+        bottom.  These are the calls the laws make, so a fast path that drifts
+        from its table turns the gate off: 4 n^2 calls, and 2 (2^n - 1) where
+        subsets repeat, once per run; the memos keep the latter.
+
+        Where it holds it proves, with no case to check (transported), each
+        law below, whose element form is a theorem of the axioms check_axioms
+        decides.  x -> ↓x is then a bijection from the elements onto the
+        ideals that takes mul, join, meet and residuals to the ideal
+        operations; as down is a partial order with top, ↓x <= ↓y iff x <= y,
+        ↓x == ↓y iff x == y, and ↓x is whole iff x is top; a mask s lies
+        inside ↓a iff J(s) <= a; and ann_of(↓a) = ↓¬a, as the members of ↓a
+        join to a.  So a law holds on every case iff its element form does,
+        in an integral commutative quantale, & for mul and (a : b) = b -> a,
+        the greatest z with b & z <= a (Rosenthal, Quantales and their
+        Applications, 1990; Galatos, Jipsen, Kowalski and Ono, Residuated
+        Lattices, 2007):
+
+          product_assoc         (a & b) & c = a & (b & c): associativity
+          product_meet_below    a & (b ∧ c) <= (a & b) ∧ (a & c): & keeps
+                                binary joins, so it is monotone, and b ∧ c
+                                lies below b and c
+          product_join_mix      (a ∨ c) & (b ∨ c) = (a & b) ∨ (a & c) ∨
+                                (c & b) ∨ (c & c) <= (a & b) ∨ c, as x & c
+                                <= top & c = c (top is the unit)
+          coprime_product       a ∨ c = b ∨ c = top gives top = top & top =
+                                (a ∨ c) & (b ∨ c) <= (a & b) ∨ c
+          coprime_meet          a ∨ c = top gives b = b & (a ∨ c) = (b & a)
+                                ∨ (b & c) <= (a ∧ b) ∨ c, so b ∨ c <= (a ∧
+                                b) ∨ c <= b ∨ c
+          residual_iterated     z <= c -> (b -> a) iff c & z <= b -> a iff
+                                b & (c & z) <= a iff (b & c) & z <= a iff
+                                z <= (b & c) -> a; b and c commute
+          product_join_distrib  a & (f1 ∨ ... ∨ fk) = (a & f1) ∨ ... ∨ (a &
+                                fk), by induction from the binary join, and
+                                a & bottom = bottom for the empty family
+          residual_meet_family  b -> (f1 ∧ ... ∧ fk) = (b -> f1) ∧ ... ∧ (b
+                                -> fk): b -> (-) is right adjoint to b & (-)
+                                and keeps every meet, b -> top = top the
+                                empty one
+          residual_join_family  z <= fi -> a for each i iff fi & z <= a for
+                                each i iff (f1 ∨ ... ∨ fk) & z <= a iff z
+                                <= (f1 ∨ ... ∨ fk) -> a, so the meet of the
+                                fi -> a lies below
+
+        and, over nonempty masks where subsets_repeat:
+
+          antitone                    s inside t gives J(s) <= J(t), so
+                                      J(s) & ¬J(t) <= J(t) & ¬J(t) = bottom
+                                      and ¬J(t) <= ¬J(s)
+          double_contains             J(s) & ¬J(s) = bottom gives J(s) <= ¬¬J(s)
+          triple_stable               ¬a <= ¬¬¬a by the line above at ¬a, and
+                                      a <= ¬¬a gives ¬¬¬a <= ¬a by antitone
+          matches_residual_into_zero  res(↓bottom, ↓J(s)) = ↓residuals[J(s)]
+                                      [bottom], the gate's own ann(s)
+          generated_meet_lower        s & t inside s and t gives J(s & t) <=
+                                      J(s) ∧ J(t)
+
+        A family's join and meet are join_all and meet_all: under lattice_ok
+        the join is the lub of the apexes, and the meet, an AND of down-sets,
+        is ↓ of the meet of the apexes by the binary meets.  A mask law never
+        meets a case outside its hypothesis: a drawn or listed mask, m & t
+        where it is nonempty, and the members of an ideal are nonempty."""
         q, ideals = self.q, self.ideals
         if not self.axioms.ok or q.residuals is None or ideals != list(q.principals):
             return False
-        image = lambda row: list(map(q.principals.__getitem__, row))
+        ideal = q.principals.__getitem__
+        image = lambda row: list(map(ideal, row))
         prod, join, meet, res = il.product_ideals, il.join_ideals, il.meet_ideals, self.routes.res
         columns = list(zip(*q.residuals))  # columns[x][y] = residuals[y][x]
         for x, a in enumerate(ideals):
             rows = (prod, q.mul[x]), (join, q.join[x]), (meet, q.meet[x]), (res, columns[x])
             if any(list(map(op, itertools.repeat(a), ideals)) != image(row) for op, row in rows):
                 return False
-        return True
-
-    @cached_property
-    def mask_transport(self) -> bool:
-        """Whether generated and annihilator are the element tables carried
-        over too: transport holds, routes memoizes gen and ann (q.full <
-        SAMPLE_COUNT, so n <= 13), and for every nonempty mask m, routes.gen(m)
-        is ↓J(m) and routes.ann(m) is ↓residuals[J(m)][bottom], J(m) the join
-        of m's elements (J(m | 2^b) = join[b][J(m)] for m below 2^b).  These
-        are the calls the subset laws make: 2 (2^n - 1) calls, once per run,
-        which the memos keep for a law that runs case by case."""
-        q = self.q
-        if q.full >= SAMPLE_COUNT or not self.transport:
-            return False
+        if not self.subsets_repeat:
+            return True
         joins = [q.bottom]
         for b in range(q.n):
             joins += list(map(q.join[b].__getitem__, joins))
-        ideal, zero = q.principals.__getitem__, [row[q.bottom] for row in q.residuals]
         masks, joins = range(1, q.full + 1), joins[1:]
         if list(map(self.routes.gen, masks)) != list(map(ideal, joins)):
             return False
+        zero = [row[q.bottom] for row in q.residuals]
         return list(map(self.routes.ann, masks)) == [ideal(zero[j]) for j in joins]
+
+    def transported(self) -> tuple | None:
+        """No case where transport holds, else None: the evidence of the laws
+        transport proves (a law over masks only where subsets_repeat)."""
+        return () if self.transport else None
 
     @cached_property
     def proper(self) -> list[il.Ideal]:
@@ -610,7 +608,7 @@ class _Ctx:
         library's own result, and a call that raises is not stored."""
         q, memo = self.q, lru_cache(None)
         gen, ann = partial(il.generated, q), partial(il.annihilator, q)
-        if q.full < SAMPLE_COUNT:  # fewer subsets than draws: n <= 13
+        if self.subsets_repeat:
             gen, ann = memo(gen), memo(ann)
         calls = il.residual, il.extension, il.contraction, cl.radical, il.is_ideal
         res, ext, con, rad, is_ideal = map(memo, calls)
@@ -620,17 +618,47 @@ class _Ctx:
         return self.q.labels(s), "/", self.q.labels(t)
 
     def _along_masks(self, flat: _Domain, count: int) -> _Domain:
-        """flat, of count cases, decided along the covers of the nonempty
-        masks (_monotone) where they are fewer: n <= 10 at most."""
+        """flat, of count cases, proved along the covers of the nonempty
+        masks (_subset_covers; see covers) where they are fewer: n <= 10."""
         n = self.q.n
         if (n << n) // 2 >= count:
             return flat
-        return _monotone(flat, partial(_subset_covers, n), count)
+        return flat._replace(by=partial(_subset_covers, n), count=lambda: count)
 
     @cached_property
     def covers(self) -> list[tuple[int, int]] | None:
         """The covers (c, d) of the carrier's order, d covering c, from
-        core._lower_covers; None unless down is a partial order."""
+        core._lower_covers; None unless down is a partial order.
+
+        These and _subset_covers are the evidence of a law that compares f(s)
+        with f(t), for s <= t in a finite partial order, by a reflexive and
+        transitive relation R: annihilator.antitone (ann(t) <= ann(s)) and
+        generated_meet_lower on the nonempty masks under inclusion, and
+        lemma_bip.mul_monotone and mul_monotone_pairs on the carrier's order.
+        The covers generate such an order: s <= t iff s = t or s = c0 < c1 <
+        ... < ck = t, each c(i+1) covering c(i) (Davey and Priestley,
+        Introduction to Lattices and Order, 2002, ch. 1).  By induction on k,
+        R holding on every cover gives f(s) R f(t) through the chain, by
+        transitivity, and s = t holds by reflexivity.  The cases read:
+
+          (t & ~b, t)              for each nonempty mask t and bit b of t with
+                                   t & ~b nonempty.  For generated_meet_lower
+                                   the case (s, t), s inside t, reads gen(s)
+                                   inside gen(s) & gen(t), so gen is monotone,
+                                   and for any overlapping s, t, gen(s & t)
+                                   lies in gen(s) and in gen(t)
+          ((c, d), z)              mul_monotone: c & z <= d & z
+          ((c, d), (z, z)) and     mul_monotone_pairs: x & u <= y & u <= y & v
+          ((w, w), (c, d))         for x <= y and u <= v, through the left
+                                   chain from x to y, then the right one from u
+                                   to v
+
+        From n = 2 on, every nonempty mask is an end of a cover, so f is
+        evaluated on each, and a crash in it makes the evidence raise and _run
+        meet it again in the flat loop; the mask laws use their covers only
+        where the n 2^(n-1) covers are fewer than their cases, which leaves out
+        n = 1.  On the carrier f reads q.mul, whose entries are elements, so
+        leq is reflexive on them."""
         if self.q._order_fault is not None:
             return None
         return [(c, d) for d, below in enumerate(_lower_covers(self.q.down)) for c in below]
@@ -685,99 +713,24 @@ class _Ctx:
         picks = (1 << i | 1 << j for i in range(k) for j in range(i, k))
         return [_pick(self.q, self.ideals, p) for p in itertools.chain((0,), picks)]
 
-    def transported(self, flat: _Domain, count: Callable[[], int]) -> _Domain:
-        """flat, passed with count(), flat's case count, where the run's
-        transport holds; else it runs case by case.
-        family_law(transported=True) reads the same gate.
-
-        Sound only for a law over ideals whose element form is a theorem of
-        the axioms check_axioms decides.  Under transport, x -> ↓x is a
-        bijection from the elements onto the ideals that takes mul, join,
-        meet and residuals to product_ideals, join_ideals, meet_ideals and
-        routes.res, and since down is a partial order with top, ↓x <= ↓y iff
-        x <= y, ↓x == ↓y iff x == y, and ↓x is whole iff x is top.  So the
-        law holds on every case iff its element form does, in an integral
-        commutative quantale, & for mul and (a : b) = b -> a, the greatest z
-        with b & z <= a (Rosenthal, Quantales and their Applications, 1990;
-        Galatos, Jipsen, Kowalski and Ono, Residuated Lattices, 2007):
-
-          product_assoc         (a & b) & c = a & (b & c): associativity
-          product_meet_below    a & (b ∧ c) <= (a & b) ∧ (a & c): & keeps
-                                binary joins, so it is monotone, and b ∧ c
-                                lies below b and c
-          product_join_mix      (a ∨ c) & (b ∨ c) = (a & b) ∨ (a & c) ∨
-                                (c & b) ∨ (c & c) <= (a & b) ∨ c, as x & c
-                                <= top & c = c (top is the unit)
-          coprime_product       a ∨ c = b ∨ c = top gives top = top & top =
-                                (a ∨ c) & (b ∨ c) <= (a & b) ∨ c
-          coprime_meet          a ∨ c = top gives b = b & (a ∨ c) = (b & a)
-                                ∨ (b & c) <= (a ∧ b) ∨ c, so b ∨ c <= (a ∧
-                                b) ∨ c <= b ∨ c
-          residual_iterated     z <= c -> (b -> a) iff c & z <= b -> a iff
-                                b & (c & z) <= a iff (b & c) & z <= a iff
-                                z <= (b & c) -> a; b and c commute
-          product_join_distrib  a & (f1 ∨ ... ∨ fk) = (a & f1) ∨ ... ∨ (a &
-                                fk), by induction from the binary join, and
-                                a & bottom = bottom for the empty family
-          residual_meet_family  b -> (f1 ∧ ... ∧ fk) = (b -> f1) ∧ ... ∧ (b
-                                -> fk): b -> (-) is right adjoint to b & (-)
-                                and keeps every meet, b -> top = top the
-                                empty one
-          residual_join_family  z <= fi -> a for each i iff fi & z <= a for
-                                each i iff (f1 ∨ ... ∨ fk) & z <= a iff z
-                                <= (f1 ∨ ... ∨ fk) -> a, so the meet of the
-                                fi -> a lies below
-
-        A family's join and meet are join_all and meet_all: under lattice_ok
-        the join is the lub of the apexes, and the meet, an AND of down-sets,
-        is ↓ of the meet of the apexes by transport's binary meets.  The
-        counts are the flat loop's: k^3 on k ideals for the cube laws,
-        sum_c k_c^2 and k sum_c k_c for coprime_product and coprime_meet,
-        k_c = #{a : a ∨ c = top}, and F.size times the other axis for the
-        family laws."""
-        return flat._replace(decide=lambda holds: count() if self.transport else None)
-
     def mask_transported(self, flat: _Domain) -> _Domain:
-        """flat, passed with its case count where the run's mask_transport
-        holds; else it runs case by case.  A domain that already has a decide
-        (the covers of _along_masks) keeps it.
-
-        Sound only for a law over nonempty masks, never outside its
-        hypothesis, whose element form is a theorem of the axioms: a drawn or
-        listed mask, m & t where it is nonempty, and the members of an ideal
-        (ann_of) are nonempty masks.  Under transport and mask_transport,
-        gen(s) = ↓J(s) and ann(s) = ↓¬J(s), J(s) the join of s and ¬a = a ->
-        bottom, the greatest z with a & z = bottom; ann_of(↓a) = ↓¬a, as the
-        members of ↓a join to a; and s lies inside ↓a iff J(s) <= a.  So the
-        law holds on every case iff its element form does (see transported):
-
-          antitone                    s inside t gives J(s) <= J(t), so
-                                      J(s) & ¬J(t) <= J(t) & ¬J(t) = bottom
-                                      and ¬J(t) <= ¬J(s)
-          double_contains             J(s) & ¬J(s) = bottom gives J(s) <= ¬¬J(s)
-          triple_stable               ¬a <= ¬¬¬a by the line above at ¬a, and
-                                      a <= ¬¬a gives ¬¬¬a <= ¬a by antitone
-          matches_residual_into_zero  res(↓bottom, ↓J(s)) = ↓residuals[J(s)]
-                                      [bottom], the gate's own ann(s)
-          generated_meet_lower        s & t inside s and t gives J(s & t) <=
-                                      J(s) ∧ J(t)
-
-        The count is the flat loop's, its cases counted without a law call."""
-        if flat.decide is not None:
+        """flat over nonempty masks, proved by transport (see transport)
+        where subsets repeat, with the flat loop's count, its cases counted
+        without a law call; a domain with covers keeps them."""
+        if flat.by is not None:
             return flat
-        decide = lambda holds: sum(1 for _ in flat.cases()) if self.mask_transport else None
-        return flat._replace(decide=decide)
+        by = lambda: self.transported() if self.subsets_repeat else None
+        return flat._replace(by=by, count=lambda: sum(1 for _ in flat.cases()))
 
     def family_law(
         self, tag: str, before: _Axis | None = None, after: _Axis | None = None,
         transported: bool = False,
     ) -> _Domain:
         """_over(before, F, after), F the families axis of tag and an absent
-        axis left out.  Where transported and the run's transport holds, it
-        passes at once (see transported); else where the run has lattice_ok
-        and small_families are fewer than F's values, it passes if the law
-        holds with F's values replaced by small_families; else it runs case
-        by case.
+        axis left out.  Its evidence: no case where transported and the run's
+        transport holds (see transport); else, where the run has lattice_ok
+        and small_families are fewer than F's values, the cases with F's
+        values replaced by small_families.
 
         Sound only for a law that a map of ideals takes a family's join
         (meet) to the join (meet) of its images, or below or above it.  Under
@@ -793,24 +746,23 @@ class _Ctx:
         axes = [a for a in (before, F, after) if a is not None]
         small = F._replace(values=lambda: self.small_families)
 
-        def decide(holds):
-            count = F.size * math.prod(len(a.values()) for a in axes if a is not F)
+        def by():
             if transported and self.transport:
-                return count
+                return ()
             k = len(self.ideals)  # small_families' count, without building them
             if not self.axioms.lattice_ok or k * (k + 1) // 2 + 1 >= F.size:
                 return None
-            cases = _over(*(small if a is F else a for a in axes)).cases()
-            return count if all(itertools.starmap(holds, cases)) else None
+            return _over(*(small if a is F else a for a in axes)).cases()
 
-        return _over(*axes)._replace(decide=decide)
+        count = lambda: F.size * math.prod(len(a.values()) for a in axes if a is not F)
+        return _over(*axes)._replace(by=by, count=count)
 
     def subfamilies(self, tag: str, groups: Callable[[], Iterable[tuple]]) -> _Domain:
         """groups() yields (key, items) pairs; a witness is the key's name
-        and the subfamily's size.  Where the run has lattice_ok and the one-
-        and two-member subfamilies are fewer than the cases, it passes if the
-        law holds on each of them; else it runs case by case.  The decide
-        and the cases fill the same group sizes, which the note reads.
+        and the subfamily's size.  Its evidence, where the run has lattice_ok
+        and they are fewer than the cases: the one- and two-member
+        subfamilies.  The evidence and the cases fill the same group sizes,
+        which the note and the count read.
 
         Sound only for a law that reads a subfamily's meet alone, over
         groups that each list every ideal c where the law holds on {c}:
@@ -820,7 +772,7 @@ class _Ctx:
         or more, i in F and g the meet of the rest: the law holds on the rest,
         so on {g}, and g is in the group; F's meet is that of {g, i}, where
         it holds."""
-        sizes = []  # of the groups, set when the cases or the decide start
+        sizes = []  # of the groups, set when the cases or the evidence start
 
         def found():
             out = list(groups())
@@ -836,20 +788,21 @@ class _Ctx:
                     picks = _nonempty_draws(rng, k, SAMPLE_COUNT // 10)
                 yield from ((key, _pick(self.q, items, pick)) for pick in picks)
 
-        def decide(holds):
+        def count():
+            return sum((1 << k) - 1 if k <= _SUBFAMILY_EXHAUST_MAX else SAMPLE_COUNT // 10
+                       for k in sizes)
+
+        def by():
             if not self.axioms.lattice_ok:
                 return None
             pairs = [(key, items, 1 << i | 1 << j) for key, items in found()
                      for j in range(len(items)) for i in range(j + 1)]
-            count = sum((1 << k) - 1 if k <= _SUBFAMILY_EXHAUST_MAX else SAMPLE_COUNT // 10
-                        for k in sizes)
-            if len(pairs) >= count:
+            if len(pairs) >= count():
                 return None
-            small = ((key, _pick(self.q, items, pick)) for key, items, pick in pairs)
-            return count if all(itertools.starmap(holds, small)) else None
+            return ((key, _pick(self.q, items, pick)) for key, items, pick in pairs)
 
         note = lambda: "sampled" if max(sizes, default=0) > _SUBFAMILY_EXHAUST_MAX else ""
-        return _Domain(cases, lambda key, f: (key.name, f), note, decide)
+        return _Domain(cases, lambda key, f: (key.name, f), note, by, count)
 
 
 # --- suites -----------------------------------------------------------
@@ -893,17 +846,19 @@ def _suite_lemma_bip(ctx: _Ctx) -> list[_Law]:
     labels = lambda *xs: tuple(el[x] for x in xs)
 
     def along_covers(*cases):
-        """each case(cover, z) for every cover of the order and element z,
-        the cases _monotone decides by, or None where down is no partial
+        """the evidence: each case(cover, z) for every cover of the order
+        (see _Ctx.covers) and element z, or None where down is no partial
         order"""
         covers = ctx.covers
         if covers is None:
             return None
         return (case(p, z) for case in cases for p in covers for z in range(q.n))
 
-    monotone = _monotone(_over(B, E), partial(along_covers, lambda p, z: (p, z)), len(below) * q.n)
+    by = partial(along_covers, lambda p, z: (p, z))
+    monotone = _over(B, E)._replace(by=by, count=lambda: len(below) * q.n)
     left, right = (lambda p, z: (p, (z, z))), (lambda p, z: ((z, z), p))
-    pairs = _monotone(_over(B, B), partial(along_covers, left, right), len(below) ** 2)
+    by = partial(along_covers, left, right)
+    pairs = _over(B, B)._replace(by=by, count=lambda: len(below) ** 2)
     return [
         _Law("mul_below_meet", _over(E, E), lambda x, y: leq(mul[x][y], q.meet[x][y])),
         _Law("bot_annihilates", _over(E), lambda x: mul[x][q.bottom] == q.bottom),
@@ -921,7 +876,10 @@ def _suite_proposition_bpi(ctx: _Ctx) -> list[_Law]:
     q, I = ctx.q, ctx.axis("ideals")
     F = partial(ctx.family_law, transported=True)
     I2, I3 = _over(I, I), _over(I, I, I)
-    cube = ctx.transported(I3, lambda: len(ctx.ideals) ** 3)
+    # proved by transport with the flat loop's count: k^3 on k ideals, and
+    # sum_c k_c^2 and k sum_c k_c for the coprime laws (coprimes below)
+    proved = lambda count: I3._replace(by=ctx.transported, count=count)
+    cube = proved(lambda: len(ctx.ideals) ** 3)
     whole, zero = il.whole_ideal(q), il.zero_ideal(q)
     prod, meet, join = il.product_ideals, il.meet_ideals, il.join_ideals
     routes = ctx.routes
@@ -956,9 +914,9 @@ def _suite_proposition_bpi(ctx: _Ctx) -> list[_Law]:
              lambda a, b, c: prod(a, meet(b, c)) <= meet(prod(a, b), prod(a, c))),
         _Law("product_join_mix", cube,
              lambda a, b, c: prod(join(a, c), join(b, c)) <= join(prod(a, b), c)),
-        _Law("coprime_product", ctx.transported(I3, lambda: sum(k * k for k in coprimes())),
+        _Law("coprime_product", proved(lambda: sum(k * k for k in coprimes())),
              coprime_product),
-        _Law("coprime_meet", ctx.transported(I3, lambda: len(ctx.ideals) * sum(coprimes())),
+        _Law("coprime_meet", proved(lambda: len(ctx.ideals) * sum(coprimes())),
              lambda a, b, c: join(meet(a, b), c) == join(b, c) if join(a, c).is_whole else None),
         _Law("residual_product_below", I2, lambda a, b: prod(res(a, b), b) <= a),
         _Law("ideal_below_residual", I2, lambda a, b: a <= res(a, b)),
@@ -1114,7 +1072,7 @@ def _suite_avoidance(ctx: _Ctx) -> list[_Law]:
     """The lemma's core on the sampled subsets closed under join and &,
     each with every combination of one ideal, two, or two and a prime: the
     hypotheses prime_avoidance checks of its input hold by construction.
-    The decide tests each distinct drawn mask for stability once and
+    The evidence tests each distinct drawn mask for stability once and
     counts its cases for each draw of it."""
     q, masks = ctx.q, ctx.subsets("avoidance.stable")
 
@@ -1155,7 +1113,10 @@ def _suite_avoidance(ctx: _Ctx) -> list[_Law]:
         k = len(outside)
         return k + k * (k + 1) // 2 * (1 + len(primes))
 
-    def decide(holds):
+    @cache
+    def total():
+        """the count of every draw's cases if each distinct mask is decided
+        (mask_count), else None"""
         total = 0
         for m, draws in Counter(masks.values()).items():
             count = mask_count(m)
@@ -1165,7 +1126,7 @@ def _suite_avoidance(ctx: _Ctx) -> list[_Law]:
         return total
 
     witness = lambda m, combo: (q.labels(m), "/", " ".join(p.name for p in combo[0]))
-    domain = _Domain(cases, witness, masks.note, decide)
+    domain = _Domain(cases, witness, masks.note, lambda: None if total() is None else (), total)
     return [_Law("witness_outside_union", domain, avoids)]
 
 

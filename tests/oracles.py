@@ -16,7 +16,8 @@ and merge_and_prune the merge-and-prune route that primary_decomposition
 replaced by the search's first result.
 all_posets and all_topologies enumerate the small posets and topologies
 that the generator tests build carriers from.  flat_run runs a law case by case, evaluating every
-repeated draw again.  MUTANTS holds the commutative single-cell mutants
+repeated draw again, and decided reads the count its evidence passes it
+with.  MUTANTS holds the commutative single-cell mutants
 of q4, l3 and m3, and MUTATION_MUTANTS those of the benchmark's mutation
 carriers, MUTATION_BASES: broken tables are where a shortcut would drift
 from the definition."""
@@ -287,6 +288,23 @@ def flat_run(law):
     except Exception as exc:
         return "fail", checked, (), f"error: {type(exc).__name__}: {exc}"
     return "pass", checked, None, ""
+
+
+def decided(law):
+    """The count law's evidence passes it with, by verify._run's rule read
+    off its domain: count() where by() gives cases and holds is exactly True
+    on each of them; None where the domain has no by, by() gives None, a
+    case does not hold or either thunk raises."""
+    by = law.domain.by
+    if by is None:
+        return None
+    try:
+        evidence = by()
+        if evidence is None or not all(law.holds(*case) is True for case in evidence):
+            return None
+        return law.domain.count()
+    except Exception:
+        return None
 
 
 MUTANTS = [

@@ -1,4 +1,5 @@
 import ast
+import itertools
 import os
 import subprocess
 import sys
@@ -31,6 +32,8 @@ from qk.errors import (
     RowArity,
     UndeclaredLabel,
 )
+
+from oracles import MUTANTS
 
 
 def test_bits_and_mask_of():
@@ -329,6 +332,24 @@ def test_power_of_join_binomial(q4, l3):
             for y in range(q.n):
                 for k in range(1, 5):
                     assert power_of_join(q, x, y, k) == power(q, q.join[x][y], k)
+
+
+def test_power_of_join_matches_its_terms_on_mutants():
+    # the expansion term by term, each power walked from top again, on broken
+    # tables too, where x^k is the product x & x^(k-1) as power reads it
+    def walk(q, x, k):
+        acc = q.top
+        for _ in range(k):
+            acc = q.mul[x][acc]
+        return acc
+
+    for q in MUTANTS[::7]:
+        for x, y, n in itertools.product(range(q.n), range(q.n), range(5)):
+            want = q.bottom
+            for k in range(n + 1):
+                want = q.join[want][q.mul[walk(q, x, n - k)][walk(q, y, k)]]
+            assert power_of_join(q, x, y, n) == want, (q.name, x, y, n)
+            assert power(q, x, n) == walk(q, x, n), (q.name, x, n)
 
 
 def test_is_unit(q4, l3):

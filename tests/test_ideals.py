@@ -4,7 +4,7 @@ from dataclasses import replace
 import pytest
 
 from qk import classify as cl, decompose as dc
-from qk.core import QuantaleHom, build_quantale, check_axioms
+from qk.core import QuantaleHom, bits, build_quantale, check_axioms
 from qk.generators import generate_from_spec
 from qk.errors import (
     CarrierMismatch,
@@ -242,6 +242,36 @@ def test_annihilator_frozen(q4):
 def test_indices_outside_the_carrier_are_refused(q4, call, stray):
     with pytest.raises(QuantaleError, match=re.escape(f"indices {stray} are not elements of q4")):
         call(q4)
+
+
+@pytest.mark.parametrize("bad", ["a", ["a"], [0.0], [0, None], 1.5, None])
+def test_anything_but_a_subset_is_refused_by_name(q4, bad):
+    # neither an int mask nor an iterable of int indices: False from the
+    # predicates, which promise it for anything that is not a subset, and a
+    # QuantaleError naming it from the routines that take a subset
+    assert not is_ideal(q4, bad) and not cl.is_mc(q4, bad)
+    message = f"^{re.escape(repr(bad))} is neither a subset mask nor an iterable of int indices$"
+    calls = generated, annihilator, as_ideal, ideal_from_closure, cl.mc_set, type(q4).labels
+    for call in calls:
+        with pytest.raises(QuantaleError, match=message):
+            call(q4, bad)
+    with pytest.raises(QuantaleError, match=message):
+        cl.prime_avoidance(q4, bad, [])
+
+
+def test_index_lists_read_as_their_masks(q4):
+    # an iterable of indices, in any order and with repeats, is the mask of
+    # its members to every routine that takes a subset
+    for m in range(1, q4.full + 1):
+        idx = list(bits(m))
+        assert is_ideal(q4, idx[::-1] + idx) == is_ideal(q4, m)
+        assert cl.is_mc(q4, tuple(idx)) == cl.is_mc(q4, m)
+        assert generated(q4, iter(idx)) is generated(q4, m)
+        assert annihilator(q4, idx) is annihilator(q4, m)
+        assert ideal_from_closure(q4, idx) is ideal_from_closure(q4, m)
+        assert q4.labels(idx) == q4.labels(m)
+        if is_ideal(q4, m):
+            assert as_ideal(q4, idx) is as_ideal(q4, m)
 
 
 def test_ideal_quantale_q4(q4):

@@ -1,13 +1,15 @@
-"""_check passes a law whose domain's decide gives a count, and runs every
-other law case by case from its first case.
+"""_check passes a law with its domain's count where holds is exactly True
+on every case of the domain's evidence, and runs every other law case by
+case from its first case.
 
 The report must be the flat loop's: every law of run_suite on carriers where
-a decide applies, at three seeds, equals the report with verify._run
+evidence applies, at three seeds, equals the report with verify._run
 replaced by oracles.flat_run, which evaluates every case; carriers where the
-avoidance decide refuses a mask reach the fallback, lawful carriers with a
+avoidance evidence refuses a mask reach the fallback, lawful carriers with a
 wrong library route or primary test reach the fallback of the transport
-gates and of the subfamilies decide, and synthetic domains pin the edge
-cases.
+gate and of the subfamilies evidence, and synthetic domains pin the edge
+cases.  oracles.decided reads a law's verdict off its domain's by and
+count.
 """
 
 import itertools
@@ -24,6 +26,7 @@ from oracles import (
     MUTANTS,
     MUTATION_BASES,
     MUTATION_MUTANTS,
+    decided,
     flat_run,
     minimal_decompositions_picks,
 )
@@ -54,8 +57,8 @@ from qk.verify import (
 )
 
 SEEDS = (0, 1, 7)
-# sampled subsets repeat at 9 <= n <= 13, where mask transport decides the
-# subset laws, and run case by case above; families repeat at 9 ideals
+# sampled subsets repeat at 9 <= n <= 13, where transport proves the subset
+# laws, and run case by case above; families repeat at 9 ideals
 # (lukasiewicz:9 and lowersets:4:0<1,2<3, whose 9 lower sets are its
 # ideals), and the five family laws over them are decided from the small
 # families; avoidance decides each distinct mask once, the monotonicity laws
@@ -112,13 +115,13 @@ def test_antitone_covers_match_the_flat_loop_on_mutation_mutants(monkeypatch):
 def test_only_antitone_pairs_and_avoidance_masks_are_drawn(spec):
     # no _over domain skips a repeated case, sampled subsets included: of
     # every table, only avoidance's masks, the five family laws, the six
-    # laws over triples of ideals decided by transport, p_primary_meet_closed,
-    # the monotonicity laws decided along covers and the subset laws decided
-    # by mask transport have a decide: mul_monotone and mul_monotone_pairs at
-    # every n; annihilator.antitone's exhaustive pairs (n <= 8) and
-    # generated_meet_lower's pairs where the n 2^(n-1) covers are fewer than
-    # its cases (n <= 10) along covers, and by mask transport above that,
-    # with the other three annihilator laws at every n
+    # laws over triples of ideals proved by transport, p_primary_meet_closed,
+    # the monotonicity laws decided along covers and the subset laws proved
+    # by transport have evidence, and each of them a count: mul_monotone and
+    # mul_monotone_pairs at every n; annihilator.antitone's exhaustive pairs
+    # (n <= 8) and generated_meet_lower's pairs where the n 2^(n-1) covers
+    # are fewer than its cases (n <= 10) along covers, and by transport above
+    # that, with the other three annihilator laws at every n
     ctx = _Ctx(generate_from_spec(spec), 0)
     n = ctx.q.n
     domains = {
@@ -127,17 +130,19 @@ def test_only_antitone_pairs_and_avoidance_masks_are_drawn(spec):
         for law in getattr(verify, "_suite_" + s)(ctx)
         if law.domain is not None
     }
-    decided = {name for name, d in domains.items() if d.decide is not None}
+    with_evidence = {name for name, d in domains.items() if d.by is not None}
+    assert all(domains[name].count is not None for name in with_evidence)
     masks = {f"{s}.{name}" for s, names in MASK_LAWS.items() for name in names}
     monotone = {"lemma_bip.mul_monotone", "lemma_bip.mul_monotone_pairs"}
     family = {f"{s}.{name}" for name, (s, _, _) in FAMILY_LAWS.items()}
     cube = {f"proposition_bpi.{name}" for name in CUBE_LAWS}
     others = {"avoidance.witness_outside_union", "primary.p_primary_meet_closed"}
-    assert decided == others | masks | monotone | family | cube
-    # the cover decides are kept where they apply
+    assert with_evidence == others | masks | monotone | family | cube
+    # the covers stay the evidence where they apply
     along_covers = {"annihilator.antitone"} if n <= EXHAUST_MAX_N else set()
     along_covers |= {"proposition_bpi.generated_meet_lower"} if n <= 10 else set()
-    by_covers = {name for name in masks if domains[name].decide.__qualname__.startswith("_monotone")}
+    covers = lambda d: getattr(d.by, "func", None) is verify._subset_covers
+    by_covers = {name for name in masks if covers(domains[name])}
     assert by_covers == along_covers
 
 
@@ -192,15 +197,15 @@ def _family_laws(q, seed=0):
 
 
 def _family_verdicts(q, seed=0):
-    """Each family law's decide verdict, after checking that its row is the
-    flat loop's over the plain product of its axes."""
+    """Each family law's verdict (oracles.decided), after checking that its
+    row is the flat loop's over the plain product of its axes."""
     ctx, laws = _family_laws(q, seed)
     verdicts = {}
     for _, law in laws:
         _, tag, shape = FAMILY_LAWS[law.name]
         plain = _over(*(ctx.axis("ideals") if c == "I" else ctx.families(tag) for c in shape))
         assert _run(law) == flat_run(law) == flat_run(law._replace(domain=plain)), (q.name, law.name)
-        verdicts[law.name] = law.domain.decide(law.holds)
+        verdicts[law.name] = decided(law)
     return ctx, verdicts
 
 
@@ -216,16 +221,16 @@ def test_family_laws_match_the_flat_loop_on_mutation_mutants():
 
 
 @pytest.mark.parametrize(
-    "spec, small, decided", [("lukasiewicz:44", 991, True), ("lukasiewicz:45", 1036, False)]
+    "spec, small, passes", [("lukasiewicz:44", 991, True), ("lukasiewicz:45", 1036, False)]
 )
-def test_family_laws_are_decided_while_the_small_families_are_fewer(spec, small, decided, monkeypatch):
+def test_family_laws_are_decided_while_the_small_families_are_fewer(spec, small, passes, monkeypatch):
     # 44 ideals make 991 small families, fewer than the 10^3 draws; 45 make
     # 1,036.  Without transport, which decides the proposition_bpi family
     # laws at any size
     monkeypatch.setattr(_Ctx, "transport", False)
     ctx, verdicts = _family_verdicts(generate_from_spec(spec))
-    assert len(ctx.small_families) == small and (small < SAMPLE_COUNT // 10) == decided
-    assert all((v is not None) == decided for v in verdicts.values())
+    assert len(ctx.small_families) == small and (small < SAMPLE_COUNT // 10) == passes
+    assert all((v is not None) == passes for v in verdicts.values())
 
 
 @pytest.mark.parametrize("spec", ["lukasiewicz:12", "powerset:4", "powerset:3"])
@@ -329,7 +334,8 @@ def _mask_laws(ctx):
 
 @pytest.mark.parametrize("spec", ["lukasiewicz:9", "lukasiewicz:12", "powerset:3"])
 def test_mask_transport_decides_without_a_case(spec):
-    # the mask laws that have no cover decide pass with the flat loop's count
+    # the mask laws that have no covers pass by transport with the flat
+    # loop's count
     ctx = _Ctx(generate_from_spec(spec), 0)
     covered = 0
     for name, law in _mask_laws(ctx).items():
@@ -338,7 +344,17 @@ def test_mask_transport_decides_without_a_case(spec):
         assert row == flat_run(law) and row[0] == "pass", name
         covered += bool(calls)
     # antitone is decided along covers up to n = 8, generated_meet_lower up to 10
-    assert ctx.mask_transport and covered == (ctx.q.n <= EXHAUST_MAX_N) + (ctx.q.n <= 10)
+    assert ctx.subsets_repeat and ctx.transport
+    assert covered == (ctx.q.n <= EXHAUST_MAX_N) + (ctx.q.n <= 10)
+
+
+def test_transport_proves_no_mask_law_where_subsets_do_not_repeat():
+    # at n = 14 the gate checks no mask, so the mask laws, past their covers,
+    # have no evidence while the laws over ideals pass by transport
+    ctx = _Ctx(generate_from_spec("lukasiewicz:14"), 0)
+    assert not ctx.subsets_repeat and ctx.transport
+    assert all(decided(law) is None for law in _mask_laws(ctx).values())
+    assert all(decided(law) is not None for law in _transported_laws(ctx).values())
 
 
 # a subset route wrong at the single mask of one element, read from the
@@ -352,23 +368,28 @@ WRONG_MASKS = {
 @pytest.mark.parametrize("route", sorted(WRONG_MASKS))
 @pytest.mark.parametrize("spec", ["lukasiewicz:9", "lukasiewicz:12", "powerset:3"])
 def test_mask_transport_refuses_a_wrong_subset_route(spec, route, monkeypatch):
-    # on a lawful carrier with a wrong library the gate fails while
-    # transport holds, so each mask law gets the flat loop's result, and
-    # some law fails with the flat loop's witness
+    # on a lawful carrier with a wrong generated or annihilator the one
+    # transport gate fails, so every law it proves, the laws over triples of
+    # ideals and the family laws included, gets the flat loop's result;
+    # those pass, while matches_residual_into_zero, which reads both routes,
+    # fails with the flat loop's witness
     element, answer = WRONG_MASKS[route]
     q = generate_from_spec(spec)
-    assert _Ctx(q, 0).mask_transport
+    assert _Ctx(q, 0).transport
     right = getattr(ideals, route)
     monkeypatch.setattr(
         ideals, route, lambda q, s: answer(q) if s == 1 << element(q) else right(q, s)
     )
     ctx = _Ctx(q, 0)
     laws = _mask_laws(ctx)
+    laws.update((f"proposition_bpi.{name}", law) for name, law in _transported_laws(ctx).items())
     results = {name: _run(law) for name, law in laws.items()}
-    assert ctx.transport and not ctx.mask_transport
+    assert not ctx.transport
     for name, law in laws.items():
         assert results[name] == flat_run(law), name
-    assert any(r[0] == "fail" and r[2] for r in results.values())
+    assert all(results[f"proposition_bpi.{name}"][0] == "pass" for name in TRANSPORTED)
+    status, _, witness, _ = results["annihilator.matches_residual_into_zero"]
+    assert status == "fail" and witness == (q.elements[element(q)],)
     failed = set()
     for suite in MASK_LAWS:
         replayed, flat = _both(q, 0, monkeypatch, suite)
@@ -384,27 +405,27 @@ def _p_primary_law(ctx):
 def test_p_primary_meet_closed_refuses_a_wrong_primary_test(monkeypatch):
     # m3's one radical group lists ↓bot, ↓p, ↓q, ↓r and ↓m, and ↓p ∧ ↓q is
     # ↓bot, a third member: with is_primary wrong there, the two-member
-    # subfamily {↓p, ↓q} fails, so the decide refuses and the law fails
+    # subfamily {↓p, ↓q} fails, so the evidence refuses and the law fails
     # with the flat loop's witness
     q = generate_from_spec("m3")
     law = _p_primary_law(_Ctx(q, 0))
-    assert law.domain.decide(law.holds) == 31
+    assert decided(law) == 31
     primary, zero = classify.is_primary, zero_ideal(q)
     monkeypatch.setattr(classify, "is_primary", lambda i: i is not zero and primary(i))
     law = _p_primary_law(_Ctx(q, 0))
-    assert law.domain.decide(law.holds) is None
+    assert decided(law) is None
     assert _run(law) == flat_run(law) == ("fail", 3, ("↓m", "2"), "")
 
 
 def test_p_primary_meet_closed_matches_the_flat_loop_on_mutants():
     # each law is the flat loop's, decided or not; lattice_ok holds on
-    # these, and the decide passes on 5 of them
-    decided = 0
+    # these, and the evidence passes on 5 of them
+    passed = 0
     for q in MUTANTS + MUTATION_MUTANTS:
         law = _p_primary_law(_Ctx(q, 0))
         assert _run(law) == flat_run(law), q.name
-        decided += law.domain.decide(law.holds) is not None
-    assert decided == 5
+        passed += decided(law) is not None
+    assert passed == 5
 
 
 def test_p_primary_meet_closed_runs_flat_on_join_rewrites():
@@ -412,7 +433,7 @@ def test_p_primary_meet_closed_runs_flat_on_join_rewrites():
     # two listed ideals is listed, so the law is never decided there
     for q in _join_rewrite_carriers():
         law = _p_primary_law(_Ctx(q, 0))
-        assert law.domain.decide(law.holds) is None, q.name
+        assert decided(law) is None, q.name
         assert _run(law) == flat_run(law), q.name
 
 
@@ -483,9 +504,9 @@ def test_avoidance_fallback_matches_the_flat_loop_on_join_rewrites(monkeypatch):
     # On a lattice join a join-closed mask contains its own join, so an ideal
     # holding that join holds the whole mask: the join lies outside every
     # ideal that misses a part of the mask, the law cannot fail and its
-    # decide passes every mask.  The mutation carriers break only mul, so no
+    # evidence passes every mask.  The mutation carriers break only mul, so no
     # other test reaches the fallback.  A rewritten join cell can: 12 of these
-    # carriers fail, each on a mask the decide refuses and runs case by case
+    # carriers fail, each on a mask the evidence refuses and runs case by case
     # through classify._avoiding.
     rewrites = _join_rewrite_carriers()
     failed = set()
@@ -533,7 +554,7 @@ def test_monotone_mask_laws_match_the_flat_loop(data):
         _Law("meet_lower", ctx.overlapping_pairs("t"), lambda s, t: g(s & t) & ~(g(s) & g(t)) == 0),
     ]
     for law in laws:
-        assert (law.domain.decide is not None) == (n >= 2), law.name
+        assert (law.domain.by is not None) == (n >= 2), law.name
         assert _run(law) == flat_run(law), law.name
 
 
@@ -611,7 +632,7 @@ def test_monotone_laws_evaluate_only_their_covers(spec, suite, name):
 
 @pytest.mark.parametrize("spec", ["lukasiewicz:12", "powerset:4", "lowersets:chain8"])
 def test_avoidance_decides_its_masks_without_the_core(spec, monkeypatch):
-    # every stable mask of these lawful carriers passes its decide, so the
+    # every stable mask of these lawful carriers passes its evidence, so the
     # suite never calls the core it re-proves
     calls = []
     avoiding = classify._avoiding
@@ -631,17 +652,17 @@ def test_chain8_avoidance_count():
 _CASES = [(k, j) for k in (1, 2, 3) for j in range(3)]
 
 
-def _compare(verdict, decide):
-    """_check on a law over _CASES with verdict and decide, and with
-    verify._run replaced by flat_run: both rows, and the cases _check
-    evaluated."""
+def _compare(verdict, by, count=lambda: len(_CASES)):
+    """_check on a law over _CASES with verdict and the evidence by and
+    count, and with verify._run replaced by flat_run: both rows, and the
+    cases _check evaluated."""
     seen = []
 
     def holds(k, j):
         seen.append((k, j))
         return verdict(k, j)
 
-    domain = _Domain(lambda: _CASES, lambda k, j: (str(k), str(j)), decide=decide)
+    domain = _Domain(lambda: _CASES, lambda k, j: (str(k), str(j)), by=by, count=count)
     law = _Law("law", domain, holds)
     [row] = _check("s", [law])
     evaluated = list(seen)
@@ -656,41 +677,53 @@ def _boom(*args):
 
 
 def test_a_counting_decide_passes_without_a_case():
-    row, flat, seen = _compare(lambda k, j: True, lambda holds: len(_CASES))
+    row, flat, seen = _compare(lambda k, j: True, lambda: ())
     assert row == flat and (row.status, row.checked) == ("pass", 9)
     assert seen == []
 
 
 def test_an_undecided_domain_runs_flat_from_the_first_case():
-    # the decide gives None though every case holds, then on a law that
+    # the evidence is None though every case holds, then on a law that
     # fails at (2, 2): the flat loop's count and witness either way
-    row, flat, seen = _compare(lambda k, j: True, lambda holds: None)
+    row, flat, seen = _compare(lambda k, j: True, lambda: None)
     assert row == flat and (row.status, row.checked) == ("pass", 9)
     assert seen == _CASES
-    row, flat, seen = _compare(lambda k, j: (k, j) != (2, 2), lambda holds: None)
+    row, flat, seen = _compare(lambda k, j: (k, j) != (2, 2), lambda: None)
     assert row == flat and (row.status, row.checked, row.witness) == ("fail", 6, ("2", "2"))
     assert seen == _CASES[:6]
 
 
 def test_a_crashing_decide_runs_the_flat_loop():
+    # a raise in either thunk, by or count, runs the flat loop
     verdict = lambda k, j: None if (k, j) == (2, 1) else (k, j) != (2, 2)
-    row, flat, seen = _compare(verdict, _boom)
-    assert row == flat and (row.status, row.checked, row.witness) == ("fail", 5, ("2", "2"))
-    assert seen == _CASES[:6]
+    for by, count in ((_boom, lambda: 9), (lambda: (), _boom)):
+        row, flat, seen = _compare(verdict, by, count)
+        assert row == flat and (row.status, row.checked, row.witness) == ("fail", 5, ("2", "2"))
+        assert seen == _CASES[:6]
 
 
 def test_a_crash_in_the_flat_loop_keeps_its_count():
-    # the decide meets the crash first and raises; the flat loop meets it
+    # the evidence meets the crash first and raises; the flat loop meets it
     # again and counts the cases before it
     def verdict(k, j):
         if (k, j) == (3, 1):
             raise ZeroDivisionError("boom")
         return True
 
-    decide = lambda holds: all(itertools.starmap(holds, _CASES)) and len(_CASES)
-    row, flat, _ = _compare(verdict, decide)
+    row, flat, _ = _compare(verdict, lambda: _CASES)
     assert row == flat and (row.status, row.checked, row.witness) == ("fail", 7, ())
     assert row.note == "error: ZeroDivisionError: boom"
+
+
+def test_a_truthy_verdict_on_the_evidence_refuses_the_pass():
+    # holds must be exactly True on each evidence case: 1 at (1, 0) refuses
+    # the count 99, and the flat loop, which counts a truthy case, runs
+    verdict = lambda k, j: 1 if (k, j) == (1, 0) else True
+    row, flat, seen = _compare(verdict, lambda: [(1, 0)], lambda: 99)
+    assert row == flat and (row.status, row.checked) == ("pass", 9)
+    assert seen == [(1, 0), *_CASES]
+    row, _, _ = _compare(lambda k, j: True, lambda: [(1, 0)], lambda: 99)
+    assert (row.status, row.checked) == ("pass", 99)
 
 
 def test_a_failure_after_repeats_reports_the_flat_witness():
@@ -699,7 +732,7 @@ def test_a_failure_after_repeats_reports_the_flat_witness():
     seen = []
     cases = [(1, 0), (2, 1), (1, 0), (3, 0), (2, 1), (1, 0), (3, 2), (1, 0)]
     verdict = lambda k, j: None if j == 1 else (k, j) != (3, 2)
-    domain = _Domain(lambda: cases, lambda k, j: (str(k), str(j)), decide=lambda holds: None)
+    domain = _Domain(lambda: cases, lambda k, j: (str(k), str(j)), by=lambda: None)
     law = _Law("law", domain, lambda k, j: seen.append((k, j)) or verdict(k, j))
     assert _run(law) == flat_run(law) == ("fail", 5, ("3", "2"), "")
     assert seen == cases[:7] * 2
@@ -721,7 +754,7 @@ _FOUR, _ENDS, _THREE = 0b10000, 0b10001, 0b01000
 
 
 def test_consecutive_repeats_are_separate_draws(monkeypatch):
-    # the decide tests each distinct mask once and counts its cases for
+    # the evidence tests each distinct mask once and counts its cases for
     # every draw of it, as the flat loop, which tests every draw, does
     counts = {m: flat_run(_avoidance_over([m], monkeypatch)[0])[1] for m in (_FOUR, _ENDS)}
     draws = [_FOUR, _FOUR, _ENDS, _ENDS, _ENDS, _FOUR]
@@ -751,22 +784,21 @@ UNIQUENESS_LAWS = (
 
 def test_a_decided_pass_gives_the_flat_loops_note(monkeypatch):
     # a callable note reads state that cases() fills (uniqueness's skipped
-    # ideals, saturation's join differences, subfamilies' group sizes), so a
-    # decide on such a domain must fill it too: p_primary_meet_closed's,
+    # ideals, saturation's join differences, subfamilies' group sizes), so
+    # evidence on such a domain must fill it too: p_primary_meet_closed's,
     # which passes on lukasiewicz:12 and on lukasiewicz:14, whose group of
     # 13 makes the note "sampled", and on the mutant, whose lattice is
     # lawful, and refuses on powerset:4, whose groups have one member
     mutant = next(m for i, j, m in single_cell_mutants(generate_from_spec("lukasiewicz:12")) if i == j == 1)
     carriers = [*map(generate_from_spec, ("lukasiewicz:12", "lukasiewicz:14", "powerset:4")), mutant]
-    callable_notes, decided = set(), []
+    callable_notes, verdicts = set(), []
     for q in carriers:
         for s in SUITE_ORDER[1:]:
             for law in getattr(verify, "_suite_" + s)(_Ctx(q, 0)):
                 if law.domain is not None and callable(law.domain.note):
                     callable_notes.add(f"{s}.{law.name}")
-                    if law.domain.decide is not None:
-                        count = law.domain.decide(law.holds)
-                        decided.append((q.name, law.name, count, law.domain.note()))
+                    if law.domain.by is not None:
+                        verdicts.append((q.name, law.name, decided(law), law.domain.note()))
         replayed, flat = _both(q, 0, monkeypatch, "primary")
         assert replayed == flat, q.name
     assert callable_notes == {
@@ -775,7 +807,7 @@ def test_a_decided_pass_gives_the_flat_loops_note(monkeypatch):
         *(f"uniqueness.{name}" for name in UNIQUENESS_LAWS),
     }
     law = "p_primary_meet_closed"
-    assert decided == [
+    assert verdicts == [
         ("lukasiewicz12", law, 2047, ""),
         ("lukasiewicz14", law, 1000, "sampled"),
         ("powerset4", law, None, ""),
@@ -797,7 +829,7 @@ def _covers_law(verdict):
     lukasiewicz:5, its predicate verdict; the pairs it evaluated."""
     ctx, seen = _Ctx(generate_from_spec("lukasiewicz:5"), 0), []
     law = _Law("law", ctx.subset_pairs("t"), lambda s, t: seen.append((s, t)) or verdict(s, t))
-    assert law.domain.decide is not None
+    assert law.domain.by is not None
     return law, seen
 
 
@@ -826,7 +858,7 @@ def test_a_failure_along_covers_reports_the_flat_count():
     f = _complement()
     law, seen = _covers_law(lambda s, t: f(t) & ~f(s) == 0)
     [row] = _check("s", [law])
-    assert seen[0] == (0b10, 0b11)  # the decide read the first cover first
+    assert seen[0] == (0b10, 0b11)  # the evidence is the covers, first first
     with pytest.MonkeyPatch.context() as m:
         m.setattr("qk.verify._run", flat_run)
         [flat] = _check("s", [law])
