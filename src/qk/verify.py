@@ -13,10 +13,10 @@ or narrowed on larger carriers, by the rules stated once with the domains
 (_Ctx), and such laws say so in their note.  Sampled masks are drawn from C
 iterators over the seeded Random.
 
-A domain may carry evidence (_Domain.by and count): _run passes its law
-with the flat loop's count where holds is exactly True on every case of
-the evidence, and else runs it case by case from its first case, so case
-counts and witnesses are those of checking every case.  The decided laws,
+A domain states its count where it is made and may carry evidence
+(_Domain.count and by): _run passes its law with that count where holds
+is exactly True on every case of the evidence, and else runs it case by
+case from its first, so counts and witnesses are the flat loop's.  The decided laws,
 each proved once beside its evidence:
 
   covers (_Ctx.covers)       lemma_bip.mul_monotone and mul_monotone_pairs
@@ -215,13 +215,12 @@ class _Domain(NamedTuple):
     of the predicate), the witness of a case, and the domain's note (a
     string, or a thunk read after the cases ran).
 
-    A decided domain also has by, a thunk giving the cases that prove the
-    law (none where a gate alone proves it, None where nothing does), and
-    count, a thunk giving the flat loop's count when every case holds (see
-    _run and the module's catalogue).  Elsewhere a repeated case costs less
-    than evidence, as its library calls are the run's memos.  A thunk note
-    reads state that cases() fills, so by fills it too (subfamilies' group
-    sizes)."""
+    count, a thunk giving the flat loop's count when every case holds, is
+    set where the domain is made.  A decided domain also has by, a thunk
+    giving the cases that prove the law (none where a gate alone proves
+    it, None where nothing does; see _run and the module's catalogue).
+    Elsewhere a repeated case costs less than evidence, as its library
+    calls are the run's memos."""
 
     cases: Callable[[], Iterable[tuple]]
     witness: Callable[..., tuple]
@@ -231,11 +230,14 @@ class _Domain(NamedTuple):
 
 
 def _over(*axes: _Axis) -> _Domain:
-    """The product of some axes, last axis fastest; nothing is built before
+    """The product of some axes, last axis fastest, of count the product of
+    their sizes (size, else the length of values); nothing is built before
     the law runs, and only the axes' value lists are ever held."""
     witness = lambda *case: tuple(a.label(v) for a, v in zip(axes, case))
     note = "; ".join(a.note for a in axes if a.note)
-    return _Domain(lambda: itertools.product(*(a.values() for a in axes)), witness, note)
+    cases = lambda: itertools.product(*(a.values() for a in axes))
+    count = lambda: math.prod(len(a.values()) if a.size is None else a.size for a in axes)
+    return _Domain(cases, witness, note, count=count)
 
 
 class _Law(NamedTuple):
@@ -617,13 +619,14 @@ class _Ctx:
     def _pair_witness(self, s: int, t: int) -> tuple[str, ...]:
         return self.q.labels(s), "/", self.q.labels(t)
 
-    def _along_masks(self, flat: _Domain, count: int) -> _Domain:
-        """flat, of count cases, proved along the covers of the nonempty
-        masks (_subset_covers; see covers) where they are fewer: n <= 10."""
+    def _along_masks(self, flat: _Domain) -> _Domain:
+        """flat proved along the covers of the nonempty masks
+        (_subset_covers; see covers) where they are fewer than its cases:
+        n <= 10."""
         n = self.q.n
-        if (n << n) // 2 >= count:
+        if (n << n) // 2 >= flat.count():
             return flat
-        return flat._replace(by=partial(_subset_covers, n), count=lambda: count)
+        return flat._replace(by=partial(_subset_covers, n))
 
     @cached_property
     def covers(self) -> list[tuple[int, int]] | None:
@@ -671,15 +674,15 @@ class _Ctx:
             cases = lambda: itertools.chain.from_iterable(map(pairs, ts.values()))
             # the m in 0..t with m & t == 0 are the masks below t's top bit
             # that miss its other bits: 2^(bit_length - bit_count) of them
-            count = sum(t + 1 - (1 << t.bit_length() - t.bit_count()) for t in range(1, 1 << n))
-            return self._along_masks(_Domain(cases, self._pair_witness), count)
+            count = lambda: sum(t + 1 - (1 << t.bit_length() - t.bit_count()) for t in ts.values())
+            return self._along_masks(_Domain(cases, self._pair_witness, count=count))
 
         def cases():
             t = ts.values()
             m = _draws(self.rng(tag + ".sub"), n)
             return filter(itemgetter(0), zip(map(and_, m, t), t))
 
-        return _Domain(cases, self._pair_witness, ts.note)
+        return _Domain(cases, self._pair_witness, ts.note, count=lambda: sum(1 for _ in cases()))
 
     def overlapping_pairs(self, tag: str) -> _Domain:
         n = self.q.n
@@ -694,8 +697,9 @@ class _Ctx:
         if count <= SAMPLE_COUNT:
             masks = range(1, self.q.full + 1)
             pairs = lambda: _overlapping(itertools.product(masks, masks))
-            return self._along_masks(_Domain(pairs, self._pair_witness), count)
-        return self._along_masks(_Domain(draws, self._pair_witness, "sampled"), SAMPLE_COUNT)
+            return self._along_masks(_Domain(pairs, self._pair_witness, count=lambda: count))
+        sampled = _Domain(draws, self._pair_witness, "sampled", count=lambda: SAMPLE_COUNT)
+        return self._along_masks(sampled)
 
     def families(self, tag: str) -> _Axis:
         k = len(self.ideals)
@@ -715,12 +719,10 @@ class _Ctx:
 
     def mask_transported(self, flat: _Domain) -> _Domain:
         """flat over nonempty masks, proved by transport (see transport)
-        where subsets repeat, with the flat loop's count, its cases counted
-        without a law call; a domain with covers keeps them."""
+        where subsets repeat; a domain with covers keeps them."""
         if flat.by is not None:
             return flat
-        by = lambda: self.transported() if self.subsets_repeat else None
-        return flat._replace(by=by, count=lambda: sum(1 for _ in flat.cases()))
+        return flat._replace(by=lambda: self.transported() if self.subsets_repeat else None)
 
     def family_law(
         self, tag: str, before: _Axis | None = None, after: _Axis | None = None,
@@ -754,15 +756,15 @@ class _Ctx:
                 return None
             return _over(*(small if a is F else a for a in axes)).cases()
 
-        count = lambda: F.size * math.prod(len(a.values()) for a in axes if a is not F)
-        return _over(*axes)._replace(by=by, count=count)
+        return _over(*axes)._replace(by=by)
 
     def subfamilies(self, tag: str, groups: Callable[[], Iterable[tuple]]) -> _Domain:
         """groups() yields (key, items) pairs; a witness is the key's name
-        and the subfamily's size.  Its evidence, where the run has lattice_ok
-        and they are fewer than the cases: the one- and two-member
-        subfamilies.  The evidence and the cases fill the same group sizes,
-        which the note and the count read.
+        and the subfamily's size.  The picks of each group are drawn once
+        per domain, in group order from one rng(tag), and the cases, the
+        count, the evidence and the note read them.  Its evidence, where the
+        run has lattice_ok and they are fewer than the cases: the one- and
+        two-member subfamilies.
 
         Sound only for a law that reads a subfamily's meet alone, over
         groups that each list every ideal c where the law holds on {c}:
@@ -772,36 +774,34 @@ class _Ctx:
         or more, i in F and g the meet of the rest: the law holds on the rest,
         so on {g}, and g is in the group; F's meet is that of {g, i}, where
         it holds."""
-        sizes = []  # of the groups, set when the cases or the evidence start
 
-        def found():
-            out = list(groups())
-            sizes[:] = [len(items) for _, items in out]
-            return out
+        @cache
+        def picked():  # (key, items, picks) for each group
+            rng = self.rng(tag)
+            return [(key, items, range(1, 1 << k) if (k := len(items)) <= _SUBFAMILY_EXHAUST_MAX
+                     else _nonempty_draws(rng, k, SAMPLE_COUNT // 10)) for key, items in groups()]
 
         def cases():
-            rng = self.rng(tag)
-            for (key, items), k in zip(found(), sizes):
-                if k <= _SUBFAMILY_EXHAUST_MAX:
-                    picks = range(1, 1 << k)
-                else:
-                    picks = _nonempty_draws(rng, k, SAMPLE_COUNT // 10)
-                yield from ((key, _pick(self.q, items, pick)) for pick in picks)
+            return ((key, _pick(self.q, items, p)) for key, items, picks in picked() for p in picks)
 
-        def count():
-            return sum((1 << k) - 1 if k <= _SUBFAMILY_EXHAUST_MAX else SAMPLE_COUNT // 10
-                       for k in sizes)
+        count = lambda: sum(len(picks) for *_, picks in picked())
 
         def by():
             if not self.axioms.lattice_ok:
                 return None
-            pairs = [(key, items, 1 << i | 1 << j) for key, items in found()
+            pairs = [(key, items, 1 << i | 1 << j) for key, items, _ in picked()
                      for j in range(len(items)) for i in range(j + 1)]
             if len(pairs) >= count():
                 return None
             return ((key, _pick(self.q, items, pick)) for key, items, pick in pairs)
 
-        note = lambda: "sampled" if max(sizes, default=0) > _SUBFAMILY_EXHAUST_MAX else ""
+        def note():
+            try:  # where groups() raises, the row's error says so
+                fewer = any(len(picks) < (1 << len(items)) - 1 for _, items, picks in picked())
+            except Exception:
+                return ""
+            return "sampled" if fewer else ""
+
         return _Domain(cases, lambda key, f: (key.name, f), note, by, count)
 
 
@@ -854,11 +854,9 @@ def _suite_lemma_bip(ctx: _Ctx) -> list[_Law]:
             return None
         return (case(p, z) for case in cases for p in covers for z in range(q.n))
 
-    by = partial(along_covers, lambda p, z: (p, z))
-    monotone = _over(B, E)._replace(by=by, count=lambda: len(below) * q.n)
+    monotone = _over(B, E)._replace(by=partial(along_covers, lambda p, z: (p, z)))
     left, right = (lambda p, z: (p, (z, z))), (lambda p, z: ((z, z), p))
-    by = partial(along_covers, left, right)
-    pairs = _over(B, B)._replace(by=by, count=lambda: len(below) ** 2)
+    pairs = _over(B, B)._replace(by=partial(along_covers, left, right))
     return [
         _Law("mul_below_meet", _over(E, E), lambda x, y: leq(mul[x][y], q.meet[x][y])),
         _Law("bot_annihilates", _over(E), lambda x: mul[x][q.bottom] == q.bottom),
@@ -875,11 +873,10 @@ def _suite_lemma_bip(ctx: _Ctx) -> list[_Law]:
 def _suite_proposition_bpi(ctx: _Ctx) -> list[_Law]:
     q, I = ctx.q, ctx.axis("ideals")
     F = partial(ctx.family_law, transported=True)
-    I2, I3 = _over(I, I), _over(I, I, I)
-    # proved by transport with the flat loop's count: k^3 on k ideals, and
-    # sum_c k_c^2 and k sum_c k_c for the coprime laws (coprimes below)
-    proved = lambda count: I3._replace(by=ctx.transported, count=count)
-    cube = proved(lambda: len(ctx.ideals) ** 3)
+    I2, cube = _over(I, I), _over(I, I, I)._replace(by=ctx.transported)
+    # the coprime laws' hypotheses drop cases (holds gives None), so their
+    # counts are not the cube's: sum_c k_c^2 and k sum_c k_c (coprimes below)
+    coprime = lambda count: cube._replace(count=count)
     whole, zero = il.whole_ideal(q), il.zero_ideal(q)
     prod, meet, join = il.product_ideals, il.meet_ideals, il.join_ideals
     routes = ctx.routes
@@ -914,9 +911,8 @@ def _suite_proposition_bpi(ctx: _Ctx) -> list[_Law]:
              lambda a, b, c: prod(a, meet(b, c)) <= meet(prod(a, b), prod(a, c))),
         _Law("product_join_mix", cube,
              lambda a, b, c: prod(join(a, c), join(b, c)) <= join(prod(a, b), c)),
-        _Law("coprime_product", proved(lambda: sum(k * k for k in coprimes())),
-             coprime_product),
-        _Law("coprime_meet", proved(lambda: len(ctx.ideals) * sum(coprimes())),
+        _Law("coprime_product", coprime(lambda: sum(k * k for k in coprimes())), coprime_product),
+        _Law("coprime_meet", coprime(lambda: len(ctx.ideals) * sum(coprimes())),
              lambda a, b, c: join(meet(a, b), c) == join(b, c) if join(a, c).is_whole else None),
         _Law("residual_product_below", I2, lambda a, b: prod(res(a, b), b) <= a),
         _Law("ideal_below_residual", I2, lambda a, b: a <= res(a, b)),

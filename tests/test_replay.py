@@ -784,8 +784,9 @@ UNIQUENESS_LAWS = (
 
 def test_a_decided_pass_gives_the_flat_loops_note(monkeypatch):
     # a callable note reads state that cases() fills (uniqueness's skipped
-    # ideals, saturation's join differences, subfamilies' group sizes), so
-    # evidence on such a domain must fill it too: p_primary_meet_closed's,
+    # ideals, saturation's join differences) or the picks that the cases
+    # and the evidence read (subfamilies'), so a decided pass must give the
+    # flat loop's note: p_primary_meet_closed's,
     # which passes on lukasiewicz:12 and on lukasiewicz:14, whose group of
     # 13 makes the note "sampled", and on the mutant, whose lattice is
     # lawful, and refuses on powerset:4, whose groups have one member
