@@ -26,16 +26,19 @@ Those two scans are the n^3 part, and on a carrier that passes they are
 replaced by two fast tests that may only say "pass".  The tests run once
 every O(n^2) group has passed (order, bounds, lub/glb, comm, bot_absorb and
 identity), so a noncommutative or otherwise broken table runs the scans
-alone.  Distributivity holds iff each row has a right adjoint: for every
-x and b, the set {y : x & y <= b} is a principal down-set, which is
-whether the residuation table q.residuals exists (see there).
+alone.  A row x preserves every join iff it has a right adjoint: for
+every b, the set {y : x & y <= b} is a principal down-set.  The residuation
+fold finds each row's adjoint or its lack (q._adjoints), and the
+distributivity scan reads only the rows without one, so on a distributive
+carrier, where q.residuals exists (see there), it reads none.
 Associativity then follows from Light's test: the row identity for each
 middle element of a small set that generates the carrier under joins and &
 (_light_passes).  Where & is the meet table, as on every lowersets,
 powerset and opens carrier and their ideal carriers, it is the glb of a
 lattice and associative, and Light's test passes without a row compare.
 A fast test that says "fail" hands over to its scan, which finds the
-first fault in index order, so the report is the scan's either way.
+first fault in index order (distributivity's among the rows without an
+adjoint, which hold every fault), so the report is the scan's either way.
 The lub/glb group works the same way at O(n^2): once the order is a
 partial order, a symmetric join table passes when each cell's up-cone is
 the common up-cone of its pair, and meet dually (_cones_match); any
@@ -245,14 +248,21 @@ class FiniteQuantale:
         return None
 
     @cached_property
+    def _adjoints(self) -> tuple[tuple[int, ...] | None, ...] | None:
+        """_right_adjoints of mul, folded once per carrier: each row's right
+        adjoint, or None for a row without one."""
+        return _right_adjoints(self, self.mul)
+
+    @cached_property
     def residuals(self) -> tuple[tuple[int, ...], ...] | None:
         """residuals[a][b] = the greatest y with a & y <= b, or None unless
         down is a partial order and each S_b = {y : a & y <= b} is a principal
-        down-set: _right_adjoints of mul.  On genuine order, bounds and join
-        tables, that is whether every row y -> a & y preserves all joins: a
-        map between finite lattices does iff it has a right adjoint (Davey
-        and Priestley, ch. 7)."""
-        return _right_adjoints(self, self.mul)
+        down-set: every row of _adjoints.  On genuine order, bounds and join
+        tables, a row y -> a & y has a right adjoint iff it preserves all
+        joins: a map between finite lattices does iff it has one (Davey and
+        Priestley, ch. 7)."""
+        adjoints = self._adjoints
+        return None if adjoints is None or None in adjoints else adjoints
 
     @cached_property
     def interned(self) -> dict[int, Ideal]:
@@ -312,31 +322,30 @@ class FiniteQuantale:
 
 def _right_adjoints(
     q: FiniteQuantale, table: Sequence[Sequence[int]]
-) -> tuple[tuple[int, ...], ...] | None:
-    """adjoints[a][b] = the greatest y with table[a][y] <= b, or None unless
-    q.down is a partial order and each S_b = {y : table[a][y] <= b} is a
-    principal down-set.  S_b is folded bottom-up from the S_c of the lower
-    covers c of b, one pass per row."""
+) -> tuple[tuple[int, ...] | None, ...] | None:
+    """adjoints[a][b] = the greatest y with table[a][y] <= b, adjoints[a]
+    None where some S_b = {y : table[a][y] <= b} is not a principal
+    down-set, and the whole None unless q.down is a partial order.  S_b is
+    folded bottom-up from the S_c of the lower covers c of b, one pass per
+    row."""
     if q._order_fault is not None:
         return None
     down, covers = q.down, _lower_covers(q.down)
     steps = [(b, covers[b]) for b in _bottom_up(q)]
-    apex = {d: r for r, d in enumerate(down)}  # the element with down-set d
+    apex = {d: r for r, d in enumerate(down)}.get  # the element with down-set d
     bit = [1 << y for y in range(q.n)]
     rows = []
-    try:
-        for row in table:
-            pre = [0] * len(row)  # pre[b] = {y : table[a][y] == b}, then S_b once folded
-            for y, v in enumerate(row):
-                pre[v] |= bit[y]
-            for b, cs in steps:
-                s = pre[b]
-                for c in cs:
-                    s |= pre[c]
-                pre[b] = s
-            rows.append(_reader(pre)(apex))
-    except KeyError:  # an S_b that is not a principal down-set
-        return None
+    for row in table:
+        pre = [0] * len(row)  # pre[b] = {y : table[a][y] == b}, then S_b once folded
+        for y, v in enumerate(row):
+            pre[v] |= bit[y]
+        for b, cs in steps:
+            s = pre[b]
+            for c in cs:
+                s |= pre[c]
+            pre[b] = s
+        adjoint = tuple(map(apex, pre))
+        rows.append(None if None in adjoint else adjoint)
     return tuple(rows)
 
 
@@ -551,9 +560,10 @@ def check_axioms(q: FiniteQuantale) -> AxiomReport:
                 if left != right:
                     yield "assoc", (x, y, _first_diff(left, right))
 
-    def distrib():
+    def distrib(rows):
         jread = [_reader(r) for r in join]
-        for x, mx in enumerate(mul):
+        for x in rows:
+            mx = mul[x]
             for y, jy in enumerate(jread):
                 left, right = jy(mx), mread[x](join[mx[y]])
                 if left != right:
@@ -576,7 +586,11 @@ def check_axioms(q: FiniteQuantale) -> AxiomReport:
         )
     ]
     gate = not any((order_f, bounds_f, tables_f, comm_f, bot_f, identity_f))
-    distrib_f = None if gate and q.residuals is not None else next(distrib(), None)
+    # a row with a right adjoint preserves every join, so under the gate
+    # only the rows without one are scanned, in index order
+    adjoints = q._adjoints if gate else None
+    rows = range(n) if adjoints is None else [x for x, r in enumerate(adjoints) if r is None]
+    distrib_f = next(distrib(rows), None)
     assoc_f = (
         None
         if gate and distrib_f is None and _light_passes(q)

@@ -290,17 +290,17 @@ def is_arithmetic(q: FiniteQuantale) -> bool:
 
 def _distributivity_witness(q: FiniteQuantale):
     """The first triple (a, b, c) of ideals with a ∧ (b ∨ c) != (a ∧ b) ∨
-    (a ∧ c), or None.  None at once where the meet table has right adjoints
-    and every join and meet cell is a lub and a glb (core._cones_match): the
-    ideals are then the principal ones, a lattice isomorphic to the
-    elements', and a finite lattice is distributive iff it is a Heyting
-    algebra, each y -> a ∧ y having a right adjoint (Davey and Priestley,
-    Introduction to Lattices and Order, 2002, ch. 7).  Elsewhere the loop
-    over every triple answers; it is also the oracle of that shortcut."""
+    (a ∧ c), or None, from the loop over the triples.  Where every join and
+    meet cell is a lub and a glb (core._cones_match) on a partial order, the
+    ideals are the principal ones, a lattice isomorphic to the elements',
+    and the loop skips each a = ↓x whose meet row y -> x ∧ y has a right
+    adjoint (core._right_adjoints): that row preserves every join (Davey and
+    Priestley, Introduction to Lattices and Order, 2002, ch. 7), so no
+    triple starting at a fails, and the first failing triple is unchanged.
+    On a distributive lattice, a Heyting algebra, no a is left."""
     ideals = enumerate_ideals(q)
-    if _right_adjoints(q, q.meet) is not None and _cones_match(q):
-        return None
-    for a in ideals:
+    adjoints = _right_adjoints(q, q.meet) if _cones_match(q) else None
+    for a in ideals if adjoints is None else [a for a in ideals if adjoints[a.apex] is None]:
         for b in ideals:
             for c in ideals:
                 lhs = meet_ideals(a, join_ideals(b, c))

@@ -15,6 +15,9 @@ from qk import core
 from qk.core import AxiomReport, _cones_match, _light_passes, check_axioms
 from qk.generators import generate_from_spec
 from qk.ideals import ideal_quantale
+from qk.verify import single_cell_mutants
+
+from oracles import MUTATION_BASES
 
 _SMALL = [
     "lukasiewicz:1",
@@ -216,12 +219,36 @@ def test_check_axioms_follows_each_fast_test(monkeypatch, spec, field, cell, v, 
     rows[i][j] = rows[j][i] = v
     broken = replace(q, name=f"{spec}~", **{field: tuple(map(tuple, rows))})
     assert [tag for tag, _ in check_axioms(broken).counterexamples] == [fault]
-    if fault == "distrib":  # the fast test is whether the residuation table exists
-        broken.__dict__["residuals"] = q.residuals
+    if fault == "distrib":  # the fast test: a row with a right adjoint is not scanned
+        adjoints = list(broken._adjoints)
+        assert [x for x, r in enumerate(adjoints) if r is None] == [i]
+        adjoints[i] = q._adjoints[i]
+        broken.__dict__["_adjoints"] = tuple(adjoints)
     else:
         fast = "_cones_match" if fault == "glb" else "_light_passes"
         monkeypatch.setattr(core, fast, lambda _: True)
     assert check_axioms(broken).ok
+
+
+def test_distributivity_scan_of_the_rows_without_an_adjoint_finds_the_full_scans_fault():
+    # under the O(n^2) groups, check_axioms scans distributivity only on the
+    # rows with no right adjoint; a copy whose adjoints are unknown scans
+    # every row.  Both report the same on every single-cell mutant, and on
+    # each of the 39 that reach the restricted scan, all with a distrib
+    # fault, rows with an adjoint come before the fault's and are skipped
+    specs = ("lowersets:4:0<1,2<3", "lukasiewicz:9", "lowersets:chain6")
+    bases = [*MUTATION_BASES, *map(generate_from_spec, specs)]
+    restricted = []
+    for m in (m for q in bases for _, _, m in single_cell_mutants(q)):
+        full = replace(m)
+        full.__dict__["_adjoints"] = None
+        report = check_axioms(m)
+        assert report == check_axioms(full), m.name
+        faults = dict(report.counterexamples)
+        if faults.keys() <= {"assoc", "distrib"}:
+            x = faults["distrib"][0]
+            restricted.append(m._adjoints[x] is None and m._adjoints[:x].count(None) < x)
+    assert len(restricted) == 39 and all(restricted)
 
 
 @pytest.mark.parametrize(

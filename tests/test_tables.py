@@ -11,9 +11,10 @@ must return exactly what they return, on lawful carriers and on tables
 corrupted in any field, with n on both sides of each byte boundary.  The
 routines that read the scan shapes core._colons, core._closed and
 classify._outside_pair meet their definitional loops on the lawful
-carriers and the mutants, and decompose._distributivity_witness's
-shortcut, from core._right_adjoints of the meet table, meets its triple
-loop there and on every join- and meet-cell rewrite of five lattices.
+carriers and the mutants, and decompose._distributivity_witness, which
+skips the meet rows with a right adjoint (core._right_adjoints), meets its
+loop over every triple there and on every join- and meet-cell rewrite of
+five lattices.
 """
 
 from dataclasses import replace
@@ -307,8 +308,9 @@ def test_join_all_on_corrupted_tables(case):
 
 
 def _distributivity(q, loop=False):
-    """decompose._distributivity_witness of q, with its shortcut off where
-    loop, so that the triple loop answers; NotCommutative where it raises."""
+    """decompose._distributivity_witness of q, with no meet row's adjoint
+    known where loop, so that the loop runs over every triple;
+    NotCommutative where it raises."""
     with pytest.MonkeyPatch.context() as m:
         if loop:
             m.setattr(decompose, "_right_adjoints", lambda q, table: None)
@@ -334,18 +336,22 @@ def _lattice_rewrites(q):
 
 
 def test_distributivity_shortcut_matches_the_triple_loop():
-    # the Heyting shortcut answers None only where the loop does: on the
-    # lawful carriers, the files, the mutants and every symmetric join- and
-    # meet-cell rewrite of five small lattices, distributive or not
+    # skipping the meet rows with a right adjoint gives the loop's witness:
+    # on the lawful carriers, the files, the mutants and every symmetric
+    # join- and meet-cell rewrite of five small lattices, distributive or not
     specs = ("m3", "lukasiewicz:5", "powerset:3", "lowersets:chain4", "lowersets:4:0<1,2<3")
     rewrites = [m for spec in specs for m in _lattice_rewrites(generate_from_spec(spec))]
     carriers = [*_BASES, *_FILES, *MUTANTS, *MUTATION_MUTANTS, *rewrites]
     outcomes = [(_distributivity(q), _distributivity(q, loop=True)) for q in carriers]
     assert all(fast == loop for fast, loop in outcomes)
-    # the shortcut answers on the 49 distributive lattices among them; a
-    # rewritten cell is no lub or glb, so the loop answers every rewrite
-    shortcut = [q for q in carriers if _right_adjoints(q, q.meet) is not None and _cones_match(q)]
-    assert (len(carriers), len(shortcut)) == (1735, 49) and not set(shortcut) & set(rewrites)
+    # rows are skipped on 61 lattices among them: all rows on the 49
+    # distributive ones, some on 12 others; a rewritten cell is no lub or
+    # glb, so the loop runs over every triple of every rewrite
+    adjoints = {q: _right_adjoints(q, q.meet) for q in carriers if _cones_match(q)}
+    skipping = [q for q, rows in adjoints.items() if rows is not None and rows.count(None) < q.n]
+    every = [q for q in skipping if None not in adjoints[q]]
+    assert (len(carriers), len(skipping), len(every)) == (1735, 61, 49)
+    assert not set(skipping) & set(rewrites)
     assert sum(fast is None for fast, _ in outcomes) == 790
 
 
