@@ -385,16 +385,19 @@ def prime_avoidance(q: FiniteQuantale, stable, ps: list[Ideal]) -> int:
     the lowest one.
 
     Hypotheses (violations raise HypothesisViolated naming the failure):
-    the set is closed under join and &; every ideal from the third on is
-    prime; the set is contained in none of the ideals.  The first two hold
-    of the input as a whole and are checked here; _avoiding checks the
-    third and finds the witness.  ps, ideals of q, is only read.
+    the set is nonempty; it is closed under join and &; every ideal from
+    the third on is prime; the set is contained in none of the ideals.  The
+    first three hold of the input as a whole and are checked here, in that
+    order; _avoiding checks the fourth and finds the witness.  ps, ideals
+    of q, is only read.
     """
     require_commutative(q)
     m = _subset_mask(q, stable)
     for p in ps:
         if p.carrier is not q:
             raise CarrierMismatch(f"{p.name} is not an ideal of {q.name}")
+    if not m:
+        raise HypothesisViolated("nonempty", "the stable set is empty")
     violation = _instability(q, m)
     if violation is not None:
         hypothesis, x, y = violation

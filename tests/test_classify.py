@@ -272,6 +272,16 @@ def test_prime_avoidance_hypotheses(q4):
         prime_avoidance(q4, 1 << q4.n, [a])
 
 
+def test_prime_avoidance_refuses_an_empty_set_first(q4):
+    # an empty set is closed and lies inside every ideal, but it is refused
+    # as empty, with or without ideals, and before the prime tail: ↓bot is
+    # not prime on q4
+    for ps in ([], [zero_ideal(q4)], [zero_ideal(q4), zero_ideal(q4), zero_ideal(q4)]):
+        with pytest.raises(HypothesisViolated, match="^the stable set is empty$") as e:
+            prime_avoidance(q4, [], ps)
+        assert e.value.hypothesis == "nonempty"
+
+
 def test_prime_avoidance_refuses_ideals_of_another_carrier():
     q, r = generate_from_spec("powerset:2"), generate_from_spec("lukasiewicz:4")
     with pytest.raises(CarrierMismatch, match="↓1 is not an ideal of powerset2"):
