@@ -431,6 +431,12 @@ def test_pair_witnesses_are_the_first_of_the_unfiltered_scans():
     assert count == 371
 
 
+def test_disjoint_pair_finds_none_where_the_parts_meet_pairwise_and_share_nothing():
+    # {a, b}, {b, c} and {a, c} AND to nothing, so the pair scan runs, and
+    # each pair meets: the scan's own None
+    assert classify._disjoint_pair([(0b011, 0), (0b110, 1), (0b101, 2)]) is None
+
+
 def test_disjoint_pair_answers_parts_sharing_an_element_without_a_pair_scan():
     # where every part's mask holds a common element no two are disjoint:
     # the AND of the masks answers before the pair scan takes any slice

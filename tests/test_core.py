@@ -33,7 +33,26 @@ from qk.errors import (
     UndeclaredLabel,
 )
 
+from qk.classify import mc_generated
+from qk.decompose import irreducible_decomposition
+from qk.ideals import zero_ideal
+
 from oracles import MUTANTS
+
+
+@pytest.mark.parametrize(
+    "make, text",
+    [
+        (lambda q, h: q, "<FiniteQuantale q4 n=4>"),
+        (lambda q, h: h, "<QuantaleHom q4_collapse: q4 -> c2>"),
+        (lambda q, h: zero_ideal(q), "<Ideal ↓bot of q4>"),
+        (lambda q, h: mc_generated(q, q.top), "<McSet {top} of q4>"),
+        (lambda q, h: irreducible_decomposition(zero_ideal(q)), "<Decomposition ↓bot = ↓a, ↓b (irreducible)>"),
+    ],
+    ids=["FiniteQuantale", "QuantaleHom", "Ideal", "McSet", "Decomposition"],
+)
+def test_repr_names_the_object_and_its_carrier(q4, q4_to_c2, make, text):
+    assert repr(make(q4, q4_to_c2)) == text
 
 
 def test_bits_and_mask_of():

@@ -33,6 +33,7 @@ from qk.ideals import (
     meet_all,
     meet_ideals,
     principal,
+    residual,
     whole_ideal,
     zero_ideal,
 )
@@ -335,6 +336,36 @@ def test_arithmetic_equivalence_reports(q4, m3):
     assert not rep3.sets_equal
     assert rep3.distributivity_witness is not None
     assert {i.name for i in rep3.irreducibles} - {i.name for i in rep3.strongly_irreducibles}
+
+
+def test_arithmetic_check_names_the_first_ideal_its_strong_irreducibles_miss(monkeypatch):
+    # the representation loop fails only with a wrong library: with ↓2 of
+    # the chain lukasiewicz:5 read as not strongly irreducible, the strongly
+    # irreducibles over ↓2 meet to ↓3, and the two forward laws fail
+    q = generate_from_spec("lukasiewicz:5")
+    wrong = principal(q, 2)
+    monkeypatch.setattr(decompose, "is_strongly_irreducible", lambda i: i is not wrong)
+    rep = arithmetic_equivalence_check(q)
+    assert rep.arithmetic and not rep.sets_equal
+    assert not rep.representation_ok and rep.representation_witness is wrong
+    report = run_suite(q, "arithmetic", seed=0)
+    assert [r.law for r in report.failures()] == ["forward_sets_equal", "forward_representation"]
+
+
+def test_irreducible_decomposition_refuses_an_ideal_the_irreducibles_miss():
+    # the irreducibles over the residual (↓0 : ↓0) = {1,...,6} of
+    # lukasiewicz:7 with 0 & 0 = 6, a mask that is no down-set, meet to ↓6.
+    # On a lawful carrier every ideal is principal, the meet of the
+    # irreducibles over it, so only such input reaches the raise
+    q = generate_from_spec("lukasiewicz:7")
+    mul = [list(row) for row in q.mul]
+    mul[0][0] = 6
+    broken = replace(q, name="lukasiewicz7~0,0", mul=tuple(map(tuple, mul)))
+    i = residual(principal(broken, 0), principal(broken, 0))
+    assert i.name == "{1,2,3,4,5,6}"
+    with pytest.raises(NotDecomposable, match=r"^irreducible ideals over \{1,2,3,4,5,6\} intersect to ↓6$") as e:
+        irreducible_decomposition(i)
+    assert e.value.gap is principal(broken, 6)
 
 
 def test_minimal_strongly_irreducible_over(q4, m3):
