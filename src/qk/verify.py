@@ -16,8 +16,8 @@ iterators over the seeded Random.
 A domain states its count where it is made and may carry evidence
 (_Domain.count and by): _run passes its law with that count where holds
 is exactly True on every case of the evidence, and else runs it case by
-case from its first, so counts and witnesses are the flat loop's.  The decided laws,
-each proved once beside its evidence:
+case from its first, so counts and witnesses are the flat loop's.  The
+decided laws, each proved once beside its evidence:
 
   covers (_Ctx.covers)       lemma_bip.mul_monotone and mul_monotone_pairs
                              on the carrier's Hasse diagram;
