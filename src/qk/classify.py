@@ -26,10 +26,17 @@ ideals not below it), then test pairs of candidates by masks in the full
 pair scan's order, so the first witness is the same (for ideals, their
 apexes).  The predicates (is_primary through q.residuals where it can) and
 classification read the scans; decompose, the predicates and _outside_pair.
+
+Two sweeps decide many inputs at once, one bitset per element over the
+inputs, struck pair by pair: spectrum (is_prime on every ideal) and
+_stable_masks (_instability on every mask of a list, for the avoidance
+suite's evidence).  Each sweep is the fast path and its per-input scan the
+oracle, which tests hold it to on lawful carriers and mutants.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from functools import reduce
 from operator import and_, itemgetter
@@ -219,8 +226,21 @@ def _extremal(family: list[Ideal], smallest: bool = False) -> list[Ideal]:
 
 
 def spectrum(q: FiniteQuantale) -> list[Ideal]:
-    """All prime ideals, in element index order of their apexes."""
-    return [i for i in enumerate_ideals(q) if is_prime(i)]
+    """All prime ideals, in element index order of their apexes: is_prime
+    on every ideal at once.  The ideals are q.principals, so those holding
+    e are the bits of q.up[e]; each pair x <= y, _outside_pair's pairs,
+    strikes the proper ideals that miss x and y but hold x & y."""
+    ideals, up = enumerate_ideals(q), q.up
+    live = sum(1 << a for a, i in enumerate(ideals) if i.proper)
+    for x, row in enumerate(q.mul):
+        out = live & ~up[x]
+        for y in range(x, q.n if out else x):
+            if bad := out & up[row[y]] & ~up[y]:
+                live ^= bad
+                out ^= bad
+                if not out:
+                    break
+    return [ideals[a] for a in bits(live)]
 
 
 def primes_over(i: Ideal) -> list[Ideal]:
@@ -378,6 +398,30 @@ def _instability(q: FiniteQuantale, m: int) -> tuple[str, int, int] | None:
             if not m >> mr[y] & 1:
                 return "stable_under_mul", x, y
     return None
+
+
+def _stable_masks(q: FiniteQuantale, masks: list[int]) -> set[int]:
+    """The masks, of a list of distinct ones, closed under join and &: those
+    _instability passes, decided together.  held[e] has bit d set where e
+    is in masks[d], read off one binary string of the masks, last first, by
+    strided slices.  Each ordered pair x, y strikes the masks holding both
+    that miss their join or their product, until no mask is left."""
+    n = q.n
+    digits = "".join(format(m, f"0{n}b") for m in reversed(masks))
+    held = [int(digits[n - 1 - e :: n] or "0", 2) for e in range(n)]
+    live = (1 << len(masks)) - 1
+    for x in range(n):
+        jr, mr = q.join[x], q.mul[x]
+        both = held[x] & live
+        for y in range(n if both else 0):
+            if bad := both & held[y] & ~(held[jr[y]] & held[mr[y]]):
+                live ^= bad
+                both ^= bad
+                if not both:
+                    break
+        if not live:
+            break
+    return set(itertools.compress(masks, map(int, reversed(format(live, "b")))))
 
 
 def prime_avoidance(q: FiniteQuantale, stable, ps: list[Ideal]) -> int:

@@ -33,9 +33,11 @@ decided laws, each proved once beside its evidence:
   (_Ctx.family_law)          where transport does not hold
   subfamilies                primary.p_primary_meet_closed, from the one-
   (_Ctx.subfamilies)         and two-member subfamilies of its groups
-  parts (_suite_avoidance)   avoidance.witness_outside_union, each distinct
-                             mask decided once from its parts outside the
-                             ideals and counted for each draw
+  parts (_suite_avoidance)   avoidance.witness_outside_union: stability
+                             decided for every distinct mask in one sweep
+                             (classify._stable_masks), each stable one from
+                             its parts outside the ideals, counted for each
+                             draw
 
 Every other law runs case by case, and outside collapse (which compares
 the library with brute force, one call per case) its repeated library
@@ -457,11 +459,11 @@ class _Ctx:
         join_ideals and meet_ideals and routes.res give ↓ of mul[x][y],
         join[x][y], meet[x][y] and residuals[y][x], and, where subsets_repeat,
         for every nonempty mask s, routes.gen(s) is ↓J(s) and routes.ann(s) is
-        ↓¬J(s), J(s) the join of s (J(s | 2^b) = join[b][J(s)] for s below
-        2^b) and ¬a = residuals[a][bottom], the greatest z with a & z =
-        bottom.  These are the calls the laws make, so a fast path that drifts
-        from its table turns the gate off: 4 n^2 calls, and 2 (2^n - 1) where
-        subsets repeat, once per run; the memos keep the latter.
+        ↓¬J(s), J(s) = joins[s] the join of s and ¬a = residuals[a][bottom],
+        the greatest z with a & z = bottom.  These are the calls the laws
+        make, so a fast path that drifts from its table turns the gate off:
+        4 n^2 calls, and 2 (2^n - 1) where subsets repeat, once per run; the
+        memos keep the latter.
 
         Where it holds it proves, with no case to check (transported), each
         law below, whose element form is a theorem of the axioms check_axioms
@@ -534,10 +536,7 @@ class _Ctx:
                 return False
         if not self.subsets_repeat:
             return True
-        joins = [q.bottom]
-        for b in range(q.n):
-            joins += list(map(q.join[b].__getitem__, joins))
-        masks, joins = range(1, q.full + 1), joins[1:]
+        masks, joins = range(1, q.full + 1), self.joins[1:]
         if list(map(self.routes.gen, masks)) != list(map(ideal, joins)):
             return False
         zero = [row[q.bottom] for row in q.residuals]
@@ -547,6 +546,16 @@ class _Ctx:
         """No case where transport holds, else None: the evidence of the laws
         transport proves (a law over masks only where subsets_repeat)."""
         return () if self.transport else None
+
+    @cached_property
+    def joins(self) -> list[int]:
+        """joins[s] = q.join_of(bits(s)) for every mask s, by its fold on any
+        table: J(0) = bottom and J(s) = join[J(s - 2^b)][b], b the top bit
+        of s.  Read where subsets repeat (transport) or n <= 12 (collapse)."""
+        q, joins = self.q, [self.q.bottom]
+        for b in range(q.n):
+            joins += [q.join[j][b] for j in joins]
+        return joins
 
     @cached_property
     def proper(self) -> list[il.Ideal]:
@@ -600,9 +609,9 @@ class _Ctx:
 
     def subsets(self, tag: str) -> _Axis:
         if self.exhaustive:
-            return _Axis(lambda: range(1, self.q.full + 1), self.q.labels)
+            return _Axis(lambda: range(1, self.q.full + 1), self.q.labels, size=self.q.full)
         draws = lambda: _nonempty_draws(self.rng(tag), self.q.n, SAMPLE_COUNT)
-        return _Axis(draws, self.q.labels, "sampled")
+        return _Axis(draws, self.q.labels, "sampled", SAMPLE_COUNT)
 
     @cached_property
     def routes(self) -> _Routes:
@@ -1068,8 +1077,9 @@ def _suite_avoidance(ctx: _Ctx) -> list[_Law]:
     """The lemma's core on the sampled subsets closed under join and &,
     each with every combination of one ideal, two, or two and a prime: the
     hypotheses prime_avoidance checks of its input hold by construction.
-    The evidence tests each distinct drawn mask for stability once and
-    counts its cases for each draw of it."""
+    The evidence decides stability for every distinct drawn mask in one
+    sweep (classify._stable_masks) and counts each stable mask's cases for
+    each draw of it; the flat loop tests every draw (_instability)."""
     q, masks = ctx.q, ctx.subsets("avoidance.stable")
 
     def cases():
@@ -1092,15 +1102,13 @@ def _suite_avoidance(ctx: _Ctx) -> list[_Law]:
         return None if x is None else bool(m >> x & 1) and not union >> x & 1
 
     def mask_count(m):
-        """m's case count, 0 where m is not stable, if avoids holds on
-        every combination, else None, decided from the parts c of m outside
-        each ideal: _avoiding gives None where some c is 0, raises where
-        their AND is 0, else a witness that avoids passes.  The k ideals and the
-        primes P with c nonzero make k + k(k+1)/2 (1 + |P|) cases, which
-        hold unless two c of ideals, or two and one of P, AND to 0: never on
-        a lawful carrier, where every c holds the join of m."""
-        if cl._instability(q, m) is not None:
-            return 0
+        """The stable m's case count if avoids holds on every combination,
+        else None, decided from the parts c of m outside each ideal:
+        _avoiding gives None where some c is 0, raises where their AND is 0,
+        else a witness that avoids passes.  The k ideals and the primes P
+        with c nonzero make k + k(k+1)/2 (1 + |P|) cases, which hold unless
+        two c of ideals, or two and one of P, AND to 0: never on a lawful
+        carrier, where every c holds the join of m."""
         outside = [c for i in ctx.ideals if (c := m & ~i.members)]
         primes = [c for p in ctx.primes if (c := m & ~p.members)]
         meets = {x & y for x, y in itertools.combinations_with_replacement(set(outside), 2)}
@@ -1111,10 +1119,14 @@ def _suite_avoidance(ctx: _Ctx) -> list[_Law]:
 
     @cache
     def total():
-        """the count of every draw's cases if each distinct mask is decided
-        (mask_count), else None"""
+        """the count of every draw's cases if each distinct stable mask is
+        decided (mask_count), else None"""
+        drawn = Counter(masks.values())
+        stable = cl._stable_masks(q, list(drawn))
         total = 0
-        for m, draws in Counter(masks.values()).items():
+        for m, draws in drawn.items():
+            if m not in stable:
+                continue
             count = mask_count(m)
             if count is None:
                 return None
@@ -1379,7 +1391,7 @@ def _suite_collapse(ctx: _Ctx) -> list[_Law]:
         _Law("join_matches_closure", _over(I, I),
              lambda a, b: il.join_ideals(a, b) == il.ideal_from_closure(q, a.members | b.members)),
         _Law("generated_matches_downset", every_subset,
-             lambda s: il.generated(q, s) == il.Ideal(q, q.down[q.join_of(bits(s))])),
+             lambda s: il.generated(q, s) == il.Ideal(q, q.down[ctx.joins[s]])),
         _Law("ideal_carrier_iso", ctx.once, ideal_carrier_iso),
     ]
 

@@ -47,11 +47,12 @@ from qk.errors import (
 from qk.generators import generate_from_spec
 from qk.ideals import enumerate_ideals, ideal_quantale, principal, whole_ideal, zero_ideal
 from qk.quantfile import load_quant
-from qk.verify import single_cell_mutants
+from qk.verify import _Ctx, single_cell_mutants
 
 from oracles import (
     DATA,
     MUTANTS,
+    MUTATION_BASES,
     MUTATION_MUTANTS,
     SPECS,
     irreducible_witness_scan,
@@ -481,3 +482,38 @@ def test_extremal_walks_match_the_definitional_scans():
             disjoint = [i for i in ideals if not i.members & s.members]
             best = [i for i in disjoint if not any(i < o for o in disjoint)]
             assert maximal_avoiding(s) is min(best, key=lambda i: i.apex), (q.name, s)
+
+
+# the commutative single-cell mutants, the mutation bases and their mutants,
+# and the generator specs: 62 carriers, lawful and not
+SWEPT = [*MUTANTS, *MUTATION_BASES, *MUTATION_MUTANTS, *map(generate_from_spec, SPECS)]
+
+
+def test_stable_masks_is_the_instability_scan_on_every_mask():
+    # the sweep keeps exactly the masks _instability passes, on any table
+    assert len(SWEPT) == 62
+    for q in SWEPT:
+        masks = list(range(1, q.full + 1))
+        stable = {m for m in masks if classify._instability(q, m) is None}
+        assert classify._stable_masks(q, masks) == stable, q.name
+        assert classify._stable_masks(q, []) == set()
+
+
+@pytest.mark.parametrize("spec", ["lukasiewicz:12", "powerset:4", "lowersets:chain16"])
+def test_stable_masks_is_the_instability_scan_on_drawn_masks(spec):
+    # the avoidance suite's distinct draws, in draw order: few stable on
+    # the first two, every one on the chain frame
+    q = generate_from_spec(spec)
+    drawn = list(dict.fromkeys(_Ctx(q, 0).subsets("avoidance.stable").values()))
+    stable = {m for m in drawn if classify._instability(q, m) is None}
+    assert stable and classify._stable_masks(q, drawn) == stable
+    assert (stable == set(drawn)) == spec.startswith("lowersets")
+
+
+def test_spectrum_is_the_prime_scan_on_every_ideal():
+    # the sweep over pairs keeps the ideals is_prime passes, in apex order:
+    # none struck on a chain frame, all but one on a Lukasiewicz chain
+    frame, chain = map(generate_from_spec, ("lowersets:chain64", "lukasiewicz:64"))
+    for q in [*SWEPT, frame, chain]:
+        assert spectrum(q) == [i for i in enumerate_ideals(q) if is_prime(i)], q.name
+    assert len(spectrum(frame)) == frame.n - 1 and len(spectrum(chain)) == 1

@@ -492,4 +492,4 @@ def test_readme_limits_match_the_ci_rows():
             runs = (f"qk gen {carrier} ", f"timeout {timeout} python -m qk {command} ", f"-eq {status}\n")
             assert any(all(r in step for r in runs) for step in steps), line
         checked += 1
-    assert checked == 41
+    assert checked == 42

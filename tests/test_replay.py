@@ -437,6 +437,23 @@ def test_p_primary_meet_closed_runs_flat_on_join_rewrites():
         assert _run(law) == flat_run(law), q.name
 
 
+def test_mask_joins_fold_as_join_of_on_any_join_table():
+    # _Ctx.joins, which generated_matches_downset and the transport gate
+    # read, is join_of's fold from bottom over the ascending bits of each
+    # mask: on the join rewrites and on one-sided ones, where folding
+    # join[b][J] instead of join[J][b] would differ
+    q = generate_from_spec("powerset:2")
+    one_sided = [
+        replace(q, join=tuple(tuple(v if (r, c) == (i, j) else x for c, x in enumerate(row))
+                              for r, row in enumerate(q.join)))
+        for i in range(q.n) for j in range(q.n) if i != j for v in range(q.n)
+    ]
+    for c in [*_join_rewrite_carriers(), *one_sided]:
+        assert _Ctx(c, 0).joins == [c.join_of(bits(s)) for s in range(c.full + 1)], c.name
+    swapped = lambda c, s: c.join[s.bit_length() - 1][c.join_of(bits(s & ~(1 << s.bit_length() - 1)))]
+    assert any(swapped(c, s) != c.join_of(bits(s)) for c in one_sided for s in range(1, c.full + 1))
+
+
 def test_coprime_counts_are_the_flat_loops():
     # sum_c k_c^2 and k sum_c k_c for k_c = #{a : a ∨ c = top}, read here
     # from the join table
@@ -739,14 +756,16 @@ def test_a_failure_after_repeats_reports_the_flat_witness():
 
 
 def _avoidance_over(draws, monkeypatch):
-    """The avoidance law on lukasiewicz:5 over the drawn masks draws, and
-    the masks classify._instability is called on."""
-    ctx, tested = _Ctx(generate_from_spec("lukasiewicz:5"), 0), []
+    """The avoidance law on lukasiewicz:5 over the drawn masks draws, the
+    masks classify._instability is called on, and the mask lists
+    classify._stable_masks is called with."""
+    ctx, tested, swept = _Ctx(generate_from_spec("lukasiewicz:5"), 0), [], []
     ctx.subsets = lambda tag: verify._Axis(lambda: draws, ctx.q.labels, "sampled")
-    instability = classify._instability
+    instability, stable = classify._instability, classify._stable_masks
     monkeypatch.setattr(classify, "_instability", lambda q, m: tested.append(m) or instability(q, m))
+    monkeypatch.setattr(classify, "_stable_masks", lambda q, ms: swept.append(ms) or stable(q, ms))
     [law] = verify._suite_avoidance(ctx)
-    return law, tested
+    return law, tested, swept
 
 
 # masks of lukasiewicz:5: {4} and {0, 4} are stable, {3} is not, as 3 & 3 = 2
@@ -754,22 +773,22 @@ _FOUR, _ENDS, _THREE = 0b10000, 0b10001, 0b01000
 
 
 def test_consecutive_repeats_are_separate_draws(monkeypatch):
-    # the evidence tests each distinct mask once and counts its cases for
-    # every draw of it, as the flat loop, which tests every draw, does
+    # the evidence hands each distinct mask to the sweep once, in draw
+    # order, and counts its cases for every draw of it, as the flat loop,
+    # which tests every draw with _instability, does
     counts = {m: flat_run(_avoidance_over([m], monkeypatch)[0])[1] for m in (_FOUR, _ENDS)}
     draws = [_FOUR, _FOUR, _ENDS, _ENDS, _ENDS, _FOUR]
-    law, tested = _avoidance_over(draws, monkeypatch)
+    law, tested, swept = _avoidance_over(draws, monkeypatch)
     row = _run(law)
     assert row == ("pass", 3 * counts[_FOUR] + 3 * counts[_ENDS], None, "")
-    assert tested == [_FOUR, _ENDS]
-    tested.clear()
-    assert flat_run(law) == row and tested == draws
+    assert swept == [[_FOUR, _ENDS]] and tested == []
+    assert flat_run(law) == row and tested == draws and len(swept) == 1
 
 
 def test_a_draw_outside_the_hypothesis_counts_nothing(monkeypatch):
     # a mask not closed under & has no case, drawn once or often
-    law, _ = _avoidance_over([_THREE, _FOUR, _THREE], monkeypatch)
-    alone, _ = _avoidance_over([_FOUR], monkeypatch)
+    law, _, _ = _avoidance_over([_THREE, _FOUR, _THREE], monkeypatch)
+    alone, _, _ = _avoidance_over([_FOUR], monkeypatch)
     assert _run(law) == flat_run(law) == flat_run(alone)
     assert _run(law)[:2] == ("pass", flat_run(alone)[1]) and flat_run(alone)[1] > 0
 

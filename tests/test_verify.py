@@ -252,19 +252,22 @@ def test_primary_and_uniqueness_case_counts_stay_bounded_on_a_long_chain():
 
 
 def test_avoidance_tests_each_drawn_mask_once(monkeypatch):
-    # lukasiewicz:12 has 4,095 nonempty subsets, so the 10,000 draws repeat
+    # lukasiewicz:12 has 4,095 nonempty subsets, so the 10,000 draws repeat;
+    # the evidence hands each distinct draw to one sweep, in draw order, and
+    # tests none of them one at a time
     from qk import classify
     from qk.verify import _Ctx
 
     q = lukasiewicz_quantale(12)
     drawn = list(_Ctx(q, 0).subsets("avoidance.stable").values())
     assert len(drawn) == SAMPLE_COUNT > len(set(drawn))
-    calls = []
-    instability = classify._instability
+    calls, swept = [], []
+    instability, stable = classify._instability, classify._stable_masks
     monkeypatch.setattr(classify, "_instability", lambda q, m: calls.append(m) or instability(q, m))
+    monkeypatch.setattr(classify, "_stable_masks", lambda q, ms: swept.append(ms) or stable(q, ms))
     rep = run_suite(q, "avoidance", seed=0)
     assert rep.ok
-    assert sorted(calls) == sorted(set(drawn))
+    assert swept == [list(dict.fromkeys(drawn))] and calls == []
 
 
 def _plain_routes(ctx):
