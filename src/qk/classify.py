@@ -233,8 +233,9 @@ def spectrum(q: FiniteQuantale) -> list[Ideal]:
     ideals, up = enumerate_ideals(q), q.up
     live = sum(1 << a for a, i in enumerate(ideals) if i.proper)
     for x, row in enumerate(q.mul):
-        out = live & ~up[x]
-        for y in range(x, q.n if out else x):
+        if not (out := live & ~up[x]):
+            continue
+        for y in range(x, q.n):
             if bad := out & up[row[y]] & ~up[y]:
                 live ^= bad
                 out ^= bad
@@ -411,9 +412,10 @@ def _stable_masks(q: FiniteQuantale, masks: list[int]) -> set[int]:
     held = [int(digits[n - 1 - e :: n] or "0", 2) for e in range(n)]
     live = (1 << len(masks)) - 1
     for x in range(n):
+        if not (both := held[x] & live):
+            continue
         jr, mr = q.join[x], q.mul[x]
-        both = held[x] & live
-        for y in range(n if both else 0):
+        for y in range(n):
             if bad := both & held[y] & ~(held[jr[y]] & held[mr[y]]):
                 live ^= bad
                 both ^= bad
